@@ -30,7 +30,7 @@ mpk, msk = master_key_gen(p, rng.child("keygen"))
 print(f"master key at N={p.N}: {time.perf_counter() - t0:.2f} s")
 
 # the NTRU relation the trapdoor satisfies, checked over the integers
-det = msk.f.mul_mod_phi(msk.G) - msk.g.mul_mod_phi(msk.F)
+det = msk.f * msk.G - msk.g * msk.F
 print("f*G - g*F == q:", det.coeffs == [p.q] + [0] * (p.N - 1))
 
 # anyone can encrypt to an identity; only the issued key decrypts

@@ -11,8 +11,8 @@ from dwpt_auth.ring import (
     TIERS,
     RingElement,
     hash_to_ring,
+    karamul,
     sample_gaussian_poly,
-    schoolbook_mul,
 )
 from dwpt_auth.rng import RandomSource
 
@@ -25,12 +25,12 @@ p = TIERS["test"]
 rng = RandomSource("ring-demo")
 
 # two independent multiplication routes: the transform path used everywhere,
-# and an arbitrary-precision convolution kept as the oracle
+# and the exact Kronecker product over Z, reduced mod q, kept as the oracle
 a = RingElement(p, [rng.below(p.q) for _ in range(p.N)])
 b = RingElement(p, [rng.below(p.q) for _ in range(p.N)])
 fast = a * b
-slow = schoolbook_mul(a, b)
-print("\nfast == schoolbook:", fast == slow)
+exact = RingElement(p, karamul(a.coeffs.tolist(), b.coeffs.tolist()))
+print("\nNTT == Kronecker:", fast == exact)
 
 # x * x^(N-1) wraps to -1: that is the negacyclic reduction
 x = RingElement.monomial(p, 1)

@@ -27,11 +27,12 @@ from dwpt_auth.errors import (
     ResampleExhausted,
     SamplerFailure,
 )
-from dwpt_auth.ntrusolve import _fft_neg, ntru_solve
+from dwpt_auth.ntrusolve import fft_neg, ntru_solve
 from dwpt_auth.ring import (
     IntegerPolynomial,
     RingElement,
     RingParams,
+    anticirculant_matrix,
     hash_to_ring,
     sample_gaussian_int,
     sample_gaussian_poly,
@@ -84,28 +85,18 @@ class MasterSecretKey:
     def basis(self) -> np.ndarray:
         """Rows span {(u, v): u + v*h = 0 mod q}; blocks [g | -f; G | -F]."""
         N = self.params.N
-        B = np.zeros((2 * N, 2 * N), dtype=np.int64)
-        for i in range(N):
-            B[i, :N] = _rotate_row(self.g, i)
-            B[i, N:] = -_rotate_row(self.f, i)
-            B[N + i, :N] = _rotate_row(self.G, i)
-            B[N + i, N:] = -_rotate_row(self.F, i)
+        B = np.empty((2 * N, 2 * N), dtype=np.int64)
+        B[:N, :N] = anticirculant_matrix(self.g.coeffs)
+        B[:N, N:] = anticirculant_matrix(self.f.coeffs)
+        B[N:, :N] = anticirculant_matrix(self.G.coeffs)
+        B[N:, N:] = anticirculant_matrix(self.F.coeffs)
+        np.negative(B[:, N:], out=B[:, N:])
         return B
 
     def sampler(self) -> "KleinSampler":
         if self._sampler is None:
             self._sampler = KleinSampler(self.basis())
         return self._sampler
-
-
-def _rotate_row(poly: IntegerPolynomial, i: int) -> np.ndarray:
-    """Coefficient vector of x^i * poly over Z (negacyclic wrap)."""
-    c = poly.coeffs
-    n = len(c)
-    row = np.empty(n, dtype=np.int64)
-    row[i:] = c[: n - i]
-    row[:i] = [-v for v in c[n - i :]]
-    return row
 
 
 @dataclass(frozen=True)
@@ -191,8 +182,8 @@ def _gs_quality(f: IntegerPolynomial, g: IntegerPolynomial, q: int) -> float:
     points, so both are available before solving for (F, G).
     """
     norm1_sq = f.norm_squared() + g.norm_squared()
-    f_hat = _fft_neg(np.array(f.coeffs, dtype=np.float64))
-    g_hat = _fft_neg(np.array(g.coeffs, dtype=np.float64))
+    f_hat = fft_neg(np.array(f.coeffs, dtype=np.float64))
+    g_hat = fft_neg(np.array(g.coeffs, dtype=np.float64))
     den = np.abs(f_hat) ** 2 + np.abs(g_hat) ** 2
     if np.any(den < 1e-12):
         return float("inf")
@@ -226,7 +217,7 @@ def master_key_gen(
         except NotInvertible:
             continue
         F, G = IntegerPolynomial(F_c), IntegerPolynomial(G_c)
-        check = f.mul_mod_phi(G) - g.mul_mod_phi(F)
+        check = f * G - g * F
         if check.coeffs[0] != q or any(c != 0 for c in check.coeffs[1:]):
             continue
         h = g.to_ring(params) * f_inv

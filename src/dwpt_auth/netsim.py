@@ -685,6 +685,18 @@ def message_cost_rows(n_pads: int, timing: TimingModel) -> list[dict]:
     return rows
 
 
+def session_bytes(n_pads: int) -> int:
+    """Nominal bytes of a completed n-pad session, summed per message as
+    `simulate_session` sums them: m1-m5, then for each pad its provisioning
+    message (m6 from the RSU for pad 1, m8 from the previous pad after that)
+    and its chain message."""
+    sizes = protocol.NOMINAL_SIZES
+    total = sum(sizes[k] for k in ("m1", "m2", "m3", "m4", "m5"))
+    for j in range(1, n_pads + 1):
+        total += sizes["m6" if j == 1 else "m8"] + sizes[protocol.chain_kind(j)]
+    return total
+
+
 def write_message_costs_csv(path, n_pads: int, timing: TimingModel, header: dict):
     lines = [f"# {k}={v}" for k, v in sorted(header.items())]
     lines.append("message,computation_ms,channel,bytes,sending_us")
@@ -700,7 +712,7 @@ def write_message_costs_csv(path, n_pads: int, timing: TimingModel, header: dict
     )
     lines.append(
         f"total_asymptotic,{_fmt(cost_asymptotic(n_pads, timing))},-,"
-        f"{576 + 64 * n_pads},-"
+        f"{session_bytes(n_pads)},-"
     )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -5,8 +5,9 @@ projects the problem through the field norm down to integers, solves with an
 extended gcd, lifts back up, and size-reduces the lifted solution against
 (f, g) with Babai rounding in the Fourier domain.
 
-Exact polynomial products use Kronecker substitution: coefficients are packed
-into one big integer so CPython's native multiplication does the work.
+Exact polynomial products go through `ring.karamul` (Kronecker substitution:
+coefficients are packed into one big integer so CPython's native
+multiplication does the work).
 """
 
 from __future__ import annotations
@@ -16,28 +17,7 @@ import math
 import numpy as np
 
 from dwpt_auth.errors import NotInvertible
-
-
-def karamul(a: list[int], b: list[int]) -> list[int]:
-    """Exact negacyclic product (mod x^n + 1) via Kronecker substitution."""
-    n = len(a)
-    max_a = max(1, max(abs(c) for c in a))
-    max_b = max(1, max(abs(c) for c in b))
-    # Any folded coefficient is bounded by 2n * max|a| * max|b|.
-    width = max_a.bit_length() + max_b.bit_length() + n.bit_length() + 2
-    pack_a = sum(c << (i * width) for i, c in enumerate(a))
-    pack_b = sum(c << (i * width) for i, c in enumerate(b))
-    product = pack_a * pack_b
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    full = [0] * (2 * n)
-    for k in range(2 * n - 1):
-        digit = product & mask
-        if digit >= half:
-            digit -= 1 << width
-        full[k] = digit
-        product = (product - digit) >> width
-    return [full[k] - full[k + n] for k in range(n)]
+from dwpt_auth.ring import karamul
 
 
 def galois_conjugate(a: list[int]) -> list[int]:
@@ -76,14 +56,14 @@ def _bitsize(a: int) -> int:
     return res
 
 
-def _fft_neg(a: np.ndarray) -> np.ndarray:
+def fft_neg(a: np.ndarray) -> np.ndarray:
     """Evaluate at the primitive 2n-th roots e^(i*pi*(2k+1)/n)."""
     n = len(a)
     twist = np.exp(1j * np.pi * np.arange(n) / n)
     return n * np.fft.ifft(a * twist)
 
 
-def _ifft_neg(values: np.ndarray) -> np.ndarray:
+def ifft_neg(values: np.ndarray) -> np.ndarray:
     n = len(values)
     twist = np.exp(-1j * np.pi * np.arange(n) / n)
     return np.real(np.fft.fft(values) / n * twist)
@@ -105,8 +85,8 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
     )
     f_adj = np.array([c >> (size - 53) for c in f], dtype=np.float64)
     g_adj = np.array([c >> (size - 53) for c in g], dtype=np.float64)
-    f_hat = _fft_neg(f_adj)
-    g_hat = _fft_neg(g_adj)
+    f_hat = fft_neg(f_adj)
+    g_hat = fft_neg(g_adj)
     denom = f_hat * f_hat.conj() + g_hat * g_hat.conj()
 
     while True:
@@ -121,10 +101,10 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
             break
         F_adj = np.array([c >> (big - 53) for c in F], dtype=np.float64)
         G_adj = np.array([c >> (big - 53) for c in G], dtype=np.float64)
-        F_hat = _fft_neg(F_adj)
-        G_hat = _fft_neg(G_adj)
+        F_hat = fft_neg(F_adj)
+        G_hat = fft_neg(G_adj)
         numer = F_hat * f_hat.conj() + G_hat * g_hat.conj()
-        k = np.rint(_ifft_neg(numer / denom)).astype(np.int64)
+        k = np.rint(ifft_neg(numer / denom)).astype(np.int64)
         if not k.any():
             break
         k_list = [int(c) for c in k]

@@ -61,6 +61,12 @@ NOMINAL_SIZES = {
     "chain": 32,
 }
 
+
+def chain_kind(j: int) -> str:
+    """Message kind of the chain value the EV sends to pad j (1-based)."""
+    return "m7" if j == 1 else ("m9" if j == 2 else "chain")
+
+
 #: Default freshness window for timestamp checks, simulated milliseconds.
 FRESHNESS_WINDOW_MS = 2000
 
@@ -241,8 +247,7 @@ class EvSession:
         if self.state != "charging" or self.chain is None:
             raise ProtocolRejection(BAD_STATE, f"chain send in state {self.state}")
         j = self.next_pad
-        kind = "m7" if j == 1 else ("m9" if j == 2 else "chain")
-        msg = ProtocolMessage(kind, "EV", f"CP{j}", self.chain.value_for_pad(j))
+        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", self.chain.value_for_pad(j))
         self.next_pad += 1
         if self.next_pad > self.chain.n_pads:
             self.state = "done"

@@ -1,11 +1,13 @@
-"""Arithmetic in R_q = Z_q[x]/(x^N + 1).
+"""Arithmetic in R_q = Z_q[x]/(x^N + 1) and exactly in Z[x]/(x^N + 1).
 
 Carrier types for every key, ciphertext, and hash-to-ring value in the
 package, plus discrete Gaussian sampling and deterministic hashing of byte
 strings into the ring.  Multiplication has two routes: a negacyclic
-number-theoretic transform (requires q ≡ 1 mod 2N, always true for valid
-parameters) and an arbitrary-precision schoolbook convolution kept as the
-reference oracle; the test suite holds them bit-equal.
+number-theoretic transform mod q (requires q ≡ 1 mod 2N, always true for
+valid parameters) and an exact product over the integers by Kronecker
+substitution, `karamul`.  The exact route carries the trapdoor arithmetic
+and is the reference oracle for the transform; the test suite holds the two
+bit-equal mod q.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from dwpt_auth.errors import NotInvertible, ParameterMismatch
 from dwpt_auth.rng import RandomSource
 
-# int64 NTT butterflies need q*q < 2**62; all parameter tiers are far below.
+# int64 NTT butterflies need q*q < 2**62; RingParams rejects larger q.
 _NTT_Q_LIMIT = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -66,6 +68,8 @@ class RingParams:
             raise ValueError(f"q must be prime, got {self.q}")
         if self.q % (2 * self.N) != 1:
             raise ValueError(f"q must satisfy q = 1 mod 2N, got q={self.q}, N={self.N}")
+        if self.q >= _NTT_Q_LIMIT:
+            raise ValueError(f"q must be below 2^31 for int64 arithmetic, got {self.q}")
         if self.sigma_f <= 0 or self.sigma_extract <= 0:
             raise ValueError("Gaussian widths must be strictly positive")
 
@@ -127,12 +131,11 @@ def _ntt_context(N: int, q: int):
         psi = _find_psi(N, q)
         psi_inv = pow(psi, q - 2, q)
         bits = N.bit_length() - 1
-        dtype = np.int64 if q < _NTT_Q_LIMIT else object
         fwd = np.array(
-            [pow(psi, _bit_reverse(i, bits), q) for i in range(N)], dtype=dtype
+            [pow(psi, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64
         )
         inv = np.array(
-            [pow(psi_inv, _bit_reverse(i, bits), q) for i in range(N)], dtype=dtype
+            [pow(psi_inv, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64
         )
         n_inv = pow(N, q - 2, q)
         ctx = (fwd, inv, n_inv)
@@ -177,6 +180,31 @@ def _ntt_inverse(values: np.ndarray, N: int, q: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Exact negacyclic product over Z
+
+def karamul(a: list[int], b: list[int]) -> list[int]:
+    """Exact negacyclic product (mod x^n + 1) via Kronecker substitution."""
+    n = len(a)
+    max_a = max(1, max(abs(c) for c in a))
+    max_b = max(1, max(abs(c) for c in b))
+    # Any folded coefficient is bounded by 2n * max|a| * max|b|.
+    width = max_a.bit_length() + max_b.bit_length() + n.bit_length() + 2
+    pack_a = sum(c << (i * width) for i, c in enumerate(a))
+    pack_b = sum(c << (i * width) for i, c in enumerate(b))
+    product = pack_a * pack_b
+    half = 1 << (width - 1)
+    mask = (1 << width) - 1
+    full = [0] * (2 * n)
+    for k in range(2 * n - 1):
+        digit = product & mask
+        if digit >= half:
+            digit -= 1 << width
+        full[k] = digit
+        product = (product - digit) >> width
+    return [full[k] - full[k + n] for k in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # Ring elements
 
 class RingElement:
@@ -185,14 +213,10 @@ class RingElement:
     __slots__ = ("params", "coeffs")
 
     def __init__(self, params: RingParams, coeffs):
-        arr = np.asarray(coeffs, dtype=object) if params.q >= _NTT_Q_LIMIT else None
-        if arr is None:
-            arr = np.asarray(coeffs, dtype=np.int64)
+        arr = np.asarray(coeffs, dtype=np.int64)
         if arr.shape != (params.N,):
             raise ValueError(f"expected {params.N} coefficients, got {arr.shape}")
         arr = arr % params.q
-        if params.q < _NTT_Q_LIMIT:
-            arr = arr.astype(np.int64)
         arr.setflags(write=False)
         self.params = params
         self.coeffs = arr
@@ -226,11 +250,12 @@ class RingElement:
     def centered(self) -> np.ndarray:
         """Representative in (-q/2, q/2], used for norms and decryption."""
         q = self.params.q
-        c = self.coeffs.astype(object if q >= _NTT_Q_LIMIT else np.int64, copy=True)
+        c = self.coeffs.copy()
         c[c > q // 2] -= q
         return c
 
     def norm_squared(self) -> int:
+        # Exact: a sum of N terms up to (q/2)^2 exceeds int64 for q near 2^31.
         c = self.centered()
         return int(np.sum(c.astype(object) ** 2))
 
@@ -274,8 +299,7 @@ class RingElement:
         points = _ntt_forward(self.coeffs, N, q)
         if np.any(points == 0):
             raise NotInvertible("element shares a factor with x^N+1 mod q")
-        dtype = np.int64 if q < _NTT_Q_LIMIT else object
-        inv_points = np.array([pow(int(x), q - 2, q) for x in points], dtype=dtype)
+        inv_points = np.array([pow(int(x), q - 2, q) for x in points], dtype=np.int64)
         return RingElement(self.params, _ntt_inverse(inv_points, N, q))
 
     def __eq__(self, other) -> bool:
@@ -346,20 +370,8 @@ class IntegerPolynomial:
     def __neg__(self):
         return IntegerPolynomial([-a for a in self.coeffs])
 
-    def mul_mod_phi(self, other: "IntegerPolynomial") -> "IntegerPolynomial":
-        """Exact schoolbook product reduced by x^N = -1."""
-        n = len(self.coeffs)
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k < n:
-                    out[k] += a * b
-                else:
-                    out[k - n] -= a * b
-        return IntegerPolynomial(out)
+    def __mul__(self, other):
+        return IntegerPolynomial(karamul(self.coeffs, other.coeffs))
 
     def norm_squared(self) -> int:
         return sum(c * c for c in self.coeffs)
@@ -374,32 +386,7 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Spec operations
-
-def ring_add(a: RingElement, b: RingElement) -> RingElement:
-    return a + b
-
-
-def ring_mul(a: RingElement, b: RingElement) -> RingElement:
-    return a * b
-
-
-def ring_inverse(a: RingElement) -> RingElement:
-    return a.inverse()
-
-
-def schoolbook_mul(a: RingElement, b: RingElement) -> RingElement:
-    """Reference negacyclic convolution with arbitrary-precision integers.
-
-    This is the oracle route: O(N^2), no transform, exact by construction.
-    """
-    a._check(b)
-    n, q = a.params.N, a.params.q
-    big = np.convolve(a.coeffs.astype(object), b.coeffs.astype(object))
-    folded = big[:n].copy()
-    folded[: n - 1] -= big[n:]
-    return RingElement(a.params, folded % q)
-
+# Sampling, hashing, and lattice matrices
 
 _GAUSS_TABLE_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -474,16 +461,13 @@ def hash_to_ring(data: bytes, params: RingParams) -> RingElement:
     return RingElement(params, coeffs)
 
 
-def anticirculant_matrix(h: RingElement) -> np.ndarray:
-    """N x N matrix whose row i is the coefficient vector of x^i * h in R.
+def anticirculant_matrix(coeffs) -> np.ndarray:
+    """N x N matrix whose row i is the coefficient vector of x^i * a over Z.
 
-    Intended for small-N lattice membership checks; entries in [0, q).
+    `coeffs` are the N integer coefficients of a; entries keep their sign (no
+    reduction mod q).  The result is a read-only view of one 2N-entry buffer.
     """
-    N, q = h.params.N, h.params.q
-    rows = np.empty((N, N), dtype=np.int64)
-    row = h.coeffs.astype(np.int64, copy=True)
-    for i in range(N):
-        rows[i] = row
-        row = np.roll(row, 1)
-        row[0] = (-row[0]) % q
-    return rows
+    a = np.asarray(coeffs, dtype=np.int64)
+    n = len(a)
+    # Row i is the length-N window of [-a | a] that starts at N - i.
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate((-a, a)), n)[n:0:-1]

@@ -24,7 +24,7 @@ from dwpt_auth.ibe import (
     sign,
     verify,
 )
-from dwpt_auth.ring import RingElement, TIERS, ring_mul
+from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
 
 
@@ -37,11 +37,11 @@ class TestMasterKeyGen:
         mpk, msk = toy_authority.mpk, toy_authority.msk
         p = mpk.params
         # h * f = g mod q
-        assert ring_mul(mpk.h, msk.f.to_ring(p)) == msk.g.to_ring(p)
+        assert mpk.h * msk.f.to_ring(p) == msk.g.to_ring(p)
 
     def test_lattice_determinant(self, toy_authority):
         msk = toy_authority.msk
-        check = msk.f.mul_mod_phi(msk.G) - msk.g.mul_mod_phi(msk.F)
+        check = msk.f * msk.G - msk.g * msk.F
         assert check.coeffs == [msk.params.q] + [0] * (msk.params.N - 1)
 
     def test_basis_rows_annihilate_h(self, toy_authority):
