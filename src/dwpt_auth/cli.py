@@ -16,12 +16,7 @@ from pathlib import Path
 from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry, ProtocolRejection
 from dwpt_auth.netsim import TimingModel
-from dwpt_auth.registration import (
-    export_cspa_dataset,
-    ra_setup,
-    register_vehicle,
-    storage_report,
-)
+from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import TIERS
 
 _TIMING_MODES = ("rounded-table", "cycle-accurate")
@@ -93,11 +88,9 @@ def cmd_register(args) -> int:
     out = _out_dir(args) if args.out else Path(args.authority).parent
     vpath = out / f"vehicle-{args.vehicle_id}.bin"
     keyfiles.save_vehicle(vpath, creds)
-    est = storage_report(ra)
     print(
         f"vehicle {args.vehicle_id} registered: {count} pseudonyms, "
-        f"credentials at {vpath} "
-        f"({est['serialized_vehicle_bytes'][args.vehicle_id]} bytes)"
+        f"credentials at {vpath} ({vpath.stat().st_size} bytes)"
     )
     return 0
 
@@ -143,12 +136,13 @@ def cmd_run(args) -> int:
     tpath = out / "transcript.jsonl"
     tpath.write_text(trace.to_jsonl())
     summary = trace.summary()
-    if trace.completed:
-        # Burn the pseudonym on both sides so a rerun is rejected.
-        pseudonym = creds.entries[trace.used_entry_index].pseudonym
-        ra.consumed.add(pseudonym)
+    if any(event.kind == "m2" for event in trace.events):
+        # The operator accepted m1 and issued a token: burn the pseudonym on
+        # both sides so a rerun is rejected, whether or not the pass completed.
+        ra.consumed.add(creds.entries[trace.used_entry_index].pseudonym)
         keyfiles.save_authority(args.authority, ra)
         keyfiles.save_vehicle(args.vehicle, creds)
+    if trace.completed:
         print(
             f"session complete: {trace.accepted_pads}/{n_pads} pads accepted, "
             f"first-pad computation {summary['computation_through_first_pad_ms']:.2f} ms, "

@@ -117,6 +117,17 @@ class Signature:
     s2: RingElement
 
 
+def _length_prefixed(data: bytes, off: int) -> tuple[bytes, int]:
+    """The u32-length-prefixed field at `off`, and the offset after it."""
+    if off + 4 > len(data):
+        raise ValueError("truncated length field")
+    (n,) = struct.unpack_from("<I", data, off)
+    off += 4
+    if off + n > len(data):
+        raise ValueError("truncated field")
+    return data[off : off + n], off + n
+
+
 @dataclass(frozen=True)
 class Ciphertext:
     """One ring ciphertext carrying up to N bits."""
@@ -132,13 +143,17 @@ class Ciphertext:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "Ciphertext":
-        klen = data[0]
+        """Inverse of to_bytes; ValueError on truncated or trailing bytes."""
+        klen = data[0] if data else 0
+        if 1 + klen > len(data):
+            raise ValueError("truncated ciphertext kind")
         kind = data[1 : 1 + klen].decode()
-        (ulen,) = struct.unpack_from("<I", data, 1 + klen)
-        off = 5 + klen
-        u = RingElement.from_bytes(data[off : off + ulen], params)
-        v = RingElement.from_bytes(data[off + ulen :], params)
-        return cls(u, v, kind)
+        ub, off = _length_prefixed(data, 1 + klen)
+        return cls(
+            RingElement.from_bytes(ub, params),
+            RingElement.from_bytes(data[off:], params),
+            kind,
+        )
 
 
 @dataclass(frozen=True)
@@ -158,17 +173,18 @@ class HybridCiphertext:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "HybridCiphertext":
-        n_blocks = data[0]
+        """Inverse of to_bytes; ValueError on truncated or trailing bytes."""
+        if not data:
+            raise ValueError("truncated block count")
         off = 1
         blocks = []
-        for _ in range(n_blocks):
-            (blen,) = struct.unpack_from("<I", data, off)
-            off += 4
-            blocks.append(Ciphertext.from_bytes(data[off : off + blen], params))
-            off += blen
-        (slen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        return cls(tuple(blocks), data[off : off + slen])
+        for _ in range(data[0]):
+            blob, off = _length_prefixed(data, off)
+            blocks.append(Ciphertext.from_bytes(blob, params))
+        sealed, off = _length_prefixed(data, off)
+        if off != len(data):
+            raise ValueError("trailing bytes after sealed payload")
+        return cls(tuple(blocks), sealed)
 
 
 # ---------------------------------------------------------------------------

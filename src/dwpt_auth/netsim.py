@@ -66,11 +66,11 @@ class TimingModel:
         )
 
     @classmethod
-    def cycle_accurate(cls, clock_hz: int = _MCU_CLOCK_HZ) -> "TimingModel":
+    def cycle_accurate(cls) -> "TimingModel":
         """Costs derived from raw cycle counts at the MCU clock."""
 
         def ms(cycles: int) -> Fraction:
-            return Fraction(cycles * 1000, clock_hz)
+            return Fraction(cycles * 1000, _MCU_CLOCK_HZ)
 
         return cls(
             mode="cycle-accurate",
@@ -269,8 +269,6 @@ class SessionTrace:
 class World:
     """All parties for one lane, wired to a common authority."""
 
-    authority: RegistrationAuthority
-    credentials: VehicleCredentials
     ev: EvSession
     cspa: CspaState
     rsu: RsuState
@@ -305,7 +303,36 @@ def build_world(
         freshness_ms,
     )
     pads = [CpState(i + 1, authority.gk_rsu_cp) for i in range(n_pads)]
-    return World(authority, credentials, ev, cspa, rsu, pads, root.child("world"))
+    return World(ev, cspa, rsu, pads, root.child("world"))
+
+
+def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg, verdict="ok": msg):
+    """One honest pass: m1-m6, each message delivered as soon as it is sent,
+    then pads 1..n_pads in driving order, each provisioned (m6, then the
+    previous pad's m8 forward) before it checks the EV's chain value.
+
+    Stops at the first pad that rejects; returns (chain message, verdict)
+    for every pad reached.  `emit` sees each message as it goes on the air.
+    """
+    ev, cspa, rsu = world.ev, world.cspa, world.rsu
+    m1 = emit(ev.compose_m1(now()))
+    m2, m3 = cspa.handle_m1(m1, now())
+    ev.handle_m2(emit(m2), now())
+    rsu.handle_m3(emit(m3), now())
+    m4 = emit(ev.compose_m4(now()))
+    m5, provision = rsu.handle_m4(m4, now())
+    ev.handle_m5(emit(m5), now())
+    rides = []
+    for pad in world.pads[:n_pads]:
+        pad.handle_provision(emit(provision))
+        msg = ev.next_chain_message()
+        verdict = pad.handle_chain(msg, world.rng)
+        emit(msg, "ok" if verdict.accepted else verdict.reason)
+        rides.append((msg, verdict))
+        if not verdict.accepted:
+            break
+        provision = verdict.forward
+    return rides
 
 
 def simulate_session(
@@ -316,7 +343,6 @@ def simulate_session(
     timing: TimingModel | None = None,
     entry_index: int | None = None,
     freshness_ms: int = protocol.FRESHNESS_WINDOW_MS,
-    world: World | None = None,
 ) -> SessionTrace:
     """Run one honest session and account every message.
 
@@ -326,10 +352,7 @@ def simulate_session(
     A protocol rejection ends the run with the reason recorded.
     """
     tm = timing or TimingModel.rounded_table()
-    if world is None:
-        world = build_world(
-            authority, credentials, n_pads, seed, entry_index, freshness_ms
-        )
+    world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
     trace = SessionTrace(
         config={
             "type": "config",
@@ -346,7 +369,7 @@ def simulate_session(
     first_pad_seen = False
 
     def emit(msg: ProtocolMessage, verdict: str = "ok") -> ProtocolMessage:
-        nonlocal clock
+        nonlocal clock, first_pad_seen
         comp = tm.message_cost_ms(msg.kind, n_pads)
         send = sending_time_us(msg.kind)
         clock += comp + send / 1000
@@ -372,43 +395,11 @@ def simulate_session(
             trace.comp_through_first_pad_ms += comp
             trace.sending_through_first_pad_us += send
             trace.bytes_through_first_pad += msg.nominal_size
+            first_pad_seen = msg.kind == protocol.chain_kind(1)
         return msg
 
-    def now() -> int:
-        return int(clock)
-
-    ev, cspa, rsu, pads = world.ev, world.cspa, world.rsu, world.pads
     try:
-        m1 = emit(ev.compose_m1(now()))
-        trace.used_entry_index = ev.entry.index
-        m2, m3 = cspa.handle_m1(m1, now())
-        emit(m2)
-        ev.handle_m2(m2, now())
-        emit(m3)
-        rsu.handle_m3(m3, now())
-        m4 = emit(ev.compose_m4(now()))
-        m5, m6 = rsu.handle_m4(m4, now())
-        emit(m5)
-        ev.handle_m5(m5, now())
-        emit(m6)
-        pads[0].handle_provision(m6)
-
-        forward = None
-        for j in range(1, n_pads + 1):
-            if forward is not None:
-                emit(forward)
-                pads[j - 1].handle_provision(forward)
-            chain_msg = ev.next_chain_message()
-            verdict = pads[j - 1].handle_chain(chain_msg, world.rng)
-            emit(chain_msg, "ok" if verdict.accepted else verdict.reason)
-            if j == 1:
-                first_pad_seen = True
-            if not verdict.accepted:
-                trace.rejection = verdict.reason
-                return trace
-            trace.accepted_pads += 1
-            forward = verdict.forward if j < n_pads else None
-        trace.completed = True
+        verdicts = [v for _, v in _ride(world, n_pads, lambda: int(clock), emit)]
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
         trace.events.append(
@@ -425,6 +416,13 @@ def simulate_session(
                 verdict=exc.reason,
             )
         )
+    else:
+        trace.accepted_pads = sum(v.accepted for v in verdicts)
+        trace.completed = trace.accepted_pads == n_pads
+        if not verdicts[-1].accepted:
+            trace.rejection = verdicts[-1].reason
+    if world.ev.entry is not None:
+        trace.used_entry_index = world.ev.entry.index
     return trace
 
 
@@ -484,19 +482,9 @@ def _reject_reason(fn, *args) -> tuple[str, bool]:
         return exc.reason, False
 
 
-def _scenario_replay_first_chain(world: World, freshness_ms: int) -> list[AdversaryAction]:
-    ev, cspa, rsu, pads = world.ev, world.cspa, world.rsu, world.pads
-    now = 0
-    m1 = ev.compose_m1(now)
-    m2, m3 = cspa.handle_m1(m1, now)
-    ev.handle_m2(m2, now)
-    rsu.handle_m3(m3, now)
-    m4 = ev.compose_m4(now)
-    m5, m6 = rsu.handle_m4(m4, now)
-    ev.handle_m5(m5, now)
-    pads[0].handle_provision(m6)
-    m7 = ev.next_chain_message()
-    first = pads[0].handle_chain(m7, world.rng)
+def _scenario_replay_first_chain(world: World) -> list[AdversaryAction]:
+    pads = world.pads
+    [(m7, first)] = _ride(world, 1)
     assert first.accepted
     actions = []
     v = pads[0].handle_chain(m7, world.rng)
@@ -514,7 +502,7 @@ def _scenario_replay_first_chain(world: World, freshness_ms: int) -> list[Advers
     return actions
 
 
-def _scenario_pseudonym_reuse(world: World, freshness_ms: int) -> list[AdversaryAction]:
+def _scenario_pseudonym_reuse(world: World) -> list[AdversaryAction]:
     ev, cspa = world.ev, world.cspa
     m1 = ev.compose_m1(0)
     cspa.handle_m1(m1, 0)
@@ -525,7 +513,7 @@ def _scenario_pseudonym_reuse(world: World, freshness_ms: int) -> list[Adversary
     ]
 
 
-def _scenario_forge_m4(world: World, freshness_ms: int) -> list[AdversaryAction]:
+def _scenario_forge_m4(world: World) -> list[AdversaryAction]:
     from dwpt_auth.symcrypto import SymmetricKey, aead_seal, encode_timestamp
 
     ev, cspa, rsu = world.ev, world.cspa, world.rsu
@@ -557,28 +545,11 @@ def _scenario_forge_m4(world: World, freshness_ms: int) -> list[AdversaryAction]
     return actions
 
 
-def _scenario_double_spend(world: World, freshness_ms: int) -> list[AdversaryAction]:
-    ev, cspa, rsu, pads = world.ev, world.cspa, world.rsu, world.pads
-    m1 = ev.compose_m1(0)
-    m2, m3 = cspa.handle_m1(m1, 0)
-    ev.handle_m2(m2, 0)
-    rsu.handle_m3(m3, 0)
-    m4 = ev.compose_m4(0)
-    m5, m6 = rsu.handle_m4(m4, 0)
-    ev.handle_m5(m5, 0)
-    pads[0].handle_provision(m6)
-    chain_msgs = []
-    forward = None
-    for j, pad in enumerate(pads, start=1):
-        if forward is not None:
-            pad.handle_provision(forward)
-        msg = ev.next_chain_message()
-        verdict = pad.handle_chain(msg, world.rng)
-        assert verdict.accepted
-        chain_msgs.append(msg)
-        forward = verdict.forward
+def _scenario_double_spend(world: World) -> list[AdversaryAction]:
+    rides = _ride(world, len(world.pads))
+    assert all(verdict.accepted for _, verdict in rides)
     actions = []
-    for j, (pad, msg) in enumerate(zip(pads, chain_msgs), start=1):
+    for j, (pad, (msg, _)) in enumerate(zip(world.pads, rides), start=1):
         v = pad.handle_chain(msg, world.rng)
         actions.append(
             AdversaryAction(
@@ -588,10 +559,10 @@ def _scenario_double_spend(world: World, freshness_ms: int) -> list[AdversaryAct
     return actions
 
 
-def _scenario_stale_timestamp(world: World, freshness_ms: int) -> list[AdversaryAction]:
+def _scenario_stale_timestamp(world: World) -> list[AdversaryAction]:
     ev, cspa = world.ev, world.cspa
     m1 = ev.compose_m1(0)  # intercepted; never delivered on time
-    late = freshness_ms + 1000
+    late = cspa.freshness_ms + 1000
     reason, accepted = _reject_reason(cspa.handle_m1, m1, late)
     return [
         AdversaryAction(
@@ -639,7 +610,7 @@ def run_adversary(
     world = build_world(
         authority, sandboxed, n_pads, seed, entry_index=None, freshness_ms=freshness_ms
     )
-    actions = script(world, freshness_ms)
+    actions = script(world)
     honest_accepts = sum(1 for pad in world.pads if pad.consumed)
     return AdversaryReport(
         scenario=scenario,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from dwpt_auth.errors import ProtocolRejection
+from dwpt_auth.errors import EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
 from dwpt_auth.registration import (
     CredentialEntry,
@@ -181,7 +181,7 @@ class EvSession:
             raise ProtocolRejection(BAD_STATE, f"compose_m1 in state {self.state}")
         try:
             self.entry = self.credentials.pick_entry(self._entry_index)
-        except Exception as exc:
+        except EmptyRegistry as exc:
             raise ProtocolRejection(NO_UNUSED_PSEUDONYM, str(exc)) from exc
         self.credentials.spent.add(self.entry.index)
         self.n_ev = self.rng.bytes(32)
@@ -203,7 +203,7 @@ class EvSession:
         try:
             ct = HybridCiphertext.from_bytes(msg.body, self.mpk.params)
             payload = ibe_open(self.entry.usk, ct, b"dwpt/m2")
-        except Exception as exc:
+        except ValueError as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m2: {exc}") from exc
         token, n_cspa, ts, z_plus_w = _parse(payload, 4, "m2")
         _check_fresh(now_ms, ts, self.freshness_ms, "m2")
@@ -227,7 +227,7 @@ class EvSession:
             raise ProtocolRejection(BAD_STATE, f"m5 in state {self.state}")
         try:
             payload = aead_open(self.session_key, msg.body, b"dwpt/m5")
-        except Exception as exc:
+        except ValueError as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m5: {exc}") from exc
         n_rsu_inc, m_ev, ts, n_pads_raw = _parse(payload, 4, "m5")
         _check_fresh(now_ms, ts, self.freshness_ms, "m5")
@@ -274,7 +274,6 @@ class CspaState:
         self.consumed = {
             ps for ps, entry in dataset.entries.items() if entry.consumed
         }
-        self.issued: dict[bytes, bytes] = {}  # pseudonym -> token
 
     def handle_m1(
         self, msg: ProtocolMessage, now_ms: int
@@ -282,7 +281,7 @@ class CspaState:
         try:
             ct = HybridCiphertext.from_bytes(msg.body, self.mpk.params)
             payload = ibe_open(self.dataset.usk, ct, b"dwpt/m1")
-        except Exception as exc:
+        except ValueError as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m1: {exc}") from exc
         pseudonym, n_ev, ts, z = _parse(payload, 4, "m1")
         _check_fresh(now_ms, ts, self.freshness_ms, "m1")
@@ -298,7 +297,6 @@ class CspaState:
         token = self.rng.bytes(32)
         n_cspa = self.rng.bytes(32)
         session_key = derive_session_key(n_ev, n_cspa)
-        self.issued[pseudonym] = token
 
         m2_payload = tlv_pack(
             token,
@@ -355,7 +353,7 @@ class RsuState:
     def handle_m3(self, msg: ProtocolMessage, now_ms: int) -> None:
         try:
             payload = aead_open(self.gk_cspa_rsu, msg.body, b"dwpt/m3")
-        except Exception as exc:
+        except ValueError as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m3: {exc}") from exc
         h_token, pseudonym, key, ts = _parse(payload, 4, "m3")
         _check_fresh(now_ms, ts, self.freshness_ms, "m3")
@@ -374,7 +372,7 @@ class RsuState:
         for pseudonym, (h_token, key) in self.pending.items():
             try:
                 payload = aead_open(key, msg.body, b"dwpt/m4")
-            except Exception:
+            except ValueError:
                 continue
             ps_field, n_rsu, ts = _parse(payload, 3, "m4")
             if ps_field == pseudonym:
@@ -431,7 +429,7 @@ class CpState:
         """m6 (from the RSU) or m8 (from the previous pad)."""
         try:
             payload = aead_open(self.gk, msg.body, b"dwpt/provision")
-        except Exception as exc:
+        except ValueError as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"provision: {exc}") from exc
         (head,) = _parse(payload, 1, "provision")
         if len(head) != 32:

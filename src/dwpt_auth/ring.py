@@ -327,6 +327,8 @@ class RingElement:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams | None = None) -> "RingElement":
+        if len(data) < 10:
+            raise ValueError("truncated ring element header")
         N, q = struct.unpack_from("<HQ", data, 0)
         if params is None:
             params = _tier(N, q)

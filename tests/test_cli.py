@@ -165,6 +165,24 @@ class TestRun:
         ])
         assert rc == 0
 
+    def test_pseudonym_burned_once_operator_accepts(self, workspace, capsys):
+        """A pass the RSU rejects after the CSPA issued m2 still spends its slot."""
+        def run(name, *extra):
+            return main([
+                "run", "--authority", str(workspace / "authority.bin"),
+                "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
+                "--seed", name, "--pseudonym-index", "3", *extra,
+                "--out", str(workspace / name),
+            ])
+
+        assert run("stale", "--freshness-ms", "139") == 1
+        transcript = (workspace / "stale" / "transcript.jsonl").read_text()
+        assert json.loads(transcript.splitlines()[-1])["rejection"] == "StaleTimestamp"
+        assert '"kind": "m2"' in transcript
+        capsys.readouterr()
+        assert run("stale-rerun") == 1
+        assert "PseudonymReuse" in capsys.readouterr().err
+
     def test_foreign_vehicle_rejected(self, workspace, tmp_path, capsys):
         assert main([
             "setup", "--params-tier", "test", "--seed", "other",

@@ -263,3 +263,19 @@ class TestSerialization:
         ct = ibe_seal(mpk, b"dest", b"payload bytes", RandomSource("hser"))
         back = HybridCiphertext.from_bytes(ct.to_bytes(), mpk.params)
         assert back == ct
+
+    def test_hybrid_truncation_and_trailing_bytes_rejected(self, toy_authority):
+        mpk = toy_authority.mpk
+        blob = ibe_seal(mpk, b"dest", b"payload bytes", RandomSource("hcut")).to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                HybridCiphertext.from_bytes(blob[:cut], mpk.params)
+        with pytest.raises(ValueError):
+            HybridCiphertext.from_bytes(blob + b"\x00", mpk.params)
+
+    def test_short_inputs_raise_value_error(self, toy_authority):
+        params = toy_authority.mpk.params
+        for decode in (Ciphertext.from_bytes, HybridCiphertext.from_bytes, RingElement.from_bytes):
+            for data in (b"", b"\x01", b"\x05\x00\x00"):
+                with pytest.raises(ValueError):
+                    decode(data, params)

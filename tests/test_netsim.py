@@ -300,13 +300,12 @@ class TestWorldWiring:
     def test_build_world_is_ready_to_run(self, default_authority, default_vehicle):
         from conftest import copy_credentials
 
-        world = build_world(default_authority, copy_credentials(default_vehicle), 2, seed=11)
+        creds = copy_credentials(default_vehicle)
+        world = build_world(default_authority, creds, 2, seed=11)
         assert world.rsu.n_pads == 2
         assert len(world.pads) == 2
-        assert world.ev.credentials is world.credentials
-        trace = simulate_session(
-            default_authority, world.credentials, n_pads=2, seed=11, world=world
-        )
+        assert world.ev.credentials is creds
+        trace = simulate_session(default_authority, creds, n_pads=2, seed=11)
         assert trace.completed
 
 

@@ -5,6 +5,7 @@ import struct
 
 import pytest
 
+from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.protocol import (
     BAD_STATE,
@@ -171,6 +172,13 @@ class TestCspaRejections:
             parties.cspa.handle_m1(bad, NOW)
         assert exc.value.reason == DECRYPT_FAILURE
 
+    def test_padded_m1_rejected(self, parties):
+        m1 = parties.ev.compose_m1(NOW)
+        padded = ProtocolMessage("m1", "EV", "CSPA", m1.body + b"JUNK")
+        with pytest.raises(ProtocolRejection) as exc:
+            parties.cspa.handle_m1(padded, NOW)
+        assert exc.value.reason == DECRYPT_FAILURE
+
     def test_unknown_pseudonym(self, default_authority, dataset, fresh_vehicle):
         empty = CspaDataset(
             cspa_identity=dataset.cspa_identity,
@@ -330,6 +338,17 @@ class TestRsuRejections:
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(m4, NOW)
         assert exc.value.reason == STALE_TIMESTAMP
+
+    def test_programming_error_is_not_a_verdict(self, parties, monkeypatch):
+        m1 = parties.ev.compose_m1(NOW)
+        _, m3 = parties.cspa.handle_m1(m1, NOW)
+
+        def broken_open(*args):
+            raise TypeError("bug in the AEAD layer")
+
+        monkeypatch.setattr(protocol, "aead_open", broken_open)
+        with pytest.raises(TypeError):
+            parties.rsu.handle_m3(m3, NOW)
 
     def test_requires_group_key_roles(self, default_authority):
         with pytest.raises(Exception):
