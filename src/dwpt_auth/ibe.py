@@ -54,6 +54,9 @@ _SIG_PREFIX = b"SIG\x00"
 _MAX_KEYGEN_ATTEMPTS = 400
 _MAX_SAMPLE_ATTEMPTS = 64
 
+#: Rows per block in the sampler's blocked Gram-Schmidt.
+_GS_BLOCK = 64
+
 
 def norm_bound(params: RingParams) -> float:
     """Acceptance bound on ||(s1, s2)|| for extracted keys and signatures."""
@@ -173,9 +176,13 @@ class HybridCiphertext:
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "HybridCiphertext":
-        """Inverse of to_bytes; ValueError on truncated or trailing bytes."""
+        """Inverse of to_bytes; ValueError on truncated or trailing bytes, or
+        on a block count other than ceil(256/N)."""
         if not data:
             raise ValueError("truncated block count")
+        expected = _key_block_count(params.N)
+        if data[0] != expected:
+            raise ValueError(f"{data[0]} key blocks, expected {expected}")
         off = 1
         blocks = []
         for _ in range(data[0]):
@@ -252,25 +259,32 @@ def master_key_gen(
 class KleinSampler:
     """Discrete Gaussian sampler over the lattice spanned by a short basis.
 
-    Precomputes the Gram-Schmidt frame once (classical orthogonalization with
-    a second correction pass for float stability) and then draws lattice
-    points near arbitrary targets.
+    Precomputes the Gram-Schmidt frame once and then draws lattice points
+    near arbitrary targets.  The frame comes from blocked classical
+    Gram-Schmidt with reorthogonalization (BCGS2): each block of
+    `_GS_BLOCK` rows is projected off all earlier rows twice with two
+    matrix products, then orthogonalized row by row inside the block, again
+    with a second correction pass for float stability.
     """
 
     def __init__(self, basis: np.ndarray):
         self.basis = basis
         n = basis.shape[0]
-        B = basis.astype(np.float64)
-        Bstar = np.empty_like(B)
+        Bstar = basis.astype(np.float64)
         norms2 = np.empty(n)
-        for i in range(n):
-            b = B[i]
-            if i:
-                prev = Bstar[:i]
-                b = b - (prev @ b / norms2[:i]) @ prev
-                b = b - (prev @ b / norms2[:i]) @ prev
-            Bstar[i] = b
-            norms2[i] = b @ b
+        for start in range(0, n, _GS_BLOCK):
+            blk = Bstar[start : start + _GS_BLOCK]
+            if start:
+                prev = Bstar[:start]
+                for _ in range(2):
+                    blk -= ((blk @ prev.T) / norms2[:start]) @ prev
+            for j in range(len(blk)):
+                b = blk[j]
+                if j:
+                    inner = blk[:j]
+                    for _ in range(2):
+                        b -= (inner @ b / norms2[start : start + j]) @ inner
+                norms2[start + j] = b @ b
         self.Bstar = Bstar
         self.norms2 = norms2
 
@@ -401,9 +415,14 @@ def verify(mpk: MasterPublicKey, message: bytes, sig: Signature) -> bool:
 _CONTENT_KEY_BITS = 256
 
 
+def _key_block_count(N: int) -> int:
+    """Ring blocks that carry one content key: ceil(256 / N)."""
+    return -(-_CONTENT_KEY_BITS // N)
+
+
 def _key_to_blocks(key: bytes, N: int) -> list[list[int]]:
     bits = [(key[i // 8] >> (i % 8)) & 1 for i in range(_CONTENT_KEY_BITS)]
-    n_blocks = -(-_CONTENT_KEY_BITS // N)
+    n_blocks = _key_block_count(N)
     padded = bits + [0] * (n_blocks * N - len(bits))
     return [padded[i * N : (i + 1) * N] for i in range(n_blocks)]
 
@@ -441,7 +460,13 @@ def ibe_open(
     usk: UserSecretKey, ct: HybridCiphertext, associated_data: bytes = b""
 ) -> bytes:
     """Inverse of ibe_seal; AuthenticationFailure when the payload does not
-    decrypt cleanly (wrong identity key or tampered bytes)."""
+    decrypt cleanly (wrong identity key or tampered bytes), or when the
+    ciphertext does not carry exactly one content key's worth of blocks."""
+    expected = _key_block_count(usk.params.N)
+    if len(ct.key_blocks) != expected:
+        raise AuthenticationFailure(
+            f"{len(ct.key_blocks)} key blocks, expected {expected}"
+        )
     blocks = [decrypt(usk, block) for block in ct.key_blocks]
     content_key = _blocks_to_key(blocks)
     return aead_open(content_key, ct.sealed, associated_data)

@@ -8,7 +8,10 @@ bytes (used by the reproducibility checks).
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
+import tempfile
 
 from dwpt_auth.ibe import (
     MasterPublicKey,
@@ -435,8 +438,29 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
 # File helpers
 
 def save(path, data: bytes):
-    with open(path, "wb") as fh:
-        fh.write(data)
+    """Replace `path` with `data` atomically.
+
+    The bytes go to a temporary file in the same directory, which is flushed,
+    fsync'd and then renamed over `path`, so a crash leaves either the old
+    file or the new one, never a torn mix.  A replaced file keeps its
+    permission bits; a new one is owner-only, since every container here but
+    the master public key holds secret key material.
+    """
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}."
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            if os.path.exists(path):
+                os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load(path) -> bytes:

@@ -48,12 +48,7 @@ def lift(a: list[int]) -> list[int]:
 
 def _bitsize(a: int) -> int:
     """Bit length rounded up to a byte boundary (window bookkeeping)."""
-    val = abs(a)
-    res = 0
-    while val:
-        res += 8
-        val >>= 8
-    return res
+    return (abs(a).bit_length() + 7) // 8 * 8
 
 
 def fft_neg(a: np.ndarray) -> np.ndarray:

@@ -209,11 +209,11 @@ def storage_report(ra: RegistrationAuthority) -> dict:
     from dwpt_auth import keyfiles
 
     n_slots = len(ra.pseudonym_owner)
-    per_vehicle = {
-        vid.decode("latin-1"): len(creds.entries) for vid, creds in ra.vehicles.items()
-    }
+    # Ids are UTF-8 (as the CLI encodes them); undecodable bytes stay visible.
+    names = {vid: vid.decode("utf-8", errors="backslashreplace") for vid in ra.vehicles}
+    per_vehicle = {names[vid]: len(creds.entries) for vid, creds in ra.vehicles.items()}
     vehicle_serialized = {
-        vid.decode("latin-1"): len(keyfiles.vehicle_to_bytes(creds))
+        names[vid]: len(keyfiles.vehicle_to_bytes(creds))
         for vid, creds in ra.vehicles.items()
     }
     dataset_bytes = (

@@ -183,24 +183,33 @@ def _ntt_inverse(values: np.ndarray, N: int, q: int) -> np.ndarray:
 # Exact negacyclic product over Z
 
 def karamul(a: list[int], b: list[int]) -> list[int]:
-    """Exact negacyclic product (mod x^n + 1) via Kronecker substitution."""
+    """Exact negacyclic product (mod x^n + 1) via Kronecker substitution.
+
+    Coefficients go into byte-aligned slots: each is biased by half the slot
+    range so it packs as unsigned bytes, and the bias is taken back out of the
+    packed integer in one subtraction.  The product is unpacked the same way,
+    from a single `to_bytes` of the biased result.
+    """
     n = len(a)
     max_a = max(1, max(abs(c) for c in a))
     max_b = max(1, max(abs(c) for c in b))
     # Any folded coefficient is bounded by 2n * max|a| * max|b|.
     width = max_a.bit_length() + max_b.bit_length() + n.bit_length() + 2
-    pack_a = sum(c << (i * width) for i, c in enumerate(a))
-    pack_b = sum(c << (i * width) for i, c in enumerate(b))
-    product = pack_a * pack_b
-    half = 1 << (width - 1)
-    mask = (1 << width) - 1
-    full = [0] * (2 * n)
-    for k in range(2 * n - 1):
-        digit = product & mask
-        if digit >= half:
-            digit -= 1 << width
-        full[k] = digit
-        product = (product - digit) >> width
+    nbytes = (width + 7) // 8
+    half = 1 << (8 * nbytes - 1)
+    half_slot = bytes(nbytes - 1) + b"\x80"  # `half` as one slot's bytes
+    bias = int.from_bytes(half_slot * n, "little")
+
+    def pack(coeffs: list[int]) -> int:
+        slots = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
+        return int.from_bytes(slots, "little") - bias
+
+    product = pack(a) * pack(b) + int.from_bytes(half_slot * (2 * n), "little")
+    raw = product.to_bytes(2 * n * nbytes, "little")
+    full = [
+        int.from_bytes(raw[k : k + nbytes], "little") - half
+        for k in range(0, 2 * n * nbytes, nbytes)
+    ]
     return [full[k] - full[k + n] for k in range(n)]
 
 
@@ -319,11 +328,10 @@ class RingElement:
 
     def to_bytes(self) -> bytes:
         """Header (N as u16 LE, q as u64 LE) then minimal-width LE coefficients."""
-        width = self.params.coeff_width
-        out = bytearray(struct.pack("<HQ", self.params.N, self.params.q))
-        for c in self.coeffs:
-            out += int(c).to_bytes(width, "little")
-        return bytes(out)
+        N, width = self.params.N, self.params.coeff_width
+        # q < 2^31, so each coefficient is its low `width` bytes as a LE u32.
+        body = self.coeffs.astype("<u4").view(np.uint8).reshape(N, 4)[:, :width]
+        return struct.pack("<HQ", N, self.params.q) + body.tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams | None = None) -> "RingElement":
@@ -340,11 +348,10 @@ class RingElement:
         expected = 10 + N * width
         if len(data) != expected:
             raise ValueError(f"expected {expected} bytes, got {len(data)}")
-        coeffs = [
-            int.from_bytes(data[10 + i * width : 10 + (i + 1) * width], "little")
-            for i in range(N)
-        ]
-        if any(c >= q for c in coeffs):
+        padded = np.zeros((N, 4), dtype=np.uint8)
+        padded[:, :width] = np.frombuffer(data, dtype=np.uint8, offset=10).reshape(N, width)
+        coeffs = padded.view("<u4").reshape(N)
+        if np.any(coeffs >= q):
             raise ValueError("coefficient outside [0, q)")
         return cls(params, coeffs)
 

@@ -1,5 +1,6 @@
 """Identity-based layer: trapdoor generation, extraction, encryption, signing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,8 +25,15 @@ from dwpt_auth.ibe import (
     sign,
     verify,
 )
+from dwpt_auth.keyfiles import usk_to_bytes
 from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
+from dwpt_auth.symcrypto import aead_seal
+
+#: SHA-256 of usk_to_bytes(extract(default_authority.msk, b"golden-identity")),
+#: recorded before the sampler's Gram-Schmidt build was blocked; pins the
+#: seed-to-key map at the default tier.
+GOLDEN_DEFAULT_EXTRACT = "c9eb8ec311e171381ddd7c3285e74beaeba2c75916162854bd44f33391f292b3"
 
 
 def random_bits(n, rng):
@@ -116,6 +124,40 @@ class TestKleinSampler:
         # Gaussian of width sigma in 2N dims concentrates near sigma*sqrt(2N)
         expected = p.sigma_extract * math.sqrt(2 * p.N)
         assert np.mean(dists) < 1.5 * expected
+
+
+class TestKleinSamplerFrame:
+    """The Gram-Schmidt frame: basis = mu * Bstar, mu unit lower-triangular."""
+
+    @pytest.mark.parametrize("tier", ["toy", "test"])
+    def test_gram_schmidt_frame(self, tier, request):
+        msk = request.getfixturevalue(f"{tier}_authority").msk
+        sampler = KleinSampler(msk.basis())
+        B = sampler.basis.astype(np.float64)
+        Bstar, norms2 = sampler.Bstar, sampler.norms2
+        np.testing.assert_allclose(norms2, np.einsum("ij,ij->i", Bstar, Bstar), rtol=1e-12)
+        gram = Bstar @ Bstar.T
+        scale = np.sqrt(np.outer(norms2, norms2))
+        np.fill_diagonal(gram, 0.0)
+        assert np.max(np.abs(gram) / scale) < 1e-10
+        mu = (B @ Bstar.T) / norms2
+        np.testing.assert_allclose(np.diag(mu), 1.0, atol=1e-10)
+        assert np.max(np.abs(np.triu(mu, 1))) < 1e-10
+        np.testing.assert_allclose(mu @ Bstar, B, atol=1e-8 * np.abs(B).max())
+        # Reference: classical row-by-row Gram-Schmidt with two passes.  The
+        # blocked build only reassociates float sums, so the frames agree to
+        # rounding.
+        ref, ref_norms2 = B.copy(), np.empty(len(B))
+        for i in range(len(ref)):
+            for _ in range(2 if i else 0):
+                ref[i] -= (ref[:i] @ ref[i] / ref_norms2[:i]) @ ref[:i]
+            ref_norms2[i] = ref[i] @ ref[i]
+        np.testing.assert_allclose(Bstar, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
+        np.testing.assert_allclose(norms2, ref_norms2, rtol=1e-9)
+
+    def test_default_tier_extract_matches_golden(self, default_authority):
+        usk = extract(default_authority.msk, b"golden-identity")
+        assert hashlib.sha256(usk_to_bytes(usk)).hexdigest() == GOLDEN_DEFAULT_EXTRACT
 
 
 class TestEncryptDecrypt:
@@ -242,6 +284,29 @@ class TestHybrid:
         tampered = HybridCiphertext(key_blocks=ct.key_blocks, sealed=bytes(sealed))
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, tampered)
+
+    def test_keyless_ciphertext_rejected(self, toy_authority):
+        """No key blocks would mean the all-zero content key: anyone could
+        seal a payload to any identity."""
+        params = toy_authority.mpk.params
+        usk = extract(toy_authority.msk, b"victim")
+        forged = HybridCiphertext((), aead_seal(bytes(32), b"chosen by anyone", RandomSource("forge")))
+        with pytest.raises(AuthenticationFailure):
+            ibe_open(usk, forged)
+        with pytest.raises(ValueError):
+            HybridCiphertext.from_bytes(forged.to_bytes(), params)
+
+    def test_wrong_key_block_count_rejected(self, default_authority):
+        mpk, msk = default_authority.mpk, default_authority.msk
+        usk = extract(msk, b"bob")
+        ct = ibe_seal(mpk, b"bob", b"secret", RandomSource("count"))
+        assert ibe_open(usk, ct) == b"secret"
+        for blocks in ((), ct.key_blocks * 2):
+            odd = HybridCiphertext(key_blocks=blocks, sealed=ct.sealed)
+            with pytest.raises(AuthenticationFailure):
+                ibe_open(usk, odd)
+            with pytest.raises(ValueError):
+                HybridCiphertext.from_bytes(odd.to_bytes(), mpk.params)
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_key_block_packing_round_trip(self, n):

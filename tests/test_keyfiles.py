@@ -1,5 +1,9 @@
 """Binary container encode/decode for keys, credentials, and authority state."""
 
+import hashlib
+import os
+import stat
+
 import pytest
 
 from dwpt_auth import keyfiles
@@ -7,6 +11,14 @@ from dwpt_auth.ibe import extract, sign
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import TIERS
 from dwpt_auth.rng import RandomSource
+
+#: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
+#: after register_vehicle(ra, b"EV-golden", 4), recorded before the keygen and
+#: codec speed-ups; pins the seed-to-file map.
+GOLDEN_TEST_TIER_FILES = {
+    "authority.bin": "fde79323ad0ed2cfa6e585d46e1ec2931cdd7a29dcc5fc94e6680032e9dd89e3",
+    "vehicle.bin": "4bcca605bff89633e7932850e84b4e971129345401c94b4fb4e3afe124dd257b",
+}
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +137,64 @@ class TestFileHelpers:
         ds = export_cspa_dataset(ra)
         keyfiles.save_dataset(path, ds)
         assert keyfiles.load_dataset(path).entries == ds.entries
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_old_file(self, ra, tmp_path, monkeypatch):
+        path = tmp_path / "authority.bin"
+        keyfiles.save(path, b"old contents")
+        real_fdopen = os.fdopen
+
+        class TornFile:
+            """Writes half of what it is given, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[: len(data) // 2])
+                self.fh.flush()
+                raise OSError(28, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        monkeypatch.setattr(os, "fdopen", lambda fd, mode: TornFile(real_fdopen(fd, mode)))
+        with pytest.raises(OSError, match="No space"):
+            keyfiles.save_authority(path, ra)
+        monkeypatch.undo()
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["authority.bin"]
+
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "authority.bin"
+        path.write_bytes(b"old")
+        path.chmod(0o640)
+        keyfiles.save(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    def test_new_file_is_owner_only(self, tmp_path):
+        path = tmp_path / "vehicle.bin"
+        keyfiles.save(path, b"secret")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert [p.name for p in tmp_path.iterdir()] == ["vehicle.bin"]
+
+
+class TestGoldenFiles:
+    def test_seeded_test_tier_files(self, tmp_path):
+        authority = ra_setup(TIERS["test"], "golden-test-authority")
+        creds = register_vehicle(authority, b"EV-golden", 4)
+        keyfiles.save_authority(tmp_path / "authority.bin", authority)
+        keyfiles.save_vehicle(tmp_path / "vehicle.bin", creds)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in GOLDEN_TEST_TIER_FILES
+        }
+        assert digests == GOLDEN_TEST_TIER_FILES

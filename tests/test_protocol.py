@@ -7,6 +7,7 @@ import pytest
 
 from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
+from dwpt_auth.ibe import HybridCiphertext
 from dwpt_auth.protocol import (
     BAD_STATE,
     CHAIN_MISMATCH,
@@ -177,6 +178,17 @@ class TestCspaRejections:
         padded = ProtocolMessage("m1", "EV", "CSPA", m1.body + b"JUNK")
         with pytest.raises(ProtocolRejection) as exc:
             parties.cspa.handle_m1(padded, NOW)
+        assert exc.value.reason == DECRYPT_FAILURE
+
+    def test_keyless_m1_rejected(self, parties, fresh_vehicle):
+        """An m1 with no key blocks, sealed under the all-zero content key
+        by someone without any identity key, carrying a valid pseudonym."""
+        entry = fresh_vehicle.entries[0]
+        payload = tlv_pack(entry.pseudonym, bytes(32), encode_timestamp(NOW), entry.z)
+        sealed = aead_seal(bytes(32), payload, RandomSource("forger"), b"dwpt/m1")
+        forged = ProtocolMessage("m1", "EV", "CSPA", HybridCiphertext((), sealed).to_bytes())
+        with pytest.raises(ProtocolRejection) as exc:
+            parties.cspa.handle_m1(forged, NOW)
         assert exc.value.reason == DECRYPT_FAILURE
 
     def test_unknown_pseudonym(self, default_authority, dataset, fresh_vehicle):

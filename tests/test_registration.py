@@ -174,6 +174,18 @@ class TestBulkIssuance:
         assert rep["nominal_dataset_bytes"] == storage_estimate(1, 3650, 96)[0]
 
 
+class TestStorageReport:
+    def test_non_ascii_vehicle_ids(self):
+        """Ids are keyed as UTF-8 text; bytes that are not UTF-8 stay visible."""
+        ra = ra_setup(TIERS["toy"], "report-utf8")
+        register_vehicle(ra, "EV-é".encode(), 2)
+        register_vehicle(ra, b"EV-\xff", 1)
+        rep = storage_report(ra)
+        assert rep["per_vehicle_slots"] == {"EV-é": 2, "EV-\\xff": 1}
+        assert set(rep["serialized_vehicle_bytes"]) == {"EV-é", "EV-\\xff"}
+        assert rep["nominal_vehicle_bytes"]["EV-é"] == 2 * 4 * 32
+
+
 class TestStorageEstimate:
     def test_record_arithmetic(self):
         assert storage_estimate(1, 1, 96) == (96, 96)

@@ -196,10 +196,16 @@ class TestSerialization:
     def test_round_trip(self, tier):
         p = TIERS[tier]
         e = random_element(p, RandomSource(f"ser-{tier}"))
-        blob = e.to_bytes()
-        assert len(blob) == 10 + p.N * p.coeff_width
-        assert RingElement.from_bytes(blob, p) == e
-        assert RingElement.from_bytes(blob) == e  # self-describing header
+        extremes = RingElement(p, [0, p.q - 1] * (p.N // 2))
+        for elem in (e, extremes):
+            blob = elem.to_bytes()
+            assert len(blob) == 10 + p.N * p.coeff_width
+            # Reference: one minimal-width little-endian field per coefficient.
+            assert blob == struct.pack("<HQ", p.N, p.q) + b"".join(
+                int(c).to_bytes(p.coeff_width, "little") for c in elem.coeffs
+            )
+            assert RingElement.from_bytes(blob, p) == elem
+            assert RingElement.from_bytes(blob) == elem  # self-describing header
 
     def test_header_mismatch_rejected(self):
         e = RingElement.one(TIERS["toy"])
