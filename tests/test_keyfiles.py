@@ -13,8 +13,7 @@ from dwpt_auth.ring import TIERS
 from dwpt_auth.rng import RandomSource
 
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
-#: after register_vehicle(ra, b"EV-golden", 4), recorded before the keygen and
-#: codec speed-ups; pins the seed-to-file map.
+#: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
     "authority.bin": "fde79323ad0ed2cfa6e585d46e1ec2931cdd7a29dcc5fc94e6680032e9dd89e3",
     "vehicle.bin": "4bcca605bff89633e7932850e84b4e971129345401c94b4fb4e3afe124dd257b",
