@@ -8,6 +8,7 @@ with an adversary harness.
 
 from dwpt_auth.errors import (
     AuthenticationFailure,
+    DecodeError,
     DuplicateRegistration,
     EmptyRegistry,
     NotInvertible,
@@ -46,6 +47,7 @@ from dwpt_auth.rng import RandomSource
 
 __all__ = [
     "AuthenticationFailure",
+    "DecodeError",
     "DuplicateRegistration",
     "EmptyRegistry",
     "NotInvertible",

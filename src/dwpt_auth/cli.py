@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from dwpt_auth import keyfiles, netsim, protocol
-from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry, ProtocolRejection
+from dwpt_auth.errors import DecodeError, DuplicateRegistration, EmptyRegistry, ProtocolRejection
 from dwpt_auth.netsim import TimingModel
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import TIERS
@@ -283,7 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DecodeError as exc:  # an --authority or --vehicle file; names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

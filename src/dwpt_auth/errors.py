@@ -5,6 +5,10 @@ class ParameterMismatch(ValueError):
     """Operands do not share the same ring parameters."""
 
 
+class DecodeError(ValueError):
+    """Bytes do not decode: truncated, trailing, or a field out of range."""
+
+
 class NotInvertible(ValueError):
     """Element has no inverse in Z_q[x]/(x^N+1); caller should resample."""
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import (
     AuthenticationFailure,
+    DecodeError,
     NotInvertible,
     ParameterMismatch,
     ResampleExhausted,
@@ -120,17 +121,6 @@ class Signature:
     s2: RingElement
 
 
-def _length_prefixed(data: bytes, off: int) -> tuple[bytes, int]:
-    """The u32-length-prefixed field at `off`, and the offset after it."""
-    if off + 4 > len(data):
-        raise ValueError("truncated length field")
-    (n,) = struct.unpack_from("<I", data, off)
-    off += 4
-    if off + n > len(data):
-        raise ValueError("truncated field")
-    return data[off : off + n], off + n
-
-
 @dataclass(frozen=True)
 class Ciphertext:
     """One ring ciphertext carrying up to N bits."""
@@ -140,23 +130,28 @@ class Ciphertext:
     payload_kind: str = "raw-bits"
 
     def to_bytes(self) -> bytes:
+        """u8-prefixed kind, u32-prefixed u, then v unprefixed."""
         kind = self.payload_kind.encode()
-        ub, vb = self.u.to_bytes(), self.v.to_bytes()
-        return struct.pack("<B", len(kind)) + kind + struct.pack("<I", len(ub)) + ub + vb
+        w = Writer()
+        w.u8(len(kind))
+        w.raw(kind)
+        w.blob(self.u.to_bytes())
+        w.raw(self.v.to_bytes())
+        return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "Ciphertext":
-        """Inverse of to_bytes; ValueError on truncated or trailing bytes."""
-        klen = data[0] if data else 0
-        if 1 + klen > len(data):
-            raise ValueError("truncated ciphertext kind")
-        kind = data[1 : 1 + klen].decode()
-        ub, off = _length_prefixed(data, 1 + klen)
-        return cls(
-            RingElement.from_bytes(ub, params),
-            RingElement.from_bytes(data[off:], params),
-            kind,
-        )
+        """Inverse of to_bytes; DecodeError on any malformed input."""
+        r = Reader(data)
+        kind = r.fixed(r.u8())
+        ub = r.blob()
+        u = RingElement.from_bytes(ub, params)
+        v = RingElement.from_bytes(r.fixed(len(ub)), params)  # same size as u
+        r.done()
+        try:
+            return cls(u, v, kind.decode())
+        except UnicodeDecodeError as exc:
+            raise DecodeError(f"payload kind is not UTF-8: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -167,31 +162,26 @@ class HybridCiphertext:
     sealed: bytes
 
     def to_bytes(self) -> bytes:
-        out = bytearray(struct.pack("<B", len(self.key_blocks)))
+        """u8 block count, u32-prefixed blocks, u32-prefixed sealed payload."""
+        w = Writer()
+        w.u8(len(self.key_blocks))
         for block in self.key_blocks:
-            bb = block.to_bytes()
-            out += struct.pack("<I", len(bb)) + bb
-        out += struct.pack("<I", len(self.sealed)) + self.sealed
-        return bytes(out)
+            w.blob(block.to_bytes())
+        w.blob(self.sealed)
+        return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "HybridCiphertext":
-        """Inverse of to_bytes; ValueError on truncated or trailing bytes, or
-        on a block count other than ceil(256/N)."""
-        if not data:
-            raise ValueError("truncated block count")
-        expected = _key_block_count(params.N)
-        if data[0] != expected:
-            raise ValueError(f"{data[0]} key blocks, expected {expected}")
-        off = 1
-        blocks = []
-        for _ in range(data[0]):
-            blob, off = _length_prefixed(data, off)
-            blocks.append(Ciphertext.from_bytes(blob, params))
-        sealed, off = _length_prefixed(data, off)
-        if off != len(data):
-            raise ValueError("trailing bytes after sealed payload")
-        return cls(tuple(blocks), sealed)
+        """Inverse of to_bytes; DecodeError on truncated or trailing bytes,
+        or on a block count other than ceil(256/N)."""
+        r = Reader(data)
+        count, expected = r.u8(), _key_block_count(params.N)
+        if count != expected:
+            raise DecodeError(f"{count} key blocks, expected {expected}")
+        blocks = tuple(Ciphertext.from_bytes(r.blob(), params) for _ in range(count))
+        sealed = r.blob()
+        r.done()
+        return cls(blocks, sealed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,25 @@
 """Binary containers for keys, credentials, and registry state.
 
-Every file starts with the magic "DQS1" and one record-type byte.  All
-integers are little-endian; variable fields are u32-length-prefixed.  The
-encodings are fully deterministic so identical state produces identical
-bytes (used by the reproducibility checks).
+Every container is the magic "DQS1", one record-type byte, and a body framed
+by `codec`: little-endian integers, u32-length-prefixed variable fields
+(ring elements as their `to_bytes` blobs), and integer polynomials as a u16
+count of i32 coefficients.  Decoders read with the exact-length
+`codec.Reader` and raise DecodeError on any malformed container; the
+`load_*` helpers add the file name.  Encodings are deterministic, so
+identical state produces identical bytes (used by the reproducibility
+checks).
 """
 
 from __future__ import annotations
 
 import os
 import stat
-import struct
 import tempfile
 
+import numpy as np
+
+from dwpt_auth.codec import Reader, Writer
+from dwpt_auth.errors import DecodeError
 from dwpt_auth.ibe import (
     MasterPublicKey,
     MasterSecretKey,
@@ -52,167 +59,109 @@ _RECORD_NAMES = {
 _COEFF_LIMIT = 1 << 31
 
 
-class _Writer:
-    def __init__(self):
-        self.buf = bytearray()
-
-    def u8(self, x: int):
-        self.buf += struct.pack("<B", x)
-
-    def u16(self, x: int):
-        self.buf += struct.pack("<H", x)
-
-    def u32(self, x: int):
-        self.buf += struct.pack("<I", x)
-
-    def u64(self, x: int):
-        self.buf += struct.pack("<Q", x)
-
-    def f64(self, x: float):
-        self.buf += struct.pack("<d", x)
-
-    def blob(self, b: bytes):
-        self.u32(len(b))
-        self.buf += b
-
-    def fixed(self, b: bytes, n: int):
-        if len(b) != n:
-            raise ValueError(f"expected {n}-byte field, got {len(b)}")
-        self.buf += b
-
-    def params(self, p: RingParams):
-        self.u16(p.N)
-        self.u64(p.q)
-        self.f64(p.sigma_f)
-        self.f64(p.sigma_extract)
-
-    def ring(self, elem: RingElement):
-        self.blob(elem.to_bytes())
-
-    def ipoly(self, poly: IntegerPolynomial):
-        self.u16(len(poly.coeffs))
-        for c in poly.coeffs:
-            if not -_COEFF_LIMIT <= c < _COEFF_LIMIT:
-                raise ValueError("coefficient too large for the container")
-            self.buf += struct.pack("<i", c)
-
-    def symkey(self, key: SymmetricKey):
-        self.blob(key.role.encode())
-        self.fixed(key.key, 32)
+def _frame(record_type: int) -> Writer:
+    """A writer that already holds the container header."""
+    w = Writer()
+    w.raw(MAGIC)
+    w.u8(record_type)
+    return w
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
+def _unframe(data: bytes, record_type: int) -> Reader:
+    """A reader past the header, which must name `record_type`."""
+    if data[:4] != MAGIC:
+        raise DecodeError("not a key container (bad magic)")
+    r = Reader(data)
+    r.fixed(4)
+    have = r.u8()
+    if have != record_type:
+        name = _RECORD_NAMES.get(have, f"type {have:#x}")
+        raise DecodeError(f"container holds {name}, expected {_RECORD_NAMES[record_type]}")
+    return r
 
-    def _take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise ValueError("truncated container")
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
 
-    def u8(self) -> int:
-        return self._take(1)[0]
+def _write_params(w: Writer, p: RingParams):
+    w.u16(p.N)
+    w.u64(p.q)
+    w.f64(p.sigma_f)
+    w.f64(p.sigma_extract)
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self._take(2))[0]
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self._take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self._take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self._take(8))[0]
-
-    def blob(self) -> bytes:
-        return self._take(self.u32())
-
-    def fixed(self, n: int) -> bytes:
-        return self._take(n)
-
-    def params(self) -> RingParams:
-        N = self.u16()
-        q = self.u64()
-        sigma_f = self.f64()
-        sigma_extract = self.f64()
+def _read_params(r: Reader) -> RingParams:
+    N, q, sigma_f, sigma_extract = r.u16(), r.u64(), r.f64(), r.f64()
+    try:
         return RingParams(N=N, q=q, sigma_f=sigma_f, sigma_extract=sigma_extract)
-
-    def ring(self, p: RingParams) -> RingElement:
-        return RingElement.from_bytes(self.blob(), p)
-
-    def ipoly(self) -> IntegerPolynomial:
-        n = self.u16()
-        coeffs = struct.unpack(f"<{n}i", self._take(4 * n))
-        return IntegerPolynomial(coeffs)
-
-    def symkey(self) -> SymmetricKey:
-        role = self.blob().decode()
-        return SymmetricKey(self.fixed(32), role)
-
-    def done(self):
-        if self.off != len(self.data):
-            raise ValueError("trailing bytes in container")
+    except ValueError as exc:
+        raise DecodeError(f"bad ring parameters: {exc}") from exc
 
 
-def _frame(record_type: int, body: bytes) -> bytes:
-    return MAGIC + struct.pack("<B", record_type) + body
+def _read_ring(r: Reader, p: RingParams) -> RingElement:
+    return RingElement.from_bytes(r.blob(), p)
 
 
-def _unframe(data: bytes, record_type: int) -> _Reader:
-    if len(data) < 5 or data[:4] != MAGIC:
-        raise ValueError("not a key container (bad magic)")
-    if data[4] != record_type:
-        have = _RECORD_NAMES.get(data[4], f"type {data[4]:#x}")
-        want = _RECORD_NAMES[record_type]
-        raise ValueError(f"container holds {have}, expected {want}")
-    return _Reader(data[5:])
+def _write_ipoly(w: Writer, poly: IntegerPolynomial):
+    if any(not -_COEFF_LIMIT <= c < _COEFF_LIMIT for c in poly.coeffs):
+        raise ValueError("coefficient too large for the container")
+    w.u16(len(poly.coeffs))
+    w.raw(np.array(poly.coeffs, dtype="<i4").tobytes())
+
+
+def _read_ipoly(r: Reader, N: int) -> IntegerPolynomial:
+    n = r.u16()
+    if n != N:
+        raise DecodeError(f"polynomial has {n} coefficients, expected {N}")
+    return IntegerPolynomial(np.frombuffer(r.fixed(4 * n), dtype="<i4").tolist())
+
+
+def _write_symkey(w: Writer, key: SymmetricKey):
+    w.blob(key.role.encode())
+    w.fixed(key.key, 32)
+
+
+def _read_symkey(r: Reader) -> SymmetricKey:
+    try:
+        role = r.blob().decode()
+    except UnicodeDecodeError as exc:
+        raise DecodeError(f"key role is not UTF-8: {exc}") from exc
+    return SymmetricKey(r.fixed(32), role)
 
 
 # ---------------------------------------------------------------------------
-# Standalone key records
+# Standalone key records.  Readers build their result with the fields in
+# wire order: Python evaluates call arguments left to right.
 
 def mpk_to_bytes(mpk: MasterPublicKey) -> bytes:
-    w = _Writer()
-    w.params(mpk.params)
-    w.ring(mpk.h)
-    return _frame(RECORD_MPK, bytes(w.buf))
+    w = _frame(RECORD_MPK)
+    _write_params(w, mpk.params)
+    w.blob(mpk.h.to_bytes())
+    return w.getvalue()
 
 
 def mpk_from_bytes(data: bytes) -> MasterPublicKey:
     r = _unframe(data, RECORD_MPK)
-    p = r.params()
-    h = r.ring(p)
+    p = _read_params(r)
+    mpk = MasterPublicKey(params=p, h=_read_ring(r, p))
     r.done()
-    return MasterPublicKey(params=p, h=h)
+    return mpk
 
 
-def _write_msk_body(w: _Writer, msk: MasterSecretKey):
-    w.params(msk.params)
-    w.ipoly(msk.f)
-    w.ipoly(msk.g)
-    w.ipoly(msk.F)
-    w.ipoly(msk.G)
+def _write_msk_body(w: Writer, msk: MasterSecretKey):
+    _write_params(w, msk.params)
+    for poly in (msk.f, msk.g, msk.F, msk.G):
+        _write_ipoly(w, poly)
     w.fixed(msk.extract_seed, 32)
 
 
-def _read_msk_body(r: _Reader) -> MasterSecretKey:
-    p = r.params()
-    f = r.ipoly()
-    g = r.ipoly()
-    F = r.ipoly()
-    G = r.ipoly()
-    seed = r.fixed(32)
-    return MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=seed)
+def _read_msk_body(r: Reader) -> MasterSecretKey:
+    p = _read_params(r)
+    f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
+    return MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32))
 
 
 def msk_to_bytes(msk: MasterSecretKey) -> bytes:
-    w = _Writer()
+    w = _frame(RECORD_MSK)
     _write_msk_body(w, msk)
-    return _frame(RECORD_MSK, bytes(w.buf))
+    return w.getvalue()
 
 
 def msk_from_bytes(data: bytes) -> MasterSecretKey:
@@ -222,57 +171,51 @@ def msk_from_bytes(data: bytes) -> MasterSecretKey:
     return msk
 
 
-def _write_usk_body(w: _Writer, usk: UserSecretKey):
+def _write_usk_body(w: Writer, usk: UserSecretKey):
     w.blob(usk.identity)
-    w.ring(usk.s1)
-    w.ring(usk.s2)
+    w.blob(usk.s1.to_bytes())
+    w.blob(usk.s2.to_bytes())
 
 
-def _read_usk_body(r: _Reader, p: RingParams) -> UserSecretKey:
-    identity = r.blob()
-    s1 = r.ring(p)
-    s2 = r.ring(p)
-    return UserSecretKey(identity=identity, s1=s1, s2=s2)
+def _read_usk_body(r: Reader, p: RingParams) -> UserSecretKey:
+    return UserSecretKey(identity=r.blob(), s1=_read_ring(r, p), s2=_read_ring(r, p))
 
 
 def usk_to_bytes(usk: UserSecretKey) -> bytes:
-    w = _Writer()
-    w.params(usk.params)
+    w = _frame(RECORD_USK)
+    _write_params(w, usk.params)
     _write_usk_body(w, usk)
-    return _frame(RECORD_USK, bytes(w.buf))
+    return w.getvalue()
 
 
 def usk_from_bytes(data: bytes) -> UserSecretKey:
     r = _unframe(data, RECORD_USK)
-    p = r.params()
-    usk = _read_usk_body(r, p)
+    usk = _read_usk_body(r, _read_params(r))
     r.done()
     return usk
 
 
 def signature_to_bytes(sig: Signature) -> bytes:
-    w = _Writer()
-    w.params(sig.s1.params)
+    w = _frame(RECORD_SIG)
+    _write_params(w, sig.s1.params)
     w.fixed(sig.salt, 32)
-    w.ring(sig.s1)
-    w.ring(sig.s2)
-    return _frame(RECORD_SIG, bytes(w.buf))
+    w.blob(sig.s1.to_bytes())
+    w.blob(sig.s2.to_bytes())
+    return w.getvalue()
 
 
 def signature_from_bytes(data: bytes) -> Signature:
     r = _unframe(data, RECORD_SIG)
-    p = r.params()
-    salt = r.fixed(32)
-    s1 = r.ring(p)
-    s2 = r.ring(p)
+    p = _read_params(r)
+    sig = Signature(salt=r.fixed(32), s1=_read_ring(r, p), s2=_read_ring(r, p))
     r.done()
-    return Signature(salt=salt, s1=s1, s2=s2)
+    return sig
 
 
 # ---------------------------------------------------------------------------
 # Vehicle credentials
 
-def _write_vehicle_body(w: _Writer, p: RingParams, creds: VehicleCredentials):
+def _write_vehicle_body(w: Writer, creds: VehicleCredentials):
     w.blob(creds.vehicle_id)
     w.fixed(creds.d_ev.to_bytes(32, "big"), 32)
     w.u32(len(creds.entries))
@@ -283,57 +226,43 @@ def _write_vehicle_body(w: _Writer, p: RingParams, creds: VehicleCredentials):
         w.fixed(e.pseudonym, 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
-        w.ring(e.usk.s1)
-        w.ring(e.usk.s2)
+        w.blob(e.usk.s1.to_bytes())
+        w.blob(e.usk.s2.to_bytes())
     w.u32(len(creds.spent))
     for idx in sorted(creds.spent):
         w.u32(idx)
 
 
-def _read_vehicle_body(r: _Reader, p: RingParams) -> VehicleCredentials:
-    vehicle_id = r.blob()
-    d_ev = int.from_bytes(r.fixed(32), "big")
-    entries = []
-    for _ in range(r.u32()):
-        index = r.u32()
-        blind = int.from_bytes(r.fixed(32), "big")
-        point = int.from_bytes(r.fixed(64), "big")
-        pseudonym = r.fixed(32)
-        z = r.fixed(32)
-        wshare = r.fixed(32)
-        s1 = r.ring(p)
-        s2 = r.ring(p)
-        entries.append(
-            CredentialEntry(
-                index=index,
-                blind=blind,
-                shared_point=point,
-                pseudonym=pseudonym,
-                z=z,
-                w=wshare,
-                usk=UserSecretKey(identity=pseudonym, s1=s1, s2=s2),
-            )
-        )
-    spent = {r.u32() for _ in range(r.u32())}
+def _read_entry(r: Reader, p: RingParams) -> CredentialEntry:
+    index = r.u32()
+    blind = int.from_bytes(r.fixed(32), "big")
+    point = int.from_bytes(r.fixed(64), "big")
+    pseudonym, z, wshare = r.fixed(32), r.fixed(32), r.fixed(32)
+    usk = UserSecretKey(identity=pseudonym, s1=_read_ring(r, p), s2=_read_ring(r, p))
+    return CredentialEntry(index, blind, point, pseudonym, z, wshare, usk)
+
+
+def _read_vehicle_body(r: Reader, p: RingParams) -> VehicleCredentials:
     return VehicleCredentials(
-        vehicle_id=vehicle_id, d_ev=d_ev, entries=entries, spent=spent
+        vehicle_id=r.blob(),
+        d_ev=int.from_bytes(r.fixed(32), "big"),
+        entries=[_read_entry(r, p) for _ in range(r.u32())],
+        spent={r.u32() for _ in range(r.u32())},
     )
 
 
 def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     if not creds.entries:
         raise ValueError("cannot serialize credentials with no entries")
-    p = creds.entries[0].usk.params
-    w = _Writer()
-    w.params(p)
-    _write_vehicle_body(w, p, creds)
-    return _frame(RECORD_VEHICLE, bytes(w.buf))
+    w = _frame(RECORD_VEHICLE)
+    _write_params(w, creds.entries[0].usk.params)
+    _write_vehicle_body(w, creds)
+    return w.getvalue()
 
 
 def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
     r = _unframe(data, RECORD_VEHICLE)
-    p = r.params()
-    creds = _read_vehicle_body(r, p)
+    creds = _read_vehicle_body(r, _read_params(r))
     r.done()
     return creds
 
@@ -342,12 +271,11 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
 # CSPA dataset
 
 def dataset_to_bytes(ds: CspaDataset) -> bytes:
-    p = ds.usk.params
-    w = _Writer()
-    w.params(p)
+    w = _frame(RECORD_DATASET)
+    _write_params(w, ds.usk.params)
     w.blob(ds.cspa_identity)
     _write_usk_body(w, ds.usk)
-    w.symkey(ds.gk_cspa_rsu)
+    _write_symkey(w, ds.gk_cspa_rsu)
     w.u32(len(ds.entries))
     for pseudonym in sorted(ds.entries):
         e = ds.entries[pseudonym]
@@ -355,83 +283,75 @@ def dataset_to_bytes(ds: CspaDataset) -> bytes:
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
         w.u8(1 if e.consumed else 0)
-    return _frame(RECORD_DATASET, bytes(w.buf))
+    return w.getvalue()
+
+
+def _read_dataset_entry(r: Reader) -> DatasetEntry:
+    pseudonym, z, wshare, consumed = r.fixed(32), r.fixed(32), r.fixed(32), r.u8()
+    if consumed > 1:
+        raise DecodeError(f"consumed flag {consumed}, expected 0 or 1")
+    return DatasetEntry(pseudonym=pseudonym, z=z, w=wshare, consumed=bool(consumed))
 
 
 def dataset_from_bytes(data: bytes) -> CspaDataset:
     r = _unframe(data, RECORD_DATASET)
-    p = r.params()
-    cspa_identity = r.blob()
-    usk = _read_usk_body(r, p)
-    gk = r.symkey()
-    entries = {}
-    for _ in range(r.u32()):
-        pseudonym = r.fixed(32)
-        z = r.fixed(32)
-        wshare = r.fixed(32)
-        consumed = r.u8() == 1
-        entries[pseudonym] = DatasetEntry(
-            pseudonym=pseudonym, z=z, w=wshare, consumed=consumed
-        )
-    r.done()
-    return CspaDataset(
-        cspa_identity=cspa_identity, usk=usk, gk_cspa_rsu=gk, entries=entries
+    p = _read_params(r)
+    ds = CspaDataset(
+        cspa_identity=r.blob(),
+        usk=_read_usk_body(r, p),
+        gk_cspa_rsu=_read_symkey(r),
+        entries={e.pseudonym: e for e in (_read_dataset_entry(r) for _ in range(r.u32()))},
     )
+    r.done()
+    return ds
 
 
 # ---------------------------------------------------------------------------
 # Authority state
 
 def authority_to_bytes(ra: RegistrationAuthority) -> bytes:
-    w = _Writer()
-    w.params(ra.params)
+    w = _frame(RECORD_AUTHORITY)
+    _write_params(w, ra.params)
     w.fixed(ra.seed, 32)
-    w.ring(ra.mpk.h)
+    w.blob(ra.mpk.h.to_bytes())
     _write_msk_body(w, ra.msk)
     w.blob(ra.cspa_identity)
-    w.symkey(ra.gk_cspa_rsu)
-    w.symkey(ra.gk_rsu_cp)
+    _write_symkey(w, ra.gk_cspa_rsu)
+    _write_symkey(w, ra.gk_rsu_cp)
     w.u32(len(ra.vehicles))
     for creds in ra.vehicles.values():
-        _write_vehicle_body(w, ra.params, creds)
+        _write_vehicle_body(w, creds)
     w.u32(len(ra.consumed))
     for pseudonym in sorted(ra.consumed):
         w.fixed(pseudonym, 32)
-    return _frame(RECORD_AUTHORITY, bytes(w.buf))
+    return w.getvalue()
 
 
 def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     r = _unframe(data, RECORD_AUTHORITY)
-    p = r.params()
+    p = _read_params(r)
     seed = r.fixed(32)
-    h = r.ring(p)
+    h = _read_ring(r, p)
     msk = _read_msk_body(r)
     if msk.params != p:
-        raise ValueError("inconsistent parameters inside authority container")
-    cspa_identity = r.blob()
-    gk_cspa_rsu = r.symkey()
-    gk_rsu_cp = r.symkey()
-    vehicles = {}
-    pseudonym_owner = {}
-    for _ in range(r.u32()):
-        creds = _read_vehicle_body(r, p)
-        vehicles[creds.vehicle_id] = creds
-        for e in creds.entries:
-            pseudonym_owner[e.pseudonym] = (creds.vehicle_id, e.index)
-    consumed = {r.fixed(32) for _ in range(r.u32())}
-    r.done()
-    return RegistrationAuthority(
+        raise DecodeError("inconsistent parameters inside authority container")
+    ra = RegistrationAuthority(
         params=p,
         seed=seed,
         mpk=MasterPublicKey(params=p, h=h),
         msk=msk,
-        cspa_identity=cspa_identity,
-        gk_cspa_rsu=gk_cspa_rsu,
-        gk_rsu_cp=gk_rsu_cp,
-        vehicles=vehicles,
-        pseudonym_owner=pseudonym_owner,
-        consumed=consumed,
+        cspa_identity=r.blob(),
+        gk_cspa_rsu=_read_symkey(r),
+        gk_rsu_cp=_read_symkey(r),
     )
+    for _ in range(r.u32()):
+        creds = _read_vehicle_body(r, p)
+        ra.vehicles[creds.vehicle_id] = creds
+        for e in creds.entries:
+            ra.pseudonym_owner[e.pseudonym] = (creds.vehicle_id, e.index)
+    ra.consumed = {r.fixed(32) for _ in range(r.u32())}
+    r.done()
+    return ra
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +383,14 @@ def save(path, data: bytes):
         raise
 
 
-def load(path) -> bytes:
+def _load(path, decode):
+    """decode(contents of `path`); a DecodeError names the file."""
     with open(path, "rb") as fh:
-        return fh.read()
+        data = fh.read()
+    try:
+        return decode(data)
+    except DecodeError as exc:
+        raise DecodeError(f"{os.fspath(path)}: {exc}") from exc
 
 
 def save_authority(path, ra: RegistrationAuthority):
@@ -473,7 +398,7 @@ def save_authority(path, ra: RegistrationAuthority):
 
 
 def load_authority(path) -> RegistrationAuthority:
-    return authority_from_bytes(load(path))
+    return _load(path, authority_from_bytes)
 
 
 def save_vehicle(path, creds: VehicleCredentials):
@@ -481,7 +406,7 @@ def save_vehicle(path, creds: VehicleCredentials):
 
 
 def load_vehicle(path) -> VehicleCredentials:
-    return vehicle_from_bytes(load(path))
+    return _load(path, vehicle_from_bytes)
 
 
 def save_dataset(path, ds: CspaDataset):
@@ -489,4 +414,4 @@ def save_dataset(path, ds: CspaDataset):
 
 
 def load_dataset(path) -> CspaDataset:
-    return dataset_from_bytes(load(path))
+    return _load(path, dataset_from_bytes)

@@ -203,19 +203,9 @@ class TraceEvent:
     verdict: str
 
     def to_json(self) -> dict:
-        return {
-            "type": "event",
-            "seq": self.seq,
-            "time_ms": float(self.time_ms),
-            "kind": self.kind,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "bytes": self.nominal_bytes,
-            "channel": self.channel,
-            "computation_ms": float(self.computation_ms),
-            "sending_us": float(self.sending_us),
-            "verdict": self.verdict,
-        }
+        out = {k: float(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
+        out["bytes"] = out.pop("nominal_bytes")
+        return {"type": "event", **out}
 
 
 @dataclass
@@ -402,20 +392,11 @@ def simulate_session(
         verdicts = [v for _, v in _ride(world, n_pads, lambda: int(clock), emit)]
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
-        trace.events.append(
-            TraceEvent(
-                seq=len(trace.events),
-                time_ms=clock,
-                kind="reject",
-                sender="-",
-                receiver="-",
-                nominal_bytes=0,
-                channel="-",
-                computation_ms=Fraction(0),
-                sending_us=Fraction(0),
-                verdict=exc.reason,
-            )
-        )
+        trace.events.append(TraceEvent(
+            seq=len(trace.events), time_ms=clock, kind="reject", sender="-", receiver="-",
+            nominal_bytes=0, channel="-", computation_ms=Fraction(0), sending_us=Fraction(0),
+            verdict=exc.reason,
+        ))
     else:
         trace.accepted_pads = sum(v.accepted for v in verdicts)
         trace.completed = trace.accepted_pads == n_pads
@@ -437,12 +418,7 @@ class AdversaryAction:
     accepted: bool
 
     def to_json(self) -> dict:
-        return {
-            "description": self.description,
-            "target": self.target,
-            "reason": self.reason,
-            "accepted": self.accepted,
-        }
+        return dict(vars(self))
 
 
 @dataclass

@@ -20,10 +20,10 @@ ProtocolRejection with a stable machine-readable reason on any mismatch.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
-from dwpt_auth.errors import EmptyRegistry, ProtocolRejection
+from dwpt_auth.codec import tlv_pack, tlv_unpack
+from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
 from dwpt_auth.registration import (
     CredentialEntry,
@@ -87,6 +87,10 @@ MALFORMED = "MalformedPayload"
 
 _ONE = (1).to_bytes(32, "big")
 
+#: What a handler turns into DECRYPT_FAILURE: bytes that do not decode or do
+#: not authenticate.  Any other exception is a bug and propagates.
+_UNREADABLE = (DecodeError, AuthenticationFailure)
+
 
 @dataclass(frozen=True)
 class ProtocolMessage:
@@ -100,38 +104,10 @@ class ProtocolMessage:
         return NOMINAL_SIZES[self.kind]
 
 
-def tlv_pack(*fields: bytes) -> bytes:
-    """Deterministic tag-length-value: tag bytes 1..k in tuple order."""
-    out = bytearray()
-    for tag, value in enumerate(fields, start=1):
-        out += struct.pack("<BI", tag, len(value))
-        out += value
-    return bytes(out)
-
-
-def tlv_unpack(data: bytes, count: int) -> list[bytes]:
-    fields = []
-    off = 0
-    for tag in range(1, count + 1):
-        if off + 5 > len(data):
-            raise ValueError("truncated field header")
-        got_tag, length = struct.unpack_from("<BI", data, off)
-        if got_tag != tag:
-            raise ValueError(f"field tag {got_tag} where {tag} expected")
-        off += 5
-        if off + length > len(data):
-            raise ValueError("truncated field body")
-        fields.append(data[off : off + length])
-        off += length
-    if off != len(data):
-        raise ValueError("trailing bytes after last field")
-    return fields
-
-
 def _check_fresh(now_ms: int, ts_field: bytes, window_ms: int, context: str):
     try:
         ts = decode_timestamp(ts_field)
-    except ValueError as exc:
+    except DecodeError as exc:
         raise ProtocolRejection(MALFORMED, f"{context}: {exc}") from exc
     if abs(now_ms - ts) > window_ms:
         raise ProtocolRejection(
@@ -139,11 +115,16 @@ def _check_fresh(now_ms: int, ts_field: bytes, window_ms: int, context: str):
         )
 
 
-def _parse(body: bytes, count: int, context: str) -> list[bytes]:
+def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
+    """The payload's TLV fields, each exactly its expected width, or MALFORMED."""
     try:
-        return tlv_unpack(body, count)
-    except ValueError as exc:
+        fields = tlv_unpack(body, len(widths))
+    except DecodeError as exc:
         raise ProtocolRejection(MALFORMED, f"{context}: {exc}") from exc
+    got = tuple(map(len, fields))
+    if got != widths:
+        raise ProtocolRejection(MALFORMED, f"{context}: field widths {got}, expected {widths}")
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -203,9 +184,9 @@ class EvSession:
         try:
             ct = HybridCiphertext.from_bytes(msg.body, self.mpk.params)
             payload = ibe_open(self.entry.usk, ct, b"dwpt/m2")
-        except ValueError as exc:
+        except _UNREADABLE as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m2: {exc}") from exc
-        token, n_cspa, ts, z_plus_w = _parse(payload, 4, "m2")
+        token, n_cspa, ts, z_plus_w = _parse(payload, "m2", 32, 32, 32, 32)
         _check_fresh(now_ms, ts, self.freshness_ms, "m2")
         expected = add_mod_2_256(self.entry.z, self.entry.w)
         if z_plus_w != expected:
@@ -227,15 +208,13 @@ class EvSession:
             raise ProtocolRejection(BAD_STATE, f"m5 in state {self.state}")
         try:
             payload = aead_open(self.session_key, msg.body, b"dwpt/m5")
-        except ValueError as exc:
+        except _UNREADABLE as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m5: {exc}") from exc
-        n_rsu_inc, m_ev, ts, n_pads_raw = _parse(payload, 4, "m5")
+        n_rsu_inc, m_ev, ts, n_pads_raw = _parse(payload, "m5", 32, 32, 32, 4)
         _check_fresh(now_ms, ts, self.freshness_ms, "m5")
         if n_rsu_inc != add_mod_2_256(self.n_rsu, _ONE):
             raise ProtocolRejection(NONCE_MISMATCH, "m5: nonce increment wrong")
-        if len(n_pads_raw) != 4:
-            raise ProtocolRejection(MALFORMED, "m5: bad pad count field")
-        n_pads = struct.unpack("<I", n_pads_raw)[0]
+        n_pads = int.from_bytes(n_pads_raw, "little")
         if n_pads < 1:
             raise ProtocolRejection(MALFORMED, "m5: zero pads")
         self.chain = HashChain.build(self.token, m_ev, n_pads)
@@ -281,9 +260,9 @@ class CspaState:
         try:
             ct = HybridCiphertext.from_bytes(msg.body, self.mpk.params)
             payload = ibe_open(self.dataset.usk, ct, b"dwpt/m1")
-        except ValueError as exc:
+        except _UNREADABLE as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m1: {exc}") from exc
-        pseudonym, n_ev, ts, z = _parse(payload, 4, "m1")
+        pseudonym, n_ev, ts, z = _parse(payload, "m1", 32, 32, 32, 32)
         _check_fresh(now_ms, ts, self.freshness_ms, "m1")
         entry = self.dataset.entries.get(pseudonym)
         if entry is None:
@@ -353,9 +332,9 @@ class RsuState:
     def handle_m3(self, msg: ProtocolMessage, now_ms: int) -> None:
         try:
             payload = aead_open(self.gk_cspa_rsu, msg.body, b"dwpt/m3")
-        except ValueError as exc:
+        except _UNREADABLE as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"m3: {exc}") from exc
-        h_token, pseudonym, key, ts = _parse(payload, 4, "m3")
+        h_token, pseudonym, key, ts = _parse(payload, "m3", 32, 32, 32, 32)
         _check_fresh(now_ms, ts, self.freshness_ms, "m3")
         if pseudonym in self.pending:
             raise ProtocolRejection(
@@ -372,9 +351,9 @@ class RsuState:
         for pseudonym, (h_token, key) in self.pending.items():
             try:
                 payload = aead_open(key, msg.body, b"dwpt/m4")
-            except ValueError:
+            except _UNREADABLE:
                 continue
-            ps_field, n_rsu, ts = _parse(payload, 3, "m4")
+            ps_field, n_rsu, ts = _parse(payload, "m4", 32, 32, 32)
             if ps_field == pseudonym:
                 match = (pseudonym, h_token, key, n_rsu, ts)
                 break
@@ -390,7 +369,7 @@ class RsuState:
             add_mod_2_256(n_rsu, _ONE),
             m_ev,
             encode_timestamp(now_ms),
-            struct.pack("<I", self.n_pads),
+            self.n_pads.to_bytes(4, "little"),
         )
         m5_body = aead_seal(key, m5_payload, self.rng, b"dwpt/m5")
         m6_body = aead_seal(
@@ -429,11 +408,9 @@ class CpState:
         """m6 (from the RSU) or m8 (from the previous pad)."""
         try:
             payload = aead_open(self.gk, msg.body, b"dwpt/provision")
-        except ValueError as exc:
+        except _UNREADABLE as exc:
             raise ProtocolRejection(DECRYPT_FAILURE, f"provision: {exc}") from exc
-        (head,) = _parse(payload, 1, "provision")
-        if len(head) != 32:
-            raise ProtocolRejection(MALFORMED, "provision: head is not 32 bytes")
+        (head,) = _parse(payload, "provision", 32)
         self.expected_head = head
         self.consumed = False
 

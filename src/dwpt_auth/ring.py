@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from dwpt_auth.errors import NotInvertible, ParameterMismatch
+from dwpt_auth.codec import Reader, Writer
+from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.rng import RandomSource
 
 # int64 NTT butterflies need q*q < 2**62; RingParams rejects larger q.
@@ -70,8 +70,8 @@ class RingParams:
             raise ValueError(f"q must satisfy q = 1 mod 2N, got q={self.q}, N={self.N}")
         if self.q >= _NTT_Q_LIMIT:
             raise ValueError(f"q must be below 2^31 for int64 arithmetic, got {self.q}")
-        if self.sigma_f <= 0 or self.sigma_extract <= 0:
-            raise ValueError("Gaussian widths must be strictly positive")
+        if not all(math.isfinite(s) and s > 0 for s in (self.sigma_f, self.sigma_extract)):
+            raise ValueError("Gaussian widths must be finite and strictly positive")
 
     @property
     def coeff_width(self) -> int:
@@ -331,28 +331,32 @@ class RingElement:
         N, width = self.params.N, self.params.coeff_width
         # q < 2^31, so each coefficient is its low `width` bytes as a LE u32.
         body = self.coeffs.astype("<u4").view(np.uint8).reshape(N, 4)[:, :width]
-        return struct.pack("<HQ", N, self.params.q) + body.tobytes()
+        w = Writer()
+        w.u16(N)
+        w.u64(self.params.q)
+        w.raw(body.tobytes())
+        return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams | None = None) -> "RingElement":
-        if len(data) < 10:
-            raise ValueError("truncated ring element header")
-        N, q = struct.unpack_from("<HQ", data, 0)
+        """Inverse of to_bytes; DecodeError on a bad header, length or coefficient.
+        Without `params`, the header's N and q pick tier-style parameters."""
+        r = Reader(data)
+        N, q = r.u16(), r.u64()
         if params is None:
-            params = _tier(N, q)
+            try:
+                params = _tier(N, q)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DecodeError(f"bad ring element header: {exc}") from exc
         elif (params.N, params.q) != (N, q):
-            raise ParameterMismatch(
-                f"serialized header (N={N}, q={q}) does not match params"
-            )
+            raise DecodeError(f"serialized header (N={N}, q={q}) does not match params")
         width = params.coeff_width
-        expected = 10 + N * width
-        if len(data) != expected:
-            raise ValueError(f"expected {expected} bytes, got {len(data)}")
         padded = np.zeros((N, 4), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(data, dtype=np.uint8, offset=10).reshape(N, width)
+        padded[:, :width] = np.frombuffer(r.fixed(N * width), dtype=np.uint8).reshape(N, width)
+        r.done()
         coeffs = padded.view("<u4").reshape(N)
         if np.any(coeffs >= q):
-            raise ValueError("coefficient outside [0, q)")
+            raise DecodeError("coefficient outside [0, q)")
         return cls(params, coeffs)
 
 

@@ -8,13 +8,12 @@ cannot silently stand in for a group key.
 from __future__ import annotations
 
 import hashlib
-import struct
 from dataclasses import dataclass
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from dwpt_auth.errors import AuthenticationFailure
+from dwpt_auth.errors import AuthenticationFailure, DecodeError
 from dwpt_auth.rng import RandomSource
 
 _NONCE_LEN = 12
@@ -73,13 +72,14 @@ def encode_timestamp(ms: int) -> bytes:
     """Millisecond counter as u64 LE, zero-padded to a 32-byte field."""
     if not 0 <= ms < 1 << 64:
         raise ValueError("timestamp out of range")
-    return struct.pack("<Q", ms) + bytes(24)
+    return ms.to_bytes(8, "little") + bytes(24)
 
 
 def decode_timestamp(field: bytes) -> int:
+    """Inverse of encode_timestamp; DecodeError on any other field."""
     if len(field) != 32 or field[8:] != bytes(24):
-        raise ValueError("malformed timestamp field")
-    return struct.unpack("<Q", field[:8])[0]
+        raise DecodeError("malformed timestamp field")
+    return int.from_bytes(field[:8], "little")
 
 
 # ---------------------------------------------------------------------------

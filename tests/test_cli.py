@@ -196,6 +196,18 @@ class TestRun:
         assert rc == 1
         assert "not registered" in capsys.readouterr().err
 
+    def test_unreadable_authority_file_reported(self, workspace, tmp_path, capsys):
+        vehicle = workspace / "vehicle-EV-cli.bin"
+        rc = main([
+            "run", "--authority", str(vehicle), "--vehicle", str(vehicle),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {vehicle}: container holds vehicle credentials, "
+            "expected authority state\n"
+        )
+
     def test_unknown_timing_mode_in_config(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("timing_mode = sundial\n")

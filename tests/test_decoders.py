@@ -1,15 +1,16 @@
-"""Seeded byte mutations against every decoder: decode or raise ValueError.
+"""Seeded byte mutations against every decoder: decode or raise DecodeError.
 
-Each decoder gets a valid toy-tier blob and about a hundred mutants of it
+Each decoder gets a valid toy-tier blob and a hundred mutants of it
 (single-byte flips, truncations, appended bytes).  A mutant may still decode,
-since many bytes are free-form, but anything other than a clean decode or a
-ValueError (including its subclasses ParameterMismatch and
-AuthenticationFailure) is a decoder bug.
+since many bytes are free-form, or raise DecodeError; any other exception, a
+plain ValueError included, is a decoder bug.
 """
 
 import pytest
 
 from dwpt_auth import keyfiles
+from dwpt_auth.codec import tlv_pack, tlv_unpack
+from dwpt_auth.errors import DecodeError
 from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal, sign
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import RingElement, TIERS
@@ -54,6 +55,10 @@ def samples():
             keyfiles.dataset_to_bytes(export_cspa_dataset(ra)),
         ),
         "authority": (keyfiles.authority_from_bytes, keyfiles.authority_to_bytes(ra)),
+        "tlv": (
+            lambda d: tlv_unpack(d, 4),
+            tlv_pack(rng.bytes(32), rng.bytes(32), rng.bytes(32), rng.bytes(4)),
+        ),
     }
 
 
@@ -83,6 +88,7 @@ DECODERS = [
     "vehicle",
     "dataset",
     "authority",
+    "tlv",
 ]
 
 
@@ -95,7 +101,7 @@ def test_mutants_decode_or_raise_value_error(samples, name):
     for mutant in mutants(blob, rng):
         try:
             decode(mutant)
-        except ValueError:
+        except DecodeError:
             rejected += 1
     # Every truncation and append is malformed, so at least half must fail.
     assert rejected >= MUTANTS_PER_DECODER // 2

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dwpt_auth.errors import AuthenticationFailure, ParameterMismatch
+from dwpt_auth.errors import AuthenticationFailure, DecodeError, ParameterMismatch
 from dwpt_auth.ibe import (
     Ciphertext,
     HybridCiphertext,
@@ -292,7 +292,7 @@ class TestHybrid:
         forged = HybridCiphertext((), aead_seal(bytes(32), b"chosen by anyone", RandomSource("forge")))
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, forged)
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             HybridCiphertext.from_bytes(forged.to_bytes(), params)
 
     def test_wrong_key_block_count_rejected(self, default_authority):
@@ -303,7 +303,7 @@ class TestHybrid:
         doubled = HybridCiphertext(key_blocks=ct.key_blocks * 2, sealed=ct.sealed)
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, doubled)
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             HybridCiphertext.from_bytes(doubled.to_bytes(), mpk.params)
 
     @pytest.mark.parametrize("n", [16, 64, 512])
@@ -331,14 +331,14 @@ class TestSerialization:
         mpk = toy_authority.mpk
         blob = ibe_seal(mpk, b"dest", b"payload bytes", RandomSource("hcut")).to_bytes()
         for cut in range(len(blob)):
-            with pytest.raises(ValueError):
+            with pytest.raises(DecodeError):
                 HybridCiphertext.from_bytes(blob[:cut], mpk.params)
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             HybridCiphertext.from_bytes(blob + b"\x00", mpk.params)
 
     def test_short_inputs_raise_value_error(self, toy_authority):
         params = toy_authority.mpk.params
         for decode in (Ciphertext.from_bytes, HybridCiphertext.from_bytes, RingElement.from_bytes):
             for data in (b"", b"\x01", b"\x05\x00\x00"):
-                with pytest.raises(ValueError):
+                with pytest.raises(DecodeError):
                     decode(data, params)

@@ -1,15 +1,19 @@
 """Binary container encode/decode for keys, credentials, and authority state."""
 
+import dataclasses
 import hashlib
 import os
+import re
 import stat
+import struct
 
 import pytest
 
 from dwpt_auth import keyfiles
+from dwpt_auth.errors import DecodeError
 from dwpt_auth.ibe import extract, sign
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
-from dwpt_auth.ring import TIERS
+from dwpt_auth.ring import IntegerPolynomial, TIERS
 from dwpt_auth.rng import RandomSource
 
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
@@ -95,30 +99,61 @@ class TestFraming:
     def test_bad_magic(self, ra):
         blob = bytearray(keyfiles.mpk_to_bytes(ra.mpk))
         blob[0] ^= 0xFF
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(DecodeError, match="magic"):
             keyfiles.mpk_from_bytes(bytes(blob))
 
     def test_wrong_record_type_named_in_error(self, ra):
         blob = keyfiles.mpk_to_bytes(ra.mpk)
-        with pytest.raises(ValueError, match="holds"):
+        with pytest.raises(DecodeError, match="holds"):
             keyfiles.msk_from_bytes(blob)
 
     def test_truncation_detected(self, ra):
         blob = keyfiles.authority_to_bytes(ra)
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             keyfiles.authority_from_bytes(blob[: len(blob) // 2])
 
     def test_trailing_garbage_detected(self, ra):
         blob = keyfiles.mpk_to_bytes(ra.mpk) + b"\x00"
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             keyfiles.mpk_from_bytes(blob)
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             keyfiles.mpk_from_bytes(b"")
 
 
+class TestStrictFields:
+    def test_consumed_flag_is_zero_or_one(self, ra):
+        blob = keyfiles.dataset_to_bytes(export_cspa_dataset(ra))
+        # The last byte is the consumed flag of the last dataset entry.
+        for flag in (0, 1):
+            back = keyfiles.dataset_from_bytes(blob[:-1] + bytes([flag]))
+            assert keyfiles.dataset_to_bytes(back)[-1] == flag
+        with pytest.raises(DecodeError, match="consumed flag 7"):
+            keyfiles.dataset_from_bytes(blob[:-1] + b"\x07")
+
+    def test_msk_polynomial_of_wrong_length(self):
+        msk = ra_setup(TIERS["toy"], "short-f").msk
+        short = dataclasses.replace(msk, f=IntegerPolynomial(msk.f.coeffs[:15]))
+        with pytest.raises(DecodeError, match="15 coefficients, expected 16"):
+            keyfiles.msk_from_bytes(keyfiles.msk_to_bytes(short))
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_non_finite_width_in_header(self, ra, width):
+        blob = bytearray(keyfiles.mpk_to_bytes(ra.mpk))
+        # magic(4) + record type(1) + N(2) + q(8), then sigma_f as f64
+        blob[15:23] = struct.pack("<d", width)
+        with pytest.raises(DecodeError, match="finite"):
+            keyfiles.mpk_from_bytes(bytes(blob))
+
+
 class TestFileHelpers:
+    def test_decode_error_names_the_file(self, ra, tmp_path):
+        path = tmp_path / "vehicle.bin"
+        keyfiles.save_vehicle(path, ra.vehicles[b"EV-kf-1"])
+        with pytest.raises(DecodeError, match="^" + re.escape(f"{path}: container holds vehicle")):
+            keyfiles.load_authority(path)
+
     def test_save_load_authority(self, ra, tmp_path):
         path = tmp_path / "authority.bin"
         keyfiles.save_authority(path, ra)

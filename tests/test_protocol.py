@@ -6,8 +6,8 @@ import struct
 import pytest
 
 from dwpt_auth import protocol
-from dwpt_auth.errors import ProtocolRejection
-from dwpt_auth.ibe import HybridCiphertext
+from dwpt_auth.errors import DecodeError, ProtocolRejection
+from dwpt_auth.ibe import HybridCiphertext, ibe_seal
 from dwpt_auth.protocol import (
     BAD_STATE,
     CHAIN_MISMATCH,
@@ -90,22 +90,22 @@ class TestTlv:
         packed = tlv_pack(b"x", b"y")
         swapped = bytearray(packed)
         swapped[0], swapped[6] = packed[6], packed[0]
-        with pytest.raises(ValueError, match="tag"):
+        with pytest.raises(DecodeError, match="tag"):
             tlv_unpack(bytes(swapped), 2)
 
     def test_trailing_bytes_rejected(self):
-        with pytest.raises(ValueError, match="trailing"):
+        with pytest.raises(DecodeError, match="trailing"):
             tlv_unpack(tlv_pack(b"x") + b"\x00", 1)
 
     def test_truncations_rejected(self):
         packed = tlv_pack(b"hello")
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             tlv_unpack(packed[:3], 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             tlv_unpack(packed[:-1], 1)
 
     def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             tlv_unpack(tlv_pack(b"x", b"y"), 1)
 
 
@@ -190,6 +190,20 @@ class TestCspaRejections:
         with pytest.raises(ProtocolRejection) as exc:
             parties.cspa.handle_m1(forged, NOW)
         assert exc.value.reason == DECRYPT_FAILURE
+
+    def test_short_nonce_in_m1_leaves_pseudonym_fresh(self, default_authority, parties, fresh_vehicle):
+        """A correct pseudonym and z with a 5-byte nonce: MALFORMED, and the
+        pseudonym is not burned."""
+        entry = fresh_vehicle.entries[0]
+        payload = tlv_pack(entry.pseudonym, bytes(5), encode_timestamp(NOW), entry.z)
+        body = ibe_seal(
+            default_authority.mpk, default_authority.cspa_identity, payload,
+            RandomSource("short-nonce"), b"dwpt/m1",
+        ).to_bytes()
+        with pytest.raises(ProtocolRejection) as exc:
+            parties.cspa.handle_m1(ProtocolMessage("m1", "EV", "CSPA", body), NOW)
+        assert exc.value.reason == MALFORMED
+        assert entry.pseudonym not in parties.cspa.consumed
 
     def test_unknown_pseudonym(self, default_authority, dataset, fresh_vehicle):
         empty = CspaDataset(
@@ -350,6 +364,30 @@ class TestRsuRejections:
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(m4, NOW)
         assert exc.value.reason == STALE_TIMESTAMP
+
+    def test_short_nonce_in_m4_keeps_session_pending(self, parties):
+        p = parties
+        m1 = p.ev.compose_m1(NOW)
+        m2, m3 = p.cspa.handle_m1(m1, NOW)
+        p.rsu.handle_m3(m3, NOW)
+        p.ev.handle_m2(m2, NOW)
+        payload = tlv_pack(p.ev.entry.pseudonym, b"\x07", encode_timestamp(NOW))
+        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m4")
+        with pytest.raises(ProtocolRejection) as exc:
+            p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
+        assert exc.value.reason == MALFORMED
+        assert p.ev.entry.pseudonym in p.rsu.pending
+
+    def test_value_error_is_not_a_verdict(self, parties, monkeypatch):
+        m1 = parties.ev.compose_m1(NOW)
+        _, m3 = parties.cspa.handle_m1(m1, NOW)
+
+        def broken_open(*args):
+            raise ValueError("bug in the AEAD layer")
+
+        monkeypatch.setattr(protocol, "aead_open", broken_open)
+        with pytest.raises(ValueError, match="bug in the AEAD layer"):
+            parties.rsu.handle_m3(m3, NOW)
 
     def test_programming_error_is_not_a_verdict(self, parties, monkeypatch):
         m1 = parties.ev.compose_m1(NOW)

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from dwpt_auth.errors import NotInvertible, ParameterMismatch
+from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.ring import (
     IntegerPolynomial,
     RingElement,
@@ -43,6 +43,8 @@ class TestParams:
             dict(N=16, q=101, sigma_f=1.0, sigma_extract=1.0),  # q != 1 mod 2N
             dict(N=16, q=97, sigma_f=0.0, sigma_extract=1.0),  # bad width
             dict(N=16, q=2147483713, sigma_f=1.0, sigma_extract=1.0),  # q >= 2^31
+            dict(N=16, q=97, sigma_f=float("nan"), sigma_extract=1.0),  # NaN width
+            dict(N=16, q=97, sigma_f=1.0, sigma_extract=float("inf")),  # infinite width
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -209,7 +211,7 @@ class TestSerialization:
 
     def test_header_mismatch_rejected(self):
         e = RingElement.one(TIERS["toy"])
-        with pytest.raises(ParameterMismatch):
+        with pytest.raises(DecodeError):
             RingElement.from_bytes(e.to_bytes(), TIERS["test"])
 
     def test_truncated_rejected(self):

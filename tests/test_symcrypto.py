@@ -6,7 +6,7 @@ openssl/sha256sum so a broken helper cannot vouch for itself.
 
 import pytest
 
-from dwpt_auth.errors import AuthenticationFailure
+from dwpt_auth.errors import AuthenticationFailure, DecodeError
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import (
     HashChain,
@@ -72,11 +72,11 @@ class TestTimestamps:
     def test_padding_is_strict(self):
         blob = bytearray(encode_timestamp(42))
         blob[20] = 1
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             decode_timestamp(bytes(blob))
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DecodeError):
             decode_timestamp(b"\x00" * 31)
 
 
