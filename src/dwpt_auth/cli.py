@@ -288,6 +288,11 @@ def main(argv=None) -> int:
     except DecodeError as exc:  # an --authority or --vehicle file; names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # a file that could not be opened, read or written
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -14,6 +14,11 @@ import struct
 from dwpt_auth.errors import DecodeError
 
 _U16, _U32, _U64, _F64 = (struct.Struct(f) for f in ("<H", "<I", "<Q", "<d"))
+_TLV_HEAD = struct.Struct("<BI")  # field tag, value length
+
+
+def _truncated(n: int, off: int, size: int) -> DecodeError:
+    return DecodeError(f"truncated: {n} bytes wanted at offset {off}, {size - off} left")
 
 
 def _put(s: struct.Struct):
@@ -73,8 +78,7 @@ class Reader:
         """Offset of the next n bytes, which the reader then moves past."""
         off = self.off
         if off + n > len(self.data):
-            left = len(self.data) - off
-            raise DecodeError(f"truncated: {n} bytes wanted at offset {off}, {left} left")
+            raise _truncated(n, off, len(self.data))
         self.off = off + n
         return off
 
@@ -96,21 +100,35 @@ class Reader:
 
 def tlv_pack(*fields: bytes) -> bytes:
     """Deterministic tag-length-value: u8 tags 1..k in order, u32 lengths."""
-    w = Writer()
-    for tag, value in enumerate(fields, start=1):
-        w.u8(tag)
-        w.blob(value)
-    return w.getvalue()
+    return b"".join([_TLV_HEAD.pack(tag, len(v)) + v for tag, v in enumerate(fields, 1)])
 
 
 def tlv_unpack(data: bytes, count: int) -> list[bytes]:
-    """Inverse of tlv_pack for exactly `count` fields."""
-    r = Reader(data)
+    """Inverse of tlv_pack for exactly `count` fields.
+
+    Fails as a `Reader` reading the u8 tag, the u32 length and the value in
+    turn would, with the same DecodeError: a wrong tag is reported before a
+    truncation, and trailing bytes last.
+    """
+    size = len(data)
+    off = 0
     fields = []
     for tag in range(1, count + 1):
-        got = r.u8()
+        if off + _TLV_HEAD.size <= size:
+            got, n = _TLV_HEAD.unpack_from(data, off)
+        elif off < size:  # a tag byte, then less than a length
+            got, n = data[off], None
+        else:
+            raise _truncated(1, off, size)
         if got != tag:
             raise DecodeError(f"field tag {got} where {tag} expected")
-        fields.append(r.blob())
-    r.done()
+        if n is None:
+            raise _truncated(4, off + 1, size)
+        off += _TLV_HEAD.size
+        if off + n > size:
+            raise _truncated(n, off, size)
+        fields.append(data[off : off + n])
+        off += n
+    if off != size:
+        raise DecodeError(f"{size - off} trailing bytes")
     return fields

@@ -282,15 +282,8 @@ def dataset_to_bytes(ds: CspaDataset) -> bytes:
         w.fixed(e.pseudonym, 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
-        w.u8(1 if e.consumed else 0)
+        w.u8(1 if pseudonym in ds.consumed else 0)
     return w.getvalue()
-
-
-def _read_dataset_entry(r: Reader) -> DatasetEntry:
-    pseudonym, z, wshare, consumed = r.fixed(32), r.fixed(32), r.fixed(32), r.u8()
-    if consumed > 1:
-        raise DecodeError(f"consumed flag {consumed}, expected 0 or 1")
-    return DatasetEntry(pseudonym=pseudonym, z=z, w=wshare, consumed=bool(consumed))
 
 
 def dataset_from_bytes(data: bytes) -> CspaDataset:
@@ -300,8 +293,15 @@ def dataset_from_bytes(data: bytes) -> CspaDataset:
         cspa_identity=r.blob(),
         usk=_read_usk_body(r, p),
         gk_cspa_rsu=_read_symkey(r),
-        entries={e.pseudonym: e for e in (_read_dataset_entry(r) for _ in range(r.u32()))},
+        entries={},
     )
+    for _ in range(r.u32()):
+        pseudonym, z, wshare, consumed = r.fixed(32), r.fixed(32), r.fixed(32), r.u8()
+        if consumed > 1:
+            raise DecodeError(f"consumed flag {consumed}, expected 0 or 1")
+        ds.entries[pseudonym] = DatasetEntry(pseudonym=pseudonym, z=z, w=wshare)
+        if consumed:
+            ds.consumed.add(pseudonym)
     r.done()
     return ds
 
@@ -316,6 +316,7 @@ def authority_to_bytes(ra: RegistrationAuthority) -> bytes:
     w.blob(ra.mpk.h.to_bytes())
     _write_msk_body(w, ra.msk)
     w.blob(ra.cspa_identity)
+    _write_usk_body(w, ra.cspa_usk)
     _write_symkey(w, ra.gk_cspa_rsu)
     _write_symkey(w, ra.gk_rsu_cp)
     w.u32(len(ra.vehicles))
@@ -335,12 +336,19 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     msk = _read_msk_body(r)
     if msk.params != p:
         raise DecodeError("inconsistent parameters inside authority container")
+    cspa_identity = r.blob()
+    cspa_usk = _read_usk_body(r, p)
+    if cspa_usk.identity != cspa_identity:
+        raise DecodeError(
+            f"stored operator key is for {cspa_usk.identity!r}, not {cspa_identity!r}"
+        )
     ra = RegistrationAuthority(
         params=p,
         seed=seed,
         mpk=MasterPublicKey(params=p, h=h),
         msk=msk,
-        cspa_identity=r.blob(),
+        cspa_identity=cspa_identity,
+        cspa_usk=cspa_usk,
         gk_cspa_rsu=_read_symkey(r),
         gk_rsu_cp=_read_symkey(r),
     )
@@ -349,6 +357,7 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
         ra.vehicles[creds.vehicle_id] = creds
         for e in creds.entries:
             ra.pseudonym_owner[e.pseudonym] = (creds.vehicle_id, e.index)
+            ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)
     ra.consumed = {r.fixed(32) for _ in range(r.u32())}
     r.done()
     return ra

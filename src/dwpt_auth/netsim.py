@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
+from dwpt_auth.ibe import MasterPublicKey
 from dwpt_auth.protocol import (
     CpState,
     CspaState,
@@ -27,11 +28,13 @@ from dwpt_auth.protocol import (
     RsuState,
 )
 from dwpt_auth.registration import (
+    CspaDataset,
     RegistrationAuthority,
     VehicleCredentials,
     export_cspa_dataset,
 )
 from dwpt_auth.rng import RandomSource
+from dwpt_auth.symcrypto import SymmetricKey
 
 #: Measured cycle counts for the four primitives on the modeled 32 MHz MCU.
 CYCLE_COUNTS = {
@@ -257,7 +260,7 @@ class SessionTrace:
 
 @dataclass
 class World:
-    """All parties for one lane, wired to a common authority."""
+    """All parties for one lane, wired to one operator."""
 
     ev: EvSession
     cspa: CspaState
@@ -267,32 +270,36 @@ class World:
 
 
 def build_world(
-    authority: RegistrationAuthority,
+    dataset: CspaDataset,
+    mpk: MasterPublicKey,
+    gk_rsu_cp: SymmetricKey,
     credentials: VehicleCredentials,
     n_pads: int,
     seed,
     entry_index: int | None = None,
     freshness_ms: int = protocol.FRESHNESS_WINDOW_MS,
 ) -> World:
+    """The lane from what the operator side holds: its dataset (with its
+    identity key and the CSPA-RSU key), the master public key and the RSU-CP
+    key.  No master secret is involved."""
     root = RandomSource(seed)
-    dataset = export_cspa_dataset(authority)
     ev = EvSession(
         credentials,
-        authority.mpk,
-        authority.cspa_identity,
+        mpk,
+        dataset.cspa_identity,
         root.child("ev"),
         entry_index=entry_index,
         freshness_ms=freshness_ms,
     )
-    cspa = CspaState(dataset, authority.mpk, root.child("cspa"), freshness_ms)
+    cspa = CspaState(dataset, mpk, root.child("cspa"), freshness_ms)
     rsu = RsuState(
-        authority.gk_cspa_rsu,
-        authority.gk_rsu_cp,
+        dataset.gk_cspa_rsu,
+        gk_rsu_cp,
         n_pads,
         root.child("rsu"),
         freshness_ms,
     )
-    pads = [CpState(i + 1, authority.gk_rsu_cp) for i in range(n_pads)]
+    pads = [CpState(i + 1, gk_rsu_cp) for i in range(n_pads)]
     return World(ev, cspa, rsu, pads, root.child("world"))
 
 
@@ -342,7 +349,10 @@ def simulate_session(
     A protocol rejection ends the run with the reason recorded.
     """
     tm = timing or TimingModel.rounded_table()
-    world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
+    world = build_world(
+        export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
+        credentials, n_pads, seed, entry_index, freshness_ms,
+    )
     trace = SessionTrace(
         config={
             "type": "config",
@@ -490,7 +500,7 @@ def _scenario_pseudonym_reuse(world: World) -> list[AdversaryAction]:
 
 
 def _scenario_forge_m4(world: World) -> list[AdversaryAction]:
-    from dwpt_auth.symcrypto import SymmetricKey, aead_seal, encode_timestamp
+    from dwpt_auth.symcrypto import aead_seal, encode_timestamp
 
     ev, cspa, rsu = world.ev, world.cspa, world.rsu
     mallory = RandomSource("mallory")
@@ -584,7 +594,8 @@ def run_adversary(
         spent=set(credentials.spent),
     )
     world = build_world(
-        authority, sandboxed, n_pads, seed, entry_index=None, freshness_ms=freshness_ms
+        export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
+        sandboxed, n_pads, seed, freshness_ms=freshness_ms,
     )
     actions = script(world)
     honest_accepts = sum(1 for pad in world.pads if pad.consumed)

@@ -250,9 +250,7 @@ class CspaState:
         self.mpk = mpk
         self.rng = rng
         self.freshness_ms = freshness_ms
-        self.consumed = {
-            ps for ps, entry in dataset.entries.items() if entry.consumed
-        }
+        self.consumed = set(dataset.consumed)
 
     def handle_m1(
         self, msg: ProtocolMessage, now_ms: int

@@ -3,7 +3,9 @@
 The authority owns the IBE trapdoor and the symmetric group keys.  Vehicles
 register once and receive a batch of unlinkable pseudonyms with per-pseudonym
 secret shares and extracted keys; charging-station operators receive the
-pseudonym-indexed dataset with no way back to vehicle identities.
+pseudonym-indexed dataset with no way back to vehicle identities.  The
+operator's own identity key is extracted once, at setup, so running a session
+never needs the trapdoor.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ class DatasetEntry:
     pseudonym: bytes
     z: bytes
     w: bytes
-    consumed: bool
 
 
 @dataclass
@@ -77,6 +78,7 @@ class CspaDataset:
     usk: UserSecretKey
     gk_cspa_rsu: SymmetricKey
     entries: dict[bytes, DatasetEntry]
+    consumed: set[bytes] = field(default_factory=set)  # pseudonyms already used
 
 
 @dataclass
@@ -86,17 +88,20 @@ class RegistrationAuthority:
     mpk: MasterPublicKey
     msk: MasterSecretKey
     cspa_identity: bytes
+    cspa_usk: UserSecretKey  # extracted once at setup; sessions use this
     gk_cspa_rsu: SymmetricKey
     gk_rsu_cp: SymmetricKey
     vehicles: dict[bytes, VehicleCredentials] = field(default_factory=dict)
     pseudonym_owner: dict[bytes, tuple[bytes, int]] = field(default_factory=dict)
+    dataset_entries: dict[bytes, DatasetEntry] = field(default_factory=dict)
     consumed: set[bytes] = field(default_factory=set)
 
 
 def ra_setup(
     params: RingParams, seed, cspa_identity: bytes = b"CSPA-1"
 ) -> RegistrationAuthority:
-    """Generate the authority state: trapdoor, group keys, empty registry.
+    """Generate the authority state: trapdoor, the operator's identity key,
+    group keys, empty registry.
 
     Deterministic in the seed; two authorities set up from the same seed and
     parameters are byte-identical once serialized.
@@ -110,6 +115,7 @@ def ra_setup(
         mpk=mpk,
         msk=msk,
         cspa_identity=cspa_identity,
+        cspa_usk=extract(msk, cspa_identity),
         gk_cspa_rsu=SymmetricKey(groups.bytes(32), ROLE_CSPA_RSU),
         gk_rsu_cp=SymmetricKey(groups.bytes(32), ROLE_RSU_CP),
     )
@@ -152,35 +158,29 @@ def register_vehicle(
         )
         entries.append(entry)
         ra.pseudonym_owner[pseudonym] = (vehicle_id, i)
+        ra.dataset_entries[pseudonym] = DatasetEntry(pseudonym, entry.z, entry.w)
     creds = VehicleCredentials(vehicle_id=vehicle_id, d_ev=d_ev, entries=entries)
     ra.vehicles[vehicle_id] = creds
     return creds
 
 
 def export_cspa_dataset(ra: RegistrationAuthority) -> CspaDataset:
-    """Pseudonym-indexed view for the CSPA, sorted for reproducible bytes.
+    """Pseudonym-indexed view for the CSPA.
 
-    Contains pseudonyms, secret shares, consumption flags, the CSPA identity
-    key, and the CSPA-RSU group key; vehicle identities and long-term secrets
-    stay with the authority.
+    Contains pseudonyms, secret shares, the consumed pseudonyms, the CSPA
+    identity key stored at setup, and the CSPA-RSU group key; vehicle
+    identities and long-term secrets stay with the authority.  Nothing is
+    extracted or copied: the view shares the authority's entry table and
+    consumed set, and `keyfiles.dataset_to_bytes` takes a snapshot.
     """
     if not ra.vehicles:
         raise EmptyRegistry("no vehicles registered")
-    entries = {}
-    for pseudonym in sorted(ra.pseudonym_owner):
-        vehicle_id, idx = ra.pseudonym_owner[pseudonym]
-        slot = ra.vehicles[vehicle_id].entries[idx]
-        entries[pseudonym] = DatasetEntry(
-            pseudonym=pseudonym,
-            z=slot.z,
-            w=slot.w,
-            consumed=pseudonym in ra.consumed,
-        )
     return CspaDataset(
         cspa_identity=ra.cspa_identity,
-        usk=extract(ra.msk, ra.cspa_identity),
+        usk=ra.cspa_usk,
         gk_cspa_rsu=ra.gk_cspa_rsu,
-        entries=entries,
+        entries=ra.dataset_entries,
+        consumed=ra.consumed,
     )
 
 

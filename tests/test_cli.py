@@ -2,6 +2,7 @@
 
 import importlib.metadata as md
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,7 @@ def workspace(tmp_path_factory):
     ]) == 0
     assert main([
         "register", "--authority", str(ws / "authority.bin"),
-        "--vehicle-id", "EV-cli", "--count", "4",
+        "--vehicle-id", "EV-cli", "--count", "6",
     ]) == 0
     assert main([
         "export-dataset", "--authority", str(ws / "authority.bin"),
@@ -208,6 +209,31 @@ class TestRun:
             "expected authority state\n"
         )
 
+    def test_operator_commands_never_reach_the_trapdoor(self, workspace, tmp_path, monkeypatch, capsys):
+        """run, attack and export-dataset work from the operator key stored at
+        setup: no extraction and no sampler build."""
+        from dwpt_auth import ibe
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an operator command used the master trapdoor")
+
+        real_extract = ibe.extract
+        for name, module in list(sys.modules.items()):
+            if name.startswith("dwpt_auth") and vars(module).get("extract") is real_extract:
+                monkeypatch.setattr(module, "extract", forbidden)
+        monkeypatch.setattr(ibe.KleinSampler, "__init__", forbidden)
+        authority = str(workspace / "authority.bin")
+        vehicle = str(workspace / "vehicle-EV-cli.bin")
+        assert main([
+            "run", "--authority", authority, "--vehicle", vehicle, "--n-pads", "2",
+            "--seed", "no-trapdoor", "--pseudonym-index", "2", "--out", str(tmp_path / "run"),
+        ]) == 0
+        assert main([
+            "attack", "--scenario", "pseudonym-reuse", "--authority", authority,
+            "--vehicle", vehicle, "--out", str(tmp_path / "attack"),
+        ]) == 0
+        assert main(["export-dataset", "--authority", authority, "--out", str(tmp_path)]) == 0
+
     def test_unknown_timing_mode_in_config(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("timing_mode = sundial\n")
@@ -217,6 +243,33 @@ class TestRun:
             "--out", str(tmp_path / "run"), "--config", str(cfg),
         ])
         assert rc == 2
+
+
+class TestMissingFiles:
+    """A key file that cannot be opened is one error line, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "register", "attack", "export-dataset"])
+    def test_missing_authority(self, workspace, tmp_path, capsys, command):
+        missing = tmp_path / "no-authority.bin"
+        vehicle = str(workspace / "vehicle-EV-cli.bin")
+        argv = {
+            "run": ["--vehicle", vehicle, "--out", str(tmp_path / "out")],
+            "register": ["--vehicle-id", "EV-new"],
+            "attack": ["--scenario", "all", "--vehicle", vehicle, "--out", str(tmp_path / "out")],
+            "export-dataset": [],
+        }[command]
+        assert main([command, "--authority", str(missing), *argv]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", ["run", "attack"])
+    def test_missing_vehicle(self, workspace, tmp_path, capsys, command):
+        missing = tmp_path / "no-vehicle.bin"
+        extra = ["--scenario", "all"] if command == "attack" else []
+        assert main([
+            command, *extra, "--authority", str(workspace / "authority.bin"),
+            "--vehicle", str(missing), "--out", str(tmp_path / "out"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
 class TestCosts:

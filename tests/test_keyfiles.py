@@ -10,6 +10,7 @@ import struct
 import pytest
 
 from dwpt_auth import keyfiles
+from dwpt_auth.codec import Writer
 from dwpt_auth.errors import DecodeError
 from dwpt_auth.ibe import extract, sign
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
@@ -19,7 +20,7 @@ from dwpt_auth.rng import RandomSource
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "fde79323ad0ed2cfa6e585d46e1ec2931cdd7a29dcc5fc94e6680032e9dd89e3",
+    "authority.bin": "81a1967836d9320951a66b4a46024f87eab8314dcb810a7e6f7d279a788321fb",
     "vehicle.bin": "4bcca605bff89633e7932850e84b4e971129345401c94b4fb4e3afe124dd257b",
 }
 
@@ -86,10 +87,12 @@ class TestRecordRoundTrips:
         assert back.seed == ra.seed
         assert back.mpk == ra.mpk
         assert back.cspa_identity == ra.cspa_identity
+        assert back.cspa_usk == ra.cspa_usk
         assert back.gk_cspa_rsu == ra.gk_cspa_rsu
         assert back.gk_rsu_cp == ra.gk_rsu_cp
         assert back.consumed == ra.consumed
         assert back.pseudonym_owner == ra.pseudonym_owner
+        assert back.dataset_entries == ra.dataset_entries
         assert set(back.vehicles) == set(ra.vehicles)
         # serialization is a fixed point: encode(decode(x)) == x
         assert keyfiles.authority_to_bytes(back) == blob
@@ -131,6 +134,21 @@ class TestStrictFields:
             assert keyfiles.dataset_to_bytes(back)[-1] == flag
         with pytest.raises(DecodeError, match="consumed flag 7"):
             keyfiles.dataset_from_bytes(blob[:-1] + b"\x07")
+
+    def test_stored_operator_key_names_the_operator(self, ra):
+        foreign = dataclasses.replace(ra, cspa_usk=extract(ra.msk, b"CSPA-2"))
+        with pytest.raises(DecodeError, match="stored operator key is for b'CSPA-2'"):
+            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(foreign))
+
+    def test_authority_without_stored_operator_key_rejected(self, ra):
+        """The layout before the operator key was stored does not decode."""
+        w = Writer()  # the stored key as the container frames it
+        for field in (ra.cspa_identity, ra.cspa_usk.s1.to_bytes(), ra.cspa_usk.s2.to_bytes()):
+            w.blob(field)
+        blob = keyfiles.authority_to_bytes(ra)
+        assert blob.count(w.getvalue()) == 1
+        with pytest.raises(DecodeError):
+            keyfiles.authority_from_bytes(blob.replace(w.getvalue(), b""))
 
     def test_msk_polynomial_of_wrong_length(self):
         msk = ra_setup(TIERS["toy"], "short-f").msk

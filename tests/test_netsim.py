@@ -6,6 +6,7 @@ the simulator must reproduce them exactly, not approximately, because all
 accounting is done in rational arithmetic.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from dwpt_auth.netsim import (
     write_message_costs_csv,
     write_pad_length_csv,
 )
+from dwpt_auth.registration import export_cspa_dataset
 
 
 class TestTimingModel:
@@ -296,17 +298,37 @@ class TestAdversaryHarness:
         assert all(l["type"] == "action" for l in lines[1:])
 
 
+class NoMasterKey:
+    """Stands in for the master secret key; any use of it fails the test."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"session touched msk.{name}")
+
+
 class TestWorldWiring:
     def test_build_world_is_ready_to_run(self, default_authority, default_vehicle):
         from conftest import copy_credentials
 
         creds = copy_credentials(default_vehicle)
-        world = build_world(default_authority, creds, 2, seed=11)
+        ra = default_authority
+        world = build_world(export_cspa_dataset(ra), ra.mpk, ra.gk_rsu_cp, creds, 2, seed=11)
         assert world.rsu.n_pads == 2
         assert len(world.pads) == 2
         assert world.ev.credentials is creds
+        assert world.ev.cspa_identity == ra.cspa_identity
         trace = simulate_session(default_authority, creds, n_pads=2, seed=11)
         assert trace.completed
+
+    def test_session_runs_without_master_key(self, default_authority, default_vehicle):
+        from conftest import copy_credentials
+
+        operator_only = dataclasses.replace(default_authority, msk=NoMasterKey())
+        trace = simulate_session(
+            operator_only, copy_credentials(default_vehicle), n_pads=3, seed=12
+        )
+        assert trace.completed and trace.accepted_pads == 3
+        report = run_adversary("pseudonym-reuse", operator_only, default_vehicle, seed=13)
+        assert report.passed and report.actions
 
 
 class TestConfigAndArtifacts:

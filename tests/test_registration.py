@@ -4,7 +4,7 @@ import pytest
 
 from dwpt_auth import keyfiles
 from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry
-from dwpt_auth.ibe import identity_point
+from dwpt_auth.ibe import extract, identity_point
 from dwpt_auth.registration import (
     ROLE_CSPA_RSU,
     ROLE_RSU_CP,
@@ -24,6 +24,15 @@ class TestSetup:
         a = ra_setup(p, "fixed-seed")
         b = ra_setup(p, "fixed-seed")
         assert keyfiles.authority_to_bytes(a) == keyfiles.authority_to_bytes(b)
+
+    def test_cspa_key_extracted_at_setup(self):
+        """The operator key is extracted once, into the master key's cache,
+        and the dataset export hands out that stored key."""
+        ra = ra_setup(TIERS["test"], "cspa-key")
+        assert ra.cspa_usk.identity == ra.cspa_identity
+        assert extract(ra.msk, ra.cspa_identity) is ra.cspa_usk
+        register_vehicle(ra, b"EV-1", 1)
+        assert export_cspa_dataset(ra).usk is ra.cspa_usk
 
     def test_different_seeds_differ(self):
         p = TIERS["test"]
@@ -127,7 +136,7 @@ class TestDatasetExport:
             vid, idx = ra.pseudonym_owner[ps]
             slot = ra.vehicles[vid].entries[idx]
             assert entry.z == slot.z and entry.w == slot.w
-            assert not entry.consumed
+        assert not ds.consumed
 
     def test_consumption_flags_round_trip(self):
         ra = ra_setup(TIERS["test"], "exp-2")
@@ -135,8 +144,10 @@ class TestDatasetExport:
         burned = creds.entries[1].pseudonym
         ra.consumed.add(burned)
         ds = export_cspa_dataset(ra)
-        assert ds.entries[burned].consumed
-        assert not ds.entries[creds.entries[0].pseudonym].consumed
+        assert ds.consumed == {burned}
+        back = keyfiles.dataset_from_bytes(keyfiles.dataset_to_bytes(ds))
+        assert back.consumed == {burned}
+        assert set(back.entries) == {e.pseudonym for e in creds.entries}
 
     def test_dataset_does_not_leak_vehicle_identity(self):
         """The exported container must not contain the id or long-term secret."""
