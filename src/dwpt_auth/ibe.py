@@ -2,10 +2,12 @@
 
 A master authority samples a short pair (f, g), completes it to a basis of
 the lattice {(u, v) : u + v*h = 0 mod q} for h = g/f, and extracts per
-identity a short preimage (s1, s2) of the hashed identity point with a
-randomized nearest-plane sampler over the Gram-Schmidt frame.  Encryption is
-the dual-Regev style scheme: noisy products against h and the identity point,
-message bits scaled by floor(q/2).
+identity a short preimage (s1, s2) of the hashed identity point by fast
+Fourier sampling: a randomized nearest-plane walk down the ffLDL tree of the
+basis, which is its Gram-Schmidt frame in bit-reversed order, built from the
+Fourier transforms of f, g, F, G.  Encryption is the dual-Regev style scheme:
+noisy products against h and the identity point, message bits scaled by
+floor(q/2).
 
 Key encapsulation for byte payloads wraps a fresh 256-bit content key in as
 many ring ciphertexts as needed and seals the payload itself with an AEAD.
@@ -13,6 +15,7 @@ many ring ciphertexts as needed and seals the payload itself with an AEAD.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -28,12 +31,11 @@ from dwpt_auth.errors import (
     ResampleExhausted,
     SamplerFailure,
 )
-from dwpt_auth.ntrusolve import fft_neg, ntru_solve
+from dwpt_auth.ntrusolve import fft_neg, ifft_neg, ntru_solve
 from dwpt_auth.ring import (
     IntegerPolynomial,
     RingElement,
     RingParams,
-    anticirculant_matrix,
     hash_to_ring,
     sample_gaussian_int,
     sample_gaussian_poly,
@@ -54,9 +56,6 @@ _SIG_PREFIX = b"SIG\x00"
 
 _MAX_KEYGEN_ATTEMPTS = 400
 _MAX_SAMPLE_ATTEMPTS = 64
-
-#: Rows per block in the sampler's blocked Gram-Schmidt.
-_GS_BLOCK = 64
 
 
 def norm_bound(params: RingParams) -> float:
@@ -86,20 +85,9 @@ class MasterSecretKey:
     _sampler: "KleinSampler | None" = field(default=None, repr=False, compare=False)
     _extract_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
-    def basis(self) -> np.ndarray:
-        """Rows span {(u, v): u + v*h = 0 mod q}; blocks [g | -f; G | -F]."""
-        N = self.params.N
-        B = np.empty((2 * N, 2 * N), dtype=np.int64)
-        B[:N, :N] = anticirculant_matrix(self.g.coeffs)
-        B[:N, N:] = anticirculant_matrix(self.f.coeffs)
-        B[N:, :N] = anticirculant_matrix(self.G.coeffs)
-        B[N:, N:] = anticirculant_matrix(self.F.coeffs)
-        np.negative(B[:, N:], out=B[:, N:])
-        return B
-
     def sampler(self) -> "KleinSampler":
         if self._sampler is None:
-            self._sampler = KleinSampler(self.basis())
+            self._sampler = KleinSampler(self)
         return self._sampler
 
 
@@ -244,58 +232,155 @@ def master_key_gen(
 
 
 # ---------------------------------------------------------------------------
-# Randomized nearest-plane sampling
+# Fast Fourier nearest-plane sampling
+#
+# Polynomials of degree n (in R[x]/(x^n + 1)) are held in the Fourier domain
+# as their values at zeta_k = e^{i pi (2k+1)/n}, the order `fft_neg` uses.
+# For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
+# at zeta_k, so only the first n/2 values are kept, as a Python list.
+
+_TWIDDLES: dict[int, tuple[list[complex], list[complex]]] = {}
+
+
+def _twiddles(n: int) -> tuple[list[complex], list[complex]]:
+    """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n, cached per n."""
+    tw = _TWIDDLES.get(n)
+    if tw is None:
+        zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
+        tw = (zetas, [z.conjugate() / 2 for z in zetas])
+        _TWIDDLES[n] = tw
+    return tw
+
+
+def _split(a: list[complex]) -> tuple[list[complex], list[complex]]:
+    """a(x) = a0(x^2) + x*a1(x^2): halves of degree n/2 from a of degree n >= 4.
+
+    Since zeta_{k+n/2} = -zeta_k, a0 = (a(zeta_k) + a(-zeta_k))/2 and
+    a1 = (a(zeta_k) - a(-zeta_k))/(2 zeta_k) at the root zeta_k^2 of degree
+    n/2; for k < n/4, a(-zeta_k) is the conjugate of the kept a[n/2-1-k].
+    """
+    m = len(a) // 2
+    hi = [x.conjugate() for x in a[: m - 1 : -1]]
+    a0 = [(u + w) * 0.5 for u, w in zip(a, hi)]
+    a1 = [(u - w) * t for u, w, t in zip(a, hi, _twiddles(2 * len(a))[1])]
+    return a0, a1
+
+
+def _merge(a0: list[complex], a1: list[complex]) -> list[complex]:
+    """Inverse of _split."""
+    d = [z * y for z, y in zip(_twiddles(4 * len(a0))[0], a1)]
+    lo = [x + y for x, y in zip(a0, d)]
+    hi = [(x - y).conjugate() for x, y in zip(a0, d)]
+    return lo + hi[::-1]
+
+
+def _fftldl(g00: list[complex], g01: list[complex], g11: list[complex]) -> tuple:
+    """ffLDL tree of the self-adjoint Gram matrix [[g00, g01], [g01*, g11]].
+
+    A node is (l10, tree of D00, tree of D11) from G = L D L* with
+    l10 = g01*/g00, D00 = g00 and D11 = g11 - |g01|^2/g00.  The tree of a
+    diagonal entry D of degree n >= 4 is the tree of the Gram matrix
+    [[d0, d1], [d1*, d0]] of its split (d0, d1); at degree 2 the split is
+    diagonal with equal entries, so the tree is a leaf: the real value D(i),
+    the squared Gram-Schmidt norm of two basis vectors.
+    """
+    l10 = [b.conjugate() / a for a, b in zip(g00, g01)]
+    d11 = [c - (b * b.conjugate()) / a for a, b, c in zip(g00, g01, g11)]
+    return l10, _fftldl_diag(g00), _fftldl_diag(d11)
+
+
+def _fftldl_diag(d: list[complex]):
+    if len(d) == 1:
+        return d[0].real
+    d0, d1 = _split(d)
+    return _fftldl(d0, d1, d0)
+
+
+def _leaves(tree) -> list[float]:
+    """Leaf values left to right: the bit-reversed basis order."""
+    if isinstance(tree, float):
+        return [tree]
+    return _leaves(tree[1]) + _leaves(tree[2])
+
+
+def _ff_sample(t0, t1, node, sigma: float, rng: RandomSource):
+    """Integer (z0, z1), in the Fourier domain, near (t0, t1) for one node.
+
+    Nearest plane in the order L D L* gives: z1 first, then z0 around the
+    target moved by (t1 - z1) * l10.  Each coordinate recurses into the
+    tree of its diagonal entry through the split.
+    """
+    l10, tree0, tree1 = node
+    z1 = _ff_sample_diag(t1, tree1, sigma, rng)
+    t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10)]
+    z0 = _ff_sample_diag(t0, tree0, sigma, rng)
+    return z0, z1
+
+
+def _ff_sample_diag(t: list[complex], tree, sigma: float, rng: RandomSource):
+    if isinstance(tree, float):
+        # Degree 2: t(i) = t_0 + i*t_1, both coordinates of width sigma/sqrt(leaf).
+        width = sigma / math.sqrt(tree)
+        x = t[0]
+        odd = sample_gaussian_int(x.imag, width, rng)
+        return [complex(sample_gaussian_int(x.real, width, rng), odd)]
+    z0, z1 = _ff_sample(*_split(t), tree, sigma, rng)
+    return _merge(z0, z1)
+
 
 class KleinSampler:
-    """Discrete Gaussian sampler over the lattice spanned by a short basis.
+    """Discrete Gaussian sampler over the NTRU lattice of a master secret key.
 
-    Precomputes the Gram-Schmidt frame once and then draws lattice points
-    near arbitrary targets.  The frame comes from blocked classical
-    Gram-Schmidt with reorthogonalization (BCGS2): each block of
-    `_GS_BLOCK` rows is projected off all earlier rows twice with two
-    matrix products, then orthogonalized row by row inside the block, again
-    with a second correction pass for float stability.
+    The basis rows are b0 = (g, -f) and b1 = (G, -F) with all their
+    negacyclic shifts.  `__init__` builds the ffLDL tree of the Gram matrix
+    B B* = [[g g* + f f*, g G* + f F*], [., G G* + F F*]] from the Fourier
+    transforms of f, g, F, G: the Gram-Schmidt frame of the basis in
+    bit-reversed order (Ducas and Prest, "Fast Fourier Orthogonalization",
+    ISSAC 2016).  `sample_near` is the randomized nearest-plane walk down
+    that tree (ffSampling, as in Ducas, Lyubashevsky and Prest, "Efficient
+    Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014).
     """
 
-    def __init__(self, basis: np.ndarray):
-        self.basis = basis
-        n = basis.shape[0]
-        Bstar = basis.astype(np.float64)
-        norms2 = np.empty(n)
-        for start in range(0, n, _GS_BLOCK):
-            blk = Bstar[start : start + _GS_BLOCK]
-            if start:
-                prev = Bstar[:start]
-                for _ in range(2):
-                    blk -= ((blk @ prev.T) / norms2[:start]) @ prev
-            for j in range(len(blk)):
-                b = blk[j]
-                if j:
-                    inner = blk[:j]
-                    for _ in range(2):
-                        b -= (inner @ b / norms2[start : start + j]) @ inner
-                norms2[start + j] = b @ b
-        self.Bstar = Bstar
-        self.norms2 = norms2
+    def __init__(self, msk: "MasterSecretKey"):
+        self.q = msk.params.q
+        h = msk.params.N // 2
+        f, g, F, G = (
+            fft_neg(np.array(poly.coeffs, dtype=np.float64))
+            for poly in (msk.f, msk.g, msk.F, msk.G)
+        )
+        self._fft = f, g, F, G
+        g00 = (g * g.conj() + f * f.conj())[:h]
+        g01 = (g * G.conj() + f * F.conj())[:h]
+        g11 = (G * G.conj() + F * F.conj())[:h]
+        self.tree = _fftldl(g00.tolist(), g01.tolist(), g11.tolist())
+        #: Squared Gram-Schmidt norms, each shared by two basis vectors.
+        self.leaves = np.array(_leaves(self.tree))
 
     @property
     def max_gs_norm(self) -> float:
-        return math.sqrt(float(self.norms2.max()))
+        return math.sqrt(float(self.leaves.max()))
 
     def sample_near(
         self, target: np.ndarray, sigma: float, rng: RandomSource
     ) -> np.ndarray:
         """Integer lattice point distributed around `target` with width sigma."""
-        basis = self.basis
-        c = target.astype(np.float64, copy=True)
-        v = np.zeros(basis.shape[1], dtype=np.int64)
-        for i in range(basis.shape[0] - 1, -1, -1):
-            center = float(c @ self.Bstar[i]) / self.norms2[i]
-            step_sigma = sigma / math.sqrt(self.norms2[i])
-            z = sample_gaussian_int(center, step_sigma, rng)
-            if z:
-                c -= z * basis[i].astype(np.float64)
-                v += z * basis[i]
+        f, g, F, G = self._fft
+        N = len(f)
+        h = N // 2
+        # Target in basis coordinates: (ta, tb) B^-1, B^-1 = [[-F, f], [-G, g]] / q.
+        ta = fft_neg(target[:N].astype(np.float64))
+        tb = fft_neg(target[N:].astype(np.float64))
+        t0 = -(ta * F + tb * G) / self.q
+        t1 = (ta * f + tb * g) / self.q
+        z0, z1 = _ff_sample(t0[:h].tolist(), t1[:h].tolist(), self.tree, sigma, rng)
+        z0 = np.array(z0 + [z.conjugate() for z in reversed(z0)])
+        z1 = np.array(z1 + [z.conjugate() for z in reversed(z1)])
+        # v = z B has integer coefficients of magnitude about q; the inverse
+        # transforms land within 1e-7 of them at the default tier, so
+        # rounding recovers v exactly.
+        v = np.empty(2 * N, dtype=np.int64)
+        v[:N] = np.rint(ifft_neg(z0 * g + z1 * G))
+        v[N:] = np.rint(ifft_neg(-(z0 * f + z1 * F)))
         return v
 
 

@@ -12,7 +12,9 @@ bit-equal mod q.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -399,7 +401,7 @@ class IntegerPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Sampling, hashing, and lattice matrices
+# Sampling and hashing
 
 _GAUSS_TABLE_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -433,54 +435,67 @@ def sample_gaussian_poly(
     return IntegerPolynomial(support[idx])
 
 
+def _half_gaussian_cdf(sigma0: float) -> list[float]:
+    """Cumulative table of the half-Gaussian exp(-z^2/2 sigma0^2) on z >= 0,
+    cut at 12*sigma0, past which the mass is below double precision."""
+    support = range(math.ceil(12 * sigma0) + 1)
+    weights = [math.exp(-z * z / (2.0 * sigma0 * sigma0)) for z in support]
+    total = math.fsum(weights)
+    cdf = list(itertools.accumulate(w / total for w in weights))
+    cdf[-1] = 1.0  # every uniform in [0, 1) lands inside the table
+    return cdf
+
+
+# Width of the base sampler; sample_gaussian_int serves any sigma up to it.
+_BASE_SIGMA = 2.0
+_BASE_CDF = _half_gaussian_cdf(_BASE_SIGMA)
+_BASE_INV_2S2 = 1.0 / (2.0 * _BASE_SIGMA * _BASE_SIGMA)
+
+
 def sample_gaussian_int(center: float, sigma: float, rng: RandomSource) -> int:
     """One discrete Gaussian sample around an arbitrary real center.
 
-    Support is the integer window center +/- 12*sigma (at least +/-2), with
-    probabilities proportional to exp(-(z-center)^2 / 2 sigma^2); used by the
-    randomized nearest-plane sampler.
+    Probabilities are proportional to exp(-(z-center)^2 / 2 sigma^2) over all
+    integers, for 0 < sigma <= sigma0 = 2 (ValueError otherwise).  A fixed
+    half-Gaussian table at sigma0 draws z0 >= 0 and a sign bit maps it to
+    z = 1 + z0 or z = -z0, which covers every integer once; z is kept with
+    probability exp(-(z-r)^2/2 sigma^2 + z0^2/2 sigma0^2) <= 1, r the
+    fractional part of the center (Howe, Prest, Ricosset and Rossi,
+    "Isochronous Gaussian Sampling", PQCrypto 2020).
     """
-    halfwidth = max(2, math.ceil(12.0 * sigma))
-    lo = math.ceil(center - halfwidth)
-    support = np.arange(lo, math.floor(center + halfwidth) + 1, dtype=np.int64)
-    weights = np.exp(-((support - center) ** 2) / (2.0 * sigma * sigma))
-    total = weights.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        return round(center)
-    cdf = np.cumsum(weights)
-    idx = int(np.searchsorted(cdf, rng.uniform() * total, side="right"))
-    return int(support[min(idx, len(support) - 1)])
+    if not 0.0 < sigma <= _BASE_SIGMA:
+        raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
+    base = math.floor(center)
+    r = center - base
+    inv_2s2 = 0.5 / (sigma * sigma)
+    while True:
+        u = rng.u64()
+        z0 = bisect.bisect_right(_BASE_CDF, (u >> 11) * (1.0 / (1 << 53)))
+        z = 1 + z0 if u & 1 else -z0
+        x = (z - r) * (z - r) * inv_2s2 - z0 * z0 * _BASE_INV_2S2
+        if rng.uniform() < math.exp(-x):
+            return base + z
 
 
 def hash_to_ring(data: bytes, params: RingParams) -> RingElement:
     """Deterministic map {0,1}* -> Z_q^N.
 
     Counter-mode expansion of SHA-256 (data || 32-bit LE counter); each
-    32-bit LE word of the stream is rejection-sampled into [0, q).
+    32-bit LE word of the stream is rejection-sampled into [0, q), and the
+    first N accepted words are the coefficients.  The N/8 blocks a full
+    draw needs are hashed at once, then more while words were rejected.
     """
-    q = params.q
+    N, q = params.N, params.q
     limit = ((1 << 32) // q) * q
-    coeffs = []
+    kept = np.empty(0, dtype=np.uint32)
     counter = 0
-    while len(coeffs) < params.N:
-        block = hashlib.sha256(data + counter.to_bytes(4, "little")).digest()
-        counter += 1
-        for off in range(0, 32, 4):
-            word = int.from_bytes(block[off : off + 4], "little")
-            if word < limit:
-                coeffs.append(word % q)
-                if len(coeffs) == params.N:
-                    break
-    return RingElement(params, coeffs)
-
-
-def anticirculant_matrix(coeffs) -> np.ndarray:
-    """N x N matrix whose row i is the coefficient vector of x^i * a over Z.
-
-    `coeffs` are the N integer coefficients of a; entries keep their sign (no
-    reduction mod q).  The result is a read-only view of one 2N-entry buffer.
-    """
-    a = np.asarray(coeffs, dtype=np.int64)
-    n = len(a)
-    # Row i is the length-N window of [-a | a] that starts at N - i.
-    return np.lib.stride_tricks.sliding_window_view(np.concatenate((-a, a)), n)[n:0:-1]
+    while len(kept) < N:
+        n_blocks = -(-(N - len(kept)) // 8)
+        stream = b"".join(
+            hashlib.sha256(data + c.to_bytes(4, "little")).digest()
+            for c in range(counter, counter + n_blocks)
+        )
+        counter += n_blocks
+        words = np.frombuffer(stream, dtype="<u4")
+        kept = np.concatenate((kept, words[words < limit]))
+    return RingElement(params, kept[:N])

@@ -8,11 +8,13 @@ import pytest
 
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, ParameterMismatch
 from dwpt_auth.ibe import (
+    GS_SLACK,
     Ciphertext,
     HybridCiphertext,
     KleinSampler,
     Signature,
     _blocks_to_key,
+    _gs_quality,
     _key_to_blocks,
     decrypt,
     encrypt,
@@ -32,7 +34,7 @@ from dwpt_auth.symcrypto import aead_seal
 
 #: SHA-256 of usk_to_bytes(extract(default_authority.msk, b"golden-identity"));
 #: pins the seed-to-key map at the default tier.
-GOLDEN_DEFAULT_EXTRACT = "c9eb8ec311e171381ddd7c3285e74beaeba2c75916162854bd44f33391f292b3"
+GOLDEN_DEFAULT_EXTRACT = "defaa32682fc456344c9761d5b5642a3054096edfd3640a53925149012e55b0b"
 
 
 def random_bits(n, rng):
@@ -52,19 +54,18 @@ class TestMasterKeyGen:
         assert check.coeffs == [msk.params.q] + [0] * (msk.params.N - 1)
 
     def test_basis_rows_annihilate_h(self, toy_authority):
-        """Every row (u, v) must satisfy u + v*h = 0 mod q."""
+        """Every basis row x^i * (u, -v), for (u, v) = (g, f) and (G, F),
+        satisfies u - v*h = 0 mod q; the relation is closed under
+        multiplication by x, so the two generators suffice."""
         mpk, msk = toy_authority.mpk, toy_authority.msk
         p = mpk.params
-        B = msk.basis()
-        for i in range(2 * p.N):
-            u = RingElement(p, B[i, : p.N])
-            v = RingElement(p, B[i, p.N :])
-            assert (u + v * mpk.h).is_zero()
+        for u, v in ((msk.g, msk.f), (msk.G, msk.F)):
+            assert (u.to_ring(p) - v.to_ring(p) * mpk.h).is_zero()
 
     def test_basis_quality_within_slack(self, toy_authority):
         msk = toy_authority.msk
-        sampler = KleinSampler(msk.basis())
-        assert sampler.max_gs_norm <= 1.3 * math.sqrt(msk.params.q)
+        sampler = KleinSampler(msk)
+        assert sampler.max_gs_norm <= GS_SLACK * math.sqrt(msk.params.q)
 
     def test_deterministic_per_seed(self):
         p = TIERS["toy"]
@@ -125,34 +126,51 @@ class TestKleinSampler:
         assert np.mean(dists) < 1.5 * expected
 
 
+def bit_reversed_basis(msk) -> np.ndarray:
+    """Rows x^r(j) * (g, -f) for j < N, then x^r(j) * (G, -F), with r the
+    bit reversal of log2(N) bits: the order the ffLDL tree walks."""
+    N = msk.params.N
+    bits = N.bit_length() - 1
+    order = [int(format(j, f"0{bits}b")[::-1], 2) for j in range(N)]
+
+    def shifted(a, k):  # x^k * a mod x^N + 1
+        a = np.array(a.coeffs, dtype=np.float64)
+        return np.concatenate((-a[N - k :], a[: N - k]))
+
+    return np.array([
+        np.concatenate((shifted(u, k), -shifted(v, k)))
+        for u, v in ((msk.g, msk.f), (msk.G, msk.F))
+        for k in order
+    ])
+
+
 class TestKleinSamplerFrame:
-    """The Gram-Schmidt frame: basis = mu * Bstar, mu unit lower-triangular."""
+    """The ffLDL tree is the Gram-Schmidt frame of the basis, bit-reversed."""
 
     @pytest.mark.parametrize("tier", ["toy", "test"])
     def test_gram_schmidt_frame(self, tier, request):
+        """Each leaf is the squared Gram-Schmidt norm of two consecutive
+        rows of the bit-reversed basis (the two are orthogonal, of equal
+        length)."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-        sampler = KleinSampler(msk.basis())
-        B = sampler.basis.astype(np.float64)
-        Bstar, norms2 = sampler.Bstar, sampler.norms2
-        np.testing.assert_allclose(norms2, np.einsum("ij,ij->i", Bstar, Bstar), rtol=1e-12)
-        gram = Bstar @ Bstar.T
-        scale = np.sqrt(np.outer(norms2, norms2))
-        np.fill_diagonal(gram, 0.0)
-        assert np.max(np.abs(gram) / scale) < 1e-10
-        mu = (B @ Bstar.T) / norms2
-        np.testing.assert_allclose(np.diag(mu), 1.0, atol=1e-10)
-        assert np.max(np.abs(np.triu(mu, 1))) < 1e-10
-        np.testing.assert_allclose(mu @ Bstar, B, atol=1e-8 * np.abs(B).max())
-        # Reference: classical row-by-row Gram-Schmidt with two passes.  The
-        # blocked build only reassociates float sums, so the frames agree to
-        # rounding.
-        ref, ref_norms2 = B.copy(), np.empty(len(B))
-        for i in range(len(ref)):
-            for _ in range(2 if i else 0):
-                ref[i] -= (ref[:i] @ ref[i] / ref_norms2[:i]) @ ref[:i]
-            ref_norms2[i] = ref[i] @ ref[i]
-        np.testing.assert_allclose(Bstar, ref, rtol=0, atol=1e-9 * np.abs(ref).max())
-        np.testing.assert_allclose(norms2, ref_norms2, rtol=1e-9)
+        sampler = KleinSampler(msk)
+        r = np.linalg.qr(bit_reversed_basis(msk).T, mode="r")
+        np.testing.assert_allclose(np.repeat(sampler.leaves, 2), np.diag(r) ** 2, rtol=1e-9)
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_max_gs_norm_is_the_keygen_quality(self, tier, request):
+        msk = request.getfixturevalue(f"{tier}_authority").msk
+        expected = _gs_quality(msk.f, msk.g, msk.params.q)
+        assert msk.sampler().max_gs_norm == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_leaf_widths_fit_the_base_sampler(self, tier, request):
+        """sigma_extract / sqrt(leaf) must stay below the base sampler's
+        width 2; keygen's GS_SLACK bounds it by 1.5 * 1.3 = 1.95."""
+        msk = request.getfixturevalue(f"{tier}_authority").msk
+        leaves = msk.sampler().leaves
+        assert len(leaves) == msk.params.N
+        assert np.all(msk.params.sigma_extract / np.sqrt(leaves) < 2.0)
 
     def test_default_tier_extract_matches_golden(self, default_authority):
         usk = extract(default_authority.msk, b"golden-identity")

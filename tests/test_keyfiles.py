@@ -20,8 +20,8 @@ from dwpt_auth.rng import RandomSource
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "81a1967836d9320951a66b4a46024f87eab8314dcb810a7e6f7d279a788321fb",
-    "vehicle.bin": "4bcca605bff89633e7932850e84b4e971129345401c94b4fb4e3afe124dd257b",
+    "authority.bin": "03632695cb59080051ef435ee2b5e22eed0e79c83715e74d3bffb0b5b8e2a6b3",
+    "vehicle.bin": "10495f7363a7b993e1852f644815990d9275fff819495e9380fe29a3a82343cd",
 }
 
 

@@ -1,5 +1,6 @@
 """Ring arithmetic: transform correctness, sampling, hashing, serialization."""
 
+import hashlib
 import math
 import struct
 
@@ -12,9 +13,9 @@ from dwpt_auth.ring import (
     RingElement,
     RingParams,
     TIERS,
-    anticirculant_matrix,
     hash_to_ring,
     karamul,
+    sample_gaussian_int,
     sample_gaussian_poly,
 )
 from dwpt_auth.rng import RandomSource
@@ -146,6 +147,64 @@ class TestGaussianSampling:
             sample_gaussian_poly(TIERS["toy"], 0.0, RandomSource(0))
 
 
+def exact_discrete_gaussian_moments(center, sigma):
+    """Mean, variance and fourth central moment of D_{Z, sigma, center}."""
+    base = math.floor(center)
+    z = np.arange(base - 40, base + 41, dtype=np.float64)
+    w = np.exp(-((z - center) ** 2) / (2 * sigma * sigma))
+    w /= w.sum()
+    mean = float(w @ z)
+    d = z - mean
+    return mean, float(w @ d**2), float(w @ d**4)
+
+
+class TestSampleGaussianInt:
+    """The table-and-rejection base sampler of the extraction walk."""
+
+    @pytest.mark.parametrize("sigma", [1.2, 1.5, 1.95])
+    @pytest.mark.parametrize("center", [0.0, 0.25, 0.5, -3.7, 1e6 + 0.3])
+    def test_moments_match_exact_distribution(self, sigma, center):
+        n = 4000
+        rng = RandomSource(f"base-{sigma}-{center}")
+        x = np.array([sample_gaussian_int(center, sigma, rng) for _ in range(n)], dtype=np.float64)
+        mean, var, m4 = exact_discrete_gaussian_moments(center, sigma)
+        # Four standard errors of the sample mean and the sample variance.
+        assert abs(x.mean() - mean) < 4 * math.sqrt(var / n)
+        assert abs(x.var() - var) < 4 * math.sqrt((m4 - var * var) / n)
+
+    def test_same_seed_same_stream(self):
+        draws = [
+            [sample_gaussian_int(0.1 * i, 1.7, rng) for i in range(500)]
+            for rng in (RandomSource("stream"), RandomSource("stream"))
+        ]
+        assert draws[0] == draws[1]
+        assert all(isinstance(z, int) for z in draws[0])
+
+    @pytest.mark.parametrize("sigma", [2.0001, 3.0, 0.0, -1.0])
+    def test_width_outside_base_table_rejected(self, sigma):
+        with pytest.raises(ValueError):
+            sample_gaussian_int(0.5, sigma, RandomSource(0))
+
+
+def reference_hash_to_ring(data, N, q):
+    """Word-by-word rejection loop; returns the coefficients and the number
+    of words rejected on the way."""
+    limit = ((1 << 32) // q) * q
+    coeffs, rejected, counter = [], 0, 0
+    while len(coeffs) < N:
+        block = hashlib.sha256(data + counter.to_bytes(4, "little")).digest()
+        counter += 1
+        for off in range(0, 32, 4):
+            word = int.from_bytes(block[off : off + 4], "little")
+            if word >= limit:
+                rejected += 1
+                continue
+            coeffs.append(word % q)
+            if len(coeffs) == N:
+                break
+    return coeffs, rejected
+
+
 class TestHashToRing:
     def test_deterministic_and_in_range(self):
         p = TIERS["test"]
@@ -173,24 +232,18 @@ class TestHashToRing:
         seen = {hash_to_ring(i.to_bytes(4, "big"), p).coeffs.tobytes() for i in range(50)}
         assert len(seen) == 50
 
-
-class TestAnticirculant:
-    def test_rows_are_monomial_products(self):
-        p = TIERS["toy"]
-        rng = RandomSource("anti")
-        h = random_element(p, rng)
-        M = anticirculant_matrix(h.coeffs)
-        for i in range(p.N):
-            expected = RingElement.monomial(p, i) * h
-            assert list(M[i] % p.q) == list(expected.coeffs)
-            # Over Z the rows keep their sign, as the trapdoor basis needs.
-            x_i = RingElement.monomial(p, i).coeffs.tolist()
-            assert M[i].tolist() == karamul(x_i, h.coeffs.tolist())
-
-    def test_first_row_is_h(self):
-        p = TIERS["toy"]
-        h = random_element(p, RandomSource(5))
-        assert list(anticirculant_matrix(h.coeffs)[0] % p.q) == list(h.coeffs)
+    def test_matches_word_by_word_reference(self):
+        """The block-at-once draw equals the one-word-at-a-time loop it
+        replaced, including inputs whose first N/8 blocks hold a rejected
+        word (likely at the default tier, where 2^32 mod q is largest)."""
+        rejected = 0
+        for name, p in TIERS.items():
+            for i in range(200):
+                data = f"{name}-{i}".encode()
+                coeffs, misses = reference_hash_to_ring(data, p.N, p.q)
+                assert hash_to_ring(data, p).coeffs.tolist() == coeffs, (name, i)
+                rejected += misses
+        assert rejected > 0
 
 
 class TestSerialization:
