@@ -83,7 +83,6 @@ class MasterSecretKey:
     G: IntegerPolynomial
     extract_seed: bytes
     _sampler: "KleinSampler | None" = field(default=None, repr=False, compare=False)
-    _extract_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def sampler(self) -> "KleinSampler":
         if self._sampler is None:
@@ -115,14 +114,10 @@ class Ciphertext:
 
     u: RingElement
     v: RingElement
-    payload_kind: str = "raw-bits"
 
     def to_bytes(self) -> bytes:
-        """u8-prefixed kind, u32-prefixed u, then v unprefixed."""
-        kind = self.payload_kind.encode()
+        """u32-prefixed u, then v unprefixed."""
         w = Writer()
-        w.u8(len(kind))
-        w.raw(kind)
         w.blob(self.u.to_bytes())
         w.raw(self.v.to_bytes())
         return w.getvalue()
@@ -131,15 +126,11 @@ class Ciphertext:
     def from_bytes(cls, data: bytes, params: RingParams) -> "Ciphertext":
         """Inverse of to_bytes; DecodeError on any malformed input."""
         r = Reader(data)
-        kind = r.fixed(r.u8())
         ub = r.blob()
         u = RingElement.from_bytes(ub, params)
         v = RingElement.from_bytes(r.fixed(len(ub)), params)  # same size as u
         r.done()
-        try:
-            return cls(u, v, kind.decode())
-        except UnicodeDecodeError as exc:
-            raise DecodeError(f"payload kind is not UTF-8: {exc}") from exc
+        return cls(u, v)
 
 
 @dataclass(frozen=True)
@@ -409,32 +400,21 @@ def extract(msk: MasterSecretKey, identity: bytes) -> UserSecretKey:
     """Derive the secret key for an identity (deterministic per authority).
 
     Randomness is re-derived from the master extraction seed and the identity
-    digest, so repeated extractions return the identical key regardless of
-    call order.
+    digest, so repeated extractions return equal keys regardless of call
+    order.
     """
-    cached = msk._extract_cache.get(identity)
-    if cached is not None:
-        return cached
     params = msk.params
     t = identity_point(params, identity)
     digest = hashlib.sha256(identity).digest()
     rng = RandomSource(b"extract" + msk.extract_seed + digest)
     s1, s2 = _sample_preimage(msk, t, rng)
-    usk = UserSecretKey(identity=identity, s1=s1, s2=s2)
-    msk._extract_cache[identity] = usk
-    return usk
+    return UserSecretKey(identity=identity, s1=s1, s2=s2)
 
 
 # ---------------------------------------------------------------------------
 # Encryption
 
-def encrypt(
-    mpk: MasterPublicKey,
-    identity: bytes,
-    bits,
-    rng: RandomSource,
-    payload_kind: str = "raw-bits",
-) -> Ciphertext:
+def encrypt(mpk: MasterPublicKey, identity: bytes, bits, rng: RandomSource) -> Ciphertext:
     """Encrypt up to N bits to an identity."""
     params = mpk.params
     bits = list(bits)
@@ -448,7 +428,7 @@ def encrypt(
     m = RingElement(params, [b * half for b in bits])
     u = r * mpk.h + e1
     v = r * t + e2 + m
-    return Ciphertext(u=u, v=v, payload_kind=payload_kind)
+    return Ciphertext(u=u, v=v)
 
 
 def decrypt(usk: UserSecretKey, ct: Ciphertext) -> list[int]:
@@ -524,7 +504,7 @@ def ibe_seal(
     """
     content_key = rng.bytes(32)
     blocks = [
-        encrypt(mpk, identity, block_bits, rng, payload_kind="key-encapsulation")
+        encrypt(mpk, identity, block_bits, rng)
         for block_bits in _key_to_blocks(content_key, mpk.params.N)
     ]
     sealed = aead_seal(content_key, plaintext, rng, associated_data)

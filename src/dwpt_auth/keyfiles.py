@@ -27,6 +27,8 @@ from dwpt_auth.ibe import (
     UserSecretKey,
 )
 from dwpt_auth.registration import (
+    ROLE_CSPA_RSU,
+    ROLE_RSU_CP,
     CredentialEntry,
     CspaDataset,
     DatasetEntry,
@@ -88,11 +90,17 @@ def _write_params(w: Writer, p: RingParams):
 
 
 def _read_params(r: Reader) -> RingParams:
-    N, q, sigma_f, sigma_extract = r.u16(), r.u64(), r.f64(), r.f64()
+    """(N, q), then the two widths, which must be the ones (N, q) derive."""
+    N, q = r.u16(), r.u64()
     try:
-        return RingParams(N=N, q=q, sigma_f=sigma_f, sigma_extract=sigma_extract)
+        p = RingParams(N, q)
     except ValueError as exc:
         raise DecodeError(f"bad ring parameters: {exc}") from exc
+    for name in ("sigma_f", "sigma_extract"):
+        stored, derived = r.f64(), getattr(p, name)
+        if stored != derived:
+            raise DecodeError(f"stored {name} {stored!r}, expected {derived!r} for N={N}, q={q}")
+    return p
 
 
 def _read_ring(r: Reader, p: RingParams) -> RingElement:
@@ -118,11 +126,11 @@ def _write_symkey(w: Writer, key: SymmetricKey):
     w.fixed(key.key, 32)
 
 
-def _read_symkey(r: Reader) -> SymmetricKey:
-    try:
-        role = r.blob().decode()
-    except UnicodeDecodeError as exc:
-        raise DecodeError(f"key role is not UTF-8: {exc}") from exc
+def _read_symkey(r: Reader, role: str) -> SymmetricKey:
+    """A group key, whose stored role must be `role`, the one its slot holds."""
+    stored = r.blob()
+    if stored != role.encode():
+        raise DecodeError(f"group key role {stored!r}, expected {role!r}")
     return SymmetricKey(r.fixed(32), role)
 
 
@@ -179,6 +187,15 @@ def _write_usk_body(w: Writer, usk: UserSecretKey):
 
 def _read_usk_body(r: Reader, p: RingParams) -> UserSecretKey:
     return UserSecretKey(identity=r.blob(), s1=_read_ring(r, p), s2=_read_ring(r, p))
+
+
+def _read_operator_key(r: Reader, p: RingParams) -> UserSecretKey:
+    """The operator identity, then its key, which must repeat the identity."""
+    identity = r.blob()
+    usk = _read_usk_body(r, p)
+    if usk.identity != identity:
+        raise DecodeError(f"stored operator key is for {usk.identity!r}, not {identity!r}")
+    return usk
 
 
 def usk_to_bytes(usk: UserSecretKey) -> bytes:
@@ -290,9 +307,8 @@ def dataset_from_bytes(data: bytes) -> CspaDataset:
     r = _unframe(data, RECORD_DATASET)
     p = _read_params(r)
     ds = CspaDataset(
-        cspa_identity=r.blob(),
-        usk=_read_usk_body(r, p),
-        gk_cspa_rsu=_read_symkey(r),
+        usk=_read_operator_key(r, p),
+        gk_cspa_rsu=_read_symkey(r, ROLE_CSPA_RSU),
         entries={},
     )
     for _ in range(r.u32()):
@@ -336,27 +352,19 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     msk = _read_msk_body(r)
     if msk.params != p:
         raise DecodeError("inconsistent parameters inside authority container")
-    cspa_identity = r.blob()
-    cspa_usk = _read_usk_body(r, p)
-    if cspa_usk.identity != cspa_identity:
-        raise DecodeError(
-            f"stored operator key is for {cspa_usk.identity!r}, not {cspa_identity!r}"
-        )
     ra = RegistrationAuthority(
         params=p,
         seed=seed,
         mpk=MasterPublicKey(params=p, h=h),
         msk=msk,
-        cspa_identity=cspa_identity,
-        cspa_usk=cspa_usk,
-        gk_cspa_rsu=_read_symkey(r),
-        gk_rsu_cp=_read_symkey(r),
+        cspa_usk=_read_operator_key(r, p),
+        gk_cspa_rsu=_read_symkey(r, ROLE_CSPA_RSU),
+        gk_rsu_cp=_read_symkey(r, ROLE_RSU_CP),
     )
     for _ in range(r.u32()):
         creds = _read_vehicle_body(r, p)
         ra.vehicles[creds.vehicle_id] = creds
         for e in creds.entries:
-            ra.pseudonym_owner[e.pseudonym] = (creds.vehicle_id, e.index)
             ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)
     ra.consumed = {r.fixed(32) for _ in range(r.u32())}
     r.done()

@@ -143,6 +143,10 @@ KIND_CHANNEL = {
 }
 
 
+#: Messages from first contact through the first pad's accept, in order.
+FIRST_PAD_KINDS = ("m1", "m2", "m3", "m4", "m5", "m6", "m7")
+
+
 def sending_time_us(kind: str) -> Fraction:
     return CHANNELS[KIND_CHANNEL[kind]].sending_us(protocol.NOMINAL_SIZES[kind])
 
@@ -150,10 +154,7 @@ def sending_time_us(kind: str) -> Fraction:
 def cost_first_pad(n_pads: int, timing: TimingModel | None = None) -> Fraction:
     """Computation (ms) from first contact through the first pad's accept."""
     tm = timing or TimingModel.rounded_table()
-    return sum(
-        tm.message_cost_ms(kind, n_pads)
-        for kind in ("m1", "m2", "m3", "m4", "m5", "m6", "m7")
-    )
+    return sum(tm.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS)
 
 
 def cost_asymptotic(n_pads: int, timing: TimingModel | None = None) -> Fraction:
@@ -163,16 +164,13 @@ def cost_asymptotic(n_pads: int, timing: TimingModel | None = None) -> Fraction:
     (n^2 + n)/2 hashes in total instead of n single-step checks.
     """
     tm = timing or TimingModel.rounded_table()
-    fixed = sum(
-        tm.message_cost_ms(kind, n_pads)
-        for kind in ("m1", "m2", "m3", "m4", "m5", "m6")
-    )
+    fixed = sum(tm.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS[:6])
     return fixed + n_pads * tm.t_sha + Fraction(n_pads * n_pads + n_pads, 2) * tm.t_sha
 
 
 def sending_first_pad_us() -> Fraction:
     """On-air time (microseconds) for the messages through the first pad."""
-    return sum(sending_time_us(k) for k in ("m1", "m2", "m3", "m4", "m5", "m6", "m7"))
+    return sum(sending_time_us(k) for k in FIRST_PAD_KINDS)
 
 
 def pad_length_m(
@@ -587,15 +585,9 @@ def run_adversary(
         ) from None
     # Scenarios are what-if simulations: work on a copy so the vehicle's real
     # pseudonym slots stay unspent.
-    sandboxed = VehicleCredentials(
-        vehicle_id=credentials.vehicle_id,
-        d_ev=credentials.d_ev,
-        entries=list(credentials.entries),
-        spent=set(credentials.spent),
-    )
     world = build_world(
         export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
-        sandboxed, n_pads, seed, freshness_ms=freshness_ms,
+        credentials.copy(), n_pads, seed, freshness_ms=freshness_ms,
     )
     actions = script(world)
     honest_accepts = sum(1 for pad in world.pads if pad.consumed)
@@ -649,7 +641,7 @@ def session_bytes(n_pads: int) -> int:
     message (m6 from the RSU for pad 1, m8 from the previous pad after that)
     and its chain message."""
     sizes = protocol.NOMINAL_SIZES
-    total = sum(sizes[k] for k in ("m1", "m2", "m3", "m4", "m5"))
+    total = sum(sizes[k] for k in FIRST_PAD_KINDS[:5])
     for j in range(1, n_pads + 1):
         total += sizes["m6" if j == 1 else "m8"] + sizes[protocol.chain_kind(j)]
     return total
@@ -665,7 +657,7 @@ def write_message_costs_csv(path, n_pads: int, timing: TimingModel, header: dict
         )
     lines.append(
         f"total_first_pad,{_fmt(cost_first_pad(n_pads, timing))},-,"
-        f"{sum(protocol.NOMINAL_SIZES[k] for k in ('m1','m2','m3','m4','m5','m6','m7'))},"
+        f"{sum(protocol.NOMINAL_SIZES[k] for k in FIRST_PAD_KINDS)},"
         f"{_fmt(sending_first_pad_us())}"
     )
     lines.append(

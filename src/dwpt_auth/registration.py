@@ -51,6 +51,10 @@ class VehicleCredentials:
     entries: list[CredentialEntry]
     spent: set[int] = field(default_factory=set)
 
+    def copy(self) -> "VehicleCredentials":
+        """A wallet with the same (immutable) entries and its own spent set."""
+        return VehicleCredentials(self.vehicle_id, self.d_ev, list(self.entries), set(self.spent))
+
     def pick_entry(self, index: int | None = None) -> CredentialEntry:
         """Entry to use for the next session: explicit index or first unspent."""
         if index is not None:
@@ -74,11 +78,14 @@ class DatasetEntry:
 class CspaDataset:
     """Everything the charging-station operator needs, and nothing more."""
 
-    cspa_identity: bytes
-    usk: UserSecretKey
+    usk: UserSecretKey  # the operator's identity key
     gk_cspa_rsu: SymmetricKey
     entries: dict[bytes, DatasetEntry]
     consumed: set[bytes] = field(default_factory=set)  # pseudonyms already used
+
+    @property
+    def cspa_identity(self) -> bytes:
+        return self.usk.identity
 
 
 @dataclass
@@ -87,14 +94,25 @@ class RegistrationAuthority:
     seed: bytes
     mpk: MasterPublicKey
     msk: MasterSecretKey
-    cspa_identity: bytes
     cspa_usk: UserSecretKey  # extracted once at setup; sessions use this
     gk_cspa_rsu: SymmetricKey
     gk_rsu_cp: SymmetricKey
     vehicles: dict[bytes, VehicleCredentials] = field(default_factory=dict)
-    pseudonym_owner: dict[bytes, tuple[bytes, int]] = field(default_factory=dict)
     dataset_entries: dict[bytes, DatasetEntry] = field(default_factory=dict)
     consumed: set[bytes] = field(default_factory=set)
+
+    @property
+    def cspa_identity(self) -> bytes:
+        return self.cspa_usk.identity
+
+    @property
+    def pseudonym_owner(self) -> dict[bytes, tuple[bytes, int]]:
+        """Pseudonym -> (vehicle id, slot index), over every issued slot."""
+        return {
+            e.pseudonym: (vid, e.index)
+            for vid, creds in self.vehicles.items()
+            for e in creds.entries
+        }
 
 
 def ra_setup(
@@ -114,7 +132,6 @@ def ra_setup(
         seed=root.key,
         mpk=mpk,
         msk=msk,
-        cspa_identity=cspa_identity,
         cspa_usk=extract(msk, cspa_identity),
         gk_cspa_rsu=SymmetricKey(groups.bytes(32), ROLE_CSPA_RSU),
         gk_rsu_cp=SymmetricKey(groups.bytes(32), ROLE_RSU_CP),
@@ -143,7 +160,7 @@ def register_vehicle(
             blind = int.from_bytes(rng.bytes(32), "big")
             point = d_ev * blind
             pseudonym = derive_pseudonym(vehicle_id, point)
-            if pseudonym not in ra.pseudonym_owner:
+            if pseudonym not in ra.dataset_entries:
                 break
         else:
             raise ResampleExhausted("could not find an unused pseudonym")
@@ -157,7 +174,6 @@ def register_vehicle(
             usk=extract(ra.msk, pseudonym),
         )
         entries.append(entry)
-        ra.pseudonym_owner[pseudonym] = (vehicle_id, i)
         ra.dataset_entries[pseudonym] = DatasetEntry(pseudonym, entry.z, entry.w)
     creds = VehicleCredentials(vehicle_id=vehicle_id, d_ev=d_ev, entries=entries)
     ra.vehicles[vehicle_id] = creds
@@ -176,7 +192,6 @@ def export_cspa_dataset(ra: RegistrationAuthority) -> CspaDataset:
     if not ra.vehicles:
         raise EmptyRegistry("no vehicles registered")
     return CspaDataset(
-        cspa_identity=ra.cspa_identity,
         usk=ra.cspa_usk,
         gk_cspa_rsu=ra.gk_cspa_rsu,
         entries=ra.dataset_entries,
@@ -208,7 +223,7 @@ def storage_report(ra: RegistrationAuthority) -> dict:
     """
     from dwpt_auth import keyfiles
 
-    n_slots = len(ra.pseudonym_owner)
+    n_slots = len(ra.dataset_entries)
     # Ids are UTF-8 (as the CLI encodes them); undecodable bytes stay visible.
     names = {vid: vid.decode("utf-8", errors="backslashreplace") for vid in ra.vehicles}
     per_vehicle = {names[vid]: len(creds.entries) for vid, creds in ra.vehicles.items()}

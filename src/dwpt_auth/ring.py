@@ -56,12 +56,11 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class RingParams:
-    """Ring dimension, modulus, and Gaussian widths for one parameter tier."""
+    """Ring dimension and modulus for one parameter tier; the Gaussian widths
+    follow from them."""
 
     N: int
     q: int
-    sigma_f: float
-    sigma_extract: float
 
     def __post_init__(self):
         if self.N < 4 or self.N & (self.N - 1) != 0:
@@ -72,33 +71,33 @@ class RingParams:
             raise ValueError(f"q must satisfy q = 1 mod 2N, got q={self.q}, N={self.N}")
         if self.q >= _NTT_Q_LIMIT:
             raise ValueError(f"q must be below 2^31 for int64 arithmetic, got {self.q}")
-        if not all(math.isfinite(s) and s > 0 for s in (self.sigma_f, self.sigma_extract)):
-            raise ValueError("Gaussian widths must be finite and strictly positive")
 
     @property
     def coeff_width(self) -> int:
         """Bytes per serialized coefficient."""
         return (self.q.bit_length() + 7) // 8
 
+    # sigma_f targets key vectors of norm ~1.17*sqrt(q).  sigma_extract covers
+    # the Gram-Schmidt norm of accepted trapdoor bases with slack; keygen's
+    # ibe.GS_SLACK = 1.3 bounds every leaf width of the fast Fourier sampler
+    # by 1.5 * 1.3 = 1.95, under the base sampler's 2.
 
-def _tier(N: int, q: int) -> RingParams:
-    # sigma_f targets key vectors of norm ~1.17*sqrt(q); sigma_extract covers
-    # the Gram-Schmidt norm of accepted trapdoor bases with slack.
-    return RingParams(
-        N=N,
-        q=q,
-        sigma_f=1.17 * math.sqrt(q / (2 * N)),
-        sigma_extract=1.5 * math.sqrt(q),
-    )
+    @property
+    def sigma_f(self) -> float:
+        return 1.17 * math.sqrt(self.q / (2 * self.N))
+
+    @property
+    def sigma_extract(self) -> float:
+        return 1.5 * math.sqrt(self.q)
 
 
 #: Named parameter tiers.  "toy" is small enough for brute-force lattice
 #: checks, "test" exercises realistic structure quickly, "default" is the
 #: tier whose q passed the encrypt/decrypt round-trip calibration.
 TIERS = {
-    "toy": _tier(16, 97),
-    "test": _tier(64, 12289),
-    "default": _tier(512, 8380417),
+    "toy": RingParams(16, 97),
+    "test": RingParams(64, 12289),
+    "default": RingParams(512, 8380417),
 }
 
 
@@ -342,13 +341,13 @@ class RingElement:
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams | None = None) -> "RingElement":
         """Inverse of to_bytes; DecodeError on a bad header, length or coefficient.
-        Without `params`, the header's N and q pick tier-style parameters."""
+        Without `params`, the header's N and q are the parameters."""
         r = Reader(data)
         N, q = r.u16(), r.u64()
         if params is None:
             try:
-                params = _tier(N, q)
-            except (ValueError, ZeroDivisionError) as exc:
+                params = RingParams(N, q)
+            except ValueError as exc:
                 raise DecodeError(f"bad ring element header: {exc}") from exc
         elif (params.N, params.q) != (N, q):
             raise DecodeError(f"serialized header (N={N}, q={q}) does not match params")

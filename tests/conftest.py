@@ -13,12 +13,7 @@ from dwpt_auth.registration import RegistrationAuthority, VehicleCredentials
 
 
 def copy_credentials(creds: VehicleCredentials) -> VehicleCredentials:
-    return VehicleCredentials(
-        vehicle_id=creds.vehicle_id,
-        d_ev=creds.d_ev,
-        entries=list(creds.entries),
-        spent=set(creds.spent),
-    )
+    return creds.copy()
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,19 @@
 """End-to-end command-line lifecycle, driven in process through main()."""
 
+import dataclasses
 import importlib.metadata as md
 import json
+import math
+import struct
 import sys
 from pathlib import Path
 
 import pytest
 
+from dwpt_auth import keyfiles
 from dwpt_auth.cli import main
+from dwpt_auth.ring import TIERS
+from dwpt_auth.symcrypto import SymmetricKey
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -102,6 +108,22 @@ class TestRegister:
         ])
         assert rc == 1
         assert "already registered" in capsys.readouterr().err
+
+    def test_wide_extraction_width_reported(self, tmp_path, capsys):
+        """A stored sigma_extract of 3*sqrt(q), past what the sampler serves,
+        is one error line at load, not a failure inside extraction."""
+        path = tmp_path / "authority.bin"
+        assert main(["setup", "--params-tier", "test", "--seed", "wide", "--out", str(tmp_path)]) == 0
+        p = TIERS["test"]
+        packed = struct.pack("<d", p.sigma_extract)
+        blob = path.read_bytes()
+        assert blob.count(packed) == 2  # the authority and master key headers
+        path.write_bytes(blob.replace(packed, struct.pack("<d", 3 * math.sqrt(p.q))))
+        capsys.readouterr()
+        assert main(["register", "--authority", str(path), "--vehicle-id", "EV-wide"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: stored sigma_extract ")
+        assert err.count("\n") == 1
 
 
 class TestExportDataset:
@@ -207,6 +229,21 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: {vehicle}: container holds vehicle credentials, "
             "expected authority state\n"
+        )
+
+    def test_wrong_group_key_role_reported(self, workspace, tmp_path, capsys):
+        ra = keyfiles.load_authority(workspace / "authority.bin")
+        key = SymmetricKey(ra.gk_cspa_rsu.key, "session")
+        path = tmp_path / "authority.bin"
+        keyfiles.save_authority(path, dataclasses.replace(ra, gk_cspa_rsu=key))
+        rc = main([
+            "run", "--authority", str(path),
+            "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: group key role b'session', expected 'group-cspa-rsu'\n"
         )
 
     def test_operator_commands_never_reach_the_trapdoor(self, workspace, tmp_path, monkeypatch, capsys):

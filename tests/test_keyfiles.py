@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import stat
@@ -16,13 +17,28 @@ from dwpt_auth.ibe import extract, sign
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import IntegerPolynomial, TIERS
 from dwpt_auth.rng import RandomSource
+from dwpt_auth.symcrypto import SymmetricKey
 
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
     "authority.bin": "03632695cb59080051ef435ee2b5e22eed0e79c83715e74d3bffb0b5b8e2a6b3",
     "vehicle.bin": "10495f7363a7b993e1852f644815990d9275fff819495e9380fe29a3a82343cd",
+    "dataset.bin": "a865fbd6d91cf85b28daa1872608abd9d09fe0cab93fa0e079836b9cb2bbea36",
+    "mpk.bin": "cf5da82451a0dcd60c9d6d922f0bc73bce47233699dbb32f1c5609d9b0f5db5e",
 }
+
+
+def rename_operator_key(blob: bytes, to: bytes) -> bytes:
+    """The container with the identity inside its operator key renamed; the
+    identity stored before the key is left as it was."""
+    w = Writer()
+    w.blob(b"CSPA-1")
+    stored = w.getvalue()
+    assert blob.count(stored * 2) == 1 and len(to) == len(b"CSPA-1")
+    w = Writer()
+    w.blob(to)
+    return blob.replace(stored * 2, stored + w.getvalue())
 
 
 @pytest.fixture(scope="module")
@@ -136,9 +152,32 @@ class TestStrictFields:
             keyfiles.dataset_from_bytes(blob[:-1] + b"\x07")
 
     def test_stored_operator_key_names_the_operator(self, ra):
-        foreign = dataclasses.replace(ra, cspa_usk=extract(ra.msk, b"CSPA-2"))
+        foreign = rename_operator_key(keyfiles.authority_to_bytes(ra), b"CSPA-2")
         with pytest.raises(DecodeError, match="stored operator key is for b'CSPA-2'"):
-            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(foreign))
+            keyfiles.authority_from_bytes(foreign)
+
+    def test_dataset_operator_key_names_the_operator(self, ra):
+        blob = keyfiles.dataset_to_bytes(export_cspa_dataset(ra))
+        foreign = rename_operator_key(blob, b"CSPA-2")
+        with pytest.raises(DecodeError, match="stored operator key is for b'CSPA-2'"):
+            keyfiles.dataset_from_bytes(foreign)
+
+    @pytest.mark.parametrize("slot", ["gk_cspa_rsu", "gk_rsu_cp"])
+    def test_authority_group_key_role_checked(self, ra, slot):
+        key = getattr(ra, slot)
+        wrong = dataclasses.replace(ra, **{slot: SymmetricKey(key.key, "session")})
+        with pytest.raises(DecodeError, match=f"group key role b'session', expected '{key.role}'"):
+            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(wrong))
+
+    def test_authority_group_keys_in_swapped_slots_rejected(self, ra):
+        swapped = dataclasses.replace(ra, gk_cspa_rsu=ra.gk_rsu_cp, gk_rsu_cp=ra.gk_cspa_rsu)
+        with pytest.raises(DecodeError, match="group key role"):
+            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(swapped))
+
+    def test_dataset_group_key_role_checked(self, ra):
+        ds = dataclasses.replace(export_cspa_dataset(ra), gk_cspa_rsu=ra.gk_rsu_cp)
+        with pytest.raises(DecodeError, match="group key role b'group-rsu-cp'"):
+            keyfiles.dataset_from_bytes(keyfiles.dataset_to_bytes(ds))
 
     def test_authority_without_stored_operator_key_rejected(self, ra):
         """The layout before the operator key was stored does not decode."""
@@ -156,12 +195,20 @@ class TestStrictFields:
         with pytest.raises(DecodeError, match="15 coefficients, expected 16"):
             keyfiles.msk_from_bytes(keyfiles.msk_to_bytes(short))
 
-    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
-    def test_non_finite_width_in_header(self, ra, width):
+    @pytest.mark.parametrize(
+        "start, name, width",
+        [
+            pytest.param(15, "sigma_f", float("nan"), id="nan"),
+            pytest.param(15, "sigma_f", float("inf"), id="inf"),
+            pytest.param(23, "sigma_extract", 3 * math.sqrt(TIERS["test"].q), id="wide"),
+        ],
+    )
+    def test_non_finite_width_in_header(self, ra, start, name, width):
+        """Stored widths must be the ones N and q derive."""
         blob = bytearray(keyfiles.mpk_to_bytes(ra.mpk))
-        # magic(4) + record type(1) + N(2) + q(8), then sigma_f as f64
-        blob[15:23] = struct.pack("<d", width)
-        with pytest.raises(DecodeError, match="finite"):
+        # magic(4) + record type(1) + N(2) + q(8), then sigma_f and sigma_extract as f64
+        blob[start : start + 8] = struct.pack("<d", width)
+        with pytest.raises(DecodeError, match=re.escape(f"stored {name} {width!r}, expected")):
             keyfiles.mpk_from_bytes(bytes(blob))
 
 
@@ -245,6 +292,8 @@ class TestGoldenFiles:
         creds = register_vehicle(authority, b"EV-golden", 4)
         keyfiles.save_authority(tmp_path / "authority.bin", authority)
         keyfiles.save_vehicle(tmp_path / "vehicle.bin", creds)
+        keyfiles.save_dataset(tmp_path / "dataset.bin", export_cspa_dataset(authority))
+        keyfiles.save(tmp_path / "mpk.bin", keyfiles.mpk_to_bytes(authority.mpk))
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GOLDEN_TEST_TIER_FILES

@@ -207,7 +207,6 @@ class TestCspaRejections:
 
     def test_unknown_pseudonym(self, default_authority, dataset, fresh_vehicle):
         empty = CspaDataset(
-            cspa_identity=dataset.cspa_identity,
             usk=dataset.usk,
             gk_cspa_rsu=dataset.gk_cspa_rsu,
             entries={},
@@ -257,7 +256,6 @@ class TestEvRejections:
         entries = dict(dataset.entries)
         entries[ps] = dataclasses.replace(entries[ps], w=bytes(32))
         lying = CspaDataset(
-            cspa_identity=dataset.cspa_identity,
             usk=dataset.usk,
             gk_cspa_rsu=dataset.gk_cspa_rsu,
             entries=entries,

@@ -26,11 +26,11 @@ class TestSetup:
         assert keyfiles.authority_to_bytes(a) == keyfiles.authority_to_bytes(b)
 
     def test_cspa_key_extracted_at_setup(self):
-        """The operator key is extracted once, into the master key's cache,
-        and the dataset export hands out that stored key."""
+        """The operator key is extracted once, at setup, and the dataset
+        export hands out that stored key."""
         ra = ra_setup(TIERS["test"], "cspa-key")
         assert ra.cspa_usk.identity == ra.cspa_identity
-        assert extract(ra.msk, ra.cspa_identity) is ra.cspa_usk
+        assert extract(ra.msk, ra.cspa_identity) == ra.cspa_usk
         register_vehicle(ra, b"EV-1", 1)
         assert export_cspa_dataset(ra).usk is ra.cspa_usk
 
@@ -118,6 +118,13 @@ class TestRegisterVehicle:
             creds.pick_entry()
         with pytest.raises(EmptyRegistry):
             creds.pick_entry(7)
+
+    def test_copy_spends_apart(self, test_authority):
+        creds = register_vehicle(test_authority, b"EV-copy", 2)
+        wallet = creds.copy()
+        wallet.spent.add(0)
+        assert creds.spent == set() and wallet.entries == creds.entries
+        assert (wallet.vehicle_id, wallet.d_ev) == (creds.vehicle_id, creds.d_ev)
 
 
 class TestDatasetExport:

@@ -1,5 +1,6 @@
 """Ring arithmetic: transform correctness, sampling, hashing, serialization."""
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -31,6 +32,12 @@ class TestParams:
             assert p.q % (2 * p.N) == 1, name
             assert p.N & (p.N - 1) == 0
 
+    def test_widths_derive_from_N_and_q(self):
+        assert [f.name for f in dataclasses.fields(RingParams)] == ["N", "q"]
+        p = TIERS["test"]
+        assert p.sigma_f == 1.17 * math.sqrt(p.q / (2 * p.N))
+        assert p.sigma_extract == 1.5 * math.sqrt(p.q)
+
     def test_default_tier_modulus(self):
         p = TIERS["default"]
         assert p.N == 512
@@ -39,13 +46,13 @@ class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(N=12, q=97, sigma_f=1.0, sigma_extract=1.0),  # not a power of two
-            dict(N=16, q=96, sigma_f=1.0, sigma_extract=1.0),  # composite q
-            dict(N=16, q=101, sigma_f=1.0, sigma_extract=1.0),  # q != 1 mod 2N
-            dict(N=16, q=97, sigma_f=0.0, sigma_extract=1.0),  # bad width
-            dict(N=16, q=2147483713, sigma_f=1.0, sigma_extract=1.0),  # q >= 2^31
-            dict(N=16, q=97, sigma_f=float("nan"), sigma_extract=1.0),  # NaN width
-            dict(N=16, q=97, sigma_f=1.0, sigma_extract=float("inf")),  # infinite width
+            dict(N=12, q=97),  # not a power of two
+            dict(N=16, q=96),  # composite q
+            dict(N=16, q=101),  # q != 1 mod 2N
+            dict(N=2, q=5),  # N below 4 (5 = 1 mod 2N is prime)
+            dict(N=16, q=2147483713),  # q >= 2^31
+            dict(N=16, q=1),  # q = 1
+            dict(N=16, q=0),  # q = 0
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
