@@ -20,6 +20,11 @@ from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehic
 from dwpt_auth.ring import TIERS
 
 _TIMING_MODES = ("rounded-table", "cycle-accurate")
+_POSITIVE = range(1, 1 << 63)  # slot counts, pad counts and speeds
+
+
+class _BadSetting(Exception):
+    """A flag or config value out of range: one `error:` line, exit status 2."""
 
 
 def _load_config(path: str | None) -> dict:
@@ -28,13 +33,19 @@ def _load_config(path: str | None) -> dict:
     return netsim.parse_config(Path(path).read_text())
 
 
-def _setting(args_value, config: dict, key: str, default, cast=str):
-    """CLI flag wins, then config file, then the built-in default."""
-    if args_value is not None:
-        return args_value
-    if key in config:
-        return cast(config[key])
-    return default
+def _check(key: str, value, allowed):
+    if value not in allowed:
+        wanted = "at least 1" if allowed is _POSITIVE else "one of " + ", ".join(allowed)
+        raise _BadSetting(f"{key} must be {wanted}, got {value!r}")
+    return value
+
+
+def _setting(args_value, config: dict, key: str, default, cast=str, allowed=None):
+    """CLI flag wins, then config file, then the built-in default, which
+    must lie in `allowed` if that is given."""
+    if args_value is None:
+        args_value = cast(config[key]) if key in config else default
+    return args_value if allowed is None else _check(key, args_value, allowed)
 
 
 def _int_list(text: str) -> list[int]:
@@ -55,11 +66,8 @@ def _out_dir(args) -> Path:
 
 def cmd_setup(args) -> int:
     config = _load_config(args.config)
-    tier = _setting(args.params_tier, config, "tier", "default")
+    tier = _setting(args.params_tier, config, "tier", "default", allowed=TIERS)
     seed = _setting(args.seed, config, "seed", "0")
-    if tier not in TIERS:
-        print(f"error: unknown tier {tier!r}", file=sys.stderr)
-        return 2
     out = _out_dir(args)
     path = out / "authority.bin"
     if path.exists() and not args.force:
@@ -77,7 +85,7 @@ def cmd_setup(args) -> int:
 
 def cmd_register(args) -> int:
     config = _load_config(args.config)
-    count = _setting(args.count, config, "count", 4, int)
+    count = _setting(args.count, config, "count", 4, int, _POSITIVE)
     ra = keyfiles.load_authority(args.authority)
     try:
         creds = register_vehicle(ra, args.vehicle_id.encode(), count)
@@ -112,12 +120,9 @@ def cmd_export_dataset(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
-    n_pads = _setting(args.n_pads, config, "n_pads", 1, int)
+    n_pads = _setting(args.n_pads, config, "n_pads", 1, int, _POSITIVE)
     freshness = _setting(args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int)
-    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table")
-    if mode not in _TIMING_MODES:
-        print(f"error: unknown timing mode {mode!r}", file=sys.stderr)
-        return 2
+    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=_TIMING_MODES)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
     if creds.vehicle_id not in ra.vehicles:
@@ -160,10 +165,9 @@ def cmd_run(args) -> int:
 
 def cmd_costs(args) -> int:
     config = _load_config(args.config)
-    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table")
-    if mode not in _TIMING_MODES:
-        print(f"error: unknown timing mode {mode!r}", file=sys.stderr)
-        return 2
+    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=_TIMING_MODES)
+    _check("n_pads", min(args.n_pads), _POSITIVE)
+    _check("speeds", min(args.speeds), _POSITIVE)
     timing = TimingModel.for_mode(mode)
     out = _out_dir(args)
     header = {
@@ -187,7 +191,7 @@ def cmd_costs(args) -> int:
 def cmd_attack(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
-    n_pads = _setting(args.n_pads, config, "n_pads", 3, int)
+    n_pads = _setting(args.n_pads, config, "n_pads", 3, int, _POSITIVE)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
     scenarios = (
@@ -285,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DecodeError as exc:  # an --authority or --vehicle file; names the path
+    except (DecodeError, _BadSetting) as exc:  # a DecodeError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a file that could not be opened, read or written

@@ -34,7 +34,7 @@ from dwpt_auth.registration import (
     export_cspa_dataset,
 )
 from dwpt_auth.rng import RandomSource
-from dwpt_auth.symcrypto import SymmetricKey
+from dwpt_auth.symcrypto import SymmetricKey, aead_seal, encode_timestamp
 
 #: Measured cycle counts for the four primitives on the modeled 32 MHz MCU.
 CYCLE_COUNTS = {
@@ -498,16 +498,12 @@ def _scenario_pseudonym_reuse(world: World) -> list[AdversaryAction]:
 
 
 def _scenario_forge_m4(world: World) -> list[AdversaryAction]:
-    from dwpt_auth.symcrypto import aead_seal, encode_timestamp
-
     ev, cspa, rsu = world.ev, world.cspa, world.rsu
     mallory = RandomSource("mallory")
     actions = []
 
     fake_key = SymmetricKey(mallory.bytes(32), "session")
-    fake_payload = protocol.tlv_pack(
-        mallory.bytes(32), mallory.bytes(32), encode_timestamp(0)
-    )
+    fake_payload = mallory.bytes(32) + mallory.bytes(32) + encode_timestamp(0)
     forged = ProtocolMessage(
         "m4", "MITM", "RSU", aead_seal(fake_key, fake_payload, mallory, b"dwpt/m4")
     )

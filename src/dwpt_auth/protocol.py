@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dwpt_auth.codec import tlv_pack, tlv_unpack
+from dwpt_auth.codec import Reader
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
 from dwpt_auth.registration import (
@@ -47,7 +47,8 @@ from dwpt_auth.symcrypto import (
     sha256,
 )
 
-#: Modeled on-air sizes in bytes (analysis sizes, not the desk encodings).
+#: Modeled on-air sizes in bytes: each payload's fixed-width fields, 32 bytes
+#: each; m5 also carries a 4-byte pad count, which the model leaves out.
 NOMINAL_SIZES = {
     "m1": 128,
     "m2": 128,
@@ -116,14 +117,13 @@ def _check_fresh(now_ms: int, ts_field: bytes, window_ms: int, context: str):
 
 
 def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
-    """The payload's TLV fields, each exactly its expected width, or MALFORMED."""
+    """The payload's fields, each exactly its width and nothing after, or MALFORMED."""
+    r = Reader(body)
     try:
-        fields = tlv_unpack(body, len(widths))
+        fields = [r.fixed(w) for w in widths]
+        r.done()
     except DecodeError as exc:
         raise ProtocolRejection(MALFORMED, f"{context}: {exc}") from exc
-    got = tuple(map(len, fields))
-    if got != widths:
-        raise ProtocolRejection(MALFORMED, f"{context}: field widths {got}, expected {widths}")
     return fields
 
 
@@ -166,12 +166,7 @@ class EvSession:
             raise ProtocolRejection(NO_UNUSED_PSEUDONYM, str(exc)) from exc
         self.credentials.spent.add(self.entry.index)
         self.n_ev = self.rng.bytes(32)
-        payload = tlv_pack(
-            self.entry.pseudonym,
-            self.n_ev,
-            encode_timestamp(now_ms),
-            self.entry.z,
-        )
+        payload = self.entry.pseudonym + self.n_ev + encode_timestamp(now_ms) + self.entry.z
         body = ibe_seal(
             self.mpk, self.cspa_identity, payload, self.rng, b"dwpt/m1"
         ).to_bytes()
@@ -199,7 +194,7 @@ class EvSession:
         if self.state != "await-m5" or self.session_key is None:
             raise ProtocolRejection(BAD_STATE, f"compose_m4 in state {self.state}")
         self.n_rsu = self.rng.bytes(32)
-        payload = tlv_pack(self.entry.pseudonym, self.n_rsu, encode_timestamp(now_ms))
+        payload = self.entry.pseudonym + self.n_rsu + encode_timestamp(now_ms)
         body = aead_seal(self.session_key, payload, self.rng, b"dwpt/m4")
         return ProtocolMessage("m4", "EV", "RSU", body)
 
@@ -275,22 +270,12 @@ class CspaState:
         n_cspa = self.rng.bytes(32)
         session_key = derive_session_key(n_ev, n_cspa)
 
-        m2_payload = tlv_pack(
-            token,
-            n_cspa,
-            encode_timestamp(now_ms),
-            add_mod_2_256(entry.z, entry.w),
-        )
+        m2_payload = token + n_cspa + encode_timestamp(now_ms) + add_mod_2_256(entry.z, entry.w)
         m2_body = ibe_seal(
             self.mpk, pseudonym, m2_payload, self.rng, b"dwpt/m2"
         ).to_bytes()
 
-        m3_payload = tlv_pack(
-            sha256(token),
-            pseudonym,
-            session_key.key,
-            encode_timestamp(now_ms),
-        )
+        m3_payload = sha256(token) + pseudonym + session_key.key + encode_timestamp(now_ms)
         m3_body = aead_seal(
             self.dataset.gk_cspa_rsu.require(ROLE_CSPA_RSU),
             m3_payload,
@@ -363,16 +348,14 @@ class RsuState:
 
         m_ev = self.rng.bytes(32)
         chain = HashChain.from_digests(h_token, sha256(m_ev), self.n_pads)
-        m5_payload = tlv_pack(
-            add_mod_2_256(n_rsu, _ONE),
-            m_ev,
-            encode_timestamp(now_ms),
-            self.n_pads.to_bytes(4, "little"),
+        m5_payload = (
+            add_mod_2_256(n_rsu, _ONE)
+            + m_ev
+            + encode_timestamp(now_ms)
+            + self.n_pads.to_bytes(4, "little")
         )
         m5_body = aead_seal(key, m5_payload, self.rng, b"dwpt/m5")
-        m6_body = aead_seal(
-            self.gk_rsu_cp, tlv_pack(chain.head), self.rng, b"dwpt/provision"
-        )
+        m6_body = aead_seal(self.gk_rsu_cp, chain.head, self.rng, b"dwpt/provision")
         return (
             ProtocolMessage("m5", "RSU", "EV", m5_body),
             ProtocolMessage("m6", "RSU", "CP1", m6_body),
@@ -422,7 +405,7 @@ class CpState:
         if len(candidate) != 32 or not chain_verify(candidate, self.expected_head):
             return ChainVerdict(False, CHAIN_MISMATCH)
         self.consumed = True
-        forward_body = aead_seal(self.gk, tlv_pack(candidate), rng, b"dwpt/provision")
+        forward_body = aead_seal(self.gk, candidate, rng, b"dwpt/provision")
         forward = ProtocolMessage(
             "m8", self.name, f"CP{self.index + 1}", forward_body
         )

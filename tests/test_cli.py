@@ -309,6 +309,47 @@ class TestMissingFiles:
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
 
+class TestOutOfRange:
+    """A slot count, pad count or speed below 1 is one error line and exit
+    status 2, from a flag or from --config, and changes no file."""
+
+    @pytest.mark.parametrize("argv, config", [
+        (["register", "--vehicle-id", "EV-zero", "--count", "0"], None),
+        (["register", "--vehicle-id", "EV-zero"], "count = 0"),
+        (["run", "--n-pads", "0"], None),
+        (["run", "--n-pads", "-2"], None),
+        (["run"], "n_pads = 0"),
+        (["attack", "--scenario", "all", "--n-pads", "0"], None),
+        (["attack", "--scenario", "all"], "n_pads = 0"),
+        (["costs", "--n-pads", "10", "--speeds", "0"], None),
+        (["costs", "--n-pads", "10", "--speeds", "50,-5"], None),
+        (["costs", "--n-pads", "0", "--speeds", "50"], None),
+    ], ids=[
+        "register-count", "register-count-config", "run-n-pads", "run-n-pads-negative",
+        "run-n-pads-config", "attack-n-pads", "attack-n-pads-config", "costs-speed-zero",
+        "costs-speed-negative", "costs-n-pads",
+    ])
+    def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config):
+        authority = workspace / "authority.bin"
+        files = {
+            "register": ["--authority", str(authority)],
+            "run": ["--authority", str(authority), "--vehicle", str(workspace / "vehicle-EV-cli.bin")],
+            "costs": [],
+        }
+        files["attack"] = files["run"]
+        argv = [*argv, *files[argv[0]], "--out", str(tmp_path / "out")]
+        if config:
+            (tmp_path / "bad.cfg").write_text(config + "\n")
+            argv += ["--config", str(tmp_path / "bad.cfg")]
+        before = authority.read_bytes()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "must be at least 1" in err
+        assert authority.read_bytes() == before
+        assert not (tmp_path / "out").exists()
+
+
 class TestCosts:
     def test_writes_tables(self, tmp_path, capsys):
         rc = main([

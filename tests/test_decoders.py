@@ -9,7 +9,6 @@ plain ValueError included, is a decoder bug.
 import pytest
 
 from dwpt_auth import keyfiles
-from dwpt_auth.codec import tlv_pack, tlv_unpack
 from dwpt_auth.errors import DecodeError
 from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal, sign
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
@@ -55,10 +54,6 @@ def samples():
             keyfiles.dataset_to_bytes(export_cspa_dataset(ra)),
         ),
         "authority": (keyfiles.authority_from_bytes, keyfiles.authority_to_bytes(ra)),
-        "tlv": (
-            lambda d: tlv_unpack(d, 4),
-            tlv_pack(rng.bytes(32), rng.bytes(32), rng.bytes(32), rng.bytes(4)),
-        ),
     }
 
 
@@ -88,7 +83,6 @@ DECODERS = [
     "vehicle",
     "dataset",
     "authority",
-    "tlv",
 ]
 
 

@@ -6,7 +6,7 @@ import struct
 import pytest
 
 from dwpt_auth import protocol
-from dwpt_auth.errors import DecodeError, ProtocolRejection
+from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, ibe_seal
 from dwpt_auth.protocol import (
     BAD_STATE,
@@ -28,8 +28,6 @@ from dwpt_auth.protocol import (
     SECRET_MISMATCH,
     STALE_TIMESTAMP,
     UNKNOWN_PSEUDONYM,
-    tlv_pack,
-    tlv_unpack,
 )
 from dwpt_auth.registration import CspaDataset, export_cspa_dataset
 from dwpt_auth.rng import RandomSource
@@ -81,32 +79,31 @@ def run_authentication(p: Parties, now=NOW):
     return m1, m2, m3, m4, m5, m6
 
 
-class TestTlv:
-    def test_round_trip(self):
-        fields = [b"", b"a", b"bb" * 100]
-        assert tlv_unpack(tlv_pack(*fields), 3) == fields
+class TestPayloadSizes:
+    def test_plaintexts_are_the_nominal_sizes(self, parties, monkeypatch):
+        """Every sealed payload of one session is its NOMINAL_SIZES entry;
+        m5 adds the 4-byte pad count, which the nominal model leaves out."""
+        sealed = []
 
-    def test_tag_order_enforced(self):
-        packed = tlv_pack(b"x", b"y")
-        swapped = bytearray(packed)
-        swapped[0], swapped[6] = packed[6], packed[0]
-        with pytest.raises(DecodeError, match="tag"):
-            tlv_unpack(bytes(swapped), 2)
+        def recording(seal):
+            def wrapper(*args):
+                sealed.append((args[-1], len(args[-3])))  # (associated data, plaintext)
+                return seal(*args)
+            return wrapper
 
-    def test_trailing_bytes_rejected(self):
-        with pytest.raises(DecodeError, match="trailing"):
-            tlv_unpack(tlv_pack(b"x") + b"\x00", 1)
-
-    def test_truncations_rejected(self):
-        packed = tlv_pack(b"hello")
-        with pytest.raises(DecodeError):
-            tlv_unpack(packed[:3], 1)
-        with pytest.raises(DecodeError):
-            tlv_unpack(packed[:-1], 1)
-
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(DecodeError):
-            tlv_unpack(tlv_pack(b"x", b"y"), 1)
+        monkeypatch.setattr(protocol, "ibe_seal", recording(protocol.ibe_seal))
+        monkeypatch.setattr(protocol, "aead_seal", recording(protocol.aead_seal))
+        run_authentication(parties)
+        for pad, next_pad in zip(parties.pads, parties.pads[1:]):
+            verdict = pad.handle_chain(parties.ev.next_chain_message(), parties.rng)
+            next_pad.handle_provision(verdict.forward)
+        n = parties.rsu.n_pads
+        assert sealed == [
+            *((f"dwpt/{k}".encode(), NOMINAL_SIZES[k]) for k in ("m1", "m2", "m3", "m4")),
+            (b"dwpt/m5", NOMINAL_SIZES["m5"] + 4),
+            (b"dwpt/provision", NOMINAL_SIZES["m6"]),
+            *[(b"dwpt/provision", NOMINAL_SIZES["m8"])] * (n - 1),
+        ]
 
 
 class TestHappyPath:
@@ -184,7 +181,7 @@ class TestCspaRejections:
         """An m1 with no key blocks, sealed under the all-zero content key
         by someone without any identity key, carrying a valid pseudonym."""
         entry = fresh_vehicle.entries[0]
-        payload = tlv_pack(entry.pseudonym, bytes(32), encode_timestamp(NOW), entry.z)
+        payload = entry.pseudonym + bytes(32) + encode_timestamp(NOW) + entry.z
         sealed = aead_seal(bytes(32), payload, RandomSource("forger"), b"dwpt/m1")
         forged = ProtocolMessage("m1", "EV", "CSPA", HybridCiphertext((), sealed).to_bytes())
         with pytest.raises(ProtocolRejection) as exc:
@@ -195,7 +192,7 @@ class TestCspaRejections:
         """A correct pseudonym and z with a 5-byte nonce: MALFORMED, and the
         pseudonym is not burned."""
         entry = fresh_vehicle.entries[0]
-        payload = tlv_pack(entry.pseudonym, bytes(5), encode_timestamp(NOW), entry.z)
+        payload = entry.pseudonym + bytes(5) + encode_timestamp(NOW) + entry.z
         body = ibe_seal(
             default_authority.mpk, default_authority.cspa_identity, payload,
             RandomSource("short-nonce"), b"dwpt/m1",
@@ -274,12 +271,7 @@ class TestEvRejections:
         p.ev.handle_m2(m2, NOW)
         p.ev.compose_m4(NOW)
         # forge m5 with the right key but an unincremented nonce
-        payload = tlv_pack(
-            p.ev.n_rsu,
-            bytes(32),
-            encode_timestamp(NOW),
-            struct.pack("<I", 4),
-        )
+        payload = p.ev.n_rsu + bytes(32) + encode_timestamp(NOW) + struct.pack("<I", 4)
         body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m5")
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", body), NOW)
@@ -291,11 +283,11 @@ class TestEvRejections:
         m2, _ = p.cspa.handle_m1(m1, NOW)
         p.ev.handle_m2(m2, NOW)
         p.ev.compose_m4(NOW)
-        payload = tlv_pack(
-            add_mod_2_256(p.ev.n_rsu, (1).to_bytes(32, "big")),
-            bytes(32),
-            encode_timestamp(NOW),
-            struct.pack("<I", 0),
+        payload = (
+            add_mod_2_256(p.ev.n_rsu, (1).to_bytes(32, "big"))
+            + bytes(32)
+            + encode_timestamp(NOW)
+            + struct.pack("<I", 0)
         )
         body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m5")
         with pytest.raises(ProtocolRejection) as exc:
@@ -347,7 +339,7 @@ class TestRsuRejections:
         _, m3 = p.cspa.handle_m1(m1, NOW)
         p.rsu.handle_m3(m3, NOW)
         rogue_key = SymmetricKey(b"\x13" * 32, "session")
-        body = aead_seal(rogue_key, tlv_pack(b"p", b"n", encode_timestamp(NOW)), p.rng, b"dwpt/m4")
+        body = aead_seal(rogue_key, b"p" + b"n" + encode_timestamp(NOW), p.rng, b"dwpt/m4")
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
         assert exc.value.reason == DECRYPT_FAILURE
@@ -369,7 +361,20 @@ class TestRsuRejections:
         m2, m3 = p.cspa.handle_m1(m1, NOW)
         p.rsu.handle_m3(m3, NOW)
         p.ev.handle_m2(m2, NOW)
-        payload = tlv_pack(p.ev.entry.pseudonym, b"\x07", encode_timestamp(NOW))
+        payload = p.ev.entry.pseudonym + b"\x07" + encode_timestamp(NOW)
+        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m4")
+        with pytest.raises(ProtocolRejection) as exc:
+            p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
+        assert exc.value.reason == MALFORMED
+        assert p.ev.entry.pseudonym in p.rsu.pending
+
+    def test_trailing_byte_in_m4_keeps_session_pending(self, parties):
+        p = parties
+        m1 = p.ev.compose_m1(NOW)
+        m2, m3 = p.cspa.handle_m1(m1, NOW)
+        p.rsu.handle_m3(m3, NOW)
+        p.ev.handle_m2(m2, NOW)
+        payload = p.ev.entry.pseudonym + bytes(32) + encode_timestamp(NOW) + b"\x00"
         body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m4")
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
