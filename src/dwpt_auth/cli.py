@@ -21,6 +21,7 @@ from dwpt_auth.ring import TIERS
 
 _TIMING_MODES = ("rounded-table", "cycle-accurate")
 _POSITIVE = range(1, 1 << 63)  # slot counts, pad counts and speeds
+_NON_NEGATIVE = range(1 << 63)  # the freshness window
 
 
 class _BadSetting(Exception):
@@ -30,12 +31,16 @@ class _BadSetting(Exception):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    return netsim.parse_config(Path(path).read_text())
+    try:
+        return netsim.parse_config(Path(path).read_text())
+    except ValueError as exc:
+        raise _BadSetting(f"{path}: {exc}") from None
 
 
 def _check(key: str, value, allowed):
     if value not in allowed:
-        wanted = "at least 1" if allowed is _POSITIVE else "one of " + ", ".join(allowed)
+        wanted = (f"at least {allowed.start}" if isinstance(allowed, range)
+                  else "one of " + ", ".join(allowed))
         raise _BadSetting(f"{key} must be {wanted}, got {value!r}")
     return value
 
@@ -44,7 +49,10 @@ def _setting(args_value, config: dict, key: str, default, cast=str, allowed=None
     """CLI flag wins, then config file, then the built-in default, which
     must lie in `allowed` if that is given."""
     if args_value is None:
-        args_value = cast(config[key]) if key in config else default
+        try:
+            args_value = cast(config[key]) if key in config else default
+        except ValueError:  # only the int cast can fail
+            raise _BadSetting(f"{key} must be an integer, got {config[key]!r}") from None
     return args_value if allowed is None else _check(key, args_value, allowed)
 
 
@@ -121,7 +129,9 @@ def cmd_run(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
     n_pads = _setting(args.n_pads, config, "n_pads", 1, int, _POSITIVE)
-    freshness = _setting(args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int)
+    freshness = _setting(
+        args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int, _NON_NEGATIVE
+    )
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=_TIMING_MODES)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)

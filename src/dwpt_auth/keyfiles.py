@@ -1,6 +1,8 @@
-"""Binary containers for keys, credentials, and registry state.
+"""Binary containers for the three files the CLI writes.
 
-Every container is the magic "DQS1", one record-type byte, and a body framed
+`authority.bin` holds the registration authority's state, `vehicle-*.bin`
+one vehicle's credentials and `dataset.bin` the operator's dataset.  Every
+container is the magic "DQS1", one record-type byte, and a body framed
 by `codec`: little-endian integers, u32-length-prefixed variable fields
 (ring elements as their `to_bytes` blobs), and integer polynomials as a u16
 count of i32 coefficients.  Decoders read with the exact-length
@@ -20,12 +22,7 @@ import numpy as np
 
 from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import (
-    MasterPublicKey,
-    MasterSecretKey,
-    Signature,
-    UserSecretKey,
-)
+from dwpt_auth.ibe import MasterPublicKey, MasterSecretKey, UserSecretKey
 from dwpt_auth.registration import (
     ROLE_CSPA_RSU,
     ROLE_RSU_CP,
@@ -40,19 +37,11 @@ from dwpt_auth.symcrypto import SymmetricKey
 
 MAGIC = b"DQS1"
 
-RECORD_MPK = 0x01
-RECORD_MSK = 0x02
-RECORD_USK = 0x03
-RECORD_SIG = 0x04
 RECORD_AUTHORITY = 0x10
 RECORD_VEHICLE = 0x11
 RECORD_DATASET = 0x12
 
 _RECORD_NAMES = {
-    RECORD_MPK: "master public key",
-    RECORD_MSK: "master secret key",
-    RECORD_USK: "user secret key",
-    RECORD_SIG: "signature",
     RECORD_AUTHORITY: "authority state",
     RECORD_VEHICLE: "vehicle credentials",
     RECORD_DATASET: "CSPA dataset",
@@ -135,23 +124,8 @@ def _read_symkey(r: Reader, role: str) -> SymmetricKey:
 
 
 # ---------------------------------------------------------------------------
-# Standalone key records.  Readers build their result with the fields in
-# wire order: Python evaluates call arguments left to right.
-
-def mpk_to_bytes(mpk: MasterPublicKey) -> bytes:
-    w = _frame(RECORD_MPK)
-    _write_params(w, mpk.params)
-    w.blob(mpk.h.to_bytes())
-    return w.getvalue()
-
-
-def mpk_from_bytes(data: bytes) -> MasterPublicKey:
-    r = _unframe(data, RECORD_MPK)
-    p = _read_params(r)
-    mpk = MasterPublicKey(params=p, h=_read_ring(r, p))
-    r.done()
-    return mpk
-
+# Key bodies the containers share.  Readers build their result with the
+# fields in wire order: Python evaluates call arguments left to right.
 
 def _write_msk_body(w: Writer, msk: MasterSecretKey):
     _write_params(w, msk.params)
@@ -164,19 +138,6 @@ def _read_msk_body(r: Reader) -> MasterSecretKey:
     p = _read_params(r)
     f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
     return MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32))
-
-
-def msk_to_bytes(msk: MasterSecretKey) -> bytes:
-    w = _frame(RECORD_MSK)
-    _write_msk_body(w, msk)
-    return w.getvalue()
-
-
-def msk_from_bytes(data: bytes) -> MasterSecretKey:
-    r = _unframe(data, RECORD_MSK)
-    msk = _read_msk_body(r)
-    r.done()
-    return msk
 
 
 def _write_usk_body(w: Writer, usk: UserSecretKey):
@@ -196,37 +157,6 @@ def _read_operator_key(r: Reader, p: RingParams) -> UserSecretKey:
     if usk.identity != identity:
         raise DecodeError(f"stored operator key is for {usk.identity!r}, not {identity!r}")
     return usk
-
-
-def usk_to_bytes(usk: UserSecretKey) -> bytes:
-    w = _frame(RECORD_USK)
-    _write_params(w, usk.params)
-    _write_usk_body(w, usk)
-    return w.getvalue()
-
-
-def usk_from_bytes(data: bytes) -> UserSecretKey:
-    r = _unframe(data, RECORD_USK)
-    usk = _read_usk_body(r, _read_params(r))
-    r.done()
-    return usk
-
-
-def signature_to_bytes(sig: Signature) -> bytes:
-    w = _frame(RECORD_SIG)
-    _write_params(w, sig.s1.params)
-    w.fixed(sig.salt, 32)
-    w.blob(sig.s1.to_bytes())
-    w.blob(sig.s2.to_bytes())
-    return w.getvalue()
-
-
-def signature_from_bytes(data: bytes) -> Signature:
-    r = _unframe(data, RECORD_SIG)
-    p = _read_params(r)
-    sig = Signature(salt=r.fixed(32), s1=_read_ring(r, p), s2=_read_ring(r, p))
-    r.done()
-    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +310,8 @@ def save(path, data: bytes):
     The bytes go to a temporary file in the same directory, which is flushed,
     fsync'd and then renamed over `path`, so a crash leaves either the old
     file or the new one, never a torn mix.  A replaced file keeps its
-    permission bits; a new one is owner-only, since every container here but
-    the master public key holds secret key material.
+    permission bits; a new one is owner-only, since every container here
+    holds secret key material.
     """
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(

@@ -212,6 +212,7 @@ class TraceEvent:
 @dataclass
 class SessionTrace:
     config: dict
+    timing: TimingModel  # the model that priced every event
     events: list[TraceEvent] = field(default_factory=list)
     wire_log: list[tuple[str, bytes]] = field(default_factory=list)
     completed: bool = False
@@ -238,16 +239,9 @@ class SessionTrace:
             "total_computation_ms": float(self.total_computation_ms),
             "total_sending_us": float(self.total_sending_us),
             "total_bytes": self.total_bytes,
-            "first_pad_model_ms": float(
-                cost_first_pad(self.config["n_pads"], self._timing())
-            ),
-            "asymptotic_model_ms": float(
-                cost_asymptotic(self.config["n_pads"], self._timing())
-            ),
+            "first_pad_model_ms": float(cost_first_pad(self.config["n_pads"], self.timing)),
+            "asymptotic_model_ms": float(cost_asymptotic(self.config["n_pads"], self.timing)),
         }
-
-    def _timing(self) -> TimingModel:
-        return TimingModel.for_mode(self.config["timing_mode"])
 
     def to_jsonl(self) -> str:
         lines = [json.dumps({"type": "config", **self.config}, sort_keys=True)]
@@ -361,7 +355,8 @@ def simulate_session(
             "timing_mode": tm.mode,
             "freshness_ms": freshness_ms,
             "entry_index": entry_index,
-        }
+        },
+        timing=tm,
     )
     clock = Fraction(0)
     first_pad_seen = False

@@ -288,9 +288,6 @@ class RingElement:
         self._check(other)
         return RingElement(self.params, (self.coeffs - other.coeffs) % self.params.q)
 
-    def __neg__(self) -> "RingElement":
-        return RingElement(self.params, (-self.coeffs) % self.params.q)
-
     def scale(self, c: int) -> "RingElement":
         return RingElement(self.params, self.coeffs * (c % self.params.q) % self.params.q)
 
@@ -339,17 +336,11 @@ class RingElement:
         return w.getvalue()
 
     @classmethod
-    def from_bytes(cls, data: bytes, params: RingParams | None = None) -> "RingElement":
-        """Inverse of to_bytes; DecodeError on a bad header, length or coefficient.
-        Without `params`, the header's N and q are the parameters."""
+    def from_bytes(cls, data: bytes, params: RingParams) -> "RingElement":
+        """Inverse of to_bytes; DecodeError on a bad header, length or coefficient."""
         r = Reader(data)
         N, q = r.u16(), r.u64()
-        if params is None:
-            try:
-                params = RingParams(N, q)
-            except ValueError as exc:
-                raise DecodeError(f"bad ring element header: {exc}") from exc
-        elif (params.N, params.q) != (N, q):
+        if (params.N, params.q) != (N, q):
             raise DecodeError(f"serialized header (N={N}, q={q}) does not match params")
         width = params.coeff_width
         padded = np.zeros((N, 4), dtype=np.uint8)
@@ -369,20 +360,11 @@ class IntegerPolynomial:
     def __init__(self, coeffs):
         self.coeffs = [int(c) for c in coeffs]
 
-    def __len__(self):
-        return len(self.coeffs)
-
     def __eq__(self, other):
         return isinstance(other, IntegerPolynomial) and self.coeffs == other.coeffs
 
-    def __add__(self, other):
-        return IntegerPolynomial([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __sub__(self, other):
         return IntegerPolynomial([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return IntegerPolynomial([-a for a in self.coeffs])
 
     def __mul__(self, other):
         return IntegerPolynomial(karamul(self.coeffs, other.coeffs))

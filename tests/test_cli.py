@@ -12,6 +12,7 @@ import pytest
 
 from dwpt_auth import keyfiles
 from dwpt_auth.cli import main
+from dwpt_auth.registration import export_cspa_dataset
 from dwpt_auth.ring import TIERS
 from dwpt_auth.symcrypto import SymmetricKey
 
@@ -128,7 +129,14 @@ class TestRegister:
 
 class TestExportDataset:
     def test_dataset_written(self, workspace):
-        assert (workspace / "dataset.bin").exists()
+        """dataset.bin holds the operator's view of the authority it came from."""
+        back = keyfiles.load_dataset(workspace / "dataset.bin")
+        ds = export_cspa_dataset(keyfiles.load_authority(workspace / "authority.bin"))
+        assert back.cspa_identity == ds.cspa_identity
+        assert back.usk == ds.usk
+        assert back.gk_cspa_rsu == ds.gk_cspa_rsu
+        assert back.entries == ds.entries
+        assert back.consumed == ds.consumed
 
     def test_empty_registry_rejected(self, tmp_path, capsys):
         assert main([
@@ -310,26 +318,33 @@ class TestMissingFiles:
 
 
 class TestOutOfRange:
-    """A slot count, pad count or speed below 1 is one error line and exit
-    status 2, from a flag or from --config, and changes no file."""
+    """A slot count, pad count or speed below 1, a negative freshness window
+    or a malformed config file is one error line and exit status 2, from a
+    flag or from --config, and changes no file."""
 
-    @pytest.mark.parametrize("argv, config", [
-        (["register", "--vehicle-id", "EV-zero", "--count", "0"], None),
-        (["register", "--vehicle-id", "EV-zero"], "count = 0"),
-        (["run", "--n-pads", "0"], None),
-        (["run", "--n-pads", "-2"], None),
-        (["run"], "n_pads = 0"),
-        (["attack", "--scenario", "all", "--n-pads", "0"], None),
-        (["attack", "--scenario", "all"], "n_pads = 0"),
-        (["costs", "--n-pads", "10", "--speeds", "0"], None),
-        (["costs", "--n-pads", "10", "--speeds", "50,-5"], None),
-        (["costs", "--n-pads", "0", "--speeds", "50"], None),
+    @pytest.mark.parametrize("argv, config, expected", [
+        (["register", "--vehicle-id", "EV-zero", "--count", "0"], None, "must be at least 1"),
+        (["register", "--vehicle-id", "EV-zero"], "count = 0", "must be at least 1"),
+        (["run", "--n-pads", "0"], None, "must be at least 1"),
+        (["run", "--n-pads", "-2"], None, "must be at least 1"),
+        (["run"], "n_pads = 0", "must be at least 1"),
+        (["attack", "--scenario", "all", "--n-pads", "0"], None, "must be at least 1"),
+        (["attack", "--scenario", "all"], "n_pads = 0", "must be at least 1"),
+        (["costs", "--n-pads", "10", "--speeds", "0"], None, "must be at least 1"),
+        (["costs", "--n-pads", "10", "--speeds", "50,-5"], None, "must be at least 1"),
+        (["costs", "--n-pads", "0", "--speeds", "50"], None, "must be at least 1"),
+        (["costs", "--n-pads", "10", "--speeds", "50"], "timing_mode",
+         "bad.cfg: line 1: expected key = value"),
+        (["run"], "n_pads = x", "n_pads must be an integer, got 'x'"),
+        (["run", "--freshness-ms", "-1"], None, "freshness_ms must be at least 0, got -1"),
+        (["run"], "freshness_ms = -5", "freshness_ms must be at least 0, got -5"),
     ], ids=[
         "register-count", "register-count-config", "run-n-pads", "run-n-pads-negative",
         "run-n-pads-config", "attack-n-pads", "attack-n-pads-config", "costs-speed-zero",
-        "costs-speed-negative", "costs-n-pads",
+        "costs-speed-negative", "costs-n-pads", "costs-config-line-without-equals",
+        "run-n-pads-config-not-integer", "run-freshness-negative", "run-freshness-config-negative",
     ])
-    def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config):
+    def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config, expected):
         authority = workspace / "authority.bin"
         files = {
             "register": ["--authority", str(authority)],
@@ -345,7 +360,7 @@ class TestOutOfRange:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert "must be at least 1" in err
+        assert expected in err
         assert authority.read_bytes() == before
         assert not (tmp_path / "out").exists()
 

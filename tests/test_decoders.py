@@ -10,7 +10,7 @@ import pytest
 
 from dwpt_auth import keyfiles
 from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal, sign
+from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
@@ -32,7 +32,6 @@ def samples():
     bits = [rng.below(2) for _ in range(p.N)]
     return {
         "RingElement": (lambda d: RingElement.from_bytes(d, p), usk.s1.to_bytes()),
-        "RingElement(no params)": (RingElement.from_bytes, usk.s2.to_bytes()),
         "Ciphertext": (
             lambda d: Ciphertext.from_bytes(d, p),
             encrypt(ra.mpk, b"mutant", bits, rng).to_bytes(),
@@ -40,13 +39,6 @@ def samples():
         "HybridCiphertext": (
             lambda d: HybridCiphertext.from_bytes(d, p),
             ibe_seal(ra.mpk, b"mutant", b"payload", rng, b"aad").to_bytes(),
-        ),
-        "mpk": (keyfiles.mpk_from_bytes, keyfiles.mpk_to_bytes(ra.mpk)),
-        "msk": (keyfiles.msk_from_bytes, keyfiles.msk_to_bytes(ra.msk)),
-        "usk": (keyfiles.usk_from_bytes, keyfiles.usk_to_bytes(usk)),
-        "signature": (
-            keyfiles.signature_from_bytes,
-            keyfiles.signature_to_bytes(sign(ra.msk, b"receipt", rng)),
         ),
         "vehicle": (keyfiles.vehicle_from_bytes, keyfiles.vehicle_to_bytes(creds)),
         "dataset": (
@@ -73,13 +65,8 @@ def mutants(blob: bytes, rng: RandomSource):
 
 DECODERS = [
     "RingElement",
-    "RingElement(no params)",
     "Ciphertext",
     "HybridCiphertext",
-    "mpk",
-    "msk",
-    "usk",
-    "signature",
     "vehicle",
     "dataset",
     "authority",

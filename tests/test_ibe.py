@@ -27,14 +27,14 @@ from dwpt_auth.ibe import (
     sign,
     verify,
 )
-from dwpt_auth.keyfiles import usk_to_bytes
 from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import aead_seal
 
-#: SHA-256 of usk_to_bytes(extract(default_authority.msk, b"golden-identity"));
-#: pins the seed-to-key map at the default tier.
-GOLDEN_DEFAULT_EXTRACT = "defaa32682fc456344c9761d5b5642a3054096edfd3640a53925149012e55b0b"
+#: SHA-256 of usk.s1.to_bytes() + usk.s2.to_bytes() for
+#: usk = extract(default_authority.msk, b"golden-identity"); pins the
+#: seed-to-key map at the default tier.
+GOLDEN_DEFAULT_EXTRACT = "c7710387f06303427401621f551d3bd906f029a72cbb5d7c1f820c8bbf3d64ec"
 
 
 def random_bits(n, rng):
@@ -172,7 +172,8 @@ class TestKleinSamplerFrame:
 
     def test_default_tier_extract_matches_golden(self, default_authority):
         usk = extract(default_authority.msk, b"golden-identity")
-        assert hashlib.sha256(usk_to_bytes(usk)).hexdigest() == GOLDEN_DEFAULT_EXTRACT
+        digest = hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest()
+        assert digest == GOLDEN_DEFAULT_EXTRACT
 
 
 class TestEncryptDecrypt:

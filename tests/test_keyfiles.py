@@ -13,10 +13,9 @@ import pytest
 from dwpt_auth import keyfiles
 from dwpt_auth.codec import Writer
 from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import extract, sign
+from dwpt_auth.ibe import extract
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import IntegerPolynomial, TIERS
-from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import SymmetricKey
 
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
@@ -25,7 +24,6 @@ GOLDEN_TEST_TIER_FILES = {
     "authority.bin": "03632695cb59080051ef435ee2b5e22eed0e79c83715e74d3bffb0b5b8e2a6b3",
     "vehicle.bin": "10495f7363a7b993e1852f644815990d9275fff819495e9380fe29a3a82343cd",
     "dataset.bin": "a865fbd6d91cf85b28daa1872608abd9d09fe0cab93fa0e079836b9cb2bbea36",
-    "mpk.bin": "cf5da82451a0dcd60c9d6d922f0bc73bce47233699dbb32f1c5609d9b0f5db5e",
 }
 
 
@@ -51,34 +49,12 @@ def ra():
 
 
 class TestRecordRoundTrips:
-    def test_mpk(self, ra):
-        blob = keyfiles.mpk_to_bytes(ra.mpk)
-        back = keyfiles.mpk_from_bytes(blob)
-        assert back == ra.mpk
-
-    def test_msk(self, ra):
-        back = keyfiles.msk_from_bytes(keyfiles.msk_to_bytes(ra.msk))
-        assert back.f == ra.msk.f and back.g == ra.msk.g
-        assert back.F == ra.msk.F and back.G == ra.msk.G
-        assert back.extract_seed == ra.msk.extract_seed
-        assert back.params == ra.msk.params
-
     def test_msk_round_trip_preserves_extraction(self, ra):
         """A reloaded master key must extract the identical user keys."""
-        back = keyfiles.msk_from_bytes(keyfiles.msk_to_bytes(ra.msk))
+        back = keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(ra)).msk
         a = extract(ra.msk, b"proof-identity")
         b = extract(back, b"proof-identity")
         assert a.s1 == b.s1 and a.s2 == b.s2
-
-    def test_usk(self, ra):
-        usk = extract(ra.msk, b"container-check")
-        back = keyfiles.usk_from_bytes(keyfiles.usk_to_bytes(usk))
-        assert back == usk
-
-    def test_signature(self, ra):
-        sig = sign(ra.msk, b"metered 12.5 kWh", RandomSource("kf-sig"))
-        back = keyfiles.signature_from_bytes(keyfiles.signature_to_bytes(sig))
-        assert back == sig
 
     def test_vehicle(self, ra):
         creds = ra.vehicles[b"EV-kf-1"]
@@ -114,17 +90,20 @@ class TestRecordRoundTrips:
         assert keyfiles.authority_to_bytes(back) == blob
 
 
+def vehicle_blob(ra) -> bytes:
+    return keyfiles.vehicle_to_bytes(ra.vehicles[b"EV-kf-2"])
+
+
 class TestFraming:
     def test_bad_magic(self, ra):
-        blob = bytearray(keyfiles.mpk_to_bytes(ra.mpk))
+        blob = bytearray(vehicle_blob(ra))
         blob[0] ^= 0xFF
         with pytest.raises(DecodeError, match="magic"):
-            keyfiles.mpk_from_bytes(bytes(blob))
+            keyfiles.vehicle_from_bytes(bytes(blob))
 
     def test_wrong_record_type_named_in_error(self, ra):
-        blob = keyfiles.mpk_to_bytes(ra.mpk)
-        with pytest.raises(DecodeError, match="holds"):
-            keyfiles.msk_from_bytes(blob)
+        with pytest.raises(DecodeError, match="holds vehicle credentials, expected CSPA dataset"):
+            keyfiles.dataset_from_bytes(vehicle_blob(ra))
 
     def test_truncation_detected(self, ra):
         blob = keyfiles.authority_to_bytes(ra)
@@ -132,13 +111,13 @@ class TestFraming:
             keyfiles.authority_from_bytes(blob[: len(blob) // 2])
 
     def test_trailing_garbage_detected(self, ra):
-        blob = keyfiles.mpk_to_bytes(ra.mpk) + b"\x00"
+        blob = vehicle_blob(ra) + b"\x00"
         with pytest.raises(DecodeError):
-            keyfiles.mpk_from_bytes(blob)
+            keyfiles.vehicle_from_bytes(blob)
 
     def test_empty_input(self):
         with pytest.raises(DecodeError):
-            keyfiles.mpk_from_bytes(b"")
+            keyfiles.vehicle_from_bytes(b"")
 
 
 class TestStrictFields:
@@ -190,10 +169,11 @@ class TestStrictFields:
             keyfiles.authority_from_bytes(blob.replace(w.getvalue(), b""))
 
     def test_msk_polynomial_of_wrong_length(self):
-        msk = ra_setup(TIERS["toy"], "short-f").msk
-        short = dataclasses.replace(msk, f=IntegerPolynomial(msk.f.coeffs[:15]))
+        toy = ra_setup(TIERS["toy"], "short-f")
+        short = dataclasses.replace(toy.msk, f=IntegerPolynomial(toy.msk.f.coeffs[:15]))
+        blob = keyfiles.authority_to_bytes(dataclasses.replace(toy, msk=short))
         with pytest.raises(DecodeError, match="15 coefficients, expected 16"):
-            keyfiles.msk_from_bytes(keyfiles.msk_to_bytes(short))
+            keyfiles.authority_from_bytes(blob)
 
     @pytest.mark.parametrize(
         "start, name, width",
@@ -205,11 +185,11 @@ class TestStrictFields:
     )
     def test_non_finite_width_in_header(self, ra, start, name, width):
         """Stored widths must be the ones N and q derive."""
-        blob = bytearray(keyfiles.mpk_to_bytes(ra.mpk))
+        blob = bytearray(vehicle_blob(ra))
         # magic(4) + record type(1) + N(2) + q(8), then sigma_f and sigma_extract as f64
         blob[start : start + 8] = struct.pack("<d", width)
         with pytest.raises(DecodeError, match=re.escape(f"stored {name} {width!r}, expected")):
-            keyfiles.mpk_from_bytes(bytes(blob))
+            keyfiles.vehicle_from_bytes(bytes(blob))
 
 
 class TestFileHelpers:
@@ -293,9 +273,11 @@ class TestGoldenFiles:
         keyfiles.save_authority(tmp_path / "authority.bin", authority)
         keyfiles.save_vehicle(tmp_path / "vehicle.bin", creds)
         keyfiles.save_dataset(tmp_path / "dataset.bin", export_cspa_dataset(authority))
-        keyfiles.save(tmp_path / "mpk.bin", keyfiles.mpk_to_bytes(authority.mpk))
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in GOLDEN_TEST_TIER_FILES
         }
         assert digests == GOLDEN_TEST_TIER_FILES
+        # The master public key is pinned inside authority.bin, as its u32-prefixed blob.
+        h = authority.mpk.h.to_bytes()
+        assert struct.pack("<I", len(h)) + h in (tmp_path / "authority.bin").read_bytes()

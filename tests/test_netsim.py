@@ -207,6 +207,16 @@ class TestSimulateSession:
         events = [l for l in lines if l["type"] == "event"]
         assert len(events) == len(trace.events)
 
+    def test_summary_prices_with_the_model_it_ran(self, default_authority, fresh_vehicle):
+        """A custom model, which no timing-mode name rebuilds, prices the summary."""
+        custom = TimingModel("custom", Fraction(1), Fraction(2), Fraction(3), Fraction(4))
+        trace = simulate_session(default_authority, fresh_vehicle, n_pads=2, seed=4, timing=custom)
+        assert trace.completed
+        assert trace.comp_through_first_pad_ms == cost_first_pad(2, custom)
+        summary = json.loads(trace.to_jsonl().splitlines()[-1])
+        assert summary["first_pad_model_ms"] == float(cost_first_pad(2, custom))
+        assert summary["asymptotic_model_ms"] == float(cost_asymptotic(2, custom))
+
     def test_wire_log_does_not_leak_identities(self, trace, default_vehicle):
         """Nothing on the air may contain the vehicle id, its long-term
         secret, or a bare secret share."""

@@ -8,6 +8,7 @@ import struct
 import numpy as np
 import pytest
 
+from dwpt_auth import keyfiles
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.ring import (
     IntegerPolynomial,
@@ -267,7 +268,6 @@ class TestSerialization:
                 int(c).to_bytes(p.coeff_width, "little") for c in elem.coeffs
             )
             assert RingElement.from_bytes(blob, p) == elem
-            assert RingElement.from_bytes(blob) == elem  # self-describing header
 
     def test_header_mismatch_rejected(self):
         e = RingElement.one(TIERS["toy"])
@@ -286,12 +286,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RingElement.from_bytes(bytes(blob), p)
 
-    def test_wide_modulus_header_rejected(self):
+    def test_wide_modulus_header_rejected(self, toy_authority):
         # q = 2147483713 is prime and 1 mod 32 but needs more than int64
-        # butterflies allow; the self-describing decoder must refuse it.
-        blob = struct.pack("<HQ", 16, 2147483713) + bytes(16 * 4)
-        with pytest.raises(ValueError):
-            RingElement.from_bytes(blob)
+        # butterflies allow; a container header naming it must not decode.
+        blob = bytearray(keyfiles.authority_to_bytes(toy_authority))
+        blob[7:15] = struct.pack("<Q", 2147483713)  # after magic(4), record type(1), N(2)
+        with pytest.raises(DecodeError, match="bad ring parameters"):
+            keyfiles.authority_from_bytes(bytes(blob))
 
 
 class TestIntegerPolynomial:
