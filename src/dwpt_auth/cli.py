@@ -22,6 +22,8 @@ from dwpt_auth.ring import TIERS
 _TIMING_MODES = ("rounded-table", "cycle-accurate")
 _POSITIVE = range(1, 1 << 63)  # slot counts, pad counts and speeds
 _NON_NEGATIVE = range(1 << 63)  # the freshness window
+# Every key some command reads, so one config file can serve setup and run.
+_CONFIG_KEYS = {"tier", "seed", "count", "n_pads", "freshness_ms", "timing_mode"}
 
 
 class _BadSetting(Exception):
@@ -32,15 +34,23 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        return netsim.parse_config(Path(path).read_text())
+        config = netsim.parse_config(Path(path).read_text())
     except ValueError as exc:
         raise _BadSetting(f"{path}: {exc}") from None
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise _BadSetting(f"{path}: unknown key {key!r}")
+    return config
 
 
 def _check(key: str, value, allowed):
     if value not in allowed:
-        wanted = (f"at least {allowed.start}" if isinstance(allowed, range)
-                  else "one of " + ", ".join(allowed))
+        if isinstance(allowed, range):
+            wanted = f"at least {allowed.start}"
+            if allowed.stop < 1 << 63:
+                wanted += f" and below {allowed.stop}"
+        else:
+            wanted = "one of " + ", ".join(allowed)
         raise _BadSetting(f"{key} must be {wanted}, got {value!r}")
     return value
 
@@ -138,6 +148,8 @@ def cmd_run(args) -> int:
     if creds.vehicle_id not in ra.vehicles:
         print("error: vehicle is not registered with this authority", file=sys.stderr)
         return 1
+    if args.pseudonym_index is not None:
+        _check("pseudonym_index", args.pseudonym_index, range(len(creds.entries)))
     trace = netsim.simulate_session(
         ra,
         creds,

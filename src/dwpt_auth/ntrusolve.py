@@ -46,9 +46,9 @@ def lift(a: list[int]) -> list[int]:
     return out
 
 
-def _bitsize(a: int) -> int:
-    """Bit length rounded up to a byte boundary (window bookkeeping)."""
-    return (abs(a).bit_length() + 7) // 8 * 8
+def _bitsize(*polys: list[int]) -> int:
+    """Bit length of the largest coefficient, and at least one 53-bit window."""
+    return max(53, *(c.bit_length() for p in polys for c in (min(p), max(p))))
 
 
 def fft_neg(a: np.ndarray) -> np.ndarray:
@@ -70,14 +70,15 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
     Repeatedly subtracts k*(f, g) where k = round((F f* + G g*) / (f f* + g g*)),
     computed in the Fourier domain on 53-bit windows of the coefficients so
     arbitrarily large intermediate values stay within float precision.
+
+    The quotient is computed at the scale of the windows, 2^(big - size)
+    below its true size, where it is often below 1/2.  Before rounding it is
+    scaled up by 2^extra, as far as that gap allows and no further than 50
+    bits (so the int64 cast stays exact); k*(f, g) is then shifted by the
+    remaining big - size - extra bits.  Each pass thus removes about 50 bits
+    of (F, G) instead of rounding to zero and leaving it unreduced.
     """
-    size = max(
-        53,
-        _bitsize(min(f)),
-        _bitsize(max(f)),
-        _bitsize(min(g)),
-        _bitsize(max(g)),
-    )
+    size = _bitsize(f, g)
     f_adj = np.array([c >> (size - 53) for c in f], dtype=np.float64)
     g_adj = np.array([c >> (size - 53) for c in g], dtype=np.float64)
     f_hat = fft_neg(f_adj)
@@ -85,13 +86,7 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
     denom = f_hat * f_hat.conj() + g_hat * g_hat.conj()
 
     while True:
-        big = max(
-            53,
-            _bitsize(min(F)),
-            _bitsize(max(F)),
-            _bitsize(min(G)),
-            _bitsize(max(G)),
-        )
+        big = _bitsize(F, G)
         if big < size:
             break
         F_adj = np.array([c >> (big - 53) for c in F], dtype=np.float64)
@@ -99,13 +94,15 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
         F_hat = fft_neg(F_adj)
         G_hat = fft_neg(G_adj)
         numer = F_hat * f_hat.conj() + G_hat * g_hat.conj()
-        k = np.rint(ifft_neg(numer / denom)).astype(np.int64)
+        quot = ifft_neg(numer / denom)
+        extra = min(big - size, max(0, 50 - int(np.max(np.abs(quot))).bit_length()))
+        k = np.rint(quot * 2.0**extra).astype(np.int64)
         if not k.any():
             break
         k_list = [int(c) for c in k]
         fk = karamul(f, k_list)
         gk = karamul(g, k_list)
-        shift = big - size
+        shift = big - size - extra
         for i in range(len(F)):
             F[i] -= fk[i] << shift
             G[i] -= gk[i] << shift

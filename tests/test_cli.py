@@ -318,9 +318,10 @@ class TestMissingFiles:
 
 
 class TestOutOfRange:
-    """A slot count, pad count or speed below 1, a negative freshness window
-    or a malformed config file is one error line and exit status 2, from a
-    flag or from --config, and changes no file."""
+    """A slot count, pad count or speed below 1, a negative freshness window,
+    a pseudonym index naming no slot of the vehicle, or a malformed config
+    file or one holding a key no command reads is one error line and exit
+    status 2, from a flag or from --config, and changes no file."""
 
     @pytest.mark.parametrize("argv, config, expected", [
         (["register", "--vehicle-id", "EV-zero", "--count", "0"], None, "must be at least 1"),
@@ -338,11 +339,18 @@ class TestOutOfRange:
         (["run"], "n_pads = x", "n_pads must be an integer, got 'x'"),
         (["run", "--freshness-ms", "-1"], None, "freshness_ms must be at least 0, got -1"),
         (["run"], "freshness_ms = -5", "freshness_ms must be at least 0, got -5"),
+        (["run", "--pseudonym-index", "-1"], None,
+         "pseudonym_index must be at least 0 and below 6, got -1"),
+        (["run", "--pseudonym-index", "99"], None,
+         "pseudonym_index must be at least 0 and below 6, got 99"),
+        (["run"], "npads = 0", "bad.cfg: unknown key 'npads'"),
     ], ids=[
         "register-count", "register-count-config", "run-n-pads", "run-n-pads-negative",
         "run-n-pads-config", "attack-n-pads", "attack-n-pads-config", "costs-speed-zero",
         "costs-speed-negative", "costs-n-pads", "costs-config-line-without-equals",
         "run-n-pads-config-not-integer", "run-freshness-negative", "run-freshness-config-negative",
+        "run-pseudonym-index-negative", "run-pseudonym-index-past-last-slot",
+        "run-config-unknown-key",
     ])
     def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config, expected):
         authority = workspace / "authority.bin"

@@ -1,8 +1,12 @@
 """Tower-field solver for the f*G - g*F = q lattice completion."""
 
+import warnings
+
 import pytest
 
+from dwpt_auth import ntrusolve
 from dwpt_auth.errors import NotInvertible
+from dwpt_auth.ibe import master_key_gen
 from dwpt_auth.ntrusolve import (
     field_norm,
     galois_conjugate,
@@ -113,6 +117,27 @@ class TestReducePair:
         assert diff == [p.q] + [0] * (p.N - 1)
         assert max(abs(c) for c in F2 + G2) < before
 
+    def test_every_level_reduced_to_the_size_of_f_g(self, monkeypatch):
+        """At each level of the recursion the lifted (F, G) comes out of
+        reduce_pair within a byte of (f, g)'s bit size, so no level lifts an
+        oversized solution into the next."""
+        def bits(*polys):
+            return max(abs(c).bit_length() for poly in polys for c in poly)
+
+        sizes = {}
+        real = ntrusolve.reduce_pair
+
+        def recording(f, g, F, G):
+            real(f, g, F, G)
+            sizes[len(f)] = (bits(f, g), bits(F, G))
+
+        monkeypatch.setattr(ntrusolve, "reduce_pair", recording)
+        p = TIERS["test"]
+        solve_some_pair(p, RandomSource("reduce-levels"))
+        assert sorted(sizes) == [2, 4, 8, 16, 32, 64]
+        for n, (key_bits, solution_bits) in sizes.items():
+            assert solution_bits <= key_bits + 8, (n, key_bits, solution_bits)
+
     def test_exact_multiple_reduces_to_zero_value(self):
         p = TIERS["toy"]
         rng = RandomSource("reduce-zero")
@@ -156,6 +181,14 @@ class TestSolve:
                 continue
             break
         assert max(abs(c) for c in F + G) < 60 * p.q
+
+    def test_default_keygen_raises_no_warning(self):
+        """The scaled Babai quotient stays inside int64: no numpy overflow
+        warning on a cast, at the tier the CLI sets up by default."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i in range(4):
+                master_key_gen(TIERS["default"], RandomSource(f"keygen-clean-{i}"))
 
     def test_base_case_unsolvable_pair(self):
         # gcd(0, 0) = 0 cannot divide q
