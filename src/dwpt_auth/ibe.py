@@ -73,6 +73,9 @@ class MasterPublicKey:
     params: RingParams
     h: RingElement
 
+    def __post_init__(self):
+        self.h.keep_transform()  # every encryption and verification multiplies by h
+
 
 @dataclass
 class MasterSecretKey:
@@ -421,7 +424,7 @@ def encrypt(mpk: MasterPublicKey, identity: bytes, bits, rng: RandomSource) -> C
     if len(bits) != params.N or any(b not in (0, 1) for b in bits):
         raise ValueError(f"message must be exactly {params.N} bits")
     t = identity_point(params, identity)
-    r = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params)
+    r = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params).keep_transform()
     e1 = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params)
     e2 = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params)
     half = params.q // 2
@@ -437,8 +440,7 @@ def decrypt(usk: UserSecretKey, ct: Ciphertext) -> list[int]:
         raise ParameterMismatch("key and ciphertext parameters differ")
     q = usk.params.q
     w = ct.v - ct.u * usk.s2
-    centered = w.centered()
-    return [1 if abs(int(c)) > q // 4 else 0 for c in centered]
+    return (np.abs(w.centered()) > q // 4).astype(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The timing model prices each message with per-primitive costs (milliseconds
 per IBE encrypt/decrypt, AES block, SHA-256); channels convert modeled byte
-sizes into sending times.  All accounting runs on exact fractions so the
-simulated totals equal the closed-form cost expressions bit for bit, with
-floats only at the reporting boundary.
+sizes into sending times.  A session keeps its clock in exact integers over
+one common denominator and hands out Fractions, so the simulated totals
+equal the closed-form cost expressions bit for bit; floats only in reports.
 
 Also hosts the adversary harness: scripted man-in-the-middle scenarios that
 replay, delay, or forge traffic and count how many hostile actions any party
@@ -14,6 +14,7 @@ accepts (the expected number is zero).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -358,53 +359,56 @@ def simulate_session(
         },
         timing=tm,
     )
-    clock = Fraction(0)
-    first_pad_seen = False
+    # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
+    # integers; Fractions are built only where the trace hands them out.
+    comp = {k: tm.message_cost_ms(k, n_pads) for k in protocol.NOMINAL_SIZES}
+    send = {k: sending_time_us(k) for k in protocol.NOMINAL_SIZES}
+    D = math.lcm(*(c.denominator for c in comp.values()),
+                 *((s / 1000).denominator for s in send.values()))
+    comp_ticks = {k: int(c * D) for k, c in comp.items()}
+    send_ticks = {k: int(s * D / 1000) for k, s in send.items()}
+    clock = 0
 
     def emit(msg: ProtocolMessage, verdict: str = "ok") -> ProtocolMessage:
-        nonlocal clock, first_pad_seen
-        comp = tm.message_cost_ms(msg.kind, n_pads)
-        send = sending_time_us(msg.kind)
-        clock += comp + send / 1000
-        trace.events.append(
-            TraceEvent(
-                seq=len(trace.events),
-                time_ms=clock,
-                kind=msg.kind,
-                sender=msg.sender,
-                receiver=msg.receiver,
-                nominal_bytes=msg.nominal_size,
-                channel=KIND_CHANNEL[msg.kind],
-                computation_ms=comp,
-                sending_us=send,
-                verdict=verdict,
-            )
-        )
-        trace.wire_log.append((msg.kind, msg.body))
-        trace.total_computation_ms += comp
-        trace.total_sending_us += send
-        trace.total_bytes += msg.nominal_size
-        if not first_pad_seen:
-            trace.comp_through_first_pad_ms += comp
-            trace.sending_through_first_pad_us += send
-            trace.bytes_through_first_pad += msg.nominal_size
-            first_pad_seen = msg.kind == protocol.chain_kind(1)
+        nonlocal clock
+        kind = msg.kind
+        clock += comp_ticks[kind] + send_ticks[kind]
+        trace.events.append(TraceEvent(
+            seq=len(trace.events), time_ms=Fraction(clock, D), kind=kind,
+            sender=msg.sender, receiver=msg.receiver, nominal_bytes=msg.nominal_size,
+            channel=KIND_CHANNEL[kind], computation_ms=comp[kind], sending_us=send[kind],
+            verdict=verdict,
+        ))
+        trace.wire_log.append((kind, msg.body))
         return msg
 
     try:
-        verdicts = [v for _, v in _ride(world, n_pads, lambda: int(clock), emit)]
+        verdicts = [v for _, v in _ride(world, n_pads, lambda: clock // D, emit)]
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
         trace.events.append(TraceEvent(
-            seq=len(trace.events), time_ms=clock, kind="reject", sender="-", receiver="-",
-            nominal_bytes=0, channel="-", computation_ms=Fraction(0), sending_us=Fraction(0),
-            verdict=exc.reason,
+            seq=len(trace.events), time_ms=Fraction(clock, D), kind="reject", sender="-",
+            receiver="-", nominal_bytes=0, channel="-", computation_ms=Fraction(0),
+            sending_us=Fraction(0), verdict=exc.reason,
         ))
     else:
         trace.accepted_pads = sum(v.accepted for v in verdicts)
         trace.completed = trace.accepted_pads == n_pads
         if not verdicts[-1].accepted:
             trace.rejection = verdicts[-1].reason
+
+    def account(kinds):
+        return (Fraction(sum(comp_ticks[k] for k in kinds), D),
+                Fraction(1000 * sum(send_ticks[k] for k in kinds), D),
+                sum(protocol.NOMINAL_SIZES[k] for k in kinds))
+
+    sent = [kind for kind, _ in trace.wire_log]
+    first = protocol.chain_kind(1)
+    through_first = sent[: sent.index(first) + 1] if first in sent else sent
+    (trace.total_computation_ms, trace.total_sending_us,
+     trace.total_bytes) = account(sent)
+    (trace.comp_through_first_pad_ms, trace.sending_through_first_pad_us,
+     trace.bytes_through_first_pad) = account(through_first)
     if world.ev.entry is not None:
         trace.used_entry_index = world.ev.entry.index
     return trace

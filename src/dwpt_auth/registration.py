@@ -56,10 +56,10 @@ class VehicleCredentials:
         return VehicleCredentials(self.vehicle_id, self.d_ev, list(self.entries), set(self.spent))
 
     def pick_entry(self, index: int | None = None) -> CredentialEntry:
-        """Entry to use for the next session: explicit index or first unspent."""
+        """Entry for the next session: slot `index` (IndexError if none) or the first unspent."""
         if index is not None:
             if not 0 <= index < len(self.entries):
-                raise EmptyRegistry(f"no pseudonym slot {index}")
+                raise IndexError(f"no pseudonym slot {index} among {len(self.entries)}")
             return self.entries[index]
         for entry in self.entries:
             if entry.index not in self.spent:

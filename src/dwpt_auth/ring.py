@@ -220,7 +220,7 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
 class RingElement:
     """Degree-N polynomial over Z_q, coefficients canonical in [0, q)."""
 
-    __slots__ = ("params", "coeffs")
+    __slots__ = ("params", "coeffs", "_ntt")
 
     def __init__(self, params: RingParams, coeffs):
         arr = np.asarray(coeffs, dtype=np.int64)
@@ -230,6 +230,7 @@ class RingElement:
         arr.setflags(write=False)
         self.params = params
         self.coeffs = arr
+        self._ntt = None
 
     # -- constructors --------------------------------------------------
 
@@ -291,12 +292,21 @@ class RingElement:
     def scale(self, c: int) -> "RingElement":
         return RingElement(self.params, self.coeffs * (c % self.params.q) % self.params.q)
 
+    def keep_transform(self) -> "RingElement":
+        """Store the forward transform for every later product; only for
+        elements multiplied more than once, since it doubles their memory."""
+        self._ntt = self._transform()
+        return self
+
+    def _transform(self) -> np.ndarray:
+        if self._ntt is None:
+            return _ntt_forward(self.coeffs, self.params.N, self.params.q)
+        return self._ntt
+
     def __mul__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         N, q = self.params.N, self.params.q
-        a = _ntt_forward(self.coeffs, N, q)
-        b = _ntt_forward(other.coeffs, N, q)
-        prod = _ntt_inverse(a * b % q, N, q)
+        prod = _ntt_inverse(self._transform() * other._transform() % q, N, q)
         return RingElement(self.params, prod)
 
     def inverse(self) -> "RingElement":

@@ -7,11 +7,13 @@ accounting is done in rational arithmetic.
 """
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+from dwpt_auth import TIERS, ra_setup, register_vehicle
 from dwpt_auth.netsim import (
     CHANNELS,
     CYCLE_COUNTS,
@@ -261,6 +263,17 @@ class TestSimulateSession:
         assert not trace.completed
 
 
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_entry_index_outside_the_wallet_raises(self, index):
+        """A slot the vehicle does not have is a caller's error, not a
+        NoUnusedPseudonym verdict; nothing is spent."""
+        ra = ra_setup(TIERS["toy"], "slots")
+        creds = register_vehicle(ra, b"EV-slots", 2)
+        with pytest.raises(IndexError, match=f"no pseudonym slot {index}"):
+            simulate_session(ra, creds, n_pads=1, seed=0, entry_index=index)
+        assert creds.spent == set()
+
+
 class TestAdversaryHarness:
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_scenario_rejects_everything(self, name, default_authority, default_vehicle):
@@ -393,3 +406,108 @@ class TestConfigAndArtifacts:
         assert float(first[1]) == pytest.approx(0.79, abs=0.005)
         second = lines[2].split(",")
         assert float(second[2]) == pytest.approx(float(pad_length_m(50, 100)))
+
+
+def _digests(trace) -> tuple[str, str]:
+    jsonl = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+    wire = hashlib.sha256(b"".join(body for _, body in trace.wire_log)).hexdigest()
+    return jsonl[:16], wire[:16]
+
+
+# SHA-256 prefixes of to_jsonl() and of the concatenated wire_log bodies for
+# seeded sessions on the suite's default-tier authority and vehicle.  Gate 5
+# only compares reruns with each other; these pin the seed-to-transcript map.
+TRANSCRIPT_PINS = {
+    (1, "rounded-table"): ("858d4bcb3769b1cd", "dcb06f43cea8e275"),
+    (1, "cycle-accurate"): ("43b5d4537f1c863d", "5ce5620fa87eb8f1"),
+    (7, "rounded-table"): ("262d96dd767ca128", "4006d9ed78b98c65"),
+    (7, "cycle-accurate"): ("31311ffb31677780", "cb401b61ba6bd108"),
+    (200, "rounded-table"): ("2bded13ba7c342d6", "7e67338c8ebc76e3"),
+    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "2be913b7f35fe318"),
+}
+REUSE_PIN = ("5bd85dc95ca89c09", "f5a0773ea162987d")
+
+
+class TestTranscriptPins:
+    @pytest.mark.parametrize("n_pads, mode", sorted(TRANSCRIPT_PINS))
+    def test_seeded_session(self, n_pads, mode, default_authority, fresh_vehicle):
+        trace = simulate_session(
+            default_authority, fresh_vehicle, n_pads=n_pads, seed=f"pin-{n_pads}",
+            timing=TimingModel.for_mode(mode),
+        )
+        assert trace.completed
+        assert _digests(trace) == TRANSCRIPT_PINS[n_pads, mode]
+
+    def test_seeded_pseudonym_reuse(self, default_authority, fresh_vehicle):
+        burned = fresh_vehicle.entries[2].pseudonym
+        default_authority.consumed.add(burned)
+        try:
+            trace = simulate_session(
+                default_authority, fresh_vehicle, n_pads=3, seed="pin-reuse", entry_index=2
+            )
+        finally:
+            default_authority.consumed.discard(burned)
+        assert trace.rejection == "PseudonymReuse"
+        assert _digests(trace) == REUSE_PIN
+
+
+def _reference_check(trace):
+    """Recompute every accounted field with Fraction sums, event by event."""
+    tm, n = trace.timing, trace.config["n_pads"]
+    clock = comp = send = Fraction(0)
+    first = None
+    for e in trace.events:
+        for value in (e.time_ms, e.computation_ms, e.sending_us):
+            assert type(value) is Fraction
+        if e.kind == "reject":
+            assert e.computation_ms == e.sending_us == 0
+        else:
+            assert e.computation_ms == tm.message_cost_ms(e.kind, n)
+            assert e.sending_us == sending_time_us(e.kind)
+        clock += e.computation_ms + e.sending_us / 1000
+        comp += e.computation_ms
+        send += e.sending_us
+        assert e.time_ms == clock
+        if first is None and e.kind == "m7":
+            first = (comp, send)
+    first = first or (comp, send)
+    fields = (
+        trace.total_computation_ms, trace.total_sending_us,
+        trace.comp_through_first_pad_ms, trace.sending_through_first_pad_us,
+    )
+    for value in fields:
+        assert type(value) is Fraction
+    assert fields == (comp, send, *first)
+
+
+CUSTOM_TIMING = TimingModel(
+    "coprime", Fraction(1, 3), Fraction(2, 7), Fraction(5, 11), Fraction(1, 13)
+)
+
+
+class TestExactAccounting:
+    @pytest.mark.parametrize(
+        "timing", [CUSTOM_TIMING, TimingModel.rounded_table(), TimingModel.cycle_accurate()],
+        ids=lambda tm: tm.mode,
+    )
+    def test_matches_fraction_reference(self, timing, default_authority, fresh_vehicle):
+        trace = simulate_session(
+            default_authority, fresh_vehicle, n_pads=4, seed="exact", timing=timing
+        )
+        assert trace.completed
+        _reference_check(trace)
+        assert trace.comp_through_first_pad_ms == cost_first_pad(4, timing)
+
+    def test_rejected_session_matches_reference(self, default_authority, fresh_vehicle):
+        burned = fresh_vehicle.entries[3].pseudonym
+        default_authority.consumed.add(burned)
+        try:
+            trace = simulate_session(
+                default_authority, fresh_vehicle, n_pads=2, seed="exact-reject",
+                timing=CUSTOM_TIMING, entry_index=3,
+            )
+        finally:
+            default_authority.consumed.discard(burned)
+        assert trace.rejection == "PseudonymReuse"
+        assert [e.kind for e in trace.events] == ["m1", "reject"]
+        _reference_check(trace)

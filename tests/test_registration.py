@@ -116,8 +116,9 @@ class TestRegisterVehicle:
         creds.spent.update({1, 2})
         with pytest.raises(EmptyRegistry):
             creds.pick_entry()
-        with pytest.raises(EmptyRegistry):
-            creds.pick_entry(7)
+        for index in (7, 3, -1):
+            with pytest.raises(IndexError, match="no pseudonym slot"):
+                creds.pick_entry(index)
 
     def test_copy_spends_apart(self, test_authority):
         creds = register_vehicle(test_authority, b"EV-copy", 2)

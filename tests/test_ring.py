@@ -125,6 +125,47 @@ class TestArithmetic:
         assert a.scale(7) == a * RingElement.constant(p, 7)
 
 
+class TestKeptTransform:
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_products_ignore_which_operand_keeps_it(self, tier):
+        p = TIERS[tier]
+        rng = RandomSource(f"kept-{tier}")
+        for _ in range(5):
+            a, b = random_element(p, rng), random_element(p, rng)
+            plain = a * b
+            assert plain == RingElement(p, karamul(a.coeffs.tolist(), b.coeffs.tolist()))
+            a2, b2 = RingElement(p, a.coeffs), RingElement(p, b.coeffs)
+            assert a2.keep_transform() * b2 == plain  # left operand only
+            assert b2 * RingElement(p, a.coeffs).keep_transform() == plain  # right only
+            assert a2 * b2.keep_transform() == plain  # both
+
+    def test_leaves_the_element_unchanged(self):
+        p = TIERS["test"]
+        a = random_element(p, RandomSource("kept-views"))
+        coeffs, digest, raw = a.coeffs.copy(), hash(a), a.to_bytes()
+        assert a.keep_transform() is a
+        assert np.array_equal(a.coeffs, coeffs)
+        assert hash(a) == digest and a.to_bytes() == raw
+        assert a == RingElement(p, coeffs) and RingElement(p, coeffs) == a
+
+    def test_secret_keys_keep_no_transform(self):
+        """Only h and the encryption nonce keep one: a transform on every
+        vehicle key would grow each wallet by a key's worth of memory."""
+        from dwpt_auth.ibe import identity_point
+        from dwpt_auth.netsim import simulate_session
+        from dwpt_auth.registration import ra_setup, register_vehicle
+
+        ra = ra_setup(TIERS["default"], "kept-transform")
+        creds = register_vehicle(ra, b"EV-kept", 2)
+        usk = creds.entries[0].usk
+        assert usk.s1 + usk.s2 * ra.mpk.h == identity_point(ra.params, usk.identity)
+        assert simulate_session(ra, creds, n_pads=2, seed="kept").completed
+        keys = [e.usk for e in creds.entries] + [ra.cspa_usk]
+        assert ra.mpk.h._ntt is not None
+        for key in keys:
+            assert key.s1._ntt is None and key.s2._ntt is None
+
+
 class TestGaussianSampling:
     def test_statistics(self):
         p = TIERS["default"]
