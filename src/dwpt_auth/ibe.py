@@ -312,14 +312,35 @@ def _ff_sample(t0, t1, node, sigma: float, rng: RandomSource):
 
 
 def _ff_sample_diag(t: list[complex], tree, sigma: float, rng: RandomSource):
-    if isinstance(tree, float):
-        # Degree 2: t(i) = t_0 + i*t_1, both coordinates of width sigma/sqrt(leaf).
-        width = sigma / math.sqrt(tree)
-        x = t[0]
-        odd = sample_gaussian_int(x.imag, width, rng)
-        return [complex(sample_gaussian_int(x.real, width, rng), odd)]
+    if len(t) == 2:
+        return _ff_sample_degree4(t[0], t[1], tree, sigma, rng)
     z0, z1 = _ff_sample(*_split(t), tree, sigma, rng)
     return _merge(z0, z1)
+
+
+(_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)
+
+
+def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, rng: RandomSource):
+    """_split, _ff_sample and _merge at degree 4 on scalars, in their
+    floating-point operations and order, with both degree-2 leaves inline.
+
+    A degree-2 leaf draws t(i) = t_0 + i*t_1 coordinate by coordinate, the
+    odd one first, each of width sigma/sqrt(leaf).
+    """
+    (l10,), leaf0, leaf1 = node
+    w = b.conjugate()
+    t0 = (a + w) * 0.5
+    t1 = (a - w) * _HALF_CONJ_ZETA4
+    width = sigma / math.sqrt(leaf1)
+    odd = sample_gaussian_int(t1.imag, width, rng)
+    z1 = complex(sample_gaussian_int(t1.real, width, rng), odd)
+    t0 = t0 + (t1 - z1) * l10
+    width = sigma / math.sqrt(leaf0)
+    odd = sample_gaussian_int(t0.imag, width, rng)
+    z0 = complex(sample_gaussian_int(t0.real, width, rng), odd)
+    d = _ZETA4 * z1
+    return [z0 + d, (z0 - d).conjugate()]
 
 
 class KleinSampler:

@@ -12,10 +12,10 @@ bit-equal mod q.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,7 +147,7 @@ def _ntt_context(N: int, q: int):
 def _ntt_forward(values: np.ndarray, N: int, q: int) -> np.ndarray:
     """Cooley-Tukey NTT with the psi twist folded in; output bit-reversed."""
     fwd, _, _ = _ntt_context(N, q)
-    v = values.copy()
+    v = values.astype(np.int64)
     t, m = N, 1
     while m < N:
         t //= 2
@@ -218,7 +218,12 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
 # Ring elements
 
 class RingElement:
-    """Degree-N polynomial over Z_q, coefficients canonical in [0, q)."""
+    """Degree-N polynomial over Z_q, coefficients canonical in [0, q).
+
+    Coefficients are stored as int32 (q < 2^31), half the memory of int64;
+    arithmetic widens to int64 before it can leave that range, and
+    `__init__` is the one place that reduces mod q.
+    """
 
     __slots__ = ("params", "coeffs", "_ntt")
 
@@ -226,7 +231,7 @@ class RingElement:
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.shape != (params.N,):
             raise ValueError(f"expected {params.N} coefficients, got {arr.shape}")
-        arr = arr % params.q
+        arr = (arr % params.q).astype(np.int32)
         arr.setflags(write=False)
         self.params = params
         self.coeffs = arr
@@ -261,7 +266,7 @@ class RingElement:
     def centered(self) -> np.ndarray:
         """Representative in (-q/2, q/2], used for norms and decryption."""
         q = self.params.q
-        c = self.coeffs.copy()
+        c = self.coeffs.astype(np.int64)
         c[c > q // 2] -= q
         return c
 
@@ -283,14 +288,14 @@ class RingElement:
 
     def __add__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(self.params, (self.coeffs + other.coeffs) % self.params.q)
+        return RingElement(self.params, self.coeffs.astype(np.int64) + other.coeffs)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
-        return RingElement(self.params, (self.coeffs - other.coeffs) % self.params.q)
+        return RingElement(self.params, self.coeffs.astype(np.int64) - other.coeffs)
 
     def scale(self, c: int) -> "RingElement":
-        return RingElement(self.params, self.coeffs * (c % self.params.q) % self.params.q)
+        return RingElement(self.params, self.coeffs.astype(np.int64) * (c % self.params.q))
 
     def keep_transform(self) -> "RingElement":
         """Store the forward transform for every later product; only for
@@ -426,7 +431,7 @@ def sample_gaussian_poly(
     return IntegerPolynomial(support[idx])
 
 
-def _half_gaussian_cdf(sigma0: float) -> list[float]:
+def _half_gaussian_cdf(sigma0: float) -> np.ndarray:
     """Cumulative table of the half-Gaussian exp(-z^2/2 sigma0^2) on z >= 0,
     cut at 12*sigma0, past which the mass is below double precision."""
     support = range(math.ceil(12 * sigma0) + 1)
@@ -434,13 +439,46 @@ def _half_gaussian_cdf(sigma0: float) -> list[float]:
     total = math.fsum(weights)
     cdf = list(itertools.accumulate(w / total for w in weights))
     cdf[-1] = 1.0  # every uniform in [0, 1) lands inside the table
-    return cdf
+    return np.array(cdf)
 
 
 # Width of the base sampler; sample_gaussian_int serves any sigma up to it.
 _BASE_SIGMA = 2.0
 _BASE_CDF = _half_gaussian_cdf(_BASE_SIGMA)
 _BASE_INV_2S2 = 1.0 / (2.0 * _BASE_SIGMA * _BASE_SIGMA)
+
+# A trial of the base sampler reads two u64 words: the candidate, then the
+# uniform of the acceptance test.  Only that test depends on the center and
+# the width, so trials are decoded from the stream a chunk at a time.
+_TRIAL_BYTES = 16
+_TRIALS_PER_CHUNK = 256
+
+
+class _Trials:
+    """Decoded trials of one random source, from stream offset `start` on:
+    the candidate z, its table term z0^2/2 sigma0^2, and the uniform."""
+
+    __slots__ = ("start", "size", "z", "z0_term", "uniform")
+
+    def __init__(self, rng: RandomSource):
+        words = np.frombuffer(
+            rng.peek(_TRIAL_BYTES * _TRIALS_PER_CHUNK), dtype="<u8"
+        ).reshape(-1, 2)
+        candidate, uniform = words[:, 0], words[:, 1]
+        z0 = np.searchsorted(
+            _BASE_CDF, (candidate >> np.uint64(11)) * (1.0 / (1 << 53)), side="right"
+        )
+        self.start = rng.position
+        self.size = len(words) * _TRIAL_BYTES
+        self.z = np.where(candidate & np.uint64(1), 1 + z0, -z0).tolist()
+        self.z0_term = ((z0 * z0) * _BASE_INV_2S2).tolist()
+        self.uniform = ((uniform >> np.uint64(11)) * (1.0 / (1 << 53))).tolist()
+
+
+#: The source that drew last, by weak reference, and its decoded trials.
+#: No result depends on it: trials are reused only by that same source, at
+#: a stream offset they cover, and a source's stream at an offset is fixed.
+_last_draw: tuple = (lambda: None, None)
 
 
 def sample_gaussian_int(center: float, sigma: float, rng: RandomSource) -> int:
@@ -452,20 +490,32 @@ def sample_gaussian_int(center: float, sigma: float, rng: RandomSource) -> int:
     z = 1 + z0 or z = -z0, which covers every integer once; z is kept with
     probability exp(-(z-r)^2/2 sigma^2 + z0^2/2 sigma0^2) <= 1, r the
     fractional part of the center (Howe, Prest, Ricosset and Rossi,
-    "Isochronous Gaussian Sampling", PQCrypto 2020).
+    "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial consumes
+    16 bytes of rng: a u64 whose top 53 bits index the table and whose low
+    bit is the sign, then a u64 for the uniform; trials are decoded from
+    the stream ahead of rng's position a chunk at a time.
     """
+    global _last_draw
     if not 0.0 < sigma <= _BASE_SIGMA:
         raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
     base = math.floor(center)
     r = center - base
     inv_2s2 = 0.5 / (sigma * sigma)
+    source, trials = _last_draw
     while True:
-        u = rng.u64()
-        z0 = bisect.bisect_right(_BASE_CDF, (u >> 11) * (1.0 / (1 << 53)))
-        z = 1 + z0 if u & 1 else -z0
-        x = (z - r) * (z - r) * inv_2s2 - z0 * z0 * _BASE_INV_2S2
-        if rng.uniform() < math.exp(-x):
-            return base + z
+        offset = rng.position - trials.start if source() is rng else -1
+        if not 0 <= offset < trials.size or offset % _TRIAL_BYTES:
+            source, trials = _last_draw = (weakref.ref(rng), _Trials(rng))
+            offset = 0
+        k = offset // _TRIAL_BYTES
+        zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
+        for j in range(k, len(zs)):
+            z = zs[j]
+            x = (z - r) * (z - r) * inv_2s2 - z0_terms[j]
+            if uniforms[j] < math.exp(-x):
+                rng.skip(_TRIAL_BYTES * (j + 1 - k))
+                return base + z
+        rng.skip(_TRIAL_BYTES * (len(zs) - k))
 
 
 def hash_to_ring(data: bytes, params: RingParams) -> RingElement:

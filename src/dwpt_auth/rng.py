@@ -26,18 +26,33 @@ def _as_seed_bytes(seed) -> bytes:
     raise TypeError(f"unsupported seed type: {type(seed)!r}")
 
 
+#: Counter blocks hashed per refill at least; the stream is the same
+#: whatever the batch, only the hashing ahead changes.
+_REFILL_BLOCKS = 8
+
+
 class RandomSource:
-    """SHA-256 counter-mode byte stream with convenience samplers."""
+    """SHA-256 counter-mode byte stream with convenience samplers.
+
+    The stream is sha256(key || counter as u64 LE) for counter = 0, 1, ...;
+    hashed blocks are buffered and read from a position index.
+    """
 
     def __init__(self, seed):
         self._key = _as_seed_bytes(seed)
         self._counter = 0
         self._buf = b""
+        self._pos = 0
 
     @property
     def key(self) -> bytes:
         """Derived 32-byte seed key; storing it reproduces every substream."""
         return self._key
+
+    @property
+    def position(self) -> int:
+        """Bytes consumed so far: the stream offset of the next byte read."""
+        return 32 * self._counter - len(self._buf) + self._pos
 
     def child(self, tag: bytes | str) -> "RandomSource":
         """Independent substream; same (seed, tag) always yields the same child."""
@@ -45,14 +60,32 @@ class RandomSource:
             tag = tag.encode()
         return RandomSource(b"child\x00" + self._key + b"\x00" + tag)
 
+    def _fill(self, n: int) -> None:
+        """Hash ahead until at least n unread bytes are buffered."""
+        missing = n - len(self._buf) + self._pos
+        if missing > 0:
+            key, first = self._key, self._counter
+            n_blocks = max(_REFILL_BLOCKS, -(-missing // 32))
+            self._buf = self._buf[self._pos :] + b"".join(
+                hashlib.sha256(key + c.to_bytes(8, "little")).digest()
+                for c in range(first, first + n_blocks)
+            )
+            self._pos = 0
+            self._counter = first + n_blocks
+
+    def peek(self, n: int) -> bytes:
+        """The next n bytes of the stream, without consuming them."""
+        self._fill(n)
+        return self._buf[self._pos : self._pos + n]
+
+    def skip(self, n: int) -> None:
+        """Consume n bytes unread, as if by bytes(n)."""
+        self._fill(n)
+        self._pos += n
+
     def bytes(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.sha256(
-                self._key + self._counter.to_bytes(8, "little")
-            ).digest()
-            self._counter += 1
-            self._buf += block
-        out, self._buf = self._buf[:n], self._buf[n:]
+        out = self.peek(n)
+        self._pos += n
         return out
 
     def u64(self) -> int:

@@ -27,6 +27,7 @@ from dwpt_auth.ibe import (
     sign,
     verify,
 )
+from dwpt_auth.registration import ra_setup
 from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import aead_seal
@@ -35,6 +36,13 @@ from dwpt_auth.symcrypto import aead_seal
 #: usk = extract(default_authority.msk, b"golden-identity"); pins the
 #: seed-to-key map at the default tier.
 GOLDEN_DEFAULT_EXTRACT = "c7710387f06303427401621f551d3bd906f029a72cbb5d7c1f820c8bbf3d64ec"
+
+#: SHA-256 of salt + s1.to_bytes() + s2.to_bytes() for
+#: sign(ra_setup(TIERS["default"], "golden-default-authority").msk,
+#: b"pinned message", rng) with rng = RandomSource("golden-sign"), followed by
+#: the caller's next rng.bytes(40): pins the signature and how far the
+#: signer advanced the caller's stream.
+GOLDEN_DEFAULT_SIGN = "331910393e6c56408506adf8b483b713c88df9324e0a838175715d39f867d8dc"
 
 
 def random_bits(n, rng):
@@ -174,6 +182,13 @@ class TestKleinSamplerFrame:
         usk = extract(default_authority.msk, b"golden-identity")
         digest = hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest()
         assert digest == GOLDEN_DEFAULT_EXTRACT
+
+    def test_default_tier_sign_matches_golden(self):
+        msk = ra_setup(TIERS["default"], "golden-default-authority").msk
+        rng = RandomSource("golden-sign")
+        sig = sign(msk, b"pinned message", rng)
+        blob = sig.salt + sig.s1.to_bytes() + sig.s2.to_bytes() + rng.bytes(40)
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEFAULT_SIGN
 
 
 class TestEncryptDecrypt:

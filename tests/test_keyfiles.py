@@ -26,6 +26,11 @@ GOLDEN_TEST_TIER_FILES = {
     "dataset.bin": "a865fbd6d91cf85b28daa1872608abd9d09fe0cab93fa0e079836b9cb2bbea36",
 }
 
+#: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
+#: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
+#: seed-to-key map at the tier the benchmark measures.
+GOLDEN_DEFAULT_VEHICLE = "e4c3ee7bcce552e17d69162c7782dba35ab4f9877078da086a30cad529a88623"
+
 
 def rename_operator_key(blob: bytes, to: bytes) -> bytes:
     """The container with the identity inside its operator key renamed; the
@@ -281,3 +286,9 @@ class TestGoldenFiles:
         # The master public key is pinned inside authority.bin, as its u32-prefixed blob.
         h = authority.mpk.h.to_bytes()
         assert struct.pack("<I", len(h)) + h in (tmp_path / "authority.bin").read_bytes()
+
+    def test_seeded_default_tier_vehicle(self):
+        authority = ra_setup(TIERS["default"], "golden-default-authority")
+        creds = register_vehicle(authority, b"EV-pin", 3)
+        digest = hashlib.sha256(keyfiles.vehicle_to_bytes(creds)).hexdigest()
+        assert digest == GOLDEN_DEFAULT_VEHICLE

@@ -125,6 +125,56 @@ class TestArithmetic:
         assert a.scale(7) == a * RingElement.constant(p, 7)
 
 
+class TestWideModulus:
+    """Arithmetic near the top of the modulus range: coefficients are stored
+    in 32 bits, so a sum or a product that is not widened first overflows."""
+
+    P = RingParams(16, 2147483489)  # prime, 1 mod 32, just under 2^31
+
+    def elements(self):
+        p, rng = self.P, RandomSource("wide-modulus")
+        top = RingElement(p, [p.q - 1] * p.N)
+        half = RingElement(p, [p.q // 2, p.q // 2 + 1] * (p.N // 2))
+        return [top, half] + [random_element(p, rng) for _ in range(20)]
+
+    def test_coefficients_are_stored_in_32_bits(self):
+        for a in self.elements():
+            assert a.coeffs.dtype.itemsize == 4
+
+    def test_add_sub_against_python_integers(self):
+        q = self.P.q
+        elems = self.elements()
+        for a, b in zip(elems, elems[1:] + elems[:1]):
+            x, y = a.coeffs.tolist(), b.coeffs.tolist()
+            assert (a + b).coeffs.tolist() == [(u + v) % q for u, v in zip(x, y)]
+            assert (a - b).coeffs.tolist() == [(u - v) % q for u, v in zip(x, y)]
+
+    @pytest.mark.parametrize("c", [-1, -7, 2, (1 << 31) - 1, 2147483488, 2147483490,
+                                   -(1 << 70) - 3, (1 << 64) + 5])
+    def test_scale_against_python_integers(self, c):
+        q = self.P.q
+        for a in self.elements():
+            assert a.scale(c).coeffs.tolist() == [u * c % q for u in a.coeffs.tolist()]
+
+    def test_product_against_karamul(self):
+        p = self.P
+        elems = self.elements()
+        for a, b in zip(elems, elems[1:] + elems[:1]):
+            exact = karamul(a.coeffs.tolist(), b.coeffs.tolist())
+            assert (a * b).coeffs.tolist() == [c % p.q for c in exact]
+
+    def test_centered_lies_in_half_open_interval(self):
+        q = self.P.q
+        for a in self.elements():
+            c = a.centered()
+            assert np.all(-q / 2 < c) and np.all(c <= q / 2)
+            assert [int(x) % q for x in c] == a.coeffs.tolist()
+
+    def test_serialization_round_trip(self):
+        for a in self.elements():
+            assert RingElement.from_bytes(a.to_bytes(), self.P) == a
+
+
 class TestKeptTransform:
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_products_ignore_which_operand_keeps_it(self, tier):
