@@ -48,7 +48,6 @@ print("hash_to_ring deterministic:", h1 == h2)
 print("first coefficients:", [int(c) for c in h1.coeffs[:6]])
 
 # key material comes from a centered discrete Gaussian
-poly = sample_gaussian_poly(p, 4.0, rng)
-coeffs = list(poly.coeffs)
+coeffs = sample_gaussian_poly(p, 4.0, rng).tolist()
 print(f"\nGaussian poly: min={min(coeffs)} max={max(coeffs)} "
       f"mean={sum(coeffs) / len(coeffs):+.3f}")

@@ -199,8 +199,8 @@ def master_key_gen(
     q = params.q
     bound = GS_SLACK * math.sqrt(q)
     for _ in range(_MAX_KEYGEN_ATTEMPTS):
-        f = sample_gaussian_poly(params, params.sigma_f, rng)
-        g = sample_gaussian_poly(params, params.sigma_f, rng)
+        f = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
+        g = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
         if _gs_quality(f, g, q) > bound:
             continue
         try:
@@ -439,20 +439,18 @@ def extract(msk: MasterSecretKey, identity: bytes) -> UserSecretKey:
 # Encryption
 
 def encrypt(mpk: MasterPublicKey, identity: bytes, bits, rng: RandomSource) -> Ciphertext:
-    """Encrypt up to N bits to an identity."""
+    """Encrypt N bits (a sequence of 0s and 1s) to an identity."""
     params = mpk.params
-    bits = list(bits)
-    if len(bits) != params.N or any(b not in (0, 1) for b in bits):
+    bits = np.asarray(bits)
+    if bits.shape != (params.N,) or not np.all((bits == 0) | (bits == 1)):
         raise ValueError(f"message must be exactly {params.N} bits")
     t = identity_point(params, identity)
-    r = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params).keep_transform()
-    e1 = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params)
-    e2 = sample_gaussian_poly(params, ENC_SIGMA, rng).to_ring(params)
-    half = params.q // 2
-    m = RingElement(params, [b * half for b in bits])
-    u = r * mpk.h + e1
-    v = r * t + e2 + m
-    return Ciphertext(u=u, v=v)
+    r = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
+    e1 = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
+    e2 = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
+    m = RingElement(params, bits.astype(np.int64) * (params.q // 2))
+    rh, rt = r.products(mpk.h, t)
+    return Ciphertext(u=rh + e1, v=rt + e2 + m)
 
 
 def decrypt(usk: UserSecretKey, ct: Ciphertext) -> list[int]:
@@ -498,19 +496,19 @@ def _key_block_count(N: int) -> int:
     return -(-_CONTENT_KEY_BITS // N)
 
 
-def _key_to_blocks(key: bytes, N: int) -> list[list[int]]:
-    bits = [(key[i // 8] >> (i % 8)) & 1 for i in range(_CONTENT_KEY_BITS)]
-    n_blocks = _key_block_count(N)
-    padded = bits + [0] * (n_blocks * N - len(bits))
-    return [padded[i * N : (i + 1) * N] for i in range(n_blocks)]
+def _key_to_blocks(key: bytes, N: int) -> np.ndarray:
+    """Key bits, least significant bit of each byte first, zero-padded into
+    ceil(256/N) rows of N."""
+    bits = np.unpackbits(np.frombuffer(key, dtype=np.uint8), bitorder="little")
+    padded = np.zeros(_key_block_count(N) * N, dtype=np.uint8)
+    padded[: bits.size] = bits
+    return padded.reshape(-1, N)
 
 
-def _blocks_to_key(blocks: list[list[int]]) -> bytes:
-    bits = [b for block in blocks for b in block][:_CONTENT_KEY_BITS]
-    out = bytearray(_CONTENT_KEY_BITS // 8)
-    for i, bit in enumerate(bits):
-        out[i // 8] |= bit << (i % 8)
-    return bytes(out)
+def _blocks_to_key(blocks) -> bytes:
+    """Inverse of _key_to_blocks: the first 256 bits, packed."""
+    bits = np.concatenate(blocks)[:_CONTENT_KEY_BITS].astype(np.uint8)
+    return np.packbits(bits, bitorder="little").tobytes()
 
 
 def ibe_seal(

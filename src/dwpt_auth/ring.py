@@ -139,45 +139,73 @@ def _ntt_context(N: int, q: int):
             [pow(psi_inv, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64
         )
         n_inv = pow(N, q - 2, q)
-        ctx = (fwd, inv, n_inv)
+        ctx = (fwd, inv, n_inv, _lazy_stages(q))
         _NTT_CACHE[key] = ctx
     return ctx
 
 
+def _lazy_stages(q: int) -> int:
+    """Butterfly stages that may leave their sums unreduced: the largest k
+    with 2^k * q * q < 2^63.
+
+    A forward stage adds or subtracts a reduced product, so k unreduced
+    stages leave |v| < (k + 1) * q <= 2^k * q; an inverse stage adds two
+    non-negative values, so they leave 0 <= v < 2^k * q.  The next product
+    by a twiddle, or by 1/N at the end, then stays below 2^k * q * q.
+    """
+    k = 0
+    while (q * q) << (k + 1) < 1 << 63:
+        k += 1
+    return k
+
+
 def _ntt_forward(values: np.ndarray, N: int, q: int) -> np.ndarray:
-    """Cooley-Tukey NTT with the psi twist folded in; output bit-reversed."""
-    fwd, _, _ = _ntt_context(N, q)
-    v = values.astype(np.int64)
-    t, m = N, 1
+    """Cooley-Tukey NTT with the psi twist folded in, over the last axis of
+    a (..., N) stack; output bit-reversed and reduced to [0, q)."""
+    fwd, _, _, lazy = _ntt_context(N, q)
+    v = np.array(values, dtype=np.int64)
+    t, m, stage = N, 1, 0
     while m < N:
         t //= 2
-        blocks = v.reshape(m, 2 * t)
-        lo = blocks[:, :t]
-        hi = blocks[:, t:]
-        s = fwd[m : 2 * m, None]
-        prod = hi * s % q
-        v = np.concatenate(((lo + prod) % q, (lo - prod) % q), axis=1).reshape(-1)
+        blocks = v.reshape(-1, m, 2 * t)
+        lo = blocks[..., :t]
+        hi = blocks[..., t:]
+        prod = hi * fwd[m : 2 * m, None]
+        prod %= q
+        np.subtract(lo, prod, out=hi)
+        lo += prod
+        stage += 1
+        if stage > lazy:
+            v %= q
         m *= 2
+    if stage <= lazy:
+        v %= q
     return v
 
 
 def _ntt_inverse(values: np.ndarray, N: int, q: int) -> np.ndarray:
-    """Gentleman-Sande inverse of `_ntt_forward`."""
-    _, inv, n_inv = _ntt_context(N, q)
-    v = values.copy()
-    t, m = 1, N
+    """Gentleman-Sande inverse of `_ntt_forward`, over the last axis of a
+    (..., N) stack of values in [0, q)."""
+    _, inv, n_inv, lazy = _ntt_context(N, q)
+    v = np.array(values, dtype=np.int64)
+    t, m, stage = 1, N, 0
     while m > 1:
         h = m // 2
-        blocks = v.reshape(h, 2 * t)
-        lo = blocks[:, :t]
-        hi = blocks[:, t:]
-        s = inv[h : 2 * h, None]
-        v = np.concatenate(
-            (((lo + hi) % q), (lo - hi) * s % q), axis=1
-        ).reshape(-1)
+        blocks = v.reshape(-1, h, 2 * t)
+        lo = blocks[..., :t]
+        hi = blocks[..., t:]
+        diff = lo - hi
+        lo += hi
+        diff *= inv[h : 2 * h, None]
+        np.remainder(diff, q, out=hi)
+        stage += 1
+        if stage > lazy:
+            lo %= q
         t *= 2
         m = h
-    return v * n_inv % q
+    v *= n_inv
+    v %= q
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +328,26 @@ class RingElement:
     def keep_transform(self) -> "RingElement":
         """Store the forward transform for every later product; only for
         elements multiplied more than once, since it doubles their memory."""
-        self._ntt = self._transform()
+        if self._ntt is None:
+            self._ntt = _ntt_forward(self.coeffs, self.params.N, self.params.q)
         return self
 
-    def _transform(self) -> np.ndarray:
-        if self._ntt is None:
-            return _ntt_forward(self.coeffs, self.params.N, self.params.q)
-        return self._ntt
+    def products(self, *others: "RingElement") -> tuple["RingElement", ...]:
+        """self * other for each of others, from one stacked forward
+        transform of the operands that keep none and one stacked inverse."""
+        for other in others:
+            self._check(other)
+        N, q = self.params.N, self.params.q
+        operands = (self, *others)
+        fresh = [e.coeffs for e in operands if e._ntt is None]
+        if fresh:
+            computed = iter(_ntt_forward(np.stack(fresh), N, q))
+        points = [next(computed) if e._ntt is None else e._ntt for e in operands]
+        prods = _ntt_inverse(np.stack(points[1:]) * points[0] % q, N, q)
+        return tuple(RingElement(self.params, row) for row in prods)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        self._check(other)
-        N, q = self.params.N, self.params.q
-        prod = _ntt_inverse(self._transform() * other._transform() % q, N, q)
-        return RingElement(self.params, prod)
+        return self.products(other)[0]
 
     def inverse(self) -> "RingElement":
         """Inverse in R_q via NTT point inversion; NotInvertible if any
@@ -388,9 +423,10 @@ class IntegerPolynomial:
         return sum(c * c for c in self.coeffs)
 
     def to_ring(self, params: RingParams) -> RingElement:
+        """The element mod q; coefficients must fit in int64."""
         if len(self.coeffs) != params.N:
             raise ParameterMismatch("degree does not match ring parameters")
-        return RingElement(params, [c % params.q for c in self.coeffs])
+        return RingElement(params, self.coeffs)
 
     def __repr__(self):
         return f"IntegerPolynomial({self.coeffs[:4]}...)"
@@ -417,8 +453,9 @@ def _gauss_table(sigma: float):
 
 def sample_gaussian_poly(
     params: RingParams, sigma: float, rng: RandomSource
-) -> IntegerPolynomial:
-    """N iid samples from the centered discrete Gaussian of width sigma.
+) -> np.ndarray:
+    """N iid samples from the centered discrete Gaussian of width sigma, as
+    an int64 array of coefficients.
 
     Cumulative-table inversion with the tail cut at 12*sigma; deterministic
     for a fixed random source.
@@ -427,8 +464,7 @@ def sample_gaussian_poly(
         raise ValueError("sigma must be positive")
     support, cdf = _gauss_table(float(sigma))
     u = rng.uniforms(params.N)
-    idx = np.searchsorted(cdf, u, side="right")
-    return IntegerPolynomial(support[idx])
+    return support[np.searchsorted(cdf, u, side="right")]
 
 
 def _half_gaussian_cdf(sigma0: float) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -34,6 +35,16 @@ class SymmetricKey:
     def __post_init__(self):
         if len(self.key) != 32:
             raise ValueError("symmetric keys are 32 bytes")
+
+    @cached_property
+    def cipher(self) -> AESGCM:
+        """AES-GCM under this key, built on first use and kept; not part of
+        equality, hash or repr."""
+        return AESGCM(self.key)
+
+    def __reduce__(self):
+        # The cipher cannot be pickled; a copy builds its own on first use.
+        return SymmetricKey, (self.key, self.role)
 
     def require(self, role: str) -> "SymmetricKey":
         if self.role != role:
@@ -85,15 +96,15 @@ def decode_timestamp(field: bytes) -> int:
 # ---------------------------------------------------------------------------
 # AEAD (AES-256-GCM, nonce carried in-band)
 
-def _key_bytes(key) -> bytes:
-    return key.key if isinstance(key, SymmetricKey) else key
+def _cipher(key) -> AESGCM:
+    """A SymmetricKey's own cipher, or a new one for raw key bytes."""
+    return key.cipher if isinstance(key, SymmetricKey) else AESGCM(key)
 
 
 def aead_seal(key, plaintext: bytes, rng: RandomSource, associated_data: bytes = b"") -> bytes:
     """nonce(12) || ciphertext+tag under AES-256-GCM."""
     nonce = rng.bytes(_NONCE_LEN)
-    ct = AESGCM(_key_bytes(key)).encrypt(nonce, plaintext, associated_data)
-    return nonce + ct
+    return nonce + _cipher(key).encrypt(nonce, plaintext, associated_data)
 
 
 def aead_open(key, blob: bytes, associated_data: bytes = b"") -> bytes:
@@ -101,7 +112,7 @@ def aead_open(key, blob: bytes, associated_data: bytes = b"") -> bytes:
         raise AuthenticationFailure("ciphertext too short")
     nonce, ct = blob[:_NONCE_LEN], blob[_NONCE_LEN:]
     try:
-        return AESGCM(_key_bytes(key)).decrypt(nonce, ct, associated_data)
+        return _cipher(key).decrypt(nonce, ct, associated_data)
     except InvalidTag as exc:
         raise AuthenticationFailure("AEAD tag check failed") from exc
 

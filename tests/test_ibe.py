@@ -230,6 +230,10 @@ class TestEncryptDecrypt:
             encrypt(mpk, b"x", [0] * (mpk.params.N - 1), RandomSource(1))
         with pytest.raises(ValueError):
             encrypt(mpk, b"x", [2] * mpk.params.N, RandomSource(1))
+        with pytest.raises(ValueError):
+            encrypt(mpk, b"x", [0] * (mpk.params.N - 1) + [-1], RandomSource(1))
+        with pytest.raises(ValueError):
+            encrypt(mpk, b"x", [[0, 1]] * (mpk.params.N // 2), RandomSource(1))
 
     def test_params_mismatch_rejected(self, default_authority, toy_authority):
         rng = RandomSource("mix")
@@ -342,6 +346,23 @@ class TestHybrid:
     def test_key_block_packing_round_trip(self, n):
         key = RandomSource(f"pack-{n}").bytes(32)
         assert _blocks_to_key(_key_to_blocks(key, n)) == key
+
+    @pytest.mark.parametrize("n, n_blocks", [(16, 16), (64, 4), (512, 1)])
+    def test_key_block_bit_order(self, n, n_blocks):
+        """Bit i of the key is bit i % 8 of byte i // 8, zero-padded to
+        whole blocks: the order every sealed key block was written in."""
+
+        def reference_blocks(key):
+            bits = [(key[i // 8] >> (i % 8)) & 1 for i in range(256)]
+            padded = bits + [0] * (n_blocks * n - 256)
+            return [padded[i * n : (i + 1) * n] for i in range(n_blocks)]
+
+        rng = RandomSource(f"bit-order-{n}")
+        for _ in range(20):
+            key = rng.bytes(32)
+            blocks = reference_blocks(key)
+            assert _key_to_blocks(key, n).tolist() == blocks
+            assert _blocks_to_key(blocks) == key
 
 
 class TestSerialization:

@@ -14,7 +14,7 @@ from dwpt_auth.ntrusolve import (
     ntru_solve,
     reduce_pair,
 )
-from dwpt_auth.ring import TIERS, karamul, sample_gaussian_poly
+from dwpt_auth.ring import TIERS, IntegerPolynomial, karamul, sample_gaussian_poly
 from dwpt_auth.rng import RandomSource
 
 
@@ -53,8 +53,8 @@ class TestKaramul:
         # agrees with the NTT product in R_q.
         p = TIERS["test"]
         rng = RandomSource("km-ipoly")
-        f = sample_gaussian_poly(p, 5.0, rng)
-        g = sample_gaussian_poly(p, 5.0, rng)
+        f = IntegerPolynomial(sample_gaussian_poly(p, 5.0, rng))
+        g = IntegerPolynomial(sample_gaussian_poly(p, 5.0, rng))
         fg = f * g
         assert fg.coeffs == karamul(f.coeffs, g.coeffs)
         assert fg.coeffs == naive_negacyclic(f.coeffs, g.coeffs)
@@ -93,8 +93,8 @@ class TestTowerMaps:
 
 def solve_some_pair(params, rng):
     while True:
-        f = sample_gaussian_poly(params, params.sigma_f, rng)
-        g = sample_gaussian_poly(params, params.sigma_f, rng)
+        f = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
+        g = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
         try:
             F, G = ntru_solve(f.coeffs, g.coeffs, params.q)
         except NotInvertible:
@@ -141,8 +141,8 @@ class TestReducePair:
     def test_exact_multiple_reduces_to_zero_value(self):
         p = TIERS["toy"]
         rng = RandomSource("reduce-zero")
-        f = sample_gaussian_poly(p, p.sigma_f, rng).coeffs
-        g = sample_gaussian_poly(p, p.sigma_f, rng).coeffs
+        f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+        g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
         big = [rng.below(1 << 40) for _ in range(p.N)]
         F2, G2 = karamul(big, f), karamul(big, g)
         reduce_pair(f, g, F2, G2)
@@ -156,8 +156,8 @@ class TestSolve:
         rng = RandomSource(f"solve-{tier}")
         solved = 0
         while solved < 3:
-            f = sample_gaussian_poly(p, p.sigma_f, rng)
-            g = sample_gaussian_poly(p, p.sigma_f, rng)
+            f = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
+            g = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
             try:
                 F, G = ntru_solve(f.coeffs, g.coeffs, p.q)
             except NotInvertible:
@@ -173,8 +173,8 @@ class TestSolve:
         p = TIERS["test"]
         rng = RandomSource("solve-size")
         while True:
-            f = sample_gaussian_poly(p, p.sigma_f, rng)
-            g = sample_gaussian_poly(p, p.sigma_f, rng)
+            f = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
+            g = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
             try:
                 F, G = ntru_solve(f.coeffs, g.coeffs, p.q)
             except NotInvertible:

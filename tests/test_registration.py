@@ -1,5 +1,8 @@
 """Authority setup, vehicle registration, operator dataset export."""
 
+import copy
+import pickle
+
 import pytest
 
 from dwpt_auth import keyfiles
@@ -15,7 +18,33 @@ from dwpt_auth.registration import (
     storage_report,
 )
 from dwpt_auth.ring import TIERS
-from dwpt_auth.symcrypto import derive_pseudonym
+from dwpt_auth.rng import RandomSource
+from dwpt_auth.symcrypto import aead_open, aead_seal, derive_pseudonym
+
+
+class TestCopies:
+    """A group key keeps its AES-GCM cipher once used, and the cipher cannot
+    be pickled; a copied or unpickled authority builds its own and still
+    works with the original."""
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda ra: pickle.loads(pickle.dumps(ra))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_authority_round_trips(self, clone):
+        ra = ra_setup(TIERS["toy"], "copies")
+        register_vehicle(ra, b"EV-copy", 2)
+        for key in (ra.gk_cspa_rsu, ra.gk_rsu_cp):
+            aead_seal(key, b"first use builds the cipher", RandomSource(key.role))
+        twin = clone(ra)
+        assert keyfiles.authority_to_bytes(twin) == keyfiles.authority_to_bytes(ra)
+        for name in ("gk_cspa_rsu", "gk_rsu_cp"):
+            mine, theirs = getattr(ra, name), getattr(twin, name)
+            assert theirs == mine and hash(theirs) == hash(mine)
+            assert theirs.cipher is not mine.cipher
+            blob = aead_seal(theirs, b"sealed under the copy", RandomSource(name), b"ad")
+            assert aead_open(mine, blob, b"ad") == b"sealed under the copy"
+            assert aead_open(theirs, aead_seal(mine, b"back", RandomSource(0))) == b"back"
 
 
 class TestSetup:

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 
-from dwpt_auth import keyfiles
+from dwpt_auth import keyfiles, ring
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.ring import (
     IntegerPolynomial,
@@ -199,8 +199,9 @@ class TestKeptTransform:
         assert a == RingElement(p, coeffs) and RingElement(p, coeffs) == a
 
     def test_secret_keys_keep_no_transform(self):
-        """Only h and the encryption nonce keep one: a transform on every
-        vehicle key would grow each wallet by a key's worth of memory."""
+        """Only h keeps one (an encryption's nonce is transformed once,
+        stacked with the identity point): a transform on every vehicle key
+        would grow each wallet by a key's worth of memory."""
         from dwpt_auth.ibe import identity_point
         from dwpt_auth.netsim import simulate_session
         from dwpt_auth.registration import ra_setup, register_vehicle
@@ -216,13 +217,105 @@ class TestKeptTransform:
             assert key.s1._ntt is None and key.s2._ntt is None
 
 
+#: The widest modulus RingParams accepts (prime, = 1 mod 32, below 2^31),
+#: where the butterfly bounds leave the least room.
+WIDE = RingParams(16, 2147483489)
+
+
+class TestStackedTransforms:
+    @pytest.mark.parametrize("params", [*TIERS.values(), WIDE], ids=[*TIERS, "wide"])
+    def test_products_match_mul_and_karamul(self, params):
+        p = params
+        rng = RandomSource(f"stacked-{p.N}-{p.q}")
+        a = random_element(p, rng)
+        others = [random_element(p, rng) for _ in range(3)]
+        exact = [
+            RingElement(p, [c % p.q for c in karamul(a.coeffs.tolist(), b.coeffs.tolist())])
+            for b in others
+        ]
+        assert list(a.products(*others)) == exact
+        assert [a * b for b in others] == exact
+        # Kept transforms on either side, and an operand repeated.
+        kept = RingElement(p, a.coeffs).keep_transform()
+        others[1].keep_transform()
+        assert list(kept.products(*others)) == exact
+        assert list(a.products(*others)) == exact
+        assert a.products(a, a) == (a * a, a * a)
+
+    def test_every_extreme_input_at_the_widest_modulus(self):
+        """All 2^16 inputs with coefficients in {0, q - 1} survive a round
+        trip either way: an unreduced sum that overflowed int64 would not."""
+        N, q = WIDE.N, WIDE.q
+        extremes = (np.arange(1 << N)[:, None] >> np.arange(N) & 1) * (q - 1)
+        forward = ring._ntt_forward(extremes, N, q)
+        assert np.array_equal(ring._ntt_inverse(forward, N, q), extremes)
+        inverse = ring._ntt_inverse(extremes, N, q)
+        assert np.array_equal(ring._ntt_forward(inverse, N, q), extremes)
+
+    def test_mixed_params_rejected(self):
+        a = random_element(TIERS["toy"], RandomSource("mix-a"))
+        b = random_element(TIERS["toy"], RandomSource("mix-b"))
+        c = random_element(TIERS["test"], RandomSource("mix-c"))
+        with pytest.raises(ParameterMismatch):
+            a.products(b, c)
+        with pytest.raises(ParameterMismatch):
+            c * a
+
+    @pytest.mark.parametrize("params", [*TIERS.values(), WIDE], ids=[*TIERS, "wide"])
+    def test_stacked_transform_equals_rows(self, params):
+        N, q = params.N, params.q
+        rng = RandomSource(f"rows-{N}-{q}")
+        stack = np.array([[rng.below(q) for _ in range(N)] for _ in range(4)])
+        forward = ring._ntt_forward(stack, N, q)
+        assert forward.shape == stack.shape
+        for row, out in zip(stack, forward):
+            assert np.array_equal(ring._ntt_forward(row, N, q), out)
+            assert out.min() >= 0 and out.max() < q
+        back = ring._ntt_inverse(forward, N, q)
+        for row, out in zip(forward, back):
+            assert np.array_equal(ring._ntt_inverse(row, N, q), out)
+        assert np.array_equal(back, stack)
+        three_d = stack.reshape(2, 2, N)
+        assert np.array_equal(ring._ntt_forward(three_d, N, q), forward.reshape(2, 2, N))
+
+    def test_unreduced_stages_fit_int64(self):
+        """All nine stages at the default q skip the reduction of their
+        sums; at the widest modulus only the first one can."""
+        assert ring._lazy_stages(TIERS["default"].q) >= 9
+        assert ring._lazy_stages(WIDE.q) == 1
+        for q in (TIERS["default"].q, WIDE.q):
+            k = ring._lazy_stages(q)
+            assert (q * q) << k < 1 << 63 <= (q * q) << (k + 1)
+
+    def test_one_default_session_makes_eight_transform_calls(self, monkeypatch):
+        """Two encryptions and two decryptions, each one stacked forward and
+        one stacked inverse transform; h keeps its own."""
+        from dwpt_auth.netsim import simulate_session
+        from dwpt_auth.registration import ra_setup, register_vehicle
+
+        ra = ra_setup(TIERS["default"], "transform-calls")
+        creds = register_vehicle(ra, b"EV-count", 1)
+        calls = []
+        for name in ("_ntt_forward", "_ntt_inverse"):
+            real = getattr(ring, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(ring, name, counted)
+        assert simulate_session(ra, creds, n_pads=3, seed="count").completed
+        assert calls.count("_ntt_forward") == 4
+        assert calls.count("_ntt_inverse") == 4
+
+
 class TestGaussianSampling:
     def test_statistics(self):
         p = TIERS["default"]
         rng = RandomSource("gauss-stats")
         sigma = 3.0
         samples = np.concatenate(
-            [np.array(sample_gaussian_poly(p, sigma, rng).coeffs) for _ in range(200)]
+            [sample_gaussian_poly(p, sigma, rng) for _ in range(200)]
         )
         assert samples.size == 102400
         assert abs(samples.mean()) < 0.05
@@ -232,14 +325,14 @@ class TestGaussianSampling:
     def test_tiny_sigma_gives_zero_polynomial(self):
         p = TIERS["test"]
         rng = RandomSource("tiny")
-        poly = sample_gaussian_poly(p, 0.05, rng)
-        assert all(c == 0 for c in poly.coeffs)
+        assert not sample_gaussian_poly(p, 0.05, rng).any()
 
     def test_deterministic_for_fixed_seed(self):
         p = TIERS["test"]
-        a = sample_gaussian_poly(p, 2.5, RandomSource(99)).coeffs
-        b = sample_gaussian_poly(p, 2.5, RandomSource(99)).coeffs
-        assert a == b
+        a = sample_gaussian_poly(p, 2.5, RandomSource(99))
+        b = sample_gaussian_poly(p, 2.5, RandomSource(99))
+        assert a.dtype == np.int64 and a.shape == (p.N,)
+        assert np.array_equal(a, b)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
@@ -402,6 +495,6 @@ class TestIntegerPolynomial:
     def test_matches_ring_multiplication(self):
         p = TIERS["test"]
         rng = RandomSource("ipoly")
-        a = sample_gaussian_poly(p, 4.0, rng)
-        b = sample_gaussian_poly(p, 4.0, rng)
+        a = IntegerPolynomial(sample_gaussian_poly(p, 4.0, rng))
+        b = IntegerPolynomial(sample_gaussian_poly(p, 4.0, rng))
         assert (a * b).to_ring(p) == a.to_ring(p) * b.to_ring(p)

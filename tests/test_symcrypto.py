@@ -91,6 +91,20 @@ class TestSymmetricKey:
         with pytest.raises(ValueError):
             SymmetricKey(b"\x11" * 16, "session")
 
+    def test_cipher_left_out_of_equality_hash_and_repr(self):
+        a = SymmetricKey(b"\x11" * 32, "session")
+        b = SymmetricKey(b"\x11" * 32, "session")
+        assert a.cipher is a.cipher and a.cipher is not b.cipher  # one per key
+        assert a == b and hash(a) == hash(b)
+        assert a != SymmetricKey(b"\x11" * 32, "group-rsu-cp")
+        assert repr(a) == f"SymmetricKey(key={a.key!r}, role='session')"
+
+    def test_raw_key_bytes_still_accepted(self):
+        key = SymmetricKey(b"\x33" * 32, "session")
+        blob = aead_seal(key.key, b"payload", RandomSource("raw"))
+        assert aead_open(key, blob) == b"payload"
+        assert aead_open(key.key, blob) == b"payload"
+
 
 class TestAead:
     # NIST-style AES-256-GCM vectors: zero key, zero 12-byte nonce
