@@ -33,6 +33,7 @@ from dwpt_auth.errors import (
 )
 from dwpt_auth.ntrusolve import fft_neg, ifft_neg, ntru_solve
 from dwpt_auth.ring import (
+    GaussianTrials,
     IntegerPolynomial,
     RingElement,
     RingParams,
@@ -297,7 +298,7 @@ def _leaves(tree) -> list[float]:
     return _leaves(tree[1]) + _leaves(tree[2])
 
 
-def _ff_sample(t0, t1, node, sigma: float, rng: RandomSource):
+def _ff_sample(t0, t1, node, sigma: float, trials: GaussianTrials):
     """Integer (z0, z1), in the Fourier domain, near (t0, t1) for one node.
 
     Nearest plane in the order L D L* gives: z1 first, then z0 around the
@@ -305,23 +306,23 @@ def _ff_sample(t0, t1, node, sigma: float, rng: RandomSource):
     tree of its diagonal entry through the split.
     """
     l10, tree0, tree1 = node
-    z1 = _ff_sample_diag(t1, tree1, sigma, rng)
+    z1 = _ff_sample_diag(t1, tree1, sigma, trials)
     t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10)]
-    z0 = _ff_sample_diag(t0, tree0, sigma, rng)
+    z0 = _ff_sample_diag(t0, tree0, sigma, trials)
     return z0, z1
 
 
-def _ff_sample_diag(t: list[complex], tree, sigma: float, rng: RandomSource):
+def _ff_sample_diag(t: list[complex], tree, sigma: float, trials: GaussianTrials):
     if len(t) == 2:
-        return _ff_sample_degree4(t[0], t[1], tree, sigma, rng)
-    z0, z1 = _ff_sample(*_split(t), tree, sigma, rng)
+        return _ff_sample_degree4(t[0], t[1], tree, sigma, trials)
+    z0, z1 = _ff_sample(*_split(t), tree, sigma, trials)
     return _merge(z0, z1)
 
 
 (_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)
 
 
-def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, rng: RandomSource):
+def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, trials: GaussianTrials):
     """_split, _ff_sample and _merge at degree 4 on scalars, in their
     floating-point operations and order, with both degree-2 leaves inline.
 
@@ -333,12 +334,12 @@ def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, rng: RandomSo
     t0 = (a + w) * 0.5
     t1 = (a - w) * _HALF_CONJ_ZETA4
     width = sigma / math.sqrt(leaf1)
-    odd = sample_gaussian_int(t1.imag, width, rng)
-    z1 = complex(sample_gaussian_int(t1.real, width, rng), odd)
+    odd = sample_gaussian_int(t1.imag, width, trials)
+    z1 = complex(sample_gaussian_int(t1.real, width, trials), odd)
     t0 = t0 + (t1 - z1) * l10
     width = sigma / math.sqrt(leaf0)
-    odd = sample_gaussian_int(t0.imag, width, rng)
-    z0 = complex(sample_gaussian_int(t0.real, width, rng), odd)
+    odd = sample_gaussian_int(t0.imag, width, trials)
+    z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
     d = _ZETA4 * z1
     return [z0 + d, (z0 - d).conjugate()]
 
@@ -378,7 +379,8 @@ class KleinSampler:
     def sample_near(
         self, target: np.ndarray, sigma: float, rng: RandomSource
     ) -> np.ndarray:
-        """Integer lattice point distributed around `target` with width sigma."""
+        """Integer lattice point distributed around `target` with width sigma;
+        the leaves draw through one `GaussianTrials` cursor over rng."""
         f, g, F, G = self._fft
         N = len(f)
         h = N // 2
@@ -387,7 +389,8 @@ class KleinSampler:
         tb = fft_neg(target[N:].astype(np.float64))
         t0 = -(ta * F + tb * G) / self.q
         t1 = (ta * f + tb * g) / self.q
-        z0, z1 = _ff_sample(t0[:h].tolist(), t1[:h].tolist(), self.tree, sigma, rng)
+        with GaussianTrials(rng) as trials:
+            z0, z1 = _ff_sample(t0[:h].tolist(), t1[:h].tolist(), self.tree, sigma, trials)
         z0 = np.array(z0 + [z.conjugate() for z in reversed(z0)])
         z1 = np.array(z1 + [z.conjugate() for z in reversed(z1)])
         # v = z B has integer coefficients of magnitude about q; the inverse

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -490,34 +489,51 @@ _TRIAL_BYTES = 16
 _TRIALS_PER_CHUNK = 256
 
 
-class _Trials:
-    """Decoded trials of one random source, from stream offset `start` on:
-    the candidate z, its table term z0^2/2 sigma0^2, and the uniform."""
+class GaussianTrials:
+    """Cursor over the base sampler's trials in one random source.
 
-    __slots__ = ("start", "size", "z", "z0_term", "uniform")
+    Holds the decoded trials of a chunk of _TRIALS_PER_CHUNK starting at the
+    source's position (the candidate z, its table term z0^2/2 sigma0^2, the
+    uniform) and the index of the next unread one.  `close()`, or leaving a
+    `with` block, consumes the trials read from the source, 16 bytes each.
+    """
+
+    __slots__ = ("rng", "z", "z0_term", "uniform", "next")
 
     def __init__(self, rng: RandomSource):
+        self.rng = rng
+        self.z = self.z0_term = self.uniform = []
+        self.next = 0
+
+    def _refill(self) -> None:
+        """Skip the current chunk and decode the next one."""
+        self.rng.skip(_TRIAL_BYTES * len(self.z))
         words = np.frombuffer(
-            rng.peek(_TRIAL_BYTES * _TRIALS_PER_CHUNK), dtype="<u8"
+            self.rng.peek(_TRIAL_BYTES * _TRIALS_PER_CHUNK), dtype="<u8"
         ).reshape(-1, 2)
         candidate, uniform = words[:, 0], words[:, 1]
         z0 = np.searchsorted(
             _BASE_CDF, (candidate >> np.uint64(11)) * (1.0 / (1 << 53)), side="right"
         )
-        self.start = rng.position
-        self.size = len(words) * _TRIAL_BYTES
         self.z = np.where(candidate & np.uint64(1), 1 + z0, -z0).tolist()
         self.z0_term = ((z0 * z0) * _BASE_INV_2S2).tolist()
         self.uniform = ((uniform >> np.uint64(11)) * (1.0 / (1 << 53))).tolist()
+        self.next = 0
+
+    def close(self) -> None:
+        """Consume the trials read so far from the source."""
+        self.rng.skip(_TRIAL_BYTES * self.next)
+        self.z = self.z0_term = self.uniform = []
+        self.next = 0
+
+    def __enter__(self) -> "GaussianTrials":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
-#: The source that drew last, by weak reference, and its decoded trials.
-#: No result depends on it: trials are reused only by that same source, at
-#: a stream offset they cover, and a source's stream at an offset is fixed.
-_last_draw: tuple = (lambda: None, None)
-
-
-def sample_gaussian_int(center: float, sigma: float, rng: RandomSource) -> int:
+def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> int:
     """One discrete Gaussian sample around an arbitrary real center.
 
     Probabilities are proportional to exp(-(z-center)^2 / 2 sigma^2) over all
@@ -526,32 +542,26 @@ def sample_gaussian_int(center: float, sigma: float, rng: RandomSource) -> int:
     z = 1 + z0 or z = -z0, which covers every integer once; z is kept with
     probability exp(-(z-r)^2/2 sigma^2 + z0^2/2 sigma0^2) <= 1, r the
     fractional part of the center (Howe, Prest, Ricosset and Rossi,
-    "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial consumes
-    16 bytes of rng: a u64 whose top 53 bits index the table and whose low
-    bit is the sign, then a u64 for the uniform; trials are decoded from
-    the stream ahead of rng's position a chunk at a time.
+    "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial is 16
+    bytes of the cursor's source: a u64 whose top 53 bits index the table
+    and whose low bit is the sign, then a u64 for the uniform.  The trials
+    come from the cursor, decoded a chunk at a time, and the sample reads
+    them from the cursor's next unread one on.
     """
-    global _last_draw
     if not 0.0 < sigma <= _BASE_SIGMA:
         raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
     base = math.floor(center)
     r = center - base
     inv_2s2 = 0.5 / (sigma * sigma)
-    source, trials = _last_draw
     while True:
-        offset = rng.position - trials.start if source() is rng else -1
-        if not 0 <= offset < trials.size or offset % _TRIAL_BYTES:
-            source, trials = _last_draw = (weakref.ref(rng), _Trials(rng))
-            offset = 0
-        k = offset // _TRIAL_BYTES
         zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
-        for j in range(k, len(zs)):
+        for j in range(trials.next, len(zs)):
             z = zs[j]
             x = (z - r) * (z - r) * inv_2s2 - z0_terms[j]
             if uniforms[j] < math.exp(-x):
-                rng.skip(_TRIAL_BYTES * (j + 1 - k))
+                trials.next = j + 1
                 return base + z
-        rng.skip(_TRIAL_BYTES * (len(zs) - k))
+        trials._refill()
 
 
 def hash_to_ring(data: bytes, params: RingParams) -> RingElement:

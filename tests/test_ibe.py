@@ -35,14 +35,14 @@ from dwpt_auth.symcrypto import aead_seal
 #: SHA-256 of usk.s1.to_bytes() + usk.s2.to_bytes() for
 #: usk = extract(default_authority.msk, b"golden-identity"); pins the
 #: seed-to-key map at the default tier.
-GOLDEN_DEFAULT_EXTRACT = "c7710387f06303427401621f551d3bd906f029a72cbb5d7c1f820c8bbf3d64ec"
+GOLDEN_DEFAULT_EXTRACT = "9c41043eed0287b03a86e31d3a720c06a02efbcd98bc08cca350ad7cb4098724"
 
 #: SHA-256 of salt + s1.to_bytes() + s2.to_bytes() for
 #: sign(ra_setup(TIERS["default"], "golden-default-authority").msk,
 #: b"pinned message", rng) with rng = RandomSource("golden-sign"), followed by
 #: the caller's next rng.bytes(40): pins the signature and how far the
 #: signer advanced the caller's stream.
-GOLDEN_DEFAULT_SIGN = "331910393e6c56408506adf8b483b713c88df9324e0a838175715d39f867d8dc"
+GOLDEN_DEFAULT_SIGN = "6c83d02043b99268960a5e190d3715825a0d2a0cbd7276374d96422a4e1cbed1"
 
 
 def random_bits(n, rng):

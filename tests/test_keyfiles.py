@@ -21,15 +21,15 @@ from dwpt_auth.symcrypto import SymmetricKey
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "03632695cb59080051ef435ee2b5e22eed0e79c83715e74d3bffb0b5b8e2a6b3",
-    "vehicle.bin": "10495f7363a7b993e1852f644815990d9275fff819495e9380fe29a3a82343cd",
-    "dataset.bin": "a865fbd6d91cf85b28daa1872608abd9d09fe0cab93fa0e079836b9cb2bbea36",
+    "authority.bin": "22c6e0827110195c0dff08b4817e6fd288b8129def8cc23e689f33faee849e04",
+    "vehicle.bin": "161be992c5d488a63d89468570e3c3322545d1a3efc7ecea0db926b15daaea5b",
+    "dataset.bin": "eaf5c741ec7d931736d4091e7a2a84614876480baca921cfc55a7e18f6978515",
 }
 
 #: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
 #: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
 #: seed-to-key map at the tier the benchmark measures.
-GOLDEN_DEFAULT_VEHICLE = "e4c3ee7bcce552e17d69162c7782dba35ab4f9877078da086a30cad529a88623"
+GOLDEN_DEFAULT_VEHICLE = "ed4a21990fb5e9cc6ef1b1b5cb9b8846db21e71e82b94202b98fe2dacec16067"
 
 
 def rename_operator_key(blob: bytes, to: bytes) -> bytes:

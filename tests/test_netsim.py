@@ -418,14 +418,14 @@ def _digests(trace) -> tuple[str, str]:
 # seeded sessions on the suite's default-tier authority and vehicle.  Gate 5
 # only compares reruns with each other; these pin the seed-to-transcript map.
 TRANSCRIPT_PINS = {
-    (1, "rounded-table"): ("858d4bcb3769b1cd", "dcb06f43cea8e275"),
-    (1, "cycle-accurate"): ("43b5d4537f1c863d", "5ce5620fa87eb8f1"),
-    (7, "rounded-table"): ("262d96dd767ca128", "4006d9ed78b98c65"),
-    (7, "cycle-accurate"): ("31311ffb31677780", "cb401b61ba6bd108"),
-    (200, "rounded-table"): ("2bded13ba7c342d6", "7e67338c8ebc76e3"),
-    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "2be913b7f35fe318"),
+    (1, "rounded-table"): ("858d4bcb3769b1cd", "e23f9e1b50bc2d19"),
+    (1, "cycle-accurate"): ("43b5d4537f1c863d", "f26540e75a0f02a7"),
+    (7, "rounded-table"): ("262d96dd767ca128", "b10b17595ba5dd1f"),
+    (7, "cycle-accurate"): ("31311ffb31677780", "9bc9f4f5fd8d8549"),
+    (200, "rounded-table"): ("2bded13ba7c342d6", "71136cc5d4389e40"),
+    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "4e30dff3f160bb8b"),
 }
-REUSE_PIN = ("5bd85dc95ca89c09", "f5a0773ea162987d")
+REUSE_PIN = ("5bd85dc95ca89c09", "da3e5716c470aa3f")
 
 
 class TestTranscriptPins:

@@ -11,6 +11,7 @@ import pytest
 from dwpt_auth import keyfiles, ring
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.ring import (
+    GaussianTrials,
     IntegerPolynomial,
     RingElement,
     RingParams,
@@ -357,8 +358,8 @@ class TestSampleGaussianInt:
     @pytest.mark.parametrize("center", [0.0, 0.25, 0.5, -3.7, 1e6 + 0.3])
     def test_moments_match_exact_distribution(self, sigma, center):
         n = 4000
-        rng = RandomSource(f"base-{sigma}-{center}")
-        x = np.array([sample_gaussian_int(center, sigma, rng) for _ in range(n)], dtype=np.float64)
+        trials = GaussianTrials(RandomSource(f"base-{sigma}-{center}"))
+        x = np.array([sample_gaussian_int(center, sigma, trials) for _ in range(n)], dtype=np.float64)
         mean, var, m4 = exact_discrete_gaussian_moments(center, sigma)
         # Four standard errors of the sample mean and the sample variance.
         assert abs(x.mean() - mean) < 4 * math.sqrt(var / n)
@@ -366,8 +367,8 @@ class TestSampleGaussianInt:
 
     def test_same_seed_same_stream(self):
         draws = [
-            [sample_gaussian_int(0.1 * i, 1.7, rng) for i in range(500)]
-            for rng in (RandomSource("stream"), RandomSource("stream"))
+            [sample_gaussian_int(0.1 * i, 1.7, trials) for i in range(500)]
+            for trials in (GaussianTrials(RandomSource("stream")) for _ in range(2))
         ]
         assert draws[0] == draws[1]
         assert all(isinstance(z, int) for z in draws[0])
@@ -375,7 +376,7 @@ class TestSampleGaussianInt:
     @pytest.mark.parametrize("sigma", [2.0001, 3.0, 0.0, -1.0])
     def test_width_outside_base_table_rejected(self, sigma):
         with pytest.raises(ValueError):
-            sample_gaussian_int(0.5, sigma, RandomSource(0))
+            sample_gaussian_int(0.5, sigma, GaussianTrials(RandomSource(0)))
 
 
 def reference_hash_to_ring(data, N, q):
