@@ -449,11 +449,12 @@ def encrypt(mpk: MasterPublicKey, identity: bytes, bits, rng: RandomSource) -> C
         raise ValueError(f"message must be exactly {params.N} bits")
     t = identity_point(params, identity)
     r = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
-    e1 = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
-    e2 = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
-    m = RingElement(params, bits.astype(np.int64) * (params.q // 2))
-    rh, rt = r.products(mpk.h, t)
-    return Ciphertext(u=rh + e1, v=rt + e2 + m)
+    e1 = sample_gaussian_poly(params, ENC_SIGMA, rng)
+    e2 = sample_gaussian_poly(params, ENC_SIGMA, rng)
+    rh, rt = r.product_rows(mpk.h, t)
+    rt += e2
+    rt += bits.astype(np.int64) * (params.q // 2)
+    return Ciphertext(u=RingElement(params, rh + e1), v=RingElement(params, rt))
 
 
 def decrypt(usk: UserSecretKey, ct: Ciphertext) -> list[int]:

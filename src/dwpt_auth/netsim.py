@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
@@ -113,6 +114,26 @@ class TimingModel:
             return self.t_sha
         raise ValueError(f"unknown message kind {kind!r}")
 
+    @cached_property
+    def _clock(self) -> tuple:
+        """A session's integer clock, built on first use and kept: D, then
+        per kind the cost in ms, the sending time in us, and both again in
+        ticks of 1/D ms.  m7 is priced as one hash; a session of n pads
+        scales it by n + 1, which leaves its denominator t_sha's, so D is
+        the same for every pad count.  Sessions share the tables and never
+        write to them."""
+        comp = {k: self.message_cost_ms(k, 0) for k in protocol.NOMINAL_SIZES}
+        send = {k: sending_time_us(k) for k in protocol.NOMINAL_SIZES}
+        D = math.lcm(*(c.denominator for c in comp.values()),
+                     *((s / 1000).denominator for s in send.values()))
+        comp_ticks = {k: int(c * D) for k, c in comp.items()}
+        send_ticks = {k: int(s * D / 1000) for k, s in send.items()}
+        return D, comp, send, comp_ticks, send_ticks
+
+
+#: The default model, built once; every function that takes `timing=None` uses it.
+_ROUNDED_TABLE = TimingModel.rounded_table()
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -154,7 +175,7 @@ def sending_time_us(kind: str) -> Fraction:
 
 def cost_first_pad(n_pads: int, timing: TimingModel | None = None) -> Fraction:
     """Computation (ms) from first contact through the first pad's accept."""
-    tm = timing or TimingModel.rounded_table()
+    tm = timing or _ROUNDED_TABLE
     return sum(tm.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS)
 
 
@@ -164,7 +185,7 @@ def cost_asymptotic(n_pads: int, timing: TimingModel | None = None) -> Fraction:
     Each pad's value is recomputed from the chain base, so pad checks cost
     (n^2 + n)/2 hashes in total instead of n single-step checks.
     """
-    tm = timing or TimingModel.rounded_table()
+    tm = timing or _ROUNDED_TABLE
     fixed = sum(tm.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS[:6])
     return fixed + n_pads * tm.t_sha + Fraction(n_pads * n_pads + n_pads, 2) * tm.t_sha
 
@@ -191,7 +212,7 @@ def pad_length_m(
 # ---------------------------------------------------------------------------
 # Session simulation
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     seq: int
     time_ms: Fraction
@@ -205,9 +226,19 @@ class TraceEvent:
     verdict: str
 
     def to_json(self) -> dict:
-        out = {k: float(v) if isinstance(v, Fraction) else v for k, v in vars(self).items()}
-        out["bytes"] = out.pop("nominal_bytes")
-        return {"type": "event", **out}
+        return {
+            "type": "event",
+            "seq": self.seq,
+            "time_ms": float(self.time_ms),
+            "kind": self.kind,
+            "sender": self.sender,
+            "receiver": self.receiver,
+            "bytes": self.nominal_bytes,
+            "channel": self.channel,
+            "computation_ms": float(self.computation_ms),
+            "sending_us": float(self.sending_us),
+            "verdict": self.verdict,
+        }
 
 
 @dataclass
@@ -340,8 +371,14 @@ def simulate_session(
     running computation total at the first pad's accept equals
     cost_first_pad(n_pads) exactly, and each later pad adds one hash check.
     A protocol rejection ends the run with the reason recorded.
+
+    The pass marks its slot spent in `credentials` but leaves the
+    authority's `consumed` set as it is.  An explicit `entry_index` names
+    its slot even when it is spent (see `VehicleCredentials.pick_entry`),
+    so the same pseudonym can run again in memory; only `consumed`, which
+    the CLI persists, turns that replay into PseudonymReuse.
     """
-    tm = timing or TimingModel.rounded_table()
+    tm = timing or _ROUNDED_TABLE
     world = build_world(
         export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
         credentials, n_pads, seed, entry_index, freshness_ms,
@@ -361,35 +398,31 @@ def simulate_session(
     )
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
     # integers; Fractions are built only where the trace hands them out.
-    comp = {k: tm.message_cost_ms(k, n_pads) for k in protocol.NOMINAL_SIZES}
-    send = {k: sending_time_us(k) for k in protocol.NOMINAL_SIZES}
-    D = math.lcm(*(c.denominator for c in comp.values()),
-                 *((s / 1000).denominator for s in send.values()))
-    comp_ticks = {k: int(c * D) for k, c in comp.items()}
-    send_ticks = {k: int(s * D / 1000) for k, s in send.items()}
+    D, comp, send, comp_ticks, send_ticks = tm._clock
+    comp = {**comp, "m7": (n_pads + 1) * comp["m7"]}
+    comp_ticks = {**comp_ticks, "m7": (n_pads + 1) * comp_ticks["m7"]}
+    sizes, channels = protocol.NOMINAL_SIZES, KIND_CHANNEL
+    events, wire_log = trace.events, trace.wire_log
     clock = 0
 
     def emit(msg: ProtocolMessage, verdict: str = "ok") -> ProtocolMessage:
         nonlocal clock
         kind = msg.kind
         clock += comp_ticks[kind] + send_ticks[kind]
-        trace.events.append(TraceEvent(
-            seq=len(trace.events), time_ms=Fraction(clock, D), kind=kind,
-            sender=msg.sender, receiver=msg.receiver, nominal_bytes=msg.nominal_size,
-            channel=KIND_CHANNEL[kind], computation_ms=comp[kind], sending_us=send[kind],
-            verdict=verdict,
+        events.append(TraceEvent(
+            len(events), Fraction(clock, D), kind, msg.sender, msg.receiver,
+            sizes[kind], channels[kind], comp[kind], send[kind], verdict,
         ))
-        trace.wire_log.append((kind, msg.body))
+        wire_log.append((kind, msg.body))
         return msg
 
     try:
         verdicts = [v for _, v in _ride(world, n_pads, lambda: clock // D, emit)]
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
-        trace.events.append(TraceEvent(
-            seq=len(trace.events), time_ms=Fraction(clock, D), kind="reject", sender="-",
-            receiver="-", nominal_bytes=0, channel="-", computation_ms=Fraction(0),
-            sending_us=Fraction(0), verdict=exc.reason,
+        events.append(TraceEvent(
+            len(events), Fraction(clock, D), "reject", "-", "-", 0, "-",
+            Fraction(0), Fraction(0), exc.reason,
         ))
     else:
         trace.accepted_pads = sum(v.accepted for v in verdicts)
@@ -400,7 +433,7 @@ def simulate_session(
     def account(kinds):
         return (Fraction(sum(comp_ticks[k] for k in kinds), D),
                 Fraction(1000 * sum(send_ticks[k] for k in kinds), D),
-                sum(protocol.NOMINAL_SIZES[k] for k in kinds))
+                sum(sizes[k] for k in kinds))
 
     sent = [kind for kind, _ in trace.wire_log]
     first = protocol.chain_kind(1)

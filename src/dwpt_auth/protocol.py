@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dwpt_auth.codec import Reader
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
 from dwpt_auth.registration import (
@@ -93,7 +92,7 @@ _ONE = (1).to_bytes(32, "big")
 _UNREADABLE = (DecodeError, AuthenticationFailure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProtocolMessage:
     kind: str
     sender: str
@@ -118,12 +117,14 @@ def _check_fresh(now_ms: int, ts_field: bytes, window_ms: int, context: str):
 
 def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
     """The payload's fields, each exactly its width and nothing after, or MALFORMED."""
-    r = Reader(body)
-    try:
-        fields = [r.fixed(w) for w in widths]
-        r.done()
-    except DecodeError as exc:
-        raise ProtocolRejection(MALFORMED, f"{context}: {exc}") from exc
+    if len(body) != sum(widths):
+        raise ProtocolRejection(
+            MALFORMED, f"{context}: {len(body)} bytes, expected {sum(widths)}"
+        )
+    fields, off = [], 0
+    for w in widths:
+        fields.append(body[off : off + w])
+        off += w
     return fields
 
 
@@ -221,9 +222,10 @@ class EvSession:
         if self.state != "charging" or self.chain is None:
             raise ProtocolRejection(BAD_STATE, f"chain send in state {self.state}")
         j = self.next_pad
-        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", self.chain.value_for_pad(j))
-        self.next_pad += 1
-        if self.next_pad > self.chain.n_pads:
+        links = self.chain.links  # n pad links, then the head
+        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", links[-1 - j])  # link[n - j]
+        self.next_pad = j + 1
+        if j == len(links) - 1:
             self.state = "done"
         return msg
 
@@ -365,7 +367,7 @@ class RsuState:
 # ---------------------------------------------------------------------------
 # Charging pads
 
-@dataclass
+@dataclass(slots=True)
 class ChainVerdict:
     accepted: bool
     reason: str
@@ -377,13 +379,11 @@ class CpState:
 
     def __init__(self, index: int, gk_rsu_cp: SymmetricKey):
         self.index = index
+        self.name = f"CP{index}"
+        self.successor = f"CP{index + 1}"  # receiver of this pad's m8
         self.gk = gk_rsu_cp.require(ROLE_RSU_CP)
         self.expected_head: bytes | None = None
         self.consumed = False
-
-    @property
-    def name(self) -> str:
-        return f"CP{self.index}"
 
     def handle_provision(self, msg: ProtocolMessage) -> None:
         """m6 (from the RSU) or m8 (from the previous pad)."""
@@ -406,7 +406,5 @@ class CpState:
             return ChainVerdict(False, CHAIN_MISMATCH)
         self.consumed = True
         forward_body = aead_seal(self.gk, candidate, rng, b"dwpt/provision")
-        forward = ProtocolMessage(
-            "m8", self.name, f"CP{self.index + 1}", forward_body
-        )
+        forward = ProtocolMessage("m8", self.name, self.successor, forward_body)
         return ChainVerdict(True, "ok", forward)

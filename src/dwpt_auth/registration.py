@@ -56,7 +56,13 @@ class VehicleCredentials:
         return VehicleCredentials(self.vehicle_id, self.d_ev, list(self.entries), set(self.spent))
 
     def pick_entry(self, index: int | None = None) -> CredentialEntry:
-        """Entry for the next session: slot `index` (IndexError if none) or the first unspent."""
+        """Entry for the next session: slot `index` (IndexError if none) or the first unspent.
+
+        An explicit `index` names its slot even when it is spent, so an
+        in-memory caller can replay a pseudonym; only the authority's
+        `consumed` set, which the CLI persists, turns that replay into
+        PseudonymReuse.
+        """
         if index is not None:
             if not 0 <= index < len(self.entries):
                 raise IndexError(f"no pseudonym slot {index} among {len(self.entries)}")
@@ -82,6 +88,9 @@ class CspaDataset:
     gk_cspa_rsu: SymmetricKey
     entries: dict[bytes, DatasetEntry]
     consumed: set[bytes] = field(default_factory=set)  # pseudonyms already used
+
+    def __post_init__(self):
+        self.usk.s2.keep_transform()  # every m1 the operator opens multiplies by s2
 
     @property
     def cspa_identity(self) -> bytes:

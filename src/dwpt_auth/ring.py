@@ -331,9 +331,10 @@ class RingElement:
             self._ntt = _ntt_forward(self.coeffs, self.params.N, self.params.q)
         return self
 
-    def products(self, *others: "RingElement") -> tuple["RingElement", ...]:
-        """self * other for each of others, from one stacked forward
-        transform of the operands that keep none and one stacked inverse."""
+    def product_rows(self, *others: "RingElement") -> np.ndarray:
+        """Coefficients in [0, q) of self * other for each of others, one
+        int64 row each, from one stacked forward transform of the operands
+        that keep none and one stacked inverse."""
         for other in others:
             self._check(other)
         N, q = self.params.N, self.params.q
@@ -342,11 +343,10 @@ class RingElement:
         if fresh:
             computed = iter(_ntt_forward(np.stack(fresh), N, q))
         points = [next(computed) if e._ntt is None else e._ntt for e in operands]
-        prods = _ntt_inverse(np.stack(points[1:]) * points[0] % q, N, q)
-        return tuple(RingElement(self.params, row) for row in prods)
+        return _ntt_inverse(np.stack(points[1:]) * points[0] % q, N, q)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        return self.products(other)[0]
+        return RingElement(self.params, self.product_rows(other)[0])
 
     def inverse(self) -> "RingElement":
         """Inverse in R_q via NTT point inversion; NotInvertible if any

@@ -6,6 +6,7 @@ the simulator must reproduce them exactly, not approximately, because all
 accounting is done in rational arithmetic.
 """
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -208,6 +209,51 @@ class TestSimulateSession:
         )
         events = [l for l in lines if l["type"] == "event"]
         assert len(events) == len(trace.events)
+
+    def test_event_to_json(self, trace):
+        """Field by field: `bytes` stands for `nominal_bytes` and the three
+        exact quantities become floats."""
+        m1 = trace.events[0]
+        assert not hasattr(m1, "__dict__")
+        out = m1.to_json()
+        assert out == {
+            "type": "event",
+            "seq": 0,
+            "time_ms": 139.37024,
+            "kind": "m1",
+            "sender": "EV",
+            "receiver": "CSPA",
+            "bytes": 128,
+            "channel": "fiveg",
+            "computation_ms": 139.36,
+            "sending_us": 10.24,
+            "verdict": "ok",
+        }
+        for key in ("time_ms", "computation_ms", "sending_us"):
+            assert type(out[key]) is float
+
+    def test_finished_trace_deep_copies(self, trace):
+        twin = copy.deepcopy(trace)
+        assert twin is not trace and twin.events[0] is not trace.events[0]
+        assert twin.events == trace.events
+        assert twin.wire_log == trace.wire_log
+        assert twin.to_jsonl() == trace.to_jsonl()
+
+    def test_tables_follow_pad_count_and_model(self, default_authority, fresh_vehicle):
+        """Sessions of different lengths under both models, in one process:
+        m7 carries its own pad count's chain construction under its own
+        model, and the first-pad total matches the closed form."""
+        for timing in (None, TimingModel.cycle_accurate()):
+            tm = timing or TimingModel.rounded_table()
+            for n in (200, 1, 7):
+                trace = simulate_session(
+                    default_authority, fresh_vehicle.copy(), n_pads=n,
+                    seed=f"tables-{n}", timing=timing,
+                )
+                assert trace.completed and trace.timing == tm
+                [m7] = [e for e in trace.events if e.kind == "m7"]
+                assert m7.computation_ms == (n + 1) * tm.t_sha
+                assert trace.comp_through_first_pad_ms == cost_first_pad(n, tm)
 
     def test_summary_prices_with_the_model_it_ran(self, default_authority, fresh_vehicle):
         """A custom model, which no timing-mode name rebuilds, prices the summary."""

@@ -294,6 +294,31 @@ class TestEvRejections:
             p.ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", body), NOW)
         assert exc.value.reason == MALFORMED
 
+    @pytest.mark.parametrize("size", [99, 101])
+    def test_m5_of_wrong_length_leaves_ev_waiting(self, parties, size):
+        """An m5 that authenticates but is one byte short or long is
+        MalformedPayload, and the RSU's genuine m5 is still accepted."""
+        p = parties
+        m1 = p.ev.compose_m1(NOW)
+        m2, m3 = p.cspa.handle_m1(m1, NOW)
+        p.rsu.handle_m3(m3, NOW)
+        p.ev.handle_m2(m2, NOW)
+        m5, _ = p.rsu.handle_m4(p.ev.compose_m4(NOW), NOW)
+        payload = (
+            add_mod_2_256(p.ev.n_rsu, (1).to_bytes(32, "big"))
+            + bytes(32)
+            + encode_timestamp(NOW)
+            + struct.pack("<I", 4)
+            + b"\x00"
+        )[:size]
+        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m5")
+        with pytest.raises(ProtocolRejection) as exc:
+            p.ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", body), NOW)
+        assert exc.value.reason == MALFORMED
+        assert p.ev.state == "await-m5" and p.ev.chain is None
+        p.ev.handle_m5(m5, NOW)
+        assert p.ev.state == "charging"
+
     def test_out_of_slots(self, default_authority, dataset, fresh_vehicle):
         fresh_vehicle.spent.update(e.index for e in fresh_vehicle.entries)
         p = make_parties(default_authority, dataset, fresh_vehicle)
@@ -444,6 +469,20 @@ class TestPadRejections:
         assert not verdict.accepted and verdict.reason == CHAIN_MISMATCH
         # the pad stays armed for the correct value
         assert parties.pads[0].handle_chain(first, parties.rng).accepted
+
+    @pytest.mark.parametrize("size", [31, 33])
+    def test_provision_of_wrong_length_keeps_expected_head(self, default_authority, parties, size):
+        """A provision sealed correctly over 31 or 33 bytes is
+        MalformedPayload and leaves the pad armed with the head it had."""
+        run_authentication(parties)
+        pad = parties.pads[0]
+        head = pad.expected_head
+        body = aead_seal(default_authority.gk_rsu_cp, bytes(size), parties.rng, b"dwpt/provision")
+        with pytest.raises(ProtocolRejection) as exc:
+            pad.handle_provision(ProtocolMessage("m6", "RSU", "CP1", body))
+        assert exc.value.reason == MALFORMED
+        assert pad.expected_head == head
+        assert pad.handle_chain(parties.ev.next_chain_message(), parties.rng).accepted
 
     def test_forward_reprovisions_next_pad(self, parties):
         run_authentication(parties)

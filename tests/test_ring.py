@@ -28,6 +28,10 @@ def random_element(params, rng):
     return RingElement(params, [rng.below(params.q) for _ in range(params.N)])
 
 
+def products(a, *others):
+    return [RingElement(a.params, row) for row in a.product_rows(*others)]
+
+
 class TestParams:
     def test_tiers_are_valid(self):
         for name, p in TIERS.items():
@@ -200,8 +204,9 @@ class TestKeptTransform:
         assert a == RingElement(p, coeffs) and RingElement(p, coeffs) == a
 
     def test_secret_keys_keep_no_transform(self):
-        """Only h keeps one (an encryption's nonce is transformed once,
-        stacked with the identity point): a transform on every vehicle key
+        """h and the operator's s2 keep one, since every session multiplies
+        by both (an encryption's nonce is transformed once, stacked with the
+        identity point); vehicle keys keep none: a transform on every one
         would grow each wallet by a key's worth of memory."""
         from dwpt_auth.ibe import identity_point
         from dwpt_auth.netsim import simulate_session
@@ -212,10 +217,11 @@ class TestKeptTransform:
         usk = creds.entries[0].usk
         assert usk.s1 + usk.s2 * ra.mpk.h == identity_point(ra.params, usk.identity)
         assert simulate_session(ra, creds, n_pads=2, seed="kept").completed
-        keys = [e.usk for e in creds.entries] + [ra.cspa_usk]
         assert ra.mpk.h._ntt is not None
-        for key in keys:
+        for key in [e.usk for e in creds.entries]:
             assert key.s1._ntt is None and key.s2._ntt is None
+        assert ra.cspa_usk.s1._ntt is None
+        assert ra.cspa_usk.s2._ntt is not None
 
 
 #: The widest modulus RingParams accepts (prime, = 1 mod 32, below 2^31),
@@ -234,14 +240,14 @@ class TestStackedTransforms:
             RingElement(p, [c % p.q for c in karamul(a.coeffs.tolist(), b.coeffs.tolist())])
             for b in others
         ]
-        assert list(a.products(*others)) == exact
+        assert products(a, *others) == exact
         assert [a * b for b in others] == exact
         # Kept transforms on either side, and an operand repeated.
         kept = RingElement(p, a.coeffs).keep_transform()
         others[1].keep_transform()
-        assert list(kept.products(*others)) == exact
-        assert list(a.products(*others)) == exact
-        assert a.products(a, a) == (a * a, a * a)
+        assert products(kept, *others) == exact
+        assert products(a, *others) == exact
+        assert products(a, a, a) == [a * a, a * a]
 
     def test_every_extreme_input_at_the_widest_modulus(self):
         """All 2^16 inputs with coefficients in {0, q - 1} survive a round
@@ -258,7 +264,7 @@ class TestStackedTransforms:
         b = random_element(TIERS["toy"], RandomSource("mix-b"))
         c = random_element(TIERS["test"], RandomSource("mix-c"))
         with pytest.raises(ParameterMismatch):
-            a.products(b, c)
+            a.product_rows(b, c)
         with pytest.raises(ParameterMismatch):
             c * a
 
@@ -290,24 +296,33 @@ class TestStackedTransforms:
 
     def test_one_default_session_makes_eight_transform_calls(self, monkeypatch):
         """Two encryptions and two decryptions, each one stacked forward and
-        one stacked inverse transform; h keeps its own."""
+        one stacked inverse transform; h and the operator's s2 keep their
+        own, so the operator's decryption transforms one row, not two."""
         from dwpt_auth.netsim import simulate_session
         from dwpt_auth.registration import ra_setup, register_vehicle
 
         ra = ra_setup(TIERS["default"], "transform-calls")
-        creds = register_vehicle(ra, b"EV-count", 1)
+        creds = register_vehicle(ra, b"EV-count", 2)
         calls = []
         for name in ("_ntt_forward", "_ntt_inverse"):
             real = getattr(ring, name)
 
-            def counted(*args, _real=real, _name=name):
-                calls.append(_name)
-                return _real(*args)
+            def counted(values, *args, _real=real, _name=name):
+                calls.append((_name, 1 if np.ndim(values) == 1 else len(values)))
+                return _real(values, *args)
 
             monkeypatch.setattr(ring, name, counted)
-        assert simulate_session(ra, creds, n_pads=3, seed="count").completed
-        assert calls.count("_ntt_forward") == 4
-        assert calls.count("_ntt_inverse") == 4
+        # The first session also computes the operator's kept transform of s2.
+        assert simulate_session(ra, creds, n_pads=3, seed="count-0").completed
+        assert len(calls) == 9
+        calls.clear()
+        assert simulate_session(ra, creds, n_pads=3, seed="count-1").completed
+        forward = [rows for name, rows in calls if name == "_ntt_forward"]
+        inverse = [rows for name, rows in calls if name == "_ntt_inverse"]
+        # encrypt: r and t stacked (twice); decrypt: u and the EV's s2, then u alone.
+        assert sorted(forward) == [1, 2, 2, 2]
+        # encrypt: r*h and r*t stacked (twice); decrypt: one product each.
+        assert sorted(inverse) == [1, 1, 2, 2]
 
 
 class TestGaussianSampling:
