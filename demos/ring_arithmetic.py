@@ -33,13 +33,13 @@ exact = RingElement(p, karamul(a.coeffs.tolist(), b.coeffs.tolist()))
 print("\nNTT == Kronecker:", fast == exact)
 
 # x * x^(N-1) wraps to -1: that is the negacyclic reduction
-x = RingElement.monomial(p, 1)
-top = RingElement.monomial(p, p.N - 1)
-print("x * x^(N-1) == -1:", (x * top) == RingElement.constant(p, -1))
+x = RingElement(p, [0, 1] + [0] * (p.N - 2))
+top = RingElement(p, [0] * (p.N - 1) + [1])
+print("x * x^(N-1) == -1:", (x * top) == RingElement(p, [-1] + [0] * (p.N - 1)))
 
 # inverses exist for almost every element mod a prime q
 inv = a.inverse()
-print("a * a^-1 == 1:", (a * inv) == RingElement.one(p))
+print("a * a^-1 == 1:", (a * inv) == RingElement(p, [1] + [0] * (p.N - 1)))
 
 # deterministic hash into the ring; same input, same point
 h1 = hash_to_ring(b"charging lane 7", p)

@@ -16,9 +16,10 @@ many ring ciphertexts as needed and seals the payload itself with an AEAD.
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,12 +87,12 @@ class MasterSecretKey:
     F: IntegerPolynomial
     G: IntegerPolynomial
     extract_seed: bytes
-    _sampler: "KleinSampler | None" = field(default=None, repr=False, compare=False)
 
+    @functools.cached_property
     def sampler(self) -> "KleinSampler":
-        if self._sampler is None:
-            self._sampler = KleinSampler(self)
-        return self._sampler
+        """The extraction sampler of this basis, built on first use and kept;
+        not a field, so `dataclasses.replace` starts a copy without it."""
+        return KleinSampler(self)
 
 
 @dataclass(frozen=True)
@@ -234,17 +235,11 @@ def master_key_gen(
 # For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
 # at zeta_k, so only the first n/2 values are kept, as a Python list.
 
-_TWIDDLES: dict[int, tuple[list[complex], list[complex]]] = {}
-
-
+@functools.cache
 def _twiddles(n: int) -> tuple[list[complex], list[complex]]:
     """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n, cached per n."""
-    tw = _TWIDDLES.get(n)
-    if tw is None:
-        zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
-        tw = (zetas, [z.conjugate() / 2 for z in zetas])
-        _TWIDDLES[n] = tw
-    return tw
+    zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
+    return zetas, [z.conjugate() / 2 for z in zetas]
 
 
 def _split(a: list[complex]) -> tuple[list[complex], list[complex]]:
@@ -372,10 +367,6 @@ class KleinSampler:
         #: Squared Gram-Schmidt norms, each shared by two basis vectors.
         self.leaves = np.array(_leaves(self.tree))
 
-    @property
-    def max_gs_norm(self) -> float:
-        return math.sqrt(float(self.leaves.max()))
-
     def sample_near(
         self, target: np.ndarray, sigma: float, rng: RandomSource
     ) -> np.ndarray:
@@ -408,7 +399,7 @@ def _sample_preimage(
     """Short (s1, s2) with s1 + s2*h = t mod q, norm below norm_bound."""
     params = msk.params
     N = params.N
-    sampler = msk.sampler()
+    sampler = msk.sampler
     target = np.zeros(2 * N, dtype=np.int64)
     target[:N] = t.coeffs
     bound_sq = norm_bound(params) ** 2

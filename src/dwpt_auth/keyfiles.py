@@ -6,10 +6,12 @@ container is the magic "DQS1", one record-type byte, and a body framed
 by `codec`: little-endian integers, u32-length-prefixed variable fields
 (ring elements as their `to_bytes` blobs), and integer polynomials as a u16
 count of i32 coefficients.  Decoders read with the exact-length
-`codec.Reader` and raise DecodeError on any malformed container; the
-`load_*` helpers add the file name.  Encodings are deterministic, so
-identical state produces identical bytes (used by the reproducibility
-checks).
+`codec.Reader` and raise DecodeError on any malformed container, and on
+any container the writers would not emit: a slot index that is not its
+position, a repeated vehicle, or a sorted list (spent slots, consumed
+pseudonyms, dataset entries) out of order; the `load_*` helpers add the
+file name.  Encodings are deterministic, so identical state produces
+identical bytes (used by the reproducibility checks).
 """
 
 from __future__ import annotations
@@ -90,6 +92,13 @@ def _read_params(r: Reader) -> RingParams:
         if stored != derived:
             raise DecodeError(f"stored {name} {stored!r}, expected {derived!r} for N={N}, q={q}")
     return p
+
+
+def _increasing(values: list, what: str) -> list:
+    """`values`, which the writers emit sorted and without repeats."""
+    if any(a >= b for a, b in zip(values, values[1:])):
+        raise DecodeError(f"{what} not in strictly increasing order")
+    return values
 
 
 def _read_ring(r: Reader, p: RingParams) -> RingElement:
@@ -180,8 +189,10 @@ def _write_vehicle_body(w: Writer, creds: VehicleCredentials):
         w.u32(idx)
 
 
-def _read_entry(r: Reader, p: RingParams) -> CredentialEntry:
+def _read_entry(r: Reader, p: RingParams, slot: int) -> CredentialEntry:
     index = r.u32()
+    if index != slot:
+        raise DecodeError(f"slot {slot} stores index {index}")
     blind = int.from_bytes(r.fixed(32), "big")
     point = int.from_bytes(r.fixed(64), "big")
     pseudonym, z, wshare = r.fixed(32), r.fixed(32), r.fixed(32)
@@ -190,12 +201,13 @@ def _read_entry(r: Reader, p: RingParams) -> CredentialEntry:
 
 
 def _read_vehicle_body(r: Reader, p: RingParams) -> VehicleCredentials:
-    return VehicleCredentials(
-        vehicle_id=r.blob(),
-        d_ev=int.from_bytes(r.fixed(32), "big"),
-        entries=[_read_entry(r, p) for _ in range(r.u32())],
-        spent={r.u32() for _ in range(r.u32())},
-    )
+    vehicle_id = r.blob()
+    d_ev = int.from_bytes(r.fixed(32), "big")
+    entries = [_read_entry(r, p, i) for i in range(r.u32())]
+    spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
+    if spent and spent[-1] >= len(entries):
+        raise DecodeError(f"spent slot {spent[-1]} of {len(entries)}")
+    return VehicleCredentials(vehicle_id, d_ev, entries, set(spent))
 
 
 def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
@@ -241,14 +253,17 @@ def dataset_from_bytes(data: bytes) -> CspaDataset:
         gk_cspa_rsu=_read_symkey(r, ROLE_CSPA_RSU),
         entries={},
     )
+    pseudonyms = []
     for _ in range(r.u32()):
         pseudonym, z, wshare, consumed = r.fixed(32), r.fixed(32), r.fixed(32), r.u8()
         if consumed > 1:
             raise DecodeError(f"consumed flag {consumed}, expected 0 or 1")
+        pseudonyms.append(pseudonym)
         ds.entries[pseudonym] = DatasetEntry(pseudonym=pseudonym, z=z, w=wshare)
         if consumed:
             ds.consumed.add(pseudonym)
     r.done()
+    _increasing(pseudonyms, "dataset pseudonyms")
     return ds
 
 
@@ -293,10 +308,13 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     )
     for _ in range(r.u32()):
         creds = _read_vehicle_body(r, p)
+        if creds.vehicle_id in ra.vehicles:
+            raise DecodeError(f"vehicle {creds.vehicle_id!r} stored twice")
         ra.vehicles[creds.vehicle_id] = creds
         for e in creds.entries:
             ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)
-    ra.consumed = {r.fixed(32) for _ in range(r.u32())}
+    consumed = [r.fixed(32) for _ in range(r.u32())]
+    ra.consumed = set(_increasing(consumed, "consumed pseudonyms"))
     r.done()
     return ra
 

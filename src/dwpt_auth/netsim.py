@@ -601,10 +601,9 @@ def run_adversary(
     credentials: VehicleCredentials,
     n_pads: int = 3,
     seed=0,
-    freshness_ms: int = protocol.FRESHNESS_WINDOW_MS,
 ) -> AdversaryReport:
-    """Run one scripted attack against a fresh world; passing means every
-    adversary action was rejected."""
+    """Run one scripted attack against a fresh world with the default
+    freshness window; passing means every adversary action was rejected."""
     try:
         script = SCENARIOS[scenario]
     except KeyError:
@@ -615,7 +614,7 @@ def run_adversary(
     # pseudonym slots stay unspent.
     world = build_world(
         export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
-        credentials.copy(), n_pads, seed, freshness_ms=freshness_ms,
+        credentials.copy(), n_pads, seed,
     )
     actions = script(world)
     honest_accepts = sum(1 for pad in world.pads if pad.consumed)

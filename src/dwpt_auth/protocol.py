@@ -99,10 +99,6 @@ class ProtocolMessage:
     receiver: str
     body: bytes
 
-    @property
-    def nominal_size(self) -> int:
-        return NOMINAL_SIZES[self.kind]
-
 
 def _check_fresh(now_ms: int, ts_field: bytes, window_ms: int, context: str):
     try:

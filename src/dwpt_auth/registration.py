@@ -114,15 +114,6 @@ class RegistrationAuthority:
     def cspa_identity(self) -> bytes:
         return self.cspa_usk.identity
 
-    @property
-    def pseudonym_owner(self) -> dict[bytes, tuple[bytes, int]]:
-        """Pseudonym -> (vehicle id, slot index), over every issued slot."""
-        return {
-            e.pseudonym: (vid, e.index)
-            for vid, creds in self.vehicles.items()
-            for e in creds.entries
-        }
-
 
 def ra_setup(
     params: RingParams, seed, cspa_identity: bytes = b"CSPA-1"

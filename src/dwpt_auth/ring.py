@@ -12,6 +12,7 @@ bit-equal mod q.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -103,8 +104,6 @@ TIERS = {
 # ---------------------------------------------------------------------------
 # Negacyclic NTT machinery, cached per (N, q)
 
-_NTT_CACHE: dict[tuple[int, int], tuple] = {}
-
 
 def _bit_reverse(i: int, bits: int) -> int:
     out = 0
@@ -124,23 +123,14 @@ def _find_psi(N: int, q: int) -> int:
     raise ArithmeticError(f"no primitive 2N-th root of unity mod {q}")
 
 
+@functools.cache
 def _ntt_context(N: int, q: int):
-    key = (N, q)
-    ctx = _NTT_CACHE.get(key)
-    if ctx is None:
-        psi = _find_psi(N, q)
-        psi_inv = pow(psi, q - 2, q)
-        bits = N.bit_length() - 1
-        fwd = np.array(
-            [pow(psi, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64
-        )
-        inv = np.array(
-            [pow(psi_inv, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64
-        )
-        n_inv = pow(N, q - 2, q)
-        ctx = (fwd, inv, n_inv, _lazy_stages(q))
-        _NTT_CACHE[key] = ctx
-    return ctx
+    psi = _find_psi(N, q)
+    psi_inv = pow(psi, q - 2, q)
+    bits = N.bit_length() - 1
+    fwd = np.array([pow(psi, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64)
+    inv = np.array([pow(psi_inv, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64)
+    return fwd, inv, pow(N, q - 2, q), _lazy_stages(q)
 
 
 def _lazy_stages(q: int) -> int:
@@ -264,30 +254,6 @@ class RingElement:
         self.coeffs = arr
         self._ntt = None
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zero(cls, params: RingParams) -> "RingElement":
-        return cls(params, np.zeros(params.N, dtype=np.int64))
-
-    @classmethod
-    def one(cls, params: RingParams) -> "RingElement":
-        return cls.constant(params, 1)
-
-    @classmethod
-    def constant(cls, params: RingParams, c: int) -> "RingElement":
-        coeffs = np.zeros(params.N, dtype=np.int64)
-        coeffs[0] = c % params.q
-        return cls(params, coeffs)
-
-    @classmethod
-    def monomial(cls, params: RingParams, degree: int, c: int = 1) -> "RingElement":
-        if not 0 <= degree < params.N:
-            raise ValueError("monomial degree out of range")
-        coeffs = np.zeros(params.N, dtype=np.int64)
-        coeffs[degree] = c % params.q
-        return cls(params, coeffs)
-
     # -- views -----------------------------------------------------------
 
     def centered(self) -> np.ndarray:
@@ -301,9 +267,6 @@ class RingElement:
         # Exact: a sum of N terms up to (q/2)^2 exceeds int64 for q near 2^31.
         c = self.centered()
         return int(np.sum(c.astype(object) ** 2))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
 
     # -- arithmetic --------------------------------------------------------
 
@@ -320,9 +283,6 @@ class RingElement:
     def __sub__(self, other: "RingElement") -> "RingElement":
         self._check(other)
         return RingElement(self.params, self.coeffs.astype(np.int64) - other.coeffs)
-
-    def scale(self, c: int) -> "RingElement":
-        return RingElement(self.params, self.coeffs.astype(np.int64) * (c % self.params.q))
 
     def keep_transform(self) -> "RingElement":
         """Store the forward transform for every later product; only for
@@ -434,20 +394,14 @@ class IntegerPolynomial:
 # ---------------------------------------------------------------------------
 # Sampling and hashing
 
-_GAUSS_TABLE_CACHE: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_table(sigma: float):
-    table = _GAUSS_TABLE_CACHE.get(sigma)
-    if table is None:
-        tail = max(1, math.ceil(12.0 * sigma))
-        support = np.arange(-tail, tail + 1, dtype=np.int64)
-        weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
-        cdf = np.cumsum(weights)
-        cdf /= cdf[-1]
-        table = (support, cdf)
-        _GAUSS_TABLE_CACHE[sigma] = table
-    return table
+    tail = max(1, math.ceil(12.0 * sigma))
+    support = np.arange(-tail, tail + 1, dtype=np.int64)
+    weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return support, cdf
 
 
 def sample_gaussian_poly(

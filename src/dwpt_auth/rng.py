@@ -112,10 +112,7 @@ class RandomSource:
             if x < limit:
                 return x % bound
 
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 bits of precision."""
-        return (self.u64() >> 11) * (1.0 / (1 << 53))
-
     def uniforms(self, n: int) -> np.ndarray:
+        """n uniform floats in [0, 1), each the top 53 bits of a u64 LE word."""
         raw = np.frombuffer(self.bytes(8 * n), dtype="<u8")
         return (raw >> np.uint64(11)) * (1.0 / (1 << 53))

@@ -152,18 +152,15 @@ class HashChain:
         return cls(tuple(links))
 
     @property
-    def n_pads(self) -> int:
-        return len(self.links) - 1
-
-    @property
     def head(self) -> bytes:
         return self.links[-1]
 
     def value_for_pad(self, pad_index: int) -> bytes:
         """Chain value revealed to pad `pad_index` (1-based driving order)."""
-        if not 1 <= pad_index <= self.n_pads:
-            raise ValueError(f"pad index out of range 1..{self.n_pads}")
-        return self.links[self.n_pads - pad_index]
+        n_pads = len(self.links) - 1
+        if not 1 <= pad_index <= n_pads:
+            raise ValueError(f"pad index out of range 1..{n_pads}")
+        return self.links[n_pads - pad_index]
 
 
 def chain_verify(candidate: bytes, expected_head: bytes) -> bool:

@@ -254,6 +254,23 @@ class TestRun:
             f"error: {path}: group key role b'session', expected 'group-cspa-rsu'\n"
         )
 
+    def test_misplaced_slot_index_reported(self, workspace, tmp_path, capsys):
+        """A vehicle file whose slot 0 stores index 5 is one error line, not a
+        traceback after the session, and neither file is written."""
+        creds = keyfiles.load_vehicle(workspace / "vehicle-EV-cli.bin")
+        creds.entries[0] = dataclasses.replace(creds.entries[0], index=5)
+        path = tmp_path / "vehicle-EV-cli.bin"
+        keyfiles.save_vehicle(path, creds)
+        authority = workspace / "authority.bin"
+        before = authority.read_bytes(), path.read_bytes()
+        rc = main([
+            "run", "--authority", str(authority), "--vehicle", str(path),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: slot 0 stores index 5\n"
+        assert (authority.read_bytes(), path.read_bytes()) == before
+
     def test_operator_commands_never_reach_the_trapdoor(self, workspace, tmp_path, monkeypatch, capsys):
         """run, attack and export-dataset work from the operator key stored at
         setup: no extraction and no sampler build."""

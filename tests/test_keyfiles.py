@@ -88,7 +88,9 @@ class TestRecordRoundTrips:
         assert back.gk_cspa_rsu == ra.gk_cspa_rsu
         assert back.gk_rsu_cp == ra.gk_rsu_cp
         assert back.consumed == ra.consumed
-        assert back.pseudonym_owner == ra.pseudonym_owner
+        assert {vid: c.entries for vid, c in back.vehicles.items()} == {
+            vid: c.entries for vid, c in ra.vehicles.items()
+        }
         assert back.dataset_entries == ra.dataset_entries
         assert set(back.vehicles) == set(ra.vehicles)
         # serialization is a fixed point: encode(decode(x)) == x
@@ -195,6 +197,73 @@ class TestStrictFields:
         blob[start : start + 8] = struct.pack("<d", width)
         with pytest.raises(DecodeError, match=re.escape(f"stored {name} {width!r}, expected")):
             keyfiles.vehicle_from_bytes(bytes(blob))
+
+
+def with_indices(creds, *indices):
+    """A copy of the wallet whose slots store `indices` instead of 0, 1, ..."""
+    entries = [dataclasses.replace(e, index=i) for e, i in zip(creds.entries, indices)]
+    return dataclasses.replace(creds, entries=entries)
+
+
+def swap_tail_records(blob: bytes, size: int) -> bytes:
+    """The container with its last two `size`-byte records swapped."""
+    head, a, b = blob[: -2 * size], blob[-2 * size : -size], blob[-size:]
+    return head + b + a
+
+
+class TestCanonicalOrder:
+    """Every container the writers would not emit is refused, since a
+    reader that accepts it spends or burns the wrong slot."""
+
+    @pytest.mark.parametrize("indices, error", [
+        ((5, 1), "slot 0 stores index 5"),
+        ((1, 1), "slot 0 stores index 1"),
+        ((0, 0), "slot 1 stores index 0"),
+    ])
+    def test_slot_index_is_its_position(self, ra, indices, error):
+        creds = with_indices(ra.vehicles[b"EV-kf-2"], *indices)
+        with pytest.raises(DecodeError, match=error):
+            keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
+
+    def test_authority_slot_index_is_its_position(self, ra):
+        vehicles = {**ra.vehicles, b"EV-kf-2": with_indices(ra.vehicles[b"EV-kf-2"], 1, 1)}
+        blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
+        with pytest.raises(DecodeError, match="slot 0 stores index 1"):
+            keyfiles.authority_from_bytes(blob)
+
+    @pytest.mark.parametrize("spent", [(1, 0), (0, 0)], ids=["descending", "repeated"])
+    def test_spent_slots_strictly_increasing(self, ra, spent):
+        creds = dataclasses.replace(ra.vehicles[b"EV-kf-2"], spent={0, 1})
+        blob = keyfiles.vehicle_to_bytes(creds)
+        assert blob.endswith(struct.pack("<3I", 2, 0, 1))
+        with pytest.raises(DecodeError, match="spent slots not in strictly increasing order"):
+            keyfiles.vehicle_from_bytes(blob[:-8] + struct.pack("<2I", *spent))
+
+    def test_spent_slot_names_a_slot(self, ra):
+        creds = dataclasses.replace(ra.vehicles[b"EV-kf-2"], spent={0, 2})
+        with pytest.raises(DecodeError, match="spent slot 2 of 2"):
+            keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
+
+    def test_vehicle_stored_once(self, ra):
+        creds = ra.vehicles[b"EV-kf-2"]
+        twice = dataclasses.replace(ra, vehicles={b"a": creds, b"b": creds})
+        with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' stored twice"):
+            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(twice))
+
+    def test_consumed_pseudonyms_strictly_increasing(self, ra):
+        consumed = {e.pseudonym for e in ra.vehicles[b"EV-kf-2"].entries}
+        blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, consumed=consumed))
+        keyfiles.authority_from_bytes(blob)
+        for bad in (swap_tail_records(blob, 32), blob[:-32] + blob[-64:-32]):
+            with pytest.raises(DecodeError, match="consumed pseudonyms not in strictly"):
+                keyfiles.authority_from_bytes(bad)
+
+    def test_dataset_entries_strictly_increasing(self, ra):
+        blob = keyfiles.dataset_to_bytes(export_cspa_dataset(ra))
+        record = 3 * 32 + 1  # pseudonym, z, w, consumed flag
+        for bad in (swap_tail_records(blob, record), blob[:-record] + blob[-2 * record : -record]):
+            with pytest.raises(DecodeError, match="dataset pseudonyms not in strictly"):
+                keyfiles.dataset_from_bytes(bad)
 
 
 class TestFileHelpers:

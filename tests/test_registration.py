@@ -117,7 +117,7 @@ class TestRegisterVehicle:
             for e in creds.entries:
                 assert e.pseudonym not in seen
                 seen.add(e.pseudonym)
-        assert len(ra.pseudonym_owner) == 24
+        assert len(ra.dataset_entries) == 24
 
     def test_vehicle_credentials_deterministic(self):
         """Same authority seed and id give identical credential bytes."""
@@ -168,11 +168,10 @@ class TestDatasetExport:
         register_vehicle(ra, b"EV-1", 3)
         register_vehicle(ra, b"EV-2", 2)
         ds = export_cspa_dataset(ra)
-        assert set(ds.entries) == set(ra.pseudonym_owner)
+        slots = {e.pseudonym: e for creds in ra.vehicles.values() for e in creds.entries}
+        assert set(ds.entries) == set(slots)
         for ps, entry in ds.entries.items():
-            vid, idx = ra.pseudonym_owner[ps]
-            slot = ra.vehicles[vid].entries[idx]
-            assert entry.z == slot.z and entry.w == slot.w
+            assert entry.z == slots[ps].z and entry.w == slots[ps].w
         assert not ds.consumed
 
     def test_consumption_flags_round_trip(self):

@@ -185,7 +185,7 @@ class TestHashChain:
         n = 8
         chain = HashChain.build(self.T, self.M, n)
         assert chain.head == chain.links[-1]
-        assert chain.n_pads == n
+        assert len(chain.links) - 1 == n
         # pad j reveals the preimage at depth j below the head
         for j in range(1, n + 1):
             v = chain.value_for_pad(j)
