@@ -8,10 +8,11 @@ by `codec`: little-endian integers, u32-length-prefixed variable fields
 count of i32 coefficients.  Decoders read with the exact-length
 `codec.Reader` and raise DecodeError on any malformed container, and on
 any container the writers would not emit: a slot index that is not its
-position, a repeated vehicle, or a sorted list (spent slots, consumed
-pseudonyms, dataset entries) out of order; the `load_*` helpers add the
-file name.  Encodings are deterministic, so identical state produces
-identical bytes (used by the reproducibility checks).
+position, a repeated vehicle or pseudonym, a consumed pseudonym that no
+slot issued, or a sorted list (spent slots, consumed pseudonyms, dataset
+entries) out of order; the `load_*` helpers add the file name.
+Encodings are deterministic, so identical state produces identical bytes
+(used by the reproducibility checks).
 """
 
 from __future__ import annotations
@@ -312,9 +313,14 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
             raise DecodeError(f"vehicle {creds.vehicle_id!r} stored twice")
         ra.vehicles[creds.vehicle_id] = creds
         for e in creds.entries:
+            if e.pseudonym in ra.dataset_entries:
+                raise DecodeError(f"pseudonym {e.pseudonym.hex()} issued to two slots")
             ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)
     consumed = [r.fixed(32) for _ in range(r.u32())]
     ra.consumed = set(_increasing(consumed, "consumed pseudonyms"))
+    unissued = ra.consumed - ra.dataset_entries.keys()
+    if unissued:
+        raise DecodeError(f"consumed pseudonym {min(unissued).hex()} was never issued")
     r.done()
     return ra
 

@@ -24,7 +24,7 @@ from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.rng import RandomSource
 
-# int64 NTT butterflies need q*q < 2**62; RingParams rejects larger q.
+# int64 NTT passes need 2*q*q < 2**63; RingParams rejects larger q.
 _NTT_Q_LIMIT = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -105,14 +105,6 @@ TIERS = {
 # Negacyclic NTT machinery, cached per (N, q)
 
 
-def _bit_reverse(i: int, bits: int) -> int:
-    out = 0
-    for _ in range(bits):
-        out = (out << 1) | (i & 1)
-        i >>= 1
-    return out
-
-
 def _find_psi(N: int, q: int) -> int:
     """Primitive 2N-th root of unity mod q (exists since q = 1 mod 2N)."""
     exponent = (q - 1) // (2 * N)
@@ -125,76 +117,79 @@ def _find_psi(N: int, q: int) -> int:
 
 @functools.cache
 def _ntt_context(N: int, q: int):
-    psi = _find_psi(N, q)
-    psi_inv = pow(psi, q - 2, q)
+    """The read-only pass matrices of the forward and the inverse transform,
+    built from the twiddle tables psi^brv(i) and psi^-brv(i).
+
+    A pass covers g = min(3, `_lazy_stages(q)`) bits of the index: the
+    forward passes go from the top bit down, the inverse passes are the same
+    in reverse order, and the last one has 1/N folded in.
+    """
+    psi, powers = _find_psi(N, q), [1]
+    for _ in range(2 * N - 1):
+        powers.append(powers[-1] * psi % q)
+    powers = np.array(powers, dtype=np.int64)
+    rev = np.zeros(1, dtype=np.int64)  # bit reversal on log2(N) bits
+    while len(rev) < N:
+        rev = np.concatenate((2 * rev, 2 * rev + 1))
+    fwd, inv = powers[rev], powers[-rev]  # psi^-k = psi^(2N - k)
     bits = N.bit_length() - 1
-    fwd = np.array([pow(psi, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64)
-    inv = np.array([pow(psi_inv, _bit_reverse(i, bits), q) for i in range(N)], dtype=np.int64)
-    return fwd, inv, pow(N, q - 2, q), _lazy_stages(q)
+    g = min(3, _lazy_stages(q))
+    spans = [range(max(top - g, 0), top) for top in range(bits, 0, -g)]
+    forward = [_pass_matrices(fwd, q, span[::-1], inverse=False) for span in spans]
+    inverse = [_pass_matrices(inv, q, span, inverse=True) for span in spans[::-1]]
+    inverse[-1] = inverse[-1] * pow(N, q - 2, q) % q
+    for m in forward + inverse:
+        m.setflags(write=False)
+    return forward, inverse
+
+
+def _pass_matrices(table: np.ndarray, q: int, order: range, inverse: bool) -> np.ndarray:
+    """The (blocks, R, R) matrices, entries in [0, q), of the butterfly
+    stages on the index bits `order`, one stage per bit in turn, where a
+    transform's (..., N) stack viewed as (..., blocks, R, s) has those bits
+    on the R axis: the stages run once on R unit rows."""
+    N, low, R = len(table), min(order), 1 << len(order)
+    v = (np.arange(N) >> low & (R - 1) == np.arange(R)[:, None]).astype(np.int64)
+    for bit in order:
+        h, t = N >> (bit + 1), 1 << bit
+        pairs = v.reshape(R, h, 2 * t)
+        lo, hi, w = pairs[..., :t], pairs[..., t:], table[h : 2 * h, None]
+        new = (lo + hi, (lo - hi) * w) if inverse else (lo + hi * w, lo - hi * w)
+        pairs[...] = np.concatenate(new, axis=-1) % q
+    return np.ascontiguousarray(v.reshape(R, -1, R, 1 << low)[..., 0].transpose(1, 2, 0))
 
 
 def _lazy_stages(q: int) -> int:
-    """Butterfly stages that may leave their sums unreduced: the largest k
-    with 2^k * q * q < 2^63.
-
-    A forward stage adds or subtracts a reduced product, so k unreduced
-    stages leave |v| < (k + 1) * q <= 2^k * q; an inverse stage adds two
-    non-negative values, so they leave 0 <= v < 2^k * q.  The next product
-    by a twiddle, or by 1/N at the end, then stays below 2^k * q * q.
-    """
+    """The largest k with 2^k * q * q < 2^63: a pass of radix 2^k or less
+    sums at most 2^k products of values in [0, q) per output, so one int64
+    matrix product and one reduction per pass never overflow."""
     k = 0
     while (q * q) << (k + 1) < 1 << 63:
         k += 1
     return k
 
 
+def _run_passes(values, passes: list[np.ndarray], q: int) -> np.ndarray:
+    """Apply each (blocks, R, R) pass matrix to the (..., blocks, R, s) view
+    of a (..., N) stack of values in [0, q), reducing after each pass."""
+    shape = np.shape(values)
+    v = np.asarray(values, dtype=np.int64)
+    for m in passes:
+        v = np.matmul(m, v.reshape(*shape[:-1], *m.shape[:2], -1))
+        v %= q
+    return v.reshape(shape)
+
+
 def _ntt_forward(values: np.ndarray, N: int, q: int) -> np.ndarray:
     """Cooley-Tukey NTT with the psi twist folded in, over the last axis of
-    a (..., N) stack; output bit-reversed and reduced to [0, q)."""
-    fwd, _, _, lazy = _ntt_context(N, q)
-    v = np.array(values, dtype=np.int64)
-    t, m, stage = N, 1, 0
-    while m < N:
-        t //= 2
-        blocks = v.reshape(-1, m, 2 * t)
-        lo = blocks[..., :t]
-        hi = blocks[..., t:]
-        prod = hi * fwd[m : 2 * m, None]
-        prod %= q
-        np.subtract(lo, prod, out=hi)
-        lo += prod
-        stage += 1
-        if stage > lazy:
-            v %= q
-        m *= 2
-    if stage <= lazy:
-        v %= q
-    return v
+    a (..., N) stack of values in [0, q); output bit-reversed and reduced."""
+    return _run_passes(values, _ntt_context(N, q)[0], q)
 
 
 def _ntt_inverse(values: np.ndarray, N: int, q: int) -> np.ndarray:
     """Gentleman-Sande inverse of `_ntt_forward`, over the last axis of a
     (..., N) stack of values in [0, q)."""
-    _, inv, n_inv, lazy = _ntt_context(N, q)
-    v = np.array(values, dtype=np.int64)
-    t, m, stage = 1, N, 0
-    while m > 1:
-        h = m // 2
-        blocks = v.reshape(-1, h, 2 * t)
-        lo = blocks[..., :t]
-        hi = blocks[..., t:]
-        diff = lo - hi
-        lo += hi
-        diff *= inv[h : 2 * h, None]
-        np.remainder(diff, q, out=hi)
-        stage += 1
-        if stage > lazy:
-            lo %= q
-        t *= 2
-        m = h
-    v *= n_inv
-    v %= q
-    return v
+    return _run_passes(values, _ntt_context(N, q)[1], q)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +396,8 @@ def _gauss_table(sigma: float):
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
+    support.setflags(write=False)
+    cdf.setflags(write=False)
     return support, cdf
 
 

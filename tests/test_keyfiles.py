@@ -258,6 +258,27 @@ class TestCanonicalOrder:
             with pytest.raises(DecodeError, match="consumed pseudonyms not in strictly"):
                 keyfiles.authority_from_bytes(bad)
 
+    @pytest.mark.parametrize(
+        "donor", [b"EV-kf-2", b"EV-kf-1"], ids=["same-vehicle", "other-vehicle"]
+    )
+    def test_pseudonym_issued_once(self, ra, donor):
+        """A pseudonym in two slots would pair one slot's shares with the
+        other's key, and burning one slot would burn both."""
+        shared = ra.vehicles[donor].entries[0].pseudonym
+        creds = ra.vehicles[b"EV-kf-2"]
+        entries = [creds.entries[0], dataclasses.replace(creds.entries[1], pseudonym=shared)]
+        vehicles = {**ra.vehicles, b"EV-kf-2": dataclasses.replace(creds, entries=entries)}
+        blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
+        with pytest.raises(DecodeError, match=f"pseudonym {shared.hex()} issued to two slots"):
+            keyfiles.authority_from_bytes(blob)
+
+    def test_consumed_pseudonym_was_issued(self, ra):
+        unissued = hashlib.sha256(b"never issued").digest()
+        consumed = {*ra.consumed, unissued}
+        blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, consumed=consumed))
+        with pytest.raises(DecodeError, match=f"consumed pseudonym {unissued.hex()} was never"):
+            keyfiles.authority_from_bytes(blob)
+
     def test_dataset_entries_strictly_increasing(self, ra):
         blob = keyfiles.dataset_to_bytes(export_cspa_dataset(ra))
         record = 3 * 32 + 1  # pseudonym, z, w, consumed flag

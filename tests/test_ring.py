@@ -290,13 +290,63 @@ class TestStackedTransforms:
         assert np.array_equal(ring._ntt_forward(three_d, N, q), forward.reshape(2, 2, N))
 
     def test_unreduced_stages_fit_int64(self):
-        """All nine stages at the default q skip the reduction of their
-        sums; at the widest modulus only the first one can."""
+        """A pass may have radix up to 2^k, k = `_lazy_stages(q)`, since
+        each output sums one product below q^2 per row of its matrix before
+        the pass reduces: up to 2^9 at the default q, only 2 at the widest
+        modulus.  The passes are radix 8 at most, and each fits int64."""
         assert ring._lazy_stages(TIERS["default"].q) >= 9
         assert ring._lazy_stages(WIDE.q) == 1
         for q in (TIERS["default"].q, WIDE.q):
             k = ring._lazy_stages(q)
             assert (q * q) << k < 1 << 63 <= (q * q) << (k + 1)
+        radices = {"toy": [8, 2], "test": [8, 8], "default": [8, 8, 8], "wide": [2, 2, 2, 2]}
+        for name, p in [*TIERS.items(), ("wide", WIDE)]:
+            forward, inverse = ring._ntt_context(p.N, p.q)
+            assert [m.shape[-1] for m in forward] == radices[name]
+            assert [m.shape[-1] for m in inverse] == radices[name][::-1]
+            for m in forward + inverse:
+                blocks, R, _ = m.shape
+                assert m.shape == (blocks, R, R) and blocks * R <= p.N
+                assert R * p.q * p.q < 1 << 63
+                assert m.dtype == np.int64 and m.min() >= 0 and m.max() < p.q
+
+    @pytest.mark.parametrize(
+        "params, rows", [(TIERS["toy"], 1), (TIERS["test"], 1), (WIDE, 1), (TIERS["default"], 2)],
+        ids=["toy", "test", "wide", "default"],
+    )
+    def test_transform_is_evaluation_at_odd_powers_of_psi(self, params, rows):
+        """Output i of the forward transform is a(psi^(2 brv(i) + 1)) mod q,
+        brv reversing log2(N) bits, evaluated here with Python integers;
+        the inverse takes those values back to a."""
+        N, q = params.N, params.q
+        bits = N.bit_length() - 1
+        psi = ring._find_psi(N, q)
+        rng = RandomSource(f"oracle-{N}-{q}")
+        stack = [[rng.below(q) for _ in range(N)] for _ in range(rows)]
+        expected = []
+        for coeffs in stack:
+            values = []
+            for i in range(N):
+                brv = int(format(i, f"0{bits}b")[::-1], 2)
+                x, acc = pow(psi, 2 * brv + 1, q), 0
+                for c in reversed(coeffs):
+                    acc = (acc * x + c) % q
+                values.append(acc)
+            expected.append(values)
+        assert ring._ntt_forward(np.array(stack), N, q).tolist() == expected
+        assert ring._ntt_inverse(np.array(expected), N, q).tolist() == stack
+
+    def test_shared_tables_are_read_only(self):
+        """The arrays `functools.cache` shares across the process refuse
+        in-place writes, so no caller can corrupt every later transform or
+        sample."""
+        forward, inverse = ring._ntt_context(TIERS["default"].N, TIERS["default"].q)
+        support, cdf = ring._gauss_table(3.0)
+        for table in (*forward, *inverse, support, cdf):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                table += 1
 
     def test_one_default_session_makes_eight_transform_calls(self, monkeypatch):
         """Two encryptions and two decryptions, each one stacked forward and
