@@ -15,11 +15,10 @@ from pathlib import Path
 
 from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.errors import DecodeError, DuplicateRegistration, EmptyRegistry, ProtocolRejection
-from dwpt_auth.netsim import TimingModel
+from dwpt_auth.netsim import TIMING_MODES, TimingModel
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import TIERS
 
-_TIMING_MODES = ("rounded-table", "cycle-accurate")
 _POSITIVE = range(1, 1 << 63)  # slot counts, pad counts and speeds
 _NON_NEGATIVE = range(1 << 63)  # the freshness window
 # Every key some command reads, so one config file can serve setup and run.
@@ -142,7 +141,7 @@ def cmd_run(args) -> int:
     freshness = _setting(
         args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int, _NON_NEGATIVE
     )
-    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=_TIMING_MODES)
+    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
     if creds.vehicle_id not in ra.vehicles:
@@ -187,7 +186,7 @@ def cmd_run(args) -> int:
 
 def cmd_costs(args) -> int:
     config = _load_config(args.config)
-    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=_TIMING_MODES)
+    mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     _check("n_pads", min(args.n_pads), _POSITIVE)
     _check("speeds", min(args.speeds), _POSITIVE)
     timing = TimingModel.for_mode(mode)
@@ -268,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dataset", help="export the CSPA pseudonym dataset")
     p.add_argument("--authority", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_export_dataset)
 
     p = sub.add_parser("run", help="simulate one honest charging session")
@@ -278,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None)
     p.add_argument("--pseudonym-index", type=int, default=None)
     p.add_argument("--freshness-ms", type=int, default=None)
-    p.add_argument("--timing-mode", choices=_TIMING_MODES, default=None)
+    p.add_argument("--timing-mode", choices=TIMING_MODES, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_run)
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated pad counts, e.g. 10,50,100")
     p.add_argument("--speeds", type=_int_list, required=True,
                    help="comma-separated speeds in km/h")
-    p.add_argument("--timing-mode", choices=_TIMING_MODES, default=None)
+    p.add_argument("--timing-mode", choices=TIMING_MODES, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_costs)

@@ -3,8 +3,8 @@
 `Writer` appends little-endian integers and doubles, u32-length-prefixed
 blobs and raw fields.  `Reader` takes them back in the same order and is
 exact: a read past the end, or bytes left over at `done()`, raises
-DecodeError.  Protocol payloads are plain concatenations of fixed-width
-fields, read back with `Reader.fixed` and `done()`.
+DecodeError.  Protocol payloads are the exception: each is a plain
+concatenation of fixed-width fields, which `protocol._parse` slices.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ by `codec`: little-endian integers, u32-length-prefixed variable fields
 (ring elements as their `to_bytes` blobs), and integer polynomials as a u16
 count of i32 coefficients.  Decoders read with the exact-length
 `codec.Reader` and raise DecodeError on any malformed container, and on
-any container the writers would not emit: a slot index that is not its
-position, a repeated vehicle or pseudonym, a consumed pseudonym that no
-slot issued, or a sorted list (spent slots, consumed pseudonyms, dataset
-entries) out of order; the `load_*` helpers add the file name.
+any container the writers would not emit: a vehicle with no slots, a
+slot index that is not its position, a repeated vehicle or pseudonym, a
+consumed pseudonym that no slot issued, or a sorted list (spent slots,
+consumed pseudonyms, dataset entries) out of order; the `load_*` helpers
+add the file name.
 Encodings are deterministic, so identical state produces identical bytes
 (used by the reproducibility checks).
 """
@@ -205,6 +206,8 @@ def _read_vehicle_body(r: Reader, p: RingParams) -> VehicleCredentials:
     vehicle_id = r.blob()
     d_ev = int.from_bytes(r.fixed(32), "big")
     entries = [_read_entry(r, p, i) for i in range(r.u32())]
+    if not entries:
+        raise DecodeError(f"vehicle {vehicle_id!r} has no pseudonym slots")
     spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
     if spent and spent[-1] >= len(entries):
         raise DecodeError(f"spent slot {spent[-1]} of {len(entries)}")

@@ -87,11 +87,10 @@ class TimingModel:
 
     @classmethod
     def for_mode(cls, mode: str) -> "TimingModel":
-        if mode == "rounded-table":
-            return cls.rounded_table()
-        if mode == "cycle-accurate":
-            return cls.cycle_accurate()
-        raise ValueError(f"unknown timing mode {mode!r}")
+        try:
+            return TIMING_MODES[mode]()
+        except KeyError:
+            raise ValueError(f"unknown timing mode {mode!r}") from None
 
     def message_cost_ms(self, kind: str, n_pads: int) -> Fraction:
         """Computation charged to one message, both endpoints combined.
@@ -130,6 +129,12 @@ class TimingModel:
         send_ticks = {k: int(s * D / 1000) for k, s in send.items()}
         return D, comp, send, comp_ticks, send_ticks
 
+
+#: Each timing mode's name and the constructor of its model.
+TIMING_MODES = {
+    "rounded-table": TimingModel.rounded_table,
+    "cycle-accurate": TimingModel.cycle_accurate,
+}
 
 #: The default model, built once; every function that takes `timing=None` uses it.
 _ROUNDED_TABLE = TimingModel.rounded_table()
@@ -327,13 +332,13 @@ def build_world(
     return World(ev, cspa, rsu, pads, root.child("world"))
 
 
-def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg, verdict="ok": msg):
+def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg: msg):
     """One honest pass: m1-m6, each message delivered as soon as it is sent,
     then pads 1..n_pads in driving order, each provisioned (m6, then the
     previous pad's m8 forward) before it checks the EV's chain value.
 
-    Stops at the first pad that rejects; returns (chain message, verdict)
-    for every pad reached.  `emit` sees each message as it goes on the air.
+    Returns (chain message, forward) for every pad; a rejection raises
+    ProtocolRejection.  `emit` sees each message as it goes on the air.
     """
     ev, cspa, rsu = world.ev, world.cspa, world.rsu
     m1 = emit(ev.compose_m1(now()))
@@ -346,13 +351,9 @@ def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg, verdict="ok
     rides = []
     for pad in world.pads[:n_pads]:
         pad.handle_provision(emit(provision))
-        msg = ev.next_chain_message()
-        verdict = pad.handle_chain(msg, world.rng)
-        emit(msg, "ok" if verdict.accepted else verdict.reason)
-        rides.append((msg, verdict))
-        if not verdict.accepted:
-            break
-        provision = verdict.forward
+        msg = emit(ev.next_chain_message())
+        provision = pad.handle_chain(msg, world.rng)
+        rides.append((msg, provision))
     return rides
 
 
@@ -405,30 +406,27 @@ def simulate_session(
     events, wire_log = trace.events, trace.wire_log
     clock = 0
 
-    def emit(msg: ProtocolMessage, verdict: str = "ok") -> ProtocolMessage:
+    def emit(msg: ProtocolMessage) -> ProtocolMessage:
         nonlocal clock
         kind = msg.kind
         clock += comp_ticks[kind] + send_ticks[kind]
         events.append(TraceEvent(
             len(events), Fraction(clock, D), kind, msg.sender, msg.receiver,
-            sizes[kind], channels[kind], comp[kind], send[kind], verdict,
+            sizes[kind], channels[kind], comp[kind], send[kind], "ok",
         ))
         wire_log.append((kind, msg.body))
         return msg
 
     try:
-        verdicts = [v for _, v in _ride(world, n_pads, lambda: clock // D, emit)]
+        _ride(world, n_pads, lambda: clock // D, emit)
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
         events.append(TraceEvent(
             len(events), Fraction(clock, D), "reject", "-", "-", 0, "-",
             Fraction(0), Fraction(0), exc.reason,
         ))
-    else:
-        trace.accepted_pads = sum(v.accepted for v in verdicts)
-        trace.completed = trace.accepted_pads == n_pads
-        if not verdicts[-1].accepted:
-            trace.rejection = verdicts[-1].reason
+    trace.completed = trace.rejection is None
+    trace.accepted_pads = sum(pad.consumed for pad in world.pads)
 
     def account(kinds):
         return (Fraction(sum(comp_ticks[k] for k in kinds), D),
@@ -489,32 +487,24 @@ class AdversaryReport:
         return "\n".join(lines) + "\n"
 
 
-def _reject_reason(fn, *args) -> tuple[str, bool]:
-    """Run a handler on adversarial input: (reason, accepted)."""
+def _attempt(description: str, target: str, handler, *args) -> AdversaryAction:
+    """Run a handler on adversarial input and record whether it accepted."""
     try:
-        fn(*args)
-        return "accepted", True
+        handler(*args)
     except ProtocolRejection as exc:
-        return exc.reason, False
+        return AdversaryAction(description, target, exc.reason, False)
+    return AdversaryAction(description, target, "accepted", True)
 
 
 def _scenario_replay_first_chain(world: World) -> list[AdversaryAction]:
-    pads = world.pads
-    [(m7, first)] = _ride(world, 1)
-    assert first.accepted
-    actions = []
-    v = pads[0].handle_chain(m7, world.rng)
-    actions.append(
-        AdversaryAction("replay first chain value to its own pad", "CP1", v.reason, v.accepted)
-    )
+    pads, rng = world.pads, world.rng
+    [(m7, forward)] = _ride(world, 1)
+    actions = [_attempt("replay first chain value to its own pad", "CP1",
+                        pads[0].handle_chain, m7, rng)]
     if len(pads) > 1:
-        pads[1].handle_provision(first.forward)
-        v = pads[1].handle_chain(m7, world.rng)
-        actions.append(
-            AdversaryAction(
-                "replay first chain value to the next pad", "CP2", v.reason, v.accepted
-            )
-        )
+        pads[1].handle_provision(forward)
+        actions.append(_attempt("replay first chain value to the next pad", "CP2",
+                                pads[1].handle_chain, m7, rng))
     return actions
 
 
@@ -523,67 +513,45 @@ def _scenario_pseudonym_reuse(world: World) -> list[AdversaryAction]:
     m1 = ev.compose_m1(0)
     cspa.handle_m1(m1, 0)
     replay = ProtocolMessage("m1", "MITM", "CSPA", m1.body)
-    reason, accepted = _reject_reason(cspa.handle_m1, replay, 1)
-    return [
-        AdversaryAction("replay captured first message within the window", "CSPA", reason, accepted)
-    ]
+    return [_attempt("replay captured first message within the window", "CSPA",
+                     cspa.handle_m1, replay, 1)]
 
 
 def _scenario_forge_m4(world: World) -> list[AdversaryAction]:
     ev, cspa, rsu = world.ev, world.cspa, world.rsu
     mallory = RandomSource("mallory")
-    actions = []
 
     fake_key = SymmetricKey(mallory.bytes(32), "session")
     fake_payload = mallory.bytes(32) + mallory.bytes(32) + encode_timestamp(0)
     forged = ProtocolMessage(
         "m4", "MITM", "RSU", aead_seal(fake_key, fake_payload, mallory, b"dwpt/m4")
     )
-    reason, accepted = _reject_reason(rsu.handle_m4, forged, 0)
-    actions.append(
-        AdversaryAction("forge arrival message with no session pending", "RSU", reason, accepted)
-    )
+    actions = [_attempt("forge arrival message with no session pending", "RSU",
+                        rsu.handle_m4, forged, 0)]
 
     m1 = ev.compose_m1(0)
     m2, m3 = cspa.handle_m1(m1, 0)
     ev.handle_m2(m2, 0)
     rsu.handle_m3(m3, 0)
-    reason, accepted = _reject_reason(rsu.handle_m4, forged, 0)
-    actions.append(
-        AdversaryAction(
-            "forge arrival message against a pending session", "RSU", reason, accepted
-        )
-    )
+    actions.append(_attempt("forge arrival message against a pending session", "RSU",
+                            rsu.handle_m4, forged, 0))
     return actions
 
 
 def _scenario_double_spend(world: World) -> list[AdversaryAction]:
     rides = _ride(world, len(world.pads))
-    assert all(verdict.accepted for _, verdict in rides)
-    actions = []
-    for j, (pad, (msg, _)) in enumerate(zip(world.pads, rides), start=1):
-        v = pad.handle_chain(msg, world.rng)
-        actions.append(
-            AdversaryAction(
-                f"re-spend accepted chain value at pad {j}", pad.name, v.reason, v.accepted
-            )
-        )
-    return actions
+    return [
+        _attempt(f"re-spend accepted chain value at pad {j}", pad.name,
+                 pad.handle_chain, msg, world.rng)
+        for j, (pad, (msg, _)) in enumerate(zip(world.pads, rides), start=1)
+    ]
 
 
 def _scenario_stale_timestamp(world: World) -> list[AdversaryAction]:
     ev, cspa = world.ev, world.cspa
     m1 = ev.compose_m1(0)  # intercepted; never delivered on time
-    late = cspa.freshness_ms + 1000
-    reason, accepted = _reject_reason(cspa.handle_m1, m1, late)
-    return [
-        AdversaryAction(
-            "deliver intercepted first message after the freshness window",
-            "CSPA",
-            reason,
-            accepted,
-        )
-    ]
+    return [_attempt("deliver intercepted first message after the freshness window", "CSPA",
+                     cspa.handle_m1, m1, cspa.freshness_ms + 1000)]
 
 
 SCENARIOS = {
@@ -617,11 +585,10 @@ def run_adversary(
         credentials.copy(), n_pads, seed,
     )
     actions = script(world)
-    honest_accepts = sum(1 for pad in world.pads if pad.consumed)
     return AdversaryReport(
         scenario=scenario,
         actions=actions,
-        honest_accepts=honest_accepts,
+        honest_accepts=sum(pad.consumed for pad in world.pads),
         passed=all(not a.accepted for a in actions),
     )
 

@@ -20,7 +20,7 @@ ProtocolRejection with a stable machine-readable reason on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
@@ -363,13 +363,6 @@ class RsuState:
 # ---------------------------------------------------------------------------
 # Charging pads
 
-@dataclass(slots=True)
-class ChainVerdict:
-    accepted: bool
-    reason: str
-    forward: ProtocolMessage | None = None
-
-
 class CpState:
     """One charging pad: holds an expected head, accepts exactly one value."""
 
@@ -391,16 +384,15 @@ class CpState:
         self.expected_head = head
         self.consumed = False
 
-    def handle_chain(self, msg: ProtocolMessage, rng: RandomSource) -> ChainVerdict:
-        """Check one hash step; on accept, emit the forward for the next pad."""
+    def handle_chain(self, msg: ProtocolMessage, rng: RandomSource) -> ProtocolMessage:
+        """Check one hash step; on accept, return the m8 forward for the next pad."""
         candidate = msg.body
         if self.expected_head is None:
-            return ChainVerdict(False, BAD_STATE)
+            raise ProtocolRejection(BAD_STATE, f"{self.name}: not provisioned")
         if self.consumed:
-            return ChainVerdict(False, CHAIN_REUSED)
+            raise ProtocolRejection(CHAIN_REUSED, f"{self.name}: value already accepted")
         if len(candidate) != 32 or not chain_verify(candidate, self.expected_head):
-            return ChainVerdict(False, CHAIN_MISMATCH)
+            raise ProtocolRejection(CHAIN_MISMATCH, f"{self.name}: hash step does not match")
         self.consumed = True
         forward_body = aead_seal(self.gk, candidate, rng, b"dwpt/provision")
-        forward = ProtocolMessage("m8", self.name, self.successor, forward_body)
-        return ChainVerdict(True, "ok", forward)
+        return ProtocolMessage("m8", self.name, self.successor, forward_body)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dwpt_auth import keyfiles
+from dwpt_auth import keyfiles, protocol
 from dwpt_auth.cli import main
 from dwpt_auth.registration import export_cspa_dataset
 from dwpt_auth.ring import TIERS
@@ -137,6 +137,16 @@ class TestExportDataset:
         assert back.gk_cspa_rsu == ds.gk_cspa_rsu
         assert back.entries == ds.entries
         assert back.consumed == ds.consumed
+
+    def test_config_flag_is_a_usage_error(self, workspace, tmp_path):
+        """export-dataset reads no setting, so it takes no --config."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "export-dataset", "--authority", str(workspace / "authority.bin"),
+                "--out", str(tmp_path), "--config", str(tmp_path / "missing.cfg"),
+            ])
+        assert exc.value.code == 2
+        assert not (tmp_path / "dataset.bin").exists()
 
     def test_empty_registry_rejected(self, tmp_path, capsys):
         assert main([
@@ -446,6 +456,19 @@ class TestAttack:
         ])
         assert rc == 0
         assert "re-spend accepted chain value" in capsys.readouterr().out
+
+    def test_failed_honest_ride_could_not_run(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(protocol, "chain_verify", lambda *args: False)
+        rc = main([
+            "attack", "--scenario", "double-spend",
+            "--authority", str(workspace / "authority.bin"),
+            "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: scenario double-spend could not run: ChainMismatch")
+        assert not (tmp_path / "attack_double-spend.jsonl").exists()
 
     def test_unknown_scenario_is_a_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:

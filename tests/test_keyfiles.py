@@ -225,6 +225,19 @@ class TestCanonicalOrder:
         with pytest.raises(DecodeError, match=error):
             keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
 
+    def test_vehicle_has_a_slot(self, ra):
+        """No writer emits a vehicle without slots, and none re-encodes one."""
+        empty = dataclasses.replace(ra.vehicles[b"EV-kf-2"], entries=[], spent=set())
+        w = keyfiles._frame(keyfiles.RECORD_VEHICLE)
+        keyfiles._write_params(w, ra.params)
+        keyfiles._write_vehicle_body(w, empty)
+        with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):
+            keyfiles.vehicle_from_bytes(w.getvalue())
+        vehicles = {**ra.vehicles, b"EV-kf-2": empty}
+        blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
+        with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):
+            keyfiles.authority_from_bytes(blob)
+
     def test_authority_slot_index_is_its_position(self, ra):
         vehicles = {**ra.vehicles, b"EV-kf-2": with_indices(ra.vehicles[b"EV-kf-2"], 1, 1)}
         blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))

@@ -14,12 +14,14 @@ from fractions import Fraction
 
 import pytest
 
-from dwpt_auth import TIERS, ra_setup, register_vehicle
+from dwpt_auth import TIERS, protocol, ra_setup, register_vehicle
+from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.netsim import (
     CHANNELS,
     CYCLE_COUNTS,
     KIND_CHANNEL,
     SCENARIOS,
+    TIMING_MODES,
     TimingModel,
     build_world,
     cost_asymptotic,
@@ -29,6 +31,7 @@ from dwpt_auth.netsim import (
     parse_config,
     run_adversary,
     sending_first_pad_us,
+    session_bytes,
     sending_time_us,
     simulate_session,
     write_message_costs_csv,
@@ -58,8 +61,9 @@ class TestTimingModel:
             assert abs(got - table) / table < Fraction(1, 100)
 
     def test_for_mode(self):
-        assert TimingModel.for_mode("rounded-table").mode == "rounded-table"
-        assert TimingModel.for_mode("cycle-accurate").mode == "cycle-accurate"
+        assert list(TIMING_MODES) == ["rounded-table", "cycle-accurate"]
+        for mode in TIMING_MODES:
+            assert TimingModel.for_mode(mode).mode == mode
         with pytest.raises(ValueError):
             TimingModel.for_mode("wall-clock")
 
@@ -353,6 +357,15 @@ class TestAdversaryHarness:
         report = run_adversary("double-spend", default_authority, default_vehicle, seed=8)
         assert [a.reason for a in report.actions] == ["ChainValueReused"] * 3
 
+    @pytest.mark.parametrize("name", ["replay-m7", "double-spend"])
+    def test_failed_honest_ride_raises(self, name, default_authority, default_vehicle, monkeypatch):
+        """A drill whose honest pass is rejected cannot run: it raises the
+        rejection instead of reporting a pass on an unspent lane."""
+        monkeypatch.setattr(protocol, "chain_verify", lambda *args: False)
+        with pytest.raises(ProtocolRejection) as exc:
+            run_adversary(name, default_authority, default_vehicle, seed=10)
+        assert exc.value.reason == "ChainMismatch"
+
     def test_unknown_scenario(self, default_authority, default_vehicle):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_adversary("meteor-strike", default_authority, default_vehicle)
@@ -543,6 +556,21 @@ class TestExactAccounting:
         assert trace.completed
         _reference_check(trace)
         assert trace.comp_through_first_pad_ms == cost_first_pad(4, timing)
+
+    def test_pad_rejection_ends_with_reject_event(self, default_authority, fresh_vehicle, monkeypatch):
+        """A pad rejects the way every other party does: the chain value is
+        on the air and counted, then a reject event ends the run."""
+        verdicts = iter([True, False])
+        monkeypatch.setattr(protocol, "chain_verify", lambda *args: next(verdicts))
+        trace = simulate_session(
+            default_authority, fresh_vehicle, n_pads=3, seed="exact-pad-reject",
+            timing=CUSTOM_TIMING,
+        )
+        assert [e.kind for e in trace.events][-4:] == ["m7", "m8", "m9", "reject"]
+        assert trace.events[-1].verdict == trace.rejection == "ChainMismatch"
+        assert not trace.completed and trace.accepted_pads == 1
+        assert trace.total_bytes == session_bytes(2)
+        _reference_check(trace)
 
     def test_rejected_session_matches_reference(self, default_authority, fresh_vehicle):
         burned = fresh_vehicle.entries[3].pseudonym

@@ -95,8 +95,8 @@ class TestPayloadSizes:
         monkeypatch.setattr(protocol, "aead_seal", recording(protocol.aead_seal))
         run_authentication(parties)
         for pad, next_pad in zip(parties.pads, parties.pads[1:]):
-            verdict = pad.handle_chain(parties.ev.next_chain_message(), parties.rng)
-            next_pad.handle_provision(verdict.forward)
+            forward = pad.handle_chain(parties.ev.next_chain_message(), parties.rng)
+            next_pad.handle_provision(forward)
         n = parties.rsu.n_pads
         assert sealed == [
             *((f"dwpt/{k}".encode(), NOMINAL_SIZES[k]) for k in ("m1", "m2", "m3", "m4")),
@@ -113,10 +113,9 @@ class TestHappyPath:
         n = parties.rsu.n_pads
         for j in range(n):
             msg = parties.ev.next_chain_message()
-            verdict = parties.pads[j].handle_chain(msg, parties.rng)
-            assert verdict.accepted, f"pad {j + 1}: {verdict.reason}"
+            forward = parties.pads[j].handle_chain(msg, parties.rng)
             if j + 1 < n:
-                parties.pads[j + 1].handle_provision(verdict.forward)
+                parties.pads[j + 1].handle_provision(forward)
         assert parties.ev.state == "done"
         assert all(p.consumed for p in parties.pads)
 
@@ -438,37 +437,42 @@ class TestRsuRejections:
             )
 
 
+def chain_rejection(pad: CpState, msg: ProtocolMessage, rng) -> str:
+    """The reason `pad` gives for rejecting `msg`."""
+    with pytest.raises(ProtocolRejection) as exc:
+        pad.handle_chain(msg, rng)
+    return exc.value.reason
+
+
 class TestPadRejections:
     def test_replay_same_value(self, parties):
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
         pad = parties.pads[0]
-        assert pad.handle_chain(msg, parties.rng).accepted
-        verdict = pad.handle_chain(msg, parties.rng)
-        assert not verdict.accepted and verdict.reason == CHAIN_REUSED
+        pad.handle_chain(msg, parties.rng)
+        assert chain_rejection(pad, msg, parties.rng) == CHAIN_REUSED
 
     def test_wrong_value(self, parties):
         run_authentication(parties)
         parties.ev.next_chain_message()
         bogus = ProtocolMessage("m7", "EV", "CP1", b"\x55" * 32)
-        verdict = parties.pads[0].handle_chain(bogus, parties.rng)
-        assert not verdict.accepted and verdict.reason == CHAIN_MISMATCH
+        assert chain_rejection(parties.pads[0], bogus, parties.rng) == CHAIN_MISMATCH
+        assert not parties.pads[0].consumed
 
     def test_unprovisioned_pad(self, parties):
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
-        verdict = parties.pads[2].handle_chain(msg, parties.rng)
-        assert not verdict.accepted and verdict.reason == BAD_STATE
+        assert chain_rejection(parties.pads[2], msg, parties.rng) == BAD_STATE
 
     def test_skipping_a_pad_fails(self, parties):
         """Value j+1 is two hash steps from pad j's head, so it must fail."""
         run_authentication(parties)
         first = parties.ev.next_chain_message()
         second = parties.ev.next_chain_message()
-        verdict = parties.pads[0].handle_chain(second, parties.rng)
-        assert not verdict.accepted and verdict.reason == CHAIN_MISMATCH
+        assert chain_rejection(parties.pads[0], second, parties.rng) == CHAIN_MISMATCH
         # the pad stays armed for the correct value
-        assert parties.pads[0].handle_chain(first, parties.rng).accepted
+        parties.pads[0].handle_chain(first, parties.rng)
+        assert parties.pads[0].consumed
 
     @pytest.mark.parametrize("size", [31, 33])
     def test_provision_of_wrong_length_keeps_expected_head(self, default_authority, parties, size):
@@ -482,13 +486,13 @@ class TestPadRejections:
             pad.handle_provision(ProtocolMessage("m6", "RSU", "CP1", body))
         assert exc.value.reason == MALFORMED
         assert pad.expected_head == head
-        assert pad.handle_chain(parties.ev.next_chain_message(), parties.rng).accepted
+        pad.handle_chain(parties.ev.next_chain_message(), parties.rng)
+        assert pad.consumed
 
     def test_forward_reprovisions_next_pad(self, parties):
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
-        verdict = parties.pads[0].handle_chain(msg, parties.rng)
-        assert verdict.forward.kind == "m8"
-        assert verdict.forward.receiver == "CP2"
-        parties.pads[1].handle_provision(verdict.forward)
+        forward = parties.pads[0].handle_chain(msg, parties.rng)
+        assert (forward.kind, forward.sender, forward.receiver) == ("m8", "CP1", "CP2")
+        parties.pads[1].handle_provision(forward)
         assert parties.pads[1].expected_head == msg.body
