@@ -149,6 +149,9 @@ def cmd_run(args) -> int:
         return 1
     if args.pseudonym_index is not None:
         _check("pseudonym_index", args.pseudonym_index, range(len(creds.entries)))
+    # A vehicle file restored from a backup may list a slot as unspent that
+    # the authority has consumed; the default pick must skip it too.
+    creds.spent.update(e.index for e in creds.entries if e.pseudonym in ra.consumed)
     trace = netsim.simulate_session(
         ra,
         creds,

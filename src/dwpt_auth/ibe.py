@@ -308,13 +308,16 @@ def _ff_sample(t0, t1, node, sigma: float, trials: GaussianTrials):
 
 
 def _ff_sample_diag(t: list[complex], tree, sigma: float, trials: GaussianTrials):
-    if len(t) == 2:
+    if len(t) == 4:
+        return _ff_sample_degree8(t, tree, sigma, trials)
+    if len(t) == 2:  # only at N = 4, whose top-level halves have degree 4
         return _ff_sample_degree4(t[0], t[1], tree, sigma, trials)
     z0, z1 = _ff_sample(*_split(t), tree, sigma, trials)
     return _merge(z0, z1)
 
 
 (_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)
+(_ZETA8_0, _ZETA8_1), (_HALF_CONJ_ZETA8_0, _HALF_CONJ_ZETA8_1) = _twiddles(8)
 
 
 def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, trials: GaussianTrials):
@@ -337,6 +340,54 @@ def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, trials: Gauss
     z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
     d = _ZETA4 * z1
     return [z0 + d, (z0 - d).conjugate()]
+
+
+def _ff_sample_degree8(t: list[complex], node, sigma: float, trials: GaussianTrials):
+    """_split, _ff_sample and _merge at degree 8 on scalars, in their
+    floating-point operations and order, with both degree-4 steps inline
+    (each as in `_ff_sample_degree4`): the odd half first, then the even
+    half around its target moved by l10."""
+    (l0, l1), ((m0,), leaf00, leaf01), ((m1,), leaf10, leaf11) = node
+    a0, a1, a2, a3 = t
+    w3, w2 = a3.conjugate(), a2.conjugate()
+    x0 = (a0 + w3) * 0.5
+    x1 = (a1 + w2) * 0.5
+    y0 = (a0 - w3) * _HALF_CONJ_ZETA8_0
+    y1 = (a1 - w2) * _HALF_CONJ_ZETA8_1
+
+    # Odd half (y0, y1) down the tree of D11.
+    w = y1.conjugate()
+    t0 = (y0 + w) * 0.5
+    t1 = (y0 - w) * _HALF_CONJ_ZETA4
+    width = sigma / math.sqrt(leaf11)
+    odd = sample_gaussian_int(t1.imag, width, trials)
+    z1 = complex(sample_gaussian_int(t1.real, width, trials), odd)
+    t0 = t0 + (t1 - z1) * m1
+    width = sigma / math.sqrt(leaf10)
+    odd = sample_gaussian_int(t0.imag, width, trials)
+    z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
+    d = _ZETA4 * z1
+    v0, v1 = z0 + d, (z0 - d).conjugate()
+
+    # Even half (x0, x1), moved by (y - v) * l10, down the tree of D00.
+    x0 = x0 + (y0 - v0) * l0
+    x1 = x1 + (y1 - v1) * l1
+    w = x1.conjugate()
+    t0 = (x0 + w) * 0.5
+    t1 = (x0 - w) * _HALF_CONJ_ZETA4
+    width = sigma / math.sqrt(leaf01)
+    odd = sample_gaussian_int(t1.imag, width, trials)
+    z1 = complex(sample_gaussian_int(t1.real, width, trials), odd)
+    t0 = t0 + (t1 - z1) * m0
+    width = sigma / math.sqrt(leaf00)
+    odd = sample_gaussian_int(t0.imag, width, trials)
+    z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
+    d = _ZETA4 * z1
+    u0, u1 = z0 + d, (z0 - d).conjugate()
+
+    d0 = _ZETA8_0 * v0
+    d1 = _ZETA8_1 * v1
+    return [u0 + d0, u1 + d1, (u1 - d1).conjugate(), (u0 - d0).conjugate()]
 
 
 class KleinSampler:

@@ -336,14 +336,14 @@ def save(path, data: bytes):
 
     The bytes go to a temporary file in the same directory, which is flushed,
     fsync'd and then renamed over `path`, so a crash leaves either the old
-    file or the new one, never a torn mix.  A replaced file keeps its
-    permission bits; a new one is owner-only, since every container here
-    holds secret key material.
+    file or the new one, never a torn mix.  The directory is fsync'd after
+    the rename, so once this returns the new file survives a crash.  A
+    replaced file keeps its permission bits; a new one is owner-only, since
+    every container here holds secret key material.
     """
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=f".{os.path.basename(path)}."
-    )
+    directory = os.path.dirname(path) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
     try:
         with os.fdopen(fd, "wb") as fh:
             if os.path.exists(path):
@@ -355,6 +355,11 @@ def save(path, data: bytes):
     except BaseException:
         os.unlink(tmp)
         raise
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _load(path, decode):

@@ -504,15 +504,19 @@ def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> 
     base = math.floor(center)
     r = center - base
     inv_2s2 = 0.5 / (sigma * sigma)
+    zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
+    j = trials.next
     while True:
-        zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
-        for j in range(trials.next, len(zs)):
-            z = zs[j]
-            x = (z - r) * (z - r) * inv_2s2 - z0_terms[j]
-            if uniforms[j] < math.exp(-x):
-                trials.next = j + 1
-                return base + z
-        trials._refill()
+        if j == len(zs):
+            trials._refill()
+            zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
+            j = 0
+        z = zs[j]
+        x = (z - r) * (z - r) * inv_2s2 - z0_terms[j]
+        if uniforms[j] < math.exp(-x):
+            trials.next = j + 1
+            return base + z
+        j += 1
 
 
 def hash_to_ring(data: bytes, params: RingParams) -> RingElement:

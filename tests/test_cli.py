@@ -224,6 +224,31 @@ class TestRun:
         assert run("stale-rerun") == 1
         assert "PseudonymReuse" in capsys.readouterr().err
 
+    def test_restored_vehicle_file_skips_consumed_slots(self, workspace, tmp_path, capsys):
+        """A vehicle file restored from before a completed run lists the run's
+        slot as unspent; the default pick skips it, since the authority
+        consumed it, instead of every later run ending in PseudonymReuse."""
+        authority, vehicle = tmp_path / "authority.bin", tmp_path / "vehicle-EV-cli.bin"
+        for path in (authority, vehicle):
+            path.write_bytes((workspace / path.name).read_bytes())
+        backup = vehicle.read_bytes()
+
+        def run(name):
+            rc = main([
+                "run", "--authority", str(authority), "--vehicle", str(vehicle),
+                "--seed", name, "--out", str(tmp_path / name),
+            ])
+            summary = (tmp_path / name / "transcript.jsonl").read_text().splitlines()[-1]
+            return rc, json.loads(summary)["used_entry_index"]
+
+        rc, first = run("before-restore")
+        assert rc == 0
+        vehicle.write_bytes(backup)
+        rc, second = run("after-restore")
+        assert rc == 0, capsys.readouterr().err
+        assert second > first
+        assert keyfiles.load_vehicle(vehicle).spent >= {first, second}
+
     def test_foreign_vehicle_rejected(self, workspace, tmp_path, capsys):
         assert main([
             "setup", "--params-tier", "test", "--seed", "other",

@@ -15,8 +15,13 @@ from dwpt_auth.ibe import (
     KleinSampler,
     Signature,
     _blocks_to_key,
+    _ff_sample,
+    _ff_sample_degree4,
+    _ff_sample_degree8,
     _gs_quality,
     _key_to_blocks,
+    _merge,
+    _split,
     decrypt,
     encrypt,
     extract,
@@ -29,7 +34,7 @@ from dwpt_auth.ibe import (
     verify,
 )
 from dwpt_auth.registration import ra_setup
-from dwpt_auth.ring import RingElement, TIERS
+from dwpt_auth.ring import GaussianTrials, RingElement, RingParams, TIERS, sample_gaussian_int
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import aead_seal
 
@@ -44,6 +49,15 @@ GOLDEN_DEFAULT_EXTRACT = "9c41043eed0287b03a86e31d3a720c06a02efbcd98bc08cca350ad
 #: the caller's next rng.bytes(40): pins the signature and how far the
 #: signer advanced the caller's stream.
 GOLDEN_DEFAULT_SIGN = "6c83d02043b99268960a5e190d3715825a0d2a0cbd7276374d96422a4e1cbed1"
+
+#: extract(ra_setup(RingParams(N, 17), "x").msk, b"id") at the two smallest
+#: degrees: s1, and the SHA-256 of s1.to_bytes() + s2.to_bytes().  N = 4 walks
+#: only the degree-4 step, N = 8 only the degree-8 one.
+GOLDEN_SMALL_N = {
+    4: ([1, 14, 1, 2], "9e94dbdb878939e0830852e6fd721764a53a4acd538dce172f56e97c51ceded4"),
+    8: ([11, 1, 1, 4, 1, 16, 7, 14],
+        "92c7109831e99d28480e9c8cb8725c0f7a0ca42b35fa76374c0d1f29578fc1e3"),
+}
 
 
 def random_bits(n, rng):
@@ -199,6 +213,81 @@ class TestKleinSamplerFrame:
         sig = sign(msk, b"pinned message", rng)
         blob = sig.salt + sig.s1.to_bytes() + sig.s2.to_bytes() + rng.bytes(40)
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEFAULT_SIGN
+
+
+def tree_nodes(tree, size: int) -> list:
+    """The internal nodes of an ffLDL tree whose l10 holds `size` values."""
+    if isinstance(tree, float):
+        return []
+    l10, tree0, tree1 = tree
+    here = [tree] if len(l10) == size else []
+    return here + tree_nodes(tree0, size) + tree_nodes(tree1, size)
+
+
+def sample_leaf_pair(t0, t1, node, sigma, trials):
+    """_ff_sample over a node of two degree-2 leaves, each drawing the odd
+    coordinate of its target first."""
+    (l10,), leaf0, leaf1 = node
+
+    def leaf(c, value):
+        width = sigma / math.sqrt(value)
+        odd = sample_gaussian_int(c.imag, width, trials)
+        return complex(sample_gaussian_int(c.real, width, trials), odd)
+
+    z1 = leaf(t1[0], leaf1)
+    z0 = leaf(t0[0] + (t1[0] - z1) * l10, leaf0)
+    return [z0], [z1]
+
+
+class TestUnrolledSteps:
+    """The scalar steps at the bottom of the walk draw what the generic
+    split, sample and merge draw, value for value and byte for byte."""
+
+    @staticmethod
+    def _check(step, reference, t, node, sigma, seed):
+        ours = GaussianTrials(RandomSource(seed))
+        theirs = GaussianTrials(RandomSource(seed))
+        assert step(t, node, sigma, ours) == reference(t, node, sigma, theirs)
+        ours.close()
+        theirs.close()
+        assert ours.rng.position == theirs.rng.position > 0
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_degree8_step_matches_split_sample_merge(self, tier, request):
+        msk = request.getfixturevalue(f"{tier}_authority").msk
+        sigma = msk.params.sigma_extract
+        nodes = tree_nodes(msk.sampler.tree, 2)
+        assert len(nodes) == msk.params.N // 4  # 2N coordinates, 8 per node
+        points = np.random.default_rng(8).uniform(-40, 40, (len(nodes), 4, 2))
+        for i, (node, point) in enumerate(zip(nodes, points)):
+            t = [complex(x, y) for x, y in point]
+            self._check(
+                _ff_sample_degree8,
+                lambda t, node, sigma, trials: _merge(*_ff_sample(*_split(t), node, sigma, trials)),
+                t, node, sigma, f"{tier}-8-{i}",
+            )
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_degree4_step_matches_split_sample_merge(self, tier, request):
+        msk = request.getfixturevalue(f"{tier}_authority").msk
+        sigma = msk.params.sigma_extract
+        nodes = tree_nodes(msk.sampler.tree, 1)
+        assert len(nodes) == msk.params.N // 2  # 4 per node
+        points = np.random.default_rng(4).uniform(-40, 40, (len(nodes), 2, 2))
+        for i, (node, point) in enumerate(zip(nodes, points)):
+            t = [complex(x, y) for x, y in point]
+            self._check(
+                lambda t, node, sigma, trials: _ff_sample_degree4(*t, node, sigma, trials),
+                lambda t, node, sigma, trials: _merge(*sample_leaf_pair(*_split(t), node, sigma, trials)),
+                t, node, sigma, f"{tier}-4-{i}",
+            )
+
+    @pytest.mark.parametrize("N", sorted(GOLDEN_SMALL_N))
+    def test_smallest_degrees_extract_pinned_keys(self, N):
+        usk = extract(ra_setup(RingParams(N, 17), "x").msk, b"id")
+        s1, digest = GOLDEN_SMALL_N[N]
+        assert usk.s1.coeffs.tolist() == s1
+        assert hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest() == digest
 
 
 class TestEncryptDecrypt:

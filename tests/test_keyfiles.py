@@ -359,6 +359,21 @@ class TestAtomicSave:
         assert path.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["authority.bin"]
 
+    def test_rename_made_durable(self, tmp_path, monkeypatch):
+        """The file's data is synced before the rename and its directory
+        after it, so the new name survives a crash too."""
+        path = tmp_path / "authority.bin"
+        path.write_bytes(b"old")
+        real_fsync, synced = os.fsync, []
+
+        def record(fd):
+            synced.append((stat.S_ISDIR(os.fstat(fd).st_mode), path.read_bytes()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", record)
+        keyfiles.save(path, b"new")
+        assert synced == [(False, b"old"), (True, b"new")]
+
     def test_replaced_file_keeps_its_mode(self, tmp_path):
         path = tmp_path / "authority.bin"
         path.write_bytes(b"old")
