@@ -144,7 +144,7 @@ def cmd_run(args) -> int:
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
-    if creds.vehicle_id not in ra.vehicles:
+    if ra.vehicles.get(creds.vehicle_id) != tuple(e.pseudonym for e in creds.entries):
         print("error: vehicle is not registered with this authority", file=sys.stderr)
         return 1
     if args.pseudonym_index is not None:

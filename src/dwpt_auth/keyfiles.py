@@ -7,11 +7,12 @@ by `codec`: little-endian integers, u32-length-prefixed variable fields
 (ring elements as their `to_bytes` blobs), and integer polynomials as a u16
 count of i32 coefficients.  Decoders read with the exact-length
 `codec.Reader` and raise DecodeError on any malformed container, and on
-any container the writers would not emit: a vehicle with no slots, a
-slot index that is not its position, a repeated vehicle or pseudonym, a
-consumed pseudonym that no slot issued, or a sorted list (spent slots,
-consumed pseudonyms, dataset entries) out of order; the `load_*` helpers
-add the file name.
+any container the writers would not emit: a vehicle with no slots (in
+`authority.bin` or a vehicle file); in `authority.bin`, a vehicle stored
+twice, a pseudonym issued to two slots, or consumed pseudonyms out of
+order or never issued; in a vehicle file, a slot index that is not its
+position, or spent slots out of order or past the last slot; in
+`dataset.bin`, entries out of order.  The `load_*` helpers name the file.
 Encodings are deterministic, so identical state produces identical bytes
 (used by the reproducibility checks).
 """
@@ -173,7 +174,22 @@ def _read_operator_key(r: Reader, p: RingParams) -> UserSecretKey:
 # ---------------------------------------------------------------------------
 # Vehicle credentials
 
-def _write_vehicle_body(w: Writer, creds: VehicleCredentials):
+def _read_entry(r: Reader, p: RingParams, slot: int) -> CredentialEntry:
+    index = r.u32()
+    if index != slot:
+        raise DecodeError(f"slot {slot} stores index {index}")
+    blind = int.from_bytes(r.fixed(32), "big")
+    point = int.from_bytes(r.fixed(64), "big")
+    pseudonym, z, wshare = r.fixed(32), r.fixed(32), r.fixed(32)
+    usk = UserSecretKey(identity=pseudonym, s1=_read_ring(r, p), s2=_read_ring(r, p))
+    return CredentialEntry(index, blind, point, pseudonym, z, wshare, usk)
+
+
+def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
+    if not creds.entries:
+        raise ValueError("cannot serialize credentials with no entries")
+    w = _frame(RECORD_VEHICLE)
+    _write_params(w, creds.entries[0].usk.params)
     w.blob(creds.vehicle_id)
     w.fixed(creds.d_ev.to_bytes(32, "big"), 32)
     w.u32(len(creds.entries))
@@ -189,20 +205,12 @@ def _write_vehicle_body(w: Writer, creds: VehicleCredentials):
     w.u32(len(creds.spent))
     for idx in sorted(creds.spent):
         w.u32(idx)
+    return w.getvalue()
 
 
-def _read_entry(r: Reader, p: RingParams, slot: int) -> CredentialEntry:
-    index = r.u32()
-    if index != slot:
-        raise DecodeError(f"slot {slot} stores index {index}")
-    blind = int.from_bytes(r.fixed(32), "big")
-    point = int.from_bytes(r.fixed(64), "big")
-    pseudonym, z, wshare = r.fixed(32), r.fixed(32), r.fixed(32)
-    usk = UserSecretKey(identity=pseudonym, s1=_read_ring(r, p), s2=_read_ring(r, p))
-    return CredentialEntry(index, blind, point, pseudonym, z, wshare, usk)
-
-
-def _read_vehicle_body(r: Reader, p: RingParams) -> VehicleCredentials:
+def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
+    r = _unframe(data, RECORD_VEHICLE)
+    p = _read_params(r)
     vehicle_id = r.blob()
     d_ev = int.from_bytes(r.fixed(32), "big")
     entries = [_read_entry(r, p, i) for i in range(r.u32())]
@@ -211,23 +219,8 @@ def _read_vehicle_body(r: Reader, p: RingParams) -> VehicleCredentials:
     spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
     if spent and spent[-1] >= len(entries):
         raise DecodeError(f"spent slot {spent[-1]} of {len(entries)}")
-    return VehicleCredentials(vehicle_id, d_ev, entries, set(spent))
-
-
-def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
-    if not creds.entries:
-        raise ValueError("cannot serialize credentials with no entries")
-    w = _frame(RECORD_VEHICLE)
-    _write_params(w, creds.entries[0].usk.params)
-    _write_vehicle_body(w, creds)
-    return w.getvalue()
-
-
-def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
-    r = _unframe(data, RECORD_VEHICLE)
-    creds = _read_vehicle_body(r, _read_params(r))
     r.done()
-    return creds
+    return VehicleCredentials(vehicle_id, d_ev, entries, set(spent))
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +278,14 @@ def authority_to_bytes(ra: RegistrationAuthority) -> bytes:
     _write_symkey(w, ra.gk_cspa_rsu)
     _write_symkey(w, ra.gk_rsu_cp)
     w.u32(len(ra.vehicles))
-    for creds in ra.vehicles.values():
-        _write_vehicle_body(w, creds)
+    for vehicle_id, pseudonyms in ra.vehicles.items():
+        w.blob(vehicle_id)
+        w.u32(len(pseudonyms))
+        for pseudonym in pseudonyms:
+            e = ra.dataset_entries[pseudonym]
+            w.fixed(e.pseudonym, 32)
+            w.fixed(e.z, 32)
+            w.fixed(e.w, 32)
     w.u32(len(ra.consumed))
     for pseudonym in sorted(ra.consumed):
         w.fixed(pseudonym, 32)
@@ -311,14 +310,17 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
         gk_rsu_cp=_read_symkey(r, ROLE_RSU_CP),
     )
     for _ in range(r.u32()):
-        creds = _read_vehicle_body(r, p)
-        if creds.vehicle_id in ra.vehicles:
-            raise DecodeError(f"vehicle {creds.vehicle_id!r} stored twice")
-        ra.vehicles[creds.vehicle_id] = creds
-        for e in creds.entries:
+        vehicle_id = r.blob()
+        if vehicle_id in ra.vehicles:
+            raise DecodeError(f"vehicle {vehicle_id!r} stored twice")
+        slots = [DatasetEntry(r.fixed(32), r.fixed(32), r.fixed(32)) for _ in range(r.u32())]
+        if not slots:
+            raise DecodeError(f"vehicle {vehicle_id!r} has no pseudonym slots")
+        for e in slots:
             if e.pseudonym in ra.dataset_entries:
                 raise DecodeError(f"pseudonym {e.pseudonym.hex()} issued to two slots")
-            ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)
+            ra.dataset_entries[e.pseudonym] = e
+        ra.vehicles[vehicle_id] = tuple(e.pseudonym for e in slots)
     consumed = [r.fixed(32) for _ in range(r.u32())]
     ra.consumed = set(_increasing(consumed, "consumed pseudonyms"))
     unissued = ra.consumed - ra.dataset_entries.keys()

@@ -3,7 +3,8 @@
 The authority owns the IBE trapdoor and the symmetric group keys.  Vehicles
 register once and receive a batch of unlinkable pseudonyms with per-pseudonym
 secret shares and extracted keys; charging-station operators receive the
-pseudonym-indexed dataset with no way back to vehicle identities.  The
+pseudonym-indexed dataset with no way back to vehicle identities.  Of each
+wallet the authority keeps only the slots' pseudonyms and shares.  The
 operator's own identity key is extracted once, at setup, so running a session
 never needs the trapdoor.
 """
@@ -106,7 +107,7 @@ class RegistrationAuthority:
     cspa_usk: UserSecretKey  # extracted once at setup; sessions use this
     gk_cspa_rsu: SymmetricKey
     gk_rsu_cp: SymmetricKey
-    vehicles: dict[bytes, VehicleCredentials] = field(default_factory=dict)
+    vehicles: dict[bytes, tuple[bytes, ...]] = field(default_factory=dict)  # slot pseudonyms
     dataset_entries: dict[bytes, DatasetEntry] = field(default_factory=dict)
     consumed: set[bytes] = field(default_factory=set)
 
@@ -146,7 +147,8 @@ def register_vehicle(
     Each slot carries a fresh blind scalar a_i, the pseudonym
     H(ID || d_ev * a_i), two 32-byte secret shares, and the extracted key for
     the pseudonym identity.  Pseudonyms are unique across the whole registry;
-    re-registering an id raises DuplicateRegistration.
+    re-registering an id raises DuplicateRegistration.  The authority keeps the
+    pseudonyms, in slot order, and their shares.
     """
     if vehicle_id in ra.vehicles:
         raise DuplicateRegistration(f"vehicle {vehicle_id!r} already registered")
@@ -175,9 +177,8 @@ def register_vehicle(
         )
         entries.append(entry)
         ra.dataset_entries[pseudonym] = DatasetEntry(pseudonym, entry.z, entry.w)
-    creds = VehicleCredentials(vehicle_id=vehicle_id, d_ev=d_ev, entries=entries)
-    ra.vehicles[vehicle_id] = creds
-    return creds
+    ra.vehicles[vehicle_id] = tuple(e.pseudonym for e in entries)
+    return VehicleCredentials(vehicle_id=vehicle_id, d_ev=d_ev, entries=entries)
 
 
 def export_cspa_dataset(ra: RegistrationAuthority) -> CspaDataset:
@@ -185,9 +186,9 @@ def export_cspa_dataset(ra: RegistrationAuthority) -> CspaDataset:
 
     Contains pseudonyms, secret shares, the consumed pseudonyms, the CSPA
     identity key stored at setup, and the CSPA-RSU group key; vehicle
-    identities and long-term secrets stay with the authority.  Nothing is
-    extracted or copied: the view shares the authority's entry table and
-    consumed set, and `keyfiles.dataset_to_bytes` takes a snapshot.
+    identities stay with the authority.  Nothing is extracted or copied:
+    the view shares the authority's entry table and consumed set, and
+    `keyfiles.dataset_to_bytes` takes a snapshot.
     """
     if not ra.vehicles:
         raise EmptyRegistry("no vehicles registered")
@@ -219,17 +220,15 @@ def storage_report(ra: RegistrationAuthority) -> dict:
 
     `nominal` counts 32-byte fields only (pseudonym + two shares per slot,
     plus the blind scalar on the vehicle side); `serialized` measures the
-    actual container encodings including extracted keys.
+    authority and dataset containers as written.
     """
     from dwpt_auth import keyfiles
 
     n_slots = len(ra.dataset_entries)
     # Ids are UTF-8 (as the CLI encodes them); undecodable bytes stay visible.
-    names = {vid: vid.decode("utf-8", errors="backslashreplace") for vid in ra.vehicles}
-    per_vehicle = {names[vid]: len(creds.entries) for vid, creds in ra.vehicles.items()}
-    vehicle_serialized = {
-        names[vid]: len(keyfiles.vehicle_to_bytes(creds))
-        for vid, creds in ra.vehicles.items()
+    per_vehicle = {
+        vid.decode("utf-8", errors="backslashreplace"): len(pseudonyms)
+        for vid, pseudonyms in ra.vehicles.items()
     }
     dataset_bytes = (
         len(keyfiles.dataset_to_bytes(export_cspa_dataset(ra))) if ra.vehicles else 0
@@ -237,10 +236,8 @@ def storage_report(ra: RegistrationAuthority) -> dict:
     return {
         "slots_total": n_slots,
         "per_vehicle_slots": per_vehicle,
-        "nominal_vehicle_bytes": {
-            vid: 4 * 32 * n for vid, n in per_vehicle.items()
-        },
+        "nominal_vehicle_bytes": {vid: 4 * 32 * n for vid, n in per_vehicle.items()},
         "nominal_dataset_bytes": 3 * 32 * n_slots,
-        "serialized_vehicle_bytes": vehicle_serialized,
+        "serialized_authority_bytes": len(keyfiles.authority_to_bytes(ra)),
         "serialized_dataset_bytes": dataset_bytes,
     }

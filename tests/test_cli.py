@@ -179,15 +179,25 @@ class TestRun:
         assert lines[-1]["accepted_pads"] == 5
         assert lines[-1]["bytes_through_first_pad"] == 640
 
-    def test_pseudonym_rerun_rejected(self, workspace, capsys):
-        """The completed run above burned slot 0 on both sides."""
-        out = workspace / "run2"
-        rc = main([
-            "run", "--authority", str(workspace / "authority.bin"),
-            "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
-            "--n-pads", "2", "--seed", "run-2", "--pseudonym-index", "0",
-            "--out", str(out),
-        ])
+    def test_pseudonym_rerun_rejected(self, workspace, tmp_path, capsys):
+        """A completed run burns its slot on both sides; a rerun on it is
+        refused.  The run works on copies, so other tests' runs do not matter."""
+        authority, vehicle = tmp_path / "authority.bin", tmp_path / "vehicle-EV-cli.bin"
+        for path in (authority, vehicle):
+            path.write_bytes((workspace / path.name).read_bytes())
+
+        def run(name, *extra):
+            return main([
+                "run", "--authority", str(authority), "--vehicle", str(vehicle),
+                "--seed", name, *extra, "--out", str(tmp_path / name),
+            ])
+
+        assert run("run-1") == 0
+        summary = (tmp_path / "run-1" / "transcript.jsonl").read_text().splitlines()[-1]
+        slot = str(json.loads(summary)["used_entry_index"])
+        capsys.readouterr()
+        out = tmp_path / "run-2"
+        rc = run("run-2", "--n-pads", "2", "--pseudonym-index", slot)
         assert rc == 1
         assert "PseudonymReuse" in capsys.readouterr().err
         lines = [
@@ -250,17 +260,29 @@ class TestRun:
         assert keyfiles.load_vehicle(vehicle).spent >= {first, second}
 
     def test_foreign_vehicle_rejected(self, workspace, tmp_path, capsys):
+        """A wallet is refused by an authority that did not issue it, also
+        once that authority has registered a vehicle of the same id."""
         assert main([
             "setup", "--params-tier", "test", "--seed", "other",
             "--out", str(tmp_path),
         ]) == 0
-        rc = main([
-            "run", "--authority", str(tmp_path / "authority.bin"),
-            "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
-            "--out", str(tmp_path / "run"),
-        ])
-        assert rc == 1
-        assert "not registered" in capsys.readouterr().err
+        authority, vehicle = tmp_path / "authority.bin", workspace / "vehicle-EV-cli.bin"
+        for registered in (False, True):
+            if registered:
+                assert main([
+                    "register", "--authority", str(authority),
+                    "--vehicle-id", "EV-cli", "--out", str(tmp_path / "issued"),
+                ]) == 0
+            capsys.readouterr()
+            before = authority.read_bytes(), vehicle.read_bytes()
+            rc = main([
+                "run", "--authority", str(authority), "--vehicle", str(vehicle),
+                "--out", str(tmp_path / "run"),
+            ])
+            assert rc == 1
+            assert "not registered" in capsys.readouterr().err
+            assert not (tmp_path / "run" / "transcript.jsonl").exists()
+            assert (authority.read_bytes(), vehicle.read_bytes()) == before
 
     def test_unreadable_authority_file_reported(self, workspace, tmp_path, capsys):
         vehicle = workspace / "vehicle-EV-cli.bin"

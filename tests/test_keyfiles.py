@@ -21,7 +21,7 @@ from dwpt_auth.symcrypto import SymmetricKey
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "22c6e0827110195c0dff08b4817e6fd288b8129def8cc23e689f33faee849e04",
+    "authority.bin": "880576165ff6758cbceda5fb246965538dd1fc4521d76f75987839b0cff2a104",
     "vehicle.bin": "161be992c5d488a63d89468570e3c3322545d1a3efc7ecea0db926b15daaea5b",
     "dataset.bin": "eaf5c741ec7d931736d4091e7a2a84614876480baca921cfc55a7e18f6978515",
 }
@@ -45,12 +45,24 @@ def rename_operator_key(blob: bytes, to: bytes) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def ra():
+def registry():
+    """An authority and the wallets it issued, by vehicle id."""
     authority = ra_setup(TIERS["test"], "keyfiles-suite")
-    register_vehicle(authority, b"EV-kf-1", 3)
-    register_vehicle(authority, b"EV-kf-2", 2)
-    authority.consumed.add(authority.vehicles[b"EV-kf-1"].entries[0].pseudonym)
-    return authority
+    wallets = {
+        vid: register_vehicle(authority, vid, n) for vid, n in ((b"EV-kf-1", 3), (b"EV-kf-2", 2))
+    }
+    authority.consumed.add(wallets[b"EV-kf-1"].entries[0].pseudonym)
+    return authority, wallets
+
+
+@pytest.fixture(scope="module")
+def ra(registry):
+    return registry[0]
+
+
+@pytest.fixture(scope="module")
+def wallets(registry):
+    return registry[1]
 
 
 class TestRecordRoundTrips:
@@ -61,8 +73,8 @@ class TestRecordRoundTrips:
         b = extract(back, b"proof-identity")
         assert a.s1 == b.s1 and a.s2 == b.s2
 
-    def test_vehicle(self, ra):
-        creds = ra.vehicles[b"EV-kf-1"]
+    def test_vehicle(self, wallets):
+        creds = wallets[b"EV-kf-1"]
         creds.spent.add(1)
         back = keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
         assert back.vehicle_id == creds.vehicle_id
@@ -78,7 +90,7 @@ class TestRecordRoundTrips:
         assert back.gk_cspa_rsu == ds.gk_cspa_rsu
         assert back.entries == ds.entries
 
-    def test_authority(self, ra):
+    def test_authority(self, ra, wallets):
         blob = keyfiles.authority_to_bytes(ra)
         back = keyfiles.authority_from_bytes(blob)
         assert back.seed == ra.seed
@@ -88,37 +100,56 @@ class TestRecordRoundTrips:
         assert back.gk_cspa_rsu == ra.gk_cspa_rsu
         assert back.gk_rsu_cp == ra.gk_rsu_cp
         assert back.consumed == ra.consumed
-        assert {vid: c.entries for vid, c in back.vehicles.items()} == {
-            vid: c.entries for vid, c in ra.vehicles.items()
+        assert back.vehicles == ra.vehicles == {
+            vid: tuple(e.pseudonym for e in c.entries) for vid, c in wallets.items()
         }
         assert back.dataset_entries == ra.dataset_entries
-        assert set(back.vehicles) == set(ra.vehicles)
         # serialization is a fixed point: encode(decode(x)) == x
         assert keyfiles.authority_to_bytes(back) == blob
 
+    def test_authority_holds_no_wallet_secret(self, ra, wallets):
+        """Of each wallet the authority stores only pseudonyms and shares;
+        the vehicle's scalar, blinds and slot keys stay in its own file."""
+        blob = keyfiles.authority_to_bytes(ra)
+        for creds in wallets.values():
+            assert creds.d_ev.to_bytes(32, "big") not in blob
+            for e in creds.entries:
+                assert e.blind.to_bytes(32, "big") not in blob
+                assert e.usk.s1.to_bytes() not in blob
+                assert e.usk.s2.to_bytes() not in blob
 
-def vehicle_blob(ra) -> bytes:
-    return keyfiles.vehicle_to_bytes(ra.vehicles[b"EV-kf-2"])
+    def test_authority_size_is_its_records(self, ra):
+        """Past its own keys, the authority stores an id and a count per
+        vehicle, a pseudonym and two shares per slot, and the consumed set."""
+        keys_only = dataclasses.replace(ra, vehicles={}, dataset_entries={}, consumed=set())
+        records = sum(4 + len(vid) + 4 for vid in ra.vehicles)
+        records += 3 * 32 * len(ra.dataset_entries) + 32 * len(ra.consumed)
+        size = len(keyfiles.authority_to_bytes(ra))
+        assert size == len(keyfiles.authority_to_bytes(keys_only)) + records
+
+
+def vehicle_blob(wallets) -> bytes:
+    return keyfiles.vehicle_to_bytes(wallets[b"EV-kf-2"])
 
 
 class TestFraming:
-    def test_bad_magic(self, ra):
-        blob = bytearray(vehicle_blob(ra))
+    def test_bad_magic(self, wallets):
+        blob = bytearray(vehicle_blob(wallets))
         blob[0] ^= 0xFF
         with pytest.raises(DecodeError, match="magic"):
             keyfiles.vehicle_from_bytes(bytes(blob))
 
-    def test_wrong_record_type_named_in_error(self, ra):
+    def test_wrong_record_type_named_in_error(self, wallets):
         with pytest.raises(DecodeError, match="holds vehicle credentials, expected CSPA dataset"):
-            keyfiles.dataset_from_bytes(vehicle_blob(ra))
+            keyfiles.dataset_from_bytes(vehicle_blob(wallets))
 
     def test_truncation_detected(self, ra):
         blob = keyfiles.authority_to_bytes(ra)
         with pytest.raises(DecodeError):
             keyfiles.authority_from_bytes(blob[: len(blob) // 2])
 
-    def test_trailing_garbage_detected(self, ra):
-        blob = vehicle_blob(ra) + b"\x00"
+    def test_trailing_garbage_detected(self, wallets):
+        blob = vehicle_blob(wallets) + b"\x00"
         with pytest.raises(DecodeError):
             keyfiles.vehicle_from_bytes(blob)
 
@@ -190,9 +221,9 @@ class TestStrictFields:
             pytest.param(23, "sigma_extract", 3 * math.sqrt(TIERS["test"].q), id="wide"),
         ],
     )
-    def test_non_finite_width_in_header(self, ra, start, name, width):
+    def test_non_finite_width_in_header(self, wallets, start, name, width):
         """Stored widths must be the ones N and q derive."""
-        blob = bytearray(vehicle_blob(ra))
+        blob = bytearray(vehicle_blob(wallets))
         # magic(4) + record type(1) + N(2) + q(8), then sigma_f and sigma_extract as f64
         blob[start : start + 8] = struct.pack("<d", width)
         with pytest.raises(DecodeError, match=re.escape(f"stored {name} {width!r}, expected")):
@@ -220,51 +251,48 @@ class TestCanonicalOrder:
         ((1, 1), "slot 0 stores index 1"),
         ((0, 0), "slot 1 stores index 0"),
     ])
-    def test_slot_index_is_its_position(self, ra, indices, error):
-        creds = with_indices(ra.vehicles[b"EV-kf-2"], *indices)
+    def test_slot_index_is_its_position(self, wallets, indices, error):
+        creds = with_indices(wallets[b"EV-kf-2"], *indices)
         with pytest.raises(DecodeError, match=error):
             keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
 
-    def test_vehicle_has_a_slot(self, ra):
+    def test_vehicle_has_a_slot(self, ra, wallets):
         """No writer emits a vehicle without slots, and none re-encodes one."""
-        empty = dataclasses.replace(ra.vehicles[b"EV-kf-2"], entries=[], spent=set())
         w = keyfiles._frame(keyfiles.RECORD_VEHICLE)
         keyfiles._write_params(w, ra.params)
-        keyfiles._write_vehicle_body(w, empty)
+        w.blob(b"EV-kf-2")
+        w.fixed(wallets[b"EV-kf-2"].d_ev.to_bytes(32, "big"), 32)
+        w.u32(0)  # no slots
+        w.u32(0)  # none spent
         with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):
             keyfiles.vehicle_from_bytes(w.getvalue())
-        vehicles = {**ra.vehicles, b"EV-kf-2": empty}
+        vehicles = {**ra.vehicles, b"EV-kf-2": ()}
         blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
         with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):
-            keyfiles.authority_from_bytes(blob)
-
-    def test_authority_slot_index_is_its_position(self, ra):
-        vehicles = {**ra.vehicles, b"EV-kf-2": with_indices(ra.vehicles[b"EV-kf-2"], 1, 1)}
-        blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
-        with pytest.raises(DecodeError, match="slot 0 stores index 1"):
             keyfiles.authority_from_bytes(blob)
 
     @pytest.mark.parametrize("spent", [(1, 0), (0, 0)], ids=["descending", "repeated"])
-    def test_spent_slots_strictly_increasing(self, ra, spent):
-        creds = dataclasses.replace(ra.vehicles[b"EV-kf-2"], spent={0, 1})
+    def test_spent_slots_strictly_increasing(self, wallets, spent):
+        creds = dataclasses.replace(wallets[b"EV-kf-2"], spent={0, 1})
         blob = keyfiles.vehicle_to_bytes(creds)
         assert blob.endswith(struct.pack("<3I", 2, 0, 1))
         with pytest.raises(DecodeError, match="spent slots not in strictly increasing order"):
             keyfiles.vehicle_from_bytes(blob[:-8] + struct.pack("<2I", *spent))
 
-    def test_spent_slot_names_a_slot(self, ra):
-        creds = dataclasses.replace(ra.vehicles[b"EV-kf-2"], spent={0, 2})
+    def test_spent_slot_names_a_slot(self, wallets):
+        creds = dataclasses.replace(wallets[b"EV-kf-2"], spent={0, 2})
         with pytest.raises(DecodeError, match="spent slot 2 of 2"):
             keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
 
     def test_vehicle_stored_once(self, ra):
-        creds = ra.vehicles[b"EV-kf-2"]
-        twice = dataclasses.replace(ra, vehicles={b"a": creds, b"b": creds})
+        """The first vehicle's id renamed to the second's, of the same length."""
+        blob = keyfiles.authority_to_bytes(ra)
+        assert blob.count(b"EV-kf-1") == 1
         with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' stored twice"):
-            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(twice))
+            keyfiles.authority_from_bytes(blob.replace(b"EV-kf-1", b"EV-kf-2"))
 
-    def test_consumed_pseudonyms_strictly_increasing(self, ra):
-        consumed = {e.pseudonym for e in ra.vehicles[b"EV-kf-2"].entries}
+    def test_consumed_pseudonyms_strictly_increasing(self, ra, wallets):
+        consumed = {e.pseudonym for e in wallets[b"EV-kf-2"].entries}
         blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, consumed=consumed))
         keyfiles.authority_from_bytes(blob)
         for bad in (swap_tail_records(blob, 32), blob[:-32] + blob[-64:-32]):
@@ -277,10 +305,8 @@ class TestCanonicalOrder:
     def test_pseudonym_issued_once(self, ra, donor):
         """A pseudonym in two slots would pair one slot's shares with the
         other's key, and burning one slot would burn both."""
-        shared = ra.vehicles[donor].entries[0].pseudonym
-        creds = ra.vehicles[b"EV-kf-2"]
-        entries = [creds.entries[0], dataclasses.replace(creds.entries[1], pseudonym=shared)]
-        vehicles = {**ra.vehicles, b"EV-kf-2": dataclasses.replace(creds, entries=entries)}
+        shared = ra.vehicles[donor][0]
+        vehicles = {**ra.vehicles, b"EV-kf-2": (ra.vehicles[b"EV-kf-2"][0], shared)}
         blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
         with pytest.raises(DecodeError, match=f"pseudonym {shared.hex()} issued to two slots"):
             keyfiles.authority_from_bytes(blob)
@@ -301,9 +327,9 @@ class TestCanonicalOrder:
 
 
 class TestFileHelpers:
-    def test_decode_error_names_the_file(self, ra, tmp_path):
+    def test_decode_error_names_the_file(self, wallets, tmp_path):
         path = tmp_path / "vehicle.bin"
-        keyfiles.save_vehicle(path, ra.vehicles[b"EV-kf-1"])
+        keyfiles.save_vehicle(path, wallets[b"EV-kf-1"])
         with pytest.raises(DecodeError, match="^" + re.escape(f"{path}: container holds vehicle")):
             keyfiles.load_authority(path)
 
@@ -313,9 +339,9 @@ class TestFileHelpers:
         back = keyfiles.load_authority(path)
         assert keyfiles.authority_to_bytes(back) == keyfiles.authority_to_bytes(ra)
 
-    def test_save_load_vehicle(self, ra, tmp_path):
+    def test_save_load_vehicle(self, wallets, tmp_path):
         path = tmp_path / "vehicle.bin"
-        creds = ra.vehicles[b"EV-kf-2"]
+        creds = wallets[b"EV-kf-2"]
         keyfiles.save_vehicle(path, creds)
         assert keyfiles.load_vehicle(path).entries == creds.entries
 
