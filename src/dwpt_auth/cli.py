@@ -134,6 +134,20 @@ def cmd_export_dataset(args) -> int:
     return 0
 
 
+def _admit(ra, creds) -> bool:
+    """Whether `ra` issued the wallet `creds`; if not, print an error line.
+
+    A vehicle file restored from a backup may list a slot as unspent that
+    the authority has consumed; an admitted wallet gets it marked spent, so
+    the default pick skips it.
+    """
+    if ra.vehicles.get(creds.vehicle_id) != tuple(e.pseudonym for e in creds.entries):
+        print("error: vehicle is not registered with this authority", file=sys.stderr)
+        return False
+    creds.spent.update(e.index for e in creds.entries if e.pseudonym in ra.consumed)
+    return True
+
+
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
@@ -144,14 +158,10 @@ def cmd_run(args) -> int:
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
-    if ra.vehicles.get(creds.vehicle_id) != tuple(e.pseudonym for e in creds.entries):
-        print("error: vehicle is not registered with this authority", file=sys.stderr)
+    if not _admit(ra, creds):
         return 1
     if args.pseudonym_index is not None:
         _check("pseudonym_index", args.pseudonym_index, range(len(creds.entries)))
-    # A vehicle file restored from a backup may list a slot as unspent that
-    # the authority has consumed; the default pick must skip it too.
-    creds.spent.update(e.index for e in creds.entries if e.pseudonym in ra.consumed)
     trace = netsim.simulate_session(
         ra,
         creds,
@@ -218,6 +228,8 @@ def cmd_attack(args) -> int:
     n_pads = _setting(args.n_pads, config, "n_pads", 3, int, _POSITIVE)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
+    if not _admit(ra, creds):
+        return 1
     scenarios = (
         sorted(netsim.SCENARIOS) if args.scenario == "all" else [args.scenario]
     )

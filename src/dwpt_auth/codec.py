@@ -1,10 +1,10 @@
 """The one binary framing behind every wire and file format in the package.
 
-`Writer` appends little-endian integers and doubles, u32-length-prefixed
-blobs and raw fields.  `Reader` takes them back in the same order and is
-exact: a read past the end, or bytes left over at `done()`, raises
-DecodeError.  Protocol payloads are the exception: each is a plain
-concatenation of fixed-width fields, which `protocol._parse` slices.
+`Writer` appends little-endian integers, u32-length-prefixed blobs and raw
+fields.  `Reader` takes them back in the same order and is exact: a read
+past the end, or bytes left over at `done()`, raises DecodeError.  Protocol
+payloads are the exception: each is a plain concatenation of fixed-width
+fields, which `protocol._parse` slices.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import struct
 
 from dwpt_auth.errors import DecodeError
 
-_U16, _U32, _U64, _F64 = (struct.Struct(f) for f in ("<H", "<I", "<Q", "<d"))
+_U16, _U32, _U64 = (struct.Struct(f) for f in ("<H", "<I", "<Q"))
 
 
 def _put(s: struct.Struct):
@@ -32,7 +32,7 @@ class Writer:
     """Append-only encoder; `getvalue()` returns what was written."""
 
     __slots__ = ("buf",)
-    u16, u32, u64, f64 = map(_put, (_U16, _U32, _U64, _F64))
+    u16, u32, u64 = map(_put, (_U16, _U32, _U64))
 
     def __init__(self):
         self.buf = bytearray()
@@ -63,7 +63,7 @@ class Reader:
     """Exact-length decoder over one bytes object."""
 
     __slots__ = ("data", "off")
-    u16, u32, u64, f64 = map(_get, (_U16, _U32, _U64, _F64))
+    u16, u32, u64 = map(_get, (_U16, _U32, _U64))
 
     def __init__(self, data: bytes):
         self.data = data

@@ -1,20 +1,33 @@
 """Binary containers for the three files the CLI writes.
 
-`authority.bin` holds the registration authority's state, `vehicle-*.bin`
-one vehicle's credentials and `dataset.bin` the operator's dataset.  Every
-container is the magic "DQS1", one record-type byte, and a body framed
-by `codec`: little-endian integers, u32-length-prefixed variable fields
-(ring elements as their `to_bytes` blobs), and integer polynomials as a u16
-count of i32 coefficients.  Decoders read with the exact-length
-`codec.Reader` and raise DecodeError on any malformed container, and on
-any container the writers would not emit: a vehicle with no slots (in
-`authority.bin` or a vehicle file); in `authority.bin`, a vehicle stored
-twice, a pseudonym issued to two slots, or consumed pseudonyms out of
-order or never issued; in a vehicle file, a slot index that is not its
-position, or spent slots out of order or past the last slot; in
-`dataset.bin`, entries out of order.  The `load_*` helpers name the file.
-Encodings are deterministic, so identical state produces identical bytes
-(used by the reproducibility checks).
+Each container stores every fact once, framed by `codec`: little-endian
+integers, u32-length-prefixed blobs (ring elements as their `to_bytes` blobs),
+polynomials as N i32 coefficients, and lists as a u32 count and the items.  The header is the magic "DQS2", a
+record-type byte, N (u16) and q (u64); `RingParams` derives the rest.  Then:
+
+- `authority.bin`: seed, h, f, g, F, G, extraction seed, the operator key
+  (identity, s1, s2), the CSPA-RSU and RSU-CP group keys; per vehicle its id
+  and each slot's (pseudonym, z, w); the consumed set.
+- `vehicle-*.bin`: id, d_EV, each slot's (blind a_i, z, w, s1, s2), the
+  spent slot indices.  A slot's index is its position and its pseudonym is
+  H(ID || d_EV * a_i).
+- `dataset.bin`: the operator key, the CSPA-RSU group key, the entries
+  (pseudonym, z, w) by pseudonym, the consumed set.
+
+A group key's slot fixes its role; the consumed set is sorted pseudonyms.
+Decoders read with the exact-length `codec.Reader` and raise DecodeError on
+any malformed container, and on any the writers would not emit: a vehicle
+with no slots; in `authority.bin`, a vehicle stored twice or a pseudonym
+issued to two slots; in a vehicle file, spent slots out of order or past the
+last slot; entries or consumed pseudonyms out of order, or a consumed
+pseudonym never issued.  Writers refuse, with ValueError, a slot index
+that is not its position, a group key whose role is not its slot's and a
+polynomial whose length is not N.  Every decoded container re-encodes to its
+own bytes, and identical state to identical bytes.  The `load_*` helpers
+name the file.
+
+A change to any layout, or to anything a decoder derives, bumps the digit of
+the magic; a container of another layout is reported as such.
 """
 
 from __future__ import annotations
@@ -38,9 +51,9 @@ from dwpt_auth.registration import (
     VehicleCredentials,
 )
 from dwpt_auth.ring import IntegerPolynomial, RingElement, RingParams
-from dwpt_auth.symcrypto import SymmetricKey
+from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
-MAGIC = b"DQS1"
+MAGIC = b"DQS2"
 
 RECORD_AUTHORITY = 0x10
 RECORD_VEHICLE = 0x11
@@ -55,17 +68,24 @@ _RECORD_NAMES = {
 _COEFF_LIMIT = 1 << 31
 
 
-def _frame(record_type: int) -> Writer:
+def _frame(record_type: int, p: RingParams) -> Writer:
     """A writer that already holds the container header."""
     w = Writer()
     w.raw(MAGIC)
     w.u8(record_type)
+    w.u16(p.N)
+    w.u64(p.q)
     return w
 
 
-def _unframe(data: bytes, record_type: int) -> Reader:
-    """A reader past the header, which must name `record_type`."""
-    if data[:4] != MAGIC:
+def _unframe(data: bytes, record_type: int) -> tuple[Reader, RingParams]:
+    """A reader past the header, which must name this layout and
+    `record_type`, and the parameters the header names."""
+    magic = data[:4]
+    if magic != MAGIC:
+        if len(magic) == 4 and magic[:3] == MAGIC[:3]:
+            layout = magic.decode("ascii", "backslashreplace")
+            raise DecodeError(f"layout {layout}, this build reads {MAGIC.decode()}")
         raise DecodeError("not a key container (bad magic)")
     r = Reader(data)
     r.fixed(4)
@@ -73,28 +93,11 @@ def _unframe(data: bytes, record_type: int) -> Reader:
     if have != record_type:
         name = _RECORD_NAMES.get(have, f"type {have:#x}")
         raise DecodeError(f"container holds {name}, expected {_RECORD_NAMES[record_type]}")
-    return r
-
-
-def _write_params(w: Writer, p: RingParams):
-    w.u16(p.N)
-    w.u64(p.q)
-    w.f64(p.sigma_f)
-    w.f64(p.sigma_extract)
-
-
-def _read_params(r: Reader) -> RingParams:
-    """(N, q), then the two widths, which must be the ones (N, q) derive."""
     N, q = r.u16(), r.u64()
     try:
-        p = RingParams(N, q)
+        return r, RingParams(N, q)
     except ValueError as exc:
         raise DecodeError(f"bad ring parameters: {exc}") from exc
-    for name in ("sigma_f", "sigma_extract"):
-        stored, derived = r.f64(), getattr(p, name)
-        if stored != derived:
-            raise DecodeError(f"stored {name} {stored!r}, expected {derived!r} for N={N}, q={q}")
-    return p
 
 
 def _increasing(values: list, what: str) -> list:
@@ -108,96 +111,78 @@ def _read_ring(r: Reader, p: RingParams) -> RingElement:
     return RingElement.from_bytes(r.blob(), p)
 
 
-def _write_ipoly(w: Writer, poly: IntegerPolynomial):
+def _write_ipoly(w: Writer, poly: IntegerPolynomial, N: int):
+    if len(poly.coeffs) != N:
+        raise ValueError(f"polynomial has {len(poly.coeffs)} coefficients, expected {N}")
     if any(not -_COEFF_LIMIT <= c < _COEFF_LIMIT for c in poly.coeffs):
         raise ValueError("coefficient too large for the container")
-    w.u16(len(poly.coeffs))
     w.raw(np.array(poly.coeffs, dtype="<i4").tobytes())
 
 
 def _read_ipoly(r: Reader, N: int) -> IntegerPolynomial:
-    n = r.u16()
-    if n != N:
-        raise DecodeError(f"polynomial has {n} coefficients, expected {N}")
-    return IntegerPolynomial(np.frombuffer(r.fixed(4 * n), dtype="<i4").tolist())
+    return IntegerPolynomial(np.frombuffer(r.fixed(4 * N), dtype="<i4").tolist())
 
 
-def _write_symkey(w: Writer, key: SymmetricKey):
-    w.blob(key.role.encode())
+def _write_group_key(w: Writer, key: SymmetricKey, role: str):
+    """The key's 32 bytes; its slot in the container fixes its role."""
+    if key.role != role:
+        raise ValueError(f"group key role {key.role!r} in the {role!r} slot")
     w.fixed(key.key, 32)
 
 
-def _read_symkey(r: Reader, role: str) -> SymmetricKey:
-    """A group key, whose stored role must be `role`, the one its slot holds."""
-    stored = r.blob()
-    if stored != role.encode():
-        raise DecodeError(f"group key role {stored!r}, expected {role!r}")
-    return SymmetricKey(r.fixed(32), role)
-
-
 # ---------------------------------------------------------------------------
-# Key bodies the containers share.  Readers build their result with the
-# fields in wire order: Python evaluates call arguments left to right.
+# Records the containers share.  Readers build their result with the fields
+# in wire order: Python evaluates call arguments left to right.
 
-def _write_msk_body(w: Writer, msk: MasterSecretKey):
-    _write_params(w, msk.params)
-    for poly in (msk.f, msk.g, msk.F, msk.G):
-        _write_ipoly(w, poly)
-    w.fixed(msk.extract_seed, 32)
-
-
-def _read_msk_body(r: Reader) -> MasterSecretKey:
-    p = _read_params(r)
-    f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
-    return MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32))
-
-
-def _write_usk_body(w: Writer, usk: UserSecretKey):
+def _write_usk(w: Writer, usk: UserSecretKey):
     w.blob(usk.identity)
     w.blob(usk.s1.to_bytes())
     w.blob(usk.s2.to_bytes())
 
 
-def _read_usk_body(r: Reader, p: RingParams) -> UserSecretKey:
+def _read_usk(r: Reader, p: RingParams) -> UserSecretKey:
     return UserSecretKey(identity=r.blob(), s1=_read_ring(r, p), s2=_read_ring(r, p))
 
 
-def _read_operator_key(r: Reader, p: RingParams) -> UserSecretKey:
-    """The operator identity, then its key, which must repeat the identity."""
-    identity = r.blob()
-    usk = _read_usk_body(r, p)
-    if usk.identity != identity:
-        raise DecodeError(f"stored operator key is for {usk.identity!r}, not {identity!r}")
-    return usk
+def _write_shares(w: Writer, e: DatasetEntry):
+    w.fixed(e.pseudonym, 32)
+    w.fixed(e.z, 32)
+    w.fixed(e.w, 32)
+
+
+def _read_shares(r: Reader) -> DatasetEntry:
+    return DatasetEntry(pseudonym=r.fixed(32), z=r.fixed(32), w=r.fixed(32))
+
+
+def _write_consumed(w: Writer, consumed: set[bytes]):
+    w.u32(len(consumed))
+    for pseudonym in sorted(consumed):
+        w.fixed(pseudonym, 32)
+
+
+def _read_consumed(r: Reader, issued: dict[bytes, DatasetEntry]) -> set[bytes]:
+    """The consumed pseudonyms, each of which must be among `issued`."""
+    consumed = set(_increasing([r.fixed(32) for _ in range(r.u32())], "consumed pseudonyms"))
+    unissued = consumed - issued.keys()
+    if unissued:
+        raise DecodeError(f"consumed pseudonym {min(unissued).hex()} was never issued")
+    return consumed
 
 
 # ---------------------------------------------------------------------------
 # Vehicle credentials
 
-def _read_entry(r: Reader, p: RingParams, slot: int) -> CredentialEntry:
-    index = r.u32()
-    if index != slot:
-        raise DecodeError(f"slot {slot} stores index {index}")
-    blind = int.from_bytes(r.fixed(32), "big")
-    point = int.from_bytes(r.fixed(64), "big")
-    pseudonym, z, wshare = r.fixed(32), r.fixed(32), r.fixed(32)
-    usk = UserSecretKey(identity=pseudonym, s1=_read_ring(r, p), s2=_read_ring(r, p))
-    return CredentialEntry(index, blind, point, pseudonym, z, wshare, usk)
-
-
 def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     if not creds.entries:
         raise ValueError("cannot serialize credentials with no entries")
-    w = _frame(RECORD_VEHICLE)
-    _write_params(w, creds.entries[0].usk.params)
+    w = _frame(RECORD_VEHICLE, creds.entries[0].usk.params)
     w.blob(creds.vehicle_id)
     w.fixed(creds.d_ev.to_bytes(32, "big"), 32)
     w.u32(len(creds.entries))
-    for e in creds.entries:
-        w.u32(e.index)
+    for slot, e in enumerate(creds.entries):
+        if e.index != slot:
+            raise ValueError(f"slot {slot} stores index {e.index}")
         w.fixed(e.blind.to_bytes(32, "big"), 32)
-        w.fixed(e.shared_point.to_bytes(64, "big"), 64)
-        w.fixed(e.pseudonym, 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
         w.blob(e.usk.s1.to_bytes())
@@ -208,12 +193,21 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     return w.getvalue()
 
 
+def _read_entry(
+    r: Reader, p: RingParams, vehicle_id: bytes, d_ev: int, slot: int
+) -> CredentialEntry:
+    blind = int.from_bytes(r.fixed(32), "big")
+    pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
+    z, wshare = r.fixed(32), r.fixed(32)
+    usk = UserSecretKey(identity=pseudonym, s1=_read_ring(r, p), s2=_read_ring(r, p))
+    return CredentialEntry(slot, blind, pseudonym, z, wshare, usk)
+
+
 def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
-    r = _unframe(data, RECORD_VEHICLE)
-    p = _read_params(r)
+    r, p = _unframe(data, RECORD_VEHICLE)
     vehicle_id = r.blob()
     d_ev = int.from_bytes(r.fixed(32), "big")
-    entries = [_read_entry(r, p, i) for i in range(r.u32())]
+    entries = [_read_entry(r, p, vehicle_id, d_ev, slot) for slot in range(r.u32())]
     if not entries:
         raise DecodeError(f"vehicle {vehicle_id!r} has no pseudonym slots")
     spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
@@ -227,93 +221,69 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
 # CSPA dataset
 
 def dataset_to_bytes(ds: CspaDataset) -> bytes:
-    w = _frame(RECORD_DATASET)
-    _write_params(w, ds.usk.params)
-    w.blob(ds.cspa_identity)
-    _write_usk_body(w, ds.usk)
-    _write_symkey(w, ds.gk_cspa_rsu)
+    w = _frame(RECORD_DATASET, ds.usk.params)
+    _write_usk(w, ds.usk)
+    _write_group_key(w, ds.gk_cspa_rsu, ROLE_CSPA_RSU)
     w.u32(len(ds.entries))
     for pseudonym in sorted(ds.entries):
-        e = ds.entries[pseudonym]
-        w.fixed(e.pseudonym, 32)
-        w.fixed(e.z, 32)
-        w.fixed(e.w, 32)
-        w.u8(1 if pseudonym in ds.consumed else 0)
+        _write_shares(w, ds.entries[pseudonym])
+    _write_consumed(w, ds.consumed)
     return w.getvalue()
 
 
 def dataset_from_bytes(data: bytes) -> CspaDataset:
-    r = _unframe(data, RECORD_DATASET)
-    p = _read_params(r)
-    ds = CspaDataset(
-        usk=_read_operator_key(r, p),
-        gk_cspa_rsu=_read_symkey(r, ROLE_CSPA_RSU),
-        entries={},
-    )
-    pseudonyms = []
-    for _ in range(r.u32()):
-        pseudonym, z, wshare, consumed = r.fixed(32), r.fixed(32), r.fixed(32), r.u8()
-        if consumed > 1:
-            raise DecodeError(f"consumed flag {consumed}, expected 0 or 1")
-        pseudonyms.append(pseudonym)
-        ds.entries[pseudonym] = DatasetEntry(pseudonym=pseudonym, z=z, w=wshare)
-        if consumed:
-            ds.consumed.add(pseudonym)
+    r, p = _unframe(data, RECORD_DATASET)
+    usk = _read_usk(r, p)
+    gk_cspa_rsu = SymmetricKey(r.fixed(32), ROLE_CSPA_RSU)
+    shares = [_read_shares(r) for _ in range(r.u32())]
+    _increasing([e.pseudonym for e in shares], "dataset pseudonyms")
+    entries = {e.pseudonym: e for e in shares}
+    consumed = _read_consumed(r, entries)
     r.done()
-    _increasing(pseudonyms, "dataset pseudonyms")
-    return ds
+    return CspaDataset(usk=usk, gk_cspa_rsu=gk_cspa_rsu, entries=entries, consumed=consumed)
 
 
 # ---------------------------------------------------------------------------
 # Authority state
 
 def authority_to_bytes(ra: RegistrationAuthority) -> bytes:
-    w = _frame(RECORD_AUTHORITY)
-    _write_params(w, ra.params)
+    w = _frame(RECORD_AUTHORITY, ra.params)
     w.fixed(ra.seed, 32)
     w.blob(ra.mpk.h.to_bytes())
-    _write_msk_body(w, ra.msk)
-    w.blob(ra.cspa_identity)
-    _write_usk_body(w, ra.cspa_usk)
-    _write_symkey(w, ra.gk_cspa_rsu)
-    _write_symkey(w, ra.gk_rsu_cp)
+    for poly in (ra.msk.f, ra.msk.g, ra.msk.F, ra.msk.G):
+        _write_ipoly(w, poly, ra.params.N)
+    w.fixed(ra.msk.extract_seed, 32)
+    _write_usk(w, ra.cspa_usk)
+    _write_group_key(w, ra.gk_cspa_rsu, ROLE_CSPA_RSU)
+    _write_group_key(w, ra.gk_rsu_cp, ROLE_RSU_CP)
     w.u32(len(ra.vehicles))
     for vehicle_id, pseudonyms in ra.vehicles.items():
         w.blob(vehicle_id)
         w.u32(len(pseudonyms))
         for pseudonym in pseudonyms:
-            e = ra.dataset_entries[pseudonym]
-            w.fixed(e.pseudonym, 32)
-            w.fixed(e.z, 32)
-            w.fixed(e.w, 32)
-    w.u32(len(ra.consumed))
-    for pseudonym in sorted(ra.consumed):
-        w.fixed(pseudonym, 32)
+            _write_shares(w, ra.dataset_entries[pseudonym])
+    _write_consumed(w, ra.consumed)
     return w.getvalue()
 
 
 def authority_from_bytes(data: bytes) -> RegistrationAuthority:
-    r = _unframe(data, RECORD_AUTHORITY)
-    p = _read_params(r)
-    seed = r.fixed(32)
-    h = _read_ring(r, p)
-    msk = _read_msk_body(r)
-    if msk.params != p:
-        raise DecodeError("inconsistent parameters inside authority container")
+    r, p = _unframe(data, RECORD_AUTHORITY)
+    seed, h = r.fixed(32), _read_ring(r, p)
+    f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
     ra = RegistrationAuthority(
         params=p,
         seed=seed,
         mpk=MasterPublicKey(params=p, h=h),
-        msk=msk,
-        cspa_usk=_read_operator_key(r, p),
-        gk_cspa_rsu=_read_symkey(r, ROLE_CSPA_RSU),
-        gk_rsu_cp=_read_symkey(r, ROLE_RSU_CP),
+        msk=MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32)),
+        cspa_usk=_read_usk(r, p),
+        gk_cspa_rsu=SymmetricKey(r.fixed(32), ROLE_CSPA_RSU),
+        gk_rsu_cp=SymmetricKey(r.fixed(32), ROLE_RSU_CP),
     )
     for _ in range(r.u32()):
         vehicle_id = r.blob()
         if vehicle_id in ra.vehicles:
             raise DecodeError(f"vehicle {vehicle_id!r} stored twice")
-        slots = [DatasetEntry(r.fixed(32), r.fixed(32), r.fixed(32)) for _ in range(r.u32())]
+        slots = [_read_shares(r) for _ in range(r.u32())]
         if not slots:
             raise DecodeError(f"vehicle {vehicle_id!r} has no pseudonym slots")
         for e in slots:
@@ -321,11 +291,7 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
                 raise DecodeError(f"pseudonym {e.pseudonym.hex()} issued to two slots")
             ra.dataset_entries[e.pseudonym] = e
         ra.vehicles[vehicle_id] = tuple(e.pseudonym for e in slots)
-    consumed = [r.fixed(32) for _ in range(r.u32())]
-    ra.consumed = set(_increasing(consumed, "consumed pseudonyms"))
-    unissued = ra.consumed - ra.dataset_entries.keys()
-    if unissued:
-        raise DecodeError(f"consumed pseudonym {min(unissued).hex()} was never issued")
+    ra.consumed = _read_consumed(r, ra.dataset_entries)
     r.done()
     return ra
 

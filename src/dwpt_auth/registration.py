@@ -38,8 +38,7 @@ class CredentialEntry:
 
     index: int
     blind: int  # per-slot public scalar a_i
-    shared_point: int  # d_ev * a_i, the pseudonym preimage
-    pseudonym: bytes
+    pseudonym: bytes  # H(ID || d_ev * a_i)
     z: bytes  # share known to EV and CSPA, sent in the first message
     w: bytes  # share never sent alone; CSPA proves knowledge via z + w
     usk: UserSecretKey  # decryption key for traffic addressed to the pseudonym
@@ -160,8 +159,7 @@ def register_vehicle(
     for i in range(count):
         for _ in range(_MAX_PSEUDONYM_RESAMPLES):
             blind = int.from_bytes(rng.bytes(32), "big")
-            point = d_ev * blind
-            pseudonym = derive_pseudonym(vehicle_id, point)
+            pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
             if pseudonym not in ra.dataset_entries:
                 break
         else:
@@ -169,7 +167,6 @@ def register_vehicle(
         entry = CredentialEntry(
             index=i,
             blind=blind,
-            shared_point=point,
             pseudonym=pseudonym,
             z=rng.bytes(32),
             w=rng.bytes(32),

@@ -1,10 +1,7 @@
 """End-to-end command-line lifecycle, driven in process through main()."""
 
-import dataclasses
 import importlib.metadata as md
 import json
-import math
-import struct
 import sys
 from pathlib import Path
 
@@ -13,8 +10,6 @@ import pytest
 from dwpt_auth import keyfiles, protocol
 from dwpt_auth.cli import main
 from dwpt_auth.registration import export_cspa_dataset
-from dwpt_auth.ring import TIERS
-from dwpt_auth.symcrypto import SymmetricKey
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -109,22 +104,6 @@ class TestRegister:
         ])
         assert rc == 1
         assert "already registered" in capsys.readouterr().err
-
-    def test_wide_extraction_width_reported(self, tmp_path, capsys):
-        """A stored sigma_extract of 3*sqrt(q), past what the sampler serves,
-        is one error line at load, not a failure inside extraction."""
-        path = tmp_path / "authority.bin"
-        assert main(["setup", "--params-tier", "test", "--seed", "wide", "--out", str(tmp_path)]) == 0
-        p = TIERS["test"]
-        packed = struct.pack("<d", p.sigma_extract)
-        blob = path.read_bytes()
-        assert blob.count(packed) == 2  # the authority and master key headers
-        path.write_bytes(blob.replace(packed, struct.pack("<d", 3 * math.sqrt(p.q))))
-        capsys.readouterr()
-        assert main(["register", "--authority", str(path), "--vehicle-id", "EV-wide"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: stored sigma_extract ")
-        assert err.count("\n") == 1
 
 
 class TestExportDataset:
@@ -296,37 +275,21 @@ class TestRun:
             "expected authority state\n"
         )
 
-    def test_wrong_group_key_role_reported(self, workspace, tmp_path, capsys):
-        ra = keyfiles.load_authority(workspace / "authority.bin")
-        key = SymmetricKey(ra.gk_cspa_rsu.key, "session")
+    def test_other_layout_reported(self, workspace, tmp_path, capsys):
+        """An authority file of another layout version is named as such in
+        one error line, not reported as a truncation, and is left alone."""
         path = tmp_path / "authority.bin"
-        keyfiles.save_authority(path, dataclasses.replace(ra, gk_cspa_rsu=key))
+        path.write_bytes(b"DQS1" + (workspace / "authority.bin").read_bytes()[4:])
+        before = path.read_bytes()
         rc = main([
             "run", "--authority", str(path),
             "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
             "--out", str(tmp_path / "run"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == (
-            f"error: {path}: group key role b'session', expected 'group-cspa-rsu'\n"
-        )
-
-    def test_misplaced_slot_index_reported(self, workspace, tmp_path, capsys):
-        """A vehicle file whose slot 0 stores index 5 is one error line, not a
-        traceback after the session, and neither file is written."""
-        creds = keyfiles.load_vehicle(workspace / "vehicle-EV-cli.bin")
-        creds.entries[0] = dataclasses.replace(creds.entries[0], index=5)
-        path = tmp_path / "vehicle-EV-cli.bin"
-        keyfiles.save_vehicle(path, creds)
-        authority = workspace / "authority.bin"
-        before = authority.read_bytes(), path.read_bytes()
-        rc = main([
-            "run", "--authority", str(authority), "--vehicle", str(path),
-            "--out", str(tmp_path / "run"),
-        ])
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {path}: slot 0 stores index 5\n"
-        assert (authority.read_bytes(), path.read_bytes()) == before
+        assert capsys.readouterr().err == f"error: {path}: layout DQS1, this build reads DQS2\n"
+        assert path.read_bytes() == before
+        assert not (tmp_path / "run").exists()
 
     def test_operator_commands_never_reach_the_trapdoor(self, workspace, tmp_path, monkeypatch, capsys):
         """run, attack and export-dataset work from the operator key stored at
@@ -516,6 +479,49 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario double-spend could not run: ChainMismatch")
         assert not (tmp_path / "attack_double-spend.jsonl").exists()
+
+    def test_restored_vehicle_file_skips_consumed_slots(self, workspace, tmp_path, capsys):
+        """attack admits a wallet as run does: a vehicle file restored from
+        before a completed run lists the run's slot as unspent, and every
+        scenario rides another slot instead of ending in PseudonymReuse."""
+        authority, vehicle = tmp_path / "authority.bin", tmp_path / "vehicle-EV-cli.bin"
+        for path in (authority, vehicle):
+            path.write_bytes((workspace / path.name).read_bytes())
+        backup = vehicle.read_bytes()
+        assert main([
+            "run", "--authority", str(authority), "--vehicle", str(vehicle),
+            "--out", str(tmp_path / "run"),
+        ]) == 0
+        vehicle.write_bytes(backup)
+        capsys.readouterr()
+        rc = main([
+            "attack", "--scenario", "all", "--authority", str(authority),
+            "--vehicle", str(vehicle), "--out", str(tmp_path / "attacks"),
+        ])
+        out, err = capsys.readouterr()
+        assert rc == 0, err
+        assert out.count("PASS") == 5
+        assert vehicle.read_bytes() == backup
+
+    def test_foreign_vehicle_rejected(self, workspace, tmp_path, capsys):
+        """A same-id wallet that another authority issued is refused before
+        any scenario, as run refuses it, and no report is written."""
+        assert main([
+            "setup", "--params-tier", "test", "--seed", "other", "--out", str(tmp_path),
+        ]) == 0
+        authority = tmp_path / "authority.bin"
+        assert main([
+            "register", "--authority", str(authority),
+            "--vehicle-id", "EV-cli", "--out", str(tmp_path / "issued"),
+        ]) == 0
+        capsys.readouterr()
+        rc = main([
+            "attack", "--scenario", "all", "--authority", str(authority),
+            "--vehicle", str(workspace / "vehicle-EV-cli.bin"), "--out", str(tmp_path / "attacks"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: vehicle is not registered with this authority\n"
+        assert not (tmp_path / "attacks").exists()
 
     def test_unknown_scenario_is_a_usage_error(self, workspace):
         with pytest.raises(SystemExit) as exc:

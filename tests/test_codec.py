@@ -16,7 +16,6 @@ def sample() -> bytes:
     w.u16(513)
     w.u32(70000)
     w.u64(1 << 40)
-    w.f64(-2.5)
     w.blob(b"abc")
     w.fixed(b"xy", 2)
     w.raw(b"z")
@@ -25,7 +24,7 @@ def sample() -> bytes:
 
 def test_round_trip():
     r = Reader(sample())
-    assert (r.u8(), r.u16(), r.u32(), r.u64(), r.f64()) == (7, 513, 70000, 1 << 40, -2.5)
+    assert (r.u8(), r.u16(), r.u32(), r.u64()) == (7, 513, 70000, 1 << 40)
     assert (r.blob(), r.fixed(2), r.fixed(1)) == (b"abc", b"xy", b"z")
     r.done()
 
@@ -39,7 +38,7 @@ def test_every_truncation_raises_decode_error():
     for cut in range(len(blob)):
         r = Reader(blob[:cut])
         with pytest.raises(DecodeError, match="truncated"):
-            r.u8(), r.u16(), r.u32(), r.u64(), r.f64(), r.blob(), r.fixed(2), r.fixed(1)
+            r.u8(), r.u16(), r.u32(), r.u64(), r.blob(), r.fixed(2), r.fixed(1)
 
 
 def test_leftover_bytes_raise_decode_error():

@@ -88,8 +88,7 @@ class TestRegisterVehicle:
         ra = ra_setup(TIERS["test"], "reg-2")
         creds = register_vehicle(ra, b"EV-2", 3)
         for e in creds.entries:
-            assert e.shared_point == creds.d_ev * e.blind
-            assert e.pseudonym == derive_pseudonym(b"EV-2", e.shared_point)
+            assert e.pseudonym == derive_pseudonym(b"EV-2", creds.d_ev * e.blind)
 
     def test_extracted_keys_match_pseudonym_identity(self):
         ra = ra_setup(TIERS["test"], "reg-3")
