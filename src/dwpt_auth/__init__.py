@@ -38,6 +38,7 @@ from dwpt_auth.netsim import (
 from dwpt_auth.registration import (
     export_cspa_dataset,
     ra_setup,
+    record_pass,
     register_vehicle,
     storage_estimate,
     storage_report,
@@ -71,6 +72,7 @@ __all__ = [
     "master_key_gen",
     "pad_length_m",
     "ra_setup",
+    "record_pass",
     "register_vehicle",
     "run_adversary",
     "sign",

@@ -16,7 +16,7 @@ from pathlib import Path
 from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.errors import DecodeError, DuplicateRegistration, EmptyRegistry, ProtocolRejection
 from dwpt_auth.netsim import TIMING_MODES, TimingModel
-from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
+from dwpt_auth.registration import export_cspa_dataset, ra_setup, record_pass, register_vehicle
 from dwpt_auth.ring import TIERS
 
 _POSITIVE = range(1, 1 << 63)  # slot counts, pad counts and speeds
@@ -175,10 +175,9 @@ def cmd_run(args) -> int:
     tpath = out / "transcript.jsonl"
     tpath.write_text(trace.to_jsonl())
     summary = trace.summary()
-    if any(event.kind == "m2" for event in trace.events):
-        # The operator accepted m1 and issued a token: burn the pseudonym on
-        # both sides so a rerun is rejected, whether or not the pass completed.
-        ra.consumed.add(creds.entries[trace.used_entry_index].pseudonym)
+    if record_pass(ra, creds, trace):
+        # Burned on both sides: the authority first, so a crash between the
+        # two saves leaves the slot consumed and a default run skips it.
         keyfiles.save_authority(args.authority, ra)
         keyfiles.save_vehicle(args.vehicle, creds)
     if trace.completed:

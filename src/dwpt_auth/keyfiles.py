@@ -21,7 +21,8 @@ with no slots; in `authority.bin`, a vehicle stored twice or a pseudonym
 issued to two slots; in a vehicle file, spent slots out of order or past the
 last slot; entries or consumed pseudonyms out of order, or a consumed
 pseudonym never issued.  Writers refuse, with ValueError, a slot index
-that is not its position, a group key whose role is not its slot's and a
+that is not its position, a slot whose pseudonym or key identity is not
+the one the decoder would derive, a group key whose role is not its slot's and a
 polynomial whose length is not N.  Every decoded container re-encodes to its
 own bytes, and identical state to identical bytes.  The `load_*` helpers
 name the file.
@@ -182,6 +183,10 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     for slot, e in enumerate(creds.entries):
         if e.index != slot:
             raise ValueError(f"slot {slot} stores index {e.index}")
+        if e.pseudonym != derive_pseudonym(creds.vehicle_id, creds.d_ev * e.blind):
+            raise ValueError(f"slot {slot}: pseudonym is not H(ID || d_EV * a_i)")
+        if e.usk.identity != e.pseudonym:
+            raise ValueError(f"slot {slot}: key identity is not its pseudonym")
         w.fixed(e.blind.to_bytes(32, "big"), 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)

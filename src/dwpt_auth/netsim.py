@@ -248,10 +248,13 @@ class TraceEvent:
 
 @dataclass
 class SessionTrace:
+    """One pass: each message sent with its arrival tick (1/D ms of the
+    timing model's clock), the outcome and the exact totals.  The events
+    and the wire log are read from `messages`, not stored beside it."""
+
     config: dict
     timing: TimingModel  # the model that priced every event
-    events: list[TraceEvent] = field(default_factory=list)
-    wire_log: list[tuple[str, bytes]] = field(default_factory=list)
+    messages: list[tuple[ProtocolMessage, int]] = field(default_factory=list)
     completed: bool = False
     rejection: str | None = None
     used_entry_index: int | None = None
@@ -262,6 +265,34 @@ class SessionTrace:
     total_sending_us: Fraction = Fraction(0)
     total_bytes: int = 0
     accepted_pads: int = 0
+
+    @cached_property
+    def events(self) -> list[TraceEvent]:
+        """One event per message sent, then a `reject` event at the last
+        arrival if the pass was rejected; built on first read."""
+        D, comp, send, _, _ = self.timing._clock
+        comp = {**comp, "m7": (self.config["n_pads"] + 1) * comp["m7"]}
+        sizes = protocol.NOMINAL_SIZES
+        events = [
+            TraceEvent(
+                seq, Fraction(tick, D), msg.kind, msg.sender, msg.receiver,
+                sizes[msg.kind], KIND_CHANNEL[msg.kind], comp[msg.kind],
+                send[msg.kind], "ok",
+            )
+            for seq, (msg, tick) in enumerate(self.messages)
+        ]
+        if self.rejection is not None:
+            tick = self.messages[-1][1] if self.messages else 0
+            events.append(TraceEvent(
+                len(events), Fraction(tick, D), "reject", "-", "-", 0, "-",
+                Fraction(0), Fraction(0), self.rejection,
+            ))
+        return events
+
+    @property
+    def wire_log(self) -> tuple[tuple[str, bytes], ...]:
+        """(kind, body) of every message sent, in order."""
+        return tuple((msg.kind, msg.body) for msg, _ in self.messages)
 
     def summary(self) -> dict:
         return {
@@ -373,11 +404,13 @@ def simulate_session(
     cost_first_pad(n_pads) exactly, and each later pad adds one hash check.
     A protocol rejection ends the run with the reason recorded.
 
-    The pass marks its slot spent in `credentials` but leaves the
-    authority's `consumed` set as it is.  An explicit `entry_index` names
-    its slot even when it is spent (see `VehicleCredentials.pick_entry`),
-    so the same pseudonym can run again in memory; only `consumed`, which
-    the CLI persists, turns that replay into PseudonymReuse.
+    The pass only simulates: it marks its slot spent in `credentials` but
+    leaves the authority's `consumed` set as it is.  An explicit
+    `entry_index` names its slot even when it is spent (see
+    `VehicleCredentials.pick_entry`), so the same pseudonym can run again in
+    memory.  `registration.record_pass` spends the pseudonym of a pass that
+    reached m2; only `consumed`, which the CLI then persists, turns a replay
+    into PseudonymReuse.
     """
     tm = timing or _ROUNDED_TABLE
     world = build_world(
@@ -398,33 +431,24 @@ def simulate_session(
         timing=tm,
     )
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
-    # integers; Fractions are built only where the trace hands them out.
-    D, comp, send, comp_ticks, send_ticks = tm._clock
-    comp = {**comp, "m7": (n_pads + 1) * comp["m7"]}
+    # integers; the trace builds its Fractions only when they are read.
+    D, _, _, comp_ticks, send_ticks = tm._clock
     comp_ticks = {**comp_ticks, "m7": (n_pads + 1) * comp_ticks["m7"]}
-    sizes, channels = protocol.NOMINAL_SIZES, KIND_CHANNEL
-    events, wire_log = trace.events, trace.wire_log
+    ticks = {k: comp_ticks[k] + send_ticks[k] for k in comp_ticks}
+    sizes = protocol.NOMINAL_SIZES
+    record = trace.messages.append
     clock = 0
 
     def emit(msg: ProtocolMessage) -> ProtocolMessage:
         nonlocal clock
-        kind = msg.kind
-        clock += comp_ticks[kind] + send_ticks[kind]
-        events.append(TraceEvent(
-            len(events), Fraction(clock, D), kind, msg.sender, msg.receiver,
-            sizes[kind], channels[kind], comp[kind], send[kind], "ok",
-        ))
-        wire_log.append((kind, msg.body))
+        clock += ticks[msg.kind]
+        record((msg, clock))
         return msg
 
     try:
         _ride(world, n_pads, lambda: clock // D, emit)
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
-        events.append(TraceEvent(
-            len(events), Fraction(clock, D), "reject", "-", "-", 0, "-",
-            Fraction(0), Fraction(0), exc.reason,
-        ))
     trace.completed = trace.rejection is None
     trace.accepted_pads = sum(pad.consumed for pad in world.pads)
 
@@ -433,7 +457,7 @@ def simulate_session(
                 Fraction(1000 * sum(send_ticks[k] for k in kinds), D),
                 sum(sizes[k] for k in kinds))
 
-    sent = [kind for kind, _ in trace.wire_log]
+    sent = [msg.kind for msg, _ in trace.messages]
     first = protocol.chain_kind(1)
     through_first = sent[: sent.index(first) + 1] if first in sent else sent
     (trace.total_computation_ms, trace.total_sending_us,

@@ -20,7 +20,7 @@ ProtocolRejection with a stable machine-readable reason on any mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
@@ -92,8 +92,9 @@ _ONE = (1).to_bytes(32, "big")
 _UNREADABLE = (DecodeError, AuthenticationFailure)
 
 
-@dataclass(frozen=True, slots=True)
-class ProtocolMessage:
+class ProtocolMessage(NamedTuple):
+    """One message on the air; immutable, and as cheap to build as a tuple."""
+
     kind: str
     sender: str
     receiver: str

@@ -197,6 +197,23 @@ def export_cspa_dataset(ra: RegistrationAuthority) -> CspaDataset:
     )
 
 
+def record_pass(ra: RegistrationAuthority, creds: VehicleCredentials, trace) -> bool:
+    """Spend the pseudonym of a simulated pass: add it to `ra.consumed` if
+    the pass sent an m2, and return whether it did.
+
+    Once the operator has answered m1 it has issued a token, so the slot is
+    burned whether or not the pass completed; a pass rejected at m1 burns
+    nothing.  `netsim.simulate_session` only simulates: it marks the slot
+    spent in its wallet and leaves `ra.consumed` as it is, so only this
+    call, and a caller that then saves the authority, turns a replay of the
+    slot into PseudonymReuse.
+    """
+    if not any(kind == "m2" for kind, _ in trace.wire_log):
+        return False
+    ra.consumed.add(creds.entries[trace.used_entry_index].pseudonym)
+    return True
+
+
 def storage_estimate(
     vehicle_count: int, pseudonyms_per_vehicle: int, bytes_per_pseudonym_record: int
 ) -> tuple[int, int]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from dwpt_auth import TIERS, protocol, ra_setup, register_vehicle
+from dwpt_auth import TIERS, netsim, protocol, ra_setup, register_vehicle
 from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.netsim import (
     CHANNELS,
@@ -23,6 +23,7 @@ from dwpt_auth.netsim import (
     SCENARIOS,
     TIMING_MODES,
     TimingModel,
+    TraceEvent,
     build_world,
     cost_asymptotic,
     cost_first_pad,
@@ -537,6 +538,32 @@ def _reference_check(trace):
     for value in fields:
         assert type(value) is Fraction
     assert fields == (comp, send, *first)
+
+
+class TestLazyEvents:
+    """A pass keeps one message log; its events are built on first read."""
+
+    @pytest.mark.parametrize("burned", [False, True], ids=["completed", "rejected"])
+    def test_events_built_once_on_read(self, burned, default_authority, fresh_vehicle, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args[2])
+            return TraceEvent(*args)
+
+        monkeypatch.setattr(netsim, "TraceEvent", counting)
+        pseudonym = fresh_vehicle.entries[0].pseudonym
+        if burned:
+            default_authority.consumed.add(pseudonym)
+        try:
+            trace = simulate_session(default_authority, fresh_vehicle, n_pads=50, seed="lazy")
+        finally:
+            default_authority.consumed.discard(pseudonym)
+        assert trace.completed == (not burned) and built == []
+        events = trace.events
+        assert len(built) == len(events) == len(trace.wire_log) + burned
+        assert trace.events is events and len(built) == len(events)
+        _reference_check(trace)
 
 
 CUSTOM_TIMING = TimingModel(

@@ -1,6 +1,8 @@
 """Session state machines: the happy path and every rejection branch."""
 
+import copy
 import dataclasses
+import pickle
 import struct
 
 import pytest
@@ -77,6 +79,33 @@ def run_authentication(p: Parties, now=NOW):
     p.ev.handle_m5(m5, now)
     p.pads[0].handle_provision(m6)
     return m1, m2, m3, m4, m5, m6
+
+
+class TestProtocolMessage:
+    """A message is an immutable 4-tuple whose fields also read by name."""
+
+    def test_fields_cannot_be_assigned(self, parties):
+        msg = parties.ev.compose_m1(NOW)
+        for name in ("kind", "sender", "receiver", "body"):
+            with pytest.raises(AttributeError):
+                setattr(msg, name, None)
+        assert msg.kind == "m1"
+
+    def test_names_and_positions_agree(self, parties):
+        msg = parties.ev.compose_m1(NOW)
+        kind, sender, receiver, body = msg
+        assert (kind, sender, receiver, body) == (msg.kind, msg.sender, msg.receiver, msg.body)
+        assert [msg[i] for i in range(4)] == [msg.kind, msg.sender, msg.receiver, msg.body]
+
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda msg: pickle.loads(pickle.dumps(msg))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_survives_copies(self, parties, clone):
+        msg = parties.ev.compose_m1(NOW)
+        twin = clone(msg)
+        assert type(twin) is ProtocolMessage and twin == msg
+        assert parties.cspa.handle_m1(twin, NOW)[0].kind == "m2"
 
 
 class TestPayloadSizes:

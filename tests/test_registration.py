@@ -5,14 +5,16 @@ import pickle
 
 import pytest
 
-from dwpt_auth import keyfiles
+from dwpt_auth import keyfiles, protocol
 from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry
 from dwpt_auth.ibe import extract, identity_point
+from dwpt_auth.netsim import simulate_session
 from dwpt_auth.registration import (
     ROLE_CSPA_RSU,
     ROLE_RSU_CP,
     export_cspa_dataset,
     ra_setup,
+    record_pass,
     register_vehicle,
     storage_estimate,
     storage_report,
@@ -201,6 +203,42 @@ class TestDatasetExport:
         assert ds.gk_cspa_rsu.key == ra.gk_cspa_rsu.key
         t = identity_point(ra.params, ra.cspa_identity)
         assert ds.usk.s1 + ds.usk.s2 * ra.mpk.h == t
+
+
+class TestRecordPass:
+    """Only `record_pass` spends a pseudonym; a simulated pass leaves the
+    authority's consumed set as it is."""
+
+    @pytest.fixture(scope="class")
+    def ra(self):
+        return ra_setup(TIERS["default"], "record-pass")
+
+    def test_pass_that_reaches_m2_is_burned(self, ra):
+        creds = register_vehicle(ra, b"EV-burn", 2)
+        trace = simulate_session(ra, creds, n_pads=2, seed="burn")
+        assert trace.completed and ra.consumed == set()
+        assert record_pass(ra, creds, trace) is True
+        assert ra.consumed == {creds.entries[0].pseudonym}
+        rerun = simulate_session(ra, creds, n_pads=2, seed="burn", entry_index=0)
+        assert rerun.rejection == "PseudonymReuse"
+        assert record_pass(ra, creds, rerun) is False
+
+    def test_pass_rejected_after_m2_is_burned(self, ra, monkeypatch):
+        creds = register_vehicle(ra, b"EV-pad-reject", 2)
+        monkeypatch.setattr(protocol, "chain_verify", lambda *args: False)
+        trace = simulate_session(ra, creds, n_pads=2, seed="pad-reject")
+        assert trace.rejection == "ChainMismatch"
+        assert record_pass(ra, creds, trace) is True
+        assert creds.entries[0].pseudonym in ra.consumed
+
+    def test_m1_rejection_is_not_burned(self, ra):
+        creds = register_vehicle(ra, b"EV-stale", 2)
+        before = set(ra.consumed)
+        trace = simulate_session(ra, creds, n_pads=2, seed="stale", freshness_ms=0)
+        assert [kind for kind, _ in trace.wire_log] == ["m1"]
+        assert trace.rejection == "StaleTimestamp"
+        assert record_pass(ra, creds, trace) is False
+        assert ra.consumed == before
 
 
 class TestBulkIssuance:
