@@ -15,6 +15,7 @@ from dwpt_auth.ibe import (
     extract,
     ibe_open,
     ibe_seal,
+    identity_point,
     master_key_gen,
     sign,
     verify,
@@ -33,12 +34,14 @@ print(f"master key at N={p.N}: {time.perf_counter() - t0:.2f} s")
 det = msk.f * msk.G - msk.g * msk.F
 print("f*G - g*F == q:", det.coeffs == [p.q] + [0] * (p.N - 1))
 
-# anyone can encrypt to an identity; only the issued key decrypts
+# anyone can encrypt to an identity, under its hashed point H(id); only the
+# issued key decrypts
 identity = b"OBU-serial-0451"
+point = identity_point(p, identity)
 usk = extract(msk, identity)
 
 bits = [rng.below(2) for _ in range(p.N)]
-ct = encrypt(mpk, identity, bits, rng.child("enc"))
+ct = encrypt(mpk, point, bits, rng.child("enc"))
 print("decrypt(encrypt(bits)) == bits:", decrypt(usk, ct) == bits)
 
 # wrong identity, garbage out
@@ -46,7 +49,7 @@ other = extract(msk, b"OBU-serial-9999")
 print("other key decrypts correctly:", decrypt(other, ct) == bits)
 
 # hybrid mode seals arbitrary byte strings under an ephemeral AEAD key
-blob = ibe_seal(mpk, identity, b"charging token 0xA7", rng.child("seal"),
+blob = ibe_seal(mpk, point, b"charging token 0xA7", rng.child("seal"),
                 associated_data=b"demo")
 print("sealed bytes:", len(blob.to_bytes()))
 print("opened:", ibe_open(usk, blob, associated_data=b"demo"))

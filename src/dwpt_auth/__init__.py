@@ -23,6 +23,7 @@ from dwpt_auth.ibe import (
     extract,
     ibe_open,
     ibe_seal,
+    identity_point,
     master_key_gen,
     sign,
     verify,
@@ -69,6 +70,7 @@ __all__ = [
     "extract",
     "ibe_open",
     "ibe_seal",
+    "identity_point",
     "master_key_gen",
     "pad_length_m",
     "ra_setup",

@@ -15,6 +15,7 @@ from pathlib import Path
 
 from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.errors import DecodeError, DuplicateRegistration, EmptyRegistry, ProtocolRejection
+from dwpt_auth.ibe import noise_model
 from dwpt_auth.netsim import TIMING_MODES, TimingModel
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, record_pass, register_vehicle
 from dwpt_auth.ring import TIERS
@@ -97,6 +98,14 @@ def cmd_setup(args) -> int:
         f"authority written: {path} (tier={tier}, N={params.N}, q={params.q}, "
         f"seed={seed})"
     )
+    noise = noise_model(params, ra.cspa_usk)
+    line = (
+        f"decryption noise: sd {noise.sd:.3g} of q/4 (z = {noise.z:.3g}), "
+        f"bit flip {noise.bit_flip:.2g}, content key opens {noise.key_opens:.2g}"
+    )
+    if noise.key_opens**2 < 0.5:  # a session opens two content keys, m1's and m2's
+        line += "; sessions will end in DecryptFailure"
+    print(line)
     return 0
 
 

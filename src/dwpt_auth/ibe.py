@@ -20,6 +20,7 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -104,6 +105,13 @@ class UserSecretKey:
     @property
     def params(self) -> RingParams:
         return self.s1.params
+
+    @functools.cached_property
+    def point(self) -> RingElement:
+        """The identity point H(identity) that (s1, s2) is a preimage of,
+        with its transform kept for every encryption to it; built on first
+        use and not a field, so it is never persisted."""
+        return identity_point(self.params, self.identity).keep_transform()
 
 
 @dataclass(frozen=True)
@@ -483,29 +491,60 @@ def extract(msk: MasterSecretKey, identity: bytes) -> UserSecretKey:
 # ---------------------------------------------------------------------------
 # Encryption
 
-def encrypt(mpk: MasterPublicKey, identity: bytes, bits, rng: RandomSource) -> Ciphertext:
-    """Encrypt N bits (a sequence of 0s and 1s) to an identity."""
+def encrypt(
+    mpk: MasterPublicKey, recipient: RingElement, bits, rng: RandomSource
+) -> Ciphertext:
+    """Encrypt N bits (a sequence of 0s and 1s) to the identity whose point
+    is `recipient` (see `identity_point`); r, e1 and e2 are one noise read."""
     params = mpk.params
     bits = np.asarray(bits)
     if bits.shape != (params.N,) or not np.all((bits == 0) | (bits == 1)):
         raise ValueError(f"message must be exactly {params.N} bits")
-    t = identity_point(params, identity)
-    r = RingElement(params, sample_gaussian_poly(params, ENC_SIGMA, rng))
-    e1 = sample_gaussian_poly(params, ENC_SIGMA, rng)
-    e2 = sample_gaussian_poly(params, ENC_SIGMA, rng)
-    rh, rt = r.product_rows(mpk.h, t)
+    r, e1, e2 = sample_gaussian_poly(params, ENC_SIGMA, rng, rows=3)
+    rh, rt = RingElement(params, r).product_rows(mpk.h, recipient)
     rt += e2
     rt += bits.astype(np.int64) * (params.q // 2)
     return Ciphertext(u=RingElement(params, rh + e1), v=RingElement(params, rt))
 
 
 def decrypt(usk: UserSecretKey, ct: Ciphertext) -> list[int]:
-    """Recover the bit vector; bit i is 1 when w_i lies nearer q/2 than 0."""
-    if usk.params != ct.u.params:
+    """Recover the bit vector; bit i is 1 when w_i = (v - u*s2)_i mod q lies
+    nearer q/2 than 0, that is q//4 < w_i < q - q//4."""
+    if not usk.params == ct.u.params == ct.v.params:
         raise ParameterMismatch("key and ciphertext parameters differ")
     q = usk.params.q
-    w = ct.v - ct.u * usk.s2
-    return (np.abs(w.centered()) > q // 4).astype(np.int64).tolist()
+    w = (ct.v.coeffs - (ct.u * usk.s2).coeffs) % q  # int32: both in [0, q)
+    return ((w > q // 4) & (w < q - q // 4)).astype(np.int64).tolist()
+
+
+class NoiseModel(NamedTuple):
+    """Predicted decryption noise of one identity key (see `noise_model`)."""
+
+    sd: float  # per-coefficient standard deviation, as a fraction of q/4
+    z: float  # q/4 in standard deviations: 1 / sd
+    bit_flip: float  # probability that one bit decodes wrong
+    key_opens: float  # probability that all 256 content-key bits decode
+
+
+def noise_model(params: RingParams, usk: UserSecretKey) -> NoiseModel:
+    """Closed-form decryption noise for ciphertexts to `usk`.
+
+    With s1 + s2*h = t, w - m*floor(q/2) = r*s1 - e1*s2 + e2, each
+    coefficient a sum of independent terms of width ENC_SIGMA: its standard
+    deviation is ENC_SIGMA * sqrt(||s1||^2 + ||s2||^2 + 1).  A bit flips
+    when its noise passes q/4 either way, with probability erfc(z/sqrt(2)):
+    an upper bound, since noise past 3q/4 wraps back, tight while z is above
+    about 1 (at the `toy` tier it exceeds 1/2 and says only that no key
+    opens).
+    """
+    if usk.params != params:
+        raise ParameterMismatch("key and model parameters differ")
+    norm_sq = usk.s1.norm_squared() + usk.s2.norm_squared() + 1
+    sd = ENC_SIGMA * math.sqrt(norm_sq) / (params.q / 4)
+    z = 1 / sd
+    flip = math.erfc(z / math.sqrt(2))
+    opens = math.exp(_CONTENT_KEY_BITS * math.log1p(-flip))
+    return NoiseModel(sd, z, flip, opens)
 
 
 # ---------------------------------------------------------------------------
@@ -559,19 +598,20 @@ def _blocks_to_key(blocks) -> bytes:
 
 def ibe_seal(
     mpk: MasterPublicKey,
-    identity: bytes,
+    recipient: RingElement,
     plaintext: bytes,
     rng: RandomSource,
     associated_data: bytes = b"",
 ) -> HybridCiphertext:
-    """Encrypt an arbitrary byte payload to an identity.
+    """Encrypt an arbitrary byte payload to the identity whose point is
+    `recipient`.
 
     A fresh 256-bit content key is encapsulated in ceil(256/N) ring blocks
     (zero-padded when N > 256); the payload is sealed under that key.
     """
     content_key = rng.bytes(32)
     blocks = [
-        encrypt(mpk, identity, block_bits, rng)
+        encrypt(mpk, recipient, block_bits, rng)
         for block_bits in _key_to_blocks(content_key, mpk.params.N)
     ]
     sealed = aead_seal(content_key, plaintext, rng, associated_data)

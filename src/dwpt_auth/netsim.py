@@ -341,12 +341,13 @@ def build_world(
 ) -> World:
     """The lane from what the operator side holds: its dataset (with its
     identity key and the CSPA-RSU key), the master public key and the RSU-CP
-    key.  No master secret is involved."""
+    key.  No master secret is involved.  The EV seals m1 to the operator's
+    identity point, which its key holds once hashed (`UserSecretKey.point`)."""
     root = RandomSource(seed)
     ev = EvSession(
         credentials,
         mpk,
-        dataset.cspa_identity,
+        dataset.usk.point,
         root.child("ev"),
         entry_index=entry_index,
         freshness_ms=freshness_ms,

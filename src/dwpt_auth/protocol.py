@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
-from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal
+from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal, identity_point
 from dwpt_auth.registration import (
     CredentialEntry,
     CspaDataset,
@@ -31,7 +31,7 @@ from dwpt_auth.registration import (
     ROLE_RSU_CP,
     VehicleCredentials,
 )
-from dwpt_auth.ring import RingParams
+from dwpt_auth.ring import RingElement
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import (
     HashChain,
@@ -135,14 +135,14 @@ class EvSession:
         self,
         credentials: VehicleCredentials,
         mpk: MasterPublicKey,
-        cspa_identity: bytes,
+        cspa_point: RingElement,
         rng: RandomSource,
         entry_index: int | None = None,
         freshness_ms: int = FRESHNESS_WINDOW_MS,
     ):
         self.credentials = credentials
         self.mpk = mpk
-        self.cspa_identity = cspa_identity
+        self.cspa_point = cspa_point  # the operator's identity point
         self.rng = rng
         self.freshness_ms = freshness_ms
         self.entry: CredentialEntry | None = None
@@ -166,7 +166,7 @@ class EvSession:
         self.n_ev = self.rng.bytes(32)
         payload = self.entry.pseudonym + self.n_ev + encode_timestamp(now_ms) + self.entry.z
         body = ibe_seal(
-            self.mpk, self.cspa_identity, payload, self.rng, b"dwpt/m1"
+            self.mpk, self.cspa_point, payload, self.rng, b"dwpt/m1"
         ).to_bytes()
         self.state = "await-m2"
         return ProtocolMessage("m1", "EV", "CSPA", body)
@@ -271,7 +271,11 @@ class CspaState:
 
         m2_payload = token + n_cspa + encode_timestamp(now_ms) + add_mod_2_256(entry.z, entry.w)
         m2_body = ibe_seal(
-            self.mpk, pseudonym, m2_payload, self.rng, b"dwpt/m2"
+            self.mpk,
+            identity_point(self.mpk.params, pseudonym),
+            m2_payload,
+            self.rng,
+            b"dwpt/m2",
         ).to_bytes()
 
         m3_payload = sha256(token) + pseudonym + session_key.key + encode_timestamp(now_ms)

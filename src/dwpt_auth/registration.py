@@ -92,10 +92,6 @@ class CspaDataset:
     def __post_init__(self):
         self.usk.s2.keep_transform()  # every m1 the operator opens multiplies by s2
 
-    @property
-    def cspa_identity(self) -> bytes:
-        return self.usk.identity
-
 
 @dataclass
 class RegistrationAuthority:

@@ -402,10 +402,11 @@ def _gauss_table(sigma: float):
 
 
 def sample_gaussian_poly(
-    params: RingParams, sigma: float, rng: RandomSource
+    params: RingParams, sigma: float, rng: RandomSource, rows: int = 1
 ) -> np.ndarray:
     """N iid samples from the centered discrete Gaussian of width sigma, as
-    an int64 array of coefficients.
+    an int64 array of coefficients; with rows > 1, a (rows, N) array whose
+    rows are what `rows` one-row draws in a row would give, read at once.
 
     Cumulative-table inversion with the tail cut at 12*sigma; deterministic
     for a fixed random source.
@@ -413,8 +414,9 @@ def sample_gaussian_poly(
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     support, cdf = _gauss_table(float(sigma))
-    u = rng.uniforms(params.N)
-    return support[np.searchsorted(cdf, u, side="right")]
+    u = rng.uniforms(rows * params.N)
+    out = support[np.searchsorted(cdf, u, side="right")]
+    return out if rows == 1 else out.reshape(rows, params.N)
 
 
 def _half_gaussian_cdf(sigma0: float) -> np.ndarray:

@@ -92,6 +92,16 @@ class TestSetup:
         assert main(["setup", "--out", str(tmp_path), "--config", str(cfg)]) == 0
         assert "tier=test" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("tier, fails", [("test", True), ("default", False)])
+    def test_states_noise_prediction(self, tmp_path, capsys, tier, fails):
+        """One line gives the operator key's predicted decryption noise; a
+        tier at which no session completes says so up front."""
+        out = str(tmp_path)
+        assert main(["setup", "--params-tier", tier, "--seed", "noise", "--out", out]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2 and lines[1].startswith("decryption noise: sd ")
+        assert lines[1].endswith("; sessions will end in DecryptFailure") == fails
+
 
 class TestRegister:
     def test_vehicle_file_written(self, workspace):
@@ -111,7 +121,6 @@ class TestExportDataset:
         """dataset.bin holds the operator's view of the authority it came from."""
         back = keyfiles.load_dataset(workspace / "dataset.bin")
         ds = export_cspa_dataset(keyfiles.load_authority(workspace / "authority.bin"))
-        assert back.cspa_identity == ds.cspa_identity
         assert back.usk == ds.usk
         assert back.gk_cspa_rsu == ds.gk_cspa_rsu
         assert back.entries == ds.entries

@@ -10,7 +10,7 @@ import pytest
 
 from dwpt_auth import keyfiles
 from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal
+from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal, identity_point
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
@@ -29,16 +29,17 @@ def samples():
     creds.spent.add(0)
     rng = RandomSource("decoder-samples")
     usk = extract(ra.msk, b"mutant")
+    point = identity_point(p, b"mutant")
     bits = [rng.below(2) for _ in range(p.N)]
     return {
         "RingElement": (lambda d: RingElement.from_bytes(d, p), usk.s1.to_bytes()),
         "Ciphertext": (
             lambda d: Ciphertext.from_bytes(d, p),
-            encrypt(ra.mpk, b"mutant", bits, rng).to_bytes(),
+            encrypt(ra.mpk, point, bits, rng).to_bytes(),
         ),
         "HybridCiphertext": (
             lambda d: HybridCiphertext.from_bytes(d, p),
-            ibe_seal(ra.mpk, b"mutant", b"payload", rng, b"aad").to_bytes(),
+            ibe_seal(ra.mpk, point, b"payload", rng, b"aad").to_bytes(),
         ),
         "vehicle": (keyfiles.vehicle_from_bytes, keyfiles.vehicle_to_bytes(creds)),
         "dataset": (

@@ -14,6 +14,7 @@ from dwpt_auth.ibe import (
     HybridCiphertext,
     KleinSampler,
     Signature,
+    UserSecretKey,
     _blocks_to_key,
     _ff_sample,
     _ff_sample_degree4,
@@ -29,6 +30,7 @@ from dwpt_auth.ibe import (
     ibe_seal,
     identity_point,
     master_key_gen,
+    noise_model,
     norm_bound,
     sign,
     verify,
@@ -297,50 +299,87 @@ class TestEncryptDecrypt:
         rng = RandomSource("enc")
         for _ in range(5):
             bits = random_bits(mpk.params.N, rng)
-            ct = encrypt(mpk, b"round-trip", bits, rng)
+            ct = encrypt(mpk, identity_point(mpk.params, b"round-trip"), bits, rng)
             assert decrypt(usk, ct) == bits
 
     def test_wrong_identity_garbles(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
         rng = RandomSource("cross")
         bits = random_bits(mpk.params.N, rng)
-        ct = encrypt(mpk, b"alice", bits, rng)
+        ct = encrypt(mpk, identity_point(mpk.params, b"alice"), bits, rng)
         other = extract(msk, b"mallory")
         assert decrypt(other, ct) != bits
 
     def test_small_tier_noise_margin_is_reported(self, test_authority):
-        """Narrow-modulus tiers decode noisily by design; measure the rate."""
+        """Narrow-modulus tiers decode noisily by design: 6400 bits at the
+        `test` tier flip at the rate `noise_model` predicts, within five
+        binomial standard deviations."""
         mpk, msk = test_authority.mpk, test_authority.msk
         usk = extract(msk, b"noisy")
+        model = noise_model(mpk.params, usk)
         rng = RandomSource("noise")
-        trials, bad_bits, total_bits = 10, 0, 0
+        trials, bad_bits, total_bits = 100, 0, 0
         for _ in range(trials):
             bits = random_bits(mpk.params.N, rng)
-            got = decrypt(usk, encrypt(mpk, b"noisy", bits, rng))
+            got = decrypt(usk, encrypt(mpk, usk.point, bits, rng))
             bad_bits += sum(a != b for a, b in zip(bits, got))
             total_bits += len(bits)
         rate = bad_bits / total_bits
-        print(f"\n[test tier] bit error rate {rate:.3f} ({bad_bits}/{total_bits})")
-        assert 0.0 <= rate < 0.5  # decodes better than coin flips even here
+        band = 5 * math.sqrt(model.bit_flip * (1 - model.bit_flip) / total_bits)
+        print(f"\n[test tier] bit error rate {rate:.3f} ({bad_bits}/{total_bits}), "
+              f"predicted {model.bit_flip:.3f} +- {band:.3f}")
+        assert total_bits >= 6400
+        assert abs(rate - model.bit_flip) <= band
+        assert 0.5 < model.sd < 2 and model.z == pytest.approx(1 / model.sd)
+        assert model.key_opens < 1e-20  # no session completes at this tier
+
+    def test_default_tier_noise_prediction(self, default_authority):
+        model = noise_model(default_authority.params, default_authority.cspa_usk)
+        assert model.sd < 0.2 and model.z > 5
+        assert model.bit_flip < 1e-20
+        assert model.key_opens == pytest.approx(1.0)
+        with pytest.raises(ParameterMismatch):
+            noise_model(TIERS["test"], default_authority.cspa_usk)
+
+    @pytest.mark.parametrize("tier", list(TIERS))
+    def test_decrypt_thresholds_match_the_centered_rule(self, tier):
+        """Bit i is 1 exactly when the centered w_i exceeds q//4 in size,
+        at and next to both thresholds q//4 and q - q//4."""
+        p = TIERS[tier]
+        q = p.q
+        zero = RingElement(p, [0] * p.N)  # u = 0, so w = v for any key
+        edges = [q // 4, q // 4 + 1, q - q // 4 - 1, q - q // 4, 0, q // 2, q // 2 + 1, q - 1]
+        w = RingElement(p, (edges * p.N)[: p.N])
+        got = decrypt(UserSecretKey(b"x", zero, zero), Ciphertext(zero, w))
+        assert got[:8] == [0, 1, 1, 0, 0, 1, 1, 0]
+        assert got == (np.abs(w.centered()) > q // 4).astype(int).tolist()
 
     def test_message_length_enforced(self, default_authority):
         mpk = default_authority.mpk
+        t = identity_point(mpk.params, b"x")
         with pytest.raises(ValueError):
-            encrypt(mpk, b"x", [0] * (mpk.params.N - 1), RandomSource(1))
+            encrypt(mpk, t, [0] * (mpk.params.N - 1), RandomSource(1))
         with pytest.raises(ValueError):
-            encrypt(mpk, b"x", [2] * mpk.params.N, RandomSource(1))
+            encrypt(mpk, t, [2] * mpk.params.N, RandomSource(1))
         with pytest.raises(ValueError):
-            encrypt(mpk, b"x", [0] * (mpk.params.N - 1) + [-1], RandomSource(1))
+            encrypt(mpk, t, [0] * (mpk.params.N - 1) + [-1], RandomSource(1))
         with pytest.raises(ValueError):
-            encrypt(mpk, b"x", [[0, 1]] * (mpk.params.N // 2), RandomSource(1))
+            encrypt(mpk, t, [[0, 1]] * (mpk.params.N // 2), RandomSource(1))
 
     def test_params_mismatch_rejected(self, default_authority, toy_authority):
         rng = RandomSource("mix")
         toy_mpk = toy_authority.mpk
-        ct = encrypt(toy_mpk, b"x", random_bits(toy_mpk.params.N, rng), rng)
+        t = identity_point(toy_mpk.params, b"x")
+        ct = encrypt(toy_mpk, t, random_bits(toy_mpk.params.N, rng), rng)
         usk = extract(default_authority.msk, b"x")
         with pytest.raises(ParameterMismatch):
             decrypt(usk, ct)
+        # A ciphertext whose halves are of different parameters.
+        toy_usk = extract(toy_authority.msk, b"x")
+        with pytest.raises(ParameterMismatch):
+            decrypt(toy_usk, Ciphertext(ct.u, usk.s1))
+        with pytest.raises(ParameterMismatch):
+            decrypt(usk, Ciphertext(usk.s1, ct.v))
 
 
 class TestSignatures:
@@ -387,17 +426,17 @@ class TestHybrid:
         usk = extract(msk, b"recipient")
         rng = RandomSource("seal")
         msg = b"arbitrary length payload " * 9
-        ct = ibe_seal(mpk, b"recipient", msg, rng, b"frame")
+        ct = ibe_seal(mpk, identity_point(mpk.params, b"recipient"), msg, rng, b"frame")
         assert ibe_open(usk, ct, b"frame") == msg
 
     def test_key_block_count(self, default_authority):
         mpk = default_authority.mpk
-        ct = ibe_seal(mpk, b"r", b"x", RandomSource("blocks"))
+        ct = ibe_seal(mpk, identity_point(mpk.params, b"r"), b"x", RandomSource("blocks"))
         assert len(ct.key_blocks) == -(-256 // mpk.params.N)
 
     def test_wrong_recipient_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
-        ct = ibe_seal(mpk, b"alice", b"secret", RandomSource("s2"))
+        ct = ibe_seal(mpk, identity_point(mpk.params, b"alice"), b"secret", RandomSource("s2"))
         eve = extract(msk, b"eve")
         with pytest.raises(AuthenticationFailure):
             ibe_open(eve, ct)
@@ -405,14 +444,14 @@ class TestHybrid:
     def test_wrong_aad_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
         usk = extract(msk, b"bob")
-        ct = ibe_seal(mpk, b"bob", b"secret", RandomSource("s3"), b"aad-1")
+        ct = ibe_seal(mpk, usk.point, b"secret", RandomSource("s3"), b"aad-1")
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, ct, b"aad-2")
 
     def test_tampered_payload_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
         usk = extract(msk, b"bob")
-        ct = ibe_seal(mpk, b"bob", b"secret", RandomSource("s4"))
+        ct = ibe_seal(mpk, identity_point(mpk.params, b"bob"), b"secret", RandomSource("s4"))
         sealed = bytearray(ct.sealed)
         sealed[-1] ^= 1
         tampered = HybridCiphertext(key_blocks=ct.key_blocks, sealed=bytes(sealed))
@@ -433,7 +472,7 @@ class TestHybrid:
     def test_wrong_key_block_count_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
         usk = extract(msk, b"bob")
-        ct = ibe_seal(mpk, b"bob", b"secret", RandomSource("count"))
+        ct = ibe_seal(mpk, identity_point(mpk.params, b"bob"), b"secret", RandomSource("count"))
         assert ibe_open(usk, ct) == b"secret"
         doubled = HybridCiphertext(key_blocks=ct.key_blocks * 2, sealed=ct.sealed)
         with pytest.raises(AuthenticationFailure):
@@ -468,19 +507,22 @@ class TestSerialization:
     def test_ciphertext_round_trip(self, test_authority):
         mpk = test_authority.mpk
         rng = RandomSource("ctser")
-        ct = encrypt(mpk, b"x", random_bits(mpk.params.N, rng), rng)
+        t = identity_point(mpk.params, b"x")
+        ct = encrypt(mpk, t, random_bits(mpk.params.N, rng), rng)
         back = Ciphertext.from_bytes(ct.to_bytes(), mpk.params)
         assert back == ct
 
     def test_hybrid_round_trip(self, test_authority):
         mpk = test_authority.mpk
-        ct = ibe_seal(mpk, b"dest", b"payload bytes", RandomSource("hser"))
+        t = identity_point(mpk.params, b"dest")
+        ct = ibe_seal(mpk, t, b"payload bytes", RandomSource("hser"))
         back = HybridCiphertext.from_bytes(ct.to_bytes(), mpk.params)
         assert back == ct
 
     def test_hybrid_truncation_and_trailing_bytes_rejected(self, toy_authority):
         mpk = toy_authority.mpk
-        blob = ibe_seal(mpk, b"dest", b"payload bytes", RandomSource("hcut")).to_bytes()
+        t = identity_point(mpk.params, b"dest")
+        blob = ibe_seal(mpk, t, b"payload bytes", RandomSource("hcut")).to_bytes()
         for cut in range(len(blob)):
             with pytest.raises(DecodeError):
                 HybridCiphertext.from_bytes(blob[:cut], mpk.params)

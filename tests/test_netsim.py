@@ -398,9 +398,33 @@ class TestWorldWiring:
         assert world.rsu.n_pads == 2
         assert len(world.pads) == 2
         assert world.ev.credentials is creds
-        assert world.ev.cspa_identity == ra.cspa_identity
+        assert world.ev.cspa_point is ra.cspa_usk.point
         trace = simulate_session(default_authority, creds, n_pads=2, seed=11)
         assert trace.completed
+
+    def test_operator_point_is_hashed_once_per_authority(
+        self, default_authority, default_vehicle, monkeypatch
+    ):
+        """After the first pass, a pass hashes only m2's pseudonym: m1 is
+        sealed to the operator's point, kept on its key."""
+        from conftest import copy_credentials
+
+        from dwpt_auth import ibe
+
+        ra = default_authority
+        assert simulate_session(ra, copy_credentials(default_vehicle), seed=13).completed
+        hashed = []
+
+        def counted(data, params, _real=ibe.hash_to_ring):
+            hashed.append(data)
+            return _real(data, params)
+
+        monkeypatch.setattr(ibe, "hash_to_ring", counted)
+        trace = simulate_session(ra, copy_credentials(default_vehicle), seed=14)
+        assert trace.completed
+        pseudonym = default_vehicle.entries[trace.used_entry_index].pseudonym
+        assert hashed == [ibe._ID_PREFIX + pseudonym]
+        assert ra.cspa_usk.point == ibe.identity_point(ra.params, ra.cspa_identity)
 
     def test_session_runs_without_master_key(self, default_authority, default_vehicle):
         from conftest import copy_credentials

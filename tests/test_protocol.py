@@ -61,7 +61,7 @@ def parties(default_authority, dataset, fresh_vehicle):
 
 def make_parties(ra, dataset, creds, n_pads=4, entry_index=None) -> Parties:
     rng = RandomSource("protocol-test")
-    ev = EvSession(creds, ra.mpk, ra.cspa_identity, rng.child("ev"), entry_index)
+    ev = EvSession(creds, ra.mpk, ra.cspa_usk.point, rng.child("ev"), entry_index)
     cspa = CspaState(dataset, ra.mpk, rng.child("cspa"))
     rsu = RsuState(ra.gk_cspa_rsu, ra.gk_rsu_cp, n_pads, rng.child("rsu"))
     pads = [CpState(i + 1, ra.gk_rsu_cp) for i in range(n_pads)]
@@ -222,7 +222,7 @@ class TestCspaRejections:
         entry = fresh_vehicle.entries[0]
         payload = entry.pseudonym + bytes(5) + encode_timestamp(NOW) + entry.z
         body = ibe_seal(
-            default_authority.mpk, default_authority.cspa_identity, payload,
+            default_authority.mpk, default_authority.cspa_usk.point, payload,
             RandomSource("short-nonce"), b"dwpt/m1",
         ).to_bytes()
         with pytest.raises(ProtocolRejection) as exc:
@@ -249,7 +249,7 @@ class TestCspaRejections:
         ev2 = EvSession(
             copy_credentials(default_vehicle),
             default_authority.mpk,
-            default_authority.cspa_identity,
+            default_authority.cspa_usk.point,
             RandomSource("second-ev"),
             0,
         )

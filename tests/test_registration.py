@@ -199,7 +199,7 @@ class TestDatasetExport:
         ra = ra_setup(TIERS["test"], "exp-4")
         register_vehicle(ra, b"EV-1", 1)
         ds = export_cspa_dataset(ra)
-        assert ds.cspa_identity == ra.cspa_identity
+        assert ds.usk.identity == ra.cspa_identity
         assert ds.gk_cspa_rsu.key == ra.gk_cspa_rsu.key
         t = identity_point(ra.params, ra.cspa_identity)
         assert ds.usk.s1 + ds.usk.s2 * ra.mpk.h == t

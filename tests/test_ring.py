@@ -350,8 +350,9 @@ class TestStackedTransforms:
 
     def test_one_default_session_makes_eight_transform_calls(self, monkeypatch):
         """Two encryptions and two decryptions, each one stacked forward and
-        one stacked inverse transform; h and the operator's s2 keep their
-        own, so the operator's decryption transforms one row, not two."""
+        one stacked inverse transform; h, the operator's s2 and the
+        operator's identity point keep their own, so the encryption of m1
+        and the operator's decryption each transform one row, not two."""
         from dwpt_auth.netsim import simulate_session
         from dwpt_auth.registration import ra_setup, register_vehicle
 
@@ -366,15 +367,17 @@ class TestStackedTransforms:
                 return _real(values, *args)
 
             monkeypatch.setattr(ring, name, counted)
-        # The first session also computes the operator's kept transform of s2.
+        # The first session also computes the operator's kept transforms of
+        # s2 and of its identity point.
         assert simulate_session(ra, creds, n_pads=3, seed="count-0").completed
-        assert len(calls) == 9
+        assert len(calls) == 10
         calls.clear()
         assert simulate_session(ra, creds, n_pads=3, seed="count-1").completed
         forward = [rows for name, rows in calls if name == "_ntt_forward"]
         inverse = [rows for name, rows in calls if name == "_ntt_inverse"]
-        # encrypt: r and t stacked (twice); decrypt: u and the EV's s2, then u alone.
-        assert sorted(forward) == [1, 2, 2, 2]
+        # encrypt: r alone to the operator, r and the pseudonym's point
+        # stacked; decrypt: u alone, then u and the EV's s2.
+        assert sorted(forward) == [1, 1, 2, 2]
         # encrypt: r*h and r*t stacked (twice); decrypt: one product each.
         assert sorted(inverse) == [1, 1, 2, 2]
 
@@ -403,6 +406,17 @@ class TestGaussianSampling:
         b = sample_gaussian_poly(p, 2.5, RandomSource(99))
         assert a.dtype == np.int64 and a.shape == (p.N,)
         assert np.array_equal(a, b)
+
+    def test_rows_are_consecutive_one_row_draws(self):
+        """A k-row draw reads the source once, and gives the rows and the
+        stream position of k one-row draws."""
+        p = TIERS["test"]
+        block_rng, row_rng = RandomSource("rows"), RandomSource("rows")
+        block = sample_gaussian_poly(p, 1.5, block_rng, rows=3)
+        assert block.dtype == np.int64 and block.shape == (3, p.N)
+        for row in block:
+            assert np.array_equal(row, sample_gaussian_poly(p, 1.5, row_rng))
+        assert block_rng.position == row_rng.position == 3 * 8 * p.N
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
