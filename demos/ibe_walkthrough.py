@@ -9,6 +9,8 @@ identity, round-trips a message, and signs with the same trapdoor.
 
 import time
 
+import numpy as np
+
 from dwpt_auth.ibe import (
     decrypt,
     encrypt,
@@ -42,11 +44,11 @@ usk = extract(msk, identity)
 
 bits = [rng.below(2) for _ in range(p.N)]
 ct = encrypt(mpk, point, bits, rng.child("enc"))
-print("decrypt(encrypt(bits)) == bits:", decrypt(usk, ct) == bits)
+print("decrypt(encrypt(bits)) == bits:", np.array_equal(decrypt(usk, ct), bits))
 
 # wrong identity, garbage out
 other = extract(msk, b"OBU-serial-9999")
-print("other key decrypts correctly:", decrypt(other, ct) == bits)
+print("other key decrypts correctly:", np.array_equal(decrypt(other, ct), bits))
 
 # hybrid mode seals arbitrary byte strings under an ephemeral AEAD key
 blob = ibe_seal(mpk, point, b"charging token 0xA7", rng.child("seal"),

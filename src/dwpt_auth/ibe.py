@@ -498,7 +498,7 @@ def encrypt(
     is `recipient` (see `identity_point`); r, e1 and e2 are one noise read."""
     params = mpk.params
     bits = np.asarray(bits)
-    if bits.shape != (params.N,) or not np.all((bits == 0) | (bits == 1)):
+    if bits.shape != (params.N,) or not ((bits == 0) | (bits == 1)).all():
         raise ValueError(f"message must be exactly {params.N} bits")
     r, e1, e2 = sample_gaussian_poly(params, ENC_SIGMA, rng, rows=3)
     rh, rt = RingElement(params, r).product_rows(mpk.h, recipient)
@@ -507,14 +507,14 @@ def encrypt(
     return Ciphertext(u=RingElement(params, rh + e1), v=RingElement(params, rt))
 
 
-def decrypt(usk: UserSecretKey, ct: Ciphertext) -> list[int]:
-    """Recover the bit vector; bit i is 1 when w_i = (v - u*s2)_i mod q lies
-    nearer q/2 than 0, that is q//4 < w_i < q - q//4."""
+def decrypt(usk: UserSecretKey, ct: Ciphertext) -> np.ndarray:
+    """Recover the N bits as a 0/1 uint8 array; bit i is 1 when w_i =
+    (v - u*s2)_i mod q lies nearer q/2 than 0: q//4 < w_i < q - q//4."""
     if not usk.params == ct.u.params == ct.v.params:
         raise ParameterMismatch("key and ciphertext parameters differ")
     q = usk.params.q
     w = (ct.v.coeffs - (ct.u * usk.s2).coeffs) % q  # int32: both in [0, q)
-    return ((w > q // 4) & (w < q - q // 4)).astype(np.int64).tolist()
+    return ((w > q // 4) & (w < q - q // 4)).view(np.uint8)
 
 
 class NoiseModel(NamedTuple):
@@ -532,19 +532,20 @@ def noise_model(params: RingParams, usk: UserSecretKey) -> NoiseModel:
     With s1 + s2*h = t, w - m*floor(q/2) = r*s1 - e1*s2 + e2, each
     coefficient a sum of independent terms of width ENC_SIGMA: its standard
     deviation is ENC_SIGMA * sqrt(||s1||^2 + ||s2||^2 + 1).  A bit flips
-    when its noise passes q/4 either way, with probability erfc(z/sqrt(2)):
-    an upper bound, since noise past 3q/4 wraps back, tight while z is above
-    about 1 (at the `toy` tier it exceeds 1/2 and says only that no key
-    opens).
+    when its noise wraps into (q/4, 3q/4) mod q: in units of q/4, the normal
+    mass of the bands (1+4k, 3+4k) for k >= 0 and of their mirror images.
+    Each band is a difference of erfc tails, so a tiny flip probability
+    does not round to 0; the wrapped sum never exceeds 1/2.
     """
     if usk.params != params:
         raise ParameterMismatch("key and model parameters differ")
     norm_sq = usk.s1.norm_squared() + usk.s2.norm_squared() + 1
     sd = ENC_SIGMA * math.sqrt(norm_sq) / (params.q / 4)
     z = 1 / sd
-    flip = math.erfc(z / math.sqrt(2))
-    opens = math.exp(_CONTENT_KEY_BITS * math.log1p(-flip))
-    return NoiseModel(sd, z, flip, opens)
+    flip, k = 0.0, 0  # band by band, until the lower tail underflows to 0
+    while (low := math.erfc((1 + 4 * k) * z / math.sqrt(2))) > 0:
+        flip, k = flip + low - math.erfc((3 + 4 * k) * z / math.sqrt(2)), k + 1
+    return NoiseModel(sd, z, flip, math.exp(_CONTENT_KEY_BITS * math.log1p(-flip)))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +593,7 @@ def _key_to_blocks(key: bytes, N: int) -> np.ndarray:
 
 def _blocks_to_key(blocks) -> bytes:
     """Inverse of _key_to_blocks: the first 256 bits, packed."""
-    bits = np.concatenate(blocks)[:_CONTENT_KEY_BITS].astype(np.uint8)
+    bits = np.concatenate(blocks)[:_CONTENT_KEY_BITS]
     return np.packbits(bits, bitorder="little").tobytes()
 
 
@@ -629,6 +630,5 @@ def ibe_open(
         raise AuthenticationFailure(
             f"{len(ct.key_blocks)} key blocks, expected {expected}"
         )
-    blocks = [decrypt(usk, block) for block in ct.key_blocks]
-    content_key = _blocks_to_key(blocks)
+    content_key = _blocks_to_key([decrypt(usk, block) for block in ct.key_blocks])
     return aead_open(content_key, ct.sealed, associated_data)

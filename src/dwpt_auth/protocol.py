@@ -118,6 +118,8 @@ def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
         raise ProtocolRejection(
             MALFORMED, f"{context}: {len(body)} bytes, expected {sum(widths)}"
         )
+    if len(widths) == 1:
+        return [body]
     fields, off = [], 0
     for w in widths:
         fields.append(body[off : off + w])

@@ -91,9 +91,8 @@ class RingParams:
         return 1.5 * math.sqrt(self.q)
 
 
-#: Named parameter tiers.  "toy" is small enough for brute-force lattice
-#: checks, "test" exercises realistic structure quickly, "default" is the
-#: tier whose q passed the encrypt/decrypt round-trip calibration.
+#: Named parameter tiers: "toy" and "test" are the cheapest rings for keygen and
+#: arithmetic checks (no session completes); "default" passed round-trip calibration.
 TIERS = {
     "toy": RingParams(16, 97),
     "test": RingParams(64, 12289),
@@ -351,7 +350,7 @@ class RingElement:
         padded[:, :width] = np.frombuffer(r.fixed(N * width), dtype=np.uint8).reshape(N, width)
         r.done()
         coeffs = padded.view("<u4").reshape(N)
-        if np.any(coeffs >= q):
+        if (coeffs >= q).any():
             raise DecodeError("coefficient outside [0, q)")
         return cls(params, coeffs)
 
@@ -391,14 +390,17 @@ class IntegerPolynomial:
 
 @functools.cache
 def _gauss_table(sigma: float):
+    """Support [-tail, tail] and, per cumulative entry c < 1, the threshold
+    ceil(c * 2^53) << 11: c <= (w >> 11) / 2^53 exactly when it is <= w."""
     tail = max(1, math.ceil(12.0 * sigma))
     support = np.arange(-tail, tail + 1, dtype=np.int64)
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
+    thresholds = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
     support.setflags(write=False)
-    cdf.setflags(write=False)
-    return support, cdf
+    thresholds.setflags(write=False)
+    return support, thresholds
 
 
 def sample_gaussian_poly(
@@ -408,14 +410,14 @@ def sample_gaussian_poly(
     an int64 array of coefficients; with rows > 1, a (rows, N) array whose
     rows are what `rows` one-row draws in a row would give, read at once.
 
-    Cumulative-table inversion with the tail cut at 12*sigma; deterministic
-    for a fixed random source.
+    Cumulative-table inversion of one u64 LE word per sample, the tail cut
+    at 12*sigma; deterministic for a fixed random source.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    support, cdf = _gauss_table(float(sigma))
-    u = rng.uniforms(rows * params.N)
-    out = support[np.searchsorted(cdf, u, side="right")]
+    support, thresholds = _gauss_table(float(sigma))
+    raw = np.frombuffer(rng.bytes(8 * rows * params.N), dtype="<u8")
+    out = support[np.searchsorted(thresholds, raw, side="right")]
     return out if rows == 1 else out.reshape(rows, params.N)
 
 

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def _as_seed_bytes(seed) -> bytes:
     if isinstance(seed, bytes):
@@ -88,9 +86,12 @@ class RandomSource:
         self._pos += n
 
     def bytes(self, n: int) -> bytes:
-        out = self.peek(n)
-        self._pos += n
-        return out
+        pos, end = self._pos, self._pos + n
+        if end > len(self._buf):
+            self._fill(n)
+            pos, end = 0, n
+        self._pos = end
+        return self._buf[pos:end]
 
     def u64(self) -> int:
         return int.from_bytes(self.bytes(8), "little")
@@ -111,8 +112,3 @@ class RandomSource:
             x = self.u64()
             if x < limit:
                 return x % bound
-
-    def uniforms(self, n: int) -> np.ndarray:
-        """n uniform floats in [0, 1), each the top 53 bits of a u64 LE word."""
-        raw = np.frombuffer(self.bytes(8 * n), dtype="<u8")
-        return (raw >> np.uint64(11)) * (1.0 / (1 << 53))

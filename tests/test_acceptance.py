@@ -13,6 +13,7 @@ import hashlib
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import GATE_RESULTS, copy_credentials
@@ -160,7 +161,7 @@ def test_gate_4_cryptographic_invariants(default_authority):
         raw = rng.bytes(n_bits // 8)
         bits = [(raw[i >> 3] >> (i & 7)) & 1 for i in range(n_bits)]
         ct = encrypt(mpk_d, identity_point(mpk_d.params, b"gate-roundtrip"), bits, rng)
-        if decrypt(usk_d, ct) != bits:
+        if not np.array_equal(decrypt(usk_d, ct), bits):
             failures += 1
     assert failures == 0, f"{failures}/1000 round trips corrupted"
 

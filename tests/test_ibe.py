@@ -300,7 +300,7 @@ class TestEncryptDecrypt:
         for _ in range(5):
             bits = random_bits(mpk.params.N, rng)
             ct = encrypt(mpk, identity_point(mpk.params, b"round-trip"), bits, rng)
-            assert decrypt(usk, ct) == bits
+            assert np.array_equal(decrypt(usk, ct), bits)
 
     def test_wrong_identity_garbles(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
@@ -308,7 +308,7 @@ class TestEncryptDecrypt:
         bits = random_bits(mpk.params.N, rng)
         ct = encrypt(mpk, identity_point(mpk.params, b"alice"), bits, rng)
         other = extract(msk, b"mallory")
-        assert decrypt(other, ct) != bits
+        assert not np.array_equal(decrypt(other, ct), bits)
 
     def test_small_tier_noise_margin_is_reported(self, test_authority):
         """Narrow-modulus tiers decode noisily by design: 6400 bits at the
@@ -333,6 +333,14 @@ class TestEncryptDecrypt:
         assert 0.5 < model.sd < 2 and model.z == pytest.approx(1 / model.sd)
         assert model.key_opens < 1e-20  # no session completes at this tier
 
+    def test_wrapped_noise_flips_at_most_half_the_bits(self, toy_authority):
+        """At the `toy` tier the noise spans the ring several times over, so
+        a bit lands on either side of q/4 about equally often: the flip
+        probability approaches 1/2 from below and does not pass it."""
+        model = noise_model(toy_authority.params, toy_authority.cspa_usk)
+        assert model.sd > 2
+        assert 0.49 < model.bit_flip <= 0.5
+
     def test_default_tier_noise_prediction(self, default_authority):
         model = noise_model(default_authority.params, default_authority.cspa_usk)
         assert model.sd < 0.2 and model.z > 5
@@ -351,8 +359,9 @@ class TestEncryptDecrypt:
         edges = [q // 4, q // 4 + 1, q - q // 4 - 1, q - q // 4, 0, q // 2, q // 2 + 1, q - 1]
         w = RingElement(p, (edges * p.N)[: p.N])
         got = decrypt(UserSecretKey(b"x", zero, zero), Ciphertext(zero, w))
-        assert got[:8] == [0, 1, 1, 0, 0, 1, 1, 0]
-        assert got == (np.abs(w.centered()) > q // 4).astype(int).tolist()
+        assert got.dtype == np.uint8 and got.shape == (p.N,)
+        assert np.array_equal(got[:8], [0, 1, 1, 0, 0, 1, 1, 0])
+        assert np.array_equal(got, np.abs(w.centered()) > q // 4)
 
     def test_message_length_enforced(self, default_authority):
         mpk = default_authority.mpk

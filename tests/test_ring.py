@@ -10,6 +10,7 @@ import pytest
 
 from dwpt_auth import keyfiles, ring
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
+from dwpt_auth.ibe import ENC_SIGMA
 from dwpt_auth.ring import (
     GaussianTrials,
     IntegerPolynomial,
@@ -421,6 +422,37 @@ class TestGaussianSampling:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             sample_gaussian_poly(TIERS["toy"], 0.0, RandomSource(0))
+
+    # The encryption noise, keygen's width at each tier, and a width whose
+    # cumulative table ends in three entries equal to 1.0.
+    @pytest.mark.parametrize(
+        "sigma",
+        [ENC_SIGMA, *(p.sigma_f for p in TIERS.values()), 0.3],
+        ids=["enc", *(f"sigma_f-{tier}" for tier in TIERS), "trailing-ones"],
+    )
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("lead", [0, 1000, 1021])
+    def test_threshold_draw_is_the_float_table_search(self, sigma, rows, lead):
+        """Searching the integer thresholds with raw u64 words gives the
+        samples that searching the float table with their top 53 bits as
+        uniforms in [0, 1) gives, and reads the same bytes, at offsets on and
+        across a chunk boundary."""
+        p = TIERS["test"]
+        tail = max(1, math.ceil(12.0 * sigma))
+        support = np.arange(-tail, tail + 1)
+        cdf = np.cumsum(np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma)))
+        cdf /= cdf[-1]
+        n = rows * p.N
+        raw = np.frombuffer(RandomSource("thresholds").bytes(lead + 8 * n)[lead:], dtype="<u8")
+        expected = support[np.searchsorted(cdf, (raw >> np.uint64(11)) * 2.0**-53, side="right")]
+
+        rng = RandomSource("thresholds")
+        rng.skip(lead)
+        got = sample_gaussian_poly(p, sigma, rng, rows=rows)
+        assert np.array_equal(got.reshape(-1), expected)
+        assert rng.position == lead + 8 * n
+        _, thresholds = ring._gauss_table(float(sigma))
+        assert len(thresholds) + np.count_nonzero(cdf == 1.0) == len(support)
 
 
 def exact_discrete_gaussian_moments(center, sigma):

@@ -93,7 +93,6 @@ def test_every_byte_is_accounted_for(lead):
     for n in (1, 7, 13, 33, 65):
         assert rng.bytes(n) == ref.bytes(n)
         gaussian_run(3, float(n))  # resumes at an odd offset
-    assert np.array_equal(rng.uniforms(9), [ref.uniform() for _ in range(9)])
     assert [rng.below(b) for b in (2, 97, 12289, (1 << 63) + 1)] == [
         ref.below(b) for b in (2, 97, 12289, (1 << 63) + 1)
     ]
@@ -105,6 +104,28 @@ def test_every_byte_is_accounted_for(lead):
     ref.pos += 11
     assert rng.bytes(100) == ref.bytes(100)
     assert rng.position == ref.pos
+
+
+def test_buffered_and_straddling_reads_match_the_reference():
+    """bytes, peek and skip in any order read what the reference reads, with
+    the bytes already buffered, straddling a chunk boundary, or spanning
+    several chunks."""
+    rng = RandomSource("interleaved")
+    ref = ReferenceStream(rng.key)
+    steps = [
+        ("bytes", 1000), ("bytes", 20), ("bytes", 8), ("peek", 5), ("skip", 3),
+        ("bytes", 0), ("peek", 1030), ("bytes", 1), ("skip", 2000), ("bytes", 7),
+        ("peek", 40), ("bytes", 2048), ("skip", 1), ("bytes", 32),
+    ]
+    for op, n in steps:
+        if op == "bytes":
+            assert rng.bytes(n) == ref.bytes(n), (op, n)
+        elif op == "peek":
+            assert rng.peek(n) == ref.peek(n), (op, n)
+        else:
+            rng.skip(n)
+            ref.pos += n
+        assert rng.position == ref.pos, (op, n)
 
 
 def test_interleaved_sources_draw_as_if_alone():
