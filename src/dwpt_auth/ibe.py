@@ -241,13 +241,24 @@ def master_key_gen(
 # Polynomials of degree n (in R[x]/(x^n + 1)) are held in the Fourier domain
 # as their values at zeta_k = e^{i pi (2k+1)/n}, the order `fft_neg` uses.
 # For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
-# at zeta_k, so only the first n/2 values are kept, as a Python list.
+# at zeta_k, so only the first n/2 values are kept: as a numpy array at the
+# walk's levels whose halves hold 16 or more values, as a Python list below
+# them, where the degree-16, -8 and -4 steps split and merge inline.
+
+def _parts(values) -> tuple[np.ndarray, np.ndarray]:
+    """Constants c as (re(c) + 0i, 0 + i*im(c)).  x*c[0] + x*c[1] rounds each
+    real product and each sum as Python's x*c does; numpy's x*c may fuse a
+    product into a sum, which moves centers by a bit and, rarely, a key."""
+    c = np.array(values)
+    return c.real + 0j, c.imag * 1j
+
 
 @functools.cache
-def _twiddles(n: int) -> tuple[list[complex], list[complex]]:
-    """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n, cached per n."""
+def _twiddles(n: int) -> tuple:
+    """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n, then each as `_parts`."""
     zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
-    return zetas, [z.conjugate() / 2 for z in zetas]
+    halves = [z.conjugate() / 2 for z in zetas]
+    return zetas, halves, _parts(zetas), _parts(halves)
 
 
 def _split(a: list[complex]) -> tuple[list[complex], list[complex]]:
@@ -272,6 +283,21 @@ def _merge(a0: list[complex], a1: list[complex]) -> list[complex]:
     return lo + hi[::-1]
 
 
+def _split_array(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_split on a numpy array."""
+    m = len(a) // 2
+    hi = a[: m - 1 : -1].conj()
+    d, (re, im) = a[:m] - hi, _twiddles(2 * len(a))[3]
+    return (a[:m] + hi) * 0.5, d * re + d * im
+
+
+def _merge_array(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
+    """_merge on numpy arrays."""
+    re, im = _twiddles(4 * len(a0))[2]
+    d = a1 * re + a1 * im
+    return np.concatenate((a0 + d, (a0 - d)[::-1].conj()))
+
+
 def _fftldl(g00: list[complex], g01: list[complex], g11: list[complex]) -> tuple:
     """ffLDL tree of the self-adjoint Gram matrix [[g00, g01], [g01*, g11]].
 
@@ -280,11 +306,12 @@ def _fftldl(g00: list[complex], g01: list[complex], g11: list[complex]) -> tuple
     diagonal entry D of degree n >= 4 is the tree of the Gram matrix
     [[d0, d1], [d1*, d0]] of its split (d0, d1); at degree 2 the split is
     diagonal with equal entries, so the tree is a leaf: the real value D(i),
-    the squared Gram-Schmidt norm of two basis vectors.
+    the squared Gram-Schmidt norm of two basis vectors.  An l10 of 16 or
+    more values is kept as `_parts`, for the walk's array levels.
     """
     l10 = [b.conjugate() / a for a, b in zip(g00, g01)]
     d11 = [c - (b * b.conjugate()) / a for a, b, c in zip(g00, g01, g11)]
-    return l10, _fftldl_diag(g00), _fftldl_diag(d11)
+    return (_parts(l10) if len(l10) >= 16 else l10), _fftldl_diag(g00), _fftldl_diag(d11)
 
 
 def _fftldl_diag(d: list[complex]):
@@ -306,26 +333,37 @@ def _ff_sample(t0, t1, node, sigma: float, trials: GaussianTrials):
 
     Nearest plane in the order L D L* gives: z1 first, then z0 around the
     target moved by (t1 - z1) * l10.  Each coordinate recurses into the
-    tree of its diagonal entry through the split.
+    tree of its diagonal entry through the split.  The halves are numpy
+    arrays where l10 is kept as `_parts`, lists otherwise.
     """
     l10, tree0, tree1 = node
     z1 = _ff_sample_diag(t1, tree1, sigma, trials)
-    t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10)]
+    if isinstance(l10, list):
+        t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10)]
+    else:
+        d = t1 - z1
+        t0 = t0 + (d * l10[0] + d * l10[1])
     z0 = _ff_sample_diag(t0, tree0, sigma, trials)
     return z0, z1
 
 
-def _ff_sample_diag(t: list[complex], tree, sigma: float, trials: GaussianTrials):
-    if len(t) == 4:
+def _ff_sample_diag(t, tree, sigma: float, trials: GaussianTrials):
+    n = len(t)
+    if n > 16:
+        return _merge_array(*_ff_sample(*_split_array(t), tree, sigma, trials))
+    if n == 16:  # an array, whose halves the walk keeps as lists
+        return np.array(_merge(*_ff_sample(*_split(t.tolist()), tree, sigma, trials)))
+    if n == 8:
+        return _ff_sample_degree16(t, tree, sigma, trials)
+    if n == 4:  # only at N = 8, whose top-level halves have degree 8
         return _ff_sample_degree8(t, tree, sigma, trials)
-    if len(t) == 2:  # only at N = 4, whose top-level halves have degree 4
-        return _ff_sample_degree4(t[0], t[1], tree, sigma, trials)
-    z0, z1 = _ff_sample(*_split(t), tree, sigma, trials)
-    return _merge(z0, z1)
+    # only at N = 4, whose top-level halves have degree 4
+    return _ff_sample_degree4(*t, tree, sigma, trials)
 
 
-(_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)
-(_ZETA8_0, _ZETA8_1), (_HALF_CONJ_ZETA8_0, _HALF_CONJ_ZETA8_1) = _twiddles(8)
+(_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)[:2]
+(_ZETA8_0, _ZETA8_1), (_HALF_CONJ_ZETA8_0, _HALF_CONJ_ZETA8_1) = _twiddles(8)[:2]
+_ZETA16, _HALF_CONJ_ZETA16 = _twiddles(16)[:2]
 
 
 def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, trials: GaussianTrials):
@@ -398,6 +436,25 @@ def _ff_sample_degree8(t: list[complex], node, sigma: float, trials: GaussianTri
     return [u0 + d0, u1 + d1, (u1 - d1).conjugate(), (u0 - d0).conjugate()]
 
 
+def _ff_sample_degree16(t: list[complex], node, sigma: float, trials: GaussianTrials):
+    """_split, _ff_sample and _merge at degree 16 on scalars, in their
+    floating-point operations and order, over two `_ff_sample_degree8` steps."""
+    (l0, l1, l2, l3), tree0, tree1 = node
+    a0, a1, a2, a3, a4, a5, a6, a7 = t
+    w7, w6, w5, w4 = a7.conjugate(), a6.conjugate(), a5.conjugate(), a4.conjugate()
+    h0, h1, h2, h3 = _HALF_CONJ_ZETA16
+    y0, y1, y2, y3 = (a0 - w7) * h0, (a1 - w6) * h1, (a2 - w5) * h2, (a3 - w4) * h3
+    v0, v1, v2, v3 = _ff_sample_degree8([y0, y1, y2, y3], tree1, sigma, trials)
+    u0, u1, u2, u3 = _ff_sample_degree8([
+        (a0 + w7) * 0.5 + (y0 - v0) * l0, (a1 + w6) * 0.5 + (y1 - v1) * l1,
+        (a2 + w5) * 0.5 + (y2 - v2) * l2, (a3 + w4) * 0.5 + (y3 - v3) * l3,
+    ], tree0, sigma, trials)
+    z0, z1, z2, z3 = _ZETA16
+    d0, d1, d2, d3 = z0 * v0, z1 * v1, z2 * v2, z3 * v3
+    return [u0 + d0, u1 + d1, u2 + d2, u3 + d3, (u3 - d3).conjugate(),
+            (u2 - d2).conjugate(), (u1 - d1).conjugate(), (u0 - d0).conjugate()]
+
+
 class KleinSampler:
     """Discrete Gaussian sampler over the NTRU lattice of a master secret key.
 
@@ -439,10 +496,12 @@ class KleinSampler:
         tb = fft_neg(target[N:].astype(np.float64))
         t0 = -(ta * F + tb * G) / self.q
         t1 = (ta * f + tb * g) / self.q
+        t0, t1 = t0[:h], t1[:h]
+        if h < 16:  # N < 32: the walk is on lists throughout
+            t0, t1 = t0.tolist(), t1.tolist()
         with GaussianTrials(rng) as trials:
-            z0, z1 = _ff_sample(t0[:h].tolist(), t1[:h].tolist(), self.tree, sigma, trials)
-        z0 = np.array(z0 + [z.conjugate() for z in reversed(z0)])
-        z1 = np.array(z1 + [z.conjugate() for z in reversed(z1)])
+            z = _ff_sample(t0, t1, self.tree, sigma, trials)
+        z0, z1 = (np.concatenate((a, np.conj(a[::-1]))) for a in z)
         # v = z B has integer coefficients of magnitude about q; the inverse
         # transforms land within 1e-7 of them at the default tier, so
         # rounding recovers v exactly.

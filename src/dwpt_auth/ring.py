@@ -232,8 +232,9 @@ class RingElement:
     """Degree-N polynomial over Z_q, coefficients canonical in [0, q).
 
     Coefficients are stored as int32 (q < 2^31), half the memory of int64;
-    arithmetic widens to int64 before it can leave that range, and
-    `__init__` is the one place that reduces mod q.
+    arithmetic widens to int64 before it can leave that range.  `__init__`
+    takes coefficients of any range and is the one place that reduces mod
+    q; `from_bytes` checks its coefficients are in [0, q) and skips that.
     """
 
     __slots__ = ("params", "coeffs", "_ntt")
@@ -242,11 +243,16 @@ class RingElement:
         arr = np.asarray(coeffs, dtype=np.int64)
         if arr.shape != (params.N,):
             raise ValueError(f"expected {params.N} coefficients, got {arr.shape}")
-        arr = (arr % params.q).astype(np.int32)
+        self._keep(params, arr % params.q)
+
+    def _keep(self, params: RingParams, canonical: np.ndarray) -> "RingElement":
+        """Store N coefficients already in [0, q) as read-only int32."""
+        arr = canonical.astype(np.int32)
         arr.setflags(write=False)
         self.params = params
         self.coeffs = arr
         self._ntt = None
+        return self
 
     # -- views -----------------------------------------------------------
 
@@ -352,7 +358,7 @@ class RingElement:
         coeffs = padded.view("<u4").reshape(N)
         if (coeffs >= q).any():
             raise DecodeError("coefficient outside [0, q)")
-        return cls(params, coeffs)
+        return cls.__new__(cls)._keep(params, coeffs)
 
 
 class IntegerPolynomial:

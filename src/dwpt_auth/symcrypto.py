@@ -8,11 +8,9 @@ cannot silently stand in for a group key.
 from __future__ import annotations
 
 import hashlib
+import importlib
 from dataclasses import dataclass
-from functools import cached_property
-
-from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from functools import cache, cached_property
 
 from dwpt_auth.errors import AuthenticationFailure, DecodeError
 from dwpt_auth.rng import RandomSource
@@ -37,10 +35,10 @@ class SymmetricKey:
             raise ValueError("symmetric keys are 32 bytes")
 
     @cached_property
-    def cipher(self) -> AESGCM:
+    def cipher(self):
         """AES-GCM under this key, built on first use and kept; not part of
         equality, hash or repr."""
-        return AESGCM(self.key)
+        return _aesgcm()(self.key)
 
     def __reduce__(self):
         # The cipher cannot be pickled; a copy builds its own on first use.
@@ -96,9 +94,18 @@ def decode_timestamp(field: bytes) -> int:
 # ---------------------------------------------------------------------------
 # AEAD (AES-256-GCM, nonce carried in-band)
 
-def _cipher(key) -> AESGCM:
+@cache
+def _aesgcm() -> type:
+    """AESGCM, imported on the first seal or open: its binding costs about
+    6 MB of memory.  `aead_open` names InvalidTag only in its except
+    clause, which Python evaluates only once something is raised."""
+    from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+    return AESGCM
+
+
+def _cipher(key):
     """A SymmetricKey's own cipher, or a new one for raw key bytes."""
-    return key.cipher if isinstance(key, SymmetricKey) else AESGCM(key)
+    return key.cipher if isinstance(key, SymmetricKey) else _aesgcm()(key)
 
 
 def aead_seal(key, plaintext: bytes, rng: RandomSource, associated_data: bytes = b"") -> bytes:
@@ -113,7 +120,7 @@ def aead_open(key, blob: bytes, associated_data: bytes = b"") -> bytes:
     nonce, ct = blob[:_NONCE_LEN], blob[_NONCE_LEN:]
     try:
         return _cipher(key).decrypt(nonce, ct, associated_data)
-    except InvalidTag as exc:
+    except importlib.import_module("cryptography.exceptions").InvalidTag as exc:
         raise AuthenticationFailure("AEAD tag check failed") from exc
 
 

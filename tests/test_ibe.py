@@ -1,5 +1,6 @@
 """Identity-based layer: trapdoor generation, extraction, encryption, signing."""
 
+import cmath
 import dataclasses
 import hashlib
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from dwpt_auth import ibe
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, ParameterMismatch
 from dwpt_auth.ibe import (
     GS_SLACK,
@@ -16,13 +18,14 @@ from dwpt_auth.ibe import (
     Signature,
     UserSecretKey,
     _blocks_to_key,
-    _ff_sample,
     _ff_sample_degree4,
     _ff_sample_degree8,
+    _ff_sample_degree16,
     _gs_quality,
     _key_to_blocks,
-    _merge,
-    _split,
+    _merge_array,
+    _parts,
+    _split_array,
     decrypt,
     encrypt,
     extract,
@@ -60,6 +63,13 @@ GOLDEN_SMALL_N = {
     8: ([11, 1, 1, 4, 1, 16, 7, 14],
         "92c7109831e99d28480e9c8cb8725c0f7a0ca42b35fa76374c0d1f29578fc1e3"),
 }
+
+
+#: SHA-256 over the SHA-256 of s1.to_bytes() + s2.to_bytes() of
+#: extract(default_authority.msk, b"sweep-%d" % i) for i < 2000, in order, as
+#: the walk on lists draws them (`TestArrayLevels.reference_walk`, and the
+#: walk before it had array levels): pins 2,000 default-tier keys.
+GOLDEN_DEFAULT_SWEEP = "63bff44b75c9615e80ad5517902f647734cc6c75a35ecaa6b96fa02f8bb8930a"
 
 
 def random_bits(n, rng):
@@ -217,72 +227,109 @@ class TestKleinSamplerFrame:
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEFAULT_SIGN
 
 
+def l10_values(l10) -> list:
+    """A node's l10 as Python complex scalars.  The walk keeps the l10 of 16
+    or more values as the pair (re + 0i, 0 + i*im) of numpy arrays."""
+    return l10 if isinstance(l10, list) else (l10[0] + l10[1]).tolist()
+
+
 def tree_nodes(tree, size: int) -> list:
     """The internal nodes of an ffLDL tree whose l10 holds `size` values."""
     if isinstance(tree, float):
         return []
     l10, tree0, tree1 = tree
-    here = [tree] if len(l10) == size else []
+    here = [tree] if len(l10_values(l10)) == size else []
     return here + tree_nodes(tree0, size) + tree_nodes(tree1, size)
 
 
-def sample_leaf_pair(t0, t1, node, sigma, trials):
-    """_ff_sample over a node of two degree-2 leaves, each drawing the odd
-    coordinate of its target first."""
-    (l10,), leaf0, leaf1 = node
+# The walk as it reads in Ducas and Prest, on Python lists of complex
+# scalars all the way down: the reference for the package's scalar steps and
+# for its array levels.
 
-    def leaf(c, value):
-        width = sigma / math.sqrt(value)
-        odd = sample_gaussian_int(c.imag, width, trials)
-        return complex(sample_gaussian_int(c.real, width, trials), odd)
+def twiddles(n):
+    """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n."""
+    zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
+    return zetas, [z.conjugate() / 2 for z in zetas]
 
-    z1 = leaf(t1[0], leaf1)
-    z0 = leaf(t0[0] + (t1[0] - z1) * l10, leaf0)
-    return [z0], [z1]
+
+def split(a):
+    """a(x) = a0(x^2) + x*a1(x^2), on the kept half of the Fourier values."""
+    m = len(a) // 2
+    hi = [x.conjugate() for x in a[: m - 1 : -1]]
+    a0 = [(u + w) * 0.5 for u, w in zip(a, hi)]
+    a1 = [(u - w) * t for u, w, t in zip(a, hi, twiddles(2 * len(a))[1])]
+    return a0, a1
+
+
+def merge(a0, a1):
+    """Inverse of split."""
+    d = [z * y for z, y in zip(twiddles(4 * len(a0))[0], a1)]
+    lo = [x + y for x, y in zip(a0, d)]
+    hi = [(x - y).conjugate() for x, y in zip(a0, d)]
+    return lo + hi[::-1]
+
+
+def ff_sample(t0, t1, node, sigma, trials, bottom=None):
+    """Integer (z0, z1) near (t0, t1) for one node: z1 first, then z0 around
+    t0 moved by (t1 - z1) * l10.  A degree-2 leaf draws the odd coordinate of
+    its value first.  Given `bottom`, a half of 8 values goes to it instead
+    of on down the lists."""
+    l10, tree0, tree1 = node
+
+    def diag(t, tree):
+        if isinstance(tree, float):
+            (c,) = t
+            width = sigma / math.sqrt(tree)
+            odd = sample_gaussian_int(c.imag, width, trials)
+            return [complex(sample_gaussian_int(c.real, width, trials), odd)]
+        if bottom and len(t) == 8:
+            return bottom(t, tree, sigma, trials)
+        return merge(*ff_sample(*split(t), tree, sigma, trials, bottom))
+
+    z1 = diag(t1, tree1)
+    t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10_values(l10))]
+    return diag(t0, tree0), z1
 
 
 class TestUnrolledSteps:
-    """The scalar steps at the bottom of the walk draw what the generic
-    split, sample and merge draw, value for value and byte for byte."""
+    """The scalar steps at the bottom of the walk draw what the list
+    reference's split, sample and merge draw, value for value and byte for
+    byte."""
 
     @staticmethod
-    def _check(step, reference, t, node, sigma, seed):
+    def _check(step, t, node, sigma, seed):
         ours = GaussianTrials(RandomSource(seed))
         theirs = GaussianTrials(RandomSource(seed))
-        assert step(t, node, sigma, ours) == reference(t, node, sigma, theirs)
+        assert step(t, node, sigma, ours) == merge(*ff_sample(*split(t), node, sigma, theirs))
         ours.close()
         theirs.close()
         assert ours.rng.position == theirs.rng.position > 0
 
-    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_degree8_step_matches_split_sample_merge(self, tier, request):
+    def _check_every_node(self, step, size, tier, request):
+        """Every node whose l10 holds `size` values, at a random target of
+        2 * size values."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-        sigma = msk.params.sigma_extract
-        nodes = tree_nodes(msk.sampler.tree, 2)
-        assert len(nodes) == msk.params.N // 4  # 2N coordinates, 8 per node
-        points = np.random.default_rng(8).uniform(-40, 40, (len(nodes), 4, 2))
+        nodes = tree_nodes(msk.sampler.tree, size)
+        assert len(nodes) == msk.params.N // (2 * size)  # 2N coordinates, 4 * size per node
+        points = np.random.default_rng(size).uniform(-40, 40, (len(nodes), 2 * size, 2))
         for i, (node, point) in enumerate(zip(nodes, points)):
             t = [complex(x, y) for x, y in point]
-            self._check(
-                _ff_sample_degree8,
-                lambda t, node, sigma, trials: _merge(*_ff_sample(*_split(t), node, sigma, trials)),
-                t, node, sigma, f"{tier}-8-{i}",
-            )
+            self._check(step, t, node, msk.params.sigma_extract, f"{tier}-{4 * size}-{i}")
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_degree16_step_matches_split_sample_merge(self, tier, request):
+        self._check_every_node(_ff_sample_degree16, 4, tier, request)
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_degree8_step_matches_split_sample_merge(self, tier, request):
+        self._check_every_node(_ff_sample_degree8, 2, tier, request)
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_degree4_step_matches_split_sample_merge(self, tier, request):
-        msk = request.getfixturevalue(f"{tier}_authority").msk
-        sigma = msk.params.sigma_extract
-        nodes = tree_nodes(msk.sampler.tree, 1)
-        assert len(nodes) == msk.params.N // 2  # 4 per node
-        points = np.random.default_rng(4).uniform(-40, 40, (len(nodes), 2, 2))
-        for i, (node, point) in enumerate(zip(nodes, points)):
-            t = [complex(x, y) for x, y in point]
-            self._check(
-                lambda t, node, sigma, trials: _ff_sample_degree4(*t, node, sigma, trials),
-                lambda t, node, sigma, trials: _merge(*sample_leaf_pair(*_split(t), node, sigma, trials)),
-                t, node, sigma, f"{tier}-4-{i}",
-            )
+        self._check_every_node(
+            lambda t, node, sigma, trials: _ff_sample_degree4(*t, node, sigma, trials),
+            1, tier, request,
+        )
 
     @pytest.mark.parametrize("N", sorted(GOLDEN_SMALL_N))
     def test_smallest_degrees_extract_pinned_keys(self, N):
@@ -290,6 +337,65 @@ class TestUnrolledSteps:
         s1, digest = GOLDEN_SMALL_N[N]
         assert usk.s1.coeffs.tolist() == s1
         assert hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest() == digest
+
+
+class TestArrayLevels:
+    """Where the walk's halves hold 16 or more values it splits, moves its
+    targets and merges as numpy arrays.  numpy's own complex product may
+    fuse a multiply into an add (it does with AVX-512), which moves a center
+    by a bit and can move a key: in a variant of this walk built on it, one
+    of the 2,000 test-tier keys below changed.  The walk's products through
+    `_parts` round as Python's do, so the arrays match the lists value for
+    value and the keys follow."""
+
+    @pytest.mark.parametrize("n", [32, 64, 512])
+    def test_split_move_and_merge_match_the_lists(self, n):
+        """Value for value, at magnitudes from 1e-3 to 1e5."""
+        rng = np.random.default_rng(n)
+        for scale in (1e-3, 1.0, 1e5):
+            a, b, c, z = scale * (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n)))
+            z, l10 = np.rint(z[: n // 2]), a[: n // 2].tolist()
+            x0, x1 = _split_array(a)
+            assert (x0.tolist(), x1.tolist()) == split(a.tolist())
+            assert _merge_array(b[: n // 2], c[: n // 2]).tolist() == merge(
+                b[: n // 2].tolist(), c[: n // 2].tolist()
+            )
+            d = x1 - z
+            moved = x0 + (d * _parts(l10)[0] + d * _parts(l10)[1])
+            assert moved.tolist() == [
+                u + (v - w) * l for u, v, w, l in zip(x0.tolist(), x1.tolist(), z.tolist(), l10)
+            ]
+
+    @staticmethod
+    def reference_walk(t0, t1, node, sigma, trials):
+        """The list reference above the package's degree-16 step (which
+        `TestUnrolledSteps` checks against the lists value for value)."""
+        t0, t1 = np.asarray(t0).tolist(), np.asarray(t1).tolist()
+        return ff_sample(t0, t1, node, sigma, trials, bottom=_ff_sample_degree16)
+
+    @staticmethod
+    def sweep(msk) -> list[bytes]:
+        """Per-key digests of the 2,000 identities b"sweep-0", ..."""
+        keys = (extract(msk, b"sweep-%d" % i) for i in range(2000))
+        return [hashlib.sha256(k.s1.to_bytes() + k.s2.to_bytes()).digest() for k in keys]
+
+    @pytest.mark.parametrize("authority", ["test", "n32"])
+    def test_keys_match_the_list_walk(self, authority, request, monkeypatch):
+        """At N = 32 the top node's halves hold 16 values, so the array
+        level meets the list level and the degree-16 step at once."""
+        if authority == "n32":
+            msk = ra_setup(RingParams(32, 8380417), "array-levels-n32").msk
+        else:
+            msk = request.getfixturevalue(f"{authority}_authority").msk
+        ours = self.sweep(msk)
+        monkeypatch.setattr(ibe, "_ff_sample", self.reference_walk)
+        assert self.sweep(msk) == ours
+
+    def test_default_tier_keys_match_the_list_walk(self, default_authority):
+        """Against the pinned digest of the list walk's keys, which halves
+        the time of drawing them twice."""
+        digest = hashlib.sha256(b"".join(self.sweep(default_authority.msk))).hexdigest()
+        assert digest == GOLDEN_DEFAULT_SWEEP
 
 
 class TestEncryptDecrypt:

@@ -569,6 +569,21 @@ class TestSerialization:
             )
             assert RingElement.from_bytes(blob, p) == elem
 
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_decoded_element_is_the_constructed_one(self, tier):
+        """from_bytes keeps the checked coefficients without reducing them
+        again: equal to the `__init__`-built element, int32 and read-only."""
+        p = TIERS[tier]
+        for elem in (random_element(p, RandomSource(f"dec-{tier}")),
+                     RingElement(p, [p.q - 1, 0] * (p.N // 2))):
+            decoded = RingElement.from_bytes(elem.to_bytes(), p)
+            assert decoded == elem and decoded.params is p
+            assert decoded.coeffs.dtype == np.int32
+            assert not decoded.coeffs.flags.writeable
+            assert decoded._ntt is None
+            with pytest.raises(ValueError):
+                decoded.coeffs[0] = 1
+
     def test_header_mismatch_rejected(self):
         e = RingElement(TIERS["toy"], [1] * 16)
         with pytest.raises(DecodeError):

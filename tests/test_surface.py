@@ -16,6 +16,8 @@ name throughout.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dwpt_auth"
@@ -26,6 +28,8 @@ KEPT = {
     "value_for_pad": "HashChain.value_for_pad: gate 7 checks the EV's chain against it",
     "position": "RandomSource.position: the byte-accounting tests read the stream offset",
     "load_dataset": "keyfiles.load_dataset: reads the file `export-dataset` writes",
+    "storage_report": "registration.storage_report: demos/registration_and_storage.py prints "
+    "its serialized sizes; only its `__init__` export named it here before",
 }
 
 
@@ -81,3 +85,24 @@ def test_every_public_member_has_a_caller():
 def test_kept_members_exist():
     trees = package_trees().values()
     assert set(KEPT) <= {m.rsplit(".", 1)[-1] for tree in trees for m in members(tree)}
+
+
+def test_import_leaves_the_aead_binding_unloaded():
+    """Importing the package does not load `cryptography`'s compiled binding
+    (about 6 MB of memory, which set-up and enrollment never use); the first
+    AEAD seal and open load it."""
+    script = """
+import sys
+import dwpt_auth
+from dwpt_auth.rng import RandomSource
+from dwpt_auth.symcrypto import aead_open, aead_seal
+binding = "cryptography.hazmat.bindings._rust"
+assert binding not in sys.modules, "imported with the package"
+key = bytes(range(32))
+assert aead_open(key, aead_seal(key, b"payload", RandomSource("guard"))) == b"payload"
+assert binding in sys.modules, "not loaded by seal and open"
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=PACKAGE.parent, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
