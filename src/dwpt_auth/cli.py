@@ -118,10 +118,12 @@ def cmd_register(args) -> int:
     except DuplicateRegistration as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    keyfiles.save_authority(args.authority, ra)
     out = _out_dir(args) if args.out else Path(args.authority).parent
     vpath = out / f"vehicle-{args.vehicle_id}.bin"
+    # The wallet first: until the authority file lists the vehicle, a retry
+    # after a failed save re-derives the same wallet and writes it again.
     keyfiles.save_vehicle(vpath, creds)
+    keyfiles.save_authority(args.authority, ra)
     print(
         f"vehicle {args.vehicle_id} registered: {count} pseudonyms, "
         f"credentials at {vpath} ({vpath.stat().st_size} bytes)"

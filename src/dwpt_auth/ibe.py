@@ -243,7 +243,7 @@ def master_key_gen(
 # For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
 # at zeta_k, so only the first n/2 values are kept: as a numpy array at the
 # walk's levels whose halves hold 16 or more values, as a Python list below
-# them, where the degree-16, -8 and -4 steps split and merge inline.
+# them, where the degree-16, -8 and -4 steps each split and merge inline.
 
 def _parts(values) -> tuple[np.ndarray, np.ndarray]:
     """Constants c as (re(c) + 0i, 0 + i*im(c)).  x*c[0] + x*c[1] rounds each
@@ -390,49 +390,17 @@ def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, trials: Gauss
 
 def _ff_sample_degree8(t: list[complex], node, sigma: float, trials: GaussianTrials):
     """_split, _ff_sample and _merge at degree 8 on scalars, in their
-    floating-point operations and order, with both degree-4 steps inline
-    (each as in `_ff_sample_degree4`): the odd half first, then the even
-    half around its target moved by l10."""
-    (l0, l1), ((m0,), leaf00, leaf01), ((m1,), leaf10, leaf11) = node
+    floating-point operations and order, over two `_ff_sample_degree4` steps."""
+    (l0, l1), tree0, tree1 = node
     a0, a1, a2, a3 = t
     w3, w2 = a3.conjugate(), a2.conjugate()
-    x0 = (a0 + w3) * 0.5
-    x1 = (a1 + w2) * 0.5
-    y0 = (a0 - w3) * _HALF_CONJ_ZETA8_0
-    y1 = (a1 - w2) * _HALF_CONJ_ZETA8_1
-
-    # Odd half (y0, y1) down the tree of D11.
-    w = y1.conjugate()
-    t0 = (y0 + w) * 0.5
-    t1 = (y0 - w) * _HALF_CONJ_ZETA4
-    width = sigma / math.sqrt(leaf11)
-    odd = sample_gaussian_int(t1.imag, width, trials)
-    z1 = complex(sample_gaussian_int(t1.real, width, trials), odd)
-    t0 = t0 + (t1 - z1) * m1
-    width = sigma / math.sqrt(leaf10)
-    odd = sample_gaussian_int(t0.imag, width, trials)
-    z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
-    d = _ZETA4 * z1
-    v0, v1 = z0 + d, (z0 - d).conjugate()
-
-    # Even half (x0, x1), moved by (y - v) * l10, down the tree of D00.
-    x0 = x0 + (y0 - v0) * l0
-    x1 = x1 + (y1 - v1) * l1
-    w = x1.conjugate()
-    t0 = (x0 + w) * 0.5
-    t1 = (x0 - w) * _HALF_CONJ_ZETA4
-    width = sigma / math.sqrt(leaf01)
-    odd = sample_gaussian_int(t1.imag, width, trials)
-    z1 = complex(sample_gaussian_int(t1.real, width, trials), odd)
-    t0 = t0 + (t1 - z1) * m0
-    width = sigma / math.sqrt(leaf00)
-    odd = sample_gaussian_int(t0.imag, width, trials)
-    z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
-    d = _ZETA4 * z1
-    u0, u1 = z0 + d, (z0 - d).conjugate()
-
-    d0 = _ZETA8_0 * v0
-    d1 = _ZETA8_1 * v1
+    y0, y1 = (a0 - w3) * _HALF_CONJ_ZETA8_0, (a1 - w2) * _HALF_CONJ_ZETA8_1
+    v0, v1 = _ff_sample_degree4(y0, y1, tree1, sigma, trials)
+    u0, u1 = _ff_sample_degree4(
+        (a0 + w3) * 0.5 + (y0 - v0) * l0, (a1 + w2) * 0.5 + (y1 - v1) * l1,
+        tree0, sigma, trials,
+    )
+    d0, d1 = _ZETA8_0 * v0, _ZETA8_1 * v1
     return [u0 + d0, u1 + d1, (u1 - d1).conjugate(), (u0 - d0).conjugate()]
 
 
@@ -465,7 +433,8 @@ class KleinSampler:
     bit-reversed order (Ducas and Prest, "Fast Fourier Orthogonalization",
     ISSAC 2016).  `sample_near` is the randomized nearest-plane walk down
     that tree (ffSampling, as in Ducas, Lyubashevsky and Prest, "Efficient
-    Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014).
+    Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014) from a
+    target (t, 0), the only kind extraction and signing ask for.
     """
 
     def __init__(self, msk: "MasterSecretKey"):
@@ -483,20 +452,17 @@ class KleinSampler:
         #: Squared Gram-Schmidt norms, each shared by two basis vectors.
         self.leaves = np.array(_leaves(self.tree))
 
-    def sample_near(
-        self, target: np.ndarray, sigma: float, rng: RandomSource
-    ) -> np.ndarray:
-        """Integer lattice point distributed around `target` with width sigma;
-        the leaves draw through one `GaussianTrials` cursor over rng."""
+    def sample_near(self, t: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
+        """Integer lattice point (v1, v2), as 2N coefficients, distributed
+        around (t, 0) for the N coefficients of t, with width sigma; the
+        leaves draw through one `GaussianTrials` cursor over rng."""
         f, g, F, G = self._fft
         N = len(f)
         h = N // 2
-        # Target in basis coordinates: (ta, tb) B^-1, B^-1 = [[-F, f], [-G, g]] / q.
-        ta = fft_neg(target[:N].astype(np.float64))
-        tb = fft_neg(target[N:].astype(np.float64))
-        t0 = -(ta * F + tb * G) / self.q
-        t1 = (ta * f + tb * g) / self.q
-        t0, t1 = t0[:h], t1[:h]
+        # (t, 0) in basis coordinates: (t, 0) B^-1, B^-1 = [[-F, f], [-G, g]] / q.
+        ta = fft_neg(t.astype(np.float64))
+        t0 = (-(ta * F) / self.q)[:h]
+        t1 = (ta * f / self.q)[:h]
         if h < 16:  # N < 32: the walk is on lists throughout
             t0, t1 = t0.tolist(), t1.tolist()
         with GaussianTrials(rng) as trials:
@@ -514,21 +480,17 @@ class KleinSampler:
 def _sample_preimage(
     msk: MasterSecretKey, t: RingElement, rng: RandomSource
 ) -> tuple[RingElement, RingElement]:
-    """Short (s1, s2) with s1 + s2*h = t mod q, norm below norm_bound."""
+    """Short (s1, s2) with s1 + s2*h = t mod q, norm below norm_bound:
+    (t, 0) less a lattice point near it."""
     params = msk.params
     N = params.N
-    sampler = msk.sampler
-    target = np.zeros(2 * N, dtype=np.int64)
-    target[:N] = t.coeffs
     bound_sq = norm_bound(params) ** 2
     for _ in range(_MAX_SAMPLE_ATTEMPTS):
-        v = sampler.sample_near(target, params.sigma_extract, rng)
-        s = target - v
+        s = -msk.sampler.sample_near(t.coeffs, params.sigma_extract, rng)
+        s[:N] += t.coeffs
         if float(s @ s) > bound_sq:
             continue
-        s1 = RingElement(params, s[:N])
-        s2 = RingElement(params, s[N:])
-        return s1, s2
+        return RingElement(params, s[:N]), RingElement(params, s[N:])
     raise SamplerFailure("no preimage within the norm bound")
 
 

@@ -312,7 +312,8 @@ def save(path, data: bytes):
     file or the new one, never a torn mix.  The directory is fsync'd after
     the rename, so once this returns the new file survives a crash.  A
     replaced file keeps its permission bits; a new one is owner-only, since
-    every container here holds secret key material.
+    every container here holds secret key material.  A failed write raises
+    its OSError against `path`, not the deleted temporary file.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -325,8 +326,10 @@ def save(path, data: bytes):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
     fd = os.open(directory, os.O_RDONLY)
     try:

@@ -115,6 +115,33 @@ class TestRegister:
         assert rc == 1
         assert "already registered" in capsys.readouterr().err
 
+    def test_retry_after_failed_vehicle_save(self, tmp_path, capsys):
+        """A register whose vehicle file cannot be written leaves the
+        authority file as it was and names the file it could not write; once
+        the obstacle is gone, a retry writes what an undisturbed run writes."""
+        def register(out):
+            return main([
+                "register", "--authority", str(out / "authority.bin"),
+                "--vehicle-id", "EV-1", "--count", "2",
+            ])
+
+        for out in (tmp_path / "st", tmp_path / "ref"):
+            assert main(["setup", "--params-tier", "test", "--seed", "s", "--out", str(out)]) == 0
+        st, ref = tmp_path / "st", tmp_path / "ref"
+        authority = (st / "authority.bin").read_bytes()
+        blocker = st / "vehicle-EV-1.bin"
+        blocker.mkdir()
+        capsys.readouterr()
+        assert register(st) == 2
+        assert capsys.readouterr().err == f"error: {blocker}: Is a directory\n"
+        assert (st / "authority.bin").read_bytes() == authority
+        assert sorted(p.name for p in st.iterdir()) == ["authority.bin", "vehicle-EV-1.bin"]
+        blocker.rmdir()
+        assert register(st) == 0
+        assert register(ref) == 0
+        for name in ("vehicle-EV-1.bin", "authority.bin"):
+            assert (st / name).read_bytes() == (ref / name).read_bytes()
+
 
 class TestExportDataset:
     def test_dataset_written(self, workspace):

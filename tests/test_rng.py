@@ -152,15 +152,15 @@ def test_walk_consumes_sixteen_bytes_per_trial(test_authority, monkeypatch):
     16 bytes further on for each trial they read."""
     msk = test_authority.msk
     N, q = msk.params.N, msk.params.q
-    target = (np.arange(2 * N, dtype=np.int64) * 7919) % q
+    t = (np.arange(N, dtype=np.int64) * 7919) % q
     sigma = msk.params.sigma_extract
     rng = RandomSource("walk")
-    v = msk.sampler.sample_near(target, sigma, rng)
+    v = msk.sampler.sample_near(t, sigma, rng)
 
     ref = ReferenceStream(rng.key)
     monkeypatch.setattr(
         ibe, "sample_gaussian_int", lambda center, width, _: ref.gaussian_int(center, width)
     )
-    assert np.array_equal(msk.sampler.sample_near(target, sigma, RandomSource("walk")), v)
+    assert np.array_equal(msk.sampler.sample_near(t, sigma, RandomSource("walk")), v)
     assert ref.trials >= 2 * N  # one leaf draw per coordinate
     assert rng.position == ref.pos == 16 * ref.trials
