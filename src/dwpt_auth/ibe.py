@@ -2,10 +2,11 @@
 
 A master authority samples a short pair (f, g), completes it to a basis of
 the lattice {(u, v) : u + v*h = 0 mod q} for h = g/f, and extracts per
-identity a short preimage (s1, s2) of the hashed identity point by fast
-Fourier sampling: a randomized nearest-plane walk down the ffLDL tree of the
-basis, which is its Gram-Schmidt frame in bit-reversed order, built from the
-Fourier transforms of f, g, F, G.  Encryption is the dual-Regev style scheme:
+identity a short preimage (s1, s2) of the hashed identity point, of which
+the identity's key keeps s2, by fast Fourier sampling: a randomized
+nearest-plane walk down the ffLDL tree of the basis, which is its
+Gram-Schmidt frame in bit-reversed order, built from the Fourier transforms
+of f, g, F, G.  Encryption is the dual-Regev style scheme:
 noisy products against h and the identity point, message bits scaled by
 floor(q/2).
 
@@ -88,6 +89,7 @@ class MasterSecretKey:
     F: IntegerPolynomial
     G: IntegerPolynomial
     extract_seed: bytes
+    h: RingElement  # the public key g/f: the one object every extracted key refers to
 
     @functools.cached_property
     def sampler(self) -> "KleinSampler":
@@ -98,13 +100,23 @@ class MasterSecretKey:
 
 @dataclass(frozen=True)
 class UserSecretKey:
+    """The key of one identity: s2 of a short preimage (s1, s2) of its
+    point under its authority's public key h, which is shared, not copied."""
+
     identity: bytes
-    s1: RingElement
     s2: RingElement
+    h: RingElement
 
     @property
     def params(self) -> RingParams:
-        return self.s1.params
+        return self.s2.params
+
+    @property
+    def s1(self) -> RingElement:
+        """H(identity) - s2*h, the half that s2 and h imply; derived on every
+        read and never kept, nor is the point it hashes, since decryption
+        reads only s2."""
+        return derive_s1([self], [identity_point(self.params, self.identity)])[0]
 
     @functools.cached_property
     def point(self) -> RingElement:
@@ -112,6 +124,16 @@ class UserSecretKey:
         with its transform kept for every encryption to it; built on first
         use and not a field, so it is never persisted."""
         return identity_point(self.params, self.identity).keep_transform()
+
+
+def derive_s1(keys: list[UserSecretKey], points: list[RingElement]) -> list[RingElement]:
+    """s1 = t - s2*h of each key, t its identity point, for keys of one h:
+    the products s2*h are one stacked transform."""
+    h = keys[0].h
+    return [
+        RingElement(h.params, t.coeffs - s2h)
+        for t, s2h in zip(points, h.product_rows(*(usk.s2 for usk in keys)))
+    ]
 
 
 @dataclass(frozen=True)
@@ -227,7 +249,7 @@ def master_key_gen(
             continue
         h = g.to_ring(params) * f_inv
         msk = MasterSecretKey(
-            params=params, f=f, g=g, F=F, G=G, extract_seed=rng.bytes(32)
+            params=params, f=f, g=g, F=F, G=G, extract_seed=rng.bytes(32), h=h
         )
         return MasterPublicKey(params=params, h=h), msk
     raise ResampleExhausted(
@@ -251,6 +273,11 @@ def _parts(values) -> tuple[np.ndarray, np.ndarray]:
     product into a sum, which moves centers by a bit and, rarely, a key."""
     c = np.array(values)
     return c.real + 0j, c.imag * 1j
+
+
+def _times(x: np.ndarray, parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """x*c for the constants c held as `_parts`, rounded as Python's x*c."""
+    return x * parts[0] + x * parts[1]
 
 
 @functools.cache
@@ -287,15 +314,27 @@ def _split_array(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """_split on a numpy array."""
     m = len(a) // 2
     hi = a[: m - 1 : -1].conj()
-    d, (re, im) = a[:m] - hi, _twiddles(2 * len(a))[3]
-    return (a[:m] + hi) * 0.5, d * re + d * im
+    return (a[:m] + hi) * 0.5, _times(a[:m] - hi, _twiddles(2 * len(a))[3])
 
 
 def _merge_array(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
     """_merge on numpy arrays."""
-    re, im = _twiddles(4 * len(a0))[2]
-    d = a1 * re + a1 * im
+    d = _times(a1, _twiddles(4 * len(a0))[2])
     return np.concatenate((a0 + d, (a0 - d)[::-1].conj()))
+
+
+def _gram(f: np.ndarray, g: np.ndarray, F: np.ndarray, G: np.ndarray) -> tuple:
+    """The kept halves of g g* + f f*, g G* + f F* and G G* + F F*, as
+    lists, from the transforms of f, g, F, G; each product is `_times`."""
+    h = len(f) // 2
+    f, g, F, G = (a[:h] for a in (f, g, F, G))
+    fc, gc = _parts(f.conj()), _parts(g.conj())
+    Fc, Gc = _parts(F.conj()), _parts(G.conj())
+    return (
+        (_times(g, gc) + _times(f, fc)).tolist(),
+        (_times(g, Gc) + _times(f, Fc)).tolist(),
+        (_times(G, Gc) + _times(F, Fc)).tolist(),
+    )
 
 
 def _fftldl(g00: list[complex], g01: list[complex], g11: list[complex]) -> tuple:
@@ -341,8 +380,7 @@ def _ff_sample(t0, t1, node, sigma: float, trials: GaussianTrials):
     if isinstance(l10, list):
         t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10)]
     else:
-        d = t1 - z1
-        t0 = t0 + (d * l10[0] + d * l10[1])
+        t0 = t0 + _times(t1 - z1, l10)
     z0 = _ff_sample_diag(t0, tree0, sigma, trials)
     return z0, z1
 
@@ -445,12 +483,19 @@ class KleinSampler:
             for poly in (msk.f, msk.g, msk.F, msk.G)
         )
         self._fft = f, g, F, G
-        g00 = (g * g.conj() + f * f.conj())[:h]
-        g01 = (g * G.conj() + f * F.conj())[:h]
-        g11 = (G * G.conj() + F * F.conj())[:h]
-        self.tree = _fftldl(g00.tolist(), g01.tolist(), g11.tolist())
+        self._coordinates = _parts(F[:h]), _parts(f[:h])
+        self.tree = _fftldl(*_gram(f, g, F, G))
         #: Squared Gram-Schmidt norms, each shared by two basis vectors.
         self.leaves = np.array(_leaves(self.tree))
+
+    def _target(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t, 0) in basis coordinates, (t, 0) B^-1 with B^-1 =
+        [[-F, f], [-G, g]] / q: the kept halves of -(t F)/q and t f/q.  The
+        division is the product by 1/q that numpy's complex division by
+        q + 0i computes."""
+        F, f = self._coordinates
+        ta = fft_neg(t.astype(np.float64))[: len(t) // 2]
+        return _times(ta, F) * (-1 / self.q), _times(ta, f) * (1 / self.q)
 
     def sample_near(self, t: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
         """Integer lattice point (v1, v2), as 2N coefficients, distributed
@@ -458,12 +503,8 @@ class KleinSampler:
         leaves draw through one `GaussianTrials` cursor over rng."""
         f, g, F, G = self._fft
         N = len(f)
-        h = N // 2
-        # (t, 0) in basis coordinates: (t, 0) B^-1, B^-1 = [[-F, f], [-G, g]] / q.
-        ta = fft_neg(t.astype(np.float64))
-        t0 = (-(ta * F) / self.q)[:h]
-        t1 = (ta * f / self.q)[:h]
-        if h < 16:  # N < 32: the walk is on lists throughout
+        t0, t1 = self._target(t)
+        if N < 32:  # the walk is on lists throughout
             t0, t1 = t0.tolist(), t1.tolist()
         with GaussianTrials(rng) as trials:
             z = _ff_sample(t0, t1, self.tree, sigma, trials)
@@ -505,8 +546,8 @@ def extract(msk: MasterSecretKey, identity: bytes) -> UserSecretKey:
     t = identity_point(params, identity)
     digest = hashlib.sha256(identity).digest()
     rng = RandomSource(b"extract" + msk.extract_seed + digest)
-    s1, s2 = _sample_preimage(msk, t, rng)
-    return UserSecretKey(identity=identity, s1=s1, s2=s2)
+    _, s2 = _sample_preimage(msk, t, rng)
+    return UserSecretKey(identity=identity, s2=s2, h=msk.h)
 
 
 # ---------------------------------------------------------------------------

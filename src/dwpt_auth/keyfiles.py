@@ -1,31 +1,35 @@
 """Binary containers for the three files the CLI writes.
 
 Each container stores every fact once, framed by `codec`: little-endian
-integers, u32-length-prefixed blobs (ring elements as their `to_bytes` blobs),
-polynomials as N i32 coefficients, and lists as a u32 count and the items.  The header is the magic "DQS2", a
-record-type byte, N (u16) and q (u64); `RingParams` derives the rest.  Then:
+integers, u32-length-prefixed blobs (ring elements as their `to_bytes`
+blobs), polynomials as N i32 coefficients, and lists as a u32 count and the
+items.  The header is the magic "DQS3", a record-type byte, N (u16) and q
+(u64); `RingParams` derives the rest.  An identity key is stored as its s2:
+its s1 = H(identity) - s2*h is derived from the public key h that the
+container holds once.  Then:
 
 - `authority.bin`: seed, h, f, g, F, G, extraction seed, the operator key
-  (identity, s1, s2), the CSPA-RSU and RSU-CP group keys; per vehicle its id
+  (identity, s2), the CSPA-RSU and RSU-CP group keys; per vehicle its id
   and each slot's (pseudonym, z, w); the consumed set.
-- `vehicle-*.bin`: id, d_EV, each slot's (blind a_i, z, w, s1, s2), the
+- `vehicle-*.bin`: id, d_EV, h, each slot's (blind a_i, z, w, s2), the
   spent slot indices.  A slot's index is its position and its pseudonym is
   H(ID || d_EV * a_i).
-- `dataset.bin`: the operator key, the CSPA-RSU group key, the entries
-  (pseudonym, z, w) by pseudonym, the consumed set.
+- `dataset.bin`: h, the operator key (identity, s2), the CSPA-RSU group
+  key, the entries (pseudonym, z, w) by pseudonym, the consumed set.
 
 A group key's slot fixes its role; the consumed set is sorted pseudonyms.
 Decoders read with the exact-length `codec.Reader` and raise DecodeError on
-any malformed container, and on any the writers would not emit: a vehicle
-with no slots; in `authority.bin`, a vehicle stored twice or a pseudonym
-issued to two slots; in a vehicle file, spent slots out of order or past the
-last slot; entries or consumed pseudonyms out of order, or a consumed
-pseudonym never issued.  Writers refuse, with ValueError, a slot index
-that is not its position, a slot whose pseudonym or key identity is not
-the one the decoder would derive, a group key whose role is not its slot's and a
-polynomial whose length is not N.  Every decoded container re-encodes to its
-own bytes, and identical state to identical bytes.  The `load_*` helpers
-name the file.
+any malformed container, and on any the writers would not emit: a key whose
+derived (s1, s2) exceeds `ibe.norm_bound`; a vehicle with no slots; in
+`authority.bin`, a vehicle stored twice or a pseudonym issued to two
+slots; in a vehicle file, spent slots out of order or past the last slot;
+entries or consumed pseudonyms out of order, or a consumed pseudonym never
+issued.  Writers refuse, with ValueError, a slot index that is not its
+position, a slot whose pseudonym or key identity is not the one the decoder
+would derive, a slot key of another h than the first slot's, a group key
+whose role is not its slot's and a polynomial whose length is not N.  Every
+decoded container re-encodes to its own bytes, and identical state to
+identical bytes.  The `load_*` helpers name the file.
 
 A change to any layout, or to anything a decoder derives, bumps the digit of
 the magic; a container of another layout is reported as such.
@@ -41,7 +45,14 @@ import numpy as np
 
 from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import MasterPublicKey, MasterSecretKey, UserSecretKey
+from dwpt_auth.ibe import (
+    MasterPublicKey,
+    MasterSecretKey,
+    UserSecretKey,
+    derive_s1,
+    identity_point,
+    norm_bound,
+)
 from dwpt_auth.registration import (
     ROLE_CSPA_RSU,
     ROLE_RSU_CP,
@@ -54,7 +65,7 @@ from dwpt_auth.registration import (
 from dwpt_auth.ring import IntegerPolynomial, RingElement, RingParams
 from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
-MAGIC = b"DQS2"
+MAGIC = b"DQS3"
 
 RECORD_AUTHORITY = 0x10
 RECORD_VEHICLE = 0x11
@@ -137,12 +148,24 @@ def _write_group_key(w: Writer, key: SymmetricKey, role: str):
 
 def _write_usk(w: Writer, usk: UserSecretKey):
     w.blob(usk.identity)
-    w.blob(usk.s1.to_bytes())
     w.blob(usk.s2.to_bytes())
 
 
-def _read_usk(r: Reader, p: RingParams) -> UserSecretKey:
-    return UserSecretKey(identity=r.blob(), s1=_read_ring(r, p), s2=_read_ring(r, p))
+def _read_usk(r: Reader, h: RingElement) -> UserSecretKey:
+    """The operator key; its norm check reads (and so keeps) the point that
+    every session encrypts to."""
+    usk = UserSecretKey(identity=r.blob(), s2=_read_ring(r, h.params), h=h)
+    _check_norms([usk], [usk.point])
+    return usk
+
+
+def _check_norms(keys: list[UserSecretKey], points: list[RingElement]):
+    """DecodeError unless each key's (s1, s2) lies within `norm_bound`, s1
+    derived from its identity point by `derive_s1`."""
+    bound_sq = norm_bound(keys[0].params) ** 2
+    for usk, s1 in zip(keys, derive_s1(keys, points)):
+        if s1.norm_squared() + usk.s2.norm_squared() > bound_sq:
+            raise DecodeError(f"key of {usk.identity.hex()} exceeds the norm bound")
 
 
 def _write_shares(w: Writer, e: DatasetEntry):
@@ -176,9 +199,11 @@ def _read_consumed(r: Reader, issued: dict[bytes, DatasetEntry]) -> set[bytes]:
 def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     if not creds.entries:
         raise ValueError("cannot serialize credentials with no entries")
-    w = _frame(RECORD_VEHICLE, creds.entries[0].usk.params)
+    h = creds.entries[0].usk.h
+    w = _frame(RECORD_VEHICLE, h.params)
     w.blob(creds.vehicle_id)
     w.fixed(creds.d_ev.to_bytes(32, "big"), 32)
+    w.blob(h.to_bytes())
     w.u32(len(creds.entries))
     for slot, e in enumerate(creds.entries):
         if e.index != slot:
@@ -187,10 +212,11 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
             raise ValueError(f"slot {slot}: pseudonym is not H(ID || d_EV * a_i)")
         if e.usk.identity != e.pseudonym:
             raise ValueError(f"slot {slot}: key identity is not its pseudonym")
+        if e.usk.h != h:
+            raise ValueError(f"slot {slot}: key of another authority than slot 0")
         w.fixed(e.blind.to_bytes(32, "big"), 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
-        w.blob(e.usk.s1.to_bytes())
         w.blob(e.usk.s2.to_bytes())
     w.u32(len(creds.spent))
     for idx in sorted(creds.spent):
@@ -199,12 +225,12 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
 
 
 def _read_entry(
-    r: Reader, p: RingParams, vehicle_id: bytes, d_ev: int, slot: int
+    r: Reader, h: RingElement, vehicle_id: bytes, d_ev: int, slot: int
 ) -> CredentialEntry:
     blind = int.from_bytes(r.fixed(32), "big")
     pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
     z, wshare = r.fixed(32), r.fixed(32)
-    usk = UserSecretKey(identity=pseudonym, s1=_read_ring(r, p), s2=_read_ring(r, p))
+    usk = UserSecretKey(identity=pseudonym, s2=_read_ring(r, h.params), h=h)
     return CredentialEntry(slot, blind, pseudonym, z, wshare, usk)
 
 
@@ -212,9 +238,12 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
     r, p = _unframe(data, RECORD_VEHICLE)
     vehicle_id = r.blob()
     d_ev = int.from_bytes(r.fixed(32), "big")
-    entries = [_read_entry(r, p, vehicle_id, d_ev, slot) for slot in range(r.u32())]
+    h = _read_ring(r, p)
+    entries = [_read_entry(r, h, vehicle_id, d_ev, slot) for slot in range(r.u32())]
     if not entries:
         raise DecodeError(f"vehicle {vehicle_id!r} has no pseudonym slots")
+    # No session encrypts to a slot's own point, so the slot keys keep none.
+    _check_norms([e.usk for e in entries], [identity_point(p, e.pseudonym) for e in entries])
     spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
     if spent and spent[-1] >= len(entries):
         raise DecodeError(f"spent slot {spent[-1]} of {len(entries)}")
@@ -227,6 +256,7 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
 
 def dataset_to_bytes(ds: CspaDataset) -> bytes:
     w = _frame(RECORD_DATASET, ds.usk.params)
+    w.blob(ds.usk.h.to_bytes())
     _write_usk(w, ds.usk)
     _write_group_key(w, ds.gk_cspa_rsu, ROLE_CSPA_RSU)
     w.u32(len(ds.entries))
@@ -238,7 +268,7 @@ def dataset_to_bytes(ds: CspaDataset) -> bytes:
 
 def dataset_from_bytes(data: bytes) -> CspaDataset:
     r, p = _unframe(data, RECORD_DATASET)
-    usk = _read_usk(r, p)
+    usk = _read_usk(r, _read_ring(r, p))
     gk_cspa_rsu = SymmetricKey(r.fixed(32), ROLE_CSPA_RSU)
     shares = [_read_shares(r) for _ in range(r.u32())]
     _increasing([e.pseudonym for e in shares], "dataset pseudonyms")
@@ -279,8 +309,8 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
         params=p,
         seed=seed,
         mpk=MasterPublicKey(params=p, h=h),
-        msk=MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32)),
-        cspa_usk=_read_usk(r, p),
+        msk=MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32), h=h),
+        cspa_usk=_read_usk(r, h),
         gk_cspa_rsu=SymmetricKey(r.fixed(32), ROLE_CSPA_RSU),
         gk_rsu_cp=SymmetricKey(r.fixed(32), ROLE_RSU_CP),
     )

@@ -323,7 +323,7 @@ class TestRun:
             "--out", str(tmp_path / "run"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {path}: layout DQS1, this build reads DQS2\n"
+        assert capsys.readouterr().err == f"error: {path}: layout DQS1, this build reads DQS3\n"
         assert path.read_bytes() == before
         assert not (tmp_path / "run").exists()
 

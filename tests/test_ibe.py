@@ -21,6 +21,7 @@ from dwpt_auth.ibe import (
     _ff_sample_degree4,
     _ff_sample_degree8,
     _ff_sample_degree16,
+    _gram,
     _gs_quality,
     _key_to_blocks,
     _merge_array,
@@ -38,6 +39,7 @@ from dwpt_auth.ibe import (
     sign,
     verify,
 )
+from dwpt_auth.ntrusolve import fft_neg
 from dwpt_auth.registration import ra_setup
 from dwpt_auth.ring import GaussianTrials, RingElement, RingParams, TIERS, sample_gaussian_int
 from dwpt_auth.rng import RandomSource
@@ -112,12 +114,21 @@ class TestMasterKeyGen:
         assert mpk1.h != mpk3.h
 
 
+def extraction_stream(msk, identity: bytes) -> RandomSource:
+    """The stream `extract` samples the key of identity from."""
+    return RandomSource(b"extract" + msk.extract_seed + hashlib.sha256(identity).digest())
+
+
 class TestExtract:
     def test_preimage_equation(self, test_authority):
+        """The sampled pair solves s1 + s2*h = H(id); the key keeps its s2
+        and derives the same s1 (the derived s1 solves it for any s2)."""
         mpk, msk = test_authority.mpk, test_authority.msk
-        usk = extract(msk, b"vehicle-77")
         t = identity_point(mpk.params, b"vehicle-77")
-        assert usk.s1 + usk.s2 * mpk.h == t
+        s1, s2 = ibe._sample_preimage(msk, t, extraction_stream(msk, b"vehicle-77"))
+        assert s1 + s2 * mpk.h == t
+        usk = extract(msk, b"vehicle-77")
+        assert usk.s2 == s2 and usk.s1 == s1
 
     def test_norm_within_bound(self, test_authority):
         usk = extract(test_authority.msk, b"vehicle-77")
@@ -131,6 +142,16 @@ class TestExtract:
         assert again is not first
         assert again == first
 
+    def test_gate_identities_get_short_keys(self):
+        """Gate 4's 100 test-tier extractions, each within norm_bound: with
+        s1 derived from s2, shortness is what tells a right s2 from any."""
+        p = TIERS["test"]
+        _, msk = master_key_gen(p, RandomSource("gate-extract"))
+        bound_sq = norm_bound(p) ** 2
+        for i in range(100):
+            usk = extract(msk, f"gate-id-{i}".encode())
+            assert usk.s1.norm_squared() + usk.s2.norm_squared() <= bound_sq, i
+
     def test_distinct_identities_get_distinct_keys(self, test_authority):
         a = extract(test_authority.msk, b"id-a")
         b = extract(test_authority.msk, b"id-b")
@@ -141,9 +162,21 @@ class TestExtract:
         basis, not with the sampler the original built for its own."""
         a, b = toy_authority, ra_setup(TIERS["toy"], "other-toy-authority")
         # ra_setup extracted the operator key, so a's sampler is built.
-        msk = dataclasses.replace(a.msk, f=b.msk.f, g=b.msk.g, F=b.msk.F, G=b.msk.G)
+        msk = dataclasses.replace(a.msk, f=b.msk.f, g=b.msk.g, F=b.msk.F, G=b.msk.G, h=b.msk.h)
+        t = identity_point(b.params, b"id")
+        s1, s2 = ibe._sample_preimage(msk, t, RandomSource("replaced-basis"))
+        assert s1 + s2 * b.mpk.h == t
         usk = extract(msk, b"id")
-        assert usk.s1 + usk.s2 * b.mpk.h == identity_point(b.params, b"id")
+        assert usk.s1.norm_squared() + usk.s2.norm_squared() <= norm_bound(b.params) ** 2
+
+    def test_key_keeps_s2_and_refers_to_h(self, test_authority):
+        """A key holds its identity, s2 and its authority's h, shared, not
+        copied; s1 is derived on each read and never kept."""
+        assert [f.name for f in dataclasses.fields(UserSecretKey)] == ["identity", "s2", "h"]
+        usk = extract(test_authority.msk, b"vehicle-77")
+        assert usk.h is test_authority.mpk.h
+        assert usk.s1 == usk.s1 and usk.s1 is not usk.s1
+        assert "s1" not in vars(usk)
 
 
 class TestKleinSampler:
@@ -214,6 +247,26 @@ class TestKleinSamplerFrame:
         leaves = msk.sampler.leaves
         assert len(leaves) == msk.params.N
         assert np.all(msk.params.sigma_extract / np.sqrt(leaves) < 2.0)
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_gram_and_target_round_as_python(self, tier, request):
+        """The Gram entries and the target (t, 0) B^-1 equal Python's complex
+        arithmetic value for value, so numpy's fused multiply-adds, where a
+        CPU has them, cannot move a center and with it a key."""
+        msk = request.getfixturevalue(f"{tier}_authority").msk
+        h, q = msk.params.N // 2, msk.params.q
+        f, g, F, G = (a[:h].tolist() for a in msk.sampler._fft)
+        assert _gram(*msk.sampler._fft) == (
+            [a * a.conjugate() + b * b.conjugate() for a, b in zip(g, f)],
+            [a * c.conjugate() + b * d.conjugate() for a, b, c, d in zip(g, f, G, F)],
+            [c * c.conjugate() + d * d.conjugate() for c, d in zip(G, F)],
+        )
+        for identity in (b"target-0", b"target-1", b"target-2"):
+            t = identity_point(msk.params, identity).coeffs
+            ta = fft_neg(t.astype(np.float64))[:h].tolist()
+            t0, t1 = msk.sampler._target(t)
+            assert t0.tolist() == [x * c * (-1 / q) for x, c in zip(ta, F)]
+            assert t1.tolist() == [x * c * (1 / q) for x, c in zip(ta, f)]
 
     def test_default_tier_extract_matches_golden(self, default_authority):
         usk = extract(default_authority.msk, b"golden-identity")

@@ -2,34 +2,36 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import re
 import stat
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwpt_auth import keyfiles
 from dwpt_auth.codec import Writer
 from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import extract
+from dwpt_auth.ibe import extract, norm_bound
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
-from dwpt_auth.ring import IntegerPolynomial, TIERS
+from dwpt_auth.ring import IntegerPolynomial, RingElement, TIERS
 from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "5bc22f127f1012d7e8d13a2f261095dbe18cfb7614a7dcb7b07ec1058e737d43",
-    "vehicle.bin": "c079c9cb163a51c6118b8c56adcfea7742563e17d6f059eaa8cd8992baf0e34b",
-    "dataset.bin": "969375549a9524b26ffbf6ae47179c53d9b0de8e5c7835278eb940024d1056de",
+    "authority.bin": "0b1f815050d80dba26642a6c9a8bd568dd1fd6b4c8333be25f23786db5cf839e",
+    "vehicle.bin": "493dd4c460b2e1a1fdf2d1e246025f43392c55c4989c38a095256afd0638ddaf",
+    "dataset.bin": "a8a02604e00000cf9c59de5290f50df970965afc06f6e6cefc020980170e5dc0",
 }
 
 #: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
 #: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
 #: seed-to-key map at the tier the benchmark measures.
-GOLDEN_DEFAULT_VEHICLE = "337f22077a185e9378e2f5f946d2a356161fbf2dd1d5c80672415a4b54d223b9"
+GOLDEN_DEFAULT_VEHICLE = "cfa510ea4b8b4b5b1213b5d286b2e4e8b813b03e3b7f19d2090ec0e3d8b2aebe"
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +71,7 @@ class TestRecordRoundTrips:
         assert back.d_ev == creds.d_ev
         assert back.spent == creds.spent
         assert back.entries == creds.entries
+        assert all(e.usk.h is back.entries[0].usk.h for e in back.entries)
 
     def test_dataset(self, ra):
         ds = export_cspa_dataset(ra)
@@ -120,7 +123,7 @@ class TestRecordRoundTrips:
         for creds in wallets.values():
             blob = keyfiles.vehicle_to_bytes(creds)
             p = creds.entries[0].usk.params
-            assert blob[:15] == b"DQS2\x11" + struct.pack("<HQ", p.N, p.q)
+            assert blob[:15] == b"DQS3\x11" + struct.pack("<HQ", p.N, p.q)
             assert struct.pack("<d", p.sigma_extract) not in blob
             for e in creds.entries:
                 assert e.pseudonym not in blob
@@ -164,10 +167,10 @@ def vehicle_blob(wallets) -> bytes:
 
 
 class TestFraming:
-    @pytest.mark.parametrize("layout", [b"DQS1", b"DQS3"])
+    @pytest.mark.parametrize("layout", [b"DQS1", b"DQS2", b"DQS4"])
     def test_other_layout_named(self, wallets, layout):
         blob = layout + vehicle_blob(wallets)[4:]
-        with pytest.raises(DecodeError, match=f"^layout {layout.decode()}, this build reads DQS2$"):
+        with pytest.raises(DecodeError, match=f"^layout {layout.decode()}, this build reads DQS3$"):
             keyfiles.vehicle_from_bytes(blob)
 
     def test_bad_magic(self, wallets):
@@ -218,12 +221,33 @@ class TestStrictFields:
     def test_authority_without_stored_operator_key_rejected(self, ra):
         """The layout before the operator key was stored does not decode."""
         w = Writer()  # the stored key as the container frames it
-        for field in (ra.cspa_identity, ra.cspa_usk.s1.to_bytes(), ra.cspa_usk.s2.to_bytes()):
+        for field in (ra.cspa_identity, ra.cspa_usk.s2.to_bytes()):
             w.blob(field)
         blob = keyfiles.authority_to_bytes(ra)
         assert blob.count(w.getvalue()) == 1
         with pytest.raises(DecodeError):
             keyfiles.authority_from_bytes(blob.replace(w.getvalue(), b""))
+
+    @pytest.mark.parametrize("container", ["vehicle", "authority", "dataset"])
+    def test_key_past_norm_bound_rejected(self, ra, wallets, container):
+        """A stored s2 coefficient pushed past norm_bound fails at load, not
+        as a DecryptFailure in the middle of a session."""
+        creds = wallets[b"EV-kf-2"]
+        usk, blob, decode = {
+            "vehicle": (creds.entries[1].usk, keyfiles.vehicle_to_bytes(creds),
+                        keyfiles.vehicle_from_bytes),
+            "authority": (ra.cspa_usk, keyfiles.authority_to_bytes(ra),
+                          keyfiles.authority_from_bytes),
+            "dataset": (ra.cspa_usk, keyfiles.dataset_to_bytes(export_cspa_dataset(ra)),
+                        keyfiles.dataset_from_bytes),
+        }[container]
+        coeffs = usk.s2.coeffs.astype(np.int64)
+        coeffs[0] = math.ceil(norm_bound(usk.params))  # ||s2|| alone exceeds the bound
+        stored = usk.s2.to_bytes()
+        assert blob.count(stored) == 1
+        bad = blob.replace(stored, RingElement(usk.params, coeffs).to_bytes())
+        with pytest.raises(DecodeError, match=f"^key of {usk.identity.hex()} exceeds the norm"):
+            decode(bad)
 
     def test_msk_polynomial_of_wrong_length(self):
         toy = ra_setup(TIERS["toy"], "short-f")
@@ -278,11 +302,21 @@ class TestCanonicalOrder:
         with pytest.raises(ValueError, match=error):
             keyfiles.vehicle_to_bytes(dataclasses.replace(creds, entries=[bumped, *creds.entries[1:]]))
 
+    def test_slot_key_of_another_h_refused(self, wallets):
+        """A vehicle file stores h once, so the writer refuses a slot whose
+        key holds another h, which a reload would pair with slot 0's."""
+        creds = wallets[b"EV-kf-2"]
+        first, e = creds.entries
+        other = dataclasses.replace(e, usk=dataclasses.replace(e.usk, h=e.usk.h + e.usk.h))
+        with pytest.raises(ValueError, match="slot 1: key of another authority than slot 0"):
+            keyfiles.vehicle_to_bytes(dataclasses.replace(creds, entries=[first, other]))
+
     def test_vehicle_has_a_slot(self, ra, wallets):
         """No writer emits a vehicle without slots, and none re-encodes one."""
         w = keyfiles._frame(keyfiles.RECORD_VEHICLE, ra.params)
         w.blob(b"EV-kf-2")
         w.fixed(wallets[b"EV-kf-2"].d_ev.to_bytes(32, "big"), 32)
+        w.blob(ra.mpk.h.to_bytes())
         w.u32(0)  # no slots
         w.u32(0)  # none spent
         with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):

@@ -7,7 +7,7 @@ import pytest
 
 from dwpt_auth import keyfiles, protocol
 from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry
-from dwpt_auth.ibe import extract, identity_point
+from dwpt_auth.ibe import extract, norm_bound
 from dwpt_auth.netsim import simulate_session
 from dwpt_auth.registration import (
     ROLE_CSPA_RSU,
@@ -95,9 +95,10 @@ class TestRegisterVehicle:
     def test_extracted_keys_match_pseudonym_identity(self):
         ra = ra_setup(TIERS["test"], "reg-3")
         creds = register_vehicle(ra, b"EV-3", 2)
+        bound_sq = norm_bound(ra.params) ** 2
         for e in creds.entries:
-            t = identity_point(ra.params, e.pseudonym)
-            assert e.usk.s1 + e.usk.s2 * ra.mpk.h == t
+            assert e.usk == extract(ra.msk, e.pseudonym)
+            assert e.usk.s1.norm_squared() + e.usk.s2.norm_squared() <= bound_sq
 
     def test_duplicate_rejected(self):
         ra = ra_setup(TIERS["test"], "reg-4")
@@ -201,8 +202,7 @@ class TestDatasetExport:
         ds = export_cspa_dataset(ra)
         assert ds.usk.identity == ra.cspa_identity
         assert ds.gk_cspa_rsu.key == ra.gk_cspa_rsu.key
-        t = identity_point(ra.params, ra.cspa_identity)
-        assert ds.usk.s1 + ds.usk.s2 * ra.mpk.h == t
+        assert ds.usk == extract(ra.msk, ra.cspa_identity)
 
 
 class TestRecordPass:
