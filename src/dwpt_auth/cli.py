@@ -16,7 +16,7 @@ from pathlib import Path
 from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.errors import DecodeError, DuplicateRegistration, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import noise_model
-from dwpt_auth.netsim import TIMING_MODES, TimingModel
+from dwpt_auth.netsim import TIMING_MODES
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, record_pass, register_vehicle
 from dwpt_auth.ring import TIERS
 
@@ -178,7 +178,7 @@ def cmd_run(args) -> int:
         creds,
         n_pads=n_pads,
         seed=seed,
-        timing=TimingModel.for_mode(mode),
+        timing=TIMING_MODES[mode](),
         entry_index=args.pseudonym_index,
         freshness_ms=freshness,
     )
@@ -212,7 +212,7 @@ def cmd_costs(args) -> int:
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     _check("n_pads", min(args.n_pads), _POSITIVE)
     _check("speeds", min(args.speeds), _POSITIVE)
-    timing = TimingModel.for_mode(mode)
+    timing = TIMING_MODES[mode]()
     out = _out_dir(args)
     header = {
         "timing_mode": mode,

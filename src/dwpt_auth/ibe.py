@@ -28,7 +28,6 @@ import numpy as np
 from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import (
     AuthenticationFailure,
-    DecodeError,
     NotInvertible,
     ParameterMismatch,
     ResampleExhausted,
@@ -145,54 +144,48 @@ class Signature:
 
 @dataclass(frozen=True)
 class Ciphertext:
-    """One ring ciphertext carrying up to N bits."""
+    """One ring ciphertext carrying up to N bits; encoded as u then v, each
+    a ring element's fixed-size encoding, so 2 * `element_bytes` long."""
 
     u: RingElement
     v: RingElement
 
     def to_bytes(self) -> bytes:
-        """u32-prefixed u, then v unprefixed."""
-        w = Writer()
-        w.blob(self.u.to_bytes())
-        w.raw(self.v.to_bytes())
-        return w.getvalue()
+        return self.u.to_bytes() + self.v.to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "Ciphertext":
-        """Inverse of to_bytes; DecodeError on any malformed input."""
-        r = Reader(data)
-        ub = r.blob()
-        u = RingElement.from_bytes(ub, params)
-        v = RingElement.from_bytes(r.fixed(len(ub)), params)  # same size as u
-        r.done()
+        """Inverse of to_bytes; DecodeError on any other length or a
+        coefficient outside [0, q)."""
+        n = params.element_bytes  # a wrong length leaves u or v the wrong size
+        u, v = (RingElement.from_bytes(half, params) for half in (data[:n], data[n:]))
         return cls(u, v)
 
 
 @dataclass(frozen=True)
 class HybridCiphertext:
-    """Content key encapsulated in ring blocks; payload sealed with an AEAD."""
+    """Content key encapsulated in ring blocks; payload sealed with an AEAD.
+    Encoded as the ceil(256/N) blocks at their fixed size, then the
+    u32-prefixed sealed payload: the receiver's parameters fix the count
+    and the size of the blocks, so neither is sent."""
 
     key_blocks: tuple
     sealed: bytes
 
     def to_bytes(self) -> bytes:
-        """u8 block count, u32-prefixed blocks, u32-prefixed sealed payload."""
         w = Writer()
-        w.u8(len(self.key_blocks))
         for block in self.key_blocks:
-            w.blob(block.to_bytes())
+            w.raw(block.to_bytes())
         w.blob(self.sealed)
         return w.getvalue()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "HybridCiphertext":
         """Inverse of to_bytes; DecodeError on truncated or trailing bytes,
-        or on a block count other than ceil(256/N)."""
+        or a coefficient outside [0, q)."""
         r = Reader(data)
-        count, expected = r.u8(), _key_block_count(params.N)
-        if count != expected:
-            raise DecodeError(f"{count} key blocks, expected {expected}")
-        blocks = tuple(Ciphertext.from_bytes(r.blob(), params) for _ in range(count))
+        size, count = 2 * params.element_bytes, _key_block_count(params.N)
+        blocks = tuple(Ciphertext.from_bytes(r.fixed(size), params) for _ in range(count))
         sealed = r.blob()
         r.done()
         return cls(blocks, sealed)

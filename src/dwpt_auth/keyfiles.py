@@ -1,12 +1,13 @@
 """Binary containers for the three files the CLI writes.
 
 Each container stores every fact once, framed by `codec`: little-endian
-integers, u32-length-prefixed blobs (ring elements as their `to_bytes`
-blobs), polynomials as N i32 coefficients, and lists as a u32 count and the
-items.  The header is the magic "DQS3", a record-type byte, N (u16) and q
-(u64); `RingParams` derives the rest.  An identity key is stored as its s2:
-its s1 = H(identity) - s2*h is derived from the public key h that the
-container holds once.  Then:
+integers, u32-length-prefixed blobs, ring elements as their fixed-size
+`to_bytes` fields (`RingParams.element_bytes` each), polynomials as N i32
+coefficients, and lists as a u32 count and the items.  The header is the
+magic "DQS4", a record-type byte, N (u16) and q (u64), the one statement of
+N and q in a container; `RingParams` derives the rest.  An identity key is
+stored as its s2: its s1 = H(identity) - s2*h is derived from the public
+key h that the container holds once.  Then:
 
 - `authority.bin`: seed, h, f, g, F, G, extraction seed, the operator key
   (identity, s2), the CSPA-RSU and RSU-CP group keys; per vehicle its id
@@ -27,9 +28,10 @@ entries or consumed pseudonyms out of order, or a consumed pseudonym never
 issued.  Writers refuse, with ValueError, a slot index that is not its
 position, a slot whose pseudonym or key identity is not the one the decoder
 would derive, a slot key of another h than the first slot's, a group key
-whose role is not its slot's and a polynomial whose length is not N.  Every
-decoded container re-encodes to its own bytes, and identical state to
-identical bytes.  The `load_*` helpers name the file.
+whose role is not its slot's, a ring element of other parameters than the
+header's and a polynomial whose length is not N.  Every decoded container
+re-encodes to its own bytes, and identical state to identical bytes.  The
+`load_*` helpers name the file.
 
 A change to any layout, or to anything a decoder derives, bumps the digit of
 the magic; a container of another layout is reported as such.
@@ -65,7 +67,7 @@ from dwpt_auth.registration import (
 from dwpt_auth.ring import IntegerPolynomial, RingElement, RingParams
 from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
-MAGIC = b"DQS3"
+MAGIC = b"DQS4"
 
 RECORD_AUTHORITY = 0x10
 RECORD_VEHICLE = 0x11
@@ -119,8 +121,15 @@ def _increasing(values: list, what: str) -> list:
     return values
 
 
+def _write_ring(w: Writer, elem: RingElement, p: RingParams):
+    """The element's coefficients, which only the header's parameters read back."""
+    if elem.params != p:
+        raise ValueError(f"ring element of {elem.params}, the container holds {p}")
+    w.raw(elem.to_bytes())
+
+
 def _read_ring(r: Reader, p: RingParams) -> RingElement:
-    return RingElement.from_bytes(r.blob(), p)
+    return RingElement.from_bytes(r.fixed(p.element_bytes), p)
 
 
 def _write_ipoly(w: Writer, poly: IntegerPolynomial, N: int):
@@ -146,9 +155,9 @@ def _write_group_key(w: Writer, key: SymmetricKey, role: str):
 # Records the containers share.  Readers build their result with the fields
 # in wire order: Python evaluates call arguments left to right.
 
-def _write_usk(w: Writer, usk: UserSecretKey):
+def _write_usk(w: Writer, usk: UserSecretKey, p: RingParams):
     w.blob(usk.identity)
-    w.blob(usk.s2.to_bytes())
+    _write_ring(w, usk.s2, p)
 
 
 def _read_usk(r: Reader, h: RingElement) -> UserSecretKey:
@@ -203,7 +212,7 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     w = _frame(RECORD_VEHICLE, h.params)
     w.blob(creds.vehicle_id)
     w.fixed(creds.d_ev.to_bytes(32, "big"), 32)
-    w.blob(h.to_bytes())
+    _write_ring(w, h, h.params)
     w.u32(len(creds.entries))
     for slot, e in enumerate(creds.entries):
         if e.index != slot:
@@ -217,7 +226,7 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
         w.fixed(e.blind.to_bytes(32, "big"), 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
-        w.blob(e.usk.s2.to_bytes())
+        _write_ring(w, e.usk.s2, h.params)
     w.u32(len(creds.spent))
     for idx in sorted(creds.spent):
         w.u32(idx)
@@ -255,9 +264,10 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
 # CSPA dataset
 
 def dataset_to_bytes(ds: CspaDataset) -> bytes:
-    w = _frame(RECORD_DATASET, ds.usk.params)
-    w.blob(ds.usk.h.to_bytes())
-    _write_usk(w, ds.usk)
+    p = ds.usk.h.params
+    w = _frame(RECORD_DATASET, p)
+    _write_ring(w, ds.usk.h, p)
+    _write_usk(w, ds.usk, p)
     _write_group_key(w, ds.gk_cspa_rsu, ROLE_CSPA_RSU)
     w.u32(len(ds.entries))
     for pseudonym in sorted(ds.entries):
@@ -284,11 +294,11 @@ def dataset_from_bytes(data: bytes) -> CspaDataset:
 def authority_to_bytes(ra: RegistrationAuthority) -> bytes:
     w = _frame(RECORD_AUTHORITY, ra.params)
     w.fixed(ra.seed, 32)
-    w.blob(ra.mpk.h.to_bytes())
+    _write_ring(w, ra.mpk.h, ra.params)
     for poly in (ra.msk.f, ra.msk.g, ra.msk.F, ra.msk.G):
         _write_ipoly(w, poly, ra.params.N)
     w.fixed(ra.msk.extract_seed, 32)
-    _write_usk(w, ra.cspa_usk)
+    _write_usk(w, ra.cspa_usk, ra.params)
     _write_group_key(w, ra.gk_cspa_rsu, ROLE_CSPA_RSU)
     _write_group_key(w, ra.gk_rsu_cp, ROLE_RSU_CP)
     w.u32(len(ra.vehicles))

@@ -85,13 +85,6 @@ class TimingModel:
             t_sha=ms(CYCLE_COUNTS["sha"]),
         )
 
-    @classmethod
-    def for_mode(cls, mode: str) -> "TimingModel":
-        try:
-            return TIMING_MODES[mode]()
-        except KeyError:
-            raise ValueError(f"unknown timing mode {mode!r}") from None
-
     def message_cost_ms(self, kind: str, n_pads: int) -> Fraction:
         """Computation charged to one message, both endpoints combined.
 

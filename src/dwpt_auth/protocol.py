@@ -191,7 +191,7 @@ class EvSession:
         self.state = "await-m5"
 
     def compose_m4(self, now_ms: int) -> ProtocolMessage:
-        if self.state != "await-m5" or self.session_key is None:
+        if self.state != "await-m5":
             raise ProtocolRejection(BAD_STATE, f"compose_m4 in state {self.state}")
         self.n_rsu = self.rng.bytes(32)
         payload = self.entry.pseudonym + self.n_rsu + encode_timestamp(now_ms)
@@ -214,11 +214,10 @@ class EvSession:
             raise ProtocolRejection(MALFORMED, "m5: zero pads")
         self.chain = HashChain.build(self.token, m_ev, n_pads)
         self.state = "charging"
-        self.next_pad = 1
 
     def next_chain_message(self) -> ProtocolMessage:
         """Chain value for the next pad in driving order."""
-        if self.state != "charging" or self.chain is None:
+        if self.state != "charging":
             raise ProtocolRejection(BAD_STATE, f"chain send in state {self.state}")
         j = self.next_pad
         links = self.chain.links  # n pad links, then the head

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.rng import RandomSource
 
@@ -76,6 +75,11 @@ class RingParams:
     def coeff_width(self) -> int:
         """Bytes per serialized coefficient."""
         return (self.q.bit_length() + 7) // 8
+
+    @property
+    def element_bytes(self) -> int:
+        """Bytes of one serialized ring element: N coefficients, no header."""
+        return self.N * self.coeff_width
 
     # sigma_f targets key vectors of norm ~1.17*sqrt(q).  sigma_extract covers
     # the Gram-Schmidt norm of accepted trapdoor bases with slack; keygen's
@@ -334,29 +338,26 @@ class RingElement:
     # -- serialization -------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """Header (N as u16 LE, q as u64 LE) then minimal-width LE coefficients."""
-        N, width = self.params.N, self.params.coeff_width
+        """The N coefficients, each `coeff_width` bytes little-endian; N and
+        q are the carrier's to state (a container header, or the master
+        public key of a session)."""
         # q < 2^31, so each coefficient is its low `width` bytes as a LE u32.
-        body = self.coeffs.astype("<u4").view(np.uint8).reshape(N, 4)[:, :width]
-        w = Writer()
-        w.u16(N)
-        w.u64(self.params.q)
-        w.raw(body.tobytes())
-        return w.getvalue()
+        width = self.params.coeff_width
+        return self.coeffs.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "RingElement":
-        """Inverse of to_bytes; DecodeError on a bad header, length or coefficient."""
-        r = Reader(data)
-        N, q = r.u16(), r.u64()
-        if (params.N, params.q) != (N, q):
-            raise DecodeError(f"serialized header (N={N}, q={q}) does not match params")
-        width = params.coeff_width
+        """Inverse of to_bytes; DecodeError on a length other than
+        `params.element_bytes` or a coefficient outside [0, q)."""
+        if len(data) != params.element_bytes:
+            raise DecodeError(
+                f"ring element of {len(data)} bytes, expected {params.element_bytes}"
+            )
+        N, width = params.N, params.coeff_width
         padded = np.zeros((N, 4), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(r.fixed(N * width), dtype=np.uint8).reshape(N, width)
-        r.done()
+        padded[:, :width] = np.frombuffer(data, dtype=np.uint8).reshape(N, width)
         coeffs = padded.view("<u4").reshape(N)
-        if (coeffs >= q).any():
+        if (coeffs >= params.q).any():
             raise DecodeError("coefficient outside [0, q)")
         return cls.__new__(cls)._keep(params, coeffs)
 

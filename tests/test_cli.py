@@ -315,7 +315,7 @@ class TestRun:
         """An authority file of another layout version is named as such in
         one error line, not reported as a truncation, and is left alone."""
         path = tmp_path / "authority.bin"
-        path.write_bytes(b"DQS1" + (workspace / "authority.bin").read_bytes()[4:])
+        path.write_bytes(b"DQS3" + (workspace / "authority.bin").read_bytes()[4:])
         before = path.read_bytes()
         rc = main([
             "run", "--authority", str(path),
@@ -323,7 +323,7 @@ class TestRun:
             "--out", str(tmp_path / "run"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {path}: layout DQS1, this build reads DQS3\n"
+        assert capsys.readouterr().err == f"error: {path}: layout DQS3, this build reads DQS4\n"
         assert path.read_bytes() == before
         assert not (tmp_path / "run").exists()
 

@@ -23,15 +23,15 @@ from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "0b1f815050d80dba26642a6c9a8bd568dd1fd6b4c8333be25f23786db5cf839e",
-    "vehicle.bin": "493dd4c460b2e1a1fdf2d1e246025f43392c55c4989c38a095256afd0638ddaf",
-    "dataset.bin": "a8a02604e00000cf9c59de5290f50df970965afc06f6e6cefc020980170e5dc0",
+    "authority.bin": "10d8a1c0e1f315fdab8ab6053f4d60b409825c692d2e45531fb9e96377b52b20",
+    "vehicle.bin": "3b76a6c4dbe2fe7de3cac880108b188d28520ec229e5ea0d3e33ad25c48e7dc1",
+    "dataset.bin": "6a360d13358cffc8759b94af5c264e28409932e18a62cca266d60d0a181ac5c8",
 }
 
 #: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
 #: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
 #: seed-to-key map at the tier the benchmark measures.
-GOLDEN_DEFAULT_VEHICLE = "cfa510ea4b8b4b5b1213b5d286b2e4e8b813b03e3b7f19d2090ec0e3d8b2aebe"
+GOLDEN_DEFAULT_VEHICLE = "8da4e8401aa1d33361feb2ffe4884ab3a28348f8d250084059808616d494a1a9"
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +108,15 @@ class TestRecordRoundTrips:
                 assert e.usk.s1.to_bytes() not in blob
                 assert e.usk.s2.to_bytes() not in blob
 
+    def test_default_ten_slot_vehicle_size(self, default_authority):
+        """Header, id, d_EV, h, then per slot a blind, two shares and s2:
+        each ring element its 1,536 coefficient bytes and nothing more."""
+        ra = dataclasses.replace(default_authority, vehicles={}, dataset_entries={}, consumed=set())
+        creds = register_vehicle(ra, b"EV-1", 10)
+        n = ra.params.element_bytes
+        size = 15 + (4 + 4) + 32 + n + 4 + 10 * (3 * 32 + n) + 4
+        assert len(keyfiles.vehicle_to_bytes(creds)) == size == 17_919
+
     def test_authority_size_is_its_records(self, ra):
         """Past its own keys, the authority stores an id and a count per
         vehicle, a pseudonym and two shares per slot, and the consumed set."""
@@ -123,7 +132,7 @@ class TestRecordRoundTrips:
         for creds in wallets.values():
             blob = keyfiles.vehicle_to_bytes(creds)
             p = creds.entries[0].usk.params
-            assert blob[:15] == b"DQS3\x11" + struct.pack("<HQ", p.N, p.q)
+            assert blob[:15] == b"DQS4\x11" + struct.pack("<HQ", p.N, p.q)
             assert struct.pack("<d", p.sigma_extract) not in blob
             for e in creds.entries:
                 assert e.pseudonym not in blob
@@ -167,10 +176,10 @@ def vehicle_blob(wallets) -> bytes:
 
 
 class TestFraming:
-    @pytest.mark.parametrize("layout", [b"DQS1", b"DQS2", b"DQS4"])
+    @pytest.mark.parametrize("layout", [b"DQS1", b"DQS2", b"DQS3"])
     def test_other_layout_named(self, wallets, layout):
         blob = layout + vehicle_blob(wallets)[4:]
-        with pytest.raises(DecodeError, match=f"^layout {layout.decode()}, this build reads DQS3$"):
+        with pytest.raises(DecodeError, match=f"^layout {layout.decode()}, this build reads DQS4$"):
             keyfiles.vehicle_from_bytes(blob)
 
     def test_bad_magic(self, wallets):
@@ -221,8 +230,8 @@ class TestStrictFields:
     def test_authority_without_stored_operator_key_rejected(self, ra):
         """The layout before the operator key was stored does not decode."""
         w = Writer()  # the stored key as the container frames it
-        for field in (ra.cspa_identity, ra.cspa_usk.s2.to_bytes()):
-            w.blob(field)
+        w.blob(ra.cspa_identity)
+        w.raw(ra.cspa_usk.s2.to_bytes())
         blob = keyfiles.authority_to_bytes(ra)
         assert blob.count(w.getvalue()) == 1
         with pytest.raises(DecodeError):
@@ -248,6 +257,13 @@ class TestStrictFields:
         bad = blob.replace(stored, RingElement(usk.params, coeffs).to_bytes())
         with pytest.raises(DecodeError, match=f"^key of {usk.identity.hex()} exceeds the norm"):
             decode(bad)
+
+    def test_ring_element_of_other_parameters_refused(self, toy_authority, test_authority):
+        """No element states its own N and q, so the writer refuses one
+        that the header's parameters would read back as another."""
+        mixed = dataclasses.replace(toy_authority, cspa_usk=test_authority.cspa_usk)
+        with pytest.raises(ValueError, match="^ring element of RingParams\\(N=64"):
+            keyfiles.authority_to_bytes(mixed)
 
     def test_msk_polynomial_of_wrong_length(self):
         toy = ra_setup(TIERS["toy"], "short-f")
@@ -316,7 +332,7 @@ class TestCanonicalOrder:
         w = keyfiles._frame(keyfiles.RECORD_VEHICLE, ra.params)
         w.blob(b"EV-kf-2")
         w.fixed(wallets[b"EV-kf-2"].d_ev.to_bytes(32, "big"), 32)
-        w.blob(ra.mpk.h.to_bytes())
+        w.raw(ra.mpk.h.to_bytes())
         w.u32(0)  # no slots
         w.u32(0)  # none spent
         with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):
@@ -491,9 +507,10 @@ class TestGoldenFiles:
             for name in GOLDEN_TEST_TIER_FILES
         }
         assert digests == GOLDEN_TEST_TIER_FILES
-        # The master public key is pinned inside authority.bin, as its u32-prefixed blob.
+        # The master public key is pinned inside authority.bin, as its
+        # coefficients alone, right after the header and the seed.
         h = authority.mpk.h.to_bytes()
-        assert struct.pack("<I", len(h)) + h in (tmp_path / "authority.bin").read_bytes()
+        assert (tmp_path / "authority.bin").read_bytes()[15 + 32 :].startswith(h)
 
     def test_seeded_default_tier_vehicle(self):
         authority = ra_setup(TIERS["default"], "golden-default-authority")

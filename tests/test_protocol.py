@@ -9,7 +9,7 @@ import pytest
 
 from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
-from dwpt_auth.ibe import HybridCiphertext, ibe_seal
+from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_seal, identity_point
 from dwpt_auth.protocol import (
     BAD_STATE,
     CHAIN_MISMATCH,
@@ -32,6 +32,7 @@ from dwpt_auth.protocol import (
     UNKNOWN_PSEUDONYM,
 )
 from dwpt_auth.registration import CspaDataset, export_cspa_dataset
+from dwpt_auth.ring import RingElement, RingParams
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import SymmetricKey, add_mod_2_256, aead_seal, encode_timestamp
 
@@ -215,6 +216,32 @@ class TestCspaRejections:
         with pytest.raises(ProtocolRejection) as exc:
             parties.cspa.handle_m1(forged, NOW)
         assert exc.value.reason == DECRYPT_FAILURE
+
+    def test_m1_under_another_modulus_rejected(self, default_authority, parties, fresh_vehicle):
+        """An m1 sealed in a ring of the same N and coefficient width but
+        another q (7340033, prime and 1 mod 1024) decodes, since no header
+        states q, and then does not open: DecryptFailure."""
+        foreign = RingParams(512, 7340033)
+        assert foreign.element_bytes == default_authority.params.element_bytes
+        mpk = MasterPublicKey(foreign, RingElement(foreign, default_authority.mpk.h.coeffs))
+        entry = fresh_vehicle.entries[0]
+        payload = entry.pseudonym + bytes(32) + encode_timestamp(NOW) + entry.z
+        body = ibe_seal(
+            mpk, identity_point(foreign, default_authority.cspa_identity), payload,
+            RandomSource("foreign-q"), b"dwpt/m1",
+        ).to_bytes()
+        HybridCiphertext.from_bytes(body, default_authority.params)  # decodes
+        with pytest.raises(ProtocolRejection) as exc:
+            parties.cspa.handle_m1(ProtocolMessage("m1", "EV", "CSPA", body), NOW)
+        assert exc.value.reason == DECRYPT_FAILURE
+        assert entry.pseudonym not in parties.cspa.consumed
+
+    def test_ibe_bodies_state_no_parameters(self, parties):
+        """A default m1 and m2 are one key block (u, v: 1,536 bytes each),
+        the sealed payload's u32 length and the 156-byte sealed payload."""
+        m1 = parties.ev.compose_m1(NOW)
+        m2, _ = parties.cspa.handle_m1(m1, NOW)
+        assert len(m1.body) == len(m2.body) == 3072 + 4 + 156 == 3232
 
     def test_short_nonce_in_m1_leaves_pseudonym_fresh(self, default_authority, parties, fresh_vehicle):
         """A correct pseudonym and z with a 5-byte nonce: MALFORMED, and the

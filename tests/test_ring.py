@@ -561,12 +561,21 @@ class TestSerialization:
         extremes = RingElement(p, [0, p.q - 1] * (p.N // 2))
         for elem in (e, extremes):
             blob = elem.to_bytes()
-            assert len(blob) == 10 + p.N * p.coeff_width
-            # Reference: one minimal-width little-endian field per coefficient.
-            assert blob == struct.pack("<HQ", p.N, p.q) + b"".join(
+            assert len(blob) == p.element_bytes == p.N * p.coeff_width
+            # Reference: one minimal-width little-endian field per
+            # coefficient, and nothing else: no N, no q.
+            assert blob == b"".join(
                 int(c).to_bytes(p.coeff_width, "little") for c in elem.coeffs
             )
             assert RingElement.from_bytes(blob, p) == elem
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_one_byte_short_or_long_rejected(self, tier):
+        p = TIERS[tier]
+        blob = random_element(p, RandomSource(f"len-{tier}")).to_bytes()
+        for bad in (blob[:-1], blob + b"\x00"):
+            with pytest.raises(DecodeError, match=f"^ring element of {len(bad)} bytes"):
+                RingElement.from_bytes(bad, p)
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_decoded_element_is_the_constructed_one(self, tier):
@@ -584,6 +593,8 @@ class TestSerialization:
                 decoded.coeffs[0] = 1
 
     def test_header_mismatch_rejected(self):
+        """No header is stored: an element of another tier is rejected by
+        its length under the parameters the decoder is given."""
         e = RingElement(TIERS["toy"], [1] * 16)
         with pytest.raises(DecodeError):
             RingElement.from_bytes(e.to_bytes(), TIERS["test"])
@@ -596,7 +607,7 @@ class TestSerialization:
     def test_out_of_range_coefficient_rejected(self):
         p = TIERS["toy"]
         blob = bytearray(RingElement(p, [0] * p.N).to_bytes())
-        blob[10] = p.q  # q = 97 fits a byte
+        blob[0] = p.q  # q = 97 fits a byte
         with pytest.raises(ValueError):
             RingElement.from_bytes(bytes(blob), p)
 
