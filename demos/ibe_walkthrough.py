@@ -40,14 +40,14 @@ print("f*G - g*F == q:", det.coeffs == [p.q] + [0] * (p.N - 1))
 # issued key decrypts
 identity = b"OBU-serial-0451"
 point = identity_point(p, identity)
-usk = extract(msk, identity)
+(usk,) = extract(msk, identity)
 
 bits = [rng.below(2) for _ in range(p.N)]
 ct = encrypt(mpk, point, bits, rng.child("enc"))
 print("decrypt(encrypt(bits)) == bits:", np.array_equal(decrypt(usk, ct), bits))
 
 # wrong identity, garbage out
-other = extract(msk, b"OBU-serial-9999")
+(other,) = extract(msk, b"OBU-serial-9999")
 print("other key decrypts correctly:", np.array_equal(decrypt(other, ct), bits))
 
 # hybrid mode seals arbitrary byte strings under an ephemeral AEAD key

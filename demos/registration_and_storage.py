@@ -7,6 +7,8 @@ identity. It issues pseudonym credentials in bulk; the charging operator gets
 a lookup table keyed by pseudonym, never by vehicle.
 """
 
+from dataclasses import fields
+
 from dwpt_auth.registration import (
     export_cspa_dataset,
     ra_setup,
@@ -31,7 +33,7 @@ register_vehicle(ra, b"EV-demo-002", count=5)
 dataset = export_cspa_dataset(ra)
 print(f"\ndataset rows: {len(dataset.entries)}")
 row = next(iter(dataset.entries.values()))
-print("row fields:", sorted(vars(row)))
+print("row fields:", sorted(f.name for f in fields(row)))
 leak = any(b"EV-demo" in r.z + r.w for r in dataset.entries.values())
 print("vehicle ids leak into the shared secrets:", leak)
 

@@ -9,6 +9,8 @@ configuration that produced it, so reruns are reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import fcntl
 import json
 import sys
 from pathlib import Path
@@ -82,18 +84,36 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _writing(authority):
+    """Hold an exclusive lock on the sibling file `<authority>.lock`.
+
+    `setup`, `register` and `run` each hold it from their load of the
+    authority file (or, for `setup`, its existence check) to their last
+    save, so two of them never interleave a read-modify-write and lose one
+    another's registrations or burned slots.  `export-dataset` and
+    `attack` only read the file and take no lock: `keyfiles.save`
+    replaces it by a rename, so a reader opens one whole version.
+    """
+    path = Path(authority)
+    with open(path.with_name(path.name + ".lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
+        yield
+
+
 def cmd_setup(args) -> int:
     config = _load_config(args.config)
     tier = _setting(args.params_tier, config, "tier", "default", allowed=TIERS)
     seed = _setting(args.seed, config, "seed", "0")
     out = _out_dir(args)
     path = out / "authority.bin"
-    if path.exists() and not args.force:
-        print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
-        return 1
     params = TIERS[tier]
-    ra = ra_setup(params, seed, cspa_identity=args.cspa_id.encode())
-    keyfiles.save_authority(path, ra)
+    with _writing(path):
+        if path.exists() and not args.force:
+            print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
+            return 1
+        ra = ra_setup(params, seed, cspa_identity=args.cspa_id.encode())
+        keyfiles.save_authority(path, ra)
     print(
         f"authority written: {path} (tier={tier}, N={params.N}, q={params.q}, "
         f"seed={seed})"
@@ -112,18 +132,20 @@ def cmd_setup(args) -> int:
 def cmd_register(args) -> int:
     config = _load_config(args.config)
     count = _setting(args.count, config, "count", 4, int, _POSITIVE)
-    ra = keyfiles.load_authority(args.authority)
-    try:
-        creds = register_vehicle(ra, args.vehicle_id.encode(), count)
-    except DuplicateRegistration as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = _out_dir(args) if args.out else Path(args.authority).parent
-    vpath = out / f"vehicle-{args.vehicle_id}.bin"
-    # The wallet first: until the authority file lists the vehicle, a retry
-    # after a failed save re-derives the same wallet and writes it again.
-    keyfiles.save_vehicle(vpath, creds)
-    keyfiles.save_authority(args.authority, ra)
+    with _writing(args.authority):
+        ra = keyfiles.load_authority(args.authority)
+        try:
+            creds = register_vehicle(ra, args.vehicle_id.encode(), count)
+        except DuplicateRegistration as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        out = _out_dir(args) if args.out else Path(args.authority).parent
+        vpath = out / f"vehicle-{args.vehicle_id}.bin"
+        # The wallet first: until the authority file lists the vehicle, a
+        # retry after a failed save re-derives the same wallet and writes it
+        # again.
+        keyfiles.save_vehicle(vpath, creds)
+        keyfiles.save_authority(args.authority, ra)
     print(
         f"vehicle {args.vehicle_id} registered: {count} pseudonyms, "
         f"credentials at {vpath} ({vpath.stat().st_size} bytes)"
@@ -167,30 +189,32 @@ def cmd_run(args) -> int:
         args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int, _NON_NEGATIVE
     )
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
-    ra = keyfiles.load_authority(args.authority)
-    creds = keyfiles.load_vehicle(args.vehicle)
-    if not _admit(ra, creds):
-        return 1
-    if args.pseudonym_index is not None:
-        _check("pseudonym_index", args.pseudonym_index, range(len(creds.entries)))
-    trace = netsim.simulate_session(
-        ra,
-        creds,
-        n_pads=n_pads,
-        seed=seed,
-        timing=TIMING_MODES[mode](),
-        entry_index=args.pseudonym_index,
-        freshness_ms=freshness,
-    )
-    out = _out_dir(args)
-    tpath = out / "transcript.jsonl"
-    tpath.write_text(trace.to_jsonl())
+    with _writing(args.authority):
+        ra = keyfiles.load_authority(args.authority)
+        creds = keyfiles.load_vehicle(args.vehicle)
+        if not _admit(ra, creds):
+            return 1
+        if args.pseudonym_index is not None:
+            _check("pseudonym_index", args.pseudonym_index, range(len(creds.entries)))
+        trace = netsim.simulate_session(
+            ra,
+            creds,
+            n_pads=n_pads,
+            seed=seed,
+            timing=TIMING_MODES[mode](),
+            entry_index=args.pseudonym_index,
+            freshness_ms=freshness,
+        )
+        out = _out_dir(args)
+        tpath = out / "transcript.jsonl"
+        tpath.write_text(trace.to_jsonl())
+        if record_pass(ra, creds, trace):
+            # Burned on both sides: the authority first, so a crash between
+            # the two saves leaves the slot consumed and a default run skips
+            # it.
+            keyfiles.save_authority(args.authority, ra)
+            keyfiles.save_vehicle(args.vehicle, creds)
     summary = trace.summary()
-    if record_pass(ra, creds, trace):
-        # Burned on both sides: the authority first, so a crash between the
-        # two saves leaves the slot consumed and a default run skips it.
-        keyfiles.save_authority(args.authority, ra)
-        keyfiles.save_vehicle(args.vehicle, creds)
     if trace.completed:
         print(
             f"session complete: {trace.accepted_pads}/{n_pads} pads accepted, "

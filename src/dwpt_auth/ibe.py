@@ -60,6 +60,10 @@ _SIG_PREFIX = b"SIG\x00"
 _MAX_KEYGEN_ATTEMPTS = 400
 _MAX_SAMPLE_ATTEMPTS = 64
 
+#: Keys that one walk draws at once: each holds a `GaussianTrials` cursor, of
+#: about 18 KB of decoded trials at a time, while it walks.
+_WALK_ROWS = 64
+
 
 def norm_bound(params: RingParams) -> float:
     """Acceptance bound on ||(s1, s2)|| for extracted keys and signatures."""
@@ -256,9 +260,11 @@ def master_key_gen(
 # Polynomials of degree n (in R[x]/(x^n + 1)) are held in the Fourier domain
 # as their values at zeta_k = e^{i pi (2k+1)/n}, the order `fft_neg` uses.
 # For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
-# at zeta_k, so only the first n/2 values are kept: as a numpy array at the
-# walk's levels whose halves hold 16 or more values, as a Python list below
-# them, where the degree-16, -8 and -4 steps each split and merge inline.
+# at zeta_k, so only the first n/2 values are kept.  The walk draws K keys at
+# once: at its levels whose halves hold 8 or more values, and at the root, it
+# holds them as the rows of (K, n/2) numpy arrays; below those levels it goes
+# row by row, as Python lists, through the degree-16, -8 and -4 steps, which
+# each split and merge inline.
 
 def _parts(values) -> tuple[np.ndarray, np.ndarray]:
     """Constants c as (re(c) + 0i, 0 + i*im(c)).  x*c[0] + x*c[1] rounds each
@@ -295,25 +301,19 @@ def _split(a: list[complex]) -> tuple[list[complex], list[complex]]:
     return a0, a1
 
 
-def _merge(a0: list[complex], a1: list[complex]) -> list[complex]:
-    """Inverse of _split."""
-    d = [z * y for z, y in zip(_twiddles(4 * len(a0))[0], a1)]
-    lo = [x + y for x, y in zip(a0, d)]
-    hi = [(x - y).conjugate() for x, y in zip(a0, d)]
-    return lo + hi[::-1]
-
-
 def _split_array(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_split on a numpy array."""
-    m = len(a) // 2
-    hi = a[: m - 1 : -1].conj()
-    return (a[:m] + hi) * 0.5, _times(a[:m] - hi, _twiddles(2 * len(a))[3])
+    """_split on the last axis of a numpy array."""
+    n = a.shape[-1]
+    m = n // 2
+    hi = a[..., : m - 1 : -1].conj()
+    return (a[..., :m] + hi) * 0.5, _times(a[..., :m] - hi, _twiddles(2 * n)[3])
 
 
 def _merge_array(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """_merge on numpy arrays."""
-    d = _times(a1, _twiddles(4 * len(a0))[2])
-    return np.concatenate((a0 + d, (a0 - d)[::-1].conj()))
+    """Inverse of `_split_array`, on the last axis: a0 + zeta*a1 at zeta_k,
+    a0 - zeta*a1 at -zeta_k."""
+    d = _times(a1, _twiddles(4 * a0.shape[-1])[2])
+    return np.concatenate((a0 + d, (a0 - d)[..., ::-1].conj()), axis=-1)
 
 
 def _gram(f: np.ndarray, g: np.ndarray, F: np.ndarray, G: np.ndarray) -> tuple:
@@ -330,66 +330,64 @@ def _gram(f: np.ndarray, g: np.ndarray, F: np.ndarray, G: np.ndarray) -> tuple:
     )
 
 
-def _fftldl(g00: list[complex], g01: list[complex], g11: list[complex]) -> tuple:
+def _fftldl(
+    g00: list[complex], g01: list[complex], g11: list[complex], sigma: float,
+    leaves: list[float], root: bool = False,
+) -> tuple:
     """ffLDL tree of the self-adjoint Gram matrix [[g00, g01], [g01*, g11]].
 
     A node is (l10, tree of D00, tree of D11) from G = L D L* with
     l10 = g01*/g00, D00 = g00 and D11 = g11 - |g01|^2/g00.  The tree of a
     diagonal entry D of degree n >= 4 is the tree of the Gram matrix
     [[d0, d1], [d1*, d0]] of its split (d0, d1); at degree 2 the split is
-    diagonal with equal entries, so the tree is a leaf: the real value D(i),
-    the squared Gram-Schmidt norm of two basis vectors.  An l10 of 16 or
-    more values is kept as `_parts`, for the walk's array levels.
+    diagonal with equal entries, so the tree is a leaf for the real value
+    D(i), the squared Gram-Schmidt norm of two basis vectors, which goes on
+    `leaves`; the leaf holds the width sigma/sqrt(D(i)) the walk draws
+    with.  The root's l10, and an l10 of 8 or more values, is kept as
+    `_parts`, for the walk's array levels.
     """
     l10 = [b.conjugate() / a for a, b in zip(g00, g01)]
     d11 = [c - (b * b.conjugate()) / a for a, b, c in zip(g00, g01, g11)]
-    return (_parts(l10) if len(l10) >= 16 else l10), _fftldl_diag(g00), _fftldl_diag(d11)
+    return (
+        _parts(l10) if root or len(l10) >= 8 else l10,
+        _fftldl_diag(g00, sigma, leaves),
+        _fftldl_diag(d11, sigma, leaves),
+    )
 
 
-def _fftldl_diag(d: list[complex]):
+def _fftldl_diag(d: list[complex], sigma: float, leaves: list[float]):
     if len(d) == 1:
-        return d[0].real
+        leaves.append(d[0].real)
+        return sigma / math.sqrt(d[0].real)
     d0, d1 = _split(d)
-    return _fftldl(d0, d1, d0)
+    return _fftldl(d0, d1, d0, sigma, leaves)
 
 
-def _leaves(tree) -> list[float]:
-    """Leaf values left to right: the bit-reversed basis order."""
-    if isinstance(tree, float):
-        return [tree]
-    return _leaves(tree[1]) + _leaves(tree[2])
-
-
-def _ff_sample(t0, t1, node, sigma: float, trials: GaussianTrials):
-    """Integer (z0, z1), in the Fourier domain, near (t0, t1) for one node.
+def _ff_sample(t0: np.ndarray, t1: np.ndarray, node, cursors: list[GaussianTrials]):
+    """Integer (z0, z1), in the Fourier domain, near each row of the (K, n)
+    targets (t0, t1) for one node; row k draws through cursors[k].
 
     Nearest plane in the order L D L* gives: z1 first, then z0 around the
     target moved by (t1 - z1) * l10.  Each coordinate recurses into the
-    tree of its diagonal entry through the split.  The halves are numpy
-    arrays where l10 is kept as `_parts`, lists otherwise.
+    tree of its diagonal entry through the split.
     """
     l10, tree0, tree1 = node
-    z1 = _ff_sample_diag(t1, tree1, sigma, trials)
-    if isinstance(l10, list):
-        t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10)]
-    else:
-        t0 = t0 + _times(t1 - z1, l10)
-    z0 = _ff_sample_diag(t0, tree0, sigma, trials)
+    z1 = _ff_sample_diag(t1, tree1, cursors)
+    z0 = _ff_sample_diag(t0 + _times(t1 - z1, l10), tree0, cursors)
     return z0, z1
 
 
-def _ff_sample_diag(t, tree, sigma: float, trials: GaussianTrials):
-    n = len(t)
-    if n > 16:
-        return _merge_array(*_ff_sample(*_split_array(t), tree, sigma, trials))
-    if n == 16:  # an array, whose halves the walk keeps as lists
-        return np.array(_merge(*_ff_sample(*_split(t.tolist()), tree, sigma, trials)))
+def _ff_sample_diag(t: np.ndarray, tree, cursors: list[GaussianTrials]) -> np.ndarray:
+    n = t.shape[-1]
+    if n >= 16:  # halves of 8 or more values: one array for all rows
+        return _merge_array(*_ff_sample(*_split_array(t), tree, cursors))
+    rows = zip(t.tolist(), cursors)
     if n == 8:
-        return _ff_sample_degree16(t, tree, sigma, trials)
+        return np.array([_ff_sample_degree16(row, tree, trials) for row, trials in rows])
     if n == 4:  # only at N = 8, whose top-level halves have degree 8
-        return _ff_sample_degree8(t, tree, sigma, trials)
+        return np.array([_ff_sample_degree8(row, tree, trials) for row, trials in rows])
     # only at N = 4, whose top-level halves have degree 4
-    return _ff_sample_degree4(*t, tree, sigma, trials)
+    return np.array([_ff_sample_degree4(*row, tree, trials) for row, trials in rows])
 
 
 (_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)[:2]
@@ -397,57 +395,57 @@ def _ff_sample_diag(t, tree, sigma: float, trials: GaussianTrials):
 _ZETA16, _HALF_CONJ_ZETA16 = _twiddles(16)[:2]
 
 
-def _ff_sample_degree4(a: complex, b: complex, node, sigma: float, trials: GaussianTrials):
-    """_split, _ff_sample and _merge at degree 4 on scalars, in their
-    floating-point operations and order, with both degree-2 leaves inline.
+def _ff_sample_degree4(a: complex, b: complex, node, trials: GaussianTrials):
+    """`_split_array`, `_ff_sample` and `_merge_array` at degree 4 on one
+    row of scalars, in their floating-point operations and order, with
+    both degree-2 leaves inline.
 
     A degree-2 leaf draws t(i) = t_0 + i*t_1 coordinate by coordinate, the
-    odd one first, each of width sigma/sqrt(leaf).
+    odd one first, each of the leaf's width.
     """
-    (l10,), leaf0, leaf1 = node
+    (l10,), width0, width1 = node
     w = b.conjugate()
     t0 = (a + w) * 0.5
     t1 = (a - w) * _HALF_CONJ_ZETA4
-    width = sigma / math.sqrt(leaf1)
-    odd = sample_gaussian_int(t1.imag, width, trials)
-    z1 = complex(sample_gaussian_int(t1.real, width, trials), odd)
+    odd = sample_gaussian_int(t1.imag, width1, trials)
+    z1 = complex(sample_gaussian_int(t1.real, width1, trials), odd)
     t0 = t0 + (t1 - z1) * l10
-    width = sigma / math.sqrt(leaf0)
-    odd = sample_gaussian_int(t0.imag, width, trials)
-    z0 = complex(sample_gaussian_int(t0.real, width, trials), odd)
+    odd = sample_gaussian_int(t0.imag, width0, trials)
+    z0 = complex(sample_gaussian_int(t0.real, width0, trials), odd)
     d = _ZETA4 * z1
     return [z0 + d, (z0 - d).conjugate()]
 
 
-def _ff_sample_degree8(t: list[complex], node, sigma: float, trials: GaussianTrials):
-    """_split, _ff_sample and _merge at degree 8 on scalars, in their
-    floating-point operations and order, over two `_ff_sample_degree4` steps."""
+def _ff_sample_degree8(t: list[complex], node, trials: GaussianTrials):
+    """`_split_array`, `_ff_sample` and `_merge_array` at degree 8 on one
+    row of scalars, in their floating-point operations and order, over two
+    `_ff_sample_degree4` steps."""
     (l0, l1), tree0, tree1 = node
     a0, a1, a2, a3 = t
     w3, w2 = a3.conjugate(), a2.conjugate()
     y0, y1 = (a0 - w3) * _HALF_CONJ_ZETA8_0, (a1 - w2) * _HALF_CONJ_ZETA8_1
-    v0, v1 = _ff_sample_degree4(y0, y1, tree1, sigma, trials)
+    v0, v1 = _ff_sample_degree4(y0, y1, tree1, trials)
     u0, u1 = _ff_sample_degree4(
-        (a0 + w3) * 0.5 + (y0 - v0) * l0, (a1 + w2) * 0.5 + (y1 - v1) * l1,
-        tree0, sigma, trials,
+        (a0 + w3) * 0.5 + (y0 - v0) * l0, (a1 + w2) * 0.5 + (y1 - v1) * l1, tree0, trials
     )
     d0, d1 = _ZETA8_0 * v0, _ZETA8_1 * v1
     return [u0 + d0, u1 + d1, (u1 - d1).conjugate(), (u0 - d0).conjugate()]
 
 
-def _ff_sample_degree16(t: list[complex], node, sigma: float, trials: GaussianTrials):
-    """_split, _ff_sample and _merge at degree 16 on scalars, in their
-    floating-point operations and order, over two `_ff_sample_degree8` steps."""
+def _ff_sample_degree16(t: list[complex], node, trials: GaussianTrials):
+    """`_split_array`, `_ff_sample` and `_merge_array` at degree 16 on one
+    row of scalars, in their floating-point operations and order, over two
+    `_ff_sample_degree8` steps."""
     (l0, l1, l2, l3), tree0, tree1 = node
     a0, a1, a2, a3, a4, a5, a6, a7 = t
     w7, w6, w5, w4 = a7.conjugate(), a6.conjugate(), a5.conjugate(), a4.conjugate()
     h0, h1, h2, h3 = _HALF_CONJ_ZETA16
     y0, y1, y2, y3 = (a0 - w7) * h0, (a1 - w6) * h1, (a2 - w5) * h2, (a3 - w4) * h3
-    v0, v1, v2, v3 = _ff_sample_degree8([y0, y1, y2, y3], tree1, sigma, trials)
+    v0, v1, v2, v3 = _ff_sample_degree8([y0, y1, y2, y3], tree1, trials)
     u0, u1, u2, u3 = _ff_sample_degree8([
         (a0 + w7) * 0.5 + (y0 - v0) * l0, (a1 + w6) * 0.5 + (y1 - v1) * l1,
         (a2 + w5) * 0.5 + (y2 - v2) * l2, (a3 + w4) * 0.5 + (y3 - v3) * l3,
-    ], tree0, sigma, trials)
+    ], tree0, trials)
     z0, z1, z2, z3 = _ZETA16
     d0, d1, d2, d3 = z0 * v0, z1 * v1, z2 * v2, z3 * v3
     return [u0 + d0, u1 + d1, u2 + d2, u3 + d3, (u3 - d3).conjugate(),
@@ -464,8 +462,9 @@ class KleinSampler:
     bit-reversed order (Ducas and Prest, "Fast Fourier Orthogonalization",
     ISSAC 2016).  `sample_near` is the randomized nearest-plane walk down
     that tree (ffSampling, as in Ducas, Lyubashevsky and Prest, "Efficient
-    Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014) from a
-    target (t, 0), the only kind extraction and signing ask for.
+    Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014) from
+    targets (t, 0), the only kind extraction and signing ask for, with the
+    width sigma_extract, the only one they ask for.
     """
 
     def __init__(self, msk: "MasterSecretKey"):
@@ -477,9 +476,11 @@ class KleinSampler:
         )
         self._fft = f, g, F, G
         self._coordinates = _parts(F[:h]), _parts(f[:h])
-        self.tree = _fftldl(*_gram(f, g, F, G))
-        #: Squared Gram-Schmidt norms, each shared by two basis vectors.
-        self.leaves = np.array(_leaves(self.tree))
+        leaves = []
+        self.tree = _fftldl(*_gram(f, g, F, G), msk.params.sigma_extract, leaves, root=True)
+        #: Squared Gram-Schmidt norms, each shared by two basis vectors, in
+        #: the tree's (bit-reversed) order.
+        self.leaves = np.array(leaves)
 
     def _target(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t, 0) in basis coordinates, (t, 0) B^-1 with B^-1 =
@@ -490,57 +491,78 @@ class KleinSampler:
         ta = fft_neg(t.astype(np.float64))[: len(t) // 2]
         return _times(ta, F) * (-1 / self.q), _times(ta, f) * (1 / self.q)
 
-    def sample_near(self, t: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
-        """Integer lattice point (v1, v2), as 2N coefficients, distributed
-        around (t, 0) for the N coefficients of t, with width sigma; the
-        leaves draw through one `GaussianTrials` cursor over rng."""
+    def sample_near(self, t: np.ndarray, rngs: list[RandomSource]) -> np.ndarray:
+        """Integer lattice points (v1, v2), as a (K, 2N) array: row k is
+        distributed around (t_k, 0), for row t_k of the (K, N) targets t,
+        with width sigma_extract, and its leaves draw through one
+        `GaussianTrials` cursor over rngs[k].  Each row's target and its
+        point are transformed on their own; the walk between goes down the
+        tree once for all rows."""
         f, g, F, G = self._fft
         N = len(f)
-        t0, t1 = self._target(t)
-        if N < 32:  # the walk is on lists throughout
-            t0, t1 = t0.tolist(), t1.tolist()
-        with GaussianTrials(rng) as trials:
-            z = _ff_sample(t0, t1, self.tree, sigma, trials)
-        z0, z1 = (np.concatenate((a, np.conj(a[::-1]))) for a in z)
+        t0, t1 = (np.array(half) for half in zip(*map(self._target, t)))
+        cursors = [GaussianTrials(rng) for rng in rngs]
+        z0, z1 = _ff_sample(t0, t1, self.tree, cursors)
+        for trials in cursors:
+            trials.close()
         # v = z B has integer coefficients of magnitude about q; the inverse
         # transforms land within 1e-7 of them at the default tier, so
         # rounding recovers v exactly.
-        v = np.empty(2 * N, dtype=np.int64)
-        v[:N] = np.rint(ifft_neg(z0 * g + z1 * G))
-        v[N:] = np.rint(ifft_neg(-(z0 * f + z1 * F)))
+        v = np.empty((len(t), 2 * N), dtype=np.int64)
+        for row, a, b in zip(v, z0, z1):
+            a, b = (np.concatenate((x, np.conj(x[::-1]))) for x in (a, b))
+            row[:N] = np.rint(ifft_neg(a * g + b * G))
+            row[N:] = np.rint(ifft_neg(-(a * f + b * F)))
         return v
 
 
 def _sample_preimage(
-    msk: MasterSecretKey, t: RingElement, rng: RandomSource
-) -> tuple[RingElement, RingElement]:
-    """Short (s1, s2) with s1 + s2*h = t mod q, norm below norm_bound:
-    (t, 0) less a lattice point near it."""
-    params = msk.params
-    N = params.N
-    bound_sq = norm_bound(params) ** 2
+    msk: MasterSecretKey, t: np.ndarray, rngs: list[RandomSource]
+) -> np.ndarray:
+    """Short (s1, s2), as a (K, 2N) int64 array, with s1 + s2*h = t_k mod q
+    and norm below norm_bound for each row t_k of the (K, N) targets t:
+    (t_k, 0) less a lattice point near it, drawn from rngs[k].  Only the
+    rows above the bound walk again, each on from where its own stream
+    stopped, so a row is what it would be if it were drawn alone."""
+    N = msk.params.N
+    bound_sq = norm_bound(msk.params) ** 2
+    s = np.empty((len(t), 2 * N), dtype=np.int64)
+    rows = np.arange(len(t))
     for _ in range(_MAX_SAMPLE_ATTEMPTS):
-        s = -msk.sampler.sample_near(t.coeffs, params.sigma_extract, rng)
-        s[:N] += t.coeffs
-        if float(s @ s) > bound_sq:
-            continue
-        return RingElement(params, s[:N]), RingElement(params, s[N:])
+        walked = -msk.sampler.sample_near(t[rows], [rngs[k] for k in rows])
+        walked[:, :N] += t[rows]
+        s[rows] = walked
+        rows = rows[(walked * walked).sum(axis=1) > bound_sq]
+        if not rows.size:
+            return s
     raise SamplerFailure("no preimage within the norm bound")
 
 
-def extract(msk: MasterSecretKey, identity: bytes) -> UserSecretKey:
-    """Derive the secret key for an identity (deterministic per authority).
+def extract(msk: MasterSecretKey, *identities: bytes) -> list[UserSecretKey]:
+    """The secret key of each identity, in order (deterministic per authority).
 
-    Randomness is re-derived from the master extraction seed and the identity
-    digest, so repeated extractions return equal keys regardless of call
-    order.
+    A key's randomness is re-derived from the master extraction seed and
+    its identity's digest, so it is the same whether extracted alone or
+    among others, in any order.  The walk draws `_WALK_ROWS` keys at a
+    time; the s2 of each such batch is one read-only block, of which each
+    key keeps a row.
     """
     params = msk.params
-    t = identity_point(params, identity)
-    digest = hashlib.sha256(identity).digest()
-    rng = RandomSource(b"extract" + msk.extract_seed + digest)
-    _, s2 = _sample_preimage(msk, t, rng)
-    return UserSecretKey(identity=identity, s2=s2, h=msk.h)
+    keys = []
+    for start in range(0, len(identities), _WALK_ROWS):
+        batch = identities[start : start + _WALK_ROWS]
+        # Allocated before the walk, the block kept for the keys takes heap
+        # that an earlier walk freed, not heap above this walk's arrays.
+        s2 = np.empty((len(batch), params.N), dtype=np.int32)
+        t = np.stack([identity_point(params, identity).coeffs for identity in batch])
+        rngs = [
+            RandomSource(b"extract" + msk.extract_seed + hashlib.sha256(identity).digest())
+            for identity in batch
+        ]
+        s2[...] = _sample_preimage(msk, t, rngs)[:, params.N :] % params.q
+        rows = RingElement.rows(params, s2)
+        keys += [UserSecretKey(identity, row, msk.h) for identity, row in zip(batch, rows)]
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -610,8 +632,9 @@ def sign(msk: MasterSecretKey, message: bytes, rng: RandomSource) -> Signature:
     """Salted hash-and-preimage signature under the master trapdoor."""
     salt = rng.bytes(32)
     t = hash_to_ring(_SIG_PREFIX + salt + message, msk.params)
-    s1, s2 = _sample_preimage(msk, t, rng)
-    return Signature(salt=salt, s1=s1, s2=s2)
+    (s,) = _sample_preimage(msk, t.coeffs[None], [rng])
+    params, N = msk.params, msk.params.N
+    return Signature(salt=salt, s1=RingElement(params, s[:N]), s2=RingElement(params, s[N:]))
 
 
 def verify(mpk: MasterPublicKey, message: bytes, sig: Signature) -> bool:

@@ -12,6 +12,7 @@ multiplication does the work).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,17 +52,23 @@ def _bitsize(*polys: list[int]) -> int:
     return max(53, *(c.bit_length() for p in polys for c in (min(p), max(p))))
 
 
+@functools.cache
+def _twist(n: int, inverse: bool) -> np.ndarray:
+    """e^(i*pi*k/n) for k < n, or its conjugate for the inverse, read-only."""
+    twist = np.exp((-1j if inverse else 1j) * np.pi * np.arange(n) / n)
+    twist.setflags(write=False)
+    return twist
+
+
 def fft_neg(a: np.ndarray) -> np.ndarray:
     """Evaluate at the primitive 2n-th roots e^(i*pi*(2k+1)/n)."""
     n = len(a)
-    twist = np.exp(1j * np.pi * np.arange(n) / n)
-    return n * np.fft.ifft(a * twist)
+    return n * np.fft.ifft(a * _twist(n, False))
 
 
 def ifft_neg(values: np.ndarray) -> np.ndarray:
     n = len(values)
-    twist = np.exp(-1j * np.pi * np.arange(n) / n)
-    return np.real(np.fft.fft(values) / n * twist)
+    return np.real(np.fft.fft(values) / n * _twist(n, True))
 
 
 def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:

@@ -32,7 +32,7 @@ ROLE_CSPA_RSU = "group-cspa-rsu"
 ROLE_RSU_CP = "group-rsu-cp"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredentialEntry:
     """One pseudonym slot issued to a vehicle."""
 
@@ -73,7 +73,7 @@ class VehicleCredentials:
         raise EmptyRegistry("all pseudonym slots spent")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DatasetEntry:
     pseudonym: bytes
     z: bytes
@@ -123,12 +123,13 @@ def ra_setup(
     root = RandomSource(seed)
     mpk, msk = master_key_gen(params, root.child("master-key"))
     groups = root.child("group-keys")
+    (cspa_usk,) = extract(msk, cspa_identity)
     return RegistrationAuthority(
         params=params,
         seed=root.key,
         mpk=mpk,
         msk=msk,
-        cspa_usk=extract(msk, cspa_identity),
+        cspa_usk=cspa_usk,
         gk_cspa_rsu=SymmetricKey(groups.bytes(32), ROLE_CSPA_RSU),
         gk_rsu_cp=SymmetricKey(groups.bytes(32), ROLE_RSU_CP),
     )
@@ -142,8 +143,10 @@ def register_vehicle(
     Each slot carries a fresh blind scalar a_i, the pseudonym
     H(ID || d_ev * a_i), two 32-byte secret shares, and the extracted key for
     the pseudonym identity.  Pseudonyms are unique across the whole registry;
-    re-registering an id raises DuplicateRegistration.  The authority keeps the
-    pseudonyms, in slot order, and their shares.
+    re-registering an id raises DuplicateRegistration.  The slots are drawn
+    first, then their keys are extracted in one call, and only then does
+    the authority keep the pseudonyms, in slot order, and their shares: a
+    registration that fails leaves the authority as it was.
     """
     if vehicle_id in ra.vehicles:
         raise DuplicateRegistration(f"vehicle {vehicle_id!r} already registered")
@@ -151,26 +154,24 @@ def register_vehicle(
         raise ValueError("count must be at least 1")
     rng = RandomSource(b"vehicle\x00" + ra.seed + vehicle_id)
     d_ev = int.from_bytes(rng.bytes(32), "big")
-    entries = []
-    for i in range(count):
+    slots = {}  # pseudonym -> (blind, z, w), in slot order
+    for _ in range(count):
         for _ in range(_MAX_PSEUDONYM_RESAMPLES):
             blind = int.from_bytes(rng.bytes(32), "big")
             pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
-            if pseudonym not in ra.dataset_entries:
+            if pseudonym not in ra.dataset_entries and pseudonym not in slots:
                 break
         else:
             raise ResampleExhausted("could not find an unused pseudonym")
-        entry = CredentialEntry(
-            index=i,
-            blind=blind,
-            pseudonym=pseudonym,
-            z=rng.bytes(32),
-            w=rng.bytes(32),
-            usk=extract(ra.msk, pseudonym),
-        )
-        entries.append(entry)
-        ra.dataset_entries[pseudonym] = DatasetEntry(pseudonym, entry.z, entry.w)
-    ra.vehicles[vehicle_id] = tuple(e.pseudonym for e in entries)
+        slots[pseudonym] = blind, rng.bytes(32), rng.bytes(32)
+    keys = extract(ra.msk, *slots)
+    entries = [
+        CredentialEntry(index=i, blind=blind, pseudonym=pseudonym, z=z, w=w, usk=usk)
+        for i, ((pseudonym, (blind, z, w)), usk) in enumerate(zip(slots.items(), keys))
+    ]
+    for e in entries:
+        ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)
+    ra.vehicles[vehicle_id] = tuple(slots)
     return VehicleCredentials(vehicle_id=vehicle_id, d_ev=d_ev, entries=entries)
 
 

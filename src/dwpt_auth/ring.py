@@ -250,13 +250,22 @@ class RingElement:
         self._keep(params, arr % params.q)
 
     def _keep(self, params: RingParams, canonical: np.ndarray) -> "RingElement":
-        """Store N coefficients already in [0, q) as read-only int32."""
-        arr = canonical.astype(np.int32)
+        """Store N coefficients already in [0, q) as read-only int32; an
+        int32 row of a read-only block is kept as it is, not copied."""
+        arr = canonical.astype(np.int32, copy=False)
         arr.setflags(write=False)
         self.params = params
         self.coeffs = arr
         self._ntt = None
         return self
+
+    @classmethod
+    def rows(cls, params: RingParams, block: np.ndarray) -> list["RingElement"]:
+        """One element per row of a (K, N) int32 block of coefficients
+        already in [0, q), which is made read-only: each element keeps its
+        row of the block, not a copy, so K elements are one allocation."""
+        block.setflags(write=False)
+        return [cls.__new__(cls)._keep(params, row) for row in block]
 
     # -- views -----------------------------------------------------------
 

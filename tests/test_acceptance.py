@@ -150,13 +150,13 @@ def test_gate_4_cryptographic_invariants(default_authority):
     mpk, msk = master_key_gen(p, RandomSource("gate-extract"))
     bound_sq = norm_bound(p) ** 2
     for i in range(100):
-        usk = extract(msk, f"gate-id-{i}".encode())
+        (usk,) = extract(msk, f"gate-id-{i}".encode())
         assert usk.s1.norm_squared() + usk.s2.norm_squared() <= bound_sq, i
 
     # Decryption margin at the production tier: zero failures tolerated.
     # A failure here means the modulus is too small for the noise budget.
     mpk_d = default_authority.mpk
-    usk_d = extract(default_authority.msk, b"gate-roundtrip")
+    (usk_d,) = extract(default_authority.msk, b"gate-roundtrip")
     rng = RandomSource("gate-roundtrip-bits")
     n_bits = mpk_d.params.N
     failures = 0

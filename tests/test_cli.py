@@ -3,6 +3,7 @@
 import importlib.metadata as md
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -135,7 +136,9 @@ class TestRegister:
         assert register(st) == 2
         assert capsys.readouterr().err == f"error: {blocker}: Is a directory\n"
         assert (st / "authority.bin").read_bytes() == authority
-        assert sorted(p.name for p in st.iterdir()) == ["authority.bin", "vehicle-EV-1.bin"]
+        assert sorted(p.name for p in st.iterdir()) == [
+            "authority.bin", "authority.bin.lock", "vehicle-EV-1.bin"
+        ]
         blocker.rmdir()
         assert register(st) == 0
         assert register(ref) == 0
@@ -361,6 +364,59 @@ class TestRun:
             "--out", str(tmp_path / "run"), "--config", str(cfg),
         ])
         assert rc == 2
+
+
+class TestConcurrentRuns:
+    def test_two_runs_keep_both_burns(self, workspace, tmp_path, monkeypatch, capsys):
+        """Two `run`s at once on one authority file each burn a slot, and
+        both burns stay consumed.  The first run's load waits (up to a
+        second) for the second run's load: the second has to wait for the
+        first run's lock, and loads only what the first run saved.  Without
+        the lock both would load the same authority, and the later save
+        would drop the earlier burn."""
+        authority = tmp_path / "authority.bin"
+        authority.write_bytes((workspace / "authority.bin").read_bytes())
+        for vehicle_id in ("EV-a", "EV-b"):
+            assert main([
+                "register", "--authority", str(authority), "--vehicle-id", vehicle_id,
+                "--count", "1",
+            ]) == 0
+
+        real_load, guard, loads = keyfiles.load_authority, threading.Lock(), []
+        first_loaded, second_loaded = threading.Event(), threading.Event()
+
+        def load_authority(path):
+            ra = real_load(path)
+            with guard:
+                loads.append(path)
+                first = len(loads) == 1
+            if first:
+                first_loaded.set()
+                second_loaded.wait(timeout=1)
+            else:
+                second_loaded.set()
+            return ra
+
+        monkeypatch.setattr(keyfiles, "load_authority", load_authority)
+        codes = {}
+
+        def run(vehicle_id):
+            codes[vehicle_id] = main([
+                "run", "--authority", str(authority),
+                "--vehicle", str(tmp_path / f"vehicle-{vehicle_id}.bin"),
+                "--seed", vehicle_id, "--out", str(tmp_path / vehicle_id),
+            ])
+
+        threads = [threading.Thread(target=run, args=(v,)) for v in ("EV-a", "EV-b")]
+        threads[0].start()
+        assert first_loaded.wait(timeout=60)
+        threads[1].start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert codes == {"EV-a": 0, "EV-b": 0}
+        ra = real_load(authority)
+        assert set(ra.vehicles[b"EV-a"] + ra.vehicles[b"EV-b"]) <= ra.consumed
 
 
 class TestMissingFiles:

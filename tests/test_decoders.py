@@ -28,7 +28,7 @@ def samples():
     ra.consumed.add(creds.entries[0].pseudonym)
     creds.spent.add(0)
     rng = RandomSource("decoder-samples")
-    usk = extract(ra.msk, b"mutant")
+    (usk,) = extract(ra.msk, b"mutant")
     point = identity_point(p, b"mutant")
     bits = [rng.below(2) for _ in range(p.N)]
     return {

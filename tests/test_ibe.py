@@ -119,33 +119,78 @@ def extraction_stream(msk, identity: bytes) -> RandomSource:
     return RandomSource(b"extract" + msk.extract_seed + hashlib.sha256(identity).digest())
 
 
+def preimage(msk, t: RingElement, rng: RandomSource) -> tuple[RingElement, RingElement]:
+    """(s1, s2) of the one-row preimage of t drawn from rng."""
+    (s,) = ibe._sample_preimage(msk, t.coeffs[None], [rng])
+    return RingElement(msk.params, s[: t.params.N]), RingElement(msk.params, s[t.params.N :])
+
+
 class TestExtract:
     def test_preimage_equation(self, test_authority):
         """The sampled pair solves s1 + s2*h = H(id); the key keeps its s2
         and derives the same s1 (the derived s1 solves it for any s2)."""
         mpk, msk = test_authority.mpk, test_authority.msk
         t = identity_point(mpk.params, b"vehicle-77")
-        s1, s2 = ibe._sample_preimage(msk, t, extraction_stream(msk, b"vehicle-77"))
+        s1, s2 = preimage(msk, t, extraction_stream(msk, b"vehicle-77"))
         assert s1 + s2 * mpk.h == t
-        usk = extract(msk, b"vehicle-77")
+        (usk,) = extract(msk, b"vehicle-77")
         assert usk.s2 == s2 and usk.s1 == s1
 
     def test_norm_within_bound(self, test_authority):
-        usk = extract(test_authority.msk, b"vehicle-77")
+        (usk,) = extract(test_authority.msk, b"vehicle-77")
         norm_sq = usk.s1.norm_squared() + usk.s2.norm_squared()
         assert norm_sq <= norm_bound(usk.params) ** 2
 
     def test_extraction_is_deterministic(self, test_authority):
         msk = test_authority.msk
-        first = extract(msk, b"repeat-me")
-        again = extract(msk, b"repeat-me")
+        (first,) = extract(msk, b"repeat-me")
+        (again,) = extract(msk, b"repeat-me")
         assert again is not first
         assert again == first
 
     def test_distinct_identities_get_distinct_keys(self, test_authority):
-        a = extract(test_authority.msk, b"id-a")
-        b = extract(test_authority.msk, b"id-b")
+        a, b = extract(test_authority.msk, b"id-a", b"id-b")
         assert a.s1 != b.s1
+
+    def test_one_call_equals_keys_drawn_alone(self, toy_authority):
+        """Keys extracted in one call equal the keys extracted one by one,
+        in order: over more identities than one walk takes, and for an
+        identity named twice."""
+        msk = toy_authority.msk
+        ids = [b"batch-%d" % i for i in range(ibe._WALK_ROWS + 5)] + [b"batch-3"]
+        keys = extract(msk, *ids)
+        assert [k.identity for k in keys] == ids
+        assert keys == [extract(msk, identity)[0] for identity in ids]
+        assert keys[3] == keys[-1] and keys[3] is not keys[-1]
+
+    def test_rows_above_the_bound_walk_again(self, test_authority, monkeypatch):
+        """Under a tighter norm bound, only the rows above it walk again,
+        each on from where its own stream stopped, so every key still
+        equals the key drawn alone under that bound."""
+        msk, p = test_authority.msk, test_authority.params
+        tight_sq = 0.9 * p.sigma_extract**2 * 2 * p.N
+        monkeypatch.setattr(ibe, "norm_bound", lambda params: math.sqrt(tight_sq))
+        walks, near = [], KleinSampler.sample_near
+
+        def counted(self, t, rngs):
+            walks.append(len(t))
+            return near(self, t, rngs)
+
+        monkeypatch.setattr(KleinSampler, "sample_near", counted)
+        ids = [b"retry-%d" % i for i in range(12)]
+        keys = extract(msk, *ids)
+        assert walks[0] == 12 and len(walks) > 1 and all(0 < k < 12 for k in walks[1:])
+        assert all(k.s1.norm_squared() + k.s2.norm_squared() <= tight_sq for k in keys)
+        assert keys == [extract(msk, identity)[0] for identity in ids]
+
+    def test_batch_keeps_its_s2_in_one_block(self, test_authority):
+        """The keys of one call share one read-only (K, N) int32 block, of
+        which each key's s2 holds a row."""
+        keys = extract(test_authority.msk, b"block-a", b"block-b", b"block-c")
+        block = keys[0].s2.coeffs.base
+        assert block.shape == (3, test_authority.params.N) and block.dtype == np.int32
+        assert not block.flags.writeable
+        assert all(k.s2.coeffs.base is block for k in keys)
 
     def test_replaced_basis_builds_its_own_sampler(self, toy_authority):
         """A copy of a master key given another basis extracts against that
@@ -154,16 +199,16 @@ class TestExtract:
         # ra_setup extracted the operator key, so a's sampler is built.
         msk = dataclasses.replace(a.msk, f=b.msk.f, g=b.msk.g, F=b.msk.F, G=b.msk.G, h=b.msk.h)
         t = identity_point(b.params, b"id")
-        s1, s2 = ibe._sample_preimage(msk, t, RandomSource("replaced-basis"))
+        s1, s2 = preimage(msk, t, RandomSource("replaced-basis"))
         assert s1 + s2 * b.mpk.h == t
-        usk = extract(msk, b"id")
+        (usk,) = extract(msk, b"id")
         assert usk.s1.norm_squared() + usk.s2.norm_squared() <= norm_bound(b.params) ** 2
 
     def test_key_keeps_s2_and_refers_to_h(self, test_authority):
         """A key holds its identity, s2 and its authority's h, shared, not
         copied; s1 is derived on each read and never kept."""
         assert [f.name for f in dataclasses.fields(UserSecretKey)] == ["identity", "s2", "h"]
-        usk = extract(test_authority.msk, b"vehicle-77")
+        (usk,) = extract(test_authority.msk, b"vehicle-77")
         assert usk.h is test_authority.mpk.h
         assert usk.s1 == usk.s1 and usk.s1 is not usk.s1
         assert "s1" not in vars(usk)
@@ -179,8 +224,8 @@ class TestKleinSampler:
         t = np.zeros(p.N, dtype=np.int64)
         t[0] = p.q // 3
         dists = []
-        for _ in range(40):
-            v = sampler.sample_near(t, p.sigma_extract, rng)
+        rows = sampler.sample_near(np.tile(t, (40, 1)), [rng.child(str(i)) for i in range(40)])
+        for v in rows:
             # lattice membership: (v1, v2) with v1 + v2*h = 0 mod q
             v1 = RingElement(p, v[: p.N])
             v2 = RingElement(p, v[p.N :])
@@ -259,7 +304,7 @@ class TestKleinSamplerFrame:
             assert t1.tolist() == [x * c * (1 / q) for x, c in zip(ta, f)]
 
     def test_default_tier_extract_matches_golden(self, default_authority):
-        usk = extract(default_authority.msk, b"golden-identity")
+        (usk,) = extract(default_authority.msk, b"golden-identity")
         digest = hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest()
         assert digest == GOLDEN_DEFAULT_EXTRACT
 
@@ -272,8 +317,9 @@ class TestKleinSamplerFrame:
 
 
 def l10_values(l10) -> list:
-    """A node's l10 as Python complex scalars.  The walk keeps the l10 of 16
-    or more values as the pair (re + 0i, 0 + i*im) of numpy arrays."""
+    """A node's l10 as Python complex scalars.  The walk keeps the root's
+    l10, and any of 8 or more values, as the pair (re + 0i, 0 + i*im) of
+    numpy arrays."""
     return l10 if isinstance(l10, list) else (l10[0] + l10[1]).tolist()
 
 
@@ -313,22 +359,21 @@ def merge(a0, a1):
     return lo + hi[::-1]
 
 
-def ff_sample(t0, t1, node, sigma, trials, bottom=None):
+def ff_sample(t0, t1, node, trials, bottom=None):
     """Integer (z0, z1) near (t0, t1) for one node: z1 first, then z0 around
-    t0 moved by (t1 - z1) * l10.  A degree-2 leaf draws the odd coordinate of
-    its value first.  Given `bottom`, a half of 8 values goes to it instead
-    of on down the lists."""
+    t0 moved by (t1 - z1) * l10.  A degree-2 leaf, which holds its width,
+    draws the odd coordinate of its value first.  Given `bottom`, a half of
+    8 values goes to it instead of on down the lists."""
     l10, tree0, tree1 = node
 
     def diag(t, tree):
         if isinstance(tree, float):
             (c,) = t
-            width = sigma / math.sqrt(tree)
-            odd = sample_gaussian_int(c.imag, width, trials)
-            return [complex(sample_gaussian_int(c.real, width, trials), odd)]
+            odd = sample_gaussian_int(c.imag, tree, trials)
+            return [complex(sample_gaussian_int(c.real, tree, trials), odd)]
         if bottom and len(t) == 8:
-            return bottom(t, tree, sigma, trials)
-        return merge(*ff_sample(*split(t), tree, sigma, trials, bottom))
+            return bottom(t, tree, trials)
+        return merge(*ff_sample(*split(t), tree, trials, bottom))
 
     z1 = diag(t1, tree1)
     t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10_values(l10))]
@@ -341,10 +386,10 @@ class TestUnrolledSteps:
     byte."""
 
     @staticmethod
-    def _check(step, t, node, sigma, seed):
+    def _check(step, t, node, seed):
         ours = GaussianTrials(RandomSource(seed))
         theirs = GaussianTrials(RandomSource(seed))
-        assert step(t, node, sigma, ours) == merge(*ff_sample(*split(t), node, sigma, theirs))
+        assert step(t, node, ours) == merge(*ff_sample(*split(t), node, theirs))
         ours.close()
         theirs.close()
         assert ours.rng.position == theirs.rng.position > 0
@@ -358,7 +403,7 @@ class TestUnrolledSteps:
         points = np.random.default_rng(size).uniform(-40, 40, (len(nodes), 2 * size, 2))
         for i, (node, point) in enumerate(zip(nodes, points)):
             t = [complex(x, y) for x, y in point]
-            self._check(step, t, node, msk.params.sigma_extract, f"{tier}-{4 * size}-{i}")
+            self._check(step, t, node, f"{tier}-{4 * size}-{i}")
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_degree16_step_matches_split_sample_merge(self, tier, request):
@@ -371,63 +416,70 @@ class TestUnrolledSteps:
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_degree4_step_matches_split_sample_merge(self, tier, request):
         self._check_every_node(
-            lambda t, node, sigma, trials: _ff_sample_degree4(*t, node, sigma, trials),
-            1, tier, request,
+            lambda t, node, trials: _ff_sample_degree4(*t, node, trials), 1, tier, request
         )
 
     @pytest.mark.parametrize("N", sorted(GOLDEN_SMALL_N))
     def test_smallest_degrees_extract_pinned_keys(self, N):
-        usk = extract(ra_setup(RingParams(N, 17), "x").msk, b"id")
+        (usk,) = extract(ra_setup(RingParams(N, 17), "x").msk, b"id")
         s1, digest = GOLDEN_SMALL_N[N]
         assert usk.s1.coeffs.tolist() == s1
         assert hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest() == digest
 
 
 class TestArrayLevels:
-    """Where the walk's halves hold 16 or more values it splits, moves its
-    targets and merges as numpy arrays.  numpy's own complex product may
-    fuse a multiply into an add (it does with AVX-512), which moves a center
-    by a bit and can move a key: in a variant of this walk built on it, one
-    of 2,000 test-tier keys changed (b"sweep-1168", beyond the 400 drawn
-    below).  The walk's products through `_parts` round as Python's do, so
-    the arrays match the lists value for value, which the first test checks
-    directly, and the keys follow."""
+    """Where the walk's halves hold 8 or more values it splits, moves its
+    targets and merges all rows at once, as (K, n) numpy arrays.  numpy's
+    own complex product may fuse a multiply into an add (it does with
+    AVX-512), which moves a center by a bit and can move a key: in a variant
+    of this walk built on it, one of 2,000 test-tier keys changed
+    (b"sweep-1168", beyond the 400 drawn below).  The walk's products
+    through `_parts` round as Python's do, so each row of the arrays matches
+    the lists value for value, which the first test checks directly, and
+    the keys follow."""
 
-    @pytest.mark.parametrize("n", [32, 64, 512])
+    @pytest.mark.parametrize("n", [16, 32, 64, 512])
     def test_split_move_and_merge_match_the_lists(self, n):
-        """Value for value, at magnitudes from 1e-3 to 1e5."""
+        """Row for row and value for value, at magnitudes from 1e-3 to 1e5."""
         rng = np.random.default_rng(n)
+        m = n // 2
         for scale in (1e-3, 1.0, 1e5):
-            a, b, c, z = scale * (rng.normal(size=(4, n)) + 1j * rng.normal(size=(4, n)))
-            z, l10 = np.rint(z[: n // 2]), a[: n // 2].tolist()
+            a, b, c, z = scale * (rng.normal(size=(4, 3, n)) + 1j * rng.normal(size=(4, 3, n)))
+            z, l10 = np.rint(z[:, :m]), a[0, :m].tolist()
             x0, x1 = _split_array(a)
-            assert (x0.tolist(), x1.tolist()) == split(a.tolist())
-            assert _merge_array(b[: n // 2], c[: n // 2]).tolist() == merge(
-                b[: n // 2].tolist(), c[: n // 2].tolist()
-            )
             d = x1 - z
             moved = x0 + (d * _parts(l10)[0] + d * _parts(l10)[1])
-            assert moved.tolist() == [
-                u + (v - w) * l for u, v, w, l in zip(x0.tolist(), x1.tolist(), z.tolist(), l10)
-            ]
+            merged = _merge_array(b[:, :m], c[:, :m])
+            for k in range(3):
+                assert (x0[k].tolist(), x1[k].tolist()) == split(a[k].tolist())
+                assert merged[k].tolist() == merge(b[k, :m].tolist(), c[k, :m].tolist())
+                assert moved[k].tolist() == [
+                    u + (v - w) * l
+                    for u, v, w, l in zip(x0[k].tolist(), x1[k].tolist(), z[k].tolist(), l10)
+                ]
 
     @staticmethod
-    def reference_walk(t0, t1, node, sigma, trials):
+    def reference_walk(t0, t1, node, cursors):
         """The list reference above the package's degree-16 step (which
-        `TestUnrolledSteps` checks against the lists value for value)."""
-        t0, t1 = np.asarray(t0).tolist(), np.asarray(t1).tolist()
-        return ff_sample(t0, t1, node, sigma, trials, bottom=_ff_sample_degree16)
+        `TestUnrolledSteps` checks against the lists value for value), one
+        row at a time."""
+        rows = [
+            ff_sample(a, b, node, trials, bottom=_ff_sample_degree16)
+            for a, b, trials in zip(t0.tolist(), t1.tolist(), cursors)
+        ]
+        return tuple(np.array(z) for z in zip(*rows))
 
     @staticmethod
     def sweep(msk) -> list[bytes]:
-        """Per-key digests of the 400 identities b"sweep-0", ..."""
-        keys = (extract(msk, b"sweep-%d" % i) for i in range(400))
+        """Per-key digests of the 400 identities b"sweep-0", ..., drawn in
+        one call."""
+        keys = extract(msk, *(b"sweep-%d" % i for i in range(400)))
         return [hashlib.sha256(k.s1.to_bytes() + k.s2.to_bytes()).digest() for k in keys]
 
     @pytest.mark.parametrize("authority", ["test", "n32"])
     def test_keys_match_the_list_walk(self, authority, request, monkeypatch):
         """At N = 32 the top node's halves hold 16 values, so the array
-        level meets the list level and the degree-16 step at once."""
+        levels meet the degree-16 step one level below the root."""
         if authority == "n32":
             msk = ra_setup(RingParams(32, 8380417), "array-levels-n32").msk
         else:
@@ -446,7 +498,7 @@ class TestArrayLevels:
 class TestEncryptDecrypt:
     def test_round_trip_default_tier(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
-        usk = extract(msk, b"round-trip")
+        (usk,) = extract(msk, b"round-trip")
         rng = RandomSource("enc")
         for _ in range(5):
             bits = random_bits(mpk.params.N, rng)
@@ -458,7 +510,7 @@ class TestEncryptDecrypt:
         rng = RandomSource("cross")
         bits = random_bits(mpk.params.N, rng)
         ct = encrypt(mpk, identity_point(mpk.params, b"alice"), bits, rng)
-        other = extract(msk, b"mallory")
+        (other,) = extract(msk, b"mallory")
         assert not np.array_equal(decrypt(other, ct), bits)
 
     def test_small_tier_noise_margin_is_reported(self, test_authority):
@@ -466,7 +518,7 @@ class TestEncryptDecrypt:
         `test` tier flip at the rate `noise_model` predicts, within five
         binomial standard deviations."""
         mpk, msk = test_authority.mpk, test_authority.msk
-        usk = extract(msk, b"noisy")
+        (usk,) = extract(msk, b"noisy")
         model = noise_model(mpk.params, usk)
         rng = RandomSource("noise")
         trials, bad_bits, total_bits = 100, 0, 0
@@ -531,11 +583,11 @@ class TestEncryptDecrypt:
         toy_mpk = toy_authority.mpk
         t = identity_point(toy_mpk.params, b"x")
         ct = encrypt(toy_mpk, t, random_bits(toy_mpk.params.N, rng), rng)
-        usk = extract(default_authority.msk, b"x")
+        (usk,) = extract(default_authority.msk, b"x")
         with pytest.raises(ParameterMismatch):
             decrypt(usk, ct)
         # A ciphertext whose halves are of different parameters.
-        toy_usk = extract(toy_authority.msk, b"x")
+        (toy_usk,) = extract(toy_authority.msk, b"x")
         with pytest.raises(ParameterMismatch):
             decrypt(toy_usk, Ciphertext(ct.u, usk.s1))
         with pytest.raises(ParameterMismatch):
@@ -583,7 +635,7 @@ class TestSignatures:
 class TestHybrid:
     def test_seal_open_round_trip(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
-        usk = extract(msk, b"recipient")
+        (usk,) = extract(msk, b"recipient")
         rng = RandomSource("seal")
         msg = b"arbitrary length payload " * 9
         ct = ibe_seal(mpk, identity_point(mpk.params, b"recipient"), msg, rng, b"frame")
@@ -597,20 +649,20 @@ class TestHybrid:
     def test_wrong_recipient_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
         ct = ibe_seal(mpk, identity_point(mpk.params, b"alice"), b"secret", RandomSource("s2"))
-        eve = extract(msk, b"eve")
+        (eve,) = extract(msk, b"eve")
         with pytest.raises(AuthenticationFailure):
             ibe_open(eve, ct)
 
     def test_wrong_aad_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
-        usk = extract(msk, b"bob")
+        (usk,) = extract(msk, b"bob")
         ct = ibe_seal(mpk, usk.point, b"secret", RandomSource("s3"), b"aad-1")
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, ct, b"aad-2")
 
     def test_tampered_payload_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
-        usk = extract(msk, b"bob")
+        (usk,) = extract(msk, b"bob")
         ct = ibe_seal(mpk, identity_point(mpk.params, b"bob"), b"secret", RandomSource("s4"))
         sealed = bytearray(ct.sealed)
         sealed[-1] ^= 1
@@ -622,7 +674,7 @@ class TestHybrid:
         """No key blocks would mean the all-zero content key: anyone could
         seal a payload to any identity."""
         params = toy_authority.mpk.params
-        usk = extract(toy_authority.msk, b"victim")
+        (usk,) = extract(toy_authority.msk, b"victim")
         forged = HybridCiphertext((), aead_seal(bytes(32), b"chosen by anyone", RandomSource("forge")))
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, forged)
@@ -631,7 +683,7 @@ class TestHybrid:
 
     def test_wrong_key_block_count_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
-        usk = extract(msk, b"bob")
+        (usk,) = extract(msk, b"bob")
         ct = ibe_seal(mpk, identity_point(mpk.params, b"bob"), b"secret", RandomSource("count"))
         assert ibe_open(usk, ct) == b"secret"
         doubled = HybridCiphertext(key_blocks=ct.key_blocks * 2, sealed=ct.sealed)

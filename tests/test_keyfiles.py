@@ -59,8 +59,8 @@ class TestRecordRoundTrips:
     def test_msk_round_trip_preserves_extraction(self, ra):
         """A reloaded master key must extract the identical user keys."""
         back = keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(ra)).msk
-        a = extract(ra.msk, b"proof-identity")
-        b = extract(back, b"proof-identity")
+        (a,) = extract(ra.msk, b"proof-identity")
+        (b,) = extract(back, b"proof-identity")
         assert a.s1 == b.s1 and a.s2 == b.s2
 
     def test_vehicle(self, wallets):

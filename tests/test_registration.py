@@ -5,8 +5,8 @@ import pickle
 
 import pytest
 
-from dwpt_auth import keyfiles, protocol
-from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry
+from dwpt_auth import keyfiles, protocol, registration
+from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry, SamplerFailure
 from dwpt_auth.ibe import extract, norm_bound
 from dwpt_auth.netsim import simulate_session
 from dwpt_auth.registration import (
@@ -48,6 +48,18 @@ class TestCopies:
             assert aead_open(mine, blob, b"ad") == b"sealed under the copy"
             assert aead_open(theirs, aead_seal(mine, b"back", RandomSource(0))) == b"back"
 
+    @pytest.mark.parametrize(
+        "clone", [copy.deepcopy, lambda creds: pickle.loads(pickle.dumps(creds))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_wallet_round_trips(self, clone):
+        """Slotted entries copy and pickle, and so do keys whose s2 is a row
+        of one block."""
+        creds = register_vehicle(ra_setup(TIERS["toy"], "copies"), b"EV-copy", 2)
+        twin = clone(creds)
+        assert twin.entries == creds.entries
+        assert keyfiles.vehicle_to_bytes(twin) == keyfiles.vehicle_to_bytes(creds)
+
 
 class TestSetup:
     def test_deterministic_in_seed(self):
@@ -61,7 +73,7 @@ class TestSetup:
         export hands out that stored key."""
         ra = ra_setup(TIERS["test"], "cspa-key")
         assert ra.cspa_usk.identity == ra.cspa_identity
-        assert extract(ra.msk, ra.cspa_identity) == ra.cspa_usk
+        assert extract(ra.msk, ra.cspa_identity) == [ra.cspa_usk]
         register_vehicle(ra, b"EV-1", 1)
         assert export_cspa_dataset(ra).usk is ra.cspa_usk
 
@@ -97,7 +109,7 @@ class TestRegisterVehicle:
         creds = register_vehicle(ra, b"EV-3", 2)
         bound_sq = norm_bound(ra.params) ** 2
         for e in creds.entries:
-            assert e.usk == extract(ra.msk, e.pseudonym)
+            assert [e.usk] == extract(ra.msk, e.pseudonym)
             assert e.usk.s1.norm_squared() + e.usk.s2.norm_squared() <= bound_sq
 
     def test_duplicate_rejected(self):
@@ -105,6 +117,20 @@ class TestRegisterVehicle:
         register_vehicle(ra, b"EV-4", 1)
         with pytest.raises(DuplicateRegistration):
             register_vehicle(ra, b"EV-4", 1)
+
+    def test_failed_extraction_changes_nothing(self, monkeypatch):
+        """The slots are drawn, their keys extracted, and only then kept:
+        a registration whose extraction fails leaves the authority as it was."""
+        ra = ra_setup(TIERS["test"], "reg-fail")
+        before = keyfiles.authority_to_bytes(ra)
+
+        def fail(msk, *identities):
+            raise SamplerFailure("no preimage within the norm bound")
+
+        monkeypatch.setattr(registration, "extract", fail)
+        with pytest.raises(SamplerFailure):
+            register_vehicle(ra, b"EV-fail", 3)
+        assert keyfiles.authority_to_bytes(ra) == before
 
     def test_count_must_be_positive(self):
         ra = ra_setup(TIERS["test"], "reg-5")
@@ -202,7 +228,7 @@ class TestDatasetExport:
         ds = export_cspa_dataset(ra)
         assert ds.usk.identity == ra.cspa_identity
         assert ds.gk_cspa_rsu.key == ra.gk_cspa_rsu.key
-        assert ds.usk == extract(ra.msk, ra.cspa_identity)
+        assert [ds.usk] == extract(ra.msk, ra.cspa_identity)
 
 
 class TestRecordPass:

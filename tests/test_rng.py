@@ -153,14 +153,13 @@ def test_walk_consumes_sixteen_bytes_per_trial(test_authority, monkeypatch):
     msk = test_authority.msk
     N, q = msk.params.N, msk.params.q
     t = (np.arange(N, dtype=np.int64) * 7919) % q
-    sigma = msk.params.sigma_extract
     rng = RandomSource("walk")
-    v = msk.sampler.sample_near(t, sigma, rng)
+    v = msk.sampler.sample_near(t[None], [rng])
 
     ref = ReferenceStream(rng.key)
     monkeypatch.setattr(
         ibe, "sample_gaussian_int", lambda center, width, _: ref.gaussian_int(center, width)
     )
-    assert np.array_equal(msk.sampler.sample_near(t, sigma, RandomSource("walk")), v)
+    assert np.array_equal(msk.sampler.sample_near(t[None], [RandomSource("walk")]), v)
     assert ref.trials >= 2 * N  # one leaf draw per coordinate
     assert rng.position == ref.pos == 16 * ref.trials
