@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import fcntl
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -85,7 +86,7 @@ def _out_dir(args) -> Path:
 
 
 @contextlib.contextmanager
-def _writing(authority):
+def _writing(authority, creating: bool = False):
     """Hold an exclusive lock on the sibling file `<authority>.lock`.
 
     `setup`, `register` and `run` each hold it from their load of the
@@ -94,7 +95,11 @@ def _writing(authority):
     another's registrations or burned slots.  `export-dataset` and
     `attack` only read the file and take no lock: `keyfiles.save`
     replaces it by a rename, so a reader opens one whole version.
+    Only `setup` (`creating`) locks beside a missing authority file; for
+    the others that is the load's error, raised before any lock file.
     """
+    if not creating:
+        os.stat(authority)
     path = Path(authority)
     with open(path.with_name(path.name + ".lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)  # released when the file closes
@@ -108,7 +113,7 @@ def cmd_setup(args) -> int:
     out = _out_dir(args)
     path = out / "authority.bin"
     params = TIERS[tier]
-    with _writing(path):
+    with _writing(path, creating=True):
         if path.exists() and not args.force:
             print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
             return 1

@@ -221,8 +221,10 @@ def master_key_gen(
 ) -> tuple[MasterPublicKey, MasterSecretKey]:
     """Sample a trapdoor basis and publish h = g * f^-1 mod q.
 
-    Rejects candidate (f, g) pairs whose basis quality exceeds
-    GS_SLACK * sqrt(q) or whose f is not invertible mod q; raises
+    Rejects candidate (f, g) pairs with f(1) and g(1) both even (both
+    resultants with x^n + 1 are then even, so `ntru_solve` must fail for
+    the odd q), whose basis quality exceeds GS_SLACK * sqrt(q), whose f is
+    not invertible mod q, or that `ntru_solve` cannot complete; raises
     ResampleExhausted if no candidate passes.
     """
     q = params.q
@@ -230,6 +232,8 @@ def master_key_gen(
     for _ in range(_MAX_KEYGEN_ATTEMPTS):
         f = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
         g = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
+        if sum(f.coeffs) % 2 == sum(g.coeffs) % 2 == 0:
+            continue
         if _gs_quality(f, g, q) > bound:
             continue
         try:

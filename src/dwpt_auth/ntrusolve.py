@@ -5,9 +5,10 @@ projects the problem through the field norm down to integers, solves with an
 extended gcd, lifts back up, and size-reduces the lifted solution against
 (f, g) with Babai rounding in the Fourier domain.
 
-Exact polynomial products go through `ring.karamul` (Kronecker substitution:
-coefficients are packed into one big integer so CPython's native
-multiplication does the work).
+Exact polynomial products go through `ring.karamul`: Kronecker substitution
+(coefficients packed into one big integer for CPython's native multiply),
+and the schoolbook sum at the deep levels, where `reduce_pair` multiplies
+an (f, g) of thousands of bits by 50-bit quotients.
 """
 
 from __future__ import annotations
@@ -31,13 +32,10 @@ def field_norm(a: list[int]) -> list[int]:
 
     With a = ae(x^2) + x*ao(x^2), the norm is ae^2 - y*ao^2.
     """
-    half = len(a) // 2
-    ae = a[0::2]
-    ao = a[1::2]
-    ae2 = karamul(ae, ae)
-    ao2 = karamul(ao, ao)
-    shifted = [-ao2[half - 1]] + ao2[: half - 1]
-    return [ae2[i] - shifted[i] for i in range(half)]
+    ae2 = karamul(a[0::2], a[0::2])
+    ao2 = karamul(a[1::2], a[1::2])
+    # y * ao^2 wraps its top coefficient around to -ao2[-1]
+    return [ae2[0] + ao2[-1]] + [e - o for e, o in zip(ae2[1:], ao2)]
 
 
 def lift(a: list[int]) -> list[int]:
@@ -86,27 +84,24 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
     of (F, G) instead of rounding to zero and leaving it unreduced.
     """
     size = _bitsize(f, g)
-    f_adj = np.array([c >> (size - 53) for c in f], dtype=np.float64)
-    g_adj = np.array([c >> (size - 53) for c in g], dtype=np.float64)
-    f_hat = fft_neg(f_adj)
-    g_hat = fft_neg(g_adj)
-    denom = f_hat * f_hat.conj() + g_hat * g_hat.conj()
+    f_hat = fft_neg(np.array([c >> (size - 53) for c in f], dtype=np.float64))
+    g_hat = fft_neg(np.array([c >> (size - 53) for c in g], dtype=np.float64))
+    f_conj, g_conj = f_hat.conj(), g_hat.conj()
+    denom = f_hat * f_conj + g_hat * g_conj
 
     while True:
         big = _bitsize(F, G)
         if big < size:
             break
-        F_adj = np.array([c >> (big - 53) for c in F], dtype=np.float64)
-        G_adj = np.array([c >> (big - 53) for c in G], dtype=np.float64)
-        F_hat = fft_neg(F_adj)
-        G_hat = fft_neg(G_adj)
-        numer = F_hat * f_hat.conj() + G_hat * g_hat.conj()
+        F_hat = fft_neg(np.array([c >> (big - 53) for c in F], dtype=np.float64))
+        G_hat = fft_neg(np.array([c >> (big - 53) for c in G], dtype=np.float64))
+        numer = F_hat * f_conj + G_hat * g_conj
         quot = ifft_neg(numer / denom)
         extra = min(big - size, max(0, 50 - int(np.max(np.abs(quot))).bit_length()))
         k = np.rint(quot * 2.0**extra).astype(np.int64)
         if not k.any():
             break
-        k_list = [int(c) for c in k]
+        k_list = k.tolist()
         fk = karamul(f, k_list)
         gk = karamul(g, k_list)
         shift = big - size - extra
@@ -143,9 +138,7 @@ def ntru_solve(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]
             raise NotInvertible("constant-term gcd does not divide the modulus")
         scale = q // d
         return [-scale * v], [scale * u]
-    fp = field_norm(f)
-    gp = field_norm(g)
-    Fp, Gp = ntru_solve(fp, gp, q)
+    Fp, Gp = ntru_solve(field_norm(f), field_norm(g), q)
     F = karamul(lift(Fp), galois_conjugate(g))
     G = karamul(lift(Gp), galois_conjugate(f))
     reduce_pair(f, g, F, G)

@@ -4,10 +4,11 @@ Carrier types for every key, ciphertext, and hash-to-ring value in the
 package, plus discrete Gaussian sampling and deterministic hashing of byte
 strings into the ring.  Multiplication has two routes: a negacyclic
 number-theoretic transform mod q (requires q ≡ 1 mod 2N, always true for
-valid parameters) and an exact product over the integers by Kronecker
-substitution, `karamul`.  The exact route carries the trapdoor arithmetic
-and is the reference oracle for the transform; the test suite holds the two
-bit-equal mod q.
+valid parameters) and an exact product over the integers, `karamul`, which
+is the schoolbook sum below degree 32 and Kronecker substitution from
+there up.  The exact route carries the trapdoor arithmetic and is the
+reference oracle for the transform; the test suite holds the two bit-equal
+mod q.
 """
 
 from __future__ import annotations
@@ -198,15 +199,29 @@ def _ntt_inverse(values: np.ndarray, N: int, q: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Exact negacyclic product over Z
 
-def karamul(a: list[int], b: list[int]) -> list[int]:
-    """Exact negacyclic product (mod x^n + 1) via Kronecker substitution.
+_SCHOOLBOOK_BELOW = 32  # the crossover measured on a default-tier keygen
 
-    Coefficients go into byte-aligned slots: each is biased by half the slot
-    range so it packs as unsigned bytes, and the bias is taken back out of the
-    packed integer in one subtraction.  The product is unpacked the same way,
-    from a single `to_bytes` of the biased result.
+
+def karamul(a: list[int], b: list[int]) -> list[int]:
+    """Exact negacyclic product (mod x^n + 1).
+
+    Below degree `_SCHOOLBOOK_BELOW`, the schoolbook sum, each product at
+    its operands' sizes: a Kronecker slot fits the product, so a wide f
+    times a narrow quotient would be one wide-by-wide multiply.  From there
+    up, Kronecker substitution: coefficients go into byte-aligned slots,
+    each biased by half the slot range so it packs as unsigned bytes; the
+    bias is taken back out of the packed integer in one subtraction, and
+    the product is unpacked the same way, from one `to_bytes`.
     """
     n = len(a)
+    if n < _SCHOOLBOOK_BELOW:
+        out = [0] * n
+        for i, x in enumerate(a):
+            for j in range(n - i):
+                out[i + j] += x * b[j]
+            for j in range(n - i, n):
+                out[i + j - n] -= x * b[j]
+        return out
     max_a = max(1, max(abs(c) for c in a))
     max_b = max(1, max(abs(c) for c in b))
     # Any folded coefficient is bounded by 2n * max|a| * max|b|.

@@ -269,7 +269,7 @@ def test_gate_6_adversary_rejection(default_authority, gate_vehicle):
 
 
 def test_gate_7_oracle_equivalence():
-    # Dual-route multiplication: transform path vs the exact Kronecker product.
+    # Dual-route multiplication: transform path vs the exact product, `karamul`.
     for tier in ("toy", "test", "default"):
         p = TIERS[tier]
         rng = RandomSource(f"gate-oracle-{tier}")

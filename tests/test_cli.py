@@ -434,6 +434,7 @@ class TestMissingFiles:
         }[command]
         assert main([command, "--authority", str(missing), *argv]) == 2
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+        assert list(tmp_path.glob("*.lock")) == []
 
     @pytest.mark.parametrize("command", ["run", "attack"])
     def test_missing_vehicle(self, workspace, tmp_path, capsys, command):

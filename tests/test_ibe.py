@@ -113,6 +113,30 @@ class TestMasterKeyGen:
         assert mpk1.h == mpk2.h
         assert mpk1.h != mpk3.h
 
+    @pytest.mark.parametrize("tier", ["test", "default"])
+    def test_even_pairs_never_reach_the_solver(self, tier, monkeypatch):
+        """A draw with f(1) and g(1) both even, which `ntru_solve` can only
+        fail on, is dropped before it: the draws include such pairs, and
+        none of them is handed to the solver."""
+        draws, solved = [], []
+        real_draw, real_solve = ibe.sample_gaussian_poly, ibe.ntru_solve
+
+        def draw(*args):
+            coeffs = real_draw(*args)
+            draws.append(int(coeffs.sum()) % 2)
+            return coeffs
+
+        def solve(f, g, q):
+            solved.append((sum(f) % 2, sum(g) % 2))
+            return real_solve(f, g, q)
+
+        monkeypatch.setattr(ibe, "sample_gaussian_poly", draw)
+        monkeypatch.setattr(ibe, "ntru_solve", solve)
+        for i in range(6):
+            master_key_gen(TIERS[tier], RandomSource(f"parity-{tier}-{i}"))
+        assert (0, 0) in zip(draws[0::2], draws[1::2])
+        assert solved and (0, 0) not in solved
+
 
 def extraction_stream(msk, identity: bytes) -> RandomSource:
     """The stream `extract` samples the key of identity from."""

@@ -277,6 +277,20 @@ class TestSimulateSession:
         for entry in default_vehicle.entries:
             assert entry.w not in blob
 
+    def test_two_passes_of_one_vehicle_share_no_wire_bytes(self, default_authority, fresh_vehicle):
+        """Unlinkability: the wire logs of two passes of one vehicle, on
+        slots 0 and 1, have no 12-byte string in common."""
+        windows = []
+        for slot in (0, 1):
+            trace = simulate_session(
+                default_authority, fresh_vehicle, n_pads=3, seed=f"unlink-{slot}", entry_index=slot
+            )
+            assert trace.completed
+            windows.append(
+                {body[i : i + 12] for _, body in trace.wire_log for i in range(len(body) - 11)}
+            )
+        assert not windows[0] & windows[1]
+
     def test_pseudonym_reuse_across_sessions(self, default_authority, default_vehicle):
         from conftest import copy_credentials
 

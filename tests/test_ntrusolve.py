@@ -1,10 +1,12 @@
 """Tower-field solver for the f*G - g*F = q lattice completion."""
 
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dwpt_auth import ntrusolve
+from dwpt_auth import ntrusolve, ring
 from dwpt_auth.errors import NotInvertible
 from dwpt_auth.ibe import master_key_gen
 from dwpt_auth.ntrusolve import (
@@ -62,6 +64,26 @@ class TestKaramul:
 
     def test_degree_one(self):
         assert karamul([3], [4]) == [12]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+    @settings(max_examples=20, deadline=None, database=None, derandomize=True)
+    @given(a_bits=st.integers(1, 1500), b_bits=st.integers(1, 1500))
+    @example(a_bits=1450, b_bits=1450)
+    @example(a_bits=1450, b_bits=50)  # reduce_pair: a wide f times a quotient
+    def test_both_routes_match_naive(self, n, a_bits, b_bits):
+        """Signed coefficients of any widths, balanced or not, at every
+        degree on both sides of the schoolbook crossover: the product as
+        karamul routes it, then with the crossover moved so that each
+        degree goes by Kronecker substitution (16 and 32 included) and then
+        by the schoolbook sum."""
+        rng = RandomSource(f"km-routes-{n}-{a_bits}-{b_bits}")
+        a = [rng.below(1 << a_bits) - (1 << (a_bits - 1)) for _ in range(n)]
+        b = [rng.below(1 << b_bits) - (1 << (b_bits - 1)) for _ in range(n)]
+        expected = naive_negacyclic(a, b)
+        assert karamul(a, b) == expected
+        for crossover in (1, 64):
+            with mock.patch.object(ring, "_SCHOOLBOOK_BELOW", crossover):
+                assert karamul(a, b) == expected
 
 
 class TestTowerMaps:
@@ -189,6 +211,27 @@ class TestSolve:
             warnings.simplefilter("error")
             for i in range(4):
                 master_key_gen(TIERS["default"], RandomSource(f"keygen-clean-{i}"))
+
+    def test_even_resultants_are_unsolvable(self):
+        """Res(f, x^n + 1), the field norm of f down to degree 1, is f(1)
+        mod 2.  So with f(1) and g(1) both even the resultants' gcd is even,
+        cannot divide the odd q, and the solver raises: the fact keygen's
+        parity rejection rests on."""
+        p = TIERS["test"]
+        rng = RandomSource("even-resultants")
+        unsolvable = 0
+        while unsolvable < 4:
+            f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            norm = f
+            while len(norm) > 1:
+                norm = field_norm(norm)
+            assert (norm[0] - sum(f)) % 2 == 0
+            if sum(f) % 2 or sum(g) % 2:
+                continue
+            with pytest.raises(NotInvertible):
+                ntru_solve(f, g, p.q)
+            unsolvable += 1
 
     def test_base_case_unsolvable_pair(self):
         # gcd(0, 0) = 0 cannot divide q

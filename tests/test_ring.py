@@ -76,7 +76,7 @@ class TestParams:
 class TestArithmetic:
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_transform_matches_schoolbook(self, tier):
-        """Dual-route check: fast transform vs the exact Kronecker product."""
+        """Dual-route check: fast transform vs the exact product, `karamul`."""
         p = TIERS[tier]
         rng = RandomSource(f"mul-{tier}")
         trials = 400 if p.N <= 64 else 60
