@@ -61,7 +61,7 @@ _MAX_KEYGEN_ATTEMPTS = 400
 _MAX_SAMPLE_ATTEMPTS = 64
 
 #: Keys that one walk draws at once: each holds a `GaussianTrials` cursor, of
-#: about 18 KB of decoded trials at a time, while it walks.
+#: about 12 KB of decoded trials at a time, while it walks.
 _WALK_ROWS = 64
 
 

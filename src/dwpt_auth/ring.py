@@ -419,19 +419,27 @@ class IntegerPolynomial:
 # ---------------------------------------------------------------------------
 # Sampling and hashing
 
+def _thresholds(cdf: np.ndarray) -> np.ndarray:
+    """Per cumulative entry c < 1, the u64 threshold ceil(c * 2^53) << 11:
+    c <= (w >> 11) / 2^53 exactly when the word w is >= it, so searching
+    the thresholds with raw words searches the table with their top 53 bits
+    as uniforms in [0, 1).  Entries equal to 1.0 never count and are left
+    out."""
+    thresholds = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
+    thresholds.setflags(write=False)
+    return thresholds
+
+
 @functools.cache
 def _gauss_table(sigma: float):
-    """Support [-tail, tail] and, per cumulative entry c < 1, the threshold
-    ceil(c * 2^53) << 11: c <= (w >> 11) / 2^53 exactly when it is <= w."""
+    """Support [-tail, tail] and the thresholds of its cumulative table."""
     tail = max(1, math.ceil(12.0 * sigma))
     support = np.arange(-tail, tail + 1, dtype=np.int64)
     weights = np.exp(-(support.astype(np.float64) ** 2) / (2.0 * sigma * sigma))
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    thresholds = np.ceil(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
     support.setflags(write=False)
-    thresholds.setflags(write=False)
-    return support, thresholds
+    return support, _thresholds(cdf)
 
 
 def sample_gaussian_poly(
@@ -467,6 +475,12 @@ def _half_gaussian_cdf(sigma0: float) -> np.ndarray:
 _BASE_SIGMA = 2.0
 _BASE_CDF = _half_gaussian_cdf(_BASE_SIGMA)
 _BASE_INV_2S2 = 1.0 / (2.0 * _BASE_SIGMA * _BASE_SIGMA)
+_BASE_THRESHOLDS = _thresholds(_BASE_CDF)
+# A candidate word's table row z0 is the number of thresholds at or below
+# it; its signed candidate, -z0 for sign bit 0 or 1 + z0 for sign bit 1, is
+# entry z0 + _BASE_ROWS * sign of one lookup row.
+_BASE_ROWS = len(_BASE_THRESHOLDS) + 1
+_BASE_SIGNED = np.concatenate((-np.arange(_BASE_ROWS), 1 + np.arange(_BASE_ROWS)))
 
 # A trial of the base sampler reads two u64 words: the candidate, then the
 # uniform of the acceptance test.  Only that test depends on the center and
@@ -474,21 +488,32 @@ _BASE_INV_2S2 = 1.0 / (2.0 * _BASE_SIGMA * _BASE_SIGMA)
 _TRIAL_BYTES = 16
 _TRIALS_PER_CHUNK = 256
 
+# Half-width of the band around a trial's acceptance bound inside which the
+# leaf draw falls back to the exact test (see sample_gaussian_int).
+_GUARD = 1e-9
+
+# Bound once: the leaf draw runs 2N times per extracted key.
+_floor = math.floor
+_exp = math.exp
+
 
 class GaussianTrials:
     """Cursor over the base sampler's trials in one random source.
 
-    Holds the decoded trials of a chunk of _TRIALS_PER_CHUNK starting at the
-    source's position (the candidate z, its table term z0^2/2 sigma0^2, the
-    uniform) and the index of the next unread one.  `close()`, or leaving a
-    `with` block, consumes the trials read from the source, 16 bytes each.
+    Holds the trials of a chunk of _TRIALS_PER_CHUNK starting at the
+    source's position, decoded into two lists, the signed candidate z and
+    its acceptance bound z0^2/2 sigma0^2 - ln u - _GUARD (NaN where the
+    uniform u is 0), and the uniforms as a numpy array for the exact test;
+    and the index of the next unread trial.  `close()`, or leaving a `with`
+    block, consumes the trials read from the source, 16 bytes each.
     """
 
-    __slots__ = ("rng", "z", "z0_term", "uniform", "next")
+    __slots__ = ("rng", "z", "bound", "uniform", "next")
 
     def __init__(self, rng: RandomSource):
         self.rng = rng
-        self.z = self.z0_term = self.uniform = []
+        self.z = self.bound = []
+        self.uniform = None
         self.next = 0
 
     def _refill(self) -> None:
@@ -497,19 +522,21 @@ class GaussianTrials:
         words = np.frombuffer(
             self.rng.peek(_TRIAL_BYTES * _TRIALS_PER_CHUNK), dtype="<u8"
         ).reshape(-1, 2)
-        candidate, uniform = words[:, 0], words[:, 1]
-        z0 = np.searchsorted(
-            _BASE_CDF, (candidate >> np.uint64(11)) * (1.0 / (1 << 53)), side="right"
-        )
-        self.z = np.where(candidate & np.uint64(1), 1 + z0, -z0).tolist()
-        self.z0_term = ((z0 * z0) * _BASE_INV_2S2).tolist()
-        self.uniform = ((uniform >> np.uint64(11)) * (1.0 / (1 << 53))).tolist()
+        candidate = words[:, 0]
+        z0 = np.searchsorted(_BASE_THRESHOLDS, candidate, side="right")
+        sign = (candidate & np.uint64(1)).astype(np.intp)
+        self.z = _BASE_SIGNED[z0 + _BASE_ROWS * sign].tolist()
+        u = (words[:, 1] >> np.uint64(11)) * (1.0 / (1 << 53))
+        ln_u = np.log(u, out=np.full_like(u, np.nan), where=u > 0.0)
+        self.bound = ((z0 * z0) * _BASE_INV_2S2 - ln_u - _GUARD).tolist()
+        self.uniform = u
         self.next = 0
 
     def close(self) -> None:
         """Consume the trials read so far from the source."""
         self.rng.skip(_TRIAL_BYTES * self.next)
-        self.z = self.z0_term = self.uniform = []
+        self.z = self.bound = []
+        self.uniform = None
         self.next = 0
 
     def __enter__(self) -> "GaussianTrials":
@@ -530,28 +557,52 @@ def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> 
     fractional part of the center (Howe, Prest, Ricosset and Rossi,
     "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial is 16
     bytes of the cursor's source: a u64 whose top 53 bits index the table
-    and whose low bit is the sign, then a u64 for the uniform.  The trials
-    come from the cursor, decoded a chunk at a time, and the sample reads
-    them from the cursor's next unread one on.
+    and whose low bit is the sign, then a u64 for the uniform u.  The
+    trials come from the cursor, decoded a chunk at a time, and the sample
+    reads them from the cursor's next unread one on.
+
+    The decision is taken in the log domain.  With e = (z-r)^2/2 sigma^2 and
+    t0 = z0^2/2 sigma0^2, the exact test u < exp(-(e - t0)) holds, in real
+    numbers, when e < t0 - ln u.  The cursor holds each trial's bound
+    l = t0 - ln u - G, G = _GUARD = 1e-9: the trial is kept when e < l,
+    dropped when e > l + 2G, and only in between decided by the exact test
+    itself.  Both forms start from the same double e, and near the boundary
+    every term is below 80 (t0 <= 17^2/8, -ln u <= 53 ln 2); so the rounding
+    of ln u (a few ulp), of exp (one ulp) and of the subtractions moves
+    either form less than 1e-13 from the real comparison, four orders of
+    magnitude inside G, and every decision is the exact test's.  A zero
+    uniform (probability 2^-53) has a NaN bound, fails both comparisons
+    and reaches the exact test, which rejects it where exp underflows to 0
+    (e - t0 above about 745, which needs sigma below about 0.46).
     """
     if not 0.0 < sigma <= _BASE_SIGMA:
         raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
-    base = math.floor(center)
+    base = _floor(center)
     r = center - base
     inv_2s2 = 0.5 / (sigma * sigma)
-    zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
+    band = 2.0 * _GUARD
+    zs, bounds = trials.z, trials.bound
     j = trials.next
     while True:
-        if j == len(zs):
+        try:
+            z = zs[j]
+        except IndexError:
             trials._refill()
-            zs, z0_terms, uniforms = trials.z, trials.z0_term, trials.uniform
+            zs, bounds = trials.z, trials.bound
             j = 0
-        z = zs[j]
-        x = (z - r) * (z - r) * inv_2s2 - z0_terms[j]
-        if uniforms[j] < math.exp(-x):
-            trials.next = j + 1
-            return base + z
+            z = zs[0]
+        d = z - r
+        e = d * d * inv_2s2
+        bound = bounds[j]
         j += 1
+        if e < bound:
+            break
+        if not e > bound + band:
+            z0 = z - 1 if z > 0 else -z
+            if trials.uniform[j - 1] < _exp(-(e - z0 * z0 * _BASE_INV_2S2)):
+                break
+    trials.next = j
+    return base + z
 
 
 def hash_to_ring(data: bytes, params: RingParams) -> RingElement:

@@ -3,7 +3,12 @@
 import cmath
 import dataclasses
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -793,3 +798,63 @@ class TestSerialization:
             for data in (b"", b"\x01", b"\x05\x00\x00"):
                 with pytest.raises(DecodeError):
                     decode(data, params)
+
+
+#: numpy's dispatch targets with fused multiply-add (X86_V3 brings FMA3 and
+#: AVX2) or with AVX-512; with all of them disabled numpy runs its baseline
+#: loops, its own complex product and log among them.
+NO_FMA_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+#: The key pins, the container pins and the transcript pins derived from
+#: them, re-run below without those targets.
+PIN_TESTS = (
+    "tests/test_ibe.py::TestKleinSamplerFrame::test_default_tier_extract_matches_golden",
+    "tests/test_ibe.py::TestKleinSamplerFrame::test_default_tier_sign_matches_golden",
+    "tests/test_ibe.py::TestUnrolledSteps::test_smallest_degrees_extract_pinned_keys",
+    "tests/test_keyfiles.py::TestGoldenFiles",
+    "tests/test_netsim.py::TestTranscriptPins",
+)
+
+_CHILD = """
+import json, sys
+import numpy as np
+import pytest
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+a, b = np.random.default_rng(0).normal(size=(2, 2000)).view(complex)
+fused = sum(p != x * y for p, x, y in zip((a * b).tolist(), a.tolist(), b.tolist()))
+features = {t: umath.__cpu_features__[t] for t in sys.argv[1].split()}
+print(json.dumps({"features": features, "fused": fused}), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[2:]]))
+"""
+
+
+def test_pins_hold_without_fma():
+    """The pinned keys, containers and transcripts were drawn where numpy
+    fuses multiply-adds and uses its AVX-512 log; they hold unchanged on
+    numpy's baseline loops, which neither fuse nor share that log."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in NO_FMA_TARGETS if t in umath.__cpu_dispatch__]
+    if not targets:
+        pytest.skip("this numpy dispatches to none of " + ", ".join(NO_FMA_TARGETS))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ibe.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", _CHILD, " ".join(targets), *PIN_TESTS],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    took_effect, _, report = result.stdout.partition("\n")
+    # The targets are off, and numpy's complex product rounds as Python's.
+    assert json.loads(took_effect) == {
+        "features": dict.fromkeys(targets, False), "fused": 0
+    }, result.stderr
+    assert result.returncode == 0, report + result.stderr
+    assert "13 passed in" in report, report

@@ -167,6 +167,11 @@ def trace(default_authority, default_vehicle):
     )
 
 
+def _wire_windows(trace) -> set[bytes]:
+    """Every 12-byte substring of every message the pass put on the wire."""
+    return {body[i : i + 12] for _, body in trace.wire_log for i in range(len(body) - 11)}
+
+
 class TestSimulateSession:
     def test_completes(self, trace):
         assert trace.completed
@@ -286,9 +291,20 @@ class TestSimulateSession:
                 default_authority, fresh_vehicle, n_pads=3, seed=f"unlink-{slot}", entry_index=slot
             )
             assert trace.completed
-            windows.append(
-                {body[i : i + 12] for _, body in trace.wire_log for i in range(len(body) - 11)}
-            )
+            windows.append(_wire_windows(trace))
+        assert not windows[0] & windows[1]
+
+    def test_passes_of_two_vehicles_share_no_wire_bytes(self, default_authority, fresh_vehicle):
+        """Unlinkability across vehicles: a pass of the suite's vehicle and a
+        pass of another vehicle of the same authority have no 12-byte
+        string in common on the wire."""
+        authority = copy.deepcopy(default_authority)
+        other = register_vehicle(authority, b"EV-unlink-other", 2)
+        windows = []
+        for k, vehicle in enumerate((fresh_vehicle, other)):
+            trace = simulate_session(authority, vehicle, n_pads=3, seed=f"unlink-vehicle-{k}")
+            assert trace.completed
+            windows.append(_wire_windows(trace))
         assert not windows[0] & windows[1]
 
     def test_pseudonym_reuse_across_sessions(self, default_authority, default_vehicle):

@@ -23,6 +23,7 @@ from dwpt_auth.ring import (
     sample_gaussian_poly,
 )
 from dwpt_auth.rng import RandomSource
+from test_rng import ReferenceStream
 
 
 def random_element(params, rng):
@@ -491,6 +492,122 @@ class TestSampleGaussianInt:
     def test_width_outside_base_table_rejected(self, sigma):
         with pytest.raises(ValueError):
             sample_gaussian_int(0.5, sigma, GaussianTrials(RandomSource(0)))
+
+
+class CraftedSource:
+    """Crafted bytes behind the two calls a `GaussianTrials` cursor makes."""
+
+    def __init__(self, data: bytes):
+        self.data, self.pos = data, 0
+
+    def peek(self, n):
+        assert self.pos + n <= len(self.data)
+        return self.data[self.pos : self.pos + n]
+
+    def skip(self, n):
+        self.pos += n
+
+
+def candidate_word(z0, sign):
+    """A u64 candidate that lands on table row z0 with the given sign bit."""
+    thresholds = ring._BASE_THRESHOLDS
+    if z0 == len(thresholds):
+        return (1 << 64) - 2 + sign
+    return (int(thresholds[z0 - 1]) if z0 else 0) + sign
+
+
+def trial_bytes(trials):
+    """(candidate word, uniform word) pairs as the 16-byte trials they are."""
+    return b"".join(struct.pack("<QQ", c, u) for c, u in trials)
+
+
+def crafted_draws(data, draws, monkeypatch):
+    """Draw (center, sigma) pairs from the given bytes, followed by a
+    stretch of a seeded stream, and from `ReferenceStream` over the same
+    bytes; returns both draw lists, both byte counts, the reference's trial
+    count and the number of exact tests taken.  The bytes are finite, so a
+    sampler that rejects every trial fails instead of running on."""
+    data += RandomSource("crafted-filler").bytes(2 * 16 * ring._TRIALS_PER_CHUNK)
+    exact = []
+    monkeypatch.setattr(ring, "_exp", lambda x: exact.append(x) or math.exp(x))
+    source = CraftedSource(data)
+    with GaussianTrials(source) as cursor:
+        got = [sample_gaussian_int(c, s, cursor) for c, s in draws]
+    ref = ReferenceStream(b"")
+    ref.data = data
+    want = [ref.gaussian_int(c, s) for c, s in draws]
+    return got, want, source.pos, ref.pos, ref.trials, len(exact)
+
+
+class TestLeafDrawEdges:
+    """Crafted trials on both sides of the log-domain decision, each checked
+    against the trial-by-trial definition in `ReferenceStream`."""
+
+    def test_zero_uniform_rejected_where_exp_underflows(self, monkeypatch):
+        """The last row with sign bit 1 is z = 18; at width 0.4 around 0 the
+        acceptance probability exp(-976) is 0 in double precision, so a zero
+        uniform must be rejected, although -ln 0 is infinite."""
+        z0 = len(ring._BASE_THRESHOLDS)
+        assert math.exp(-((z0 + 1) ** 2 / (2 * 0.4 * 0.4) - z0 * z0 * ring._BASE_INV_2S2)) == 0.0
+        got, want, used, ref_used, ref_trials, exact = crafted_draws(
+            trial_bytes([(candidate_word(z0, 1), 0)]), [(0.0, 0.4)], monkeypatch
+        )
+        assert got == want and used == ref_used
+        assert ref_trials > 1 and exact >= 1
+
+    def test_zero_uniform_accepted_where_exp_is_positive(self, monkeypatch):
+        got, want, used, ref_used, ref_trials, exact = crafted_draws(
+            trial_bytes([(candidate_word(3, 0), 0)]), [(0.25, 1.5)], monkeypatch
+        )
+        assert got == want == [-3] and used == ref_used == 16
+        assert ref_trials == 1 and exact == 1
+
+    @pytest.mark.parametrize("offset", range(-8, 9))
+    def test_uniform_at_the_acceptance_probability(self, offset, monkeypatch):
+        """Uniforms within 2^-50 of exp(-x), on both sides and on it: each
+        falls inside the guard band, and the exact test decides."""
+        z0, center, sigma = 2, 0.9, 1.9
+        z, r = 1 + z0, center
+        x = (z - r) * (z - r) * (0.5 / (sigma * sigma)) - z0 * z0 * ring._BASE_INV_2S2
+        p = math.exp(-x)
+        assert 0.5 <= p < 1  # so that p is a multiple of 2^-53 and u can equal it
+        m = int(p * 2**53) + offset
+        got, want, used, ref_used, ref_trials, exact = crafted_draws(
+            trial_bytes([(candidate_word(z0, 1), m << 11)]), [(center, sigma)], monkeypatch
+        )
+        assert got == want and used == ref_used
+        assert exact >= 1
+        assert (ref_trials == 1) == (m * 2.0**-53 < p)
+
+    @pytest.mark.parametrize("sign", [0, 1])
+    @pytest.mark.parametrize("z0", range(ring._BASE_ROWS))
+    def test_table_rows_and_sign_bits(self, z0, sign, monkeypatch):
+        """Every row, up to the last one (17: the cumulative entries from
+        z0 = 17 on are 1.0), with both sign bits, under a uniform of 0.5 and
+        a uniform just above 0."""
+        assert ring._BASE_ROWS == 18
+        word = candidate_word(z0, sign)
+        cursor = GaussianTrials(CraftedSource(trial_bytes([(word, 0)] * 256)))
+        cursor._refill()
+        assert cursor.z[0] == (1 + z0 if sign else -z0)
+        for uniform in (1 << 63, 1 << 11):
+            got, want, used, ref_used, _, _ = crafted_draws(
+                trial_bytes([(word, uniform)] * 3),
+                [(0.5, 2.0), (-0.75, 1.2), (10.1, 0.3)],
+                monkeypatch,
+            )
+            assert got == want and used == ref_used
+
+    def test_every_decision_exact_under_a_wide_guard(self, monkeypatch):
+        """With G widened past any e, no trial is decided in the log domain;
+        5,000 draws must still match the reference, draw for draw and byte
+        for byte, with one exact test per trial."""
+        monkeypatch.setattr(ring, "_GUARD", 1e6)
+        draws = [(0.37 * i - 900.0, 1.2 + 0.8 * (i % 101) / 100) for i in range(5000)]
+        data = RandomSource("wide-guard").bytes(48 * 16 * ring._TRIALS_PER_CHUNK)
+        got, want, used, ref_used, ref_trials, exact = crafted_draws(data, draws, monkeypatch)
+        assert got == want and used == ref_used
+        assert exact == ref_trials > 5000
 
 
 def reference_hash_to_ring(data, N, q):
