@@ -360,11 +360,16 @@ def _fftldl(
 
 
 def _fftldl_diag(d: list[complex], sigma: float, leaves: list[float]):
-    if len(d) == 1:
-        leaves.append(d[0].real)
-        return sigma / math.sqrt(d[0].real)
-    d0, d1 = _split(d)
-    return _fftldl(d0, d1, d0, sigma, leaves)
+    if len(d) > 2:
+        d0, d1 = _split(d)
+        return _fftldl(d0, d1, d0, sigma, leaves)
+    # Degree 4: `_split` into one value each, then `_fftldl`'s node over
+    # the two leaves, in the same float operations.
+    u, w = d[0], d[1].conjugate()
+    d0, d1 = (u + w) * 0.5, (u - w) * _HALF_CONJ_ZETA4
+    d11 = d0 - (d1 * d1.conjugate()) / d0
+    leaves += d0.real, d11.real
+    return [d1.conjugate() / d0], sigma / math.sqrt(d0.real), sigma / math.sqrt(d11.real)
 
 
 def _ff_sample(t0: np.ndarray, t1: np.ndarray, node, cursors: list[GaussianTrials]):

@@ -2,8 +2,10 @@
 
 Completes a short key pair (f, g) into a full trapdoor basis.  The recursion
 projects the problem through the field norm down to integers, solves with an
-extended gcd, lifts back up, and size-reduces the lifted solution against
-(f, g) with Babai rounding in the Fourier domain.
+extended gcd (`math.gcd` and a modular inverse), lifts back up, and
+size-reduces the lifted solution against (f, g) with Babai rounding in the
+Fourier domain: one stacked transform of the (F, G) windows per pass, the
+quotient rounded in Python.
 
 Exact polynomial products go through `ring.karamul`: Kronecker substitution
 (coefficients packed into one big integer for CPython's native multiply),
@@ -59,13 +61,14 @@ def _twist(n: int, inverse: bool) -> np.ndarray:
 
 
 def fft_neg(a: np.ndarray) -> np.ndarray:
-    """Evaluate at the primitive 2n-th roots e^(i*pi*(2k+1)/n)."""
-    n = len(a)
+    """Evaluate at the primitive 2n-th roots e^(i*pi*(2k+1)/n), along the
+    last axis: each row of a stack is transformed as it would be alone."""
+    n = a.shape[-1]
     return n * np.fft.ifft(a * _twist(n, False))
 
 
 def ifft_neg(values: np.ndarray) -> np.ndarray:
-    n = len(values)
+    n = values.shape[-1]
     return np.real(np.fft.fft(values) / n * _twist(n, True))
 
 
@@ -74,18 +77,22 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
 
     Repeatedly subtracts k*(f, g) where k = round((F f* + G g*) / (f f* + g g*)),
     computed in the Fourier domain on 53-bit windows of the coefficients so
-    arbitrarily large intermediate values stay within float precision.
+    arbitrarily large intermediate values stay within float precision.  The
+    windows of f and g are transformed once per call, those of F and G once
+    per pass, each pair as one (2, n) stack.
 
     The quotient is computed at the scale of the windows, 2^(big - size)
     below its true size, where it is often below 1/2.  Before rounding it is
     scaled up by 2^extra, as far as that gap allows and no further than 50
-    bits (so the int64 cast stays exact); k*(f, g) is then shifted by the
-    remaining big - size - extra bits.  Each pass thus removes about 50 bits
-    of (F, G) instead of rounding to zero and leaving it unreduced.
+    bits; k*(f, g) is then shifted by the remaining big - size - extra bits.
+    Each pass thus removes about 50 bits of (F, G) instead of rounding to
+    zero and leaving it unreduced.  The quotient's few values are scaled and
+    rounded (half to even) as Python floats.
     """
     size = _bitsize(f, g)
-    f_hat = fft_neg(np.array([c >> (size - 53) for c in f], dtype=np.float64))
-    g_hat = fft_neg(np.array([c >> (size - 53) for c in g], dtype=np.float64))
+    f_hat, g_hat = fft_neg(
+        np.array([[c >> (size - 53) for c in p] for p in (f, g)], dtype=np.float64)
+    )
     f_conj, g_conj = f_hat.conj(), g_hat.conj()
     denom = f_hat * f_conj + g_hat * g_conj
 
@@ -93,17 +100,17 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
         big = _bitsize(F, G)
         if big < size:
             break
-        F_hat = fft_neg(np.array([c >> (big - 53) for c in F], dtype=np.float64))
-        G_hat = fft_neg(np.array([c >> (big - 53) for c in G], dtype=np.float64))
-        numer = F_hat * f_conj + G_hat * g_conj
-        quot = ifft_neg(numer / denom)
-        extra = min(big - size, max(0, 50 - int(np.max(np.abs(quot))).bit_length()))
-        k = np.rint(quot * 2.0**extra).astype(np.int64)
-        if not k.any():
+        F_hat, G_hat = fft_neg(
+            np.array([[c >> (big - 53) for c in p] for p in (F, G)], dtype=np.float64)
+        )
+        quot = ifft_neg((F_hat * f_conj + G_hat * g_conj) / denom).tolist()
+        extra = min(big - size, max(0, 50 - int(max(map(abs, quot))).bit_length()))
+        scale = 2.0**extra
+        k = [round(x * scale) for x in quot]
+        if not any(k):
             break
-        k_list = k.tolist()
-        fk = karamul(f, k_list)
-        gk = karamul(g, k_list)
+        fk = karamul(f, k)
+        gk = karamul(g, k)
         shift = big - size - extra
         for i in range(len(F)):
             F[i] -= fk[i] << shift
@@ -111,18 +118,16 @@ def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(d, u, v) with u*a + v*b = d = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_u, u = u, old_u - quot * u
-        old_v, v = v, old_v - quot * v
-    if old_r < 0:
-        old_r, old_u, old_v = -old_r, -old_u, -old_v
-    return old_r, old_u, old_v
+    """(d, u, v) with u*a + v*b = d = gcd(a, b), for a, b >= 0: the pair
+    extended Euclid ends on, with -b/2d < u <= b/2d when b > 0."""
+    if b == 0:
+        return a, 1, 0
+    d = math.gcd(a, b)
+    m = b // d
+    u = pow(a // d, -1, m)
+    if 2 * u > m:
+        u -= m
+    return d, u, (d - u * a) // b
 
 
 def ntru_solve(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:

@@ -210,8 +210,9 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
     times a narrow quotient would be one wide-by-wide multiply.  From there
     up, Kronecker substitution: coefficients go into byte-aligned slots,
     each biased by half the slot range so it packs as unsigned bytes; the
-    bias is taken back out of the packed integer in one subtraction, and
-    the product is unpacked the same way, from one `to_bytes`.
+    bias is taken back out of the packed integer in one subtraction.  The
+    product, biased the same way, is folded (x^n = -1) as integers, its top
+    n slots subtracted from its bottom n, and unpacked from one `to_bytes`.
     """
     n = len(a)
     if n < _SCHOOLBOOK_BELOW:
@@ -222,8 +223,8 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
             for j in range(n - i, n):
                 out[i + j - n] -= x * b[j]
         return out
-    max_a = max(1, max(abs(c) for c in a))
-    max_b = max(1, max(abs(c) for c in b))
+    max_a = max(1, max(map(abs, a)))
+    max_b = max(1, max(map(abs, b)))
     # Any folded coefficient is bounded by 2n * max|a| * max|b|.
     width = max_a.bit_length() + max_b.bit_length() + n.bit_length() + 2
     nbytes = (width + 7) // 8
@@ -236,12 +237,13 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
         return int.from_bytes(slots, "little") - bias
 
     product = pack(a) * pack(b) + int.from_bytes(half_slot * (2 * n), "little")
-    raw = product.to_bytes(2 * n * nbytes, "little")
-    full = [
+    top = 8 * nbytes * n
+    folded = (product & ((1 << top) - 1)) - (product >> top) + bias
+    raw = folded.to_bytes(n * nbytes, "little")
+    return [
         int.from_bytes(raw[k : k + nbytes], "little") - half
-        for k in range(0, 2 * n * nbytes, nbytes)
+        for k in range(0, n * nbytes, nbytes)
     ]
-    return [full[k] - full[k + n] for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +345,7 @@ class RingElement:
         points = _ntt_forward(self.coeffs, N, q)
         if np.any(points == 0):
             raise NotInvertible("element shares a factor with x^N+1 mod q")
-        inv_points = np.array([pow(int(x), q - 2, q) for x in points], dtype=np.int64)
+        inv_points = np.array([pow(x, -1, q) for x in points.tolist()], dtype=np.int64)
         return RingElement(self.params, _ntt_inverse(inv_points, N, q))
 
     def __eq__(self, other) -> bool:

@@ -332,6 +332,30 @@ class TestKleinSamplerFrame:
             assert t0.tolist() == [x * c * (-1 / q) for x, c in zip(ta, F)]
             assert t1.tolist() == [x * c * (1 / q) for x, c in zip(ta, f)]
 
+    @pytest.mark.parametrize("authority", ["toy", "test", "default", 4, 8])
+    def test_tree_matches_the_one_value_recursion(self, authority, request, monkeypatch):
+        """The tree and leaves equal, value for value, those of the build
+        that recurses down to one-value entries, each a leaf: a degree-4
+        entry's node, built inline, rounds as `_split` then `_fftldl` do."""
+        if isinstance(authority, int):  # the rings of GOLDEN_SMALL_N
+            msk = ra_setup(RingParams(authority, 17), "x").msk
+        else:
+            msk = request.getfixturevalue(f"{authority}_authority").msk
+
+        def one_value_diag(d, sigma, leaves):
+            if len(d) == 1:
+                leaves.append(d[0].real)
+                return sigma / math.sqrt(d[0].real)
+            d0, d1 = ibe._split(d)
+            return ibe._fftldl(d0, d1, d0, sigma, leaves)
+
+        ours = KleinSampler(msk)
+        monkeypatch.setattr(ibe, "_fftldl_diag", one_value_diag)
+        reference = KleinSampler(msk)
+        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
+            assert repr(ours.tree) == repr(reference.tree)
+        assert ours.leaves.tolist() == reference.leaves.tolist()
+
     def test_default_tier_extract_matches_golden(self, default_authority):
         (usk,) = extract(default_authority.msk, b"golden-identity")
         digest = hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest()

@@ -1,8 +1,11 @@
 """Tower-field solver for the f*G - g*F = q lattice completion."""
 
+import hashlib
+import math
 import warnings
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,6 +13,8 @@ from dwpt_auth import ntrusolve, ring
 from dwpt_auth.errors import NotInvertible
 from dwpt_auth.ibe import master_key_gen
 from dwpt_auth.ntrusolve import (
+    _xgcd,
+    fft_neg,
     field_norm,
     galois_conjugate,
     lift,
@@ -18,6 +23,11 @@ from dwpt_auth.ntrusolve import (
 )
 from dwpt_auth.ring import TIERS, IntegerPolynomial, karamul, sample_gaussian_poly
 from dwpt_auth.rng import RandomSource
+
+#: SHA-256 over repr((F, G)) of ntru_solve on each pair `seeded_solutions`
+#: yields (50 at the test tier, then 2 at the default tier): pins the
+#: quotient of every size-reduction pass on many solves.
+GOLDEN_SOLVE = "22013943ec18e85b3b1b550d2cdd977ad82612325ac3aceec05417b740f04634"
 
 
 def naive_negacyclic(a, b):
@@ -64,6 +74,18 @@ class TestKaramul:
 
     def test_degree_one(self):
         assert karamul([3], [4]) == [12]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 32, 64])
+    def test_largest_sums_fit_their_slots(self, n):
+        """Every coefficient at one magnitude 2^k - 1, so that a folded
+        coefficient reaches n * max|a| * max|b|, through Kronecker
+        substitution at every degree."""
+        with mock.patch.object(ring, "_SCHOOLBOOK_BELOW", 1):
+            for bits in (1, 8, 64, 300):
+                m = (1 << bits) - 1
+                for sa, sb in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                    a, b = [sa * m] * n, [sb * m] * n
+                    assert karamul(a, b) == naive_negacyclic(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
     @settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -241,3 +263,84 @@ class TestSolve:
     def test_base_case_direct(self):
         F, G = ntru_solve([1], [3], 97)
         assert 1 * G[0] - 3 * F[0] == 97
+
+
+def euclid_xgcd(a, b):
+    """The extended Euclid loop: the reference for `_xgcd`."""
+    old_r, r = a, b
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_u, u = u, old_u - quot * u
+        old_v, v = v, old_v - quot * v
+    if old_r < 0:
+        old_r, old_u, old_v = -old_r, -old_u, -old_v
+    return old_r, old_u, old_v
+
+
+class TestXgcd:
+    """`_xgcd` returns the Bezout pair Euclid's loop ends on.  The solver
+    hands it only non-negative pairs: at degree 1 each norm is a sum of two
+    squares."""
+
+    @staticmethod
+    def _check(a, b):
+        d, u, v = _xgcd(a, b)
+        assert (d, u, v) == euclid_xgcd(a, b)
+        assert d == math.gcd(a, b) and u * a + v * b == d
+
+    @pytest.mark.parametrize("a, b", [
+        (0, 0), (0, 1), (0, 97), (1, 0), (97, 0), (1, 1), (12, 12),
+        (3, 12), (12, 3), (1, 2), (3, 2), (1, 97), (97, 1), (6, 4), (4, 6),
+        (0, 1 << 5000), (1 << 5000, 0), (3 << 4000, 3), (3, 3 << 4000),
+    ])
+    def test_edge_cases(self, a, b):
+        self._check(a, b)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(
+        a=st.integers(0, 6000).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)),
+        b=st.integers(0, 6000).flatmap(lambda bits: st.integers(0, (1 << bits) - 1)),
+    )
+    def test_matches_euclid(self, a, b):
+        self._check(a, b)
+
+
+def test_stacked_transform_is_row_by_row():
+    """`fft_neg` of a (2, n) stack equals each row's own transform bit for
+    bit, so reduce_pair's stacked windows give the quotients one row at a
+    time gives."""
+    rng = np.random.default_rng(0)
+    for n in range(1, 513):
+        stack = rng.integers(-(1 << 53), 1 << 53, (2, n)).astype(np.float64)
+        rows = np.array([fft_neg(row) for row in stack])
+        assert np.array_equal(fft_neg(stack).view(np.int64), rows.view(np.int64)), n
+
+
+def seeded_solutions():
+    """(F, G) of the first 50 solvable test-tier pairs, then of the first 2
+    at the default tier, each drawn from its tier's seeded stream.  Pairs
+    with f(1) and g(1) both even, which cannot be solved, are skipped
+    without a solve."""
+    for tier, count in (("test", 50), ("default", 2)):
+        p = TIERS[tier]
+        rng = RandomSource(f"golden-solve-{tier}")
+        while count:
+            f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            if sum(f) % 2 == sum(g) % 2 == 0:
+                continue
+            try:
+                yield ntru_solve(f, g, p.q)
+            except NotInvertible:
+                continue
+            count -= 1
+
+
+def test_seeded_solutions_match_golden():
+    digest = hashlib.sha256()
+    for F_G in seeded_solutions():
+        digest.update(repr(F_G).encode())
+    assert digest.hexdigest() == GOLDEN_SOLVE
