@@ -265,10 +265,10 @@ def master_key_gen(
 # as their values at zeta_k = e^{i pi (2k+1)/n}, the order `fft_neg` uses.
 # For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
 # at zeta_k, so only the first n/2 values are kept.  The walk draws K keys at
-# once: at its levels whose halves hold 8 or more values, and at the root, it
-# holds them as the rows of (K, n/2) numpy arrays; below those levels it goes
-# row by row, as Python lists, through the degree-16, -8 and -4 steps, which
-# each split and merge inline.
+# once: at its levels whose halves hold 8 or more values (the root among
+# them, as N >= 16), it holds them as the rows of (K, n/2) numpy arrays;
+# below those levels it goes row by row, as Python lists, through the
+# degree-16, -8 and -4 steps, which each split and merge inline.
 
 def _parts(values) -> tuple[np.ndarray, np.ndarray]:
     """Constants c as (re(c) + 0i, 0 + i*im(c)).  x*c[0] + x*c[1] rounds each
@@ -335,8 +335,7 @@ def _gram(f: np.ndarray, g: np.ndarray, F: np.ndarray, G: np.ndarray) -> tuple:
 
 
 def _fftldl(
-    g00: list[complex], g01: list[complex], g11: list[complex], sigma: float,
-    leaves: list[float], root: bool = False,
+    g00: list[complex], g01: list[complex], g11: list[complex], sigma: float, leaves: list[float]
 ) -> tuple:
     """ffLDL tree of the self-adjoint Gram matrix [[g00, g01], [g01*, g11]].
 
@@ -347,13 +346,13 @@ def _fftldl(
     diagonal with equal entries, so the tree is a leaf for the real value
     D(i), the squared Gram-Schmidt norm of two basis vectors, which goes on
     `leaves`; the leaf holds the width sigma/sqrt(D(i)) the walk draws
-    with.  The root's l10, and an l10 of 8 or more values, is kept as
+    with.  An l10 of 8 or more values, the root's among them, is kept as
     `_parts`, for the walk's array levels.
     """
     l10 = [b.conjugate() / a for a, b in zip(g00, g01)]
     d11 = [c - (b * b.conjugate()) / a for a, b, c in zip(g00, g01, g11)]
     return (
-        _parts(l10) if root or len(l10) >= 8 else l10,
+        _parts(l10) if len(l10) >= 8 else l10,
         _fftldl_diag(g00, sigma, leaves),
         _fftldl_diag(d11, sigma, leaves),
     )
@@ -391,12 +390,7 @@ def _ff_sample_diag(t: np.ndarray, tree, cursors: list[GaussianTrials]) -> np.nd
     if n >= 16:  # halves of 8 or more values: one array for all rows
         return _merge_array(*_ff_sample(*_split_array(t), tree, cursors))
     rows = zip(t.tolist(), cursors)
-    if n == 8:
-        return np.array([_ff_sample_degree16(row, tree, trials) for row, trials in rows])
-    if n == 4:  # only at N = 8, whose top-level halves have degree 8
-        return np.array([_ff_sample_degree8(row, tree, trials) for row, trials in rows])
-    # only at N = 4, whose top-level halves have degree 4
-    return np.array([_ff_sample_degree4(*row, tree, trials) for row, trials in rows])
+    return np.array([_ff_sample_degree16(row, tree, trials) for row, trials in rows])
 
 
 (_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)[:2]
@@ -486,7 +480,7 @@ class KleinSampler:
         self._fft = f, g, F, G
         self._coordinates = _parts(F[:h]), _parts(f[:h])
         leaves = []
-        self.tree = _fftldl(*_gram(f, g, F, G), msk.params.sigma_extract, leaves, root=True)
+        self.tree = _fftldl(*_gram(f, g, F, G), msk.params.sigma_extract, leaves)
         #: Squared Gram-Schmidt norms, each shared by two basis vectors, in
         #: the tree's (bit-reversed) order.
         self.leaves = np.array(leaves)

@@ -14,7 +14,6 @@ mod q.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -63,8 +62,8 @@ class RingParams:
     q: int
 
     def __post_init__(self):
-        if self.N < 4 or self.N & (self.N - 1) != 0:
-            raise ValueError(f"N must be a power of two >= 4, got {self.N}")
+        if self.N < 16 or self.N & (self.N - 1) != 0:
+            raise ValueError(f"N must be a power of two >= 16, got {self.N}")
         if not _is_prime(self.q):
             raise ValueError(f"q must be prime, got {self.q}")
         if self.q % (2 * self.N) != 1:
@@ -607,25 +606,22 @@ def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> 
     return base + z
 
 
+_HASH_TAG = b"hash-to-ring\x00"  # prefix of every `hash_to_ring` seed
+
+
 def hash_to_ring(data: bytes, params: RingParams) -> RingElement:
     """Deterministic map {0,1}* -> Z_q^N.
 
-    Counter-mode expansion of SHA-256 (data || 32-bit LE counter); each
-    32-bit LE word of the stream is rejection-sampled into [0, q), and the
-    first N accepted words are the coefficients.  The N/8 blocks a full
-    draw needs are hashed at once, then more while words were rejected.
+    Squeezes the `RandomSource` stream seeded with `_HASH_TAG` + data; each
+    32-bit LE word of it is rejection-sampled into [0, q), and the first N
+    accepted words are the coefficients.  The tag keeps the stream apart
+    from every other seed in the package.
     """
     N, q = params.N, params.q
     limit = ((1 << 32) // q) * q
+    rng = RandomSource(_HASH_TAG + data)
     kept = np.empty(0, dtype=np.uint32)
-    counter = 0
     while len(kept) < N:
-        n_blocks = -(-(N - len(kept)) // 8)
-        stream = b"".join(
-            hashlib.sha256(data + c.to_bytes(4, "little")).digest()
-            for c in range(counter, counter + n_blocks)
-        )
-        counter += n_blocks
-        words = np.frombuffer(stream, dtype="<u4")
+        words = np.frombuffer(rng.bytes(4 * (N - len(kept))), dtype="<u4")
         kept = np.concatenate((kept, words[words < limit]))
-    return RingElement(params, kept[:N])
+    return RingElement(params, kept)

@@ -4,7 +4,9 @@ Every randomized operation in the package takes an explicit RandomSource so
 that key files, protocol transcripts, and simulation traces are byte-identical
 across runs for a fixed seed.  The generator is SHAKE-256 (FIPS 202), the XOF
 that ML-KEM and ML-DSA expand seeds with, squeezed in chunks under a 32-byte
-key; it is not intended to resist side channels (simulation artifact).
+key; it is not intended to resist side channels (simulation artifact).  It is
+the package's one extendable-output function: `ring.hash_to_ring`, the map H
+into the ring, squeezes the stream of its tag and the data.
 AES-256-CTR is faster per byte, but its first `cryptography` cipher costs
 enrollment about 1 MB of resident memory (a fresh default `ra_setup` peaks at
 42.8 MB with one, 41.8 MB without), and an encryptor takes longer to set up

@@ -23,15 +23,15 @@ from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "10d8a1c0e1f315fdab8ab6053f4d60b409825c692d2e45531fb9e96377b52b20",
-    "vehicle.bin": "3b76a6c4dbe2fe7de3cac880108b188d28520ec229e5ea0d3e33ad25c48e7dc1",
-    "dataset.bin": "6a360d13358cffc8759b94af5c264e28409932e18a62cca266d60d0a181ac5c8",
+    "authority.bin": "f8db91b656b189c3e7266cdc000c98d33779fdd4e8b3cb1342e93a80cf59b8a7",
+    "vehicle.bin": "8136cde28adba344cb2b2e3c1d63ef28a0f4ad4e717375fbb990ee0764b5293b",
+    "dataset.bin": "85d181f84de1e7fc390191e419dafcdbff6b33a59aac9494a21a7328e6bab7c0",
 }
 
 #: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
 #: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
 #: seed-to-key map at the tier the benchmark measures.
-GOLDEN_DEFAULT_VEHICLE = "8da4e8401aa1d33361feb2ffe4884ab3a28348f8d250084059808616d494a1a9"
+GOLDEN_DEFAULT_VEHICLE = "7bb17f1f9cb656cebcb5b1ad9155c65151100623084cca44f143cae7b2e69873"
 
 
 @pytest.fixture(scope="module")

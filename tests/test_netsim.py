@@ -530,14 +530,14 @@ def _digests(trace) -> tuple[str, str]:
 # seeded sessions on the suite's default-tier authority and vehicle.  Gate 5
 # only compares reruns with each other; these pin the seed-to-transcript map.
 TRANSCRIPT_PINS = {
-    (1, "rounded-table"): ("858d4bcb3769b1cd", "8ac3dd8fa296186f"),
-    (1, "cycle-accurate"): ("43b5d4537f1c863d", "0b4ba170ef96cc8e"),
-    (7, "rounded-table"): ("262d96dd767ca128", "1adf952a04ad8703"),
-    (7, "cycle-accurate"): ("31311ffb31677780", "1538a76bdbeaa098"),
-    (200, "rounded-table"): ("2bded13ba7c342d6", "ec26433bd6e6a565"),
-    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "65735588e147560c"),
+    (1, "rounded-table"): ("858d4bcb3769b1cd", "db346862fd07339e"),
+    (1, "cycle-accurate"): ("43b5d4537f1c863d", "486e408b982382df"),
+    (7, "rounded-table"): ("262d96dd767ca128", "7b00c2d5c63bbe25"),
+    (7, "cycle-accurate"): ("31311ffb31677780", "82d29c00b9a92692"),
+    (200, "rounded-table"): ("2bded13ba7c342d6", "b06fe7b14836b36f"),
+    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "f9845e353763cf35"),
 }
-REUSE_PIN = ("5bd85dc95ca89c09", "a9857d95124c2aac")
+REUSE_PIN = ("5bd85dc95ca89c09", "1069144c584a43ee")
 
 
 class TestTranscriptPins:

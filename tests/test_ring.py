@@ -1,7 +1,6 @@
 """Ring arithmetic: transform correctness, sampling, hashing, serialization."""
 
 import dataclasses
-import hashlib
 import math
 import struct
 
@@ -57,10 +56,11 @@ class TestParams:
             dict(N=12, q=97),  # not a power of two
             dict(N=16, q=96),  # composite q
             dict(N=16, q=101),  # q != 1 mod 2N
-            dict(N=2, q=5),  # N below 4 (5 = 1 mod 2N is prime)
+            dict(N=2, q=5),  # N below 16 (5 = 1 mod 2N is prime)
             dict(N=16, q=2147483713),  # q >= 2^31
             dict(N=16, q=1),  # q = 1
             dict(N=16, q=0),  # q = 0
+            dict(N=8, q=17),  # N below 16 (17 = 1 mod 2N is prime)
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -610,22 +610,23 @@ class TestLeafDrawEdges:
         assert exact == ref_trials > 5000
 
 
-def reference_hash_to_ring(data, N, q):
-    """Word-by-word rejection loop; returns the coefficients and the number
-    of words rejected on the way."""
+#: The tag `hash_to_ring` prefixes its seed with, written out so that a
+#: changed or dropped tag fails `test_tag_separates_the_stream`.
+HASH_TAG = b"hash-to-ring\x00"
+
+
+def reference_hash_to_ring(seed, N, q):
+    """Word-by-word rejection loop over the reference stream of `seed`;
+    returns the coefficients and the number of words rejected on the way."""
     limit = ((1 << 32) // q) * q
-    coeffs, rejected, counter = [], 0, 0
+    stream = ReferenceStream(RandomSource(seed).key)
+    coeffs, rejected = [], 0
     while len(coeffs) < N:
-        block = hashlib.sha256(data + counter.to_bytes(4, "little")).digest()
-        counter += 1
-        for off in range(0, 32, 4):
-            word = int.from_bytes(block[off : off + 4], "little")
-            if word >= limit:
-                rejected += 1
-                continue
+        word = int.from_bytes(stream.bytes(4), "little")
+        if word >= limit:
+            rejected += 1
+        else:
             coeffs.append(word % q)
-            if len(coeffs) == N:
-                break
     return coeffs, rejected
 
 
@@ -657,17 +658,28 @@ class TestHashToRing:
         assert len(seen) == 50
 
     def test_matches_word_by_word_reference(self):
-        """The block-at-once draw equals the one-word-at-a-time loop it
-        replaced, including inputs whose first N/8 blocks hold a rejected
-        word (likely at the default tier, where 2^32 mod q is largest)."""
+        """The draw of as many words as are still missing equals the
+        one-word-at-a-time loop over the reference stream, including inputs
+        with a rejected word (likely at the default tier, where 2^32 mod q
+        is largest)."""
         rejected = 0
         for name, p in TIERS.items():
             for i in range(200):
                 data = f"{name}-{i}".encode()
-                coeffs, misses = reference_hash_to_ring(data, p.N, p.q)
+                coeffs, misses = reference_hash_to_ring(HASH_TAG + data, p.N, p.q)
                 assert hash_to_ring(data, p).coeffs.tolist() == coeffs, (name, i)
                 rejected += misses
         assert rejected > 0
+
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_tag_separates_the_stream(self, tier):
+        """The stream is seeded with the tag and the data, not with the data
+        alone."""
+        p = TIERS[tier]
+        for data in (b"", b"payload", HASH_TAG):
+            got = hash_to_ring(data, p).coeffs.tolist()
+            assert got == reference_hash_to_ring(HASH_TAG + data, p.N, p.q)[0]
+            assert got != reference_hash_to_ring(data, p.N, p.q)[0]
 
 
 class TestSerialization:
