@@ -53,7 +53,7 @@ print("other key decrypts correctly:", np.array_equal(decrypt(other, ct), bits))
 # hybrid mode seals arbitrary byte strings under an ephemeral AEAD key
 blob = ibe_seal(mpk, point, b"charging token 0xA7", rng.child("seal"),
                 associated_data=b"demo")
-print("sealed bytes:", len(blob.to_bytes()))
+print("sealed bytes:", len(blob))
 print("opened:", ibe_open(usk, blob, associated_data=b"demo"))
 
 # the same trapdoor signs: short preimages of a salted message point

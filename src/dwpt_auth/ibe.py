@@ -11,7 +11,8 @@ noisy products against h and the identity point, message bits scaled by
 floor(q/2).
 
 Key encapsulation for byte payloads wraps a fresh 256-bit content key in as
-many ring ciphertexts as needed and seals the payload itself with an AEAD.
+many ring ciphertexts as needed and seals the payload itself with an AEAD;
+the sealed payload is its wire bytes, which `ibe_open` reads back.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import (
-    AuthenticationFailure,
     NotInvertible,
     ParameterMismatch,
     ResampleExhausted,
@@ -164,35 +164,6 @@ class Ciphertext:
         n = params.element_bytes  # a wrong length leaves u or v the wrong size
         u, v = (RingElement.from_bytes(half, params) for half in (data[:n], data[n:]))
         return cls(u, v)
-
-
-@dataclass(frozen=True)
-class HybridCiphertext:
-    """Content key encapsulated in ring blocks; payload sealed with an AEAD.
-    Encoded as the ceil(256/N) blocks at their fixed size, then the
-    u32-prefixed sealed payload: the receiver's parameters fix the count
-    and the size of the blocks, so neither is sent."""
-
-    key_blocks: tuple
-    sealed: bytes
-
-    def to_bytes(self) -> bytes:
-        w = Writer()
-        for block in self.key_blocks:
-            w.raw(block.to_bytes())
-        w.blob(self.sealed)
-        return w.getvalue()
-
-    @classmethod
-    def from_bytes(cls, data: bytes, params: RingParams) -> "HybridCiphertext":
-        """Inverse of to_bytes; DecodeError on truncated or trailing bytes,
-        or a coefficient outside [0, q)."""
-        r = Reader(data)
-        size, count = 2 * params.element_bytes, _key_block_count(params.N)
-        blocks = tuple(Ciphertext.from_bytes(r.fixed(size), params) for _ in range(count))
-        sealed = r.blob()
-        r.done()
-        return cls(blocks, sealed)
 
 
 # ---------------------------------------------------------------------------
@@ -485,25 +456,23 @@ class KleinSampler:
         #: the tree's (bit-reversed) order.
         self.leaves = np.array(leaves)
 
-    def _target(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(t, 0) in basis coordinates, (t, 0) B^-1 with B^-1 =
-        [[-F, f], [-G, g]] / q: the kept halves of -(t F)/q and t f/q.  The
-        division is the product by 1/q that numpy's complex division by
-        q + 0i computes."""
-        F, f = self._coordinates
-        ta = fft_neg(t.astype(np.float64))[: len(t) // 2]
-        return _times(ta, F) * (-1 / self.q), _times(ta, f) * (1 / self.q)
-
     def sample_near(self, t: np.ndarray, rngs: list[RandomSource]) -> np.ndarray:
         """Integer lattice points (v1, v2), as a (K, 2N) array: row k is
         distributed around (t_k, 0), for row t_k of the (K, N) targets t,
         with width sigma_extract, and its leaves draw through one
-        `GaussianTrials` cursor over rngs[k].  Each row's target and its
-        point are transformed on their own; the walk between goes down the
-        tree once for all rows."""
+        `GaussianTrials` cursor over rngs[k].
+
+        The targets in basis coordinates, (t, 0) B^-1 with B^-1 =
+        [[-F, f], [-G, g]] / q, are the kept halves of -(t F)/q and t f/q,
+        from one stacked transform of t; the division is the product by
+        1/q that numpy's complex division by q + 0i computes.  The walk
+        goes down the tree once for all rows, and each half of the points
+        is one stacked inverse transform."""
         f, g, F, G = self._fft
         N = len(f)
-        t0, t1 = (np.array(half) for half in zip(*map(self._target, t)))
+        Fc, fc = self._coordinates
+        ta = fft_neg(t.astype(np.float64))[:, : N // 2]
+        t0, t1 = _times(ta, Fc) * (-1 / self.q), _times(ta, fc) * (1 / self.q)
         cursors = [GaussianTrials(rng) for rng in rngs]
         z0, z1 = _ff_sample(t0, t1, self.tree, cursors)
         for trials in cursors:
@@ -511,11 +480,10 @@ class KleinSampler:
         # v = z B has integer coefficients of magnitude about q; the inverse
         # transforms land within 1e-7 of them at the default tier, so
         # rounding recovers v exactly.
+        a, b = (np.concatenate((z, np.conj(z[:, ::-1])), axis=1) for z in (z0, z1))
         v = np.empty((len(t), 2 * N), dtype=np.int64)
-        for row, a, b in zip(v, z0, z1):
-            a, b = (np.concatenate((x, np.conj(x[::-1]))) for x in (a, b))
-            row[:N] = np.rint(ifft_neg(a * g + b * G))
-            row[N:] = np.rint(ifft_neg(-(a * f + b * F)))
+        v[:, :N] = np.rint(ifft_neg(a * g + b * G))
+        v[:, N:] = np.rint(ifft_neg(-(a * f + b * F)))
         return v
 
 
@@ -684,32 +652,35 @@ def ibe_seal(
     plaintext: bytes,
     rng: RandomSource,
     associated_data: bytes = b"",
-) -> HybridCiphertext:
+) -> bytes:
     """Encrypt an arbitrary byte payload to the identity whose point is
-    `recipient`.
+    `recipient`, as the bytes that go on the wire.
 
     A fresh 256-bit content key is encapsulated in ceil(256/N) ring blocks
-    (zero-padded when N > 256); the payload is sealed under that key.
+    (zero-padded when N > 256), written at their fixed size; then comes the
+    u32-prefixed payload sealed under that key.  The receiver's parameters
+    fix the count and the size of the blocks, so neither is sent.
     """
     content_key = rng.bytes(32)
+    w = Writer()
+    for block_bits in _key_to_blocks(content_key, mpk.params.N):
+        w.raw(encrypt(mpk, recipient, block_bits, rng).to_bytes())
+    w.blob(aead_seal(content_key, plaintext, rng, associated_data))
+    return w.getvalue()
+
+
+def ibe_open(usk: UserSecretKey, data: bytes, associated_data: bytes = b"") -> bytes:
+    """Inverse of ibe_seal, read at the key's parameters, each block
+    decrypted as it is read: DecodeError on truncated or trailing bytes or
+    a coefficient outside [0, q), AuthenticationFailure when the payload
+    does not decrypt cleanly (wrong identity key or tampered bytes)."""
+    params = usk.params
+    r = Reader(data)
+    size = 2 * params.element_bytes
     blocks = [
-        encrypt(mpk, recipient, block_bits, rng)
-        for block_bits in _key_to_blocks(content_key, mpk.params.N)
+        decrypt(usk, Ciphertext.from_bytes(r.fixed(size), params))
+        for _ in range(_key_block_count(params.N))
     ]
-    sealed = aead_seal(content_key, plaintext, rng, associated_data)
-    return HybridCiphertext(key_blocks=tuple(blocks), sealed=sealed)
-
-
-def ibe_open(
-    usk: UserSecretKey, ct: HybridCiphertext, associated_data: bytes = b""
-) -> bytes:
-    """Inverse of ibe_seal; AuthenticationFailure when the payload does not
-    decrypt cleanly (wrong identity key or tampered bytes), or when the
-    ciphertext does not carry exactly one content key's worth of blocks."""
-    expected = _key_block_count(usk.params.N)
-    if len(ct.key_blocks) != expected:
-        raise AuthenticationFailure(
-            f"{len(ct.key_blocks)} key blocks, expected {expected}"
-        )
-    content_key = _blocks_to_key([decrypt(usk, block) for block in ct.key_blocks])
-    return aead_open(content_key, ct.sealed, associated_data)
+    sealed = r.blob()
+    r.done()
+    return aead_open(_blocks_to_key(blocks), sealed, associated_data)

@@ -22,16 +22,17 @@ A group key's slot fixes its role; the consumed set is sorted pseudonyms.
 Decoders read with the exact-length `codec.Reader` and raise DecodeError on
 any malformed container, and on any the writers would not emit: a key whose
 derived (s1, s2) exceeds `ibe.norm_bound`; a vehicle with no slots; in
-`authority.bin`, a vehicle stored twice or a pseudonym issued to two
-slots; in a vehicle file, spent slots out of order or past the last slot;
-entries or consumed pseudonyms out of order, or a consumed pseudonym never
-issued.  Writers refuse, with ValueError, a slot index that is not its
-position, a slot whose pseudonym or key identity is not the one the decoder
-would derive, a slot key of another h than the first slot's, a group key
-whose role is not its slot's, a ring element of other parameters than the
-header's and a polynomial whose length is not N.  Every decoded container
-re-encodes to its own bytes, and identical state to identical bytes.  The
-`load_*` helpers name the file.
+`authority.bin`, a trapdoor (f, g, F, G) with f*h != g or F*h != G mod q, a
+vehicle stored twice or a pseudonym issued to two slots; in a vehicle file,
+spent slots out of order or past the last slot; entries or consumed
+pseudonyms out of order, or a consumed pseudonym never issued.  Writers
+refuse, with ValueError, a slot index that is not its position, a slot whose
+pseudonym or key identity is not the one the decoder would derive, a slot
+key of another h than the first slot's, a group key whose role is not its
+slot's, a ring element of other parameters than the header's and a
+polynomial whose length is not N.  Every decoded container re-encodes to its
+own bytes, and identical state to identical bytes.  The `load_*` helpers
+name the file.
 
 A change to any layout, or to anything a decoder derives, bumps the digit of
 the magic; a container of another layout is reported as such.
@@ -177,6 +178,17 @@ def _check_norms(keys: list[UserSecretKey], points: list[RingElement]):
             raise DecodeError(f"key of {usk.identity.hex()} exceeds the norm bound")
 
 
+def _check_trapdoor(h: RingElement, f, g, F, G):
+    """DecodeError unless f*h = g and F*h = G mod q, which make (f, g, F, G)
+    a trapdoor of h: one stacked product, h's transform kept for every
+    later product by h."""
+    p = h.params
+    fh, Fh = h.keep_transform().product_rows(f.to_ring(p), F.to_ring(p))
+    for relation, product, expected in (("f*h = g", fh, g), ("F*h = G", Fh, G)):
+        if not np.array_equal(product, expected.to_ring(p).coeffs):
+            raise DecodeError(f"trapdoor fails {relation} mod q")
+
+
 def _write_shares(w: Writer, e: DatasetEntry):
     w.fixed(e.pseudonym, 32)
     w.fixed(e.z, 32)
@@ -315,6 +327,7 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     r, p = _unframe(data, RECORD_AUTHORITY)
     seed, h = r.fixed(32), _read_ring(r, p)
     f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
+    _check_trapdoor(h, f, g, F, G)
     ra = RegistrationAuthority(
         params=p,
         seed=seed,

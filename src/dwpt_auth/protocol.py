@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
-from dwpt_auth.ibe import HybridCiphertext, MasterPublicKey, ibe_open, ibe_seal, identity_point
+from dwpt_auth.ibe import MasterPublicKey, ibe_open, ibe_seal, identity_point
 from dwpt_auth.registration import (
     CredentialEntry,
     CspaDataset,
@@ -112,6 +112,15 @@ def _check_fresh(now_ms: int, ts_field: bytes, window_ms: int, context: str):
         )
 
 
+def _open(opener, key, body: bytes, associated_data: bytes, context: str) -> bytes:
+    """The payload opener(key, body, associated_data) returns, or
+    DECRYPT_FAILURE when the body does not decode or authenticate."""
+    try:
+        return opener(key, body, associated_data)
+    except _UNREADABLE as exc:
+        raise ProtocolRejection(DECRYPT_FAILURE, f"{context}: {exc}") from exc
+
+
 def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
     """The payload's fields, each exactly its width and nothing after, or MALFORMED."""
     if len(body) != sum(widths):
@@ -167,20 +176,14 @@ class EvSession:
         self.credentials.spent.add(self.entry.index)
         self.n_ev = self.rng.bytes(32)
         payload = self.entry.pseudonym + self.n_ev + encode_timestamp(now_ms) + self.entry.z
-        body = ibe_seal(
-            self.mpk, self.cspa_point, payload, self.rng, b"dwpt/m1"
-        ).to_bytes()
+        body = ibe_seal(self.mpk, self.cspa_point, payload, self.rng, b"dwpt/m1")
         self.state = "await-m2"
         return ProtocolMessage("m1", "EV", "CSPA", body)
 
     def handle_m2(self, msg: ProtocolMessage, now_ms: int) -> None:
         if self.state != "await-m2":
             raise ProtocolRejection(BAD_STATE, f"m2 in state {self.state}")
-        try:
-            ct = HybridCiphertext.from_bytes(msg.body, self.mpk.params)
-            payload = ibe_open(self.entry.usk, ct, b"dwpt/m2")
-        except _UNREADABLE as exc:
-            raise ProtocolRejection(DECRYPT_FAILURE, f"m2: {exc}") from exc
+        payload = _open(ibe_open, self.entry.usk, msg.body, b"dwpt/m2", "m2")
         token, n_cspa, ts, z_plus_w = _parse(payload, "m2", 32, 32, 32, 32)
         _check_fresh(now_ms, ts, self.freshness_ms, "m2")
         expected = add_mod_2_256(self.entry.z, self.entry.w)
@@ -201,10 +204,7 @@ class EvSession:
     def handle_m5(self, msg: ProtocolMessage, now_ms: int) -> None:
         if self.state != "await-m5":
             raise ProtocolRejection(BAD_STATE, f"m5 in state {self.state}")
-        try:
-            payload = aead_open(self.session_key, msg.body, b"dwpt/m5")
-        except _UNREADABLE as exc:
-            raise ProtocolRejection(DECRYPT_FAILURE, f"m5: {exc}") from exc
+        payload = _open(aead_open, self.session_key, msg.body, b"dwpt/m5", "m5")
         n_rsu_inc, m_ev, ts, n_pads_raw = _parse(payload, "m5", 32, 32, 32, 4)
         _check_fresh(now_ms, ts, self.freshness_ms, "m5")
         if n_rsu_inc != add_mod_2_256(self.n_rsu, _ONE):
@@ -250,11 +250,7 @@ class CspaState:
     def handle_m1(
         self, msg: ProtocolMessage, now_ms: int
     ) -> tuple[ProtocolMessage, ProtocolMessage]:
-        try:
-            ct = HybridCiphertext.from_bytes(msg.body, self.mpk.params)
-            payload = ibe_open(self.dataset.usk, ct, b"dwpt/m1")
-        except _UNREADABLE as exc:
-            raise ProtocolRejection(DECRYPT_FAILURE, f"m1: {exc}") from exc
+        payload = _open(ibe_open, self.dataset.usk, msg.body, b"dwpt/m1", "m1")
         pseudonym, n_ev, ts, z = _parse(payload, "m1", 32, 32, 32, 32)
         _check_fresh(now_ms, ts, self.freshness_ms, "m1")
         entry = self.dataset.entries.get(pseudonym)
@@ -271,13 +267,8 @@ class CspaState:
         session_key = derive_session_key(n_ev, n_cspa)
 
         m2_payload = token + n_cspa + encode_timestamp(now_ms) + add_mod_2_256(entry.z, entry.w)
-        m2_body = ibe_seal(
-            self.mpk,
-            identity_point(self.mpk.params, pseudonym),
-            m2_payload,
-            self.rng,
-            b"dwpt/m2",
-        ).to_bytes()
+        point = identity_point(self.mpk.params, pseudonym)
+        m2_body = ibe_seal(self.mpk, point, m2_payload, self.rng, b"dwpt/m2")
 
         m3_payload = sha256(token) + pseudonym + session_key.key + encode_timestamp(now_ms)
         m3_body = aead_seal(
@@ -317,10 +308,7 @@ class RsuState:
         self.pending: dict[bytes, tuple[bytes, SymmetricKey]] = {}
 
     def handle_m3(self, msg: ProtocolMessage, now_ms: int) -> None:
-        try:
-            payload = aead_open(self.gk_cspa_rsu, msg.body, b"dwpt/m3")
-        except _UNREADABLE as exc:
-            raise ProtocolRejection(DECRYPT_FAILURE, f"m3: {exc}") from exc
+        payload = _open(aead_open, self.gk_cspa_rsu, msg.body, b"dwpt/m3", "m3")
         h_token, pseudonym, key, ts = _parse(payload, "m3", 32, 32, 32, 32)
         _check_fresh(now_ms, ts, self.freshness_ms, "m3")
         if pseudonym in self.pending:
@@ -382,10 +370,7 @@ class CpState:
 
     def handle_provision(self, msg: ProtocolMessage) -> None:
         """m6 (from the RSU) or m8 (from the previous pad)."""
-        try:
-            payload = aead_open(self.gk, msg.body, b"dwpt/provision")
-        except _UNREADABLE as exc:
-            raise ProtocolRejection(DECRYPT_FAILURE, f"provision: {exc}") from exc
+        payload = _open(aead_open, self.gk, msg.body, b"dwpt/provision", "provision")
         (head,) = _parse(payload, "provision", 32)
         self.expected_head = head
         self.consumed = False

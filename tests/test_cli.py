@@ -145,6 +145,26 @@ class TestRegister:
         for name in ("vehicle-EV-1.bin", "authority.bin"):
             assert (st / name).read_bytes() == (ref / name).read_bytes()
 
+    def test_corrupt_trapdoor_fails_at_load(self, tmp_path, capsys):
+        """An authority file with one bit of F flipped is one error line and
+        exit status 2: no wallet is written and the file is left as it was."""
+        assert main(["setup", "--params-tier", "test", "--seed", "s", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "authority.bin"
+        F = keyfiles.load_authority(path).msk.F.coeffs
+        stored = b"".join(c.to_bytes(4, "little", signed=True) for c in F)
+        blob = path.read_bytes()
+        at = blob.index(stored)
+        path.write_bytes(blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :])
+        before = path.read_bytes()
+        capsys.readouterr()
+        rc = main([
+            "register", "--authority", str(path), "--vehicle-id", "EV-1", "--count", "2",
+        ])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {path}: trapdoor fails F*h = G mod q\n"
+        assert path.read_bytes() == before
+        assert not (tmp_path / "vehicle-EV-1.bin").exists()
+
 
 class TestExportDataset:
     def test_dataset_written(self, workspace):

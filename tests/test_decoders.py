@@ -3,24 +3,29 @@
 Each decoder gets a valid toy-tier blob and a hundred mutants of it
 (single-byte flips, truncations, appended bytes).  A mutant may still decode,
 since many bytes are free-form, or raise DecodeError; any other exception, a
-plain ValueError included, is a decoder bug.
+plain ValueError included, is a decoder bug.  `ibe_open` is the exception:
+no toy-tier payload opens, so it reads a default-tier one, and it also
+rejects with AuthenticationFailure, as every protocol handler expects.
 """
 
 import pytest
 
 from dwpt_auth import keyfiles
-from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import Ciphertext, HybridCiphertext, encrypt, extract, ibe_seal, identity_point
+from dwpt_auth.errors import AuthenticationFailure, DecodeError
+from dwpt_auth.ibe import Ciphertext, encrypt, extract, ibe_open, ibe_seal, identity_point
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import RingElement, TIERS
 from dwpt_auth.rng import RandomSource
 
 MUTANTS_PER_DECODER = 100
 
+#: What each decoder rejects with, where that is more than DecodeError.
+REJECTS = {"ibe_open": (DecodeError, AuthenticationFailure)}
+
 
 @pytest.fixture(scope="module")
-def samples():
-    """(decoder, valid blob) per decoder, all at the toy tier."""
+def samples(default_authority):
+    """(decoder, valid blob) per decoder, at the toy tier but for `ibe_open`."""
     p = TIERS["toy"]
     ra = ra_setup(p, "decoder-mutations")
     creds = register_vehicle(ra, b"EV-mut", 2)
@@ -37,9 +42,11 @@ def samples():
             lambda d: Ciphertext.from_bytes(d, p),
             encrypt(ra.mpk, point, bits, rng).to_bytes(),
         ),
-        "HybridCiphertext": (
-            lambda d: HybridCiphertext.from_bytes(d, p),
-            ibe_seal(ra.mpk, point, b"payload", rng, b"aad").to_bytes(),
+        "ibe_open": (
+            lambda d: ibe_open(default_authority.cspa_usk, d, b"aad"),
+            ibe_seal(
+                default_authority.mpk, default_authority.cspa_usk.point, b"payload", rng, b"aad"
+            ),
         ),
         "vehicle": (keyfiles.vehicle_from_bytes, keyfiles.vehicle_to_bytes(creds)),
         "dataset": (
@@ -67,7 +74,7 @@ def mutants(blob: bytes, rng: RandomSource):
 DECODERS = [
     "RingElement",
     "Ciphertext",
-    "HybridCiphertext",
+    "ibe_open",
     "vehicle",
     "dataset",
     "authority",
@@ -83,7 +90,7 @@ def test_mutants_decode_or_raise_value_error(samples, name):
     for mutant in mutants(blob, rng):
         try:
             decode(mutant)
-        except DecodeError:
+        except REJECTS.get(name, DecodeError):
             rejected += 1
     # Every truncation and append is malformed, so at least half must fail.
     assert rejected >= MUTANTS_PER_DECODER // 2

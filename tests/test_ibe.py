@@ -18,7 +18,6 @@ from dwpt_auth.errors import AuthenticationFailure, DecodeError, ParameterMismat
 from dwpt_auth.ibe import (
     GS_SLACK,
     Ciphertext,
-    HybridCiphertext,
     KleinSampler,
     Signature,
     UserSecretKey,
@@ -304,10 +303,12 @@ class TestKleinSamplerFrame:
         assert np.all(msk.params.sigma_extract / np.sqrt(leaves) < 2.0)
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_gram_and_target_round_as_python(self, tier, request):
-        """The Gram entries and the target (t, 0) B^-1 equal Python's complex
-        arithmetic value for value, so numpy's fused multiply-adds, where a
-        CPU has them, cannot move a center and with it a key."""
+    def test_gram_and_target_round_as_python(self, tier, request, monkeypatch):
+        """The Gram entries and each row of the stacked target (t, 0) B^-1,
+        which the walk's root receives, equal Python's complex arithmetic on
+        that row's own transform value for value, so numpy's fused
+        multiply-adds, where a CPU has them, cannot move a center and with
+        it a key."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
         h, q = msk.params.N // 2, msk.params.q
         f, g, F, G = (a[:h].tolist() for a in msk.sampler._fft)
@@ -316,10 +317,18 @@ class TestKleinSamplerFrame:
             [a * c.conjugate() + b * d.conjugate() for a, b, c, d in zip(g, f, G, F)],
             [c * c.conjugate() + d * d.conjugate() for c, d in zip(G, F)],
         )
-        for identity in (b"target-0", b"target-1", b"target-2"):
-            t = identity_point(msk.params, identity).coeffs
+        targets, ff_sample = [], ibe._ff_sample
+
+        def recording(t0, t1, node, cursors):
+            targets.append((t0, t1))
+            return ff_sample(t0, t1, node, cursors)
+
+        monkeypatch.setattr(ibe, "_ff_sample", recording)
+        identities = (b"target-0", b"target-1", b"target-2")
+        stack = np.stack([identity_point(msk.params, i).coeffs for i in identities])
+        msk.sampler.sample_near(stack, [RandomSource(i) for i in identities])
+        for t, t0, t1 in zip(stack, *targets[0]):  # the root's targets
             ta = fft_neg(t.astype(np.float64))[:h].tolist()
-            t0, t1 = msk.sampler._target(t)
             assert t0.tolist() == [x * c * (-1 / q) for x, c in zip(ta, F)]
             assert t1.tolist() == [x * c * (1 / q) for x, c in zip(ta, f)]
 
@@ -676,9 +685,12 @@ class TestHybrid:
         assert ibe_open(usk, ct, b"frame") == msg
 
     def test_key_block_count(self, default_authority):
+        """ceil(256/N) blocks of 2 * element_bytes, then the sealed payload's
+        u32 length, which counts every byte after it."""
         mpk = default_authority.mpk
-        ct = ibe_seal(mpk, identity_point(mpk.params, b"r"), b"x", RandomSource("blocks"))
-        assert len(ct.key_blocks) == -(-256 // mpk.params.N)
+        blob = ibe_seal(mpk, identity_point(mpk.params, b"r"), b"x", RandomSource("blocks"))
+        head = -(-256 // mpk.params.N) * 2 * mpk.params.element_bytes
+        assert int.from_bytes(blob[head : head + 4], "little") == len(blob) - head - 4
 
     def test_wrong_recipient_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
@@ -698,33 +710,27 @@ class TestHybrid:
         mpk, msk = default_authority.mpk, default_authority.msk
         (usk,) = extract(msk, b"bob")
         ct = ibe_seal(mpk, identity_point(mpk.params, b"bob"), b"secret", RandomSource("s4"))
-        sealed = bytearray(ct.sealed)
-        sealed[-1] ^= 1
-        tampered = HybridCiphertext(key_blocks=ct.key_blocks, sealed=bytes(sealed))
+        tampered = ct[:-1] + bytes([ct[-1] ^ 1])  # the sealed payload's last byte
         with pytest.raises(AuthenticationFailure):
             ibe_open(usk, tampered)
 
     def test_keyless_ciphertext_rejected(self, toy_authority):
         """No key blocks would mean the all-zero content key: anyone could
-        seal a payload to any identity."""
-        params = toy_authority.mpk.params
+        seal a payload to any identity.  The key's parameters fix the block
+        count, so a body of the sealed payload alone does not decode."""
         (usk,) = extract(toy_authority.msk, b"victim")
-        forged = HybridCiphertext((), aead_seal(bytes(32), b"chosen by anyone", RandomSource("forge")))
-        with pytest.raises(AuthenticationFailure):
-            ibe_open(usk, forged)
+        sealed = aead_seal(bytes(32), b"chosen by anyone", RandomSource("forge"))
         with pytest.raises(DecodeError):
-            HybridCiphertext.from_bytes(forged.to_bytes(), params)
+            ibe_open(usk, len(sealed).to_bytes(4, "little") + sealed)
 
     def test_wrong_key_block_count_rejected(self, default_authority):
         mpk, msk = default_authority.mpk, default_authority.msk
         (usk,) = extract(msk, b"bob")
         ct = ibe_seal(mpk, identity_point(mpk.params, b"bob"), b"secret", RandomSource("count"))
         assert ibe_open(usk, ct) == b"secret"
-        doubled = HybridCiphertext(key_blocks=ct.key_blocks * 2, sealed=ct.sealed)
-        with pytest.raises(AuthenticationFailure):
-            ibe_open(usk, doubled)
+        blocks = -(-256 // mpk.params.N) * 2 * mpk.params.element_bytes
         with pytest.raises(DecodeError):
-            HybridCiphertext.from_bytes(doubled.to_bytes(), mpk.params)
+            ibe_open(usk, ct[:blocks] + ct)  # the key blocks twice, then the payload
 
     @pytest.mark.parametrize("n", [16, 64, 512])
     def test_key_block_packing_round_trip(self, n):
@@ -758,48 +764,78 @@ class TestSerialization:
         back = Ciphertext.from_bytes(ct.to_bytes(), mpk.params)
         assert back == ct
 
-    def test_hybrid_round_trip(self, test_authority):
-        mpk = test_authority.mpk
-        t = identity_point(mpk.params, b"dest")
-        ct = ibe_seal(mpk, t, b"payload bytes", RandomSource("hser"))
-        back = HybridCiphertext.from_bytes(ct.to_bytes(), mpk.params)
-        assert back == ct
+    def test_hybrid_round_trip(self, test_authority, monkeypatch):
+        """At N = 64 the content key takes four blocks: `ibe_open` reads back
+        each block `ibe_seal` wrote, in order, then the payload.  Decryption
+        flips bits at this tier, so `decrypt` hands back each block's bits."""
+        usk = test_authority.cspa_usk
+        written = []
+
+        def recording_encrypt(mpk, recipient, bits, rng):
+            written.append((ct := encrypt(mpk, recipient, bits, rng), bits))
+            return ct
+
+        def replaying_decrypt(key, ct):
+            expected, bits = written.pop(0)
+            assert key is usk and ct == expected
+            return bits
+
+        monkeypatch.setattr(ibe, "encrypt", recording_encrypt)
+        monkeypatch.setattr(ibe, "decrypt", replaying_decrypt)
+        blob = ibe_seal(test_authority.mpk, usk.point, b"payload bytes", RandomSource("hser"))
+        assert len(written) == 4
+        assert ibe_open(usk, blob) == b"payload bytes"
+        assert written == []
 
     def test_sizes_are_fixed_by_the_parameters(self, test_authority):
-        """u and v at their fixed size, no prefix or header; a hybrid is its
-        blocks, then the u32-prefixed sealed payload."""
+        """u and v at their fixed size, no prefix or header; a sealed payload
+        is its blocks, then the u32-prefixed AEAD payload."""
         mpk = test_authority.mpk
         t, n = identity_point(mpk.params, b"dest"), mpk.params.element_bytes
-        ct = ibe_seal(mpk, t, b"payload bytes", RandomSource("hsize"))
-        assert [len(b.to_bytes()) for b in ct.key_blocks] == [2 * n] * (256 // mpk.params.N)
-        assert ct.to_bytes() == b"".join(
-            b.u.to_bytes() + b.v.to_bytes() for b in ct.key_blocks
-        ) + len(ct.sealed).to_bytes(4, "little") + ct.sealed
+        blob = ibe_seal(mpk, t, b"payload bytes", RandomSource("hsize"))
+        rng = RandomSource("hsize")  # the draws ibe_seal makes, in its order
+        key = rng.bytes(32)
+        blocks = [encrypt(mpk, t, bits, rng) for bits in _key_to_blocks(key, mpk.params.N)]
+        sealed = aead_seal(key, b"payload bytes", rng)
+        assert [len(b.to_bytes()) for b in blocks] == [2 * n] * (256 // mpk.params.N)
+        assert blob == b"".join(
+            b.u.to_bytes() + b.v.to_bytes() for b in blocks
+        ) + len(sealed).to_bytes(4, "little") + sealed
 
-    @pytest.mark.parametrize("cls", [Ciphertext, HybridCiphertext])
-    def test_one_byte_short_or_long_rejected(self, test_authority, cls):
-        mpk = test_authority.mpk
-        t = identity_point(mpk.params, b"dest")
-        ct = ibe_seal(mpk, t, b"payload bytes", RandomSource("hlen"))
-        blob = (ct.key_blocks[0] if cls is Ciphertext else ct).to_bytes()
-        assert cls.from_bytes(blob, mpk.params).to_bytes() == blob
+    @pytest.mark.parametrize("decoder", ["Ciphertext", "ibe_open"])
+    def test_one_byte_short_or_long_rejected(self, test_authority, default_authority, decoder):
+        """A block at the test tier; a sealed payload at the default tier,
+        the cheapest whose content key opens."""
+        ra = test_authority if decoder == "Ciphertext" else default_authority
+        usk = ra.cspa_usk
+        sealed = ibe_seal(ra.mpk, usk.point, b"payload bytes", RandomSource("hlen"))
+        decode, blob, value = {
+            "Ciphertext": (
+                lambda d: Ciphertext.from_bytes(d, usk.params).to_bytes(),
+                sealed[: 2 * usk.params.element_bytes],
+                sealed[: 2 * usk.params.element_bytes],
+            ),
+            "ibe_open": (lambda d: ibe_open(usk, d), sealed, b"payload bytes"),
+        }[decoder]
+        assert decode(blob) == value
         for bad in (blob[:-1], blob + b"\x00"):
             with pytest.raises(DecodeError):
-                cls.from_bytes(bad, mpk.params)
+                decode(bad)
 
-    def test_hybrid_truncation_and_trailing_bytes_rejected(self, toy_authority):
-        mpk = toy_authority.mpk
-        t = identity_point(mpk.params, b"dest")
-        blob = ibe_seal(mpk, t, b"payload bytes", RandomSource("hcut")).to_bytes()
+    def test_hybrid_truncation_and_trailing_bytes_rejected(self, test_authority):
+        """Every cut, inside each of the four blocks or the payload, and one
+        byte more; the blocks before a cut are decrypted as they are read."""
+        usk = test_authority.cspa_usk
+        blob = ibe_seal(test_authority.mpk, usk.point, b"payload bytes", RandomSource("hcut"))
         for cut in range(len(blob)):
             with pytest.raises(DecodeError):
-                HybridCiphertext.from_bytes(blob[:cut], mpk.params)
+                ibe_open(usk, blob[:cut])
         with pytest.raises(DecodeError):
-            HybridCiphertext.from_bytes(blob + b"\x00", mpk.params)
+            ibe_open(usk, blob + b"\x00")
 
     def test_short_inputs_raise_value_error(self, toy_authority):
-        params = toy_authority.mpk.params
-        for decode in (Ciphertext.from_bytes, HybridCiphertext.from_bytes, RingElement.from_bytes):
+        params, usk = toy_authority.mpk.params, toy_authority.cspa_usk
+        for decode in (Ciphertext.from_bytes, lambda d, _: ibe_open(usk, d), RingElement.from_bytes):
             for data in (b"", b"\x01", b"\x05\x00\x00"):
                 with pytest.raises(DecodeError):
                     decode(data, params)

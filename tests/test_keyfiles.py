@@ -258,6 +258,20 @@ class TestStrictFields:
         with pytest.raises(DecodeError, match=f"^key of {usk.identity.hex()} exceeds the norm"):
             decode(bad)
 
+    @pytest.mark.parametrize("poly", ["f", "g", "F", "G"])
+    def test_trapdoor_bit_flip_rejected(self, ra, poly):
+        """One flipped bit in f, g, F or G breaks f*h = g or F*h = G mod q,
+        so a corrupt trapdoor fails at load, not as keys that no wallet
+        decoder accepts or that no longer follow the authority's seed."""
+        blob = keyfiles.authority_to_bytes(ra)
+        stored = np.array(getattr(ra.msk, poly).coeffs, dtype="<i4").tobytes()
+        assert blob.count(stored) == 1
+        at = blob.index(stored)
+        bad = blob[:at] + bytes([blob[at] ^ 1]) + blob[at + 1 :]
+        relation = "f\\*h = g" if poly in "fg" else "F\\*h = G"
+        with pytest.raises(DecodeError, match=f"^trapdoor fails {relation} mod q$"):
+            keyfiles.authority_from_bytes(bad)
+
     def test_ring_element_of_other_parameters_refused(self, toy_authority, test_authority):
         """No element states its own N and q, so the writer refuses one
         that the header's parameters would read back as another."""

@@ -9,12 +9,15 @@ accounting is done in rational arithmetic.
 import copy
 import dataclasses
 import hashlib
+import importlib
 import json
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
-from dwpt_auth import TIERS, netsim, protocol, ra_setup, register_vehicle
+import dwpt_auth
+from dwpt_auth import TIERS, ibe, netsim, protocol, ra_setup, register_vehicle, ring, symcrypto
 from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.netsim import (
     CHANNELS,
@@ -664,3 +667,51 @@ class TestExactAccounting:
         assert trace.rejection == "PseudonymReuse"
         assert [e.kind for e in trace.events] == ["m1", "reject"]
         _reference_check(trace)
+
+
+class TestPrimitiveCounts:
+    """The primitives an honest default-tier pass performs, counted through
+    every binding of each in the package, beside what `TimingModel` charges:
+    a refactor that adds or drops a call fails here with the count that
+    moved, not as a timing drift."""
+
+    PRIMITIVES = {
+        "encrypt": (ibe, "encrypt"),
+        "decrypt": (ibe, "decrypt"),
+        "aead_seal": (symcrypto, "aead_seal"),
+        "aead_open": (symcrypto, "aead_open"),
+        "sha256": (symcrypto, "sha256"),
+        "hash_to_ring": (ring, "hash_to_ring"),
+    }
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_honest_pass(self, default_authority, fresh_vehicle, monkeypatch, n):
+        """m1 and m2 each encrypt and decrypt one content-key block and seal
+        their payload; m3-m6 and every pad's m8 forward are sealed, the last
+        pad's never sent; each is opened once, every pad opening its
+        provision.  SHA-256 runs in both key derivations, H(T), H(M_EV), both
+        chain builds and each pad's check.  `hash_to_ring` maps the
+        pseudonym for m2; the operator's point is kept on its key."""
+        default_authority.cspa_usk.point  # hashed once per authority, then kept
+        counts = dict.fromkeys(self.PRIMITIVES, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        modules = [importlib.import_module(f"dwpt_auth.{m.name}")
+                   for m in pkgutil.iter_modules(dwpt_auth.__path__)]
+        for name, (home, attr) in self.PRIMITIVES.items():
+            fn = getattr(home, attr)
+            for module in [dwpt_auth, *modules]:
+                for binding, value in vars(module).items():
+                    if value is fn:
+                        monkeypatch.setattr(module, binding, counting(name, fn))
+        trace = simulate_session(default_authority, fresh_vehicle, n_pads=n, seed="primitives")
+        assert trace.completed
+        assert counts == {
+            "encrypt": 2, "decrypt": 2, "aead_seal": 6 + n, "aead_open": 5 + n,
+            "sha256": 3 * n + 8, "hash_to_ring": 1,
+        }

@@ -17,6 +17,7 @@ from dwpt_auth.ntrusolve import (
     fft_neg,
     field_norm,
     galois_conjugate,
+    ifft_neg,
     lift,
     ntru_solve,
     reduce_pair,
@@ -309,14 +310,21 @@ class TestXgcd:
 
 
 def test_stacked_transform_is_row_by_row():
-    """`fft_neg` of a (2, n) stack equals each row's own transform bit for
-    bit, so reduce_pair's stacked windows give the quotients one row at a
-    time gives."""
+    """`fft_neg` and `ifft_neg` of a (K, n) stack equal each row's own
+    transform bit for bit: for K = 2 at every n, so reduce_pair's stacked
+    windows give the quotients one row at a time gives, and for the K rows
+    of one `sample_near` walk at every ring degree, so its stacked targets
+    and points are the ones each row would get alone."""
     rng = np.random.default_rng(0)
-    for n in range(1, 513):
-        stack = rng.integers(-(1 << 53), 1 << 53, (2, n)).astype(np.float64)
+    shapes = [(2, n) for n in range(1, 513)]
+    shapes += [(k, 1 << e) for k in (1, 3, 10, 64) for e in range(4, 10)]
+    for shape in shapes:
+        stack = rng.integers(-(1 << 53), 1 << 53, shape).astype(np.float64)
         rows = np.array([fft_neg(row) for row in stack])
-        assert np.array_equal(fft_neg(stack).view(np.int64), rows.view(np.int64)), n
+        assert np.array_equal(fft_neg(stack).view(np.int64), rows.view(np.int64)), shape
+        values = stack + 1j * rng.standard_normal(shape) * (1 << 40)
+        rows = np.array([ifft_neg(row) for row in values])
+        assert np.array_equal(ifft_neg(values).view(np.int64), rows.view(np.int64)), shape
 
 
 def seeded_solutions():

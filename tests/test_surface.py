@@ -1,4 +1,5 @@
-"""Package surface: every public member has a caller inside the package.
+"""Package surface: every public member has a caller inside the package, and
+no private name is used outside its own module.
 
 The scan parses `src/dwpt_auth/*.py` with `ast` and collects the public
 top-level functions and classes and the public methods and properties of
@@ -16,6 +17,7 @@ name throughout.
 """
 
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,7 @@ def references(tree: ast.Module) -> set[str]:
     return names
 
 
+@functools.cache
 def package_trees() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -85,6 +88,25 @@ def test_every_public_member_has_a_caller():
 def test_kept_members_exist():
     trees = package_trees().values()
     assert set(KEPT) <= {m.rsplit(".", 1)[-1] for tree in trees for m in members(tree)}
+
+
+def test_no_private_cross_module_imports():
+    """No module imports an underscore name from another package module, nor
+    reads one off a package module it imported: a private name has callers
+    in its own module only."""
+    breaches = []
+    for module, tree in package_trees().items():
+        imported, reads = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dwpt_auth"):
+                imported.update(alias.asname or alias.name for alias in node.names)
+                breaches += [f"{module}: {node.module}.{alias.name}"
+                             for alias in node.names if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name)):
+                reads.append(f"{node.value.id}.{node.attr}")
+        breaches += [f"{module}: {read}" for read in reads if read.split(".")[0] in imported]
+    assert breaches == []
 
 
 def test_import_leaves_the_aead_binding_unloaded():
