@@ -353,6 +353,37 @@ class TestKleinSamplerFrame:
             assert repr(ours.tree) == repr(reference.tree)
         assert ours.leaves.tolist() == reference.leaves.tolist()
 
+    def test_walk_is_spherical_on_the_gram_schmidt_frame(self, test_authority):
+        """The walk's output is the spherical Gaussian of width
+        sigma_extract that an extracted key must follow (Gentry, Peikert
+        and Vaikuntanathan, STOC 2008): over 2,000 walks around one target,
+        (t, 0) - v projected on each of the 128 Gram-Schmidt directions of
+        the basis has variance sigma_extract^2 and mean 0, each within
+        |z| <= 5.
+
+        Under the null the 256 statistics exceed 5 together with
+        probability about 1.5e-4.  One leaf width scaled by 0.9 or 1.1
+        moves the variance of its two directions by 6.0 or 6.6 standard
+        errors, which this bound catches; the per-node reference tests
+        catch what it cannot (a wrong l10 at the bottom level stays under
+        it).  Walks, not keys: `extract` drops the ~5% of walks above
+        `norm_bound` at this tier, which narrows what it keeps."""
+        msk, walks, batch = test_authority.msk, 2000, 250
+        p = msk.params
+        t = identity_point(p, b"spherical").coeffs.astype(np.int64)
+        v = np.concatenate([
+            msk.sampler.sample_near(
+                np.tile(t, (batch, 1)), [RandomSource(f"spherical-{k}") for k in range(i, i + batch)]
+            )
+            for i in range(0, walks, batch)
+        ])
+        directions = np.linalg.qr(bit_reversed_basis(msk).T)[0]
+        y = (np.concatenate((t, np.zeros(p.N, dtype=np.int64))) - v) @ directions / p.sigma_extract
+        z_variance = (y.var(axis=0, ddof=1) - 1) / math.sqrt(2 / (walks - 1))
+        z_mean = y.mean(axis=0) * math.sqrt(walks)
+        assert np.abs(z_variance).max() <= 5
+        assert np.abs(z_mean).max() <= 5
+
     def test_default_tier_extract_matches_golden(self, default_authority):
         (usk,) = extract(default_authority.msk, b"golden-identity")
         digest = hashlib.sha256(usk.s1.to_bytes() + usk.s2.to_bytes()).hexdigest()
