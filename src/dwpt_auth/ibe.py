@@ -39,7 +39,9 @@ from dwpt_auth.ring import (
     IntegerPolynomial,
     RingElement,
     RingParams,
+    gaussian_int_scale,
     hash_to_ring,
+    mean_trials,
     sample_gaussian_int,
     sample_gaussian_poly,
 )
@@ -60,9 +62,12 @@ _SIG_PREFIX = b"SIG\x00"
 _MAX_KEYGEN_ATTEMPTS = 400
 _MAX_SAMPLE_ATTEMPTS = 64
 
-#: Keys that one walk draws at once: each holds a `GaussianTrials` cursor, of
-#: about 12 KB of decoded trials at a time, while it walks.
-_WALK_ROWS = 64
+#: Keys that one walk draws at once: each holds a `GaussianTrials` cursor
+#: while it walks, of about 28 KB at the default tier (its first decode, the
+#: row's mean of about 1,650 trials, at 17 bytes a trial).  At 32 rows a
+#: 64-key default extract peaks below what it did in one walk of 64 rows
+#: holding 256-trial chunks, and a 10-slot registration is one walk.
+_WALK_ROWS = 32
 
 
 def norm_bound(params: RingParams) -> float:
@@ -316,9 +321,10 @@ def _fftldl(
     [[d0, d1], [d1*, d0]] of its split (d0, d1); at degree 2 the split is
     diagonal with equal entries, so the tree is a leaf for the real value
     D(i), the squared Gram-Schmidt norm of two basis vectors, which goes on
-    `leaves`; the leaf holds the width sigma/sqrt(D(i)) the walk draws
-    with.  An l10 of 8 or more values, the root's among them, is kept as
-    `_parts`, for the walk's array levels.
+    `leaves`; the leaf holds 1/(2 w^2) for the width w = sigma/sqrt(D(i))
+    the walk draws with (`gaussian_int_scale`, which rejects a w outside
+    the base sampler's (0, 2]).  An l10 of 8 or more values, the root's
+    among them, is kept as `_parts`, for the walk's array levels.
     """
     l10 = [b.conjugate() / a for a, b in zip(g00, g01)]
     d11 = [c - (b * b.conjugate()) / a for a, b, c in zip(g00, g01, g11)]
@@ -339,7 +345,11 @@ def _fftldl_diag(d: list[complex], sigma: float, leaves: list[float]):
     d0, d1 = (u + w) * 0.5, (u - w) * _HALF_CONJ_ZETA4
     d11 = d0 - (d1 * d1.conjugate()) / d0
     leaves += d0.real, d11.real
-    return [d1.conjugate() / d0], sigma / math.sqrt(d0.real), sigma / math.sqrt(d11.real)
+    return (
+        [d1.conjugate() / d0],
+        gaussian_int_scale(sigma / math.sqrt(d0.real)),
+        gaussian_int_scale(sigma / math.sqrt(d11.real)),
+    )
 
 
 def _ff_sample(t0: np.ndarray, t1: np.ndarray, node, cursors: list[GaussianTrials]):
@@ -374,18 +384,15 @@ def _ff_sample_degree4(a: complex, b: complex, node, trials: GaussianTrials):
     row of scalars, in their floating-point operations and order, with
     both degree-2 leaves inline.
 
-    A degree-2 leaf draws t(i) = t_0 + i*t_1 coordinate by coordinate, the
-    odd one first, each of the leaf's width.
+    A degree-2 leaf draws t(i) = t_0 + i*t_1 as one Gaussian integer of
+    the leaf's width, the odd coordinate first.
     """
-    (l10,), width0, width1 = node
+    (l10,), scale0, scale1 = node
     w = b.conjugate()
     t0 = (a + w) * 0.5
     t1 = (a - w) * _HALF_CONJ_ZETA4
-    odd = sample_gaussian_int(t1.imag, width1, trials)
-    z1 = complex(sample_gaussian_int(t1.real, width1, trials), odd)
-    t0 = t0 + (t1 - z1) * l10
-    odd = sample_gaussian_int(t0.imag, width0, trials)
-    z0 = complex(sample_gaussian_int(t0.real, width0, trials), odd)
+    z1 = sample_gaussian_int(t1, scale1, trials)
+    z0 = sample_gaussian_int(t0 + (t1 - z1) * l10, scale0, trials)
     d = _ZETA4 * z1
     return [z0 + d, (z0 - d).conjugate()]
 
@@ -438,7 +445,12 @@ class KleinSampler:
     that tree (ffSampling, as in Ducas, Lyubashevsky and Prest, "Efficient
     Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014) from
     targets (t, 0), the only kind extraction and signing ask for, with the
-    width sigma_extract, the only one they ask for.
+    width sigma_extract, the only one they ask for.  A walk row draws both
+    coordinates of each leaf's value at the leaf's width w, each draw
+    reading 2S/(w sqrt(2 pi)) base-sampler trials on average, S the
+    half-Gaussian mass of the base table (`ring.mean_trials`); their sum
+    over the 2N coordinates, `row_trials`, is the first decode of each
+    row's cursor.
     """
 
     def __init__(self, msk: "MasterSecretKey"):
@@ -455,12 +467,15 @@ class KleinSampler:
         #: Squared Gram-Schmidt norms, each shared by two basis vectors, in
         #: the tree's (bit-reversed) order.
         self.leaves = np.array(leaves)
+        widths = msk.params.sigma_extract / np.sqrt(self.leaves)
+        self.row_trials = round(2 * mean_trials(widths))  # two coordinates a leaf
 
     def sample_near(self, t: np.ndarray, rngs: list[RandomSource]) -> np.ndarray:
         """Integer lattice points (v1, v2), as a (K, 2N) array: row k is
         distributed around (t_k, 0), for row t_k of the (K, N) targets t,
         with width sigma_extract, and its leaves draw through one
-        `GaussianTrials` cursor over rngs[k].
+        `GaussianTrials` cursor over rngs[k], whose first decode is
+        `row_trials`.
 
         The targets in basis coordinates, (t, 0) B^-1 with B^-1 =
         [[-F, f], [-G, g]] / q, are the kept halves of -(t F)/q and t f/q,
@@ -473,7 +488,7 @@ class KleinSampler:
         Fc, fc = self._coordinates
         ta = fft_neg(t.astype(np.float64))[:, : N // 2]
         t0, t1 = _times(ta, Fc) * (-1 / self.q), _times(ta, fc) * (1 / self.q)
-        cursors = [GaussianTrials(rng) for rng in rngs]
+        cursors = [GaussianTrials(rng, self.row_trials) for rng in rngs]
         z0, z1 = _ff_sample(t0, t1, self.tree, cursors)
         for trials in cursors:
             trials.close()

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -479,9 +480,13 @@ _BASE_INV_2S2 = 1.0 / (2.0 * _BASE_SIGMA * _BASE_SIGMA)
 _BASE_THRESHOLDS = _thresholds(_BASE_CDF)
 # A candidate word's table row z0 is the number of thresholds at or below
 # it; its signed candidate, -z0 for sign bit 0 or 1 + z0 for sign bit 1, is
-# entry z0 + _BASE_ROWS * sign of one lookup row.
+# entry z0 + _BASE_ROWS * sign of one lookup row, an int8 (|z| <= 18).
 _BASE_ROWS = len(_BASE_THRESHOLDS) + 1
-_BASE_SIGNED = np.concatenate((-np.arange(_BASE_ROWS), 1 + np.arange(_BASE_ROWS)))
+_BASE_SIGNED = np.concatenate(
+    (-np.arange(_BASE_ROWS), 1 + np.arange(_BASE_ROWS))
+).astype(np.int8)
+# S, the mass of the half-Gaussian exp(-z0^2/2 sigma0^2) over the table rows.
+_BASE_MASS = math.fsum(math.exp(-z0 * z0 * _BASE_INV_2S2) for z0 in range(_BASE_ROWS))
 
 # A trial of the base sampler reads two u64 words: the candidate, then the
 # uniform of the acceptance test.  Only that test depends on the center and
@@ -493,43 +498,64 @@ _TRIALS_PER_CHUNK = 256
 # leaf draw falls back to the exact test (see sample_gaussian_int).
 _GUARD = 1e-9
 
-# Bound once: the leaf draw runs 2N times per extracted key.
+# Bound once: the leaf draw runs N times per extracted key.
 _floor = math.floor
 _exp = math.exp
+
+
+def gaussian_int_scale(sigma: float) -> float:
+    """1/(2 sigma^2), the form in which `sample_gaussian_int` takes its
+    width, for 0 < sigma <= sigma0 = 2 (ValueError otherwise)."""
+    if not 0.0 < sigma <= _BASE_SIGMA:
+        raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
+    return 0.5 / (sigma * sigma)
+
+
+def mean_trials(sigmas) -> float:
+    """The mean number of base-sampler trials that drawing one integer at
+    each of the widths `sigmas` reads.  A trial proposes z with probability
+    rho0(z0)/2S, S the half-Gaussian mass of the table, and keeps it with
+    probability rho_sigma(z - r)/rho0(z0); so one is kept with probability
+    sum_z rho_sigma(z - r)/2S = sigma sqrt(2 pi)/2S for any r, to within
+    exp(-2 pi^2 sigma^2), and a draw reads 2S/(sigma sqrt(2 pi)) on average."""
+    scale = 2.0 * _BASE_MASS / math.sqrt(2.0 * math.pi)
+    return float(np.sum(scale / np.asarray(sigmas, dtype=np.float64)))
 
 
 class GaussianTrials:
     """Cursor over the base sampler's trials in one random source.
 
-    Holds the trials of a chunk of _TRIALS_PER_CHUNK starting at the
-    source's position, decoded into two lists, the signed candidate z and
-    its acceptance bound z0^2/2 sigma0^2 - ln u - _GUARD (NaN where the
-    uniform u is 0), and the uniforms as a numpy array for the exact test;
-    and the index of the next unread trial.  `close()`, or leaving a `with`
-    block, consumes the trials read from the source, 16 bytes each.
+    Holds decoded trials starting at the source's position, in two
+    `array.array`s, the signed candidate z and its acceptance bound
+    z0^2/2 sigma0^2 - ln u - _GUARD (NaN where the uniform u is 0), and the
+    uniforms as a numpy array for the exact test: 17 bytes a trial, where
+    lists of Python ints and floats took 48.  And the index of the next
+    unread trial.  It decodes `first` trials when made, which a caller
+    that knows how many it will read sets (`ibe.KleinSampler`: a walk
+    row's mean), and then a chunk of _TRIALS_PER_CHUNK whenever those run
+    out.  `close()`, or leaving a `with` block, consumes the trials read
+    from the source, 16 bytes each; trials decoded and not read are left in
+    the stream.
     """
 
     __slots__ = ("rng", "z", "bound", "uniform", "next")
 
-    def __init__(self, rng: RandomSource):
+    def __init__(self, rng: RandomSource, first: int = _TRIALS_PER_CHUNK):
         self.rng = rng
-        self.z = self.bound = []
-        self.uniform = None
-        self.next = 0
+        self.z = []
+        self._refill(first)
 
-    def _refill(self) -> None:
-        """Skip the current chunk and decode the next one."""
+    def _refill(self, count: int = _TRIALS_PER_CHUNK) -> None:
+        """Skip the trials held and decode the next `count`."""
         self.rng.skip(_TRIAL_BYTES * len(self.z))
-        words = np.frombuffer(
-            self.rng.peek(_TRIAL_BYTES * _TRIALS_PER_CHUNK), dtype="<u8"
-        ).reshape(-1, 2)
+        words = np.frombuffer(self.rng.peek(_TRIAL_BYTES * count), dtype="<u8").reshape(-1, 2)
         candidate = words[:, 0]
         z0 = np.searchsorted(_BASE_THRESHOLDS, candidate, side="right")
         sign = (candidate & np.uint64(1)).astype(np.intp)
-        self.z = _BASE_SIGNED[z0 + _BASE_ROWS * sign].tolist()
+        self.z = array("b", _BASE_SIGNED[z0 + _BASE_ROWS * sign].tobytes())
         u = (words[:, 1] >> np.uint64(11)) * (1.0 / (1 << 53))
         ln_u = np.log(u, out=np.full_like(u, np.nan), where=u > 0.0)
-        self.bound = ((z0 * z0) * _BASE_INV_2S2 - ln_u - _GUARD).tolist()
+        self.bound = array("d", ((z0 * z0) * _BASE_INV_2S2 - ln_u - _GUARD).tobytes())
         self.uniform = u
         self.next = 0
 
@@ -547,20 +573,22 @@ class GaussianTrials:
         self.close()
 
 
-def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> int:
-    """One discrete Gaussian sample around an arbitrary real center.
+def sample_gaussian_int(center: complex, inv_2s2: float, trials: GaussianTrials) -> complex:
+    """One discrete Gaussian sample of Z[i] around a complex center: its
+    imaginary coordinate, then its real one, each drawn over the integers.
 
-    Probabilities are proportional to exp(-(z-center)^2 / 2 sigma^2) over all
-    integers, for 0 < sigma <= sigma0 = 2 (ValueError otherwise).  A fixed
+    Probabilities are proportional to exp(-(z-c)^2 inv_2s2) for each
+    coordinate c of the center, where inv_2s2 = 1/(2 sigma^2) comes from
+    `gaussian_int_scale`, which admits 0 < sigma <= sigma0 = 2.  A fixed
     half-Gaussian table at sigma0 draws z0 >= 0 and a sign bit maps it to
     z = 1 + z0 or z = -z0, which covers every integer once; z is kept with
     probability exp(-(z-r)^2/2 sigma^2 + z0^2/2 sigma0^2) <= 1, r the
-    fractional part of the center (Howe, Prest, Ricosset and Rossi,
+    fractional part of the coordinate (Howe, Prest, Ricosset and Rossi,
     "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial is 16
     bytes of the cursor's source: a u64 whose top 53 bits index the table
     and whose low bit is the sign, then a u64 for the uniform u.  The
-    trials come from the cursor, decoded a chunk at a time, and the sample
-    reads them from the cursor's next unread one on.
+    trials come from the cursor, decoded ahead, and the sample reads them
+    from the cursor's next unread one on.
 
     The decision is taken in the log domain.  With e = (z-r)^2/2 sigma^2 and
     t0 = z0^2/2 sigma0^2, the exact test u < exp(-(e - t0)) holds, in real
@@ -575,15 +603,37 @@ def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> 
     uniform (probability 2^-53) has a NaN bound, fails both comparisons
     and reaches the exact test, which rejects it where exp underflows to 0
     (e - t0 above about 745, which needs sigma below about 0.46).
+
+    The two coordinates are two copies of one rejection loop, written out.
     """
-    if not 0.0 < sigma <= _BASE_SIGMA:
-        raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
-    base = _floor(center)
-    r = center - base
-    inv_2s2 = 0.5 / (sigma * sigma)
     band = 2.0 * _GUARD
     zs, bounds = trials.z, trials.bound
     j = trials.next
+    c = center.imag
+    base = _floor(c)
+    r = c - base
+    while True:
+        try:
+            z = zs[j]
+        except IndexError:
+            trials._refill()
+            zs, bounds = trials.z, trials.bound
+            j = 0
+            z = zs[0]
+        d = z - r
+        e = d * d * inv_2s2
+        bound = bounds[j]
+        j += 1
+        if e < bound:
+            break
+        if not e > bound + band:
+            z0 = z - 1 if z > 0 else -z
+            if trials.uniform[j - 1] < _exp(-(e - z0 * z0 * _BASE_INV_2S2)):
+                break
+    odd = base + z
+    c = center.real
+    base = _floor(c)
+    r = c - base
     while True:
         try:
             z = zs[j]
@@ -603,7 +653,7 @@ def sample_gaussian_int(center: float, sigma: float, trials: GaussianTrials) -> 
             if trials.uniform[j - 1] < _exp(-(e - z0 * z0 * _BASE_INV_2S2)):
                 break
     trials.next = j
-    return base + z
+    return complex(base + z, odd)
 
 
 _HASH_TAG = b"hash-to-ring\x00"  # prefix of every `hash_to_ring` seed

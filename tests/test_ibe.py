@@ -45,7 +45,14 @@ from dwpt_auth.ibe import (
 )
 from dwpt_auth.ntrusolve import fft_neg
 from dwpt_auth.registration import ra_setup
-from dwpt_auth.ring import GaussianTrials, RingElement, RingParams, TIERS, sample_gaussian_int
+from dwpt_auth.ring import (
+    GaussianTrials,
+    RingElement,
+    RingParams,
+    TIERS,
+    gaussian_int_scale,
+    sample_gaussian_int,
+)
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import aead_seal
 
@@ -302,6 +309,13 @@ class TestKleinSamplerFrame:
         assert len(leaves) == msk.params.N
         assert np.all(msk.params.sigma_extract / np.sqrt(leaves) < 2.0)
 
+    def test_leaf_width_outside_the_base_table_rejected_at_build(self, toy_authority, monkeypatch):
+        """The tree build checks each leaf's width against the base
+        sampler's (0, 2], once, and not the walk on every draw."""
+        monkeypatch.setattr(RingParams, "sigma_extract", property(lambda p: 10 * math.sqrt(p.q)))
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            KleinSampler(toy_authority.msk)
+
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_gram_and_target_round_as_python(self, tier, request, monkeypatch):
         """The Gram entries and each row of the stacked target (t, 0) B^-1,
@@ -342,7 +356,7 @@ class TestKleinSamplerFrame:
         def one_value_diag(d, sigma, leaves):
             if len(d) == 1:
                 leaves.append(d[0].real)
-                return sigma / math.sqrt(d[0].real)
+                return gaussian_int_scale(sigma / math.sqrt(d[0].real))
             d0, d1 = ibe._split(d)
             return ibe._fftldl(d0, d1, d0, sigma, leaves)
 
@@ -362,18 +376,21 @@ class TestKleinSamplerFrame:
         |z| <= 5.
 
         Under the null the 256 statistics exceed 5 together with
-        probability about 1.5e-4.  One leaf width scaled by 0.9 or 1.1
-        moves the variance of its two directions by 6.0 or 6.6 standard
-        errors, which this bound catches; the per-node reference tests
-        catch what it cannot (a wrong l10 at the bottom level stays under
-        it).  Walks, not keys: `extract` drops the ~5% of walks above
-        `norm_bound` at this tier, which narrows what it keeps."""
+        probability about 1.5e-4; the sampler as built reads at most 2.9.
+        One leaf width scaled by 0.9 or 1.1 moves the variance of its two
+        directions by 6.0 or 6.6 standard errors on average, which this
+        bound caught for 126 of the 128 such mutations of this authority.
+        The per-node reference tests catch what it cannot (a wrong l10 at
+        the bottom level stays under it).  Walks, not keys: `extract` drops
+        the ~5% of walks above `norm_bound` at this tier, which narrows what
+        it keeps."""
         msk, walks, batch = test_authority.msk, 2000, 250
         p = msk.params
         t = identity_point(p, b"spherical").coeffs.astype(np.int64)
         v = np.concatenate([
             msk.sampler.sample_near(
-                np.tile(t, (batch, 1)), [RandomSource(f"spherical-{k}") for k in range(i, i + batch)]
+                np.tile(t, (batch, 1)),
+                [RandomSource(f"spherical-{k}") for k in range(i, i + batch)],
             )
             for i in range(0, walks, batch)
         ])
@@ -442,16 +459,15 @@ def merge(a0, a1):
 
 def ff_sample(t0, t1, node, trials, bottom=None):
     """Integer (z0, z1) near (t0, t1) for one node: z1 first, then z0 around
-    t0 moved by (t1 - z1) * l10.  A degree-2 leaf, which holds its width,
-    draws the odd coordinate of its value first.  Given `bottom`, a half of
-    8 values goes to it instead of on down the lists."""
+    t0 moved by (t1 - z1) * l10.  A degree-2 leaf, which holds 1/(2 w^2)
+    for its width w, draws its value as one Gaussian integer.  Given
+    `bottom`, a half of 8 values goes to it instead of on down the lists."""
     l10, tree0, tree1 = node
 
     def diag(t, tree):
         if isinstance(tree, float):
             (c,) = t
-            odd = sample_gaussian_int(c.imag, tree, trials)
-            return [complex(sample_gaussian_int(c.real, tree, trials), odd)]
+            return [sample_gaussian_int(c, tree, trials)]
         if bottom and len(t) == 8:
             return bottom(t, tree, trials)
         return merge(*ff_sample(*split(t), tree, trials, bottom))

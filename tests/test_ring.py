@@ -16,6 +16,7 @@ from dwpt_auth.ring import (
     RingElement,
     RingParams,
     TIERS,
+    gaussian_int_scale,
     hash_to_ring,
     karamul,
     sample_gaussian_int,
@@ -472,26 +473,35 @@ class TestSampleGaussianInt:
     @pytest.mark.parametrize("sigma", [1.2, 1.5, 1.95])
     @pytest.mark.parametrize("center", [0.0, 0.25, 0.5, -3.7, 1e6 + 0.3])
     def test_moments_match_exact_distribution(self, sigma, center):
+        """Each coordinate of the Gaussian integer, against the exact
+        distribution around its coordinate of the center, whose imaginary
+        part is 0.5 - center."""
         n = 4000
         trials = GaussianTrials(RandomSource(f"base-{sigma}-{center}"))
-        x = np.array([sample_gaussian_int(center, sigma, trials) for _ in range(n)], dtype=np.float64)
-        mean, var, m4 = exact_discrete_gaussian_moments(center, sigma)
-        # Four standard errors of the sample mean and the sample variance.
-        assert abs(x.mean() - mean) < 4 * math.sqrt(var / n)
-        assert abs(x.var() - var) < 4 * math.sqrt((m4 - var * var) / n)
+        center = complex(center, 0.5 - center)
+        inv_2s2 = gaussian_int_scale(sigma)
+        draws = np.array([sample_gaussian_int(center, inv_2s2, trials) for _ in range(n)])
+        for x, c in ((draws.real, center.real), (draws.imag, center.imag)):
+            mean, var, m4 = exact_discrete_gaussian_moments(c, sigma)
+            # Four standard errors of the sample mean and the sample variance.
+            assert abs(x.mean() - mean) < 4 * math.sqrt(var / n)
+            assert abs(x.var() - var) < 4 * math.sqrt((m4 - var * var) / n)
 
     def test_same_seed_same_stream(self):
+        inv_2s2 = gaussian_int_scale(1.7)
         draws = [
-            [sample_gaussian_int(0.1 * i, 1.7, trials) for i in range(500)]
+            [sample_gaussian_int(complex(0.1 * i, -0.2 * i), inv_2s2, trials) for i in range(250)]
             for trials in (GaussianTrials(RandomSource("stream")) for _ in range(2))
         ]
         assert draws[0] == draws[1]
-        assert all(isinstance(z, int) for z in draws[0])
+        assert all(z.real.is_integer() and z.imag.is_integer() for z in draws[0])
 
     @pytest.mark.parametrize("sigma", [2.0001, 3.0, 0.0, -1.0])
     def test_width_outside_base_table_rejected(self, sigma):
+        """A width outside (0, 2] has no scale; the walk's tree build asks
+        for one per leaf (see test_ibe.py)."""
         with pytest.raises(ValueError):
-            sample_gaussian_int(0.5, sigma, GaussianTrials(RandomSource(0)))
+            gaussian_int_scale(sigma)
 
 
 class CraftedSource:
@@ -522,62 +532,77 @@ def trial_bytes(trials):
 
 
 def crafted_draws(data, draws, monkeypatch):
-    """Draw (center, sigma) pairs from the given bytes, followed by a
-    stretch of a seeded stream, and from `ReferenceStream` over the same
+    """Draw (complex center, sigma) pairs from the given bytes, followed by
+    a stretch of a seeded stream, and from `ReferenceStream` over the same
     bytes; returns both draw lists, both byte counts, the reference's trial
     count and the number of exact tests taken.  The bytes are finite, so a
     sampler that rejects every trial fails instead of running on."""
     data += RandomSource("crafted-filler").bytes(2 * 16 * ring._TRIALS_PER_CHUNK)
     exact = []
     monkeypatch.setattr(ring, "_exp", lambda x: exact.append(x) or math.exp(x))
+    draws = [(c, gaussian_int_scale(s)) for c, s in draws]
     source = CraftedSource(data)
     with GaussianTrials(source) as cursor:
-        got = [sample_gaussian_int(c, s, cursor) for c, s in draws]
+        got = [sample_gaussian_int(c, inv_2s2, cursor) for c, inv_2s2 in draws]
     ref = ReferenceStream(b"")
     ref.data = data
-    want = [ref.gaussian_int(c, s) for c, s in draws]
+    want = [ref.gaussian_pair(c, inv_2s2) for c, inv_2s2 in draws]
     return got, want, source.pos, ref.pos, ref.trials, len(exact)
+
+
+#: A trial that a coordinate centered on 0 keeps at any width: z = 0 and a
+#: zero uniform, which the exact test keeps against exp(0) = 1.
+KEPT_AT_ZERO = (candidate_word(0, 0), 0)
 
 
 class TestLeafDrawEdges:
     """Crafted trials on both sides of the log-domain decision, each checked
-    against the trial-by-trial definition in `ReferenceStream`."""
+    against the trial-by-trial definition in `ReferenceStream`, in both of
+    the leaf draw's loops: the imaginary coordinate's, then the real one's."""
 
     def test_zero_uniform_rejected_where_exp_underflows(self, monkeypatch):
         """The last row with sign bit 1 is z = 18; at width 0.4 around 0 the
         acceptance probability exp(-976) is 0 in double precision, so a zero
-        uniform must be rejected, although -ln 0 is infinite."""
+        uniform must be rejected, although -ln 0 is infinite: in either
+        coordinate's loop, while the other coordinate keeps its one trial."""
         z0 = len(ring._BASE_THRESHOLDS)
         assert math.exp(-((z0 + 1) ** 2 / (2 * 0.4 * 0.4) - z0 * z0 * ring._BASE_INV_2S2)) == 0.0
-        got, want, used, ref_used, ref_trials, exact = crafted_draws(
-            trial_bytes([(candidate_word(z0, 1), 0)]), [(0.0, 0.4)], monkeypatch
-        )
-        assert got == want and used == ref_used
-        assert ref_trials > 1 and exact >= 1
+        crafted, kept = (candidate_word(z0, 1), 0), KEPT_AT_ZERO
+        for trials in ([crafted, kept], [kept, crafted]):  # imaginary, then real
+            got, want, used, ref_used, ref_trials, exact = crafted_draws(
+                trial_bytes(trials), [(0j, 0.4)], monkeypatch
+            )
+            assert got == want and used == ref_used
+            assert ref_trials > 2 and exact >= 2
 
     def test_zero_uniform_accepted_where_exp_is_positive(self, monkeypatch):
         got, want, used, ref_used, ref_trials, exact = crafted_draws(
-            trial_bytes([(candidate_word(3, 0), 0)]), [(0.25, 1.5)], monkeypatch
+            trial_bytes([(candidate_word(3, 0), 0)] * 2), [(complex(0.25, 0.25), 1.5)], monkeypatch
         )
-        assert got == want == [-3] and used == ref_used == 16
-        assert ref_trials == 1 and exact == 1
+        assert got == want == [complex(-3, -3)] and used == ref_used == 32
+        assert ref_trials == 2 and exact == 2
 
     @pytest.mark.parametrize("offset", range(-8, 9))
     def test_uniform_at_the_acceptance_probability(self, offset, monkeypatch):
-        """Uniforms within 2^-50 of exp(-x), on both sides and on it: each
-        falls inside the guard band, and the exact test decides."""
-        z0, center, sigma = 2, 0.9, 1.9
-        z, r = 1 + z0, center
+        """Uniforms within 2^-50 of exp(-x), on both sides and on it, in
+        either coordinate's loop: each falls inside the guard band, and the
+        exact test decides.  The other coordinate, centered on 0, keeps its
+        one trial, so two trials are read exactly when the crafted one is
+        kept."""
+        z0, c, sigma = 2, 0.9, 1.9
+        z, r = 1 + z0, c
         x = (z - r) * (z - r) * (0.5 / (sigma * sigma)) - z0 * z0 * ring._BASE_INV_2S2
         p = math.exp(-x)
         assert 0.5 <= p < 1  # so that p is a multiple of 2^-53 and u can equal it
         m = int(p * 2**53) + offset
-        got, want, used, ref_used, ref_trials, exact = crafted_draws(
-            trial_bytes([(candidate_word(z0, 1), m << 11)]), [(center, sigma)], monkeypatch
-        )
-        assert got == want and used == ref_used
-        assert exact >= 1
-        assert (ref_trials == 1) == (m * 2.0**-53 < p)
+        kept, crafted = KEPT_AT_ZERO, (candidate_word(z0, 1), m << 11)
+        for trials, center in (([crafted, kept], complex(0, c)), ([kept, crafted], complex(c, 0))):
+            got, want, used, ref_used, ref_trials, exact = crafted_draws(
+                trial_bytes(trials), [(center, sigma)], monkeypatch
+            )
+            assert got == want and used == ref_used
+            assert exact >= 2
+            assert (ref_trials == 2) == (m * 2.0**-53 < p)
 
     @pytest.mark.parametrize("sign", [0, 1])
     @pytest.mark.parametrize("z0", range(ring._BASE_ROWS))
@@ -588,22 +613,25 @@ class TestLeafDrawEdges:
         assert ring._BASE_ROWS == 18
         word = candidate_word(z0, sign)
         cursor = GaussianTrials(CraftedSource(trial_bytes([(word, 0)] * 256)))
-        cursor._refill()
         assert cursor.z[0] == (1 + z0 if sign else -z0)
         for uniform in (1 << 63, 1 << 11):
             got, want, used, ref_used, _, _ = crafted_draws(
-                trial_bytes([(word, uniform)] * 3),
-                [(0.5, 2.0), (-0.75, 1.2), (10.1, 0.3)],
+                trial_bytes([(word, uniform)] * 6),
+                [(complex(0.5, -0.75), 2.0), (complex(-0.75, 10.1), 1.2),
+                 (complex(10.1, 0.5), 0.3)],
                 monkeypatch,
             )
             assert got == want and used == ref_used
 
     def test_every_decision_exact_under_a_wide_guard(self, monkeypatch):
         """With G widened past any e, no trial is decided in the log domain;
-        5,000 draws must still match the reference, draw for draw and byte
-        for byte, with one exact test per trial."""
+        2,500 draws, 5,000 coordinates, must still match the reference, draw
+        for draw and byte for byte, with one exact test per trial."""
         monkeypatch.setattr(ring, "_GUARD", 1e6)
-        draws = [(0.37 * i - 900.0, 1.2 + 0.8 * (i % 101) / 100) for i in range(5000)]
+        draws = [
+            (complex(0.37 * i - 900.0, 0.29 * i + 17.0), 1.2 + 0.8 * (i % 101) / 100)
+            for i in range(2500)
+        ]
         data = RandomSource("wide-guard").bytes(48 * 16 * ring._TRIALS_PER_CHUNK)
         got, want, used, ref_used, ref_trials, exact = crafted_draws(data, draws, monkeypatch)
         assert got == want and used == ref_used

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dwpt_auth import ibe, ring
-from dwpt_auth.ring import GaussianTrials, sample_gaussian_int
+from dwpt_auth.ring import GaussianTrials, gaussian_int_scale, sample_gaussian_int
 from dwpt_auth.rng import RandomSource
 
 #: Bytes per SHAKE-256 call of the stream's definition.
@@ -50,11 +50,11 @@ class ReferenceStream:
             if x < limit:
                 return x % bound
 
-    def gaussian_int(self, center, sigma):
-        """The base sampler's definition, one 16-byte trial at a time."""
+    def gaussian_int(self, center, inv_2s2):
+        """The base sampler's definition, one 16-byte trial at a time, at
+        the width sigma of inv_2s2 = 1/(2 sigma^2)."""
         base = math.floor(center)
         r = center - base
-        inv_2s2 = 0.5 / (sigma * sigma)
         cdf = ring._BASE_CDF.tolist()
         while True:
             self.trials += 1
@@ -64,6 +64,12 @@ class ReferenceStream:
             x = (z - r) * (z - r) * inv_2s2 - z0 * z0 * ring._BASE_INV_2S2
             if self.uniform() < math.exp(-x):
                 return base + z
+
+    def gaussian_pair(self, center, inv_2s2):
+        """A Gaussian integer around a complex center: the imaginary
+        coordinate, then the real one."""
+        odd = self.gaussian_int(center.imag, inv_2s2)
+        return complex(self.gaussian_int(center.real, inv_2s2), odd)
 
 
 def test_known_answer():
@@ -82,8 +88,10 @@ def test_every_byte_is_accounted_for(lead):
     def gaussian_run(n, offset):
         with GaussianTrials(rng) as trials:
             for i in range(n):
-                center, sigma = offset + 0.37 * i, 1.2 + (i % 7) * 0.1
-                assert sample_gaussian_int(center, sigma, trials) == ref.gaussian_int(center, sigma)
+                center = complex(offset + 0.37 * i, offset - 0.23 * i)
+                inv_2s2 = gaussian_int_scale(1.2 + (i % 7) * 0.1)
+                want = ref.gaussian_pair(center, inv_2s2)
+                assert sample_gaussian_int(center, inv_2s2, trials) == want
 
     assert rng.bytes(lead) == ref.bytes(lead)
     assert rng.bytes(3) == ref.bytes(3)
@@ -131,17 +139,21 @@ def test_buffered_and_straddling_reads_match_the_reference():
 def test_interleaved_sources_draw_as_if_alone():
     """Decoded trials belong to one cursor: alternating between cursors over
     two sources gives each the draws and the next bytes it gives alone."""
+    wide, narrow = gaussian_int_scale(1.9), gaussian_int_scale(1.3)
     alone = RandomSource("alone")
     with GaussianTrials(alone) as trials:
-        expected = [sample_gaussian_int(0.1 * i, 1.9, trials) for i in range(300)]
+        expected = [
+            sample_gaussian_int(complex(0.1 * i, 0.2 * i), wide, trials) for i in range(150)
+        ]
     a, b = RandomSource("alone"), RandomSource("alone")
     b.bytes(5)
     other = ReferenceStream(b.key)
     other.bytes(5)
     with GaussianTrials(a) as ta, GaussianTrials(b) as tb:
-        for i in range(300):
-            assert sample_gaussian_int(0.1 * i, 1.9, ta) == expected[i]
-            assert sample_gaussian_int(-0.1 * i, 1.3, tb) == other.gaussian_int(-0.1 * i, 1.3)
+        for i in range(150):
+            center = complex(-0.1 * i, 0.3 * i)
+            assert sample_gaussian_int(complex(0.1 * i, 0.2 * i), wide, ta) == expected[i]
+            assert sample_gaussian_int(center, narrow, tb) == other.gaussian_pair(center, narrow)
     assert a.bytes(16) == alone.bytes(16)
     assert b.bytes(16) == other.bytes(16)
 
@@ -158,8 +170,27 @@ def test_walk_consumes_sixteen_bytes_per_trial(test_authority, monkeypatch):
 
     ref = ReferenceStream(rng.key)
     monkeypatch.setattr(
-        ibe, "sample_gaussian_int", lambda center, width, _: ref.gaussian_int(center, width)
+        ibe, "sample_gaussian_int", lambda center, inv_2s2, _: ref.gaussian_pair(center, inv_2s2)
     )
     assert np.array_equal(msk.sampler.sample_near(t[None], [RandomSource("walk")]), v)
     assert ref.trials >= 2 * N  # one leaf draw per coordinate
+    assert rng.position == ref.pos == 16 * ref.trials
+
+
+@pytest.mark.parametrize("first", [1, 37, 256])
+def test_reads_past_the_first_decode_continue_in_chunks(first):
+    """A cursor decodes `first` trials, then 256 at a time: draws that read
+    past its first decode continue into the next chunk as the reference
+    does, draw for draw, and closing leaves the source 16 bytes on per
+    trial read."""
+    rng = RandomSource(f"first-decode-{first}")
+    ref = ReferenceStream(rng.key)
+    inv_2s2 = gaussian_int_scale(1.7)
+    trials = GaussianTrials(rng, first)
+    assert len(trials.z) == first
+    for i in range(200):
+        center = complex(0.31 * i, -0.17 * i)
+        assert sample_gaussian_int(center, inv_2s2, trials) == ref.gaussian_pair(center, inv_2s2)
+    assert ref.trials > first + 256 and len(trials.z) == 256
+    trials.close()
     assert rng.position == ref.pos == 16 * ref.trials

@@ -18,11 +18,13 @@ name throughout.
 
 import ast
 import functools
+import importlib
 import subprocess
 import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dwpt_auth"
+TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
 
 #: Public members with no caller in the package, kept on purpose.
 KEPT = {
@@ -128,3 +130,24 @@ assert binding in sys.modules, "not loaded by seal and open"
         [sys.executable, "-c", script], cwd=PACKAGE.parent, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_spans_resolve():
+    """Every function the benchmark's tracer wraps exists in the package
+    under the module and qualified name that `bench/tracer.py`'s SPANS
+    give: a renamed or moved one would crash a traced run where the tracer
+    installs its wrappers, and silence the span that its coverage test
+    expects.  SPANS is read from the file's source, not imported."""
+    (spans,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(TRACER.read_text()).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]
+    ]
+    missing = []
+    for _, module, qualname, _ in spans:
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module}.{qualname}")
+    assert spans and missing == []
