@@ -490,7 +490,7 @@ _BASE_MASS = math.fsum(math.exp(-z0 * z0 * _BASE_INV_2S2) for z0 in range(_BASE_
 
 # A trial of the base sampler reads two u64 words: the candidate, then the
 # uniform of the acceptance test.  Only that test depends on the center and
-# the width, so trials are decoded from the stream a chunk at a time.
+# the width, so trials are decoded from the stream ahead of the draws that read them.
 _TRIAL_BYTES = 16
 _TRIALS_PER_CHUNK = 256
 
