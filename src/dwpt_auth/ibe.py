@@ -220,13 +220,10 @@ def master_key_gen(
             F_c, G_c = ntru_solve(f.coeffs, g.coeffs, q)
         except NotInvertible:
             continue
-        F, G = IntegerPolynomial(F_c), IntegerPolynomial(G_c)
-        check = f * G - g * F
-        if check.coeffs[0] != q or any(c != 0 for c in check.coeffs[1:]):
-            continue
         h = g.to_ring(params) * f_inv
         msk = MasterSecretKey(
-            params=params, f=f, g=g, F=F, G=G, extract_seed=rng.bytes(32), h=h
+            params=params, f=f, g=g, F=IntegerPolynomial(F_c), G=IntegerPolynomial(G_c),
+            extract_seed=rng.bytes(32), h=h,
         )
         return MasterPublicKey(params=params, h=h), msk
     raise ResampleExhausted(

@@ -213,6 +213,7 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
     bias is taken back out of the packed integer in one subtraction.  The
     product, biased the same way, is folded (x^n = -1) as integers, its top
     n slots subtracted from its bottom n, and unpacked from one `to_bytes`.
+    A square, `karamul(a, a)` with one list, packs it once.
     """
     n = len(a)
     if n < _SCHOOLBOOK_BELOW:
@@ -236,7 +237,9 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
         slots = b"".join((c + half).to_bytes(nbytes, "little") for c in coeffs)
         return int.from_bytes(slots, "little") - bias
 
-    product = pack(a) * pack(b) + int.from_bytes(half_slot * (2 * n), "little")
+    packed = pack(a)
+    product = packed * (packed if b is a else pack(b))
+    product += int.from_bytes(half_slot * (2 * n), "little")
     top = 8 * nbytes * n
     folded = (product & ((1 << top) - 1)) - (product >> top) + bias
     raw = folded.to_bytes(n * nbytes, "little")
@@ -340,12 +343,27 @@ class RingElement:
 
     def inverse(self) -> "RingElement":
         """Inverse in R_q via NTT point inversion; NotInvertible if any
-        evaluation at a root of x^N+1 vanishes."""
+        evaluation at a root of x^N+1 vanishes.
+
+        The N points are inverted with one modular inverse (Montgomery's
+        trick): prefix products up, the inverse of the whole product, and
+        back down, each step peeling one point's inverse off."""
         N, q = self.params.N, self.params.q
         points = _ntt_forward(self.coeffs, N, q)
         if np.any(points == 0):
             raise NotInvertible("element shares a factor with x^N+1 mod q")
-        inv_points = np.array([pow(x, -1, q) for x in points.tolist()], dtype=np.int64)
+        points = points.tolist()
+        prefix = [1] * N
+        acc = 1
+        for i, x in enumerate(points):
+            prefix[i] = acc
+            acc = acc * x % q
+        acc = pow(acc, -1, q)
+        inv_points = [0] * N
+        for i in range(N - 1, -1, -1):
+            inv_points[i] = acc * prefix[i] % q
+            acc = acc * points[i] % q
+        inv_points = np.array(inv_points, dtype=np.int64)
         return RingElement(self.params, _ntt_inverse(inv_points, N, q))
 
     def __eq__(self, other) -> bool:

@@ -175,6 +175,40 @@ def _wire_windows(trace) -> set[bytes]:
     return {body[i : i + 12] for _, body in trace.wire_log for i in range(len(body) - 11)}
 
 
+def _insider_view(trace, authority) -> dict[str, list[bytes]]:
+    """Each field an RSU or a pad reads in one pass, by message and name:
+    the RSU opens m3 under the CSPA-RSU group key, m4 and m5 under the
+    session key from m3; a pad opens m6 and m8 under the RSU-CP group key
+    and reads the chain values bare."""
+    view: dict[str, list[bytes]] = {}
+
+    def add(kind, names, payload, widths):
+        off = 0
+        for name, width in zip(names, widths):
+            view.setdefault(f"{kind}.{name}", []).append(payload[off : off + width])
+            off += width
+        assert off == len(payload), kind
+
+    session = None
+    for kind, body in trace.wire_log:
+        if kind == "m3":
+            payload = symcrypto.aead_open(authority.gk_cspa_rsu, body, b"dwpt/m3")
+            add(kind, ("h_token", "pseudonym", "session_key", "time"), payload, (32,) * 4)
+            session = symcrypto.SymmetricKey(payload[64:96], "session")
+        elif kind == "m4":
+            payload = symcrypto.aead_open(session, body, b"dwpt/m4")
+            add(kind, ("pseudonym", "nonce", "time"), payload, (32,) * 3)
+        elif kind == "m5":
+            payload = symcrypto.aead_open(session, body, b"dwpt/m5")
+            add(kind, ("nonce", "m_ev", "time", "pads"), payload, (32, 32, 32, 4))
+        elif kind in ("m6", "m8"):
+            payload = symcrypto.aead_open(authority.gk_rsu_cp, body, b"dwpt/provision")
+            add(kind, ("head",), payload, (32,))
+        elif kind in ("m7", "m9", "chain"):
+            add(kind, ("chain",), body, (32,))
+    return view
+
+
 class TestSimulateSession:
     def test_completes(self, trace):
         assert trace.completed
@@ -309,6 +343,33 @@ class TestSimulateSession:
             assert trace.completed
             windows.append(_wire_windows(trace))
         assert not windows[0] & windows[1]
+
+    def test_two_passes_of_one_vehicle_leave_insiders_nothing_in_common(
+        self, default_authority, fresh_vehicle
+    ):
+        """Unlinkability from the inside: of what an RSU opens (m3, m4) and
+        seals (m5), and what a pad opens (m6, m8) and reads (m7, m9, the
+        chain messages), two passes of one vehicle share only the fields
+        every pass of every vehicle shares: the simulated timestamps and
+        the pad count.  Every pseudonym, H(T), session key, nonce, M_EV and
+        chain value differs."""
+        shared = {"m3.time", "m4.time", "m5.time", "m5.pads"}
+        views = []
+        for slot in (0, 1):
+            trace = simulate_session(
+                default_authority, fresh_vehicle, n_pads=3, seed=f"insider-{slot}", entry_index=slot
+            )
+            assert trace.completed
+            views.append(_insider_view(trace, default_authority))
+        assert views[0].keys() == views[1].keys() >= shared
+        assert {"m7.chain", "m9.chain", "chain.chain", "m6.head", "m8.head"} <= views[0].keys()
+        for name in shared:
+            assert views[0][name] == views[1][name], name
+        first, second = (
+            {value for name, values in view.items() if name not in shared for value in values}
+            for view in views
+        )
+        assert not first & second
 
     def test_pseudonym_reuse_across_sessions(self, default_authority, default_vehicle):
         from conftest import copy_credentials

@@ -7,20 +7,27 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from fractions import Fraction
+
 from hypothesis import example, given, settings, strategies as st
 
 from dwpt_auth import ntrusolve, ring
 from dwpt_auth.errors import NotInvertible
 from dwpt_auth.ibe import master_key_gen
 from dwpt_auth.ntrusolve import (
+    _round_div,
     _xgcd,
+    adjoint,
+    babai_quotient,
     fft_neg,
     field_norm,
     galois_conjugate,
     ifft_neg,
-    lift,
+    lifted_product,
     ntru_solve,
+    reduce_exact,
     reduce_pair,
+    tower_divide,
 )
 from dwpt_auth.ring import TIERS, IntegerPolynomial, karamul, sample_gaussian_poly
 from dwpt_auth.rng import RandomSource
@@ -126,10 +133,23 @@ class TestTowerMaps:
         for _ in range(20):
             f = [rng.below(21) - 10 for _ in range(16)]
             nf = field_norm(f)
-            assert lift(nf) == karamul(f, galois_conjugate(f))
+            assert karamul(f, galois_conjugate(f)) == [c for e in nf for c in (e, 0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 32])
+    def test_lifted_product_is_the_full_product(self, n):
+        """p(x^2) * a(-x) from two half-size products equals the product of
+        the interleaved p with a's conjugate in the ring of twice p's
+        degree, for wide signed coefficients on both sides of the
+        schoolbook crossover."""
+        rng = RandomSource(f"lifted-{n}")
+        p = [rng.below(1 << 300) - (1 << 299) for _ in range(n)]
+        a = [rng.below(1 << 200) - (1 << 199) for _ in range(2 * n)]
+        interleaved = [c for e in p for c in (e, 0)]
+        assert lifted_product(p, a) == naive_negacyclic(interleaved, galois_conjugate(a))
 
     def test_lift_interleaves(self):
-        assert lift([5, 6]) == [5, 0, 6, 0]
+        """Times a(-x) = 1, the lift alone: p(y) -> p(x^2)."""
+        assert lifted_product([5, 6], [1, 0, 0, 0]) == [5, 0, 6, 0]
 
     def test_norm_halves_degree(self):
         f = [1, 2, 3, 4, 5, 6, 7, 8]
@@ -164,19 +184,22 @@ class TestReducePair:
 
     def test_every_level_reduced_to_the_size_of_f_g(self, monkeypatch):
         """At each level of the recursion the lifted (F, G) comes out of
-        reduce_pair within a byte of (f, g)'s bit size, so no level lifts an
+        its reduction within a byte of (f, g)'s bit size, so no level lifts an
         oversized solution into the next."""
         def bits(*polys):
             return max(abs(c).bit_length() for poly in polys for c in poly)
 
         sizes = {}
-        real = ntrusolve.reduce_pair
 
-        def recording(f, g, F, G):
-            real(f, g, F, G)
-            sizes[len(f)] = (bits(f, g), bits(F, G))
+        def recording(real):
+            def reduce(f, g, F, G):
+                real(f, g, F, G)
+                sizes[len(f)] = (bits(f, g), bits(F, G))
+            return reduce
 
-        monkeypatch.setattr(ntrusolve, "reduce_pair", recording)
+        # Both routes: reduce_exact below _EXACT_BELOW, reduce_pair above.
+        for name in ("reduce_exact", "reduce_pair"):
+            monkeypatch.setattr(ntrusolve, name, recording(getattr(ntrusolve, name)))
         p = TIERS["test"]
         solve_some_pair(p, RandomSource("reduce-levels"))
         assert sorted(sizes) == [2, 4, 8, 16, 32, 64]
@@ -192,6 +215,130 @@ class TestReducePair:
         F2, G2 = karamul(big, f), karamul(big, g)
         reduce_pair(f, g, F2, G2)
         assert karamul(f, G2) == karamul(g, F2)
+
+
+def exact_level_inputs(tier, seed, solves):
+    """Copies of the (f, g, F, G) that `reduce_exact` is handed at each
+    level, n = 2, 4 and 8, over `solves` seeded solves at `tier`."""
+    inputs = {}
+    real = ntrusolve.reduce_exact
+
+    def recording(f, g, F, G):
+        inputs.setdefault(len(f), []).append((list(f), list(g), list(F), list(G)))
+        real(f, g, F, G)
+
+    with mock.patch.object(ntrusolve, "reduce_exact", recording):
+        rng = RandomSource(seed)
+        for _ in range(solves):
+            solve_some_pair(TIERS[tier], rng)
+    return inputs
+
+
+def residual_within_half(f, g, F, G):
+    """Every coefficient of (F f* + G g*) / (f f* + g g*) in [-1/2, 1/2]."""
+    R, D = babai_quotient(f, g, F, G)
+    return all(2 * abs(r) <= D for r in R)
+
+
+def determinant(f, g, F, G):
+    return [a - b for a, b in zip(karamul(f, G), karamul(g, F))]
+
+
+class TestReduceExact:
+    """The deep levels' route: one Babai rounding of the exact quotient.
+    Only its own post-conditions are checked here; it need not stop at the
+    representative `reduce_pair` reaches at the same level."""
+
+    @pytest.fixture(scope="class")
+    def level_inputs(self):
+        inputs = exact_level_inputs("test", "exact-levels-test", 4)
+        for n, cases in exact_level_inputs("default", "exact-levels-default", 1).items():
+            inputs[n] += cases
+        assert sorted(inputs) == [2, 4, 8]
+        return inputs
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_solver_inputs_reduced_to_within_a_half(self, level_inputs, n):
+        for f, g, F, G in level_inputs[n]:
+            q = determinant(f, g, F, G)
+            reduce_exact(f, g, F, G)
+            assert residual_within_half(f, g, F, G)
+            assert determinant(f, g, F, G) == q
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_blown_up_inputs_reduced_to_the_same_solution(self, level_inputs, n):
+        """Adding T*(f, g), T of 60-bit coefficients, moves the exact
+        quotient by T exactly, so the step lands on the solution it gives
+        the unmodified input."""
+        rng = RandomSource(f"exact-blown-{n}")
+        for f, g, F, G in level_inputs[n]:
+            T = [rng.below(1 << 61) - (1 << 60) for _ in range(n)]
+            F2 = [a + b for a, b in zip(F, karamul(T, f))]
+            G2 = [a + b for a, b in zip(G, karamul(T, g))]
+            reduce_exact(f, g, F2, G2)
+            assert residual_within_half(f, g, F2, G2)
+            assert determinant(f, g, F2, G2) == determinant(f, g, F, G)
+            reduce_exact(f, g, F, G)
+            assert (F2, G2) == (F, G)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_tower_divide_is_exact(self, n):
+        """R / D = p / d: R * d == D * p, with D > 0, for d = f f* + g g*."""
+        rng = RandomSource(f"tower-divide-{n}")
+        f = [rng.below(1 << 40) - (1 << 39) for _ in range(n)]
+        g = [rng.below(1 << 40) - (1 << 39) for _ in range(n)]
+        d = [a + b for a, b in zip(karamul(f, adjoint(f)), karamul(g, adjoint(g)))]
+        nums = [[rng.below(1 << 100) - (1 << 99) for _ in range(n)] for _ in range(3)]
+        R, D = tower_divide(nums, d)
+        assert D > 0
+        for r, p in zip(R, nums):
+            assert karamul(r, d) == [D * c for c in p]
+
+    def test_adjoint_conjugates_the_values(self):
+        rng = np.random.default_rng(1)
+        a = rng.integers(-1000, 1000, 16).tolist()
+        assert np.allclose(fft_neg(np.array(adjoint(a), float)), fft_neg(np.array(a, float)).conj())
+
+    @pytest.mark.parametrize("a, d, k", [
+        (5, 2, 2), (7, 2, 4), (-5, 2, -2), (-7, 2, -4), (1, 2, 0), (-1, 2, 0),
+        (3, 6, 0), (9, 6, 2), (1, 3, 0), (2, 3, 1), (-2, 3, -1), (0, 5, 0),
+    ])
+    def test_round_div_takes_an_exact_half_to_even(self, a, d, k):
+        assert _round_div(a, d) == k
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(a=st.integers(-(1 << 300), 1 << 300), d=st.integers(1, 1 << 200))
+    def test_round_div_matches_fraction(self, a, d):
+        """Python rounds a Fraction half to even, exactly; the second pair
+        is an exact half, a + 1/2."""
+        assert _round_div(a, d) == round(Fraction(a, d))
+        assert _round_div((2 * a + 1) * d, 2 * d) == round(Fraction(2 * a + 1, 2))
+
+
+def test_routes_give_the_same_solution(monkeypatch):
+    """`ntru_solve` returns what it returns with every level on
+    `reduce_pair`, on seeded toy and test pairs: the routes may part at a
+    deep level, but the top levels round both to one solution."""
+    def solutions(tier, count):
+        p = TIERS[tier]
+        rng = RandomSource(f"routes-{tier}")
+        while count:
+            f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            if sum(f) % 2 == sum(g) % 2 == 0:
+                continue
+            try:
+                exact = ntru_solve(f, g, p.q)
+            except NotInvertible:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(ntrusolve, "_EXACT_BELOW", 2)
+                yield exact, ntru_solve(f, g, p.q)
+            count -= 1
+
+    for tier, count in (("toy", 100), ("test", 100)):
+        for exact, windowed in solutions(tier, count):
+            assert exact == windowed, tier
 
 
 class TestSolve:
