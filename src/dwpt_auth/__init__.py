@@ -3,7 +3,7 @@
 A lattice-based identity-based encryption engine over NTRU lattices, the
 four-party authentication state machines (vehicle OBU, service authority,
 road-side unit, charging pads), and a deterministic cost/network simulator
-with an adversary harness.
+with an adversary harness.  The names imported here are the public surface.
 """
 
 from dwpt_auth.errors import (
@@ -46,40 +46,3 @@ from dwpt_auth.registration import (
 )
 from dwpt_auth.ring import RingElement, RingParams, TIERS
 from dwpt_auth.rng import RandomSource
-
-__all__ = [
-    "AuthenticationFailure",
-    "DecodeError",
-    "DuplicateRegistration",
-    "EmptyRegistry",
-    "NotInvertible",
-    "ParameterMismatch",
-    "ProtocolRejection",
-    "RandomSource",
-    "ResampleExhausted",
-    "RingElement",
-    "RingParams",
-    "SamplerFailure",
-    "TIERS",
-    "TimingModel",
-    "cost_asymptotic",
-    "cost_first_pad",
-    "decrypt",
-    "encrypt",
-    "export_cspa_dataset",
-    "extract",
-    "ibe_open",
-    "ibe_seal",
-    "identity_point",
-    "master_key_gen",
-    "pad_length_m",
-    "ra_setup",
-    "record_pass",
-    "register_vehicle",
-    "run_adversary",
-    "sign",
-    "simulate_session",
-    "storage_estimate",
-    "storage_report",
-    "verify",
-]

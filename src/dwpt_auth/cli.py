@@ -117,13 +117,13 @@ def cmd_setup(args) -> int:
         if path.exists() and not args.force:
             print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
             return 1
-        ra = ra_setup(params, seed, cspa_identity=args.cspa_id.encode())
+        ra = ra_setup(params, seed)
         keyfiles.save_authority(path, ra)
     print(
         f"authority written: {path} (tier={tier}, N={params.N}, q={params.q}, "
         f"seed={seed})"
     )
-    noise = noise_model(params, ra.cspa_usk)
+    noise = noise_model(ra.cspa_usk)
     line = (
         f"decryption noise: sd {noise.sd:.3g} of q/4 (z = {noise.z:.3g}), "
         f"bit flip {noise.bit_flip:.2g}, content key opens {noise.key_opens:.2g}"
@@ -304,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("setup", help="generate authority state")
     p.add_argument("--params-tier", choices=sorted(TIERS), default=None)
     p.add_argument("--seed", default=None)
-    p.add_argument("--cspa-id", default="CSPA-1")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--force", action="store_true")

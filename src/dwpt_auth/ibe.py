@@ -82,22 +82,28 @@ def identity_point(params: RingParams, identity: bytes) -> RingElement:
 
 @dataclass(frozen=True)
 class MasterPublicKey:
-    params: RingParams
     h: RingElement
 
     def __post_init__(self):
         self.h.keep_transform()  # every encryption and verification multiplies by h
 
+    @property
+    def params(self) -> RingParams:
+        return self.h.params
+
 
 @dataclass
 class MasterSecretKey:
-    params: RingParams
     f: IntegerPolynomial
     g: IntegerPolynomial
     F: IntegerPolynomial
     G: IntegerPolynomial
     extract_seed: bytes
     h: RingElement  # the public key g/f: the one object every extracted key refers to
+
+    @property
+    def params(self) -> RingParams:
+        return self.h.params
 
     @functools.cached_property
     def sampler(self) -> "KleinSampler":
@@ -222,10 +228,10 @@ def master_key_gen(
             continue
         h = g.to_ring(params) * f_inv
         msk = MasterSecretKey(
-            params=params, f=f, g=g, F=IntegerPolynomial(F_c), G=IntegerPolynomial(G_c),
+            f=f, g=g, F=IntegerPolynomial(F_c), G=IntegerPolynomial(G_c),
             extract_seed=rng.bytes(32), h=h,
         )
-        return MasterPublicKey(params=params, h=h), msk
+        return MasterPublicKey(h), msk
     raise ResampleExhausted(
         f"no acceptable key pair in {_MAX_KEYGEN_ATTEMPTS} attempts"
     )
@@ -586,7 +592,7 @@ class NoiseModel(NamedTuple):
     key_opens: float  # probability that all 256 content-key bits decode
 
 
-def noise_model(params: RingParams, usk: UserSecretKey) -> NoiseModel:
+def noise_model(usk: UserSecretKey) -> NoiseModel:
     """Closed-form decryption noise for ciphertexts to `usk`.
 
     With s1 + s2*h = t, w - m*floor(q/2) = r*s1 - e1*s2 + e2, each
@@ -597,10 +603,8 @@ def noise_model(params: RingParams, usk: UserSecretKey) -> NoiseModel:
     Each band is a difference of erfc tails, so a tiny flip probability
     does not round to 0; the wrapped sum never exceeds 1/2.
     """
-    if usk.params != params:
-        raise ParameterMismatch("key and model parameters differ")
     norm_sq = usk.s1.norm_squared() + usk.s2.norm_squared() + 1
-    sd = ENC_SIGMA * math.sqrt(norm_sq) / (params.q / 4)
+    sd = ENC_SIGMA * math.sqrt(norm_sq) / (usk.params.q / 4)
     z = 1 / sd
     flip, k = 0.0, 0  # band by band, until the lower tail underflows to 0
     while (low := math.erfc((1 + 4 * k) * z / math.sqrt(2))) > 0:

@@ -27,8 +27,8 @@ vehicle stored twice or a pseudonym issued to two slots; in a vehicle file,
 spent slots out of order or past the last slot; entries or consumed
 pseudonyms out of order, or a consumed pseudonym never issued.  Writers
 refuse, with ValueError, a slot index that is not its position, a slot whose
-pseudonym or key identity is not the one the decoder would derive, a slot
-key of another h than the first slot's, a group key whose role is not its
+pseudonym (its key's identity) is not the one the decoder would derive, a
+slot key of another h than the first slot's, a group key whose role is not its
 slot's, a ring element of other parameters than the header's and a
 polynomial whose length is not N.  Every decoded container re-encodes to its
 own bytes, and identical state to identical bytes.  The `load_*` helpers
@@ -231,8 +231,6 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
             raise ValueError(f"slot {slot} stores index {e.index}")
         if e.pseudonym != derive_pseudonym(creds.vehicle_id, creds.d_ev * e.blind):
             raise ValueError(f"slot {slot}: pseudonym is not H(ID || d_EV * a_i)")
-        if e.usk.identity != e.pseudonym:
-            raise ValueError(f"slot {slot}: key identity is not its pseudonym")
         if e.usk.h != h:
             raise ValueError(f"slot {slot}: key of another authority than slot 0")
         w.fixed(e.blind.to_bytes(32, "big"), 32)
@@ -252,7 +250,7 @@ def _read_entry(
     pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
     z, wshare = r.fixed(32), r.fixed(32)
     usk = UserSecretKey(identity=pseudonym, s2=_read_ring(r, h.params), h=h)
-    return CredentialEntry(slot, blind, pseudonym, z, wshare, usk)
+    return CredentialEntry(slot, blind, z, wshare, usk)
 
 
 def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
@@ -329,10 +327,9 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
     _check_trapdoor(h, f, g, F, G)
     ra = RegistrationAuthority(
-        params=p,
         seed=seed,
-        mpk=MasterPublicKey(params=p, h=h),
-        msk=MasterSecretKey(params=p, f=f, g=g, F=F, G=G, extract_seed=r.fixed(32), h=h),
+        mpk=MasterPublicKey(h),
+        msk=MasterSecretKey(f=f, g=g, F=F, G=G, extract_seed=r.fixed(32), h=h),
         cspa_usk=_read_usk(r, h),
         gk_cspa_rsu=SymmetricKey(r.fixed(32), ROLE_CSPA_RSU),
         gk_rsu_cp=SymmetricKey(r.fixed(32), ROLE_RSU_CP),

@@ -133,19 +133,11 @@ TIMING_MODES = {
 _ROUNDED_TABLE = TimingModel.rounded_table()
 
 
-@dataclass(frozen=True)
-class Channel:
-    name: str
-    bitrate_bps: int
-
-    def sending_us(self, nbytes: int) -> Fraction:
-        return Fraction(nbytes * 8 * 1_000_000, self.bitrate_bps)
-
-
+#: Bit rate of each link, in bits per second.
 CHANNELS = {
-    "fast-ethernet": Channel("fast-ethernet", 100_000_000),
-    "fiveg": Channel("fiveg", 100_000_000),
-    "dsrc": Channel("dsrc", 27_000_000),
+    "fast-ethernet": 100_000_000,
+    "fiveg": 100_000_000,
+    "dsrc": 27_000_000,
 }
 
 #: Which link carries each message kind.
@@ -168,7 +160,7 @@ FIRST_PAD_KINDS = ("m1", "m2", "m3", "m4", "m5", "m6", "m7")
 
 
 def sending_time_us(kind: str) -> Fraction:
-    return CHANNELS[KIND_CHANNEL[kind]].sending_us(protocol.NOMINAL_SIZES[kind])
+    return Fraction(protocol.NOMINAL_SIZES[kind] * 8 * 1_000_000, CHANNELS[KIND_CHANNEL[kind]])
 
 
 def cost_first_pad(n_pads: int, timing: TimingModel | None = None) -> Fraction:
@@ -248,7 +240,6 @@ class SessionTrace:
     config: dict
     timing: TimingModel  # the model that priced every event
     messages: list[tuple[ProtocolMessage, int]] = field(default_factory=list)
-    completed: bool = False
     rejection: str | None = None
     used_entry_index: int | None = None
     comp_through_first_pad_ms: Fraction = Fraction(0)
@@ -258,6 +249,10 @@ class SessionTrace:
     total_sending_us: Fraction = Fraction(0)
     total_bytes: int = 0
     accepted_pads: int = 0
+
+    @property
+    def completed(self) -> bool:
+        return self.rejection is None
 
     @cached_property
     def events(self) -> list[TraceEvent]:
@@ -413,7 +408,6 @@ def simulate_session(
     )
     trace = SessionTrace(
         config={
-            "type": "config",
             "seed": str(seed),
             "tier_N": authority.params.N,
             "tier_q": authority.params.q,
@@ -443,7 +437,6 @@ def simulate_session(
         _ride(world, n_pads, lambda: clock // D, emit)
     except ProtocolRejection as exc:
         trace.rejection = exc.reason
-    trace.completed = trace.rejection is None
     trace.accepted_pads = sum(pad.consumed for pad in world.pads)
 
     def account(kinds):

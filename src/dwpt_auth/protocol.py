@@ -322,7 +322,6 @@ class RsuState:
     ) -> tuple[ProtocolMessage, ProtocolMessage]:
         if not self.pending:
             raise ProtocolRejection(UNKNOWN_PSEUDONYM, "m4: no pending sessions")
-        match = None
         for pseudonym, (h_token, key) in self.pending.items():
             try:
                 payload = aead_open(key, msg.body, b"dwpt/m4")
@@ -330,11 +329,9 @@ class RsuState:
                 continue
             ps_field, n_rsu, ts = _parse(payload, "m4", 32, 32, 32)
             if ps_field == pseudonym:
-                match = (pseudonym, h_token, key, n_rsu, ts)
                 break
-        if match is None:
+        else:
             raise ProtocolRejection(DECRYPT_FAILURE, "m4: no pending key opens it")
-        pseudonym, h_token, key, n_rsu, ts = match
         _check_fresh(now_ms, ts, self.freshness_ms, "m4")
         del self.pending[pseudonym]
 

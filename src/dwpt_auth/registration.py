@@ -27,6 +27,9 @@ from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
 _MAX_PSEUDONYM_RESAMPLES = 64
 
+#: The charging-station operator's identity, whose key setup extracts.
+CSPA_IDENTITY = b"CSPA-1"
+
 #: Key roles for the two pre-shared group keys.
 ROLE_CSPA_RSU = "group-cspa-rsu"
 ROLE_RSU_CP = "group-rsu-cp"
@@ -38,10 +41,14 @@ class CredentialEntry:
 
     index: int
     blind: int  # per-slot public scalar a_i
-    pseudonym: bytes  # H(ID || d_ev * a_i)
     z: bytes  # share known to EV and CSPA, sent in the first message
     w: bytes  # share never sent alone; CSPA proves knowledge via z + w
     usk: UserSecretKey  # decryption key for traffic addressed to the pseudonym
+
+    @property
+    def pseudonym(self) -> bytes:
+        """H(ID || d_ev * a_i), the identity of the slot's key."""
+        return self.usk.identity
 
 
 @dataclass
@@ -95,7 +102,6 @@ class CspaDataset:
 
 @dataclass
 class RegistrationAuthority:
-    params: RingParams
     seed: bytes
     mpk: MasterPublicKey
     msk: MasterSecretKey
@@ -107,13 +113,15 @@ class RegistrationAuthority:
     consumed: set[bytes] = field(default_factory=set)
 
     @property
+    def params(self) -> RingParams:
+        return self.mpk.params
+
+    @property
     def cspa_identity(self) -> bytes:
         return self.cspa_usk.identity
 
 
-def ra_setup(
-    params: RingParams, seed, cspa_identity: bytes = b"CSPA-1"
-) -> RegistrationAuthority:
+def ra_setup(params: RingParams, seed) -> RegistrationAuthority:
     """Generate the authority state: trapdoor, the operator's identity key,
     group keys, empty registry.
 
@@ -123,9 +131,8 @@ def ra_setup(
     root = RandomSource(seed)
     mpk, msk = master_key_gen(params, root.child("master-key"))
     groups = root.child("group-keys")
-    (cspa_usk,) = extract(msk, cspa_identity)
+    (cspa_usk,) = extract(msk, CSPA_IDENTITY)
     return RegistrationAuthority(
-        params=params,
         seed=root.key,
         mpk=mpk,
         msk=msk,
@@ -166,8 +173,8 @@ def register_vehicle(
         slots[pseudonym] = blind, rng.bytes(32), rng.bytes(32)
     keys = extract(ra.msk, *slots)
     entries = [
-        CredentialEntry(index=i, blind=blind, pseudonym=pseudonym, z=z, w=w, usk=usk)
-        for i, ((pseudonym, (blind, z, w)), usk) in enumerate(zip(slots.items(), keys))
+        CredentialEntry(index=i, blind=blind, z=z, w=w, usk=usk)
+        for i, ((blind, z, w), usk) in enumerate(zip(slots.values(), keys))
     ]
     for e in entries:
         ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)

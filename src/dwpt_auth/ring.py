@@ -297,9 +297,10 @@ class RingElement:
         return c
 
     def norm_squared(self) -> int:
-        # Exact: a sum of N terms up to (q/2)^2 exceeds int64 for q near 2^31.
+        # Exact: a square is below 2^60 (|c| <= q/2 < 2^30), so a group of 8
+        # stays in int64 (8 divides N >= 16); the N/8 group sums add as ints.
         c = self.centered()
-        return int(np.sum(c.astype(object) ** 2))
+        return sum((c * c).reshape(-1, 8).sum(axis=1).tolist())
 
     # -- arithmetic --------------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Shared fixtures.
 
-Master-key generation at the production tier costs a few seconds, so the
-authorities are session-scoped; tests that mutate credentials work on copies.
+A default-tier `ra_setup` takes some 30-50 ms, but hundreds of tests use
+an authority and the vehicles registered under it, so both are
+session-scoped; tests that mutate credentials work on copies.
 """
 
 from __future__ import annotations

@@ -609,7 +609,7 @@ class TestEncryptDecrypt:
         binomial standard deviations."""
         mpk, msk = test_authority.mpk, test_authority.msk
         (usk,) = extract(msk, b"noisy")
-        model = noise_model(mpk.params, usk)
+        model = noise_model(usk)
         rng = RandomSource("noise")
         trials, bad_bits, total_bits = 100, 0, 0
         for _ in range(trials):
@@ -630,17 +630,15 @@ class TestEncryptDecrypt:
         """At the `toy` tier the noise spans the ring several times over, so
         a bit lands on either side of q/4 about equally often: the flip
         probability approaches 1/2 from below and does not pass it."""
-        model = noise_model(toy_authority.params, toy_authority.cspa_usk)
+        model = noise_model(toy_authority.cspa_usk)
         assert model.sd > 2
         assert 0.49 < model.bit_flip <= 0.5
 
     def test_default_tier_noise_prediction(self, default_authority):
-        model = noise_model(default_authority.params, default_authority.cspa_usk)
+        model = noise_model(default_authority.cspa_usk)
         assert model.sd < 0.2 and model.z > 5
         assert model.bit_flip < 1e-20
         assert model.key_opens == pytest.approx(1.0)
-        with pytest.raises(ParameterMismatch):
-            noise_model(TIERS["test"], default_authority.cspa_usk)
 
     @pytest.mark.parametrize("tier", list(TIERS))
     def test_decrypt_thresholds_match_the_centered_rule(self, tier):

@@ -223,7 +223,7 @@ class TestCspaRejections:
         since no header states q, and does not open: DecryptFailure."""
         foreign = RingParams(512, 7340033)
         assert foreign.element_bytes == default_authority.params.element_bytes
-        mpk = MasterPublicKey(foreign, RingElement(foreign, default_authority.mpk.h.coeffs))
+        mpk = MasterPublicKey(RingElement(foreign, default_authority.mpk.h.coeffs))
         entry = fresh_vehicle.entries[0]
         payload = entry.pseudonym + bytes(32) + encode_timestamp(NOW) + entry.z
         body = ibe_seal(

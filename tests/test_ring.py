@@ -186,6 +186,16 @@ class TestWideModulus:
         for a in self.elements():
             assert RingElement.from_bytes(a.to_bytes(), self.P) == a
 
+    @pytest.mark.parametrize("p", [P, TIERS["default"]], ids=["wide", "default"])
+    def test_norm_squared_at_the_largest_coefficients(self, p):
+        """Every coefficient at +-floor(q/2), the largest squares `centered`
+        gives, in three sign patterns: the norm is the Python-int sum."""
+        half, rng = p.q // 2, RandomSource("norm-extremes")
+        for signs in ([1] * p.N, [-1] * p.N, [2 * rng.below(2) - 1 for _ in range(p.N)]):
+            a = RingElement(p, [s * half % p.q for s in signs])
+            exact = sum(int(c) ** 2 for c in a.centered())
+            assert a.norm_squared() == exact == p.N * half**2
+
 
 class TestKeptTransform:
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])

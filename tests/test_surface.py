@@ -34,6 +34,8 @@ KEPT = {
     "load_dataset": "keyfiles.load_dataset: reads the file `export-dataset` writes",
     "storage_report": "registration.storage_report: demos/registration_and_storage.py prints "
     "its serialized sizes; only its `__init__` export named it here before",
+    "cspa_identity": "RegistrationAuthority.cspa_identity: the benchmark extracts the operator "
+    "key with it; `ra_setup`'s parameter of that name hid it here before",
 }
 
 
