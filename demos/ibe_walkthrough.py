@@ -5,6 +5,11 @@ Identity-based encryption walkthrough
 One trusted generator, public keys that are just byte strings. This script
 generates a master key at the production tier, issues a user key for an
 identity, round-trips a message, and signs with the same trapdoor.
+
+Keygen draws (f, g) on an annulus in the Fourier domain, so that every
+Gram-Schmidt norm of the basis lies within a factor alpha_H of sqrt(q); the
+hybrid sampler then reaches the extraction width sigma = 1.5 sqrt(q) with
+integer steps of one width r, since sigma >= r * alpha_H * sqrt(q).
 """
 
 import time
@@ -12,6 +17,8 @@ import time
 import numpy as np
 
 from dwpt_auth.ibe import (
+    INTEGER_WIDTH,
+    basis_quality,
     decrypt,
     encrypt,
     extract,
@@ -19,6 +26,8 @@ from dwpt_auth.ibe import (
     ibe_seal,
     identity_point,
     master_key_gen,
+    max_basis_quality,
+    norm_bound,
     sign,
     verify,
 )
@@ -35,12 +44,18 @@ print(f"master key at N={p.N}: {time.perf_counter() - t0:.2f} s")
 # the NTRU relation the trapdoor satisfies, checked over the integers
 det = msk.f * msk.G - msk.g * msk.F
 print("f*G - g*F == q:", det.coeffs == [p.q] + [0] * (p.N - 1))
+quality = basis_quality(msk.f, msk.g, p.q)
+print(f"basis quality alpha_H = {quality:.3f}, at most 1.5 / r = {max_basis_quality(p):.3f} "
+      f"for r = {INTEGER_WIDTH}")
 
 # anyone can encrypt to an identity, under its hashed point H(id); only the
 # issued key decrypts
 identity = b"OBU-serial-0451"
 point = identity_point(p, identity)
 (usk,) = extract(msk, identity)
+norm = (usk.s1.norm_squared() + usk.s2.norm_squared()) ** 0.5
+print(f"key norm {norm:.0f} within the bound {norm_bound(p):.0f}; "
+      f"s2 kept as {usk.s2_coeffs.dtype}, largest |coefficient| {abs(usk.s2_coeffs).max()}")
 
 bits = [rng.below(2) for _ in range(p.N)]
 ct = encrypt(mpk, point, bits, rng.child("enc"))

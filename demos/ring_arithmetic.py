@@ -18,8 +18,7 @@ from dwpt_auth.rng import RandomSource
 
 # each tier is (N, q) with q = 1 mod 2N so the negacyclic transform exists
 for name, p in TIERS.items():
-    print(f"{name:8s} N={p.N:4d}  q={p.q:9d}  sigma_f={p.sigma_f:8.3f}  "
-          f"sigma_extract={p.sigma_extract:9.3f}")
+    print(f"{name:8s} N={p.N:4d}  q={p.q:9d}  sigma_extract={p.sigma_extract:9.3f}")
 
 p = TIERS["test"]
 rng = RandomSource("ring-demo")

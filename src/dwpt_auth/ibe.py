@@ -1,14 +1,14 @@
 """Identity-based encryption and signatures over an NTRU trapdoor.
 
-A master authority samples a short pair (f, g), completes it to a basis of
-the lattice {(u, v) : u + v*h = 0 mod q} for h = g/f, and extracts per
-identity a short preimage (s1, s2) of the hashed identity point, of which
-the identity's key keeps s2, by fast Fourier sampling: a randomized
-nearest-plane walk down the ffLDL tree of the basis, which is its
-Gram-Schmidt frame in bit-reversed order, built from the Fourier transforms
-of f, g, F, G.  Encryption is the dual-Regev style scheme:
-noisy products against h and the identity point, message bits scaled by
-floor(q/2).
+A master authority draws a short pair (f, g) on an annulus of the Fourier
+domain, completes it to a basis of the lattice {(u, v) : u + v*h = 0 mod q}
+for h = g/f, and extracts per identity a short preimage (s1, s2) of the
+hashed identity point, of which the identity's key keeps s2, with Mitaka's
+hybrid sampler: two ring-level steps, each a continuous Gaussian
+perturbation in the Fourier domain and N integer draws of one width, which
+the annulus keeps at today's extraction width.  Encryption is the
+dual-Regev style scheme: noisy products against h and the identity point,
+message bits scaled by floor(q/2).
 
 Key encapsulation for byte payloads wraps a fresh 256-bit content key in as
 many ring ciphertexts as needed and seals the payload itself with an AEAD;
@@ -35,13 +35,10 @@ from dwpt_auth.errors import (
 )
 from dwpt_auth.ntrusolve import fft_neg, ifft_neg, ntru_solve
 from dwpt_auth.ring import (
-    GaussianTrials,
     IntegerPolynomial,
     RingElement,
     RingParams,
-    gaussian_int_scale,
     hash_to_ring,
-    mean_trials,
     sample_gaussian_int,
     sample_gaussian_poly,
 )
@@ -51,23 +48,26 @@ from dwpt_auth.symcrypto import aead_open, aead_seal
 #: Width of the encryption noise polynomials r, e1, e2.
 ENC_SIGMA = 1.5
 
-#: A key pair is accepted only if the Gram-Schmidt norm of its basis stays
-#: below this multiple of sqrt(q); keeps the extraction width sigma_extract
-#: comfortably above the basis quality.
-GS_SLACK = 1.3
+#: Keygen draws |f_j|^2 + |g_j|^2 uniformly in [q / ANNULUS^2, q * ANNULUS^2]
+#: at every Fourier point j, which bounds the basis quality by about ANNULUS.
+ANNULUS = 1.15
+
+#: Width r of the hybrid sampler's integer steps.  It is at least Falcon's
+#: smoothing width sigma_min (about 1.2778 at n = 512), and sigma_extract =
+#: 1.5 sqrt(q) serves every basis of quality up to 1.5 / r = 1.17, just
+#: above the annulus.
+INTEGER_WIDTH = 1.28
+
+#: Every s2 coefficient of a key lies in [-S2_LIMIT, S2_LIMIT), so that keys
+#: hold s2 in 16 bits: 7.5 sigma_extract at the default tier, which an
+#: extracted s2 leaves with probability about 2e-11 per key.
+S2_LIMIT = 1 << 15
 
 _ID_PREFIX = b"ID\x00"
 _SIG_PREFIX = b"SIG\x00"
 
 _MAX_KEYGEN_ATTEMPTS = 400
 _MAX_SAMPLE_ATTEMPTS = 64
-
-#: Keys that one walk draws at once: each holds a `GaussianTrials` cursor
-#: while it walks, of about 28 KB at the default tier (its first decode, the
-#: row's mean of about 1,650 trials, at 17 bytes a trial).  At 32 rows a
-#: 64-key default extract peaks below what it did in one walk of 64 rows
-#: holding 256-trial chunks, and a 10-slot registration is one walk.
-_WALK_ROWS = 32
 
 
 def norm_bound(params: RingParams) -> float:
@@ -112,25 +112,52 @@ class MasterSecretKey:
         return KleinSampler(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UserSecretKey:
     """The key of one identity: s2 of a short preimage (s1, s2) of its
-    point under its authority's public key h, which is shared, not copied."""
+    point under its authority's public key h, which is shared, not copied.
+
+    s2 is held as its centered coefficients, an int16 row (every one lies
+    in [-S2_LIMIT, S2_LIMIT)), which the keys of one extraction or one
+    decoded file share as one read-only block.  `s1` and `s2` are built as
+    ring elements on every read and never kept, which would double a
+    wallet's memory; only `keep_transform` keeps s2's transform."""
 
     identity: bytes
-    s2: RingElement
+    s2_coeffs: np.ndarray
     h: RingElement
+
+    _kept_s2 = None  # not a field: s2 with the transform `keep_transform` keeps
 
     @property
     def params(self) -> RingParams:
-        return self.s2.params
+        return self.h.params
+
+    @property
+    def s2(self) -> RingElement:
+        return RingElement(self.params, self.s2_coeffs)
+
+    def keep_transform(self) -> "UserSecretKey":
+        """Keep s2's transform for every later `times`: for a key that
+        decrypts on every pass, the operator's."""
+        if self._kept_s2 is None:
+            object.__setattr__(self, "_kept_s2", self.s2.keep_transform())
+        return self
+
+    def times(self, u: RingElement) -> np.ndarray:
+        """The coefficients in [0, q) of u * s2: by s2's kept transform, or
+        from the int16 row, with no ring element of s2 built."""
+        if self._kept_s2 is None:
+            return u.product_block(self.s2_coeffs[None])[0]
+        return (u * self._kept_s2).coeffs
 
     @property
     def s1(self) -> RingElement:
         """H(identity) - s2*h, the half that s2 and h imply; derived on every
         read and never kept, nor is the point it hashes, since decryption
         reads only s2."""
-        return derive_s1([self], [identity_point(self.params, self.identity)])[0]
+        t = identity_point(self.params, self.identity)
+        return RingElement(self.params, derive_s1(self.h, self.s2_coeffs[None], [t])[0])
 
     @functools.cached_property
     def point(self) -> RingElement:
@@ -139,15 +166,20 @@ class UserSecretKey:
         use and not a field, so it is never persisted."""
         return identity_point(self.params, self.identity).keep_transform()
 
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, UserSecretKey)
+            and self.identity == other.identity
+            and self.h == other.h
+            and bool(np.array_equal(self.s2_coeffs, other.s2_coeffs))
+        )
 
-def derive_s1(keys: list[UserSecretKey], points: list[RingElement]) -> list[RingElement]:
-    """s1 = t - s2*h of each key, t its identity point, for keys of one h:
-    the products s2*h are one stacked transform."""
-    h = keys[0].h
-    return [
-        RingElement(h.params, t.coeffs - s2h)
-        for t, s2h in zip(points, h.product_rows(*(usk.s2 for usk in keys)))
-    ]
+
+def derive_s1(h: RingElement, s2: np.ndarray, points: list[RingElement]) -> np.ndarray:
+    """s1 = t - s2*h, in [0, q), for each row of a (K, N) block of s2
+    coefficients, t the matching identity point: one stacked product."""
+    t = np.stack([point.coeffs for point in points])
+    return (t - h.product_block(s2)) % h.params.q
 
 
 @dataclass(frozen=True)
@@ -178,52 +210,132 @@ class Ciphertext:
 
 
 # ---------------------------------------------------------------------------
+# Fourier-domain helpers
+#
+# Polynomials of degree N are held in the Fourier domain as their values at
+# zeta_k = e^{i pi (2k+1)/N}, the order `fft_neg` uses.  For a real
+# polynomial the value at zeta_{N-1-k} is the conjugate of the one at
+# zeta_k, so only the first N/2 values are kept, as a pair (re, im) of real
+# arrays: a product of two is formed as Python's complex product forms it,
+# each real product and sum rounded on its own, where numpy's complex
+# product may fuse a multiply into an add and move a bit, and with it a key.
+
+
+def _kept(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept half of transformed values, along the last axis, as (re, im)."""
+    half = values[..., : values.shape[-1] // 2]
+    return half.real, half.imag
+
+
+def _times(a: tuple, b: tuple) -> tuple:
+    """a * b, rounded as Python's complex product."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _coefficients(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The real coefficients, along the last axis, of the element whose kept
+    values are re + i*im; the other half are their conjugates, reversed."""
+    values = np.empty(re.shape[:-1] + (2 * re.shape[-1],), dtype=complex)
+    values.real[..., : re.shape[-1]], values.imag[..., : re.shape[-1]] = re, im
+    values[..., re.shape[-1] :] = values[..., re.shape[-1] - 1 :: -1].conj()
+    return ifft_neg(values)
+
+
+def _uniforms(rng: RandomSource, n: int) -> np.ndarray:
+    """n uniforms in [0, 1): the top 53 bits of each of n u64 LE words."""
+    return (np.frombuffer(rng.bytes(8 * n), dtype="<u8") >> np.uint64(11)) * (1.0 / (1 << 53))
+
+
+def _normals(rngs: list[RandomSource], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(K, n) arrays a, b of independent standard normals, row k from 2n
+    uniforms of rngs[k], each pair by Box-Muller from two, u then u':
+    radius sqrt(-2 ln(1 - u)), angle 2 pi u'.  The logarithms, cosines and
+    sines come from Python's math, so no SIMD loop of numpy's moves them."""
+    u = np.array([_uniforms(rng, 2 * n) for rng in rngs])
+    radius = np.sqrt(-2.0 * np.array(list(map(math.log, (1.0 - u[:, 0::2]).ravel().tolist()))))
+    angle = (math.tau * u[:, 1::2]).ravel().tolist()
+    cos, sin = (np.array(list(map(fn, angle))) for fn in (math.cos, math.sin))
+    return (radius * cos).reshape(-1, n), (radius * sin).reshape(-1, n)
+
+
+# ---------------------------------------------------------------------------
 # Master key generation
 
-def _gs_quality(f: IntegerPolynomial, g: IntegerPolynomial, q: int) -> float:
-    """Gram-Schmidt norm of the would-be basis, via the two-norm identity.
 
-    The first half of the orthogonalized rows peaks at ||(g, -f)||; the
-    second half at sqrt(sum_k q^2 / (|f_k|^2 + |g_k|^2)) over the Fourier
-    points, so both are available before solving for (F, G).
+def _transform(poly: IntegerPolynomial) -> np.ndarray:
+    return fft_neg(np.array(poly.coeffs, dtype=np.float64))
+
+
+def _gram_diagonal(f: tuple, g: tuple) -> np.ndarray:
+    """d_j = |f_j|^2 + |g_j|^2 from the kept values of f and g."""
+    return f[0] * f[0] + f[1] * f[1] + (g[0] * g[0] + g[1] * g[1])
+
+
+def basis_quality(f: IntegerPolynomial, g: IntegerPolynomial, q: int) -> float:
+    """alpha_H of the basis that (f, g) completes to: the largest of
+    sqrt(d_j / q) and sqrt(q / d_j) over the Fourier points j, with d_j =
+    |f_j|^2 + |g_j|^2; the two Gram-Schmidt rows have squared norms d_j and
+    q^2 / d_j there."""
+    d = _gram_diagonal(_kept(_transform(f)), _kept(_transform(g)))
+    low, high = float(d.min()), float(d.max())
+    return math.sqrt(max(high / q, q / low)) if low > 0 else math.inf
+
+
+def max_basis_quality(params: RingParams) -> float:
+    """The largest alpha_H from which the hybrid sampler reaches
+    sigma_extract: sigma_extract / (r sqrt(q)) = 1.5 / r."""
+    return params.sigma_extract / (INTEGER_WIDTH * math.sqrt(params.q))
+
+
+def _annular_pair(params: RingParams, rng: RandomSource) -> tuple[list[int], list[int]]:
+    """(f, g) drawn on the annulus (Espitau, Nguyen, Sun, Tibouchi and
+    Wallet, "Antrag: Annular NTRU Trapdoor Generation", ASIACRYPT 2023).
+
+    Each kept Fourier point takes four uniforms from rng: d_j, uniform in
+    [q / ANNULUS^2, q * ANNULUS^2]; cos^2 theta_j; and two phases.  Then
+    f_j = sqrt(d_j) cos theta_j e^{2 pi i phi} and g_j = sqrt(d_j) sin
+    theta_j e^{2 pi i psi}, through Python's math, and f and g are their
+    rounded coefficients.
     """
-    norm1_sq = f.norm_squared() + g.norm_squared()
-    f_hat = fft_neg(np.array(f.coeffs, dtype=np.float64))
-    g_hat = fft_neg(np.array(g.coeffs, dtype=np.float64))
-    den = np.abs(f_hat) ** 2 + np.abs(g_hat) ** 2
-    if np.any(den < 1e-12):
-        return float("inf")
-    # Parseval: coefficient-domain norm^2 is the Fourier-point mean, not sum.
-    norm2_sq = float(np.sum(q * q / den)) / len(f.coeffs)
-    return math.sqrt(max(float(norm1_sq), norm2_sq))
+    q = params.q
+    low, high = q / ANNULUS**2, q * ANNULUS**2
+    u = iter(_uniforms(rng, 2 * params.N).tolist())
+    f_hat, g_hat = [], []
+    for radius_sq, cos_sq, phase_f, phase_g in zip(u, u, u, u):
+        radius = math.sqrt(low + (high - low) * radius_sq)
+        f_hat.append(cmath.rect(radius * math.sqrt(cos_sq), 2.0 * math.pi * phase_f))
+        g_hat.append(cmath.rect(radius * math.sqrt(1.0 - cos_sq), 2.0 * math.pi * phase_g))
+    f, g = (np.array(values) for values in (f_hat, g_hat))
+    return tuple(np.rint(_coefficients(x.real, x.imag)).astype(np.int64).tolist() for x in (f, g))
 
 
 def master_key_gen(
     params: RingParams, rng: RandomSource
 ) -> tuple[MasterPublicKey, MasterSecretKey]:
-    """Sample a trapdoor basis and publish h = g * f^-1 mod q.
+    """Draw a trapdoor basis and publish h = g * f^-1 mod q.
 
     Rejects candidate (f, g) pairs with f(1) and g(1) both even (both
     resultants with x^n + 1 are then even, so `ntru_solve` must fail for
-    the odd q), whose basis quality exceeds GS_SLACK * sqrt(q), whose f is
-    not invertible mod q, or that `ntru_solve` cannot complete; raises
-    ResampleExhausted if no candidate passes.
+    the odd q), whose rounded pair has a basis quality above what the
+    hybrid sampler serves (`max_basis_quality`), whose f is not invertible
+    mod q, or that `ntru_solve` cannot complete; raises ResampleExhausted if
+    no candidate passes.
     """
     q = params.q
-    bound = GS_SLACK * math.sqrt(q)
+    limit = max_basis_quality(params)
     for _ in range(_MAX_KEYGEN_ATTEMPTS):
-        f = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
-        g = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
-        if sum(f.coeffs) % 2 == sum(g.coeffs) % 2 == 0:
+        f_c, g_c = _annular_pair(params, rng)
+        if sum(f_c) % 2 == sum(g_c) % 2 == 0:
             continue
-        if _gs_quality(f, g, q) > bound:
+        f, g = IntegerPolynomial(f_c), IntegerPolynomial(g_c)
+        if basis_quality(f, g, q) > limit:
             continue
         try:
             f_inv = f.to_ring(params).inverse()
         except NotInvertible:
             continue
         try:
-            F_c, G_c = ntru_solve(f.coeffs, g.coeffs, q)
+            F_c, G_c = ntru_solve(f_c, g_c, q)
         except NotInvertible:
             continue
         h = g.to_ring(params) * f_inv
@@ -238,290 +350,116 @@ def master_key_gen(
 
 
 # ---------------------------------------------------------------------------
-# Fast Fourier nearest-plane sampling
-#
-# Polynomials of degree n (in R[x]/(x^n + 1)) are held in the Fourier domain
-# as their values at zeta_k = e^{i pi (2k+1)/n}, the order `fft_neg` uses.
-# For a real polynomial the value at zeta_{n-1-k} is the conjugate of the one
-# at zeta_k, so only the first n/2 values are kept.  The walk draws K keys at
-# once: at its levels whose halves hold 8 or more values (the root among
-# them, as N >= 16), it holds them as the rows of (K, n/2) numpy arrays;
-# below those levels it goes row by row, as Python lists, through the
-# degree-16, -8 and -4 steps, which each split and merge inline.
-
-def _parts(values) -> tuple[np.ndarray, np.ndarray]:
-    """Constants c as (re(c) + 0i, 0 + i*im(c)).  x*c[0] + x*c[1] rounds each
-    real product and each sum as Python's x*c does; numpy's x*c may fuse a
-    product into a sum, which moves centers by a bit and, rarely, a key."""
-    c = np.array(values)
-    return c.real + 0j, c.imag * 1j
-
-
-def _times(x: np.ndarray, parts: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """x*c for the constants c held as `_parts`, rounded as Python's x*c."""
-    return x * parts[0] + x * parts[1]
-
-
-@functools.cache
-def _twiddles(n: int) -> tuple:
-    """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n, then each as `_parts`."""
-    zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
-    halves = [z.conjugate() / 2 for z in zetas]
-    return zetas, halves, _parts(zetas), _parts(halves)
-
-
-def _split(a: list[complex]) -> tuple[list[complex], list[complex]]:
-    """a(x) = a0(x^2) + x*a1(x^2): halves of degree n/2 from a of degree n >= 4.
-
-    Since zeta_{k+n/2} = -zeta_k, a0 = (a(zeta_k) + a(-zeta_k))/2 and
-    a1 = (a(zeta_k) - a(-zeta_k))/(2 zeta_k) at the root zeta_k^2 of degree
-    n/2; for k < n/4, a(-zeta_k) is the conjugate of the kept a[n/2-1-k].
-    """
-    m = len(a) // 2
-    hi = [x.conjugate() for x in a[: m - 1 : -1]]
-    a0 = [(u + w) * 0.5 for u, w in zip(a, hi)]
-    a1 = [(u - w) * t for u, w, t in zip(a, hi, _twiddles(2 * len(a))[1])]
-    return a0, a1
-
-
-def _split_array(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_split on the last axis of a numpy array."""
-    n = a.shape[-1]
-    m = n // 2
-    hi = a[..., : m - 1 : -1].conj()
-    return (a[..., :m] + hi) * 0.5, _times(a[..., :m] - hi, _twiddles(2 * n)[3])
-
-
-def _merge_array(a0: np.ndarray, a1: np.ndarray) -> np.ndarray:
-    """Inverse of `_split_array`, on the last axis: a0 + zeta*a1 at zeta_k,
-    a0 - zeta*a1 at -zeta_k."""
-    d = _times(a1, _twiddles(4 * a0.shape[-1])[2])
-    return np.concatenate((a0 + d, (a0 - d)[..., ::-1].conj()), axis=-1)
-
-
-def _gram(f: np.ndarray, g: np.ndarray, F: np.ndarray, G: np.ndarray) -> tuple:
-    """The kept halves of g g* + f f*, g G* + f F* and G G* + F F*, as
-    lists, from the transforms of f, g, F, G; each product is `_times`."""
-    h = len(f) // 2
-    f, g, F, G = (a[:h] for a in (f, g, F, G))
-    fc, gc = _parts(f.conj()), _parts(g.conj())
-    Fc, Gc = _parts(F.conj()), _parts(G.conj())
-    return (
-        (_times(g, gc) + _times(f, fc)).tolist(),
-        (_times(g, Gc) + _times(f, Fc)).tolist(),
-        (_times(G, Gc) + _times(F, Fc)).tolist(),
-    )
-
-
-def _fftldl(
-    g00: list[complex], g01: list[complex], g11: list[complex], sigma: float, leaves: list[float]
-) -> tuple:
-    """ffLDL tree of the self-adjoint Gram matrix [[g00, g01], [g01*, g11]].
-
-    A node is (l10, tree of D00, tree of D11) from G = L D L* with
-    l10 = g01*/g00, D00 = g00 and D11 = g11 - |g01|^2/g00.  The tree of a
-    diagonal entry D of degree n >= 4 is the tree of the Gram matrix
-    [[d0, d1], [d1*, d0]] of its split (d0, d1); at degree 2 the split is
-    diagonal with equal entries, so the tree is a leaf for the real value
-    D(i), the squared Gram-Schmidt norm of two basis vectors, which goes on
-    `leaves`; the leaf holds 1/(2 w^2) for the width w = sigma/sqrt(D(i))
-    the walk draws with (`gaussian_int_scale`, which rejects a w outside
-    the base sampler's (0, 2]).  An l10 of 8 or more values, the root's
-    among them, is kept as `_parts`, for the walk's array levels.
-    """
-    l10 = [b.conjugate() / a for a, b in zip(g00, g01)]
-    d11 = [c - (b * b.conjugate()) / a for a, b, c in zip(g00, g01, g11)]
-    return (
-        _parts(l10) if len(l10) >= 8 else l10,
-        _fftldl_diag(g00, sigma, leaves),
-        _fftldl_diag(d11, sigma, leaves),
-    )
-
-
-def _fftldl_diag(d: list[complex], sigma: float, leaves: list[float]):
-    if len(d) > 2:
-        d0, d1 = _split(d)
-        return _fftldl(d0, d1, d0, sigma, leaves)
-    # Degree 4: `_split` into one value each, then `_fftldl`'s node over
-    # the two leaves, in the same float operations.
-    u, w = d[0], d[1].conjugate()
-    d0, d1 = (u + w) * 0.5, (u - w) * _HALF_CONJ_ZETA4
-    d11 = d0 - (d1 * d1.conjugate()) / d0
-    leaves += d0.real, d11.real
-    return (
-        [d1.conjugate() / d0],
-        gaussian_int_scale(sigma / math.sqrt(d0.real)),
-        gaussian_int_scale(sigma / math.sqrt(d11.real)),
-    )
-
-
-def _ff_sample(t0: np.ndarray, t1: np.ndarray, node, cursors: list[GaussianTrials]):
-    """Integer (z0, z1), in the Fourier domain, near each row of the (K, n)
-    targets (t0, t1) for one node; row k draws through cursors[k].
-
-    Nearest plane in the order L D L* gives: z1 first, then z0 around the
-    target moved by (t1 - z1) * l10.  Each coordinate recurses into the
-    tree of its diagonal entry through the split.
-    """
-    l10, tree0, tree1 = node
-    z1 = _ff_sample_diag(t1, tree1, cursors)
-    z0 = _ff_sample_diag(t0 + _times(t1 - z1, l10), tree0, cursors)
-    return z0, z1
-
-
-def _ff_sample_diag(t: np.ndarray, tree, cursors: list[GaussianTrials]) -> np.ndarray:
-    n = t.shape[-1]
-    if n >= 16:  # halves of 8 or more values: one array for all rows
-        return _merge_array(*_ff_sample(*_split_array(t), tree, cursors))
-    rows = zip(t.tolist(), cursors)
-    return np.array([_ff_sample_degree16(row, tree, trials) for row, trials in rows])
-
-
-(_ZETA4,), (_HALF_CONJ_ZETA4,) = _twiddles(4)[:2]
-(_ZETA8_0, _ZETA8_1), (_HALF_CONJ_ZETA8_0, _HALF_CONJ_ZETA8_1) = _twiddles(8)[:2]
-_ZETA16, _HALF_CONJ_ZETA16 = _twiddles(16)[:2]
-
-
-def _ff_sample_degree4(a: complex, b: complex, node, trials: GaussianTrials):
-    """`_split_array`, `_ff_sample` and `_merge_array` at degree 4 on one
-    row of scalars, in their floating-point operations and order, with
-    both degree-2 leaves inline.
-
-    A degree-2 leaf draws t(i) = t_0 + i*t_1 as one Gaussian integer of
-    the leaf's width, the odd coordinate first.
-    """
-    (l10,), scale0, scale1 = node
-    w = b.conjugate()
-    t0 = (a + w) * 0.5
-    t1 = (a - w) * _HALF_CONJ_ZETA4
-    z1 = sample_gaussian_int(t1, scale1, trials)
-    z0 = sample_gaussian_int(t0 + (t1 - z1) * l10, scale0, trials)
-    d = _ZETA4 * z1
-    return [z0 + d, (z0 - d).conjugate()]
-
-
-def _ff_sample_degree8(t: list[complex], node, trials: GaussianTrials):
-    """`_split_array`, `_ff_sample` and `_merge_array` at degree 8 on one
-    row of scalars, in their floating-point operations and order, over two
-    `_ff_sample_degree4` steps."""
-    (l0, l1), tree0, tree1 = node
-    a0, a1, a2, a3 = t
-    w3, w2 = a3.conjugate(), a2.conjugate()
-    y0, y1 = (a0 - w3) * _HALF_CONJ_ZETA8_0, (a1 - w2) * _HALF_CONJ_ZETA8_1
-    v0, v1 = _ff_sample_degree4(y0, y1, tree1, trials)
-    u0, u1 = _ff_sample_degree4(
-        (a0 + w3) * 0.5 + (y0 - v0) * l0, (a1 + w2) * 0.5 + (y1 - v1) * l1, tree0, trials
-    )
-    d0, d1 = _ZETA8_0 * v0, _ZETA8_1 * v1
-    return [u0 + d0, u1 + d1, (u1 - d1).conjugate(), (u0 - d0).conjugate()]
-
-
-def _ff_sample_degree16(t: list[complex], node, trials: GaussianTrials):
-    """`_split_array`, `_ff_sample` and `_merge_array` at degree 16 on one
-    row of scalars, in their floating-point operations and order, over two
-    `_ff_sample_degree8` steps."""
-    (l0, l1, l2, l3), tree0, tree1 = node
-    a0, a1, a2, a3, a4, a5, a6, a7 = t
-    w7, w6, w5, w4 = a7.conjugate(), a6.conjugate(), a5.conjugate(), a4.conjugate()
-    h0, h1, h2, h3 = _HALF_CONJ_ZETA16
-    y0, y1, y2, y3 = (a0 - w7) * h0, (a1 - w6) * h1, (a2 - w5) * h2, (a3 - w4) * h3
-    v0, v1, v2, v3 = _ff_sample_degree8([y0, y1, y2, y3], tree1, trials)
-    u0, u1, u2, u3 = _ff_sample_degree8([
-        (a0 + w7) * 0.5 + (y0 - v0) * l0, (a1 + w6) * 0.5 + (y1 - v1) * l1,
-        (a2 + w5) * 0.5 + (y2 - v2) * l2, (a3 + w4) * 0.5 + (y3 - v3) * l3,
-    ], tree0, trials)
-    z0, z1, z2, z3 = _ZETA16
-    d0, d1, d2, d3 = z0 * v0, z1 * v1, z2 * v2, z3 * v3
-    return [u0 + d0, u1 + d1, u2 + d2, u3 + d3, (u3 - d3).conjugate(),
-            (u2 - d2).conjugate(), (u1 - d1).conjugate(), (u0 - d0).conjugate()]
+# Hybrid sampling
 
 
 class KleinSampler:
-    """Discrete Gaussian sampler over the NTRU lattice of a master secret key.
+    """Discrete Gaussian sampler over the NTRU lattice of a master secret
+    key: Mitaka's hybrid sampler (Espitau, Fouque, Gerard, Rossi, Takahashi,
+    Tibouchi, Wallet and Yu, "Mitaka: A Simpler, Parallelizable, Maskable
+    Variant of Falcon", EUROCRYPT 2022).
 
-    The basis rows are b0 = (g, -f) and b1 = (G, -F) with all their
-    negacyclic shifts.  `__init__` builds the ffLDL tree of the Gram matrix
-    B B* = [[g g* + f f*, g G* + f F*], [., G G* + F F*]] from the Fourier
-    transforms of f, g, F, G: the Gram-Schmidt frame of the basis in
-    bit-reversed order (Ducas and Prest, "Fast Fourier Orthogonalization",
-    ISSAC 2016).  `sample_near` is the randomized nearest-plane walk down
-    that tree (ffSampling, as in Ducas, Lyubashevsky and Prest, "Efficient
-    Identity-Based Encryption over NTRU Lattices", ASIACRYPT 2014) from
-    targets (t, 0), the only kind extraction and signing ask for, with the
-    width sigma_extract, the only one they ask for.  A walk row draws both
-    coordinates of each leaf's value at the leaf's width w, each draw
-    reading 2S/(w sqrt(2 pi)) base-sampler trials on average, S the
-    half-Gaussian mass of the base table (`ring.mean_trials`); their sum
-    over the 2N coordinates, `row_trials`, is the first decode of each
-    row's cursor.
+    The basis rows are b1 = (g, -f) and b2 = (G, -F) with all their
+    negacyclic shifts.  At each Fourier point the Gram-Schmidt rows are
+    b1, of squared norm beta_1 = d = |f|^2 + |g|^2, and b2 - mu b1 with
+    mu = (G g* + F f*)/d, of squared norm beta_2 = q^2/d.  From a target c,
+    for i = 2 and then i = 1, the sampler takes the center
+    <c, b~i>/beta_i, adds a continuous Gaussian perturbation of variance
+    sigma^2/beta_i - r^2 per coefficient at each point, draws each
+    coefficient of z_i at the width r = INTEGER_WIDTH around the perturbed
+    center (`ring.sample_gaussian_int`), and moves c to c - z_i b_i.
+    z1 b1 + z2 b2 is then a lattice point whose difference to the target
+    is the spherical Gaussian of width sigma over the coset (Peikert,
+    CRYPTO 2010), provided no variance is negative: sigma >= r alpha_H
+    sqrt(q) (`basis_quality`).  `__init__` keeps the per-point constants, and
+    raises ValueError for a basis that sigma_extract does not reach.
     """
 
     def __init__(self, msk: "MasterSecretKey"):
-        self.q = msk.params.q
-        h = msk.params.N // 2
-        f, g, F, G = (
-            fft_neg(np.array(poly.coeffs, dtype=np.float64))
-            for poly in (msk.f, msk.g, msk.F, msk.G)
+        params = msk.params
+        N, q = params.N, params.q
+        self._fft = tuple(_transform(poly) for poly in (msk.f, msk.g, msk.F, msk.G))
+        f, g, F, G = (_kept(a) for a in self._fft)
+        d = _gram_diagonal(f, g)
+        #: Per step, b2's then b1's: the kept values that the center is the
+        #: target's product with, and the perturbation's scale at each point.
+        #: A real vector of per-coefficient variance v has transformed values
+        #: of variance N v, N v / 2 in each part, so the scale is
+        #: sqrt(N/2 * (sigma^2/beta - r^2)) on two standard normals.
+        self.center_of_target = (
+            (f[0] / q, f[1] / q),
+            (g[0] / d, -g[1] / d),
         )
-        self._fft = f, g, F, G
-        self._coordinates = _parts(F[:h]), _parts(f[:h])
-        leaves = []
-        self.tree = _fftldl(*_gram(f, g, F, G), msk.params.sigma_extract, leaves)
-        #: Squared Gram-Schmidt norms, each shared by two basis vectors, in
-        #: the tree's (bit-reversed) order.
-        self.leaves = np.array(leaves)
-        widths = msk.params.sigma_extract / np.sqrt(self.leaves)
-        self.row_trials = round(2 * mean_trials(widths))  # two coordinates a leaf
+        Gg, Ff = _times(G, (g[0], -g[1])), _times(F, (f[0], -f[1]))
+        self.mu = ((Gg[0] + Ff[0]) / d, (Gg[1] + Ff[1]) / d)
+        sigma_sq, r_sq = params.sigma_extract**2, INTEGER_WIDTH**2
+        variances = (sigma_sq / (q * q / d) - r_sq, sigma_sq / d - r_sq)
+        if min(v.min() for v in variances) < 0:
+            raise ValueError(
+                f"sigma_extract falls below r * alpha_H * sqrt(q) on this basis "
+                f"(alpha_H {basis_quality(msk.f, msk.g, q):.3f})"
+            )
+        self.scale = tuple(np.sqrt(N / 2 * v) for v in variances)
+
+    def _integer_step(self, center: tuple, step: int, rngs: list[RandomSource]) -> np.ndarray:
+        """One step's (K, N) integers: row k at width r around the
+        coefficients of its center plus a perturbation, both drawn from
+        rngs[k], the N/2 normal pairs first, then one key's integers at a
+        time."""
+        scale = self.scale[step]
+        a, b = _normals(rngs, len(scale))
+        centers = _coefficients(center[0] + scale * a, center[1] + scale * b)
+        return np.stack(
+            [sample_gaussian_int(row, INTEGER_WIDTH, rng) for row, rng in zip(centers, rngs)]
+        )
 
     def sample_near(self, t: np.ndarray, rngs: list[RandomSource]) -> np.ndarray:
         """Integer lattice points (v1, v2), as a (K, 2N) array: row k is
         distributed around (t_k, 0), for row t_k of the (K, N) targets t,
-        with width sigma_extract, and its leaves draw through one
-        `GaussianTrials` cursor over rngs[k], whose first decode is
-        `row_trials`.
+        with width sigma_extract, and drawn from rngs[k].
 
-        The targets in basis coordinates, (t, 0) B^-1 with B^-1 =
-        [[-F, f], [-G, g]] / q, are the kept halves of -(t F)/q and t f/q,
-        from one stacked transform of t; the division is the product by
-        1/q that numpy's complex division by q + 0i computes.  The walk
-        goes down the tree once for all rows, and each half of the points
-        is one stacked inverse transform."""
+        With c = (t, 0), b2's center is <c, b~2>/beta_2 = t f / q; after
+        c -= z2 b2, b1's is ((t - z2 G) g* + z2 F f*)/d = t g*/d - z2 mu.
+        The transforms, centers and perturbations are stacked over the
+        rows; v = z1 b1 + z2 b2 comes from one stacked inverse transform per
+        half, whose values land within 1e-7 of integers at the default tier,
+        so rounding recovers v exactly."""
         f, g, F, G = self._fft
         N = len(f)
-        Fc, fc = self._coordinates
-        ta = fft_neg(t.astype(np.float64))[:, : N // 2]
-        t0, t1 = _times(ta, Fc) * (-1 / self.q), _times(ta, fc) * (1 / self.q)
-        cursors = [GaussianTrials(rng, self.row_trials) for rng in rngs]
-        z0, z1 = _ff_sample(t0, t1, self.tree, cursors)
-        for trials in cursors:
-            trials.close()
-        # v = z B has integer coefficients of magnitude about q; the inverse
-        # transforms land within 1e-7 of them at the default tier, so
-        # rounding recovers v exactly.
-        a, b = (np.concatenate((z, np.conj(z[:, ::-1])), axis=1) for z in (z0, z1))
+        t_hat = _kept(fft_neg(t.astype(np.float64)))
+        to_b2, to_b1 = self.center_of_target
+        z2 = self._integer_step(_times(t_hat, to_b2), 0, rngs)
+        z2_hat = fft_neg(z2.astype(np.float64))
+        c, m = _times(t_hat, to_b1), _times(_kept(z2_hat), self.mu)
+        z1_hat = fft_neg(self._integer_step((c[0] - m[0], c[1] - m[1]), 1, rngs).astype(np.float64))
         v = np.empty((len(t), 2 * N), dtype=np.int64)
-        v[:, :N] = np.rint(ifft_neg(a * g + b * G))
-        v[:, N:] = np.rint(ifft_neg(-(a * f + b * F)))
+        v[:, :N] = np.rint(ifft_neg(z1_hat * g + z2_hat * G))
+        v[:, N:] = np.rint(ifft_neg(-(z1_hat * f + z2_hat * F)))
         return v
 
 
 def _sample_preimage(
     msk: MasterSecretKey, t: np.ndarray, rngs: list[RandomSource]
 ) -> np.ndarray:
-    """Short (s1, s2), as a (K, 2N) int64 array, with s1 + s2*h = t_k mod q
-    and norm below norm_bound for each row t_k of the (K, N) targets t:
-    (t_k, 0) less a lattice point near it, drawn from rngs[k].  Only the
-    rows above the bound walk again, each on from where its own stream
-    stopped, so a row is what it would be if it were drawn alone."""
+    """Short (s1, s2), as a (K, 2N) int64 array, with s1 + s2*h = t_k mod q,
+    norm below norm_bound and s2 in [-S2_LIMIT, S2_LIMIT) for each row t_k
+    of the (K, N) targets t: (t_k, 0) less a lattice point near it, drawn
+    from rngs[k].  Only the rows that miss either bound draw again, each on
+    from where its own stream stopped, so a row is what it would be if it
+    were drawn alone."""
     N = msk.params.N
     bound_sq = norm_bound(msk.params) ** 2
     s = np.empty((len(t), 2 * N), dtype=np.int64)
     rows = np.arange(len(t))
     for _ in range(_MAX_SAMPLE_ATTEMPTS):
-        walked = -msk.sampler.sample_near(t[rows], [rngs[k] for k in rows])
-        walked[:, :N] += t[rows]
-        s[rows] = walked
-        rows = rows[(walked * walked).sum(axis=1) > bound_sq]
+        drawn = -msk.sampler.sample_near(t[rows], [rngs[k] for k in rows])
+        drawn[:, :N] += t[rows]
+        s[rows] = drawn
+        s2 = drawn[:, N:]
+        missed = ((drawn * drawn).sum(axis=1) > bound_sq) | (
+            (s2 < -S2_LIMIT) | (s2 >= S2_LIMIT)
+        ).any(axis=1)
+        rows = rows[missed]
         if not rows.size:
             return s
     raise SamplerFailure("no preimage within the norm bound")
@@ -532,26 +470,21 @@ def extract(msk: MasterSecretKey, *identities: bytes) -> list[UserSecretKey]:
 
     A key's randomness is re-derived from the master extraction seed and
     its identity's digest, so it is the same whether extracted alone or
-    among others, in any order.  The walk draws `_WALK_ROWS` keys at a
-    time; the s2 of each such batch is one read-only block, of which each
-    key keeps a row.
+    among others, in any order.  The keys' s2 are one read-only int16
+    block, of which each key keeps a row.
     """
     params = msk.params
-    keys = []
-    for start in range(0, len(identities), _WALK_ROWS):
-        batch = identities[start : start + _WALK_ROWS]
-        # Allocated before the walk, the block kept for the keys takes heap
-        # that an earlier walk freed, not heap above this walk's arrays.
-        s2 = np.empty((len(batch), params.N), dtype=np.int32)
-        t = np.stack([identity_point(params, identity).coeffs for identity in batch])
-        rngs = [
-            RandomSource(b"extract" + msk.extract_seed + hashlib.sha256(identity).digest())
-            for identity in batch
-        ]
-        s2[...] = _sample_preimage(msk, t, rngs)[:, params.N :] % params.q
-        rows = RingElement.rows(params, s2)
-        keys += [UserSecretKey(identity, row, msk.h) for identity, row in zip(batch, rows)]
-    return keys
+    # Allocated before the sampling, the block kept for the keys takes heap
+    # that earlier temporaries freed, not heap above this call's.
+    s2 = np.empty((len(identities), params.N), dtype=np.int16)
+    t = np.stack([identity_point(params, identity).coeffs for identity in identities])
+    rngs = [
+        RandomSource(b"extract" + msk.extract_seed + hashlib.sha256(identity).digest())
+        for identity in identities
+    ]
+    s2[...] = _sample_preimage(msk, t, rngs)[:, params.N :]
+    s2.setflags(write=False)
+    return [UserSecretKey(identity, row, msk.h) for identity, row in zip(identities, s2)]
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +512,7 @@ def decrypt(usk: UserSecretKey, ct: Ciphertext) -> np.ndarray:
     if not usk.params == ct.u.params == ct.v.params:
         raise ParameterMismatch("key and ciphertext parameters differ")
     q = usk.params.q
-    w = (ct.v.coeffs - (ct.u * usk.s2).coeffs) % q  # int32: both in [0, q)
+    w = (ct.v.coeffs - usk.times(ct.u)) % q  # both in [0, q)
     return ((w > q // 4) & (w < q - q // 4)).view(np.uint8)
 
 

@@ -96,8 +96,12 @@ def fft_neg(a: np.ndarray) -> np.ndarray:
 
 
 def ifft_neg(values: np.ndarray) -> np.ndarray:
+    """Inverse of `fft_neg`, along the last axis, as the real part: the
+    twist's product is taken in real arithmetic, each product rounded on
+    its own, so no CPU fuses it into a multiply-add and moves a bit."""
     n = values.shape[-1]
-    return np.real(np.fft.fft(values) / n * _twist(n, True))
+    x, twist = np.fft.fft(values), _twist(n, True)
+    return (x.real / n) * twist.real - (x.imag / n) * twist.imag
 
 
 def reduce_pair(f: list[int], g: list[int], F: list[int], G: list[int]) -> None:

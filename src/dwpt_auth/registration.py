@@ -97,7 +97,7 @@ class CspaDataset:
     consumed: set[bytes] = field(default_factory=set)  # pseudonyms already used
 
     def __post_init__(self):
-        self.usk.s2.keep_transform()  # every m1 the operator opens multiplies by s2
+        self.usk.keep_transform()  # every m1 the operator opens multiplies by s2
 
 
 @dataclass

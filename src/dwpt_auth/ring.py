@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,8 +55,8 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class RingParams:
-    """Ring dimension and modulus for one parameter tier; the Gaussian widths
-    follow from them."""
+    """Ring dimension and modulus for one parameter tier; the extraction
+    width follows from them."""
 
     N: int
     q: int
@@ -82,17 +81,11 @@ class RingParams:
         """Bytes of one serialized ring element: N coefficients, no header."""
         return self.N * self.coeff_width
 
-    # sigma_f targets key vectors of norm ~1.17*sqrt(q).  sigma_extract covers
-    # the Gram-Schmidt norm of accepted trapdoor bases with slack; keygen's
-    # ibe.GS_SLACK = 1.3 bounds every leaf width of the fast Fourier sampler
-    # by 1.5 * 1.3 = 1.95, under the base sampler's 2.
-
-    @property
-    def sigma_f(self) -> float:
-        return 1.17 * math.sqrt(self.q / (2 * self.N))
-
     @property
     def sigma_extract(self) -> float:
+        """Width of extracted keys and signatures: 1.5 * sqrt(q), which the
+        hybrid sampler reaches from every basis whose quality keygen and the
+        authority decoder admit (`ibe.basis_quality`)."""
         return 1.5 * math.sqrt(self.q)
 
 
@@ -252,6 +245,23 @@ def karamul(a: list[int], b: list[int]) -> list[int]:
 # ---------------------------------------------------------------------------
 # Ring elements
 
+def center(coeffs: np.ndarray, q: int) -> np.ndarray:
+    """Coefficients in [0, q), of any shape, as int64 representatives in
+    (-q/2, q/2]."""
+    c = coeffs.astype(np.int64)
+    c[c > q // 2] -= q
+    return c
+
+
+def norms_squared(rows: np.ndarray) -> list[int]:
+    """The exact squared norm of each row of a (K, n) int64 block whose
+    entries are below 2^30 in size and whose n is a multiple of 8: a square
+    is below 2^60, so a group of 8 stays in int64; the n/8 group sums of a
+    row add as Python ints."""
+    groups = (rows * rows).reshape(len(rows), -1, 8).sum(axis=2)
+    return [sum(row) for row in groups.tolist()]
+
+
 class RingElement:
     """Degree-N polynomial over Z_q, coefficients canonical in [0, q).
 
@@ -270,8 +280,7 @@ class RingElement:
         self._keep(params, arr % params.q)
 
     def _keep(self, params: RingParams, canonical: np.ndarray) -> "RingElement":
-        """Store N coefficients already in [0, q) as read-only int32; an
-        int32 row of a read-only block is kept as it is, not copied."""
+        """Store N coefficients already in [0, q) as read-only int32."""
         arr = canonical.astype(np.int32, copy=False)
         arr.setflags(write=False)
         self.params = params
@@ -279,28 +288,14 @@ class RingElement:
         self._ntt = None
         return self
 
-    @classmethod
-    def rows(cls, params: RingParams, block: np.ndarray) -> list["RingElement"]:
-        """One element per row of a (K, N) int32 block of coefficients
-        already in [0, q), which is made read-only: each element keeps its
-        row of the block, not a copy, so K elements are one allocation."""
-        block.setflags(write=False)
-        return [cls.__new__(cls)._keep(params, row) for row in block]
-
     # -- views -----------------------------------------------------------
 
     def centered(self) -> np.ndarray:
         """Representative in (-q/2, q/2], used for norms and decryption."""
-        q = self.params.q
-        c = self.coeffs.astype(np.int64)
-        c[c > q // 2] -= q
-        return c
+        return center(self.coeffs, self.params.q)
 
     def norm_squared(self) -> int:
-        # Exact: a square is below 2^60 (|c| <= q/2 < 2^30), so a group of 8
-        # stays in int64 (8 divides N >= 16); the N/8 group sums add as ints.
-        c = self.centered()
-        return sum((c * c).reshape(-1, 8).sum(axis=1).tolist())
+        return norms_squared(self.centered()[None])[0]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -338,6 +333,20 @@ class RingElement:
             computed = iter(_ntt_forward(np.stack(fresh), N, q))
         points = [next(computed) if e._ntt is None else e._ntt for e in operands]
         return _ntt_inverse(np.stack(points[1:]) * points[0] % q, N, q)
+
+    def product_block(self, block: np.ndarray) -> np.ndarray:
+        """Coefficients in [0, q) of self * each row of a (K, N) block of
+        integer coefficients of any sign, as int64 rows: one stacked forward
+        transform of the block, and of self unless it keeps one, and one
+        stacked inverse."""
+        N, q = self.params.N, self.params.q
+        rows = block.astype(np.int64) % q
+        if self._ntt is None:
+            transformed = _ntt_forward(np.vstack((self.coeffs, rows)), N, q)
+            own, points = transformed[0], transformed[1:]
+        else:
+            own, points = self._ntt, _ntt_forward(rows, N, q)
+        return _ntt_inverse(points * own % q, N, q)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         return RingElement(self.params, self.product_rows(other)[0])
@@ -398,13 +407,20 @@ class RingElement:
             raise DecodeError(
                 f"ring element of {len(data)} bytes, expected {params.element_bytes}"
             )
-        N, width = params.N, params.coeff_width
-        padded = np.zeros((N, 4), dtype=np.uint8)
-        padded[:, :width] = np.frombuffer(data, dtype=np.uint8).reshape(N, width)
-        coeffs = padded.view("<u4").reshape(N)
-        if (coeffs >= params.q).any():
-            raise DecodeError("coefficient outside [0, q)")
-        return cls.__new__(cls)._keep(params, coeffs)
+        return cls.__new__(cls)._keep(params, decode_coefficients(data, params)[0])
+
+
+def decode_coefficients(data: bytes, params: RingParams) -> np.ndarray:
+    """The (K, N) uint32 coefficients of K element encodings in a row, as
+    `RingElement.to_bytes` writes them, from K * `element_bytes` bytes;
+    DecodeError on a coefficient outside [0, q)."""
+    width = params.coeff_width
+    padded = np.zeros((len(data) // width, 4), dtype=np.uint8)
+    padded[:, :width] = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+    coeffs = padded.view("<u4").reshape(-1, params.N)
+    if (coeffs >= params.q).any():
+        raise DecodeError("coefficient outside [0, q)")
+    return coeffs
 
 
 class IntegerPolynomial:
@@ -504,175 +520,88 @@ _BASE_ROWS = len(_BASE_THRESHOLDS) + 1
 _BASE_SIGNED = np.concatenate(
     (-np.arange(_BASE_ROWS), 1 + np.arange(_BASE_ROWS))
 ).astype(np.int8)
-# S, the mass of the half-Gaussian exp(-z0^2/2 sigma0^2) over the table rows.
-_BASE_MASS = math.fsum(math.exp(-z0 * z0 * _BASE_INV_2S2) for z0 in range(_BASE_ROWS))
 
 # A trial of the base sampler reads two u64 words: the candidate, then the
-# uniform of the acceptance test.  Only that test depends on the center and
-# the width, so trials are decoded from the stream ahead of the draws that read them.
+# uniform of the acceptance test.
 _TRIAL_BYTES = 16
-_TRIALS_PER_CHUNK = 256
 
 # Half-width of the band around a trial's acceptance bound inside which the
-# leaf draw falls back to the exact test (see sample_gaussian_int).
+# draw falls back to the exact test (see sample_gaussian_int).
 _GUARD = 1e-9
 
-# Bound once: the leaf draw runs N times per extracted key.
-_floor = math.floor
-_exp = math.exp
+_exp = math.exp  # the exact test's exponential, one name for the tests to count
 
 
-def gaussian_int_scale(sigma: float) -> float:
-    """1/(2 sigma^2), the form in which `sample_gaussian_int` takes its
-    width, for 0 < sigma <= sigma0 = 2 (ValueError otherwise)."""
-    if not 0.0 < sigma <= _BASE_SIGMA:
-        raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
-    return 0.5 / (sigma * sigma)
+def _decode_trials(data: bytes) -> tuple[np.ndarray, ...]:
+    """Per 16-byte trial: the signed candidate z, t0 = z0^2/2 sigma0^2, the
+    uniform u and the bound t0 - ln u - _GUARD (NaN where u is 0)."""
+    words = np.frombuffer(data, dtype="<u8").reshape(-1, 2)
+    candidate = words[:, 0]
+    z0 = np.searchsorted(_BASE_THRESHOLDS, candidate, side="right")
+    z = _BASE_SIGNED[z0 + _BASE_ROWS * (candidate & np.uint64(1)).astype(np.intp)]
+    u = (words[:, 1] >> np.uint64(11)) * (1.0 / (1 << 53))
+    t0 = (z0 * z0) * _BASE_INV_2S2
+    return z, t0, u, t0 - np.log(np.where(u > 0.0, u, np.nan)) - _GUARD
 
 
-def mean_trials(sigmas) -> float:
-    """The mean number of base-sampler trials that drawing one integer at
-    each of the widths `sigmas` reads.  A trial proposes z with probability
-    rho0(z0)/2S, S the half-Gaussian mass of the table, and keeps it with
-    probability rho_sigma(z - r)/rho0(z0); so one is kept with probability
-    sum_z rho_sigma(z - r)/2S = sigma sqrt(2 pi)/2S for any r, to within
-    exp(-2 pi^2 sigma^2), and a draw reads 2S/(sigma sqrt(2 pi)) on average."""
-    scale = 2.0 * _BASE_MASS / math.sqrt(2.0 * math.pi)
-    return float(np.sum(scale / np.asarray(sigmas, dtype=np.float64)))
+def sample_gaussian_int(centers: np.ndarray, sigma: float, rng: RandomSource) -> np.ndarray:
+    """One discrete Gaussian integer around each of the real `centers`, as
+    an int64 array: z with probability proportional to exp(-(z-c)^2/2 sigma^2)
+    for its center c, at one width 0 < sigma <= sigma0 = 2 (ValueError
+    otherwise).
 
-
-class GaussianTrials:
-    """Cursor over the base sampler's trials in one random source.
-
-    Holds decoded trials starting at the source's position, in two
-    `array.array`s, the signed candidate z and its acceptance bound
-    z0^2/2 sigma0^2 - ln u - _GUARD (NaN where the uniform u is 0), and the
-    uniforms as a numpy array for the exact test: 17 bytes a trial, where
-    lists of Python ints and floats took 48.  And the index of the next
-    unread trial.  It decodes `first` trials when made, which a caller
-    that knows how many it will read sets (`ibe.KleinSampler`: a walk
-    row's mean), and then a chunk of _TRIALS_PER_CHUNK whenever those run
-    out.  `close()`, or leaving a `with` block, consumes the trials read
-    from the source, 16 bytes each; trials decoded and not read are left in
-    the stream.
-    """
-
-    __slots__ = ("rng", "z", "bound", "uniform", "next")
-
-    def __init__(self, rng: RandomSource, first: int = _TRIALS_PER_CHUNK):
-        self.rng = rng
-        self.z = []
-        self._refill(first)
-
-    def _refill(self, count: int = _TRIALS_PER_CHUNK) -> None:
-        """Skip the trials held and decode the next `count`."""
-        self.rng.skip(_TRIAL_BYTES * len(self.z))
-        words = np.frombuffer(self.rng.peek(_TRIAL_BYTES * count), dtype="<u8").reshape(-1, 2)
-        candidate = words[:, 0]
-        z0 = np.searchsorted(_BASE_THRESHOLDS, candidate, side="right")
-        sign = (candidate & np.uint64(1)).astype(np.intp)
-        self.z = array("b", _BASE_SIGNED[z0 + _BASE_ROWS * sign].tobytes())
-        u = (words[:, 1] >> np.uint64(11)) * (1.0 / (1 << 53))
-        ln_u = np.log(u, out=np.full_like(u, np.nan), where=u > 0.0)
-        self.bound = array("d", ((z0 * z0) * _BASE_INV_2S2 - ln_u - _GUARD).tobytes())
-        self.uniform = u
-        self.next = 0
-
-    def close(self) -> None:
-        """Consume the trials read so far from the source."""
-        self.rng.skip(_TRIAL_BYTES * self.next)
-        self.z = self.bound = []
-        self.uniform = None
-        self.next = 0
-
-    def __enter__(self) -> "GaussianTrials":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def sample_gaussian_int(center: complex, inv_2s2: float, trials: GaussianTrials) -> complex:
-    """One discrete Gaussian sample of Z[i] around a complex center: its
-    imaginary coordinate, then its real one, each drawn over the integers.
-
-    Probabilities are proportional to exp(-(z-c)^2 inv_2s2) for each
-    coordinate c of the center, where inv_2s2 = 1/(2 sigma^2) comes from
-    `gaussian_int_scale`, which admits 0 < sigma <= sigma0 = 2.  A fixed
-    half-Gaussian table at sigma0 draws z0 >= 0 and a sign bit maps it to
-    z = 1 + z0 or z = -z0, which covers every integer once; z is kept with
-    probability exp(-(z-r)^2/2 sigma^2 + z0^2/2 sigma0^2) <= 1, r the
-    fractional part of the coordinate (Howe, Prest, Ricosset and Rossi,
-    "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial is 16
-    bytes of the cursor's source: a u64 whose top 53 bits index the table
-    and whose low bit is the sign, then a u64 for the uniform u.  The
-    trials come from the cursor, decoded ahead, and the sample reads them
-    from the cursor's next unread one on.
+    A fixed half-Gaussian table at sigma0 draws z0 >= 0 and a sign bit maps
+    it to z = 1 + z0 or z = -z0, which covers every integer once; z is kept
+    with probability exp(-(z-r)^2/2 sigma^2 + z0^2/2 sigma0^2) <= 1, r the
+    fractional part of the center (Howe, Prest, Ricosset and Rossi,
+    "Isochronous Gaussian Sampling", PQCrypto 2020).  Each trial is 16 bytes
+    of `rng`: a u64 whose top 53 bits index the table and whose low bit is
+    the sign, then a u64 whose top 53 bits are the uniform u.  The trials
+    are read in rounds: the first gives one trial to each center, in index
+    order, and each later round one to each center whose last trial was
+    dropped, in index order, until every center has its integer.  They are
+    decoded ahead, twice as many as centers are pending whenever the
+    decoded ones run out, and only those read are consumed from `rng`.
 
     The decision is taken in the log domain.  With e = (z-r)^2/2 sigma^2 and
     t0 = z0^2/2 sigma0^2, the exact test u < exp(-(e - t0)) holds, in real
-    numbers, when e < t0 - ln u.  The cursor holds each trial's bound
-    l = t0 - ln u - G, G = _GUARD = 1e-9: the trial is kept when e < l,
-    dropped when e > l + 2G, and only in between decided by the exact test
-    itself.  Both forms start from the same double e, and near the boundary
-    every term is below 80 (t0 <= 17^2/8, -ln u <= 53 ln 2); so the rounding
-    of ln u (a few ulp), of exp (one ulp) and of the subtractions moves
-    either form less than 1e-13 from the real comparison, four orders of
-    magnitude inside G, and every decision is the exact test's.  A zero
-    uniform (probability 2^-53) has a NaN bound, fails both comparisons
-    and reaches the exact test, which rejects it where exp underflows to 0
-    (e - t0 above about 745, which needs sigma below about 0.46).
-
-    The two coordinates are two copies of one rejection loop, written out.
+    numbers, when e < t0 - ln u.  Each trial's bound is l = t0 - ln u - G,
+    G = _GUARD = 1e-9: the trial is kept when e < l, dropped when
+    e - l > 2G, and otherwise decided by the exact test itself.  Both forms
+    start from the same double e, and near the boundary every term is below
+    80 (t0 <= 17^2/8, -ln u <= 53 ln 2); so the rounding of ln u (a few
+    ulp, whichever SIMD loop numpy takes), of exp (one ulp) and of the
+    subtractions moves either form less than 1e-13 from the real
+    comparison, four orders of magnitude inside G, and every decision is
+    the exact test's.  A zero uniform (probability 2^-53) has a NaN bound,
+    fails both comparisons and reaches the exact test, which rejects it
+    where exp underflows to 0 (e - t0 above about 745, which needs sigma
+    below about 0.46).
     """
-    band = 2.0 * _GUARD
-    zs, bounds = trials.z, trials.bound
-    j = trials.next
-    c = center.imag
-    base = _floor(c)
-    r = c - base
-    while True:
-        try:
-            z = zs[j]
-        except IndexError:
-            trials._refill()
-            zs, bounds = trials.z, trials.bound
-            j = 0
-            z = zs[0]
-        d = z - r
+    if not 0.0 < sigma <= _BASE_SIGMA:
+        raise ValueError(f"sigma must lie in (0, {_BASE_SIGMA}], got {sigma}")
+    inv_2s2 = 0.5 / (sigma * sigma)
+    base = np.floor(centers)
+    fraction = centers - base
+    out = base.astype(np.int64)
+    pending = np.arange(len(centers))
+    decoded, read = (np.empty(0),) * 4, 0
+    while pending.size:
+        if read + pending.size > len(decoded[0]):
+            rng.skip(_TRIAL_BYTES * read)
+            decoded, read = _decode_trials(rng.peek(_TRIAL_BYTES * 2 * pending.size)), 0
+        z, t0, u, bound = (a[read : read + pending.size] for a in decoded)
+        read += pending.size
+        d = z - fraction[pending]
         e = d * d * inv_2s2
-        bound = bounds[j]
-        j += 1
-        if e < bound:
-            break
-        if not e > bound + band:
-            z0 = z - 1 if z > 0 else -z
-            if trials.uniform[j - 1] < _exp(-(e - z0 * z0 * _BASE_INV_2S2)):
-                break
-    odd = base + z
-    c = center.real
-    base = _floor(c)
-    r = c - base
-    while True:
-        try:
-            z = zs[j]
-        except IndexError:
-            trials._refill()
-            zs, bounds = trials.z, trials.bound
-            j = 0
-            z = zs[0]
-        d = z - r
-        e = d * d * inv_2s2
-        bound = bounds[j]
-        j += 1
-        if e < bound:
-            break
-        if not e > bound + band:
-            z0 = z - 1 if z > 0 else -z
-            if trials.uniform[j - 1] < _exp(-(e - z0 * z0 * _BASE_INV_2S2)):
-                break
-    trials.next = j
-    return complex(base + z, odd)
+        gap = e - bound
+        kept = gap < 0.0
+        for i in (~(kept | (gap > 2.0 * _GUARD))).nonzero()[0]:
+            kept[i] = u[i] < _exp(-(e[i] - t0[i]))
+        out[pending[kept]] += z[kept]
+        pending = pending[~kept]
+    rng.skip(_TRIAL_BYTES * read)
+    return out
 
 
 _HASH_TAG = b"hash-to-ring\x00"  # prefix of every `hash_to_ring` seed

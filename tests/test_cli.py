@@ -10,7 +10,9 @@ import pytest
 
 from dwpt_auth import keyfiles, protocol
 from dwpt_auth.cli import main
-from dwpt_auth.registration import export_cspa_dataset
+from dwpt_auth.ibe import basis_quality
+from dwpt_auth.registration import export_cspa_dataset, ra_setup
+from dwpt_auth.ring import TIERS
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -164,6 +166,31 @@ class TestRegister:
         assert capsys.readouterr().err == f"error: {path}: trapdoor fails F*h = G mod q\n"
         assert path.read_bytes() == before
         assert not (tmp_path / "vehicle-EV-1.bin").exists()
+
+
+    def test_authority_of_a_gaussian_trapdoor_fails_at_load(self, workspace, tmp_path, capsys):
+        """An authority written before the annular keygen holds a trapdoor
+        that the hybrid sampler does not serve: `register` and `run` on it
+        are one error line and exit status 2 each, and write nothing."""
+        from test_keyfiles import gaussian_authority
+
+        old = gaussian_authority(ra_setup(TIERS["test"], "gaussian-cli"))
+        path = tmp_path / "authority.bin"
+        keyfiles.save_authority(path, old)
+        quality = basis_quality(old.msk.f, old.msk.g, old.params.q)
+        before = path.read_bytes()
+        for command in (
+            ["register", "--authority", str(path), "--vehicle-id", "EV-1", "--count", "2"],
+            ["run", "--authority", str(path), "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
+             "--out", str(tmp_path / "run")],
+        ):
+            capsys.readouterr()
+            assert main(command) == 2
+            assert capsys.readouterr().err == (
+                f"error: {path}: trapdoor quality {quality:.3f} above the sampler's 1.172\n"
+            )
+        assert path.read_bytes() == before
+        assert not (tmp_path / "vehicle-EV-1.bin").exists() and not (tmp_path / "run").exists()
 
 
 class TestExportDataset:

@@ -16,21 +16,16 @@ import pytest
 from dwpt_auth import ibe
 from dwpt_auth.errors import AuthenticationFailure, DecodeError, ParameterMismatch
 from dwpt_auth.ibe import (
-    GS_SLACK,
+    ANNULUS,
+    INTEGER_WIDTH,
+    S2_LIMIT,
     Ciphertext,
     KleinSampler,
     Signature,
     UserSecretKey,
     _blocks_to_key,
-    _ff_sample_degree4,
-    _ff_sample_degree8,
-    _ff_sample_degree16,
-    _gram,
-    _gs_quality,
     _key_to_blocks,
-    _merge_array,
-    _parts,
-    _split_array,
+    basis_quality,
     decrypt,
     encrypt,
     extract,
@@ -38,47 +33,59 @@ from dwpt_auth.ibe import (
     ibe_seal,
     identity_point,
     master_key_gen,
+    max_basis_quality,
     noise_model,
     norm_bound,
     sign,
     verify,
 )
-from dwpt_auth.ntrusolve import fft_neg
+from dwpt_auth.ntrusolve import fft_neg, ifft_neg
 from dwpt_auth.registration import ra_setup
-from dwpt_auth.ring import (
-    GaussianTrials,
-    RingElement,
-    RingParams,
-    TIERS,
-    gaussian_int_scale,
-    sample_gaussian_int,
-)
+from dwpt_auth.ring import RingElement, RingParams, TIERS, hash_to_ring, karamul
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import aead_seal
+from test_rng import ReferenceStream
 
 #: SHA-256 of usk.s1.to_bytes() + usk.s2.to_bytes() for
-#: usk = extract(default_authority.msk, b"golden-identity"); pins the
-#: seed-to-key map at the default tier.
-GOLDEN_DEFAULT_EXTRACT = "8c853dbfb56976d0100e1dde3c0a273eddb844eb83575771d8f6aa23a3a987d7"
+#: usk = extract(default_authority.msk, b"golden-identity"), as
+#: `ReferenceSampler` draws it: pins the seed-to-key map at the default tier.
+GOLDEN_DEFAULT_EXTRACT = "efb42b2d09f1f7df3bdb0e5dc896074d6dcedc10b2ac659976bc72b7c6890fe7"
 
 #: SHA-256 of salt + s1.to_bytes() + s2.to_bytes() for
 #: sign(ra_setup(TIERS["default"], "golden-default-authority").msk,
 #: b"pinned message", rng) with rng = RandomSource("golden-sign"), followed by
-#: the caller's next rng.bytes(40): pins the signature and how far the
-#: signer advanced the caller's stream.
-GOLDEN_DEFAULT_SIGN = "2f7eee35c5c94ca69500df56760b860bafe4f152d5f0788982b363ed68f0b14f"
+#: the caller's next rng.bytes(40), as `ReferenceSampler` draws it: pins the
+#: signature and how far the signer advanced the caller's stream.
+GOLDEN_DEFAULT_SIGN = "cb02f523de492bfb5876657e12ccc6c4381fea38a521b8f6eb7f64c7f3275fff"
 
 
 #: SHA-256 over the SHA-256 of s1.to_bytes() + s2.to_bytes() of
 #: extract(default_authority.msk, b"sweep-%d" % i) for i < 400, in order, as
-#: the walk on lists draws them (`TestArrayLevels.reference_walk`) and as the
-#: walk drew them before it had array levels: pins 400 default-tier keys,
-#: with the caveat of the FMA note in README.md.
-GOLDEN_DEFAULT_SWEEP = "fc42158624ca4d6700ee1d2352bc798b28dd9adb738c4e3a6d7f3e9ec6dcb629"
+#: `ReferenceSampler` draws them: pins 400 default-tier keys.
+GOLDEN_DEFAULT_SWEEP = "5f58f0fbca1b4cde42787a52c9b87ace487e1a6b284effed0f740eba8475c1a4"
 
 
 def random_bits(n, rng):
     return [rng.below(2) for _ in range(n)]
+
+
+def reference_annular_pair(params, rng):
+    """`ibe._annular_pair` one Fourier point at a time, in Python scalars:
+    the squared radius, cos^2 theta and two phases from four uniforms."""
+    q, stream = params.q, ReferenceStream(rng.key)
+    stream.pos = rng.position
+    low, high = q / ANNULUS**2, q * ANNULUS**2
+    f_hat, g_hat = [], []
+    for _ in range(params.N // 2):
+        radius_sq, cos_sq, phase_f, phase_g = (stream.uniform() for _ in range(4))
+        radius = math.sqrt(low + (high - low) * radius_sq)
+        f_hat.append(cmath.rect(radius * math.sqrt(cos_sq), 2.0 * math.pi * phase_f))
+        g_hat.append(cmath.rect(radius * math.sqrt(1.0 - cos_sq), 2.0 * math.pi * phase_g))
+    rng.skip(stream.pos - rng.position)
+    return tuple(
+        [round(c) for c in ifft_neg(np.array(v + [x.conjugate() for x in reversed(v)])).tolist()]
+        for v in (f_hat, g_hat)
+    )
 
 
 class TestMasterKeyGen:
@@ -102,10 +109,16 @@ class TestMasterKeyGen:
         for u, v in ((msk.g, msk.f), (msk.G, msk.F)):
             assert not (u.to_ring(p) - v.to_ring(p) * mpk.h).coeffs.any()
 
-    def test_basis_quality_within_slack(self, toy_authority):
-        msk = toy_authority.msk
-        sampler = KleinSampler(msk)
-        assert math.sqrt(sampler.leaves.max()) <= GS_SLACK * math.sqrt(msk.params.q)
+    def test_basis_quality_within_slack(self, request):
+        """Keygen keeps only bases the hybrid sampler serves, alpha_H at most
+        1.5 / r, at every tier; the annulus puts them just below it, at
+        about ANNULUS at the default tier."""
+        for tier in ("toy", "test", "default"):
+            msk = request.getfixturevalue(f"{tier}_authority").msk
+            quality = basis_quality(msk.f, msk.g, msk.params.q)
+            assert max_basis_quality(msk.params) == 1.5 / INTEGER_WIDTH
+            assert 1.0 < quality <= 1.5 / INTEGER_WIDTH, tier
+        assert abs(quality - ANNULUS) < 0.01
 
     def test_deterministic_per_seed(self):
         p = TIERS["toy"]
@@ -121,23 +134,35 @@ class TestMasterKeyGen:
         fail on, is dropped before it: the draws include such pairs, and
         none of them is handed to the solver."""
         draws, solved = [], []
-        real_draw, real_solve = ibe.sample_gaussian_poly, ibe.ntru_solve
+        real_draw, real_solve = ibe._annular_pair, ibe.ntru_solve
 
         def draw(*args):
-            coeffs = real_draw(*args)
-            draws.append(int(coeffs.sum()) % 2)
-            return coeffs
+            f, g = real_draw(*args)
+            draws.append((sum(f) % 2, sum(g) % 2))
+            return f, g
 
         def solve(f, g, q):
             solved.append((sum(f) % 2, sum(g) % 2))
             return real_solve(f, g, q)
 
-        monkeypatch.setattr(ibe, "sample_gaussian_poly", draw)
+        monkeypatch.setattr(ibe, "_annular_pair", draw)
         monkeypatch.setattr(ibe, "ntru_solve", solve)
         for i in range(6):
             master_key_gen(TIERS[tier], RandomSource(f"parity-{tier}-{i}"))
-        assert (0, 0) in zip(draws[0::2], draws[1::2])
+        assert (0, 0) in draws
         assert solved and (0, 0) not in solved
+
+    @pytest.mark.parametrize("tier", ["toy", "test"])
+    def test_annular_draw_matches_the_reference(self, tier):
+        """Each draw is the point-by-point reference's, to the coefficient
+        and to the byte, and lies on the annulus before rounding: the
+        transform of the rounded pair stays near it."""
+        p = TIERS[tier]
+        ours, theirs = RandomSource(f"annulus-{tier}"), RandomSource(f"annulus-{tier}")
+        for _ in range(5):
+            assert ibe._annular_pair(p, ours) == reference_annular_pair(p, theirs)
+            assert ours.position == theirs.position
+        assert ours.position == 5 * 16 * p.N
 
 
 def extraction_stream(msk, identity: bytes) -> RandomSource:
@@ -149,6 +174,78 @@ def preimage(msk, t: RingElement, rng: RandomSource) -> tuple[RingElement, RingE
     """(s1, s2) of the one-row preimage of t drawn from rng."""
     (s,) = ibe._sample_preimage(msk, t.coeffs[None], [rng])
     return RingElement(msk.params, s[: t.params.N]), RingElement(msk.params, s[t.params.N :])
+
+
+class ReferenceSampler:
+    """Mitaka's hybrid sampler as it reads on paper, one key at a time, on
+    Python lists: the constants and centers in Python's complex arithmetic,
+    the perturbation's normals and the integers from `ReferenceStream`, one
+    word and one trial at a time, and the lattice point in exact integer
+    products.  Only the transforms are the package's."""
+
+    def __init__(self, msk):
+        p = msk.params
+        self.params, self.N, self.q = p, p.N, p.q
+        self.polys = [poly.coeffs for poly in (msk.f, msk.g, msk.F, msk.G)]
+        f, g, F, G = (fft_neg(np.array(c, dtype=float)).tolist()[: p.N // 2] for c in self.polys)
+        d = [(a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag)
+             for a, b in zip(f, g)]
+        q, r_sq, sigma_sq = self.q, INTEGER_WIDTH**2, p.sigma_extract**2
+        self.to_b2 = [complex(a.real / q, a.imag / q) for a in f]
+        self.to_b1 = [complex(b.real / x, -b.imag / x) for b, x in zip(g, d)]
+        self.mu = []
+        for a, b, c, e, x in zip(f, g, F, G, d):
+            m = e * b.conjugate() + c * a.conjugate()
+            self.mu.append(complex(m.real / x, m.imag / x))
+        self.scales = (
+            [math.sqrt(p.N / 2 * (sigma_sq / (q * q / x) - r_sq)) for x in d],
+            [math.sqrt(p.N / 2 * (sigma_sq / x - r_sq)) for x in d],
+        )
+
+    def step(self, stream, center, scale):
+        """One step's integers around center plus the perturbation."""
+        perturbed = []
+        for c, s in zip(center, scale):
+            u, u2 = stream.uniform(), stream.uniform()
+            radius, angle = math.sqrt(-2.0 * math.log(1.0 - u)), math.tau * u2
+            a, b = radius * math.cos(angle), radius * math.sin(angle)
+            perturbed.append(complex(c.real + s * a, c.imag + s * b))
+        spectrum = perturbed + [x.conjugate() for x in reversed(perturbed)]
+        return stream.gaussian_ints(ifft_neg(np.array(spectrum)).tolist(), INTEGER_WIDTH)
+
+    def preimage(self, t: list[int], stream) -> tuple[list[int], list[int]]:
+        """(s1, s2) for the target t: drawn again, on down the stream, until
+        it lies within norm_bound with s2 in [-S2_LIMIT, S2_LIMIT)."""
+        half = self.N // 2
+        f, g, F, G = self.polys
+        bound_sq = norm_bound(self.params) ** 2
+        while True:
+            t_hat = fft_neg(np.array(t, dtype=float)).tolist()[:half]
+            z2 = self.step(stream, [a * b for a, b in zip(t_hat, self.to_b2)], self.scales[0])
+            z2_hat = fft_neg(np.array(z2, dtype=float)).tolist()[:half]
+            center = [a * b - c * m for a, b, c, m in zip(t_hat, self.to_b1, z2_hat, self.mu)]
+            z1 = self.step(stream, center, self.scales[1])
+            s1 = [x - a - b for x, a, b in zip(t, karamul(z1, g), karamul(z2, G))]
+            s2 = [a + b for a, b in zip(karamul(z1, f), karamul(z2, F))]
+            fits = all(-S2_LIMIT <= c < S2_LIMIT for c in s2)
+            if fits and sum(c * c for c in s1 + s2) <= bound_sq:
+                return s1, s2
+
+    def key(self, msk, identity: bytes) -> tuple[list[int], list[int]]:
+        stream = ReferenceStream(extraction_stream(msk, identity).key)
+        return self.preimage(identity_point(self.params, identity).coeffs.tolist(), stream)
+
+
+def key_digest(params, s1, s2) -> bytes:
+    return hashlib.sha256(
+        RingElement(params, s1).to_bytes() + RingElement(params, s2).to_bytes()
+    ).digest()
+
+
+@pytest.fixture(scope="module")
+def default_sweep(default_authority):
+    """The 400 keys b"sweep-0", ..., drawn in one call."""
+    return extract(default_authority.msk, *(b"sweep-%d" % i for i in range(400)))
 
 
 class TestExtract:
@@ -178,16 +275,29 @@ class TestExtract:
         a, b = extract(test_authority.msk, b"id-a", b"id-b")
         assert a.s1 != b.s1
 
-    def test_one_call_equals_keys_drawn_alone(self, toy_authority):
-        """Keys extracted in one call equal the keys extracted one by one,
-        in order: over more identities than one walk takes, and for an
-        identity named twice."""
-        msk = toy_authority.msk
-        ids = [b"batch-%d" % i for i in range(ibe._WALK_ROWS + 5)] + [b"batch-3"]
-        keys = extract(msk, *ids)
-        assert [k.identity for k in keys] == ids
-        assert keys == [extract(msk, identity)[0] for identity in ids]
-        assert keys[3] == keys[-1] and keys[3] is not keys[-1]
+    def test_one_call_equals_keys_drawn_alone(self, default_authority):
+        """Keys extracted in one call of 10 or of 32 equal the keys
+        extracted one by one, in order, for identities the two calls share
+        and for an identity named twice."""
+        msk = default_authority.msk
+        ids = [b"batch-%d" % i for i in range(32)]
+        alone = {identity: extract(msk, identity)[0] for identity in ids}
+        tens = extract(msk, *ids[5:14], b"batch-7")
+        assert tens == [alone[identity] for identity in ids[5:14] + [b"batch-7"]]
+        assert tens[2] == tens[-1] and tens[2] is not tens[-1]
+        assert extract(msk, *ids) == [alone[identity] for identity in ids]
+
+    def test_keys_solve_fit_the_bound_and_sixteen_bits(self, default_authority, default_sweep):
+        """Over 400 default-tier keys, each one's s1 + s2*h is its identity
+        point, its (s1, s2) lies within norm_bound, and its s2, kept as
+        int16, is the centered s2 of that preimage."""
+        p, h = default_authority.params, default_authority.mpk.h
+        bound_sq = norm_bound(p) ** 2
+        for usk in default_sweep:
+            assert usk.s1 + usk.s2 * h == identity_point(p, usk.identity)
+            assert usk.s1.norm_squared() + usk.s2.norm_squared() <= bound_sq
+            assert usk.s2_coeffs.dtype == np.int16
+            assert np.array_equal(usk.s2.centered(), usk.s2_coeffs)
 
     def test_rows_above_the_bound_walk_again(self, test_authority, monkeypatch):
         """Under a tighter norm bound, only the rows above it walk again,
@@ -209,14 +319,35 @@ class TestExtract:
         assert all(k.s1.norm_squared() + k.s2.norm_squared() <= tight_sq for k in keys)
         assert keys == [extract(msk, identity)[0] for identity in ids]
 
+    def test_s2_outside_sixteen_bits_draws_again(self, test_authority, monkeypatch):
+        """A row whose s2 leaves [-S2_LIMIT, S2_LIMIT) draws again, as one
+        above the norm bound does: under a limit of 2.5 sigma_extract about
+        half the rows draw again, and every key still fits and equals the
+        key drawn alone."""
+        msk, p = test_authority.msk, test_authority.params
+        limit = round(2.5 * p.sigma_extract)
+        monkeypatch.setattr(ibe, "S2_LIMIT", limit)
+        walks, near = [], KleinSampler.sample_near
+
+        def counted(self, t, rngs):
+            walks.append(len(t))
+            return near(self, t, rngs)
+
+        monkeypatch.setattr(KleinSampler, "sample_near", counted)
+        ids = [b"narrow-%d" % i for i in range(12)]
+        keys = extract(msk, *ids)
+        assert len(walks) > 1 and sum(walks) > 12
+        assert all(-limit <= c < limit for k in keys for c in k.s2_coeffs.tolist())
+        assert keys == [extract(msk, identity)[0] for identity in ids]
+
     def test_batch_keeps_its_s2_in_one_block(self, test_authority):
-        """The keys of one call share one read-only (K, N) int32 block, of
-        which each key's s2 holds a row."""
+        """The keys of one call share one read-only (K, N) int16 block of
+        centered coefficients, of which each key's s2 holds a row."""
         keys = extract(test_authority.msk, b"block-a", b"block-b", b"block-c")
-        block = keys[0].s2.coeffs.base
-        assert block.shape == (3, test_authority.params.N) and block.dtype == np.int32
+        block = keys[0].s2_coeffs.base
+        assert block.shape == (3, test_authority.params.N) and block.dtype == np.int16
         assert not block.flags.writeable
-        assert all(k.s2.coeffs.base is block for k in keys)
+        assert all(k.s2_coeffs.base is block for k in keys)
 
     def test_replaced_basis_builds_its_own_sampler(self, toy_authority):
         """A copy of a master key given another basis extracts against that
@@ -232,12 +363,21 @@ class TestExtract:
 
     def test_key_keeps_s2_and_refers_to_h(self, test_authority):
         """A key holds its identity, s2 and its authority's h, shared, not
-        copied; s1 is derived on each read and never kept."""
-        assert [f.name for f in dataclasses.fields(UserSecretKey)] == ["identity", "s2", "h"]
+        copied; s1 and s2 are built on each read and never kept.  Only
+        `keep_transform` keeps s2's transform, once, and `times` gives
+        u * s2 with it as without it."""
+        assert [f.name for f in dataclasses.fields(UserSecretKey)] == ["identity", "s2_coeffs", "h"]
         (usk,) = extract(test_authority.msk, b"vehicle-77")
         assert usk.h is test_authority.mpk.h
         assert usk.s1 == usk.s1 and usk.s1 is not usk.s1
-        assert "s1" not in vars(usk)
+        assert usk.s2 == usk.s2 and usk.s2 is not usk.s2
+        assert "s1" not in vars(usk) and "s2" not in vars(usk)
+        u = identity_point(usk.params, b"any u")
+        product = usk.times(u)
+        assert np.array_equal(product, (u * usk.s2).coeffs)
+        kept = usk.keep_transform()._kept_s2
+        assert kept._ntt is not None and usk.keep_transform()._kept_s2 is kept
+        assert np.array_equal(usk.times(u), product)
 
 
 class TestKleinSampler:
@@ -263,143 +403,148 @@ class TestKleinSampler:
         assert np.mean(dists) < 1.5 * expected
 
 
-def bit_reversed_basis(msk) -> np.ndarray:
-    """Rows x^r(j) * (g, -f) for j < N, then x^r(j) * (G, -F), with r the
-    bit reversal of log2(N) bits: the order the ffLDL tree walks."""
-    N = msk.params.N
-    bits = N.bit_length() - 1
-    order = [int(format(j, f"0{bits}b")[::-1], 2) for j in range(N)]
+def fourier_rows(msk):
+    """The kept Fourier values of the basis rows b1 = (g, -f) and
+    b2 = (G, -F), each a (N/2, 2) complex array."""
+    h = msk.params.N // 2
+    f, g, F, G = (fft_neg(np.array(p.coeffs, dtype=float))[:h] for p in (msk.f, msk.g, msk.F, msk.G))
+    return np.stack((g, -f), axis=1), np.stack((G, -F), axis=1)
 
-    def shifted(a, k):  # x^k * a mod x^N + 1
-        a = np.array(a.coeffs, dtype=np.float64)
-        return np.concatenate((-a[N - k :], a[: N - k]))
 
-    return np.array([
-        np.concatenate((shifted(u, k), -shifted(v, k)))
-        for u, v in ((msk.g, msk.f), (msk.G, msk.F))
-        for k in order
+def gram_schmidt_norms(msk) -> tuple[np.ndarray, np.ndarray]:
+    """beta_1 = |b1|^2 and beta_2 = |b2|^2 - |<b2, b1>|^2 / |b1|^2 at each
+    Fourier point, in numpy's complex arithmetic."""
+    b1, b2 = fourier_rows(msk)
+    beta1 = np.sum(np.abs(b1) ** 2, axis=1)
+    cross = np.sum(b2 * b1.conj(), axis=1)
+    return beta1, np.sum(np.abs(b2) ** 2, axis=1) - np.abs(cross) ** 2 / beta1
+
+
+def spherical_statistics(msk, walks: int, seed: str) -> np.ndarray:
+    """z-scores, over `walks` draws around one target, of the per-Fourier-
+    point covariance of (s1, s2) = (t, 0) - v in the Gram-Schmidt frame:
+    at each point, s projected on the unit directions of b1 and of b2's
+    Gram-Schmidt row, w1 and w2, is a circular complex Gaussian with
+    E|w_i|^2 = N sigma^2 (the transform of a spherical vector of width
+    sigma), E[w1 w2*] = 0 and E[w_i] = 0.  The statistics are the two
+    variances, the real and imaginary cross term and the four mean parts:
+    8 per point."""
+    p = msk.params
+    N, h, sigma = p.N, p.N // 2, p.sigma_extract
+    t = identity_point(p, b"spherical").coeffs.astype(np.int64)
+    batch = 500
+    v = np.concatenate([
+        msk.sampler.sample_near(
+            np.tile(t, (batch, 1)), [RandomSource(f"{seed}-{k}") for k in range(i, i + batch)]
+        )
+        for i in range(0, walks, batch)
+    ])
+    s = np.concatenate((t, np.zeros(N, dtype=np.int64))) - v
+    s_hat = np.stack((fft_neg(s[:, :N].astype(float))[:, :h], fft_neg(s[:, N:].astype(float))[:, :h]), axis=2)
+    b1, b2 = fourier_rows(msk)
+    u1 = b1 / np.linalg.norm(b1, axis=1, keepdims=True)
+    tilde = b2 - (np.sum(b2 * b1.conj(), axis=1) / np.sum(np.abs(b1) ** 2, axis=1))[:, None] * b1
+    u2 = tilde / np.linalg.norm(tilde, axis=1, keepdims=True)
+    scale = math.sqrt(N) * sigma
+    w1, w2 = (np.sum(s_hat * u.conj(), axis=2) / scale for u in (u1, u2))  # (walks, h)
+    root = math.sqrt(walks)
+    return np.concatenate([
+        ((np.abs(w1) ** 2).mean(axis=0) - 1) * root,
+        ((np.abs(w2) ** 2).mean(axis=0) - 1) * root,
+        (w1 * w2.conj()).mean(axis=0).real * root * math.sqrt(2),
+        (w1 * w2.conj()).mean(axis=0).imag * root * math.sqrt(2),
+        *(part(w.mean(axis=0)) * root * math.sqrt(2) for w in (w1, w2) for part in (np.real, np.imag)),
     ])
 
 
 class TestKleinSamplerFrame:
-    """The ffLDL tree is the Gram-Schmidt frame of the basis, bit-reversed."""
+    """The hybrid sampler's per-point constants are those of the basis's
+    Gram-Schmidt frame, and its output is spherical on that frame."""
 
     @pytest.mark.parametrize("tier", ["toy", "test"])
     def test_gram_schmidt_frame(self, tier, request):
-        """Each leaf is the squared Gram-Schmidt norm of two consecutive
-        rows of the bit-reversed basis (the two are orthogonal, of equal
-        length)."""
+        """The perturbation scales and mu come from the squared
+        Gram-Schmidt norms of the basis rows at each Fourier point, d and
+        q^2/d, and from <b2, b1>/d, as numpy's complex arithmetic gives
+        them from the rows."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-        sampler = KleinSampler(msk)
-        r = np.linalg.qr(bit_reversed_basis(msk).T, mode="r")
-        np.testing.assert_allclose(np.repeat(sampler.leaves, 2), np.diag(r) ** 2, rtol=1e-9)
+        p, sampler = msk.params, msk.sampler
+        beta1, beta2 = gram_schmidt_norms(msk)
+        np.testing.assert_allclose(beta2, p.q**2 / beta1, rtol=1e-9)
+        for beta, scale in zip((beta2, beta1), sampler.scale):
+            expected = np.sqrt(p.N / 2 * (p.sigma_extract**2 / beta - INTEGER_WIDTH**2))
+            np.testing.assert_allclose(scale, expected, rtol=1e-9)
+        b1, b2 = fourier_rows(msk)
+        mu = np.sum(b2 * b1.conj(), axis=1) / beta1
+        np.testing.assert_allclose(sampler.mu[0] + 1j * sampler.mu[1], mu, rtol=1e-9)
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_max_gs_norm_is_the_keygen_quality(self, tier, request):
+        """alpha_H is the largest Gram-Schmidt norm of either row over the
+        Fourier points, over sqrt(q)."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-        expected = _gs_quality(msk.f, msk.g, msk.params.q)
-        assert math.sqrt(msk.sampler.leaves.max()) == pytest.approx(expected, rel=1e-9)
+        beta1, beta2 = gram_schmidt_norms(msk)
+        expected = math.sqrt(max(beta1.max(), beta2.max()) / msk.params.q)
+        assert basis_quality(msk.f, msk.g, msk.params.q) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
     def test_leaf_widths_fit_the_base_sampler(self, tier, request):
-        """sigma_extract / sqrt(leaf) must stay below the base sampler's
-        width 2; keygen's GS_SLACK bounds it by 1.5 * 1.3 = 1.95."""
+        """The integer steps draw at r, within the base sampler's width 2,
+        and every perturbation variance sigma^2/beta - r^2 is nonnegative:
+        keygen's quality bound keeps sigma_extract >= r alpha_H sqrt(q)."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-        leaves = msk.sampler.leaves
-        assert len(leaves) == msk.params.N
-        assert np.all(msk.params.sigma_extract / np.sqrt(leaves) < 2.0)
+        assert 0 < INTEGER_WIDTH <= 2.0
+        assert all(len(s) == msk.params.N // 2 and np.all(s >= 0) for s in msk.sampler.scale)
 
     def test_leaf_width_outside_the_base_table_rejected_at_build(self, toy_authority, monkeypatch):
-        """The tree build checks each leaf's width against the base
-        sampler's (0, 2], once, and not the walk on every draw."""
-        monkeypatch.setattr(RingParams, "sigma_extract", property(lambda p: 10 * math.sqrt(p.q)))
-        with pytest.raises(ValueError, match="sigma must lie in"):
+        """A basis that sigma_extract does not reach at width r, here for a
+        width of sqrt(q), is refused when the sampler is built, once, and
+        not on every draw."""
+        monkeypatch.setattr(RingParams, "sigma_extract", property(lambda p: math.sqrt(p.q)))
+        with pytest.raises(ValueError, match="sigma_extract falls below"):
             KleinSampler(toy_authority.msk)
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_gram_and_target_round_as_python(self, tier, request, monkeypatch):
-        """The Gram entries and each row of the stacked target (t, 0) B^-1,
-        which the walk's root receives, equal Python's complex arithmetic on
-        that row's own transform value for value, so numpy's fused
-        multiply-adds, where a CPU has them, cannot move a center and with
-        it a key."""
+    def test_gram_and_target_round_as_python(self, tier, request):
+        """The constants the centers are products with equal Python's
+        complex arithmetic on the rows' transforms value for value, so
+        numpy's fused multiply-adds, where a CPU has them, cannot move a
+        center and with it a key."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-        h, q = msk.params.N // 2, msk.params.q
-        f, g, F, G = (a[:h].tolist() for a in msk.sampler._fft)
-        assert _gram(*msk.sampler._fft) == (
-            [a * a.conjugate() + b * b.conjugate() for a, b in zip(g, f)],
-            [a * c.conjugate() + b * d.conjugate() for a, b, c, d in zip(g, f, G, F)],
-            [c * c.conjugate() + d * d.conjugate() for c, d in zip(G, F)],
-        )
-        targets, ff_sample = [], ibe._ff_sample
-
-        def recording(t0, t1, node, cursors):
-            targets.append((t0, t1))
-            return ff_sample(t0, t1, node, cursors)
-
-        monkeypatch.setattr(ibe, "_ff_sample", recording)
-        identities = (b"target-0", b"target-1", b"target-2")
-        stack = np.stack([identity_point(msk.params, i).coeffs for i in identities])
-        msk.sampler.sample_near(stack, [RandomSource(i) for i in identities])
-        for t, t0, t1 in zip(stack, *targets[0]):  # the root's targets
-            ta = fft_neg(t.astype(np.float64))[:h].tolist()
-            assert t0.tolist() == [x * c * (-1 / q) for x, c in zip(ta, F)]
-            assert t1.tolist() == [x * c * (1 / q) for x, c in zip(ta, f)]
+        ours, theirs = msk.sampler, ReferenceSampler(msk)
+        to_b2, to_b1 = ours.center_of_target
+        assert (to_b2[0] + 1j * to_b2[1]).tolist() == theirs.to_b2
+        assert (to_b1[0] + 1j * to_b1[1]).tolist() == theirs.to_b1
+        assert (ours.mu[0] + 1j * ours.mu[1]).tolist() == theirs.mu
 
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_tree_matches_the_one_value_recursion(self, tier, request, monkeypatch):
-        """The tree and leaves equal, value for value, those of the build
-        that recurses down to one-value entries, each a leaf: a degree-4
-        entry's node, built inline, rounds as `_split` then `_fftldl` do."""
+    def test_tree_matches_the_one_value_recursion(self, tier, request):
+        """The perturbation scales equal, value for value, those computed
+        one Fourier point at a time in Python scalars."""
         msk = request.getfixturevalue(f"{tier}_authority").msk
-
-        def one_value_diag(d, sigma, leaves):
-            if len(d) == 1:
-                leaves.append(d[0].real)
-                return gaussian_int_scale(sigma / math.sqrt(d[0].real))
-            d0, d1 = ibe._split(d)
-            return ibe._fftldl(d0, d1, d0, sigma, leaves)
-
-        ours = KleinSampler(msk)
-        monkeypatch.setattr(ibe, "_fftldl_diag", one_value_diag)
-        reference = KleinSampler(msk)
-        with np.printoptions(floatmode="unique", threshold=sys.maxsize):
-            assert repr(ours.tree) == repr(reference.tree)
-        assert ours.leaves.tolist() == reference.leaves.tolist()
+        assert [s.tolist() for s in msk.sampler.scale] == list(ReferenceSampler(msk).scales)
 
     def test_walk_is_spherical_on_the_gram_schmidt_frame(self, test_authority):
-        """The walk's output is the spherical Gaussian of width
-        sigma_extract that an extracted key must follow (Gentry, Peikert
-        and Vaikuntanathan, STOC 2008): over 2,000 walks around one target,
-        (t, 0) - v projected on each of the 128 Gram-Schmidt directions of
-        the basis has variance sigma_extract^2 and mean 0, each within
-        |z| <= 5.
+        """The output is the spherical Gaussian of width sigma_extract that
+        an extracted key must follow (Gentry, Peikert and Vaikuntanathan,
+        STOC 2008): over 6,000 draws around one target, the 256 statistics
+        of `spherical_statistics` stay within |z| <= 4.5.
 
-        Under the null the 256 statistics exceed 5 together with
-        probability about 1.5e-4; the sampler as built reads at most 2.9.
-        One leaf width scaled by 0.9 or 1.1 moves the variance of its two
-        directions by 6.0 or 6.6 standard errors on average, which this
-        bound caught for 126 of the 128 such mutations of this authority.
-        The per-node reference tests catch what it cannot (a wrong l10 at
-        the bottom level stays under it).  Walks, not keys: `extract` drops
-        the ~5% of walks above `norm_bound` at this tier, which narrows what
-        it keeps."""
-        msk, walks, batch = test_authority.msk, 2000, 250
-        p = msk.params
-        t = identity_point(p, b"spherical").coeffs.astype(np.int64)
-        v = np.concatenate([
-            msk.sampler.sample_near(
-                np.tile(t, (batch, 1)),
-                [RandomSource(f"spherical-{k}") for k in range(i, i + batch)],
-            )
-            for i in range(0, walks, batch)
-        ])
-        directions = np.linalg.qr(bit_reversed_basis(msk).T)[0]
-        y = (np.concatenate((t, np.zeros(p.N, dtype=np.int64))) - v) @ directions / p.sigma_extract
-        z_variance = (y.var(axis=0, ddof=1) - 1) / math.sqrt(2 / (walks - 1))
-        z_mean = y.mean(axis=0) * math.sqrt(walks)
-        assert np.abs(z_variance).max() <= 5
-        assert np.abs(z_mean).max() <= 5
+        Under the null they exceed 4.5 together with probability about
+        2e-3.  Scaling the perturbation by 0.9 or 1.1 at the one point and
+        step where it carries the largest share of the variance moves that
+        point's variance by about 8.5% or 9.5%, 6.6 or 7.3 standard errors.
+        Draws, not keys: `extract` drops the draws above `norm_bound`,
+        which narrows what it keeps."""
+        z = spherical_statistics(test_authority.msk, 6000, "spherical")
+        assert np.abs(z).max() <= 4.5
+
+    def test_walk_is_spherical_at_n32(self):
+        """As above on a 32-coefficient ring, whose 16 points give 128
+        statistics."""
+        msk = ra_setup(RingParams(32, 12289), "spherical-n32").msk
+        z = spherical_statistics(msk, 6000, "spherical-n32")
+        assert np.abs(z).max() <= 4.5
 
     def test_default_tier_extract_matches_golden(self, default_authority):
         (usk,) = extract(default_authority.msk, b"golden-identity")
@@ -414,175 +559,56 @@ class TestKleinSamplerFrame:
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_DEFAULT_SIGN
 
 
-def l10_values(l10) -> list:
-    """A node's l10 as Python complex scalars.  The walk keeps the root's
-    l10, and any of 8 or more values, as the pair (re + 0i, 0 + i*im) of
-    numpy arrays."""
-    return l10 if isinstance(l10, list) else (l10[0] + l10[1]).tolist()
-
-
-def tree_nodes(tree, size: int) -> list:
-    """The internal nodes of an ffLDL tree whose l10 holds `size` values."""
-    if isinstance(tree, float):
-        return []
-    l10, tree0, tree1 = tree
-    here = [tree] if len(l10_values(l10)) == size else []
-    return here + tree_nodes(tree0, size) + tree_nodes(tree1, size)
-
-
-# The walk as it reads in Ducas and Prest, on Python lists of complex
-# scalars all the way down: the reference for the package's scalar steps and
-# for its array levels.
-
-def twiddles(n):
-    """(zeta_k, conj(zeta_k)/2) for k < n/4 at degree n."""
-    zetas = [cmath.exp(1j * math.pi * (2 * k + 1) / n) for k in range(n // 4)]
-    return zetas, [z.conjugate() / 2 for z in zetas]
-
-
-def split(a):
-    """a(x) = a0(x^2) + x*a1(x^2), on the kept half of the Fourier values."""
-    m = len(a) // 2
-    hi = [x.conjugate() for x in a[: m - 1 : -1]]
-    a0 = [(u + w) * 0.5 for u, w in zip(a, hi)]
-    a1 = [(u - w) * t for u, w, t in zip(a, hi, twiddles(2 * len(a))[1])]
-    return a0, a1
-
-
-def merge(a0, a1):
-    """Inverse of split."""
-    d = [z * y for z, y in zip(twiddles(4 * len(a0))[0], a1)]
-    lo = [x + y for x, y in zip(a0, d)]
-    hi = [(x - y).conjugate() for x, y in zip(a0, d)]
-    return lo + hi[::-1]
-
-
-def ff_sample(t0, t1, node, trials, bottom=None):
-    """Integer (z0, z1) near (t0, t1) for one node: z1 first, then z0 around
-    t0 moved by (t1 - z1) * l10.  A degree-2 leaf, which holds 1/(2 w^2)
-    for its width w, draws its value as one Gaussian integer.  Given
-    `bottom`, a half of 8 values goes to it instead of on down the lists."""
-    l10, tree0, tree1 = node
-
-    def diag(t, tree):
-        if isinstance(tree, float):
-            (c,) = t
-            return [sample_gaussian_int(c, tree, trials)]
-        if bottom and len(t) == 8:
-            return bottom(t, tree, trials)
-        return merge(*ff_sample(*split(t), tree, trials, bottom))
-
-    z1 = diag(t1, tree1)
-    t0 = [a + (b - c) * l for a, b, c, l in zip(t0, t1, z1, l10_values(l10))]
-    return diag(t0, tree0), z1
-
-
-class TestUnrolledSteps:
-    """The scalar steps at the bottom of the walk draw what the list
-    reference's split, sample and merge draw, value for value and byte for
-    byte."""
-
-    @staticmethod
-    def _check(step, t, node, seed):
-        ours = GaussianTrials(RandomSource(seed))
-        theirs = GaussianTrials(RandomSource(seed))
-        assert step(t, node, ours) == merge(*ff_sample(*split(t), node, theirs))
-        ours.close()
-        theirs.close()
-        assert ours.rng.position == theirs.rng.position > 0
-
-    def _check_every_node(self, step, size, tier, request):
-        """Every node whose l10 holds `size` values, at a random target of
-        2 * size values."""
-        msk = request.getfixturevalue(f"{tier}_authority").msk
-        nodes = tree_nodes(msk.sampler.tree, size)
-        assert len(nodes) == msk.params.N // (2 * size)  # 2N coordinates, 4 * size per node
-        points = np.random.default_rng(size).uniform(-40, 40, (len(nodes), 2 * size, 2))
-        for i, (node, point) in enumerate(zip(nodes, points)):
-            t = [complex(x, y) for x, y in point]
-            self._check(step, t, node, f"{tier}-{4 * size}-{i}")
-
-    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_degree16_step_matches_split_sample_merge(self, tier, request):
-        self._check_every_node(_ff_sample_degree16, 4, tier, request)
-
-    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_degree8_step_matches_split_sample_merge(self, tier, request):
-        self._check_every_node(_ff_sample_degree8, 2, tier, request)
-
-    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
-    def test_degree4_step_matches_split_sample_merge(self, tier, request):
-        self._check_every_node(
-            lambda t, node, trials: _ff_sample_degree4(*t, node, trials), 1, tier, request
-        )
-
-
 class TestArrayLevels:
-    """Where the walk's halves hold 8 or more values it splits, moves its
-    targets and merges all rows at once, as (K, n) numpy arrays.  numpy's
-    own complex product may fuse a multiply into an add (it does with
-    AVX-512), which moves a center by a bit and can move a key: in a variant
-    of this walk built on it, one of 2,000 test-tier keys changed
-    (b"sweep-1168", beyond the 400 drawn below).  The walk's products
-    through `_parts` round as Python's do, so each row of the arrays matches
-    the lists value for value, which the first test checks directly, and
+    """The sampler holds its Fourier values as stacked numpy arrays of real
+    and imaginary parts, which it multiplies as Python multiplies complex
+    scalars: numpy's own complex product may fuse a multiply into an add
+    (it does with AVX-512), which moves a center by a bit and can move a
+    key.  Each row of the arrays matches `ReferenceSampler`'s lists value
+    for value, which the first test checks for the helpers directly, and
     the keys follow."""
 
     @pytest.mark.parametrize("n", [16, 32, 64, 512])
     def test_split_move_and_merge_match_the_lists(self, n):
-        """Row for row and value for value, at magnitudes from 1e-3 to 1e5."""
+        """Products and the coefficients of a kept half, row for row and
+        value for value, at magnitudes from 1e-3 to 1e5."""
         rng = np.random.default_rng(n)
         m = n // 2
         for scale in (1e-3, 1.0, 1e5):
-            a, b, c, z = scale * (rng.normal(size=(4, 3, n)) + 1j * rng.normal(size=(4, 3, n)))
-            z, l10 = np.rint(z[:, :m]), a[0, :m].tolist()
-            x0, x1 = _split_array(a)
-            d = x1 - z
-            moved = x0 + (d * _parts(l10)[0] + d * _parts(l10)[1])
-            merged = _merge_array(b[:, :m], c[:, :m])
+            a, b = scale * (rng.normal(size=(2, 3, m)) + 1j * rng.normal(size=(2, 3, m)))
+            product = ibe._times((a.real, a.imag), (b.real, b.imag))
+            coefficients = ibe._coefficients(a.real, a.imag)
             for k in range(3):
-                assert (x0[k].tolist(), x1[k].tolist()) == split(a[k].tolist())
-                assert merged[k].tolist() == merge(b[k, :m].tolist(), c[k, :m].tolist())
-                assert moved[k].tolist() == [
-                    u + (v - w) * l
-                    for u, v, w, l in zip(x0[k].tolist(), x1[k].tolist(), z[k].tolist(), l10)
-                ]
-
-    @staticmethod
-    def reference_walk(t0, t1, node, cursors):
-        """The list reference above the package's degree-16 step (which
-        `TestUnrolledSteps` checks against the lists value for value), one
-        row at a time."""
-        rows = [
-            ff_sample(a, b, node, trials, bottom=_ff_sample_degree16)
-            for a, b, trials in zip(t0.tolist(), t1.tolist(), cursors)
-        ]
-        return tuple(np.array(z) for z in zip(*rows))
-
-    @staticmethod
-    def sweep(msk) -> list[bytes]:
-        """Per-key digests of the 400 identities b"sweep-0", ..., drawn in
-        one call."""
-        keys = extract(msk, *(b"sweep-%d" % i for i in range(400)))
-        return [hashlib.sha256(k.s1.to_bytes() + k.s2.to_bytes()).digest() for k in keys]
+                x, y = a[k].tolist(), b[k].tolist()
+                assert (product[0][k] + 1j * product[1][k]).tolist() == [u * w for u, w in zip(x, y)]
+                spectrum = np.array(x + [u.conjugate() for u in reversed(x)])
+                assert coefficients[k].tolist() == ifft_neg(spectrum).tolist()
 
     @pytest.mark.parametrize("authority", ["test", "n32"])
-    def test_keys_match_the_list_walk(self, authority, request, monkeypatch):
-        """At N = 32 the top node's halves hold 16 values, so the array
-        levels meet the degree-16 step one level below the root."""
+    def test_keys_match_the_list_walk(self, authority, request):
+        """At N = 32 and at the test tier, 40 keys drawn in one call equal
+        the reference's, to the coefficient."""
         if authority == "n32":
             msk = ra_setup(RingParams(32, 8380417), "array-levels-n32").msk
         else:
             msk = request.getfixturevalue(f"{authority}_authority").msk
-        ours = self.sweep(msk)
-        monkeypatch.setattr(ibe, "_ff_sample", self.reference_walk)
-        assert self.sweep(msk) == ours
+        ids = [b"sweep-%d" % i for i in range(40)]
+        reference = ReferenceSampler(msk)
+        for usk in extract(msk, *ids):
+            s1, s2 = reference.key(msk, usk.identity)
+            assert usk.s1.centered().tolist() == s1 and usk.s2_coeffs.tolist() == s2
 
-    def test_default_tier_keys_match_the_list_walk(self, default_authority):
-        """Against the pinned digest of the list walk's keys, which halves
-        the time of drawing them twice."""
-        digest = hashlib.sha256(b"".join(self.sweep(default_authority.msk))).hexdigest()
-        assert digest == GOLDEN_DEFAULT_SWEEP
+    def test_default_tier_keys_match_the_list_walk(self, default_authority, default_sweep):
+        """Against the pinned digest of the reference's 400 keys, of which
+        the first three are drawn again here."""
+        p, msk = default_authority.params, default_authority.msk
+        digests = [key_digest(p, k.s1.coeffs, k.s2.coeffs) for k in default_sweep]
+        assert hashlib.sha256(b"".join(digests)).hexdigest() == GOLDEN_DEFAULT_SWEEP
+        reference = ReferenceSampler(msk)
+        for usk in default_sweep[:3]:
+            assert key_digest(p, *reference.key(msk, usk.identity)) == key_digest(
+                p, usk.s1.coeffs, usk.s2.coeffs
+            )
 
 
 class TestEncryptDecrypt:
@@ -649,7 +675,7 @@ class TestEncryptDecrypt:
         zero = RingElement(p, [0] * p.N)  # u = 0, so w = v for any key
         edges = [q // 4, q // 4 + 1, q - q // 4 - 1, q - q // 4, 0, q // 2, q // 2 + 1, q - 1]
         w = RingElement(p, (edges * p.N)[: p.N])
-        got = decrypt(UserSecretKey(b"x", zero, zero), Ciphertext(zero, w))
+        got = decrypt(UserSecretKey(b"x", np.zeros(p.N, np.int16), zero), Ciphertext(zero, w))
         assert got.dtype == np.uint8 and got.shape == (p.N,)
         assert np.array_equal(got[:8], [0, 1, 1, 0, 0, 1, 1, 0])
         assert np.array_equal(got, np.abs(w.centered()) > q // 4)
@@ -705,8 +731,6 @@ class TestSignatures:
         p = mpk.params
         rng = RandomSource("sig4")
         salt = rng.bytes(32)
-        from dwpt_auth.ring import hash_to_ring
-
         t = hash_to_ring(b"SIG\x00" + salt + b"msg", p)
         # trivial preimage: s1 = t, s2 = 0 -- valid equation, huge norm
         forged = Signature(salt=salt, s1=t, s2=RingElement(p, [0] * p.N))
@@ -897,6 +921,7 @@ NO_FMA_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 PIN_TESTS = (
     "tests/test_ibe.py::TestKleinSamplerFrame::test_default_tier_extract_matches_golden",
     "tests/test_ibe.py::TestKleinSamplerFrame::test_default_tier_sign_matches_golden",
+    "tests/test_ibe.py::TestArrayLevels::test_default_tier_keys_match_the_list_walk",
     "tests/test_keyfiles.py::TestGoldenFiles",
     "tests/test_netsim.py::TestTranscriptPins",
     "tests/test_ntrusolve.py::test_seeded_solutions_match_golden",
@@ -944,4 +969,4 @@ def test_pins_hold_without_fma():
         "features": dict.fromkeys(targets, False), "fused": 0
     }, result.stderr
     assert result.returncode == 0, report + result.stderr
-    assert "12 passed in" in report, report
+    assert "13 passed in" in report, report

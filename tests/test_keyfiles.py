@@ -14,24 +14,58 @@ from hypothesis import given, settings, strategies as st
 
 from dwpt_auth import keyfiles
 from dwpt_auth.codec import Writer
-from dwpt_auth.errors import DecodeError
-from dwpt_auth.ibe import extract, norm_bound
+from dwpt_auth.errors import DecodeError, NotInvertible
+from dwpt_auth.ibe import (
+    MasterPublicKey,
+    MasterSecretKey,
+    UserSecretKey,
+    basis_quality,
+    extract,
+    max_basis_quality,
+    norm_bound,
+)
+from dwpt_auth.ntrusolve import ntru_solve
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
-from dwpt_auth.ring import IntegerPolynomial, RingElement, TIERS
+from dwpt_auth.ring import IntegerPolynomial, RingElement, TIERS, sample_gaussian_poly
+from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import SymmetricKey
+from test_ntrusolve import gaussian_width
 
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "f8db91b656b189c3e7266cdc000c98d33779fdd4e8b3cb1342e93a80cf59b8a7",
-    "vehicle.bin": "8136cde28adba344cb2b2e3c1d63ef28a0f4ad4e717375fbb990ee0764b5293b",
-    "dataset.bin": "85d181f84de1e7fc390191e419dafcdbff6b33a59aac9494a21a7328e6bab7c0",
+    "authority.bin": "b1e4a15459637febbf0379da9906d5874259a4e43131aa5e9c5fe448142fffe6",
+    "vehicle.bin": "605b22bae87476a16e6d8a0de9831ece72ea8cfb89efcee1943f697d8c83f9cf",
+    "dataset.bin": "540c303eb0e763cdd0bea9e44c1135c117b0460e553d7323861c9a0489ba3188",
 }
 
 #: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
 #: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
 #: seed-to-key map at the tier the benchmark measures.
-GOLDEN_DEFAULT_VEHICLE = "7bb17f1f9cb656cebcb5b1ad9155c65151100623084cca44f143cae7b2e69873"
+GOLDEN_DEFAULT_VEHICLE = "859ef0d505433425c546bf597a87919da559651a04f8547c5a8b28a4a39ba4a6"
+
+
+def gaussian_authority(ra):
+    """`ra` with the trapdoor that keygen drew before its annular draw: a
+    Gaussian (f, g) completed by `ntru_solve`, h = g/f, and an operator key
+    of s2 = 0 under it, with no vehicles.  Every authority written before
+    the annular keygen holds such a trapdoor."""
+    p = ra.params
+    rng = RandomSource("gaussian-trapdoor")
+    while True:
+        f, g = (sample_gaussian_poly(p, gaussian_width(p), rng).tolist() for _ in range(2))
+        try:
+            f_inv = RingElement(p, f).inverse()
+            F, G = ntru_solve(f, g, p.q)
+        except NotInvertible:
+            continue
+        h = RingElement(p, g) * f_inv
+        msk = MasterSecretKey(*map(IntegerPolynomial, (f, g, F, G)), ra.msk.extract_seed, h)
+        usk = UserSecretKey(ra.cspa_identity, np.zeros(p.N, dtype=np.int16), h)
+        return dataclasses.replace(
+            ra, mpk=MasterPublicKey(h), msk=msk, cspa_usk=usk,
+            vehicles={}, dataset_entries={}, consumed=set(),
+        )
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +291,47 @@ class TestStrictFields:
         bad = blob.replace(stored, RingElement(usk.params, coeffs).to_bytes())
         with pytest.raises(DecodeError, match=f"^key of {usk.identity.hex()} exceeds the norm"):
             decode(bad)
+
+    @pytest.mark.parametrize("container", ["vehicle", "authority", "dataset"])
+    def test_s2_outside_sixteen_bits_rejected(
+        self, default_authority, default_vehicle, container, monkeypatch
+    ):
+        """A stored s2 coefficient of 2^15 - 1 or -2^15 decodes, and one of
+        2^15 or -2^15 - 1 fails at load: keys hold s2 in 16 bits.  The norm
+        bound is lifted here, so that the range alone decides."""
+        monkeypatch.setattr(keyfiles, "norm_bound", lambda params: math.inf)
+        ra, creds = default_authority, default_vehicle
+        usk, blob, decode, key_of = {
+            "vehicle": (creds.entries[1].usk, keyfiles.vehicle_to_bytes(creds),
+                        keyfiles.vehicle_from_bytes, lambda d: d.entries[1].usk),
+            "authority": (ra.cspa_usk, keyfiles.authority_to_bytes(ra),
+                          keyfiles.authority_from_bytes, lambda d: d.cspa_usk),
+            "dataset": (ra.cspa_usk, keyfiles.dataset_to_bytes(export_cspa_dataset(ra)),
+                        keyfiles.dataset_from_bytes, lambda d: d.usk),
+        }[container]
+        stored = usk.s2.to_bytes()
+        assert blob.count(stored) == 1
+        for value, fits in ((2**15 - 1, True), (-(2**15), True), (2**15, False), (-(2**15) - 1, False)):
+            coeffs = usk.s2.centered()
+            coeffs[0] = value
+            bad = blob.replace(stored, RingElement(usk.params, coeffs).to_bytes())
+            if fits:
+                assert key_of(decode(bad)).s2.centered()[0] == value
+            else:
+                with pytest.raises(DecodeError, match="^s2 coefficient outside the 16 bits"):
+                    decode(bad)
+
+    def test_trapdoor_of_a_gaussian_keygen_rejected(self, ra):
+        """A trapdoor completed from a Gaussian (f, g), as every authority
+        written before the annular keygen holds, has a quality above the
+        1.5 / r = 1.172 that the hybrid sampler serves (2.06 here, 3.8 to
+        7.0 at the default tier): refused at load, before any key is
+        extracted with it."""
+        old = gaussian_authority(ra)
+        quality = basis_quality(old.msk.f, old.msk.g, ra.params.q)
+        assert quality > max_basis_quality(ra.params)
+        with pytest.raises(DecodeError, match=f"^trapdoor quality {quality:.3f} above the sampler's 1.172$"):
+            keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(old))
 
     @pytest.mark.parametrize("poly", ["f", "g", "F", "G"])
     def test_trapdoor_bit_flip_rejected(self, ra, poly):

@@ -592,14 +592,14 @@ def _digests(trace) -> tuple[str, str]:
 # seeded sessions on the suite's default-tier authority and vehicle.  Gate 5
 # only compares reruns with each other; these pin the seed-to-transcript map.
 TRANSCRIPT_PINS = {
-    (1, "rounded-table"): ("858d4bcb3769b1cd", "db346862fd07339e"),
-    (1, "cycle-accurate"): ("43b5d4537f1c863d", "486e408b982382df"),
-    (7, "rounded-table"): ("262d96dd767ca128", "7b00c2d5c63bbe25"),
-    (7, "cycle-accurate"): ("31311ffb31677780", "82d29c00b9a92692"),
-    (200, "rounded-table"): ("2bded13ba7c342d6", "b06fe7b14836b36f"),
-    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "f9845e353763cf35"),
+    (1, "rounded-table"): ("858d4bcb3769b1cd", "694d905db07ae97a"),
+    (1, "cycle-accurate"): ("43b5d4537f1c863d", "c28b28e33fd40133"),
+    (7, "rounded-table"): ("262d96dd767ca128", "5bea0429c197dfca"),
+    (7, "cycle-accurate"): ("31311ffb31677780", "7b79917812595fcc"),
+    (200, "rounded-table"): ("2bded13ba7c342d6", "96180a10976fc76a"),
+    (200, "cycle-accurate"): ("d234f9ba531b0f2f", "cff987f29f8b3575"),
 }
-REUSE_PIN = ("5bd85dc95ca89c09", "1069144c584a43ee")
+REUSE_PIN = ("5bd85dc95ca89c09", "215e2e594bc6cf5b")
 
 
 class TestTranscriptPins:

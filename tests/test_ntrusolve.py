@@ -38,6 +38,13 @@ from dwpt_auth.rng import RandomSource
 GOLDEN_SOLVE = "22013943ec18e85b3b1b550d2cdd977ad82612325ac3aceec05417b740f04634"
 
 
+def gaussian_width(p) -> float:
+    """The width that keygen drew (f, g) at before its annular draw: vectors
+    of norm about 1.17 sqrt(q).  The solver tests keep it, so their seeded
+    pairs, and GOLDEN_SOLVE, are the ones they were."""
+    return 1.17 * math.sqrt(p.q / (2 * p.N))
+
+
 def naive_negacyclic(a, b):
     n = len(a)
     out = [0] * n
@@ -158,8 +165,8 @@ class TestTowerMaps:
 
 def solve_some_pair(params, rng):
     while True:
-        f = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
-        g = IntegerPolynomial(sample_gaussian_poly(params, params.sigma_f, rng))
+        f = IntegerPolynomial(sample_gaussian_poly(params, gaussian_width(params), rng))
+        g = IntegerPolynomial(sample_gaussian_poly(params, gaussian_width(params), rng))
         try:
             F, G = ntru_solve(f.coeffs, g.coeffs, params.q)
         except NotInvertible:
@@ -209,8 +216,8 @@ class TestReducePair:
     def test_exact_multiple_reduces_to_zero_value(self):
         p = TIERS["toy"]
         rng = RandomSource("reduce-zero")
-        f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
-        g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+        f = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
+        g = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
         big = [rng.below(1 << 40) for _ in range(p.N)]
         F2, G2 = karamul(big, f), karamul(big, g)
         reduce_pair(f, g, F2, G2)
@@ -323,8 +330,8 @@ def test_routes_give_the_same_solution(monkeypatch):
         p = TIERS[tier]
         rng = RandomSource(f"routes-{tier}")
         while count:
-            f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
-            g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            f = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
+            g = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
             if sum(f) % 2 == sum(g) % 2 == 0:
                 continue
             try:
@@ -348,8 +355,8 @@ class TestSolve:
         rng = RandomSource(f"solve-{tier}")
         solved = 0
         while solved < 3:
-            f = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
-            g = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
+            f = IntegerPolynomial(sample_gaussian_poly(p, gaussian_width(p), rng))
+            g = IntegerPolynomial(sample_gaussian_poly(p, gaussian_width(p), rng))
             try:
                 F, G = ntru_solve(f.coeffs, g.coeffs, p.q)
             except NotInvertible:
@@ -365,8 +372,8 @@ class TestSolve:
         p = TIERS["test"]
         rng = RandomSource("solve-size")
         while True:
-            f = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
-            g = IntegerPolynomial(sample_gaussian_poly(p, p.sigma_f, rng))
+            f = IntegerPolynomial(sample_gaussian_poly(p, gaussian_width(p), rng))
+            g = IntegerPolynomial(sample_gaussian_poly(p, gaussian_width(p), rng))
             try:
                 F, G = ntru_solve(f.coeffs, g.coeffs, p.q)
             except NotInvertible:
@@ -391,8 +398,8 @@ class TestSolve:
         rng = RandomSource("even-resultants")
         unsolvable = 0
         while unsolvable < 4:
-            f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
-            g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            f = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
+            g = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
             norm = f
             while len(norm) > 1:
                 norm = field_norm(norm)
@@ -483,8 +490,8 @@ def seeded_solutions():
         p = TIERS[tier]
         rng = RandomSource(f"golden-solve-{tier}")
         while count:
-            f = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
-            g = sample_gaussian_poly(p, p.sigma_f, rng).tolist()
+            f = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
+            g = sample_gaussian_poly(p, gaussian_width(p), rng).tolist()
             if sum(f) % 2 == sum(g) % 2 == 0:
                 continue
             try:

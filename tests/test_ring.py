@@ -11,12 +11,10 @@ from dwpt_auth import keyfiles, ring
 from dwpt_auth.errors import DecodeError, NotInvertible, ParameterMismatch
 from dwpt_auth.ibe import ENC_SIGMA
 from dwpt_auth.ring import (
-    GaussianTrials,
     IntegerPolynomial,
     RingElement,
     RingParams,
     TIERS,
-    gaussian_int_scale,
     hash_to_ring,
     karamul,
     sample_gaussian_int,
@@ -43,7 +41,6 @@ class TestParams:
     def test_widths_derive_from_N_and_q(self):
         assert [f.name for f in dataclasses.fields(RingParams)] == ["N", "q"]
         p = TIERS["test"]
-        assert p.sigma_f == 1.17 * math.sqrt(p.q / (2 * p.N))
         assert p.sigma_extract == 1.5 * math.sqrt(p.q)
 
     def test_default_tier_modulus(self):
@@ -235,9 +232,9 @@ class TestKeptTransform:
         assert simulate_session(ra, creds, n_pads=2, seed="kept").completed
         assert ra.mpk.h._ntt is not None
         for key in [e.usk for e in creds.entries]:
-            assert key.s1._ntt is None and key.s2._ntt is None
+            assert key.s1._ntt is None and key.s2._ntt is None and key._kept_s2 is None
         assert ra.cspa_usk.s1._ntt is None
-        assert ra.cspa_usk.s2._ntt is not None
+        assert ra.cspa_usk._kept_s2._ntt is not None
 
 
 #: The widest modulus RingParams accepts (prime, = 1 mod 32, below 2^31),
@@ -434,11 +431,12 @@ class TestGaussianSampling:
         with pytest.raises(ValueError):
             sample_gaussian_poly(TIERS["toy"], 0.0, RandomSource(0))
 
-    # The encryption noise, keygen's width at each tier, and a width whose
-    # cumulative table ends in three entries equal to 1.0.
+    # The encryption noise, the width the Gaussian keygen drew (f, g) at,
+    # 1.17 sqrt(q/2N), at each tier (tables of 7 to 213 entries), and a width
+    # whose cumulative table ends in three entries equal to 1.0.
     @pytest.mark.parametrize(
         "sigma",
-        [ENC_SIGMA, *(p.sigma_f for p in TIERS.values()), 0.3],
+        [ENC_SIGMA, *(1.17 * math.sqrt(p.q / (2 * p.N)) for p in TIERS.values()), 0.3],
         ids=["enc", *(f"sigma_f-{tier}" for tier in TIERS), "trailing-ones"],
     )
     @pytest.mark.parametrize("rows", [1, 3])
@@ -478,44 +476,40 @@ def exact_discrete_gaussian_moments(center, sigma):
 
 
 class TestSampleGaussianInt:
-    """The table-and-rejection base sampler of the extraction walk."""
+    """The table-and-rejection base sampler of the hybrid sampler's integer
+    steps."""
 
     @pytest.mark.parametrize("sigma", [1.2, 1.5, 1.95])
     @pytest.mark.parametrize("center", [0.0, 0.25, 0.5, -3.7, 1e6 + 0.3])
     def test_moments_match_exact_distribution(self, sigma, center):
-        """Each coordinate of the Gaussian integer, against the exact
-        distribution around its coordinate of the center, whose imaginary
-        part is 0.5 - center."""
+        """Draws around one center, and around 0.5 - center in the same
+        call, against the exact distribution around each."""
         n = 4000
-        trials = GaussianTrials(RandomSource(f"base-{sigma}-{center}"))
-        center = complex(center, 0.5 - center)
-        inv_2s2 = gaussian_int_scale(sigma)
-        draws = np.array([sample_gaussian_int(center, inv_2s2, trials) for _ in range(n)])
-        for x, c in ((draws.real, center.real), (draws.imag, center.imag)):
+        centers = np.repeat([center, 0.5 - center], n)
+        draws = sample_gaussian_int(centers, sigma, RandomSource(f"base-{sigma}-{center}"))
+        for x, c in ((draws[:n], center), (draws[n:], 0.5 - center)):
             mean, var, m4 = exact_discrete_gaussian_moments(c, sigma)
             # Four standard errors of the sample mean and the sample variance.
             assert abs(x.mean() - mean) < 4 * math.sqrt(var / n)
             assert abs(x.var() - var) < 4 * math.sqrt((m4 - var * var) / n)
 
     def test_same_seed_same_stream(self):
-        inv_2s2 = gaussian_int_scale(1.7)
-        draws = [
-            [sample_gaussian_int(complex(0.1 * i, -0.2 * i), inv_2s2, trials) for i in range(250)]
-            for trials in (GaussianTrials(RandomSource("stream")) for _ in range(2))
-        ]
-        assert draws[0] == draws[1]
-        assert all(z.real.is_integer() and z.imag.is_integer() for z in draws[0])
+        centers = 0.1 * np.arange(250) - 0.2 * (np.arange(250) % 3)
+        draws = [sample_gaussian_int(centers, 1.7, RandomSource("stream")) for _ in range(2)]
+        assert np.array_equal(draws[0], draws[1])
+        assert draws[0].dtype == np.int64
 
     @pytest.mark.parametrize("sigma", [2.0001, 3.0, 0.0, -1.0])
     def test_width_outside_base_table_rejected(self, sigma):
-        """A width outside (0, 2] has no scale; the walk's tree build asks
-        for one per leaf (see test_ibe.py)."""
-        with pytest.raises(ValueError):
-            gaussian_int_scale(sigma)
+        """A width outside (0, 2] is refused before any byte is read."""
+        rng = RandomSource("outside")
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            sample_gaussian_int(np.zeros(4), sigma, rng)
+        assert rng.position == 0
 
 
 class CraftedSource:
-    """Crafted bytes behind the two calls a `GaussianTrials` cursor makes."""
+    """Crafted bytes behind the two calls `sample_gaussian_int` makes."""
 
     def __init__(self, data: bytes):
         self.data, self.pos = data, 0
@@ -542,61 +536,60 @@ def trial_bytes(trials):
 
 
 def crafted_draws(data, draws, monkeypatch):
-    """Draw (complex center, sigma) pairs from the given bytes, followed by
-    a stretch of a seeded stream, and from `ReferenceStream` over the same
+    """Draw each (centers, sigma) call from the given bytes, followed by a
+    stretch of a seeded stream, and from `ReferenceStream` over the same
     bytes; returns both draw lists, both byte counts, the reference's trial
     count and the number of exact tests taken.  The bytes are finite, so a
     sampler that rejects every trial fails instead of running on."""
-    data += RandomSource("crafted-filler").bytes(2 * 16 * ring._TRIALS_PER_CHUNK)
+    data += RandomSource("crafted-filler").bytes(2 * 16 * 256)
     exact = []
     monkeypatch.setattr(ring, "_exp", lambda x: exact.append(x) or math.exp(x))
-    draws = [(c, gaussian_int_scale(s)) for c, s in draws]
     source = CraftedSource(data)
-    with GaussianTrials(source) as cursor:
-        got = [sample_gaussian_int(c, inv_2s2, cursor) for c, inv_2s2 in draws]
+    got = [sample_gaussian_int(np.array(c, dtype=float), s, source).tolist() for c, s in draws]
     ref = ReferenceStream(b"")
     ref.data = data
-    want = [ref.gaussian_pair(c, inv_2s2) for c, inv_2s2 in draws]
+    want = [ref.gaussian_ints(c, s) for c, s in draws]
     return got, want, source.pos, ref.pos, ref.trials, len(exact)
 
 
-#: A trial that a coordinate centered on 0 keeps at any width: z = 0 and a
-#: zero uniform, which the exact test keeps against exp(0) = 1.
+#: A trial that a center of 0 keeps at any width: z = 0 and a zero uniform,
+#: which the exact test keeps against exp(0) = 1.
 KEPT_AT_ZERO = (candidate_word(0, 0), 0)
 
 
 class TestLeafDrawEdges:
     """Crafted trials on both sides of the log-domain decision, each checked
-    against the trial-by-trial definition in `ReferenceStream`, in both of
-    the leaf draw's loops: the imaginary coordinate's, then the real one's."""
+    against the trial-by-trial definition in `ReferenceStream`, for the
+    first and for the second center of a round."""
 
     def test_zero_uniform_rejected_where_exp_underflows(self, monkeypatch):
         """The last row with sign bit 1 is z = 18; at width 0.4 around 0 the
         acceptance probability exp(-976) is 0 in double precision, so a zero
-        uniform must be rejected, although -ln 0 is infinite: in either
-        coordinate's loop, while the other coordinate keeps its one trial."""
+        uniform must be rejected, although -ln 0 is infinite: as the first
+        or the second center's trial, while the other center keeps its one
+        trial."""
         z0 = len(ring._BASE_THRESHOLDS)
         assert math.exp(-((z0 + 1) ** 2 / (2 * 0.4 * 0.4) - z0 * z0 * ring._BASE_INV_2S2)) == 0.0
         crafted, kept = (candidate_word(z0, 1), 0), KEPT_AT_ZERO
-        for trials in ([crafted, kept], [kept, crafted]):  # imaginary, then real
+        for trials in ([crafted, kept], [kept, crafted]):
             got, want, used, ref_used, ref_trials, exact = crafted_draws(
-                trial_bytes(trials), [(0j, 0.4)], monkeypatch
+                trial_bytes(trials), [([0.0, 0.0], 0.4)], monkeypatch
             )
             assert got == want and used == ref_used
             assert ref_trials > 2 and exact >= 2
 
     def test_zero_uniform_accepted_where_exp_is_positive(self, monkeypatch):
         got, want, used, ref_used, ref_trials, exact = crafted_draws(
-            trial_bytes([(candidate_word(3, 0), 0)] * 2), [(complex(0.25, 0.25), 1.5)], monkeypatch
+            trial_bytes([(candidate_word(3, 0), 0)] * 2), [([0.25, 0.25], 1.5)], monkeypatch
         )
-        assert got == want == [complex(-3, -3)] and used == ref_used == 32
+        assert got == want == [[-3, -3]] and used == ref_used == 32
         assert ref_trials == 2 and exact == 2
 
     @pytest.mark.parametrize("offset", range(-8, 9))
     def test_uniform_at_the_acceptance_probability(self, offset, monkeypatch):
-        """Uniforms within 2^-50 of exp(-x), on both sides and on it, in
-        either coordinate's loop: each falls inside the guard band, and the
-        exact test decides.  The other coordinate, centered on 0, keeps its
+        """Uniforms within 2^-50 of exp(-x), on both sides and on it, as the
+        first or the second center's trial: each falls inside the guard
+        band, and the exact test decides.  The other center, 0, keeps its
         one trial, so two trials are read exactly when the crafted one is
         kept."""
         z0, c, sigma = 2, 0.9, 1.9
@@ -606,9 +599,9 @@ class TestLeafDrawEdges:
         assert 0.5 <= p < 1  # so that p is a multiple of 2^-53 and u can equal it
         m = int(p * 2**53) + offset
         kept, crafted = KEPT_AT_ZERO, (candidate_word(z0, 1), m << 11)
-        for trials, center in (([crafted, kept], complex(0, c)), ([kept, crafted], complex(c, 0))):
+        for trials, centers in (([crafted, kept], [c, 0.0]), ([kept, crafted], [0.0, c])):
             got, want, used, ref_used, ref_trials, exact = crafted_draws(
-                trial_bytes(trials), [(center, sigma)], monkeypatch
+                trial_bytes(trials), [(centers, sigma)], monkeypatch
             )
             assert got == want and used == ref_used
             assert exact >= 2
@@ -622,27 +615,26 @@ class TestLeafDrawEdges:
         a uniform just above 0."""
         assert ring._BASE_ROWS == 18
         word = candidate_word(z0, sign)
-        cursor = GaussianTrials(CraftedSource(trial_bytes([(word, 0)] * 256)))
-        assert cursor.z[0] == (1 + z0 if sign else -z0)
+        z, *_ = ring._decode_trials(trial_bytes([(word, 0)]))
+        assert z.tolist() == [1 + z0 if sign else -z0]
         for uniform in (1 << 63, 1 << 11):
             got, want, used, ref_used, _, _ = crafted_draws(
                 trial_bytes([(word, uniform)] * 6),
-                [(complex(0.5, -0.75), 2.0), (complex(-0.75, 10.1), 1.2),
-                 (complex(10.1, 0.5), 0.3)],
+                [([0.5, -0.75], 2.0), ([-0.75, 10.1], 1.2), ([10.1, 0.5], 0.3)],
                 monkeypatch,
             )
             assert got == want and used == ref_used
 
     def test_every_decision_exact_under_a_wide_guard(self, monkeypatch):
         """With G widened past any e, no trial is decided in the log domain;
-        2,500 draws, 5,000 coordinates, must still match the reference, draw
+        5,000 centers over 50 widths must still match the reference, draw
         for draw and byte for byte, with one exact test per trial."""
         monkeypatch.setattr(ring, "_GUARD", 1e6)
         draws = [
-            (complex(0.37 * i - 900.0, 0.29 * i + 17.0), 1.2 + 0.8 * (i % 101) / 100)
-            for i in range(2500)
+            ([0.37 * i - 900.0 + 0.29 * k for i in range(100)], 1.2 + 0.8 * k / 49)
+            for k in range(50)
         ]
-        data = RandomSource("wide-guard").bytes(48 * 16 * ring._TRIALS_PER_CHUNK)
+        data = RandomSource("wide-guard").bytes(48 * 16 * 256)
         got, want, used, ref_used, ref_trials, exact = crafted_draws(data, draws, monkeypatch)
         assert got == want and used == ref_used
         assert exact == ref_trials > 5000

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dwpt_auth import ibe, ring
-from dwpt_auth.ring import GaussianTrials, gaussian_int_scale, sample_gaussian_int
+from dwpt_auth.ring import sample_gaussian_int
 from dwpt_auth.rng import RandomSource
 
 #: Bytes per SHAKE-256 call of the stream's definition.
@@ -50,26 +50,29 @@ class ReferenceStream:
             if x < limit:
                 return x % bound
 
-    def gaussian_int(self, center, inv_2s2):
-        """The base sampler's definition, one 16-byte trial at a time, at
-        the width sigma of inv_2s2 = 1/(2 sigma^2)."""
+    def trial(self, center, sigma):
+        """One 16-byte trial of the base sampler's definition around a real
+        center at width sigma: the integer it keeps, or None."""
         base = math.floor(center)
         r = center - base
         cdf = ring._BASE_CDF.tolist()
-        while True:
-            self.trials += 1
-            u = self.u64()
-            z0 = bisect.bisect_right(cdf, (u >> 11) * (1.0 / (1 << 53)))
-            z = 1 + z0 if u & 1 else -z0
-            x = (z - r) * (z - r) * inv_2s2 - z0 * z0 * ring._BASE_INV_2S2
-            if self.uniform() < math.exp(-x):
-                return base + z
+        self.trials += 1
+        u = self.u64()
+        z0 = bisect.bisect_right(cdf, (u >> 11) * (1.0 / (1 << 53)))
+        z = 1 + z0 if u & 1 else -z0
+        x = (z - r) * (z - r) * (0.5 / (sigma * sigma)) - z0 * z0 * ring._BASE_INV_2S2
+        return base + z if self.uniform() < math.exp(-x) else None
 
-    def gaussian_pair(self, center, inv_2s2):
-        """A Gaussian integer around a complex center: the imaginary
-        coordinate, then the real one."""
-        odd = self.gaussian_int(center.imag, inv_2s2)
-        return complex(self.gaussian_int(center.real, inv_2s2), odd)
+    def gaussian_ints(self, centers, sigma):
+        """The integer step's definition, one trial at a time: rounds of one
+        trial per center still without its integer, in index order."""
+        out = [None] * len(centers)
+        pending = list(range(len(centers)))
+        while pending:
+            for i in pending:
+                out[i] = self.trial(centers[i], sigma)
+            pending = [i for i in pending if out[i] is None]
+        return out
 
 
 def test_known_answer():
@@ -86,18 +89,16 @@ def test_every_byte_is_accounted_for(lead):
     ref = ReferenceStream(rng.key)
 
     def gaussian_run(n, offset):
-        with GaussianTrials(rng) as trials:
-            for i in range(n):
-                center = complex(offset + 0.37 * i, offset - 0.23 * i)
-                inv_2s2 = gaussian_int_scale(1.2 + (i % 7) * 0.1)
-                want = ref.gaussian_pair(center, inv_2s2)
-                assert sample_gaussian_int(center, inv_2s2, trials) == want
+        for k, sigma in enumerate((1.28, 1.9, 0.7)):
+            centers = offset + 0.37 * np.arange(n) - 0.23 * (np.arange(n) % 7) + k
+            want = ref.gaussian_ints(centers.tolist(), sigma)
+            assert sample_gaussian_int(centers, sigma, rng).tolist() == want
 
     assert rng.bytes(lead) == ref.bytes(lead)
     assert rng.bytes(3) == ref.bytes(3)
     gaussian_run(5, 0.5)
     assert rng.u64() == ref.u64()
-    gaussian_run(400, -2.25)  # crosses a chunk of decoded trials
+    gaussian_run(400, -2.25)  # crosses several chunks of the stream
     for n in (1, 7, 13, 33, 65):
         assert rng.bytes(n) == ref.bytes(n)
         gaussian_run(3, float(n))  # resumes at an odd offset
@@ -137,31 +138,30 @@ def test_buffered_and_straddling_reads_match_the_reference():
 
 
 def test_interleaved_sources_draw_as_if_alone():
-    """Decoded trials belong to one cursor: alternating between cursors over
-    two sources gives each the draws and the next bytes it gives alone."""
-    wide, narrow = gaussian_int_scale(1.9), gaussian_int_scale(1.3)
+    """Trials decoded ahead and not read stay in their source: alternating
+    draws between two sources gives each the draws and the next bytes it
+    gives alone."""
+    centers = 0.1 * np.arange(150)
     alone = RandomSource("alone")
-    with GaussianTrials(alone) as trials:
-        expected = [
-            sample_gaussian_int(complex(0.1 * i, 0.2 * i), wide, trials) for i in range(150)
-        ]
+    expected = [sample_gaussian_int(centers + k, 1.9, alone).tolist() for k in range(3)]
     a, b = RandomSource("alone"), RandomSource("alone")
     b.bytes(5)
     other = ReferenceStream(b.key)
     other.bytes(5)
-    with GaussianTrials(a) as ta, GaussianTrials(b) as tb:
-        for i in range(150):
-            center = complex(-0.1 * i, 0.3 * i)
-            assert sample_gaussian_int(complex(0.1 * i, 0.2 * i), wide, ta) == expected[i]
-            assert sample_gaussian_int(center, narrow, tb) == other.gaussian_pair(center, narrow)
+    for k in range(3):
+        assert sample_gaussian_int(centers + k, 1.9, a).tolist() == expected[k]
+        want = other.gaussian_ints((-centers + k).tolist(), 1.3)
+        assert sample_gaussian_int(-centers + k, 1.3, b).tolist() == want
     assert a.bytes(16) == alone.bytes(16)
     assert b.bytes(16) == other.bytes(16)
 
 
 def test_walk_consumes_sixteen_bytes_per_trial(test_authority, monkeypatch):
-    """sample_near reads its leaves through one cursor: it returns the point
-    that the reference's trial-by-trial leaves give, and leaves its source
-    16 bytes further on for each trial they read."""
+    """sample_near reads, per step, 8 bytes for each of the N uniforms of
+    its perturbation and then its integers, each step's through one
+    `sample_gaussian_int` call that reads 16 bytes per trial, as the
+    reference's rounds do: the point is the one the reference's integers
+    give, and the source ends 16 N bytes and 16 per trial further on."""
     msk = test_authority.msk
     N, q = msk.params.N, msk.params.q
     t = (np.arange(N, dtype=np.int64) * 7919) % q
@@ -169,28 +169,33 @@ def test_walk_consumes_sixteen_bytes_per_trial(test_authority, monkeypatch):
     v = msk.sampler.sample_near(t[None], [rng])
 
     ref = ReferenceStream(rng.key)
-    monkeypatch.setattr(
-        ibe, "sample_gaussian_int", lambda center, inv_2s2, _: ref.gaussian_pair(center, inv_2s2)
-    )
-    assert np.array_equal(msk.sampler.sample_near(t[None], [RandomSource("walk")]), v)
-    assert ref.trials >= 2 * N  # one leaf draw per coordinate
-    assert rng.position == ref.pos == 16 * ref.trials
+
+    def reference_step(centers, sigma, source):
+        ref.pos = source.position
+        draws = ref.gaussian_ints(centers.tolist(), sigma)
+        source.skip(ref.pos - source.position)
+        return np.array(draws)
+
+    monkeypatch.setattr(ibe, "sample_gaussian_int", reference_step)
+    again = RandomSource("walk")
+    assert np.array_equal(msk.sampler.sample_near(t[None], [again]), v)
+    assert ref.trials >= 2 * N  # one trial at least per coordinate of each step
+    assert rng.position == again.position == ref.pos == 16 * N + 16 * ref.trials
 
 
 @pytest.mark.parametrize("first", [1, 37, 256])
 def test_reads_past_the_first_decode_continue_in_chunks(first):
-    """A cursor decodes `first` trials, then 256 at a time: draws that read
-    past its first decode continue into the next chunk as the reference
-    does, draw for draw, and closing leaves the source 16 bytes on per
-    trial read."""
+    """A draw decodes two trials per pending center whenever its decoded
+    trials run out: `first` centers at a width that keeps about one trial
+    in eight read past the first decode and several later ones, draw for
+    draw as the reference, and leave the source 16 bytes on per trial
+    read."""
     rng = RandomSource(f"first-decode-{first}")
     ref = ReferenceStream(rng.key)
-    inv_2s2 = gaussian_int_scale(1.7)
-    trials = GaussianTrials(rng, first)
-    assert len(trials.z) == first
-    for i in range(200):
-        center = complex(0.31 * i, -0.17 * i)
-        assert sample_gaussian_int(center, inv_2s2, trials) == ref.gaussian_pair(center, inv_2s2)
-    assert ref.trials > first + 256 and len(trials.z) == 256
-    trials.close()
+    centers = 0.31 * np.arange(first) - 0.17
+    for _ in range(3):
+        assert sample_gaussian_int(centers, 0.3, rng).tolist() == ref.gaussian_ints(
+            centers.tolist(), 0.3
+        )
+    assert ref.trials > 3 * 2 * first
     assert rng.position == ref.pos == 16 * ref.trials
