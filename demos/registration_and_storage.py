@@ -24,8 +24,8 @@ print("authority ready; operator:", ra.cspa_identity.decode())
 # each registration burns one pseudonym slot per future session
 creds = register_vehicle(ra, b"EV-demo-001", count=5)
 print(f"\n{creds.vehicle_id.decode()} holds {len(creds.entries)} credentials")
-for e in creds.entries[:3]:
-    print(f"  slot {e.index}: pseudonym {e.pseudonym.hex()[:24]}...")
+for slot, e in enumerate(creds.entries[:3]):
+    print(f"  slot {slot}: pseudonym {e.pseudonym.hex()[:24]}...")
 
 register_vehicle(ra, b"EV-demo-002", count=5)
 

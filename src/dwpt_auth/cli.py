@@ -23,7 +23,8 @@ from dwpt_auth.netsim import TIMING_MODES
 from dwpt_auth.registration import export_cspa_dataset, ra_setup, record_pass, register_vehicle
 from dwpt_auth.ring import TIERS
 
-_POSITIVE = range(1, 1 << 63)  # slot counts, pad counts and speeds
+_POSITIVE = range(1, 1 << 63)  # the pad counts and speeds of `costs`
+_COUNT = range(1, 1 << 32)  # slot and pad counts, which a u32 field carries
 _NON_NEGATIVE = range(1 << 63)  # the freshness window
 # Every key some command reads, so one config file can serve setup and run.
 _CONFIG_KEYS = {"tier", "seed", "count", "n_pads", "freshness_ms", "timing_mode"}
@@ -136,7 +137,7 @@ def cmd_setup(args) -> int:
 
 def cmd_register(args) -> int:
     config = _load_config(args.config)
-    count = _setting(args.count, config, "count", 4, int, _POSITIVE)
+    count = _setting(args.count, config, "count", 4, int, _COUNT)
     with _writing(args.authority):
         ra = keyfiles.load_authority(args.authority)
         try:
@@ -182,14 +183,14 @@ def _admit(ra, creds) -> bool:
     if ra.vehicles.get(creds.vehicle_id) != tuple(e.pseudonym for e in creds.entries):
         print("error: vehicle is not registered with this authority", file=sys.stderr)
         return False
-    creds.spent.update(e.index for e in creds.entries if e.pseudonym in ra.consumed)
+    creds.spent.update(i for i, e in enumerate(creds.entries) if e.pseudonym in ra.consumed)
     return True
 
 
 def cmd_run(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
-    n_pads = _setting(args.n_pads, config, "n_pads", 1, int, _POSITIVE)
+    n_pads = _setting(args.n_pads, config, "n_pads", 1, int, _COUNT)
     freshness = _setting(
         args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int, _NON_NEGATIVE
     )
@@ -206,7 +207,7 @@ def cmd_run(args) -> int:
             creds,
             n_pads=n_pads,
             seed=seed,
-            timing=TIMING_MODES[mode](),
+            timing=TIMING_MODES[mode],
             entry_index=args.pseudonym_index,
             freshness_ms=freshness,
         )
@@ -241,7 +242,7 @@ def cmd_costs(args) -> int:
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     _check("n_pads", min(args.n_pads), _POSITIVE)
     _check("speeds", min(args.speeds), _POSITIVE)
-    timing = TIMING_MODES[mode]()
+    timing = TIMING_MODES[mode]
     out = _out_dir(args)
     header = {
         "timing_mode": mode,
@@ -264,7 +265,7 @@ def cmd_costs(args) -> int:
 def cmd_attack(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
-    n_pads = _setting(args.n_pads, config, "n_pads", 3, int, _POSITIVE)
+    n_pads = _setting(args.n_pads, config, "n_pads", 3, int, _COUNT)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
     if not _admit(ra, creds):

@@ -43,7 +43,7 @@ from dwpt_auth.ring import (
     sample_gaussian_poly,
 )
 from dwpt_auth.rng import RandomSource
-from dwpt_auth.symcrypto import aead_open, aead_seal
+from dwpt_auth.symcrypto import SymmetricKey, aead_open, aead_seal
 
 #: Width of the encryption noise polynomials r, e1, e2.
 ENC_SIGMA = 1.5
@@ -610,9 +610,9 @@ def ibe_seal(
     u32-prefixed payload sealed under that key.  The receiver's parameters
     fix the count and the size of the blocks, so neither is sent.
     """
-    content_key = rng.bytes(32)
+    content_key = SymmetricKey(rng.bytes(32), "content")
     w = Writer()
-    for block_bits in _key_to_blocks(content_key, mpk.params.N):
+    for block_bits in _key_to_blocks(content_key.key, mpk.params.N):
         w.raw(encrypt(mpk, recipient, block_bits, rng).to_bytes())
     w.blob(aead_seal(content_key, plaintext, rng, associated_data))
     return w.getvalue()
@@ -632,4 +632,4 @@ def ibe_open(usk: UserSecretKey, data: bytes, associated_data: bytes = b"") -> b
     ]
     sealed = r.blob()
     r.done()
-    return aead_open(_blocks_to_key(blocks), sealed, associated_data)
+    return aead_open(SymmetricKey(_blocks_to_key(blocks), "content"), sealed, associated_data)

@@ -13,8 +13,7 @@ key h that the container holds once.  Then:
   (identity, s2), the CSPA-RSU and RSU-CP group keys; per vehicle its id
   and each slot's (pseudonym, z, w); the consumed set.
 - `vehicle-*.bin`: id, d_EV, h, each slot's (blind a_i, z, w, s2), the
-  spent slot indices.  A slot's index is its position and its pseudonym is
-  H(ID || d_EV * a_i).
+  spent slots by position.  A slot's pseudonym is H(ID || d_EV * a_i).
 - `dataset.bin`: h, the operator key (identity, s2), the CSPA-RSU group
   key, the entries (pseudonym, z, w) by pseudonym, the consumed set.
 
@@ -28,12 +27,12 @@ of a quality that the hybrid sampler does not serve, a vehicle stored twice
 or a pseudonym issued to two slots; in a vehicle file,
 spent slots out of order or past the last slot; entries or consumed
 pseudonyms out of order, or a consumed pseudonym never issued.  Writers
-refuse, with ValueError, a slot index that is not its position, a slot whose
-pseudonym (its key's identity) is not the one the decoder would derive, a
-slot key of another h than the first slot's, a group key whose role is not its
-slot's, a ring element of other parameters than the header's and a
-polynomial whose length is not N.  Every decoded container re-encodes to its
-own bytes, and identical state to identical bytes.  The `load_*` helpers
+refuse, with ValueError, a slot whose pseudonym (its key's identity) is not
+the one the decoder would derive, a slot key of another h than the first
+slot's, a group key whose role is not its slot's, a ring element of other
+parameters than the header's and a polynomial whose length is not N.  Every
+decoded container re-encodes to its own bytes, and identical state to
+identical bytes.  The `load_*` helpers
 name the file.
 
 A change to any layout, or to anything a decoder derives, bumps the digit of
@@ -260,8 +259,6 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     _write_ring(w, h, h.params)
     w.u32(len(creds.entries))
     for slot, e in enumerate(creds.entries):
-        if e.index != slot:
-            raise ValueError(f"slot {slot} stores index {e.index}")
         if e.pseudonym != derive_pseudonym(creds.vehicle_id, creds.d_ev * e.blind):
             raise ValueError(f"slot {slot}: pseudonym is not H(ID || d_EV * a_i)")
         if e.usk.h != h:
@@ -294,8 +291,8 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
     # No session encrypts to a slot's own point, so the slot keys keep none.
     _check_norms(h, block, pseudonyms, [identity_point(p, pseudonym) for pseudonym in pseudonyms])
     entries = [
-        CredentialEntry(slot, blind, z, wshare, UserSecretKey(pseudonym, s2, h))
-        for slot, ((blind, z, wshare, _), pseudonym, s2) in enumerate(zip(slots, pseudonyms, block))
+        CredentialEntry(blind, z, wshare, UserSecretKey(pseudonym, s2, h))
+        for (blind, z, wshare, _), pseudonym, s2 in zip(slots, pseudonyms, block)
     ]
     spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
     if spent and spent[-1] >= len(entries):
@@ -401,8 +398,9 @@ def save(path, data: bytes):
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{os.path.basename(path)}.")
         with os.fdopen(fd, "wb") as fh:
             if os.path.exists(path):
                 os.fchmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
@@ -411,7 +409,8 @@ def save(path, data: bytes):
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException as exc:
-        os.unlink(tmp)
+        if tmp is not None:
+            os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -21,7 +21,6 @@ from functools import cached_property
 
 from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
-from dwpt_auth.ibe import MasterPublicKey
 from dwpt_auth.protocol import (
     CpState,
     CspaState,
@@ -30,7 +29,6 @@ from dwpt_auth.protocol import (
     RsuState,
 )
 from dwpt_auth.registration import (
-    CspaDataset,
     RegistrationAuthority,
     VehicleCredentials,
     export_cspa_dataset,
@@ -123,14 +121,11 @@ class TimingModel:
         return D, comp, send, comp_ticks, send_ticks
 
 
-#: Each timing mode's name and the constructor of its model.
-TIMING_MODES = {
-    "rounded-table": TimingModel.rounded_table,
-    "cycle-accurate": TimingModel.cycle_accurate,
-}
+#: Each timing mode's name and its one model, built once.
+TIMING_MODES = {tm.mode: tm for tm in (TimingModel.rounded_table(), TimingModel.cycle_accurate())}
 
-#: The default model, built once; every function that takes `timing=None` uses it.
-_ROUNDED_TABLE = TimingModel.rounded_table()
+#: The default model; every function that takes `timing=None` uses it.
+_ROUNDED_TABLE = TIMING_MODES["rounded-table"]
 
 
 #: Bit rate of each link, in bits per second.
@@ -300,7 +295,8 @@ class SessionTrace:
         }
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"type": "config", **self.config}, sort_keys=True)]
+        config = {"type": "config", "timing_mode": self.timing.mode, **self.config}
+        lines = [json.dumps(config, sort_keys=True)]
         lines += [json.dumps(e.to_json(), sort_keys=True) for e in self.events]
         lines.append(json.dumps(self.summary(), sort_keys=True))
         return "\n".join(lines) + "\n"
@@ -318,36 +314,23 @@ class World:
 
 
 def build_world(
-    dataset: CspaDataset,
-    mpk: MasterPublicKey,
-    gk_rsu_cp: SymmetricKey,
+    authority: RegistrationAuthority,
     credentials: VehicleCredentials,
     n_pads: int,
     seed,
     entry_index: int | None = None,
     freshness_ms: int = protocol.FRESHNESS_WINDOW_MS,
 ) -> World:
-    """The lane from what the operator side holds: its dataset (with its
-    identity key and the CSPA-RSU key), the master public key and the RSU-CP
-    key.  No master secret is involved.  The EV seals m1 to the operator's
-    identity point, which its key holds once hashed (`UserSecretKey.point`)."""
+    """The lane from what the operator side holds: the authority's CSPA
+    dataset (with the operator's identity key and the CSPA-RSU key), the
+    master public key and the RSU-CP key.  No master secret is involved.
+    The EV seals m1 to the operator's identity point, which its key holds
+    once hashed (`UserSecretKey.point`)."""
+    dataset, mpk, gk_rsu_cp = export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp
     root = RandomSource(seed)
-    ev = EvSession(
-        credentials,
-        mpk,
-        dataset.usk.point,
-        root.child("ev"),
-        entry_index=entry_index,
-        freshness_ms=freshness_ms,
-    )
+    ev = EvSession(credentials, mpk, dataset.usk.point, root.child("ev"), entry_index, freshness_ms)
     cspa = CspaState(dataset, mpk, root.child("cspa"), freshness_ms)
-    rsu = RsuState(
-        dataset.gk_cspa_rsu,
-        gk_rsu_cp,
-        n_pads,
-        root.child("rsu"),
-        freshness_ms,
-    )
+    rsu = RsuState(dataset.gk_cspa_rsu, gk_rsu_cp, n_pads, root.child("rsu"), freshness_ms)
     pads = [CpState(i + 1, gk_rsu_cp) for i in range(n_pads)]
     return World(ev, cspa, rsu, pads, root.child("world"))
 
@@ -396,23 +379,19 @@ def simulate_session(
     The pass only simulates: it marks its slot spent in `credentials` but
     leaves the authority's `consumed` set as it is.  An explicit
     `entry_index` names its slot even when it is spent (see
-    `VehicleCredentials.pick_entry`), so the same pseudonym can run again in
+    `VehicleCredentials.pick_slot`), so the same pseudonym can run again in
     memory.  `registration.record_pass` spends the pseudonym of a pass that
     reached m2; only `consumed`, which the CLI then persists, turns a replay
     into PseudonymReuse.
     """
     tm = timing or _ROUNDED_TABLE
-    world = build_world(
-        export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
-        credentials, n_pads, seed, entry_index, freshness_ms,
-    )
+    world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
     trace = SessionTrace(
         config={
             "seed": str(seed),
             "tier_N": authority.params.N,
             "tier_q": authority.params.q,
             "n_pads": n_pads,
-            "timing_mode": tm.mode,
             "freshness_ms": freshness_ms,
             "entry_index": entry_index,
         },
@@ -451,8 +430,7 @@ def simulate_session(
      trace.total_bytes) = account(sent)
     (trace.comp_through_first_pad_ms, trace.sending_through_first_pad_us,
      trace.bytes_through_first_pad) = account(through_first)
-    if world.ev.entry is not None:
-        trace.used_entry_index = world.ev.entry.index
+    trace.used_entry_index = world.ev.slot
     return trace
 
 
@@ -475,11 +453,14 @@ class AdversaryReport:
     scenario: str
     actions: list[AdversaryAction]
     honest_accepts: int
-    passed: bool
 
     @property
     def accepted_count(self) -> int:
         return sum(1 for a in self.actions if a.accepted)
+
+    @property
+    def passed(self) -> bool:
+        return self.accepted_count == 0
 
     def to_jsonl(self) -> str:
         lines = [
@@ -591,17 +572,9 @@ def run_adversary(
         ) from None
     # Scenarios are what-if simulations: work on a copy so the vehicle's real
     # pseudonym slots stay unspent.
-    world = build_world(
-        export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp,
-        credentials.copy(), n_pads, seed,
-    )
+    world = build_world(authority, credentials.copy(), n_pads, seed)
     actions = script(world)
-    return AdversaryReport(
-        scenario=scenario,
-        actions=actions,
-        honest_accepts=sum(pad.consumed for pad in world.pads),
-        passed=all(not a.accepted for a in actions),
-    )
+    return AdversaryReport(scenario, actions, sum(pad.consumed for pad in world.pads))
 
 
 # ---------------------------------------------------------------------------

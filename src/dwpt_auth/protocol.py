@@ -148,7 +148,7 @@ class EvSession:
         mpk: MasterPublicKey,
         cspa_point: RingElement,
         rng: RandomSource,
-        entry_index: int | None = None,
+        slot: int | None = None,
         freshness_ms: int = FRESHNESS_WINDOW_MS,
     ):
         self.credentials = credentials
@@ -156,8 +156,8 @@ class EvSession:
         self.cspa_point = cspa_point  # the operator's identity point
         self.rng = rng
         self.freshness_ms = freshness_ms
+        self.slot = slot  # the wallet slot; compose_m1 picks the first unspent if None
         self.entry: CredentialEntry | None = None
-        self._entry_index = entry_index
         self.state = "idle"
         self.n_ev: bytes | None = None
         self.n_rsu: bytes | None = None
@@ -170,10 +170,11 @@ class EvSession:
         if self.state != "idle":
             raise ProtocolRejection(BAD_STATE, f"compose_m1 in state {self.state}")
         try:
-            self.entry = self.credentials.pick_entry(self._entry_index)
+            self.slot = self.credentials.pick_slot(self.slot)
         except EmptyRegistry as exc:
             raise ProtocolRejection(NO_UNUSED_PSEUDONYM, str(exc)) from exc
-        self.credentials.spent.add(self.entry.index)
+        self.credentials.spent.add(self.slot)
+        self.entry = self.credentials.entries[self.slot]
         self.n_ev = self.rng.bytes(32)
         payload = self.entry.pseudonym + self.n_ev + encode_timestamp(now_ms) + self.entry.z
         body = ibe_seal(self.mpk, self.cspa_point, payload, self.rng, b"dwpt/m1")
@@ -297,8 +298,8 @@ class RsuState:
         rng: RandomSource,
         freshness_ms: int = FRESHNESS_WINDOW_MS,
     ):
-        if n_pads < 1:
-            raise ValueError("a lane has at least one pad")
+        if not 1 <= n_pads < 1 << 32:  # m5 carries the count in 4 bytes
+            raise ValueError(f"a lane has 1 to 2^32 - 1 pads, got {n_pads}")
         self.gk_cspa_rsu = gk_cspa_rsu.require(ROLE_CSPA_RSU)
         self.gk_rsu_cp = gk_rsu_cp.require(ROLE_RSU_CP)
         self.n_pads = n_pads

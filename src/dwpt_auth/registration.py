@@ -37,9 +37,9 @@ ROLE_RSU_CP = "group-rsu-cp"
 
 @dataclass(frozen=True, slots=True)
 class CredentialEntry:
-    """One pseudonym slot issued to a vehicle."""
+    """One pseudonym slot issued to a vehicle; its slot number is its
+    position in the wallet."""
 
-    index: int
     blind: int  # per-slot public scalar a_i
     z: bytes  # share known to EV and CSPA, sent in the first message
     w: bytes  # share never sent alone; CSPA proves knowledge via z + w
@@ -62,21 +62,20 @@ class VehicleCredentials:
         """A wallet with the same (immutable) entries and its own spent set."""
         return VehicleCredentials(self.vehicle_id, self.d_ev, list(self.entries), set(self.spent))
 
-    def pick_entry(self, index: int | None = None) -> CredentialEntry:
-        """Entry for the next session: slot `index` (IndexError if none) or the first unspent.
+    def pick_slot(self, slot: int | None = None) -> int:
+        """Slot for the next session: `slot` (IndexError if none) or the first unspent.
 
-        An explicit `index` names its slot even when it is spent, so an
-        in-memory caller can replay a pseudonym; only the authority's
-        `consumed` set, which the CLI persists, turns that replay into
-        PseudonymReuse.
+        An explicit `slot` is kept even when it is spent, so an in-memory
+        caller can replay a pseudonym; only the authority's `consumed` set,
+        which the CLI persists, turns that replay into PseudonymReuse.
         """
-        if index is not None:
-            if not 0 <= index < len(self.entries):
-                raise IndexError(f"no pseudonym slot {index} among {len(self.entries)}")
-            return self.entries[index]
-        for entry in self.entries:
-            if entry.index not in self.spent:
-                return entry
+        if slot is not None:
+            if not 0 <= slot < len(self.entries):
+                raise IndexError(f"no pseudonym slot {slot} among {len(self.entries)}")
+            return slot
+        for i in range(len(self.entries)):
+            if i not in self.spent:
+                return i
         raise EmptyRegistry("all pseudonym slots spent")
 
 
@@ -173,8 +172,7 @@ def register_vehicle(
         slots[pseudonym] = blind, rng.bytes(32), rng.bytes(32)
     keys = extract(ra.msk, *slots)
     entries = [
-        CredentialEntry(index=i, blind=blind, z=z, w=w, usk=usk)
-        for i, ((blind, z, w), usk) in enumerate(zip(slots.values(), keys))
+        CredentialEntry(blind, z, w, usk) for (blind, z, w), usk in zip(slots.values(), keys)
     ]
     for e in entries:
         ra.dataset_entries[e.pseudonym] = DatasetEntry(e.pseudonym, e.z, e.w)

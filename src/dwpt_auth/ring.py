@@ -26,31 +26,11 @@ from dwpt_auth.rng import RandomSource
 # int64 NTT passes need 2*q*q < 2**63; RingParams rejects larger q.
 _NTT_Q_LIMIT = 1 << 31
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    """Trial division; RingParams bounds q below 2^31 first, so at most
+    46,340 divisions."""
+    return n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
 @dataclass(frozen=True)
@@ -64,12 +44,12 @@ class RingParams:
     def __post_init__(self):
         if self.N < 16 or self.N & (self.N - 1) != 0:
             raise ValueError(f"N must be a power of two >= 16, got {self.N}")
-        if not _is_prime(self.q):
-            raise ValueError(f"q must be prime, got {self.q}")
-        if self.q % (2 * self.N) != 1:
-            raise ValueError(f"q must satisfy q = 1 mod 2N, got q={self.q}, N={self.N}")
         if self.q >= _NTT_Q_LIMIT:
             raise ValueError(f"q must be below 2^31 for int64 arithmetic, got {self.q}")
+        if self.q % (2 * self.N) != 1:
+            raise ValueError(f"q must satisfy q = 1 mod 2N, got q={self.q}, N={self.N}")
+        if not _is_prime(self.q):
+            raise ValueError(f"q must be prime, got {self.q}")
 
     @property
     def coeff_width(self) -> int:
@@ -355,25 +335,18 @@ class RingElement:
         """Inverse in R_q via NTT point inversion; NotInvertible if any
         evaluation at a root of x^N+1 vanishes.
 
-        The N points are inverted with one modular inverse (Montgomery's
-        trick): prefix products up, the inverse of the whole product, and
-        back down, each step peeling one point's inverse off."""
+        Each point is raised to q - 2 (Fermat) by square-and-multiply on
+        the int64 array; a product of two values below q < 2^31 fits."""
         N, q = self.params.N, self.params.q
         points = _ntt_forward(self.coeffs, N, q)
-        if np.any(points == 0):
+        if not points.all():
             raise NotInvertible("element shares a factor with x^N+1 mod q")
-        points = points.tolist()
-        prefix = [1] * N
-        acc = 1
-        for i, x in enumerate(points):
-            prefix[i] = acc
-            acc = acc * x % q
-        acc = pow(acc, -1, q)
-        inv_points = [0] * N
-        for i in range(N - 1, -1, -1):
-            inv_points[i] = acc * prefix[i] % q
-            acc = acc * points[i] % q
-        inv_points = np.array(inv_points, dtype=np.int64)
+        inv_points, e = np.ones_like(points), q - 2
+        while e:
+            if e & 1:
+                inv_points = inv_points * points % q
+            points = points * points % q
+            e >>= 1
         return RingElement(self.params, _ntt_inverse(inv_points, N, q))
 
     def __eq__(self, other) -> bool:
@@ -439,9 +412,6 @@ class IntegerPolynomial:
 
     def __mul__(self, other):
         return IntegerPolynomial(karamul(self.coeffs, other.coeffs))
-
-    def norm_squared(self) -> int:
-        return sum(c * c for c in self.coeffs)
 
     def to_ring(self, params: RingParams) -> RingElement:
         """The element mod q; coefficients must fit in int64."""

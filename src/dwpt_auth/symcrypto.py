@@ -103,23 +103,20 @@ def _aesgcm() -> type:
     return AESGCM
 
 
-def _cipher(key):
-    """A SymmetricKey's own cipher, or a new one for raw key bytes."""
-    return key.cipher if isinstance(key, SymmetricKey) else _aesgcm()(key)
-
-
-def aead_seal(key, plaintext: bytes, rng: RandomSource, associated_data: bytes = b"") -> bytes:
+def aead_seal(
+    key: SymmetricKey, plaintext: bytes, rng: RandomSource, associated_data: bytes = b""
+) -> bytes:
     """nonce(12) || ciphertext+tag under AES-256-GCM."""
     nonce = rng.bytes(_NONCE_LEN)
-    return nonce + _cipher(key).encrypt(nonce, plaintext, associated_data)
+    return nonce + key.cipher.encrypt(nonce, plaintext, associated_data)
 
 
-def aead_open(key, blob: bytes, associated_data: bytes = b"") -> bytes:
+def aead_open(key: SymmetricKey, blob: bytes, associated_data: bytes = b"") -> bytes:
     if len(blob) < _NONCE_LEN + 16:
         raise AuthenticationFailure("ciphertext too short")
     nonce, ct = blob[:_NONCE_LEN], blob[_NONCE_LEN:]
     try:
-        return _cipher(key).decrypt(nonce, ct, associated_data)
+        return key.cipher.decrypt(nonce, ct, associated_data)
     except importlib.import_module("cryptography.exceptions").InvalidTag as exc:
         raise AuthenticationFailure("AEAD tag check failed") from exc
 

@@ -495,10 +495,11 @@ class TestMissingFiles:
 
 
 class TestOutOfRange:
-    """A slot count, pad count or speed below 1, a negative freshness window,
-    a pseudonym index naming no slot of the vehicle, or a malformed config
-    file or one holding a key no command reads is one error line and exit
-    status 2, from a flag or from --config, and changes no file."""
+    """A slot count or pad count outside 1 to 2^32 - 1 (which a u32 field
+    carries), a speed or `costs` pad count below 1, a negative freshness
+    window, a pseudonym index naming no slot of the vehicle, or a malformed
+    config file or one holding a key no command reads is one error line and
+    exit status 2, from a flag or from --config, and changes no file."""
 
     @pytest.mark.parametrize("argv, config, expected", [
         (["register", "--vehicle-id", "EV-zero", "--count", "0"], None, "must be at least 1"),
@@ -508,6 +509,12 @@ class TestOutOfRange:
         (["run"], "n_pads = 0", "must be at least 1"),
         (["attack", "--scenario", "all", "--n-pads", "0"], None, "must be at least 1"),
         (["attack", "--scenario", "all"], "n_pads = 0", "must be at least 1"),
+        (["register", "--vehicle-id", "EV-huge", "--count", "4294967296"], None,
+         "count must be at least 1 and below 4294967296, got 4294967296"),
+        (["run", "--n-pads", "4294967296"], None,
+         "n_pads must be at least 1 and below 4294967296, got 4294967296"),
+        (["attack", "--scenario", "all"], "n_pads = 4294967296",
+         "n_pads must be at least 1 and below 4294967296, got 4294967296"),
         (["costs", "--n-pads", "10", "--speeds", "0"], None, "must be at least 1"),
         (["costs", "--n-pads", "10", "--speeds", "50,-5"], None, "must be at least 1"),
         (["costs", "--n-pads", "0", "--speeds", "50"], None, "must be at least 1"),
@@ -523,7 +530,9 @@ class TestOutOfRange:
         (["run"], "npads = 0", "bad.cfg: unknown key 'npads'"),
     ], ids=[
         "register-count", "register-count-config", "run-n-pads", "run-n-pads-negative",
-        "run-n-pads-config", "attack-n-pads", "attack-n-pads-config", "costs-speed-zero",
+        "run-n-pads-config", "attack-n-pads", "attack-n-pads-config",
+        "register-count-past-u32", "run-n-pads-past-u32", "attack-n-pads-config-past-u32",
+        "costs-speed-zero",
         "costs-speed-negative", "costs-n-pads", "costs-config-line-without-equals",
         "run-n-pads-config-not-integer", "run-freshness-negative", "run-freshness-config-negative",
         "run-pseudonym-index-negative", "run-pseudonym-index-past-last-slot",
@@ -619,6 +628,21 @@ class TestAttack:
         err = capsys.readouterr().err
         assert err.startswith("error: scenario double-spend could not run: ChainMismatch")
         assert not (tmp_path / "attack_double-spend.jsonl").exists()
+
+    def test_accepted_action_fails_the_scenario(self, workspace, tmp_path, monkeypatch, capsys):
+        """With pads that accept any chain value, CP2 takes the replayed m7:
+        the scenario is reported FAIL with one ACCEPTED line, exit status 1."""
+        monkeypatch.setattr(protocol, "chain_verify", lambda *args: True)
+        rc = main([
+            "attack", "--scenario", "replay-m7",
+            "--authority", str(workspace / "authority.bin"),
+            "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
+            "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL replay-m7: 2 adversary actions, 1 accepted")
+        assert out.count("ACCEPTED") == 1
 
     def test_restored_vehicle_file_skips_consumed_slots(self, workspace, tmp_path, capsys):
         """attack admits a wallet as run does: a vehicle file restored from

@@ -43,7 +43,7 @@ from dwpt_auth.ntrusolve import fft_neg, ifft_neg
 from dwpt_auth.registration import ra_setup
 from dwpt_auth.ring import RingElement, RingParams, TIERS, hash_to_ring, karamul
 from dwpt_auth.rng import RandomSource
-from dwpt_auth.symcrypto import aead_seal
+from dwpt_auth.symcrypto import SymmetricKey, aead_seal
 from test_rng import ReferenceStream
 
 #: SHA-256 of usk.s1.to_bytes() + usk.s2.to_bytes() for
@@ -788,7 +788,7 @@ class TestHybrid:
         seal a payload to any identity.  The key's parameters fix the block
         count, so a body of the sealed payload alone does not decode."""
         (usk,) = extract(toy_authority.msk, b"victim")
-        sealed = aead_seal(bytes(32), b"chosen by anyone", RandomSource("forge"))
+        sealed = aead_seal(SymmetricKey(bytes(32), "content"), b"chosen by anyone", RandomSource("forge"))
         with pytest.raises(DecodeError):
             ibe_open(usk, len(sealed).to_bytes(4, "little") + sealed)
 
@@ -863,8 +863,8 @@ class TestSerialization:
         t, n = identity_point(mpk.params, b"dest"), mpk.params.element_bytes
         blob = ibe_seal(mpk, t, b"payload bytes", RandomSource("hsize"))
         rng = RandomSource("hsize")  # the draws ibe_seal makes, in its order
-        key = rng.bytes(32)
-        blocks = [encrypt(mpk, t, bits, rng) for bits in _key_to_blocks(key, mpk.params.N)]
+        key = SymmetricKey(rng.bytes(32), "content")
+        blocks = [encrypt(mpk, t, bits, rng) for bits in _key_to_blocks(key.key, mpk.params.N)]
         sealed = aead_seal(key, b"payload bytes", rng)
         assert [len(b.to_bytes()) for b in blocks] == [2 * n] * (256 // mpk.params.N)
         assert blob == b"".join(

@@ -361,12 +361,6 @@ class TestStrictFields:
             keyfiles.authority_to_bytes(dataclasses.replace(toy, msk=short))
 
 
-def with_indices(creds, *indices):
-    """A copy of the wallet whose slots store `indices` instead of 0, 1, ..."""
-    entries = [dataclasses.replace(e, index=i) for e, i in zip(creds.entries, indices)]
-    return dataclasses.replace(creds, entries=entries)
-
-
 def swap_tail_records(blob: bytes, size: int) -> bytes:
     """The container with its last two `size`-byte records swapped."""
     head, a, b = blob[: -2 * size], blob[-2 * size : -size], blob[-size:]
@@ -374,21 +368,8 @@ def swap_tail_records(blob: bytes, size: int) -> bytes:
 
 
 class TestCanonicalOrder:
-    """Every container the writers would not emit is refused, and no
-    wallet is written that a reload would renumber, since a reader that
-    accepts either spends or burns the wrong slot."""
-
-    @pytest.mark.parametrize("indices, error", [
-        ((5, 1), "slot 0 stores index 5"),
-        ((1, 1), "slot 0 stores index 1"),
-        ((0, 0), "slot 1 stores index 0"),
-    ])
-    def test_slot_index_is_its_position(self, wallets, indices, error):
-        """A vehicle file stores no index, so the writer refuses a wallet
-        that a reload would renumber."""
-        creds = with_indices(wallets[b"EV-kf-2"], *indices)
-        with pytest.raises(ValueError, match=error):
-            keyfiles.vehicle_to_bytes(creds)
+    """Every container the writers would not emit is refused, since a
+    reader that accepts either spends or burns the wrong slot."""
 
     def test_slot_derives_its_pseudonym(self):
         """A vehicle file stores no pseudonym, so the writer refuses a slot
@@ -545,6 +526,15 @@ class TestAtomicSave:
         monkeypatch.undo()
         assert path.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["authority.bin"]
+
+    def test_missing_directory_names_the_path(self, tmp_path):
+        """When not even the temporary file can be made, the error names the
+        file asked for, and nothing is left behind."""
+        path = tmp_path / "missing" / "authority.bin"
+        with pytest.raises(OSError) as exc:
+            keyfiles.save(path, b"secret")
+        assert exc.value.filename == str(path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_rename_made_durable(self, tmp_path, monkeypatch):
         """The file's data is synced before the rename and its directory

@@ -41,7 +41,6 @@ from dwpt_auth.netsim import (
     write_message_costs_csv,
     write_pad_length_csv,
 )
-from dwpt_auth.registration import export_cspa_dataset
 
 
 class TestTimingModel:
@@ -67,7 +66,7 @@ class TestTimingModel:
     def test_for_mode(self):
         assert list(TIMING_MODES) == ["rounded-table", "cycle-accurate"]
         for mode in TIMING_MODES:
-            assert TIMING_MODES[mode]().mode == mode
+            assert TIMING_MODES[mode].mode == mode
 
     def test_per_message_costs(self):
         tm = TimingModel.rounded_table()
@@ -397,7 +396,7 @@ class TestSimulateSession:
         from conftest import copy_credentials
 
         creds = copy_credentials(default_vehicle)
-        creds.spent.update(e.index for e in creds.entries)
+        creds.spent.update(range(len(creds.entries)))
         trace = simulate_session(default_authority, creds, n_pads=2, seed=3)
         assert trace.rejection == "NoUnusedPseudonym"
         assert trace.total_bytes == 0
@@ -457,6 +456,17 @@ class TestAdversaryHarness:
             run_adversary(name, default_authority, default_vehicle, seed=10)
         assert exc.value.reason == "ChainMismatch"
 
+    def test_accepted_action_is_reported(self, default_authority, default_vehicle, monkeypatch):
+        """The harness sees an acceptance: with pads that accept any chain
+        value, CP2 takes the replayed m7, while CP1 still refuses it as
+        already accepted."""
+        monkeypatch.setattr(protocol, "chain_verify", lambda *args: True)
+        report = run_adversary("replay-m7", default_authority, default_vehicle, n_pads=3)
+        assert not report.passed and report.accepted_count == 1
+        assert [(a.target, a.reason) for a in report.actions] == [
+            ("CP1", "ChainValueReused"), ("CP2", "accepted"),
+        ]
+
     def test_unknown_scenario(self, default_authority, default_vehicle):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_adversary("meteor-strike", default_authority, default_vehicle)
@@ -480,17 +490,19 @@ class NoMasterKey:
 
 class TestWorldWiring:
     def test_build_world_is_ready_to_run(self, default_authority, default_vehicle):
+        """The lane needs no master secret: a world built from an authority
+        without one rides an honest pass."""
         from conftest import copy_credentials
 
         creds = copy_credentials(default_vehicle)
-        ra = default_authority
-        world = build_world(export_cspa_dataset(ra), ra.mpk, ra.gk_rsu_cp, creds, 2, seed=11)
+        ra = dataclasses.replace(default_authority, msk=None)
+        world = build_world(ra, creds, 2, seed=11)
         assert world.rsu.n_pads == 2
         assert len(world.pads) == 2
         assert world.ev.credentials is creds
         assert world.ev.cspa_point is ra.cspa_usk.point
-        trace = simulate_session(default_authority, creds, n_pads=2, seed=11)
-        assert trace.completed
+        assert len(netsim._ride(world, 2)) == 2
+        assert all(pad.consumed for pad in world.pads)
 
     def test_operator_point_is_hashed_once_per_authority(
         self, default_authority, default_vehicle, monkeypatch
@@ -607,7 +619,7 @@ class TestTranscriptPins:
     def test_seeded_session(self, n_pads, mode, default_authority, fresh_vehicle):
         trace = simulate_session(
             default_authority, fresh_vehicle, n_pads=n_pads, seed=f"pin-{n_pads}",
-            timing=TIMING_MODES[mode](),
+            timing=TIMING_MODES[mode],
         )
         assert trace.completed
         assert _digests(trace) == TRANSCRIPT_PINS[n_pads, mode]

@@ -182,7 +182,8 @@ class TestHappyPath:
     def test_marks_slot_spent(self, parties):
         assert not parties.ev.credentials.spent
         run_authentication(parties)
-        assert parties.ev.entry.index in parties.ev.credentials.spent
+        assert parties.ev.slot in parties.ev.credentials.spent
+        assert parties.ev.entry is parties.ev.credentials.entries[parties.ev.slot]
 
 
 class TestCspaRejections:
@@ -211,7 +212,7 @@ class TestCspaRejections:
         by someone without any identity key, carrying a valid pseudonym."""
         entry = fresh_vehicle.entries[0]
         payload = entry.pseudonym + bytes(32) + encode_timestamp(NOW) + entry.z
-        sealed = aead_seal(bytes(32), payload, RandomSource("forger"), b"dwpt/m1")
+        sealed = aead_seal(SymmetricKey(bytes(32), "content"), payload, RandomSource("forger"), b"dwpt/m1")
         forged = ProtocolMessage("m1", "EV", "CSPA", len(sealed).to_bytes(4, "little") + sealed)
         with pytest.raises(ProtocolRejection) as exc:
             parties.cspa.handle_m1(forged, NOW)
@@ -375,7 +376,7 @@ class TestEvRejections:
         assert p.ev.state == "charging"
 
     def test_out_of_slots(self, default_authority, dataset, fresh_vehicle):
-        fresh_vehicle.spent.update(e.index for e in fresh_vehicle.entries)
+        fresh_vehicle.spent.update(range(len(fresh_vehicle.entries)))
         p = make_parties(default_authority, dataset, fresh_vehicle)
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.compose_m1(NOW)
@@ -389,6 +390,16 @@ class TestEvRejections:
             parties.ev.next_chain_message()
         assert exc.value.reason == BAD_STATE
 
+    @pytest.mark.parametrize("drive", [
+        lambda ev: (ev.compose_m1(NOW), ev.compose_m1(NOW)),
+        lambda ev: ev.handle_m2(ProtocolMessage("m2", "CSPA", "EV", b""), NOW),
+        lambda ev: (ev.compose_m1(NOW), ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", b""), NOW)),
+    ], ids=["second-compose-m1", "m2-before-m1", "m5-before-m2"])
+    def test_out_of_order_is_bad_state(self, parties, drive):
+        with pytest.raises(ProtocolRejection) as exc:
+            drive(parties.ev)
+        assert exc.value.reason == BAD_STATE
+
     def test_chain_exhausted(self, parties):
         run_authentication(parties)
         for _ in range(4):
@@ -399,6 +410,15 @@ class TestEvRejections:
 
 
 class TestRsuRejections:
+    @pytest.mark.parametrize("n_pads", [0, 1 << 32])
+    def test_pad_count_outside_u32_refused(self, default_authority, n_pads):
+        """m5 carries the pad count in 4 bytes, so a lane has 1 to 2^32 - 1 pads."""
+        ra = default_authority
+        with pytest.raises(ValueError, match=r"a lane has 1 to 2\^32 - 1 pads"):
+            RsuState(ra.gk_cspa_rsu, ra.gk_rsu_cp, n_pads, RandomSource("lane"))
+        widest = RsuState(ra.gk_cspa_rsu, ra.gk_rsu_cp, (1 << 32) - 1, RandomSource("lane"))
+        assert widest.n_pads == (1 << 32) - 1
+
     def test_duplicate_pending(self, parties):
         m1 = parties.ev.compose_m1(NOW)
         _, m3 = parties.cspa.handle_m1(m1, NOW)
@@ -552,3 +572,50 @@ class TestPadRejections:
         assert (forward.kind, forward.sender, forward.receiver) == ("m8", "CP1", "CP2")
         parties.pads[1].handle_provision(forward)
         assert parties.pads[1].expected_head == msg.body
+
+
+BAD_TIMESTAMP = encode_timestamp(NOW)[:8] + b"\x01" + bytes(23)  # padding not zero
+
+
+def bad_timestamp_message(p: Parties, kind: str):
+    """The handler of `kind`, after the honest pass up to it, and a `kind`
+    body sealed under its right key whose timestamp padding is not zero."""
+    ev, mpk = p.ev, p.cspa.mpk
+    m1 = ev.compose_m1(NOW)
+    entry = ev.entry
+    if kind == "m1":
+        payload = entry.pseudonym + bytes(32) + BAD_TIMESTAMP + entry.z
+        return p.cspa.handle_m1, ibe_seal(mpk, ev.cspa_point, payload, p.rng, b"dwpt/m1")
+    if kind == "m2":
+        payload = bytes(64) + BAD_TIMESTAMP + add_mod_2_256(entry.z, entry.w)
+        point = identity_point(mpk.params, entry.pseudonym)
+        return ev.handle_m2, ibe_seal(mpk, point, payload, p.rng, b"dwpt/m2")
+    if kind == "m3":
+        payload = bytes(32) + entry.pseudonym + bytes(32) + BAD_TIMESTAMP
+        return p.rsu.handle_m3, aead_seal(p.rsu.gk_cspa_rsu, payload, p.rng, b"dwpt/m3")
+    m2, m3 = p.cspa.handle_m1(m1, NOW)
+    ev.handle_m2(m2, NOW)
+    p.rsu.handle_m3(m3, NOW)
+    if kind == "m4":
+        payload = entry.pseudonym + bytes(32) + BAD_TIMESTAMP
+        return p.rsu.handle_m4, aead_seal(ev.session_key, payload, p.rng, b"dwpt/m4")
+    ev.compose_m4(NOW)
+    payload = (
+        add_mod_2_256(ev.n_rsu, (1).to_bytes(32, "big"))
+        + bytes(32)
+        + BAD_TIMESTAMP
+        + struct.pack("<I", 4)
+    )
+    return ev.handle_m5, aead_seal(ev.session_key, payload, p.rng, b"dwpt/m5")
+
+
+class TestTimestampField:
+    @pytest.mark.parametrize("kind", ["m1", "m2", "m3", "m4", "m5"])
+    def test_nonzero_padding_is_malformed(self, parties, kind):
+        """A timestamp field is a u64 and 24 zero bytes; any other field
+        that authenticates is MalformedPayload, not a time."""
+        handler, body = bad_timestamp_message(parties, kind)
+        with pytest.raises(ProtocolRejection) as exc:
+            handler(ProtocolMessage(kind, "MITM", "-", body), NOW)
+        assert exc.value.reason == MALFORMED
+        assert exc.value.detail == f"{kind}: malformed timestamp field"

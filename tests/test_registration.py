@@ -96,7 +96,6 @@ class TestRegisterVehicle:
         ra = ra_setup(TIERS["test"], "reg-1")
         creds = register_vehicle(ra, b"EV-1", 5)
         assert len(creds.entries) == 5
-        assert [e.index for e in creds.entries] == [0, 1, 2, 3, 4]
 
     def test_pseudonym_construction(self):
         ra = ra_setup(TIERS["test"], "reg-2")
@@ -163,19 +162,19 @@ class TestRegisterVehicle:
         register_vehicle(ra2, b"EV-a", 2)
         assert keyfiles.vehicle_to_bytes(creds_b1) == keyfiles.vehicle_to_bytes(creds_b2)
 
-    def test_pick_entry(self):
+    def test_pick_slot(self):
         ra = ra_setup(TIERS["test"], "reg-9")
         creds = register_vehicle(ra, b"EV-9", 3)
-        assert creds.pick_entry().index == 0
+        assert creds.pick_slot() == 0
         creds.spent.add(0)
-        assert creds.pick_entry().index == 1
-        assert creds.pick_entry(2).index == 2
+        assert creds.pick_slot() == 1
+        assert creds.pick_slot(2) == 2
         creds.spent.update({1, 2})
         with pytest.raises(EmptyRegistry):
-            creds.pick_entry()
-        for index in (7, 3, -1):
+            creds.pick_slot()
+        for slot in (7, 3, -1):
             with pytest.raises(IndexError, match="no pseudonym slot"):
-                creds.pick_entry(index)
+                creds.pick_slot(slot)
 
     def test_copy_spends_apart(self, test_authority):
         creds = register_vehicle(test_authority, b"EV-copy", 2)

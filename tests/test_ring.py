@@ -59,6 +59,7 @@ class TestParams:
             dict(N=16, q=1),  # q = 1
             dict(N=16, q=0),  # q = 0
             dict(N=8, q=17),  # N below 16 (17 = 1 mod 2N is prime)
+            dict(N=16, q=18721),  # 97 * 193: 1 mod 2N, no prime factor below 37
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -776,6 +777,14 @@ class TestSerialization:
         blob = bytearray(keyfiles.authority_to_bytes(toy_authority))
         blob[7:15] = struct.pack("<Q", 2147483713)  # after magic(4), record type(1), N(2)
         with pytest.raises(DecodeError, match="bad ring parameters"):
+            keyfiles.authority_from_bytes(bytes(blob))
+
+    def test_u64_modulus_header_refused_before_primality(self, toy_authority):
+        """The bound is checked before q's primality, so no header's u64 q
+        drives the trial division: 2^61 - 1, a prime, is refused at once."""
+        blob = bytearray(keyfiles.authority_to_bytes(toy_authority))
+        blob[7:15] = struct.pack("<Q", (1 << 61) - 1)
+        with pytest.raises(DecodeError, match=r"bad ring parameters: q must be below 2\^31"):
             keyfiles.authority_from_bytes(bytes(blob))
 
 

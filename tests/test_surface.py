@@ -121,10 +121,10 @@ def test_import_leaves_the_aead_binding_unloaded():
 import sys
 import dwpt_auth
 from dwpt_auth.rng import RandomSource
-from dwpt_auth.symcrypto import aead_open, aead_seal
+from dwpt_auth.symcrypto import SymmetricKey, aead_open, aead_seal
 binding = "cryptography.hazmat.bindings._rust"
 assert binding not in sys.modules, "imported with the package"
-key = bytes(range(32))
+key = SymmetricKey(bytes(range(32)), "session")
 assert aead_open(key, aead_seal(key, b"payload", RandomSource("guard"))) == b"payload"
 assert binding in sys.modules, "not loaded by seal and open"
 """

@@ -99,12 +99,6 @@ class TestSymmetricKey:
         assert a != SymmetricKey(b"\x11" * 32, "group-rsu-cp")
         assert repr(a) == f"SymmetricKey(key={a.key!r}, role='session')"
 
-    def test_raw_key_bytes_still_accepted(self):
-        key = SymmetricKey(b"\x33" * 32, "session")
-        blob = aead_seal(key.key, b"payload", RandomSource("raw"))
-        assert aead_open(key, blob) == b"payload"
-        assert aead_open(key.key, blob) == b"payload"
-
 
 class TestAead:
     # NIST-style AES-256-GCM vectors: zero key, zero 12-byte nonce
