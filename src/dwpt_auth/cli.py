@@ -60,14 +60,15 @@ def _check(key: str, value, allowed):
 
 
 def _setting(args_value, config: dict, key: str, default, cast=str, allowed=None):
-    """CLI flag wins, then config file, then the built-in default, which
-    must lie in `allowed` if that is given."""
-    if args_value is None:
-        try:
-            args_value = cast(config[key]) if key in config else default
-        except ValueError:  # only the int cast can fail
-            raise _BadSetting(f"{key} must be an integer, got {config[key]!r}") from None
-    return args_value if allowed is None else _check(key, args_value, allowed)
+    """CLI flag wins, then config file, then the built-in default.  A flag
+    and a config value are both text, cast and checked alike; the value,
+    the default too, must lie in `allowed` if that is given."""
+    text = config.get(key) if args_value is None else args_value
+    try:
+        value = default if text is None else cast(text)
+    except ValueError:  # only the int cast can fail
+        raise _BadSetting(f"{key} must be an integer, got {text!r}") from None
+    return value if allowed is None else _check(key, value, allowed)
 
 
 def _int_list(text: str) -> list[int]:
@@ -195,20 +196,21 @@ def cmd_run(args) -> int:
         args.freshness_ms, config, "freshness_ms", protocol.FRESHNESS_WINDOW_MS, int, _NON_NEGATIVE
     )
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
+    index = _setting(args.pseudonym_index, {}, "pseudonym_index", None, int)
     with _writing(args.authority):
         ra = keyfiles.load_authority(args.authority)
         creds = keyfiles.load_vehicle(args.vehicle)
         if not _admit(ra, creds):
             return 1
-        if args.pseudonym_index is not None:
-            _check("pseudonym_index", args.pseudonym_index, range(len(creds.entries)))
+        if index is not None:
+            _check("pseudonym_index", index, range(len(creds.entries)))
         trace = netsim.simulate_session(
             ra,
             creds,
             n_pads=n_pads,
             seed=seed,
             timing=TIMING_MODES[mode],
-            entry_index=args.pseudonym_index,
+            entry_index=index,
             freshness_ms=freshness,
         )
         out = _out_dir(args)
@@ -295,6 +297,11 @@ def cmd_attack(args) -> int:
     return 0 if all_passed else 1
 
 
+def _choices(names) -> str:
+    """The allowed values as `--help` shows them; `_setting` checks them."""
+    return "{" + ",".join(names) + "}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dwpt-auth",
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("setup", help="generate authority state")
-    p.add_argument("--params-tier", choices=sorted(TIERS), default=None)
+    p.add_argument("--params-tier", metavar=_choices(sorted(TIERS)), default=None)
     p.add_argument("--seed", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
@@ -313,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("register", help="register a vehicle and issue pseudonyms")
     p.add_argument("--authority", required=True)
     p.add_argument("--vehicle-id", required=True)
-    p.add_argument("--count", type=int, default=None)
+    p.add_argument("--count", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_register)
@@ -326,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="simulate one honest charging session")
     p.add_argument("--authority", required=True)
     p.add_argument("--vehicle", required=True)
-    p.add_argument("--n-pads", type=int, default=None)
+    p.add_argument("--n-pads", default=None)
     p.add_argument("--seed", default=None)
-    p.add_argument("--pseudonym-index", type=int, default=None)
-    p.add_argument("--freshness-ms", type=int, default=None)
-    p.add_argument("--timing-mode", choices=TIMING_MODES, default=None)
+    p.add_argument("--pseudonym-index", default=None)
+    p.add_argument("--freshness-ms", default=None)
+    p.add_argument("--timing-mode", metavar=_choices(TIMING_MODES), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_run)
@@ -340,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated pad counts, e.g. 10,50,100")
     p.add_argument("--speeds", type=_int_list, required=True,
                    help="comma-separated speeds in km/h")
-    p.add_argument("--timing-mode", choices=TIMING_MODES, default=None)
+    p.add_argument("--timing-mode", metavar=_choices(TIMING_MODES), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_costs)
@@ -350,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(netsim.SCENARIOS) + ["all"])
     p.add_argument("--authority", required=True)
     p.add_argument("--vehicle", required=True)
-    p.add_argument("--n-pads", type=int, default=None)
+    p.add_argument("--n-pads", default=None)
     p.add_argument("--seed", default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)

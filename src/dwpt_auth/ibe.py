@@ -10,6 +10,11 @@ the annulus keeps at today's extraction width.  Encryption is the
 dual-Regev style scheme: noisy products against h and the identity point,
 message bits scaled by floor(q/2).
 
+This module alone says which stored trapdoors and keys are admissible:
+`check_trapdoor` (the trapdoor relations and the quality the sampler
+serves) and `stored_keys` (s2 in 16 bits, (s1, s2) within `norm_bound`),
+which the key containers of `keyfiles` call on what they decode.
+
 Key encapsulation for byte payloads wraps a fresh 256-bit content key in as
 many ring ciphertexts as needed and seals the payload itself with an AEAD;
 the sealed payload is its wire bytes, which `ibe_open` reads back.
@@ -28,6 +33,7 @@ import numpy as np
 
 from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import (
+    DecodeError,
     NotInvertible,
     ParameterMismatch,
     ResampleExhausted,
@@ -38,7 +44,10 @@ from dwpt_auth.ring import (
     IntegerPolynomial,
     RingElement,
     RingParams,
+    center,
+    decode_coefficients,
     hash_to_ring,
+    norms_squared,
     sample_gaussian_int,
     sample_gaussian_poly,
 )
@@ -157,7 +166,7 @@ class UserSecretKey:
         read and never kept, nor is the point it hashes, since decryption
         reads only s2."""
         t = identity_point(self.params, self.identity)
-        return RingElement(self.params, derive_s1(self.h, self.s2_coeffs[None], [t])[0])
+        return RingElement(self.params, _derive_s1(self.h, self.s2_coeffs[None], [t])[0])
 
     @functools.cached_property
     def point(self) -> RingElement:
@@ -175,7 +184,7 @@ class UserSecretKey:
         )
 
 
-def derive_s1(h: RingElement, s2: np.ndarray, points: list[RingElement]) -> np.ndarray:
+def _derive_s1(h: RingElement, s2: np.ndarray, points: list[RingElement]) -> np.ndarray:
     """s1 = t - s2*h, in [0, q), for each row of a (K, N) block of s2
     coefficients, t the matching identity point: one stacked product."""
     t = np.stack([point.coeffs for point in points])
@@ -485,6 +494,46 @@ def extract(msk: MasterSecretKey, *identities: bytes) -> list[UserSecretKey]:
     s2[...] = _sample_preimage(msk, t, rngs)[:, params.N :]
     s2.setflags(write=False)
     return [UserSecretKey(identity, row, msk.h) for identity, row in zip(identities, s2)]
+
+
+# ---------------------------------------------------------------------------
+# Admission of stored trapdoors and keys: what a key container may hold
+
+
+def check_trapdoor(h: RingElement, f, g, F, G):
+    """DecodeError unless f*h = g and F*h = G mod q, which make (f, g, F, G)
+    a trapdoor of h: one stacked product, h's transform kept for every
+    later product by h; and unless the hybrid sampler serves the basis
+    (`max_basis_quality`)."""
+    p = h.params
+    fh, Fh = h.keep_transform().product_rows(f.to_ring(p), F.to_ring(p))
+    for relation, product, expected in (("f*h = g", fh, g), ("F*h = G", Fh, G)):
+        if not np.array_equal(product, expected.to_ring(p).coeffs):
+            raise DecodeError(f"trapdoor fails {relation} mod q")
+    quality, limit = basis_quality(f, g, p.q), max_basis_quality(p)
+    if quality > limit:
+        raise DecodeError(f"trapdoor quality {quality:.3f} above the sampler's {limit:.3f}")
+
+
+def stored_keys(h: RingElement, identities: list[bytes], s2_bytes: bytes) -> list[UserSecretKey]:
+    """The keys under h of `identities`, whose s2 are stored one element
+    encoding each, in order, in `s2_bytes`; their s2 are one read-only
+    int16 block, as `extract` leaves them.  DecodeError on a coefficient
+    outside [-S2_LIMIT, S2_LIMIT), which no key holds, and on a key whose
+    (s1, s2) exceeds `norm_bound`: one stacked product and one sum over the
+    rows.  No key keeps the identity point its check hashes."""
+    p = h.params
+    s2 = center(decode_coefficients(s2_bytes, p), p.q)
+    if ((s2 < -S2_LIMIT) | (s2 >= S2_LIMIT)).any():
+        raise DecodeError("s2 coefficient outside the 16 bits a key holds")
+    block = s2.astype(np.int16)
+    block.setflags(write=False)
+    s1 = center(_derive_s1(h, block, [identity_point(p, identity) for identity in identities]), p.q)
+    bound_sq = norm_bound(p) ** 2
+    for identity, norm_sq in zip(identities, norms_squared(np.concatenate((s1, s2), axis=1))):
+        if norm_sq > bound_sq:
+            raise DecodeError(f"key of {identity.hex()} exceeds the norm bound")
+    return [UserSecretKey(identity, row, h) for identity, row in zip(identities, block)]
 
 
 # ---------------------------------------------------------------------------

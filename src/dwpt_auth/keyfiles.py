@@ -19,21 +19,19 @@ key h that the container holds once.  Then:
 
 A group key's slot fixes its role; the consumed set is sorted pseudonyms.
 Decoders read with the exact-length `codec.Reader` and raise DecodeError on
-any malformed container, and on any the writers would not emit: a key whose
-derived (s1, s2) exceeds `ibe.norm_bound`, or whose s2 has a coefficient
-outside the 16 bits a key holds it in; a vehicle with no slots; in
-`authority.bin`, a trapdoor (f, g, F, G) with f*h != g or F*h != G mod q or
-of a quality that the hybrid sampler does not serve, a vehicle stored twice
-or a pseudonym issued to two slots; in a vehicle file,
-spent slots out of order or past the last slot; entries or consumed
-pseudonyms out of order, or a consumed pseudonym never issued.  Writers
+any malformed container, and on any the writers would not emit: a key or a
+trapdoor that `ibe` does not admit (`ibe.stored_keys`, through which every
+stored key decodes, and `ibe.check_trapdoor`); a vehicle with no slots; in
+`authority.bin`, a vehicle stored twice or a pseudonym issued to two slots;
+in a vehicle file, spent slots out of order or past the last slot; entries
+or consumed pseudonyms out of order, or a consumed pseudonym never issued.
+This module frames bytes; what a key or trapdoor may be is `ibe`'s.  Writers
 refuse, with ValueError, a slot whose pseudonym (its key's identity) is not
 the one the decoder would derive, a slot key of another h than the first
 slot's, a group key whose role is not its slot's, a ring element of other
 parameters than the header's and a polynomial whose length is not N.  Every
 decoded container re-encodes to its own bytes, and identical state to
-identical bytes.  The `load_*` helpers
-name the file.
+identical bytes.  The `load_*` helpers name the file.
 
 A change to any layout, or to anything a decoder derives, bumps the digit of
 the magic; a container of another layout is reported as such.
@@ -50,15 +48,11 @@ import numpy as np
 from dwpt_auth.codec import Reader, Writer
 from dwpt_auth.errors import DecodeError
 from dwpt_auth.ibe import (
-    S2_LIMIT,
     MasterPublicKey,
     MasterSecretKey,
     UserSecretKey,
-    basis_quality,
-    derive_s1,
-    identity_point,
-    max_basis_quality,
-    norm_bound,
+    check_trapdoor,
+    stored_keys,
 )
 from dwpt_auth.registration import (
     ROLE_CSPA_RSU,
@@ -69,14 +63,7 @@ from dwpt_auth.registration import (
     RegistrationAuthority,
     VehicleCredentials,
 )
-from dwpt_auth.ring import (
-    IntegerPolynomial,
-    RingElement,
-    RingParams,
-    center,
-    decode_coefficients,
-    norms_squared,
-)
+from dwpt_auth.ring import IntegerPolynomial, RingElement, RingParams
 from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
 MAGIC = b"DQS4"
@@ -172,53 +159,9 @@ def _write_usk(w: Writer, usk: UserSecretKey, p: RingParams):
     _write_ring(w, usk.s2, p)
 
 
-def _s2_block(data: bytes, p: RingParams) -> np.ndarray:
-    """The keys' s2, stored one element each in `data`, as a read-only
-    int16 block of centered rows; DecodeError on a coefficient outside
-    [-S2_LIMIT, S2_LIMIT), which no key holds."""
-    s2 = center(decode_coefficients(data, p), p.q)
-    if ((s2 < -S2_LIMIT) | (s2 >= S2_LIMIT)).any():
-        raise DecodeError("s2 coefficient outside the 16 bits a key holds")
-    block = s2.astype(np.int16)
-    block.setflags(write=False)
-    return block
-
-
 def _read_usk(r: Reader, h: RingElement) -> UserSecretKey:
-    """The operator key; its norm check reads (and so keeps) the point that
-    every session encrypts to."""
-    identity = r.blob()
-    block = _s2_block(r.fixed(h.params.element_bytes), h.params)
-    usk = UserSecretKey(identity, block[0], h)
-    _check_norms(h, block, [identity], [usk.point])
-    return usk
-
-
-def _check_norms(
-    h: RingElement, s2: np.ndarray, identities: list[bytes], points: list[RingElement]
-):
-    """DecodeError unless each key's (s1, s2) lies within `norm_bound`, for
-    the rows of the (K, N) s2 block and s1 derived from the matching
-    identity point: one stacked product and one sum over the rows."""
-    s1 = center(derive_s1(h, s2, points), h.params.q)
-    bound_sq = norm_bound(h.params) ** 2
-    for identity, norm_sq in zip(identities, norms_squared(np.concatenate((s1, s2), axis=1))):
-        if norm_sq > bound_sq:
-            raise DecodeError(f"key of {identity.hex()} exceeds the norm bound")
-
-
-def _check_trapdoor(h: RingElement, f, g, F, G):
-    """DecodeError unless f*h = g and F*h = G mod q, which make (f, g, F, G)
-    a trapdoor of h: one stacked product, h's transform kept for every
-    later product by h; and unless the hybrid sampler serves the basis."""
-    p = h.params
-    fh, Fh = h.keep_transform().product_rows(f.to_ring(p), F.to_ring(p))
-    for relation, product, expected in (("f*h = g", fh, g), ("F*h = G", Fh, G)):
-        if not np.array_equal(product, expected.to_ring(p).coeffs):
-            raise DecodeError(f"trapdoor fails {relation} mod q")
-    quality, limit = basis_quality(f, g, p.q), max_basis_quality(p)
-    if quality > limit:
-        raise DecodeError(f"trapdoor quality {quality:.3f} above the sampler's {limit:.3f}")
+    """The operator key, admitted as a slot key is (`ibe.stored_keys`)."""
+    return stored_keys(h, [r.blob()], r.fixed(h.params.element_bytes))[0]
 
 
 def _write_shares(w: Writer, e: DatasetEntry):
@@ -287,12 +230,10 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
     if not slots:
         raise DecodeError(f"vehicle {vehicle_id!r} has no pseudonym slots")
     pseudonyms = [derive_pseudonym(vehicle_id, d_ev * blind) for blind, *_ in slots]
-    block = _s2_block(b"".join(s2 for *_, s2 in slots), p)
-    # No session encrypts to a slot's own point, so the slot keys keep none.
-    _check_norms(h, block, pseudonyms, [identity_point(p, pseudonym) for pseudonym in pseudonyms])
+    keys = stored_keys(h, pseudonyms, b"".join(s2 for *_, s2 in slots))
     entries = [
-        CredentialEntry(blind, z, wshare, UserSecretKey(pseudonym, s2, h))
-        for (blind, z, wshare, _), pseudonym, s2 in zip(slots, pseudonyms, block)
+        CredentialEntry(blind, z, wshare, usk)
+        for (blind, z, wshare, _), usk in zip(slots, keys)
     ]
     spent = _increasing([r.u32() for _ in range(r.u32())], "spent slots")
     if spent and spent[-1] >= len(entries):
@@ -356,7 +297,7 @@ def authority_from_bytes(data: bytes) -> RegistrationAuthority:
     r, p = _unframe(data, RECORD_AUTHORITY)
     seed, h = r.fixed(32), _read_ring(r, p)
     f, g, F, G = (_read_ipoly(r, p.N) for _ in range(4))
-    _check_trapdoor(h, f, g, F, G)
+    check_trapdoor(h, f, g, F, G)
     ra = RegistrationAuthority(
         seed=seed,
         mpk=MasterPublicKey(h),

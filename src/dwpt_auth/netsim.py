@@ -108,10 +108,9 @@ class TimingModel:
     def _clock(self) -> tuple:
         """A session's integer clock, built on first use and kept: D, then
         per kind the cost in ms, the sending time in us, and both again in
-        ticks of 1/D ms.  m7 is priced as one hash; a session of n pads
-        scales it by n + 1, which leaves its denominator t_sha's, so D is
-        the same for every pad count.  Sessions share the tables and never
-        write to them."""
+        ticks of 1/D ms.  m7 is priced at n = 0; its price at any n keeps
+        t_sha's denominator, so D serves every pad count.  Sessions share
+        the tables and never write to them."""
         comp = {k: self.message_cost_ms(k, 0) for k in protocol.NOMINAL_SIZES}
         send = {k: sending_time_us(k) for k in protocol.NOMINAL_SIZES}
         D = math.lcm(*(c.denominator for c in comp.values()),
@@ -254,7 +253,7 @@ class SessionTrace:
         """One event per message sent, then a `reject` event at the last
         arrival if the pass was rejected; built on first read."""
         D, comp, send, _, _ = self.timing._clock
-        comp = {**comp, "m7": (self.config["n_pads"] + 1) * comp["m7"]}
+        comp = {**comp, "m7": self.timing.message_cost_ms("m7", self.config["n_pads"])}
         sizes = protocol.NOMINAL_SIZES
         events = [
             TraceEvent(
@@ -400,7 +399,7 @@ def simulate_session(
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
     # integers; the trace builds its Fractions only when they are read.
     D, _, _, comp_ticks, send_ticks = tm._clock
-    comp_ticks = {**comp_ticks, "m7": (n_pads + 1) * comp_ticks["m7"]}
+    comp_ticks = {**comp_ticks, "m7": int(tm.message_cost_ms("m7", n_pads) * D)}
     ticks = {k: comp_ticks[k] + send_ticks[k] for k in comp_ticks}
     sizes = protocol.NOMINAL_SIZES
     record = trace.messages.append

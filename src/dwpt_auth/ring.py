@@ -64,8 +64,8 @@ class RingParams:
     @property
     def sigma_extract(self) -> float:
         """Width of extracted keys and signatures: 1.5 * sqrt(q), which the
-        hybrid sampler reaches from every basis whose quality keygen and the
-        authority decoder admit (`ibe.basis_quality`)."""
+        hybrid sampler reaches from every basis whose quality keygen and
+        `ibe.check_trapdoor` admit (`ibe.basis_quality`)."""
         return 1.5 * math.sqrt(self.q)
 
 

@@ -527,6 +527,8 @@ class TestOutOfRange:
          "pseudonym_index must be at least 0 and below 6, got -1"),
         (["run", "--pseudonym-index", "99"], None,
          "pseudonym_index must be at least 0 and below 6, got 99"),
+        (["run", "--pseudonym-index", "first"], None,
+         "pseudonym_index must be an integer, got 'first'"),
         (["run"], "npads = 0", "bad.cfg: unknown key 'npads'"),
     ], ids=[
         "register-count", "register-count-config", "run-n-pads", "run-n-pads-negative",
@@ -536,11 +538,50 @@ class TestOutOfRange:
         "costs-speed-negative", "costs-n-pads", "costs-config-line-without-equals",
         "run-n-pads-config-not-integer", "run-freshness-negative", "run-freshness-config-negative",
         "run-pseudonym-index-negative", "run-pseudonym-index-past-last-slot",
+        "run-pseudonym-index-not-integer",
         "run-config-unknown-key",
     ])
     def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config, expected):
+        err = self.rejected(workspace, tmp_path, capsys, argv, config)
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert expected in err
+
+    @pytest.mark.parametrize("argv, flag, key, value, expected", [
+        (["setup"], "--params-tier", "tier", "bogus",
+         "tier must be one of toy, test, default, got 'bogus'"),
+        (["register", "--vehicle-id", "EV-abc"], "--count", "count", "abc",
+         "count must be an integer, got 'abc'"),
+        (["run"], "--n-pads", "n_pads", "1.5", "n_pads must be an integer, got '1.5'"),
+        (["run"], "--freshness-ms", "freshness_ms", "soon",
+         "freshness_ms must be an integer, got 'soon'"),
+        (["run"], "--timing-mode", "timing_mode", "bogus",
+         "timing_mode must be one of rounded-table, cycle-accurate, got 'bogus'"),
+        (["costs", "--n-pads", "10", "--speeds", "50"], "--timing-mode", "timing_mode", "x",
+         "timing_mode must be one of rounded-table, cycle-accurate, got 'x'"),
+        (["attack", "--scenario", "all"], "--n-pads", "n_pads", "many",
+         "n_pads must be an integer, got 'many'"),
+    ], ids=["setup-tier", "register-count", "run-n-pads", "run-freshness", "run-timing-mode",
+            "costs-timing-mode", "attack-n-pads"])
+    def test_flag_and_config_say_the_same(
+        self, workspace, tmp_path, capsys, argv, flag, key, value, expected
+    ):
+        """A value that is not an integer or not among the choices gives the
+        same one line from its flag as from --config: argparse checks
+        neither, `cli._setting` checks both."""
+        assert self.rejected(workspace, tmp_path, capsys, [*argv, flag, value], None) == (
+            f"error: {expected}\n"
+        )
+        assert self.rejected(workspace, tmp_path, capsys, argv, f"{key} = {value}") == (
+            f"error: {expected}\n"
+        )
+
+    @staticmethod
+    def rejected(workspace, tmp_path, capsys, argv, config) -> str:
+        """The stderr of `argv` on the workspace's files, which must exit 2,
+        leave the authority file as it was and write no output directory."""
         authority = workspace / "authority.bin"
         files = {
+            "setup": [],
             "register": ["--authority", str(authority)],
             "run": ["--authority", str(authority), "--vehicle", str(workspace / "vehicle-EV-cli.bin")],
             "costs": [],
@@ -552,11 +593,9 @@ class TestOutOfRange:
             argv += ["--config", str(tmp_path / "bad.cfg")]
         before = authority.read_bytes()
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1, err
-        assert expected in err
         assert authority.read_bytes() == before
         assert not (tmp_path / "out").exists()
+        return capsys.readouterr().err
 
 
 class TestCosts:
@@ -581,6 +620,12 @@ class TestCosts:
         with pytest.raises(SystemExit) as exc:
             main(["costs", "--n-pads", "ten", "--speeds", "10", "--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_empty_pad_list(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["costs", "--n-pads", "", "--speeds", "10", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "list must not be empty" in capsys.readouterr().err
 
 
 class TestAttack:

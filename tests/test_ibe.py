@@ -743,6 +743,11 @@ class TestSignatures:
         sig = sign(test_authority.msk, b"msg", RandomSource("sig5"))
         assert not verify(other_mpk, b"msg", sig)
 
+    def test_signature_of_other_parameters_rejected(self, test_authority, toy_authority):
+        """A signature over another ring is refused, not multiplied by h."""
+        sig = sign(toy_authority.msk, b"msg", RandomSource("sig6"))
+        assert not verify(test_authority.mpk, b"msg", sig)
+
 
 class TestHybrid:
     def test_seal_open_round_trip(self, default_authority):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpt_auth import keyfiles
+from dwpt_auth import ibe, keyfiles
 from dwpt_auth.codec import Writer
 from dwpt_auth.errors import DecodeError, NotInvertible
 from dwpt_auth.ibe import (
@@ -299,7 +299,7 @@ class TestStrictFields:
         """A stored s2 coefficient of 2^15 - 1 or -2^15 decodes, and one of
         2^15 or -2^15 - 1 fails at load: keys hold s2 in 16 bits.  The norm
         bound is lifted here, so that the range alone decides."""
-        monkeypatch.setattr(keyfiles, "norm_bound", lambda params: math.inf)
+        monkeypatch.setattr(ibe, "norm_bound", lambda params: math.inf)
         ra, creds = default_authority, default_vehicle
         usk, blob, decode, key_of = {
             "vehicle": (creds.entries[1].usk, keyfiles.vehicle_to_bytes(creds),
@@ -403,6 +403,9 @@ class TestCanonicalOrder:
         blob = keyfiles.authority_to_bytes(dataclasses.replace(ra, vehicles=vehicles))
         with pytest.raises(DecodeError, match="vehicle b'EV-kf-2' has no pseudonym slots"):
             keyfiles.authority_from_bytes(blob)
+        empty = dataclasses.replace(wallets[b"EV-kf-2"], entries=[], spent=set())
+        with pytest.raises(ValueError, match="^cannot serialize credentials with no entries$"):
+            keyfiles.vehicle_to_bytes(empty)
 
     @pytest.mark.parametrize("spent", [(1, 0), (0, 0)], ids=["descending", "repeated"])
     def test_spent_slots_strictly_increasing(self, wallets, spent):

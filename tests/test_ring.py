@@ -72,6 +72,10 @@ class TestParams:
         with pytest.raises(ParameterMismatch):
             a + b
 
+    def test_wrong_coefficient_count_refused(self):
+        with pytest.raises(ValueError, match="expected 16 coefficients"):
+            RingElement(TIERS["toy"], [1] * 15)
+
 
 class TestArithmetic:
     @pytest.mark.parametrize("tier", ["toy", "test", "default"])
@@ -800,6 +804,10 @@ class TestIntegerPolynomial:
         p = TIERS["toy"]
         poly = IntegerPolynomial([-1] + [0] * (p.N - 1))
         assert poly.to_ring(p) == RingElement(p, [p.q - 1] + [0] * (p.N - 1))
+
+    def test_to_ring_of_another_degree_refused(self):
+        with pytest.raises(ParameterMismatch, match="degree"):
+            IntegerPolynomial([1] * 8).to_ring(TIERS["toy"])
 
     def test_matches_ring_multiplication(self):
         p = TIERS["test"]

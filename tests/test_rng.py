@@ -81,6 +81,19 @@ def test_known_answer():
     )
 
 
+def test_seed_of_no_stream_refused():
+    """A negative integer has no seed encoding and a float is no seed type."""
+    with pytest.raises(ValueError, match="non-negative"):
+        RandomSource(-1)
+    with pytest.raises(TypeError, match="unsupported seed type"):
+        RandomSource(1.5)
+
+
+def test_below_an_empty_range_refused():
+    with pytest.raises(ValueError, match="bound must be positive"):
+        RandomSource("below").below(0)
+
+
 @pytest.mark.parametrize("lead", [REF_CHUNK - 24, REF_CHUNK - 2, REF_CHUNK, REF_CHUNK + 6])
 def test_every_byte_is_accounted_for(lead):
     """The same draws starting just before, on and just after the first

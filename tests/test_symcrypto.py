@@ -42,6 +42,10 @@ class TestDerivations:
         assert derive_pseudonym(b"A", 1) != derive_pseudonym(b"B", 1)
         assert derive_pseudonym(b"A", 1) != derive_pseudonym(b"A", 2)
 
+    def test_pseudonym_of_negative_point_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            derive_pseudonym(b"A", -1)
+
     def test_session_key_rejects_short_nonce(self):
         with pytest.raises(ValueError):
             derive_session_key(b"\x00" * 16, b"\x01" * 32)
@@ -78,6 +82,11 @@ class TestTimestamps:
     def test_wrong_length(self):
         with pytest.raises(DecodeError):
             decode_timestamp(b"\x00" * 31)
+
+    @pytest.mark.parametrize("ms", [-1, 1 << 64])
+    def test_encode_out_of_range(self, ms):
+        with pytest.raises(ValueError, match="timestamp out of range"):
+            encode_timestamp(ms)
 
 
 class TestSymmetricKey:
@@ -205,3 +214,13 @@ class TestHashChain:
         direct = HashChain.build(self.T, self.M, 5)
         rebuilt = HashChain.from_digests(sha256(self.T), sha256(self.M), 5)
         assert rebuilt.links == direct.links
+
+    def test_malformed_chains_refused(self):
+        """A chain holds a pad link and the head at least, at least one pad,
+        and 32-byte digests."""
+        with pytest.raises(ValueError, match="at least one pad link plus the head"):
+            HashChain((sha256(self.T),))
+        with pytest.raises(ValueError, match="need at least one pad"):
+            HashChain.from_digests(sha256(self.T), sha256(self.M), 0)
+        with pytest.raises(ValueError, match="digests are 32 bytes"):
+            HashChain.from_digests(sha256(self.T)[:31], sha256(self.M), 3)
