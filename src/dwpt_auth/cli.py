@@ -26,6 +26,7 @@ from dwpt_auth.ring import TIERS
 _POSITIVE = range(1, 1 << 63)  # the pad counts and speeds of `costs`
 _COUNT = range(1, 1 << 32)  # slot and pad counts, which a u32 field carries
 _NON_NEGATIVE = range(1 << 63)  # the freshness window
+_SCENARIOS = [*sorted(netsim.SCENARIOS), "all"]
 # Every key some command reads, so one config file can serve setup and run.
 _CONFIG_KEYS = {"tier", "seed", "count", "n_pads", "freshness_ms", "timing_mode"}
 
@@ -66,18 +67,16 @@ def _setting(args_value, config: dict, key: str, default, cast=str, allowed=None
     text = config.get(key) if args_value is None else args_value
     try:
         value = default if text is None else cast(text)
-    except ValueError:  # only the int cast can fail
+    except ValueError:  # only the integer casts can fail
         raise _BadSetting(f"{key} must be an integer, got {text!r}") from None
     return value if allowed is None else _check(key, value, allowed)
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(x) for x in text.replace(",", " ").split()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer list: {text!r}")
+    """Integers separated by commas or spaces, at least one, or ValueError."""
+    values = [int(x) for x in text.replace(",", " ").split()]
     if not values:
-        raise argparse.ArgumentTypeError("list must not be empty")
+        raise ValueError("empty list")
     return values
 
 
@@ -242,22 +241,24 @@ def cmd_run(args) -> int:
 def cmd_costs(args) -> int:
     config = _load_config(args.config)
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
-    _check("n_pads", min(args.n_pads), _POSITIVE)
-    _check("speeds", min(args.speeds), _POSITIVE)
+    pad_counts = _setting(args.n_pads, {}, "n_pads", None, _int_list)
+    speeds = _setting(args.speeds, {}, "speeds", None, _int_list)
+    _check("n_pads", min(pad_counts), _POSITIVE)
+    _check("speeds", min(speeds), _POSITIVE)
     timing = TIMING_MODES[mode]
     out = _out_dir(args)
     header = {
         "timing_mode": mode,
-        "pad_counts": " ".join(str(n) for n in args.n_pads),
-        "speeds_kmh": " ".join(str(v) for v in args.speeds),
+        "pad_counts": " ".join(str(n) for n in pad_counts),
+        "speeds_kmh": " ".join(str(v) for v in speeds),
     }
     written = []
-    for n in args.n_pads:
+    for n in pad_counts:
         path = out / f"message_costs_n{n}.csv"
         netsim.write_message_costs_csv(path, n, timing, {**header, "n_pads": n})
         written.append(path)
     grid_path = out / "pad_lengths.csv"
-    netsim.write_pad_length_csv(grid_path, args.speeds, args.n_pads, timing, header)
+    netsim.write_pad_length_csv(grid_path, speeds, pad_counts, timing, header)
     written.append(grid_path)
     for path in written:
         print(f"wrote {path}")
@@ -268,13 +269,12 @@ def cmd_attack(args) -> int:
     config = _load_config(args.config)
     seed = _setting(args.seed, config, "seed", "0")
     n_pads = _setting(args.n_pads, config, "n_pads", 3, int, _COUNT)
+    scenario = _check("scenario", args.scenario, _SCENARIOS)
     ra = keyfiles.load_authority(args.authority)
     creds = keyfiles.load_vehicle(args.vehicle)
     if not _admit(ra, creds):
         return 1
-    scenarios = (
-        sorted(netsim.SCENARIOS) if args.scenario == "all" else [args.scenario]
-    )
+    scenarios = sorted(netsim.SCENARIOS) if scenario == "all" else [scenario]
     out = _out_dir(args)
     all_passed = True
     for name in scenarios:
@@ -298,7 +298,7 @@ def cmd_attack(args) -> int:
 
 
 def _choices(names) -> str:
-    """The allowed values as `--help` shows them; `_setting` checks them."""
+    """The allowed values as `--help` shows them; `_check` checks them."""
     return "{" + ",".join(names) + "}"
 
 
@@ -343,18 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("costs", help="write cost tables and pad-length grids")
-    p.add_argument("--n-pads", type=_int_list, required=True,
-                   help="comma-separated pad counts, e.g. 10,50,100")
-    p.add_argument("--speeds", type=_int_list, required=True,
-                   help="comma-separated speeds in km/h")
+    p.add_argument("--n-pads", required=True, help="comma-separated pad counts, e.g. 10,50,100")
+    p.add_argument("--speeds", required=True, help="comma-separated speeds in km/h")
     p.add_argument("--timing-mode", metavar=_choices(TIMING_MODES), default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_costs)
 
     p = sub.add_parser("attack", help="run scripted adversary scenarios")
-    p.add_argument("--scenario", required=True,
-                   choices=sorted(netsim.SCENARIOS) + ["all"])
+    p.add_argument("--scenario", metavar=_choices(_SCENARIOS), required=True)
     p.add_argument("--authority", required=True)
     p.add_argument("--vehicle", required=True)
     p.add_argument("--n-pads", default=None)

@@ -8,7 +8,9 @@ hybrid sampler: two ring-level steps, each a continuous Gaussian
 perturbation in the Fourier domain and N integer draws of one width, which
 the annulus keeps at today's extraction width.  Encryption is the
 dual-Regev style scheme: noisy products against h and the identity point,
-message bits scaled by floor(q/2).
+message bits scaled by floor(q/2).  Every product mod q here, of one
+pair or of a stack (decryption's u*s2, a block of keys' s2*h, the
+trapdoor check), goes through `RingElement.product_rows`.
 
 This module alone says which stored trapdoors and keys are admissible:
 `check_trapdoor` (the trapdoor relations and the quality the sampler
@@ -130,7 +132,7 @@ class UserSecretKey:
     in [-S2_LIMIT, S2_LIMIT)), which the keys of one extraction or one
     decoded file share as one read-only block.  `s1` and `s2` are built as
     ring elements on every read and never kept, which would double a
-    wallet's memory; only `keep_transform` keeps s2's transform."""
+    wallet's memory; only `keep_transform` keeps s2, with its transform."""
 
     identity: bytes
     s2_coeffs: np.ndarray
@@ -144,21 +146,17 @@ class UserSecretKey:
 
     @property
     def s2(self) -> RingElement:
-        return RingElement(self.params, self.s2_coeffs)
+        """The element `keep_transform` kept, or one built from the int16 row."""
+        if self._kept_s2 is None:
+            return RingElement(self.params, self.s2_coeffs)
+        return self._kept_s2
 
     def keep_transform(self) -> "UserSecretKey":
-        """Keep s2's transform for every later `times`: for a key that
-        decrypts on every pass, the operator's."""
+        """Keep s2 with its transform for every later product: for a key
+        that decrypts on every pass, the operator's."""
         if self._kept_s2 is None:
             object.__setattr__(self, "_kept_s2", self.s2.keep_transform())
         return self
-
-    def times(self, u: RingElement) -> np.ndarray:
-        """The coefficients in [0, q) of u * s2: by s2's kept transform, or
-        from the int16 row, with no ring element of s2 built."""
-        if self._kept_s2 is None:
-            return u.product_block(self.s2_coeffs[None])[0]
-        return (u * self._kept_s2).coeffs
 
     @property
     def s1(self) -> RingElement:
@@ -188,7 +186,7 @@ def _derive_s1(h: RingElement, s2: np.ndarray, points: list[RingElement]) -> np.
     """s1 = t - s2*h, in [0, q), for each row of a (K, N) block of s2
     coefficients, t the matching identity point: one stacked product."""
     t = np.stack([point.coeffs for point in points])
-    return (t - h.product_block(s2)) % h.params.q
+    return (t - h.product_rows(*(RingElement(h.params, row) for row in s2))) % h.params.q
 
 
 @dataclass(frozen=True)
@@ -561,7 +559,7 @@ def decrypt(usk: UserSecretKey, ct: Ciphertext) -> np.ndarray:
     if not usk.params == ct.u.params == ct.v.params:
         raise ParameterMismatch("key and ciphertext parameters differ")
     q = usk.params.q
-    w = (ct.v.coeffs - usk.times(ct.u)) % q  # both in [0, q)
+    w = (ct.v.coeffs - (ct.u * usk.s2).coeffs) % q  # both in [0, q)
     return ((w > q // 4) & (w < q - q // 4)).view(np.uint8)
 
 

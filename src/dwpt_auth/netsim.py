@@ -5,6 +5,8 @@ per IBE encrypt/decrypt, AES block, SHA-256); channels convert modeled byte
 sizes into sending times.  A session keeps its clock in exact integers over
 one common denominator and hands out Fractions, so the simulated totals
 equal the closed-form cost expressions bit for bit; floats only in reports.
+Every function that takes a `timing` model defaults to the rounded table,
+the model of the closed-form analysis.
 
 Also hosts the adversary harness: scripted man-in-the-middle scenarios that
 replay, delay, or forge traffic and count how many hostile actions any party
@@ -107,24 +109,28 @@ class TimingModel:
     @cached_property
     def _clock(self) -> tuple:
         """A session's integer clock, built on first use and kept: D, then
-        per kind the cost in ms, the sending time in us, and both again in
-        ticks of 1/D ms.  m7 is priced at n = 0; its price at any n keeps
-        t_sha's denominator, so D serves every pad count.  Sessions share
-        the tables and never write to them."""
+        per kind the cost and the sending time in ticks of 1/D ms.  m7 is
+        priced at n = 0; its price at any n keeps t_sha's denominator, so D
+        serves every pad count.  Sessions share the tables and never write
+        to them."""
         comp = {k: self.message_cost_ms(k, 0) for k in protocol.NOMINAL_SIZES}
-        send = {k: sending_time_us(k) for k in protocol.NOMINAL_SIZES}
-        D = math.lcm(*(c.denominator for c in comp.values()),
-                     *((s / 1000).denominator for s in send.values()))
+        send = {k: sending_time_us(k) / 1000 for k in protocol.NOMINAL_SIZES}
+        D = math.lcm(*(c.denominator for c in (*comp.values(), *send.values())))
         comp_ticks = {k: int(c * D) for k, c in comp.items()}
-        send_ticks = {k: int(s * D / 1000) for k, s in send.items()}
-        return D, comp, send, comp_ticks, send_ticks
+        send_ticks = {k: int(s * D) for k, s in send.items()}
+        return D, comp_ticks, send_ticks
+
+    def _ticks(self, n_pads: int) -> tuple:
+        """D, then per kind the cost and the sending time in ticks of 1/D
+        ms, with m7 priced at `n_pads`: the one price table of a session."""
+        D, comp_ticks, send_ticks = self._clock
+        m7 = int(self.message_cost_ms("m7", n_pads) * D)
+        return D, {**comp_ticks, "m7": m7}, send_ticks
 
 
-#: Each timing mode's name and its one model, built once.
+#: Each timing mode's name and its one model, built once.  The rounded
+#: table is the default `timing` of every function that takes one.
 TIMING_MODES = {tm.mode: tm for tm in (TimingModel.rounded_table(), TimingModel.cycle_accurate())}
-
-#: The default model; every function that takes `timing=None` uses it.
-_ROUNDED_TABLE = TIMING_MODES["rounded-table"]
 
 
 #: Bit rate of each link, in bits per second.
@@ -157,21 +163,19 @@ def sending_time_us(kind: str) -> Fraction:
     return Fraction(protocol.NOMINAL_SIZES[kind] * 8 * 1_000_000, CHANNELS[KIND_CHANNEL[kind]])
 
 
-def cost_first_pad(n_pads: int, timing: TimingModel | None = None) -> Fraction:
+def cost_first_pad(n_pads: int, timing: TimingModel = TIMING_MODES["rounded-table"]) -> Fraction:
     """Computation (ms) from first contact through the first pad's accept."""
-    tm = timing or _ROUNDED_TABLE
-    return sum(tm.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS)
+    return sum(timing.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS)
 
 
-def cost_asymptotic(n_pads: int, timing: TimingModel | None = None) -> Fraction:
+def cost_asymptotic(n_pads: int, timing: TimingModel = TIMING_MODES["rounded-table"]) -> Fraction:
     """Whole-lane computation (ms) under the no-caching model.
 
     Each pad's value is recomputed from the chain base, so pad checks cost
     (n^2 + n)/2 hashes in total instead of n single-step checks.
     """
-    tm = timing or _ROUNDED_TABLE
-    fixed = sum(tm.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS[:6])
-    return fixed + n_pads * tm.t_sha + Fraction(n_pads * n_pads + n_pads, 2) * tm.t_sha
+    fixed = sum(timing.message_cost_ms(kind, n_pads) for kind in FIRST_PAD_KINDS[:6])
+    return fixed + n_pads * timing.t_sha + Fraction(n_pads * n_pads + n_pads, 2) * timing.t_sha
 
 
 def sending_first_pad_us() -> Fraction:
@@ -180,7 +184,7 @@ def sending_first_pad_us() -> Fraction:
 
 
 def pad_length_m(
-    speed_kmh, n_pads: int, timing: TimingModel | None = None
+    speed_kmh, n_pads: int, timing: TimingModel = TIMING_MODES["rounded-table"]
 ) -> Fraction:
     """Pad length (meters) so authentication finishes within one pad.
 
@@ -252,8 +256,9 @@ class SessionTrace:
     def events(self) -> list[TraceEvent]:
         """One event per message sent, then a `reject` event at the last
         arrival if the pass was rejected; built on first read."""
-        D, comp, send, _, _ = self.timing._clock
-        comp = {**comp, "m7": self.timing.message_cost_ms("m7", self.config["n_pads"])}
+        D, comp_ticks, send_ticks = self.timing._ticks(self.config["n_pads"])
+        comp = {k: Fraction(t, D) for k, t in comp_ticks.items()}
+        send = {k: Fraction(1000 * t, D) for k, t in send_ticks.items()}
         sizes = protocol.NOMINAL_SIZES
         events = [
             TraceEvent(
@@ -364,7 +369,7 @@ def simulate_session(
     credentials: VehicleCredentials,
     n_pads: int = 1,
     seed=0,
-    timing: TimingModel | None = None,
+    timing: TimingModel = TIMING_MODES["rounded-table"],
     entry_index: int | None = None,
     freshness_ms: int = protocol.FRESHNESS_WINDOW_MS,
 ) -> SessionTrace:
@@ -383,7 +388,6 @@ def simulate_session(
     reached m2; only `consumed`, which the CLI then persists, turns a replay
     into PseudonymReuse.
     """
-    tm = timing or _ROUNDED_TABLE
     world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
     trace = SessionTrace(
         config={
@@ -394,12 +398,11 @@ def simulate_session(
             "freshness_ms": freshness_ms,
             "entry_index": entry_index,
         },
-        timing=tm,
+        timing=timing,
     )
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
     # integers; the trace builds its Fractions only when they are read.
-    D, _, _, comp_ticks, send_ticks = tm._clock
-    comp_ticks = {**comp_ticks, "m7": int(tm.message_cost_ms("m7", n_pads) * D)}
+    D, comp_ticks, send_ticks = timing._ticks(n_pads)
     ticks = {k: comp_ticks[k] + send_ticks[k] for k in comp_ticks}
     sizes = protocol.NOMINAL_SIZES
     record = trace.messages.append

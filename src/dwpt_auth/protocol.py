@@ -221,10 +221,9 @@ class EvSession:
         if self.state != "charging":
             raise ProtocolRejection(BAD_STATE, f"chain send in state {self.state}")
         j = self.next_pad
-        links = self.chain.links  # n pad links, then the head
-        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", links[-1 - j])  # link[n - j]
+        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", self.chain.value_for_pad(j))
         self.next_pad = j + 1
-        if j == len(links) - 1:
+        if j == len(self.chain.links) - 1:  # n pad links, then the head
             self.state = "done"
         return msg
 

@@ -8,7 +8,8 @@ valid parameters) and an exact product over the integers, `karamul`, which
 is the schoolbook sum below degree 32 and Kronecker substitution from
 there up.  The exact route carries the trapdoor arithmetic and is the
 reference oracle for the transform; the test suite holds the two bit-equal
-mod q.
+mod q.  `RingElement.product_rows` is the one product mod q, of one
+element by one or by a stack of others, and `*` is its one-row case.
 """
 
 from __future__ import annotations
@@ -313,20 +314,6 @@ class RingElement:
             computed = iter(_ntt_forward(np.stack(fresh), N, q))
         points = [next(computed) if e._ntt is None else e._ntt for e in operands]
         return _ntt_inverse(np.stack(points[1:]) * points[0] % q, N, q)
-
-    def product_block(self, block: np.ndarray) -> np.ndarray:
-        """Coefficients in [0, q) of self * each row of a (K, N) block of
-        integer coefficients of any sign, as int64 rows: one stacked forward
-        transform of the block, and of self unless it keeps one, and one
-        stacked inverse."""
-        N, q = self.params.N, self.params.q
-        rows = block.astype(np.int64) % q
-        if self._ntt is None:
-            transformed = _ntt_forward(np.vstack((self.coeffs, rows)), N, q)
-            own, points = transformed[0], transformed[1:]
-        else:
-            own, points = self._ntt, _ntt_forward(rows, N, q)
-        return _ntt_inverse(points * own % q, N, q)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         return RingElement(self.params, self.product_rows(other)[0])

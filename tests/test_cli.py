@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dwpt_auth import keyfiles, protocol
+from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.cli import main
 from dwpt_auth.ibe import basis_quality
 from dwpt_auth.registration import export_cspa_dataset, ra_setup
@@ -493,10 +493,24 @@ class TestMissingFiles:
         ]) == 2
         assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
+    def test_error_naming_no_file_is_raised(self, tmp_path, monkeypatch):
+        """Only an OSError that names its file becomes an error line and
+        exit status 2; one that names none is raised as it was."""
+        failure = OSError(5, "Input/output error")
+
+        def fail(*args):
+            raise failure
+
+        monkeypatch.setattr(netsim, "write_message_costs_csv", fail)
+        with pytest.raises(OSError) as exc:
+            main(["costs", "--n-pads", "10", "--speeds", "50", "--out", str(tmp_path)])
+        assert exc.value is failure
+
 
 class TestOutOfRange:
     """A slot count or pad count outside 1 to 2^32 - 1 (which a u32 field
-    carries), a speed or `costs` pad count below 1, a negative freshness
+    carries), a speed or `costs` pad count below 1, a `costs` list that is
+    empty or not integers, an unknown scenario, a negative freshness
     window, a pseudonym index naming no slot of the vehicle, or a malformed
     config file or one holding a key no command reads is one error line and
     exit status 2, from a flag or from --config, and changes no file."""
@@ -530,6 +544,12 @@ class TestOutOfRange:
         (["run", "--pseudonym-index", "first"], None,
          "pseudonym_index must be an integer, got 'first'"),
         (["run"], "npads = 0", "bad.cfg: unknown key 'npads'"),
+        (["costs", "--n-pads", "ten", "--speeds", "10"], None,
+         "n_pads must be an integer, got 'ten'"),
+        (["costs", "--n-pads", "", "--speeds", "10"], None, "n_pads must be an integer, got ''"),
+        (["attack", "--scenario", "meteor-strike"], None,
+         "scenario must be one of double-spend, forge-m4, pseudonym-reuse, replay-m7, "
+         "stale-timestamp, all, got 'meteor-strike'"),
     ], ids=[
         "register-count", "register-count-config", "run-n-pads", "run-n-pads-negative",
         "run-n-pads-config", "attack-n-pads", "attack-n-pads-config",
@@ -539,7 +559,8 @@ class TestOutOfRange:
         "run-n-pads-config-not-integer", "run-freshness-negative", "run-freshness-config-negative",
         "run-pseudonym-index-negative", "run-pseudonym-index-past-last-slot",
         "run-pseudonym-index-not-integer",
-        "run-config-unknown-key",
+        "run-config-unknown-key", "costs-n-pads-not-integer", "costs-n-pads-empty",
+        "attack-unknown-scenario",
     ])
     def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config, expected):
         err = self.rejected(workspace, tmp_path, capsys, argv, config)
@@ -615,17 +636,6 @@ class TestCosts:
         assert [l.split(",")[0] for l in grid if not l.startswith("#")][1:] == [
             "10", "50", "130",
         ]
-
-    def test_bad_pad_list(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["costs", "--n-pads", "ten", "--speeds", "10", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-
-    def test_empty_pad_list(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["costs", "--n-pads", "", "--speeds", "10", "--out", str(tmp_path)])
-        assert exc.value.code == 2
-        assert "list must not be empty" in capsys.readouterr().err
 
 
 class TestAttack:
@@ -731,16 +741,6 @@ class TestAttack:
         assert rc == 1
         assert capsys.readouterr().err == "error: vehicle is not registered with this authority\n"
         assert not (tmp_path / "attacks").exists()
-
-    def test_unknown_scenario_is_a_usage_error(self, workspace):
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "attack", "--scenario", "meteor-strike",
-                "--authority", str(workspace / "authority.bin"),
-                "--vehicle", str(workspace / "vehicle-EV-cli.bin"),
-                "--out", str(workspace / "attacks-bad"),
-            ])
-        assert exc.value.code == 2
 
 
 class TestParser:

@@ -14,7 +14,13 @@ import numpy as np
 import pytest
 
 from dwpt_auth import ibe
-from dwpt_auth.errors import AuthenticationFailure, DecodeError, ParameterMismatch
+from dwpt_auth.errors import (
+    AuthenticationFailure,
+    DecodeError,
+    ParameterMismatch,
+    ResampleExhausted,
+    SamplerFailure,
+)
 from dwpt_auth.ibe import (
     ANNULUS,
     INTEGER_WIDTH,
@@ -151,6 +157,22 @@ class TestMasterKeyGen:
             master_key_gen(TIERS[tier], RandomSource(f"parity-{tier}-{i}"))
         assert (0, 0) in draws
         assert solved and (0, 0) not in solved
+
+    def test_refusing_every_pair_exhausts_the_attempts(self, monkeypatch):
+        """When the quality limit refuses every pair, keygen draws its
+        attempt count of pairs and raises ResampleExhausted."""
+        draws, real_draw = [], ibe._annular_pair
+
+        def draw(*args):
+            draws.append(1)
+            return real_draw(*args)
+
+        monkeypatch.setattr(ibe, "_annular_pair", draw)
+        monkeypatch.setattr(ibe, "max_basis_quality", lambda params: 0.0)
+        monkeypatch.setattr(ibe, "_MAX_KEYGEN_ATTEMPTS", 5)
+        with pytest.raises(ResampleExhausted, match="in 5 attempts"):
+            master_key_gen(TIERS["toy"], RandomSource("refused"))
+        assert len(draws) == 5
 
     @pytest.mark.parametrize("tier", ["toy", "test"])
     def test_annular_draw_matches_the_reference(self, tier):
@@ -340,6 +362,21 @@ class TestExtract:
         assert all(-limit <= c < limit for k in keys for c in k.s2_coeffs.tolist())
         assert keys == [extract(msk, identity)[0] for identity in ids]
 
+    def test_no_preimage_within_the_bound_fails(self, toy_authority, monkeypatch):
+        """Under a norm bound of 0 no row is ever accepted: the walk runs
+        its attempt count of times and extraction raises SamplerFailure."""
+        walks, near = [], KleinSampler.sample_near
+
+        def counted(self, t, rngs):
+            walks.append(len(t))
+            return near(self, t, rngs)
+
+        monkeypatch.setattr(KleinSampler, "sample_near", counted)
+        monkeypatch.setattr(ibe, "norm_bound", lambda params: 0.0)
+        with pytest.raises(SamplerFailure, match="no preimage within the norm bound"):
+            extract(toy_authority.msk, b"out-of-reach-1", b"out-of-reach-2")
+        assert walks == [2] * ibe._MAX_SAMPLE_ATTEMPTS
+
     def test_batch_keeps_its_s2_in_one_block(self, test_authority):
         """The keys of one call share one read-only (K, N) int16 block of
         centered coefficients, of which each key's s2 holds a row."""
@@ -364,8 +401,8 @@ class TestExtract:
     def test_key_keeps_s2_and_refers_to_h(self, test_authority):
         """A key holds its identity, s2 and its authority's h, shared, not
         copied; s1 and s2 are built on each read and never kept.  Only
-        `keep_transform` keeps s2's transform, once, and `times` gives
-        u * s2 with it as without it."""
+        `keep_transform` keeps s2, with its transform, once, and u * s2 is
+        the same with it as without it."""
         assert [f.name for f in dataclasses.fields(UserSecretKey)] == ["identity", "s2_coeffs", "h"]
         (usk,) = extract(test_authority.msk, b"vehicle-77")
         assert usk.h is test_authority.mpk.h
@@ -373,11 +410,10 @@ class TestExtract:
         assert usk.s2 == usk.s2 and usk.s2 is not usk.s2
         assert "s1" not in vars(usk) and "s2" not in vars(usk)
         u = identity_point(usk.params, b"any u")
-        product = usk.times(u)
-        assert np.array_equal(product, (u * usk.s2).coeffs)
+        product = u * usk.s2
         kept = usk.keep_transform()._kept_s2
         assert kept._ntt is not None and usk.keep_transform()._kept_s2 is kept
-        assert np.array_equal(usk.times(u), product)
+        assert usk.s2 is kept and u * usk.s2 == product
 
 
 class TestKleinSampler:

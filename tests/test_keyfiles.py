@@ -360,6 +360,13 @@ class TestStrictFields:
         with pytest.raises(ValueError, match="15 coefficients, expected 16"):
             keyfiles.authority_to_bytes(dataclasses.replace(toy, msk=short))
 
+    def test_msk_coefficient_past_32_bits_refused(self):
+        """A trapdoor coefficient is stored in 32 signed bits: 2^31 is refused."""
+        toy = ra_setup(TIERS["toy"], "wide-F")
+        wide = dataclasses.replace(toy.msk, F=IntegerPolynomial([1 << 31, *toy.msk.F.coeffs[1:]]))
+        with pytest.raises(ValueError, match="coefficient too large for the container"):
+            keyfiles.authority_to_bytes(dataclasses.replace(toy, msk=wide))
+
 
 def swap_tail_records(blob: bytes, size: int) -> bytes:
     """The container with its last two `size`-byte records swapped."""
@@ -527,6 +534,25 @@ class TestAtomicSave:
         with pytest.raises(OSError, match="No space"):
             keyfiles.save_authority(path, ra)
         monkeypatch.undo()
+        assert path.read_bytes() == b"old contents"
+        assert [p.name for p in tmp_path.iterdir()] == ["authority.bin"]
+
+    def test_interrupted_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        """An exception that is not an OSError, such as a KeyboardInterrupt
+        during the fsync, removes the temporary file, leaves the old file
+        and is raised as it was."""
+        path = tmp_path / "authority.bin"
+        keyfiles.save(path, b"old contents")
+        interrupt = KeyboardInterrupt()
+
+        def stop(fd):
+            raise interrupt
+
+        monkeypatch.setattr(os, "fsync", stop)
+        with pytest.raises(KeyboardInterrupt) as exc:
+            keyfiles.save(path, b"new contents")
+        monkeypatch.undo()
+        assert exc.value is interrupt
         assert path.read_bytes() == b"old contents"
         assert [p.name for p in tmp_path.iterdir()] == ["authority.bin"]
 

@@ -285,12 +285,11 @@ class TestSimulateSession:
         """Sessions of different lengths under both models, in one process:
         m7 carries its own pad count's chain construction under its own
         model, and the first-pad total matches the closed form."""
-        for timing in (None, TimingModel.cycle_accurate()):
-            tm = timing or TimingModel.rounded_table()
+        for tm in (TimingModel.rounded_table(), TimingModel.cycle_accurate()):
             for n in (200, 1, 7):
                 trace = simulate_session(
                     default_authority, fresh_vehicle.copy(), n_pads=n,
-                    seed=f"tables-{n}", timing=timing,
+                    seed=f"tables-{n}", timing=tm,
                 )
                 assert trace.completed and trace.timing == tm
                 [m7] = [e for e in trace.events if e.kind == "m7"]

@@ -6,7 +6,12 @@ import pickle
 import pytest
 
 from dwpt_auth import keyfiles, protocol, registration
-from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry, SamplerFailure
+from dwpt_auth.errors import (
+    DuplicateRegistration,
+    EmptyRegistry,
+    ResampleExhausted,
+    SamplerFailure,
+)
 from dwpt_auth.ibe import extract, norm_bound
 from dwpt_auth.netsim import simulate_session
 from dwpt_auth.registration import (
@@ -130,6 +135,18 @@ class TestRegisterVehicle:
         with pytest.raises(SamplerFailure):
             register_vehicle(ra, b"EV-fail", 3)
         assert keyfiles.authority_to_bytes(ra) == before
+
+    def test_exhausted_pseudonym_resamples_change_nothing(self, monkeypatch):
+        """When every blind gives one pseudonym, the second slot finds no
+        unused one and registration raises ResampleExhausted, leaving the
+        authority's vehicles and dataset entries as they were."""
+        ra = ra_setup(TIERS["test"], "reg-exhausted")
+        register_vehicle(ra, b"EV-first", 2)
+        vehicles, entries = dict(ra.vehicles), dict(ra.dataset_entries)
+        monkeypatch.setattr(registration, "derive_pseudonym", lambda vehicle_id, point: bytes(32))
+        with pytest.raises(ResampleExhausted, match="could not find an unused pseudonym"):
+            register_vehicle(ra, b"EV-stuck", 2)
+        assert ra.vehicles == vehicles and ra.dataset_entries == entries
 
     def test_count_must_be_positive(self):
         ra = ra_setup(TIERS["test"], "reg-5")

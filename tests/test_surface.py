@@ -30,7 +30,6 @@ TRACER = PACKAGE.parents[1] / "bench" / "tracer.py"
 #: Public members with no caller in the package, kept on purpose.
 KEPT = {
     "below": "RandomSource.below: gate 7 draws its pad indices with it",
-    "value_for_pad": "HashChain.value_for_pad: gate 7 checks the EV's chain against it",
     "position": "RandomSource.position: the byte-accounting tests read the stream offset",
     "load_dataset": "keyfiles.load_dataset: reads the file `export-dataset` writes",
     "cspa_identity": "RegistrationAuthority.cspa_identity: the benchmark extracts the operator "
@@ -117,6 +116,22 @@ def test_no_private_cross_module_imports():
                 reads.append(f"{node.value.id}.{node.attr}")
         breaches += [f"{module}: {read}" for read in reads if read.split(".")[0] in imported]
     assert breaches == []
+
+
+def test_argparse_checks_no_value():
+    """No `add_argument` call in `cli.py` passes `type=` or `choices=`:
+    argparse only collects text, and `cli._setting` and `cli._check` cast
+    and check every value, so a bad one is a single `error:` line and not
+    argparse's usage block."""
+    calls = [
+        f"line {node.lineno}: {keyword.arg}="
+        for node in ast.walk(package_trees()["cli.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument"
+        for keyword in node.keywords
+        if keyword.arg in ("type", "choices")
+    ]
+    assert calls == []
 
 
 def test_import_leaves_the_aead_binding_unloaded():
