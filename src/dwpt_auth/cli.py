@@ -174,13 +174,16 @@ def cmd_export_dataset(args) -> int:
 
 
 def _admit(ra, creds) -> bool:
-    """Whether `ra` issued the wallet `creds`; if not, print an error line.
+    """Whether `ra` issued the wallet `creds`, its pseudonyms under its h (a
+    setup seed gives the same pseudonyms at every tier); if not, print an
+    error line.
 
     A vehicle file restored from a backup may list a slot as unspent that
     the authority has consumed; an admitted wallet gets it marked spent, so
     the default pick skips it.
     """
-    if ra.vehicles.get(creds.vehicle_id) != tuple(e.pseudonym for e in creds.entries):
+    issued = tuple(e.pseudonym for e in creds.entries)
+    if ra.vehicles.get(creds.vehicle_id) != issued or creds.entries[0].usk.h != ra.mpk.h:
         print("error: vehicle is not registered with this authority", file=sys.stderr)
         return False
     creds.spent.update(i for i, e in enumerate(creds.entries) if e.pseudonym in ra.consumed)

@@ -12,10 +12,10 @@ message bits scaled by floor(q/2).  Every product mod q here, of one
 pair or of a stack (decryption's u*s2, a block of keys' s2*h, the
 trapdoor check), goes through `RingElement.product_rows`.
 
-This module alone says which stored trapdoors and keys are admissible:
-`check_trapdoor` (the trapdoor relations and the quality the sampler
-serves) and `stored_keys` (s2 in 16 bits, (s1, s2) within `norm_bound`),
-which the key containers of `keyfiles` call on what they decode.
+This module alone says how a key is stored (`UserSecretKey.to_bytes`) and
+which stored trapdoors and keys are admissible: `check_trapdoor` (the
+trapdoor relations and the quality the sampler serves) and `stored_keys`
+((s1, s2) within `norm_bound`), which `keyfiles` calls on what it decodes.
 
 Key encapsulation for byte payloads wraps a fresh 256-bit content key in as
 many ring ciphertexts as needed and seals the payload itself with an AEAD;
@@ -47,7 +47,6 @@ from dwpt_auth.ring import (
     RingElement,
     RingParams,
     center,
-    decode_coefficients,
     hash_to_ring,
     norms_squared,
     sample_gaussian_int,
@@ -73,6 +72,9 @@ INTEGER_WIDTH = 1.28
 #: hold s2 in 16 bits: 7.5 sigma_extract at the default tier, which an
 #: extracted s2 leaves with probability about 2e-11 per key.
 S2_LIMIT = 1 << 15
+
+#: A key's stored s2: its row as N little-endian int16 values.
+_STORED_S2 = np.dtype("<i2")
 
 _ID_PREFIX = b"ID\x00"
 _SIG_PREFIX = b"SIG\x00"
@@ -150,6 +152,10 @@ class UserSecretKey:
         if self._kept_s2 is None:
             return RingElement(self.params, self.s2_coeffs)
         return self._kept_s2
+
+    def to_bytes(self) -> bytes:
+        """The stored key: its int16 row of s2, which `stored_keys` reads."""
+        return self.s2_coeffs.astype(_STORED_S2).tobytes()
 
     def keep_transform(self) -> "UserSecretKey":
         """Keep s2 with its transform for every later product: for a key
@@ -513,22 +519,24 @@ def check_trapdoor(h: RingElement, f, g, F, G):
         raise DecodeError(f"trapdoor quality {quality:.3f} above the sampler's {limit:.3f}")
 
 
+def stored_key_bytes(params: RingParams) -> int:
+    """Bytes of one stored key (`UserSecretKey.to_bytes`): N int16."""
+    return _STORED_S2.itemsize * params.N
+
+
 def stored_keys(h: RingElement, identities: list[bytes], s2_bytes: bytes) -> list[UserSecretKey]:
-    """The keys under h of `identities`, whose s2 are stored one element
-    encoding each, in order, in `s2_bytes`; their s2 are one read-only
-    int16 block, as `extract` leaves them.  DecodeError on a coefficient
-    outside [-S2_LIMIT, S2_LIMIT), which no key holds, and on a key whose
-    (s1, s2) exceeds `norm_bound`: one stacked product and one sum over the
-    rows.  No key keeps the identity point its check hashes."""
+    """The keys under h of `identities`, whose s2 are stored one
+    `UserSecretKey.to_bytes` each, in order, in `s2_bytes`; their s2 are
+    one read-only int16 block, as `extract` leaves them.  Every int16 row
+    is an s2 a key may hold, so the one refusal is DecodeError on a key
+    whose (s1, s2) exceeds `norm_bound`: one stacked product and one sum
+    over the rows.  No key keeps the identity point its check hashes."""
     p = h.params
-    s2 = center(decode_coefficients(s2_bytes, p), p.q)
-    if ((s2 < -S2_LIMIT) | (s2 >= S2_LIMIT)).any():
-        raise DecodeError("s2 coefficient outside the 16 bits a key holds")
-    block = s2.astype(np.int16)
+    block = np.frombuffer(s2_bytes, _STORED_S2).reshape(-1, p.N)
     block.setflags(write=False)
     s1 = center(_derive_s1(h, block, [identity_point(p, identity) for identity in identities]), p.q)
     bound_sq = norm_bound(p) ** 2
-    for identity, norm_sq in zip(identities, norms_squared(np.concatenate((s1, s2), axis=1))):
+    for identity, norm_sq in zip(identities, norms_squared(np.concatenate((s1, block), axis=1))):
         if norm_sq > bound_sq:
             raise DecodeError(f"key of {identity.hex()} exceeds the norm bound")
     return [UserSecretKey(identity, row, h) for identity, row in zip(identities, block)]

@@ -1,13 +1,14 @@
 """Binary containers for the three files the CLI writes.
 
 Each container stores every fact once, framed by `codec`: little-endian
-integers, u32-length-prefixed blobs, ring elements as their fixed-size
-`to_bytes` fields (`RingParams.element_bytes` each), polynomials as N i32
+integers, u32-length-prefixed blobs, the public key h as its fixed-size
+`to_bytes` field (`RingParams.element_bytes`), polynomials as N i32
 coefficients, and lists as a u32 count and the items.  The header is the
-magic "DQS4", a record-type byte, N (u16) and q (u64), the one statement of
+magic "DQS5", a record-type byte, N (u16) and q (u64), the one statement of
 N and q in a container; `RingParams` derives the rest.  An identity key is
-stored as its s2: its s1 = H(identity) - s2*h is derived from the public
-key h that the container holds once.  Then:
+stored as its s2, the N int16 the key holds (`UserSecretKey.to_bytes`): its
+s1 = H(identity) - s2*h is derived from the public key h that the container
+holds once.  Then:
 
 - `authority.bin`: seed, h, f, g, F, G, extraction seed, the operator key
   (identity, s2), the CSPA-RSU and RSU-CP group keys; per vehicle its id
@@ -28,8 +29,8 @@ or consumed pseudonyms out of order, or a consumed pseudonym never issued.
 This module frames bytes; what a key or trapdoor may be is `ibe`'s.  Writers
 refuse, with ValueError, a slot whose pseudonym (its key's identity) is not
 the one the decoder would derive, a slot key of another h than the first
-slot's, a group key whose role is not its slot's, a ring element of other
-parameters than the header's and a polynomial whose length is not N.  Every
+slot's, an operator key of another h than the container's, a group key
+whose role is not its slot's and a polynomial whose length is not N.  Every
 decoded container re-encodes to its own bytes, and identical state to
 identical bytes.  The `load_*` helpers name the file.
 
@@ -52,6 +53,7 @@ from dwpt_auth.ibe import (
     MasterSecretKey,
     UserSecretKey,
     check_trapdoor,
+    stored_key_bytes,
     stored_keys,
 )
 from dwpt_auth.registration import (
@@ -66,7 +68,7 @@ from dwpt_auth.registration import (
 from dwpt_auth.ring import IntegerPolynomial, RingElement, RingParams
 from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
-MAGIC = b"DQS4"
+MAGIC = b"DQS5"
 
 RECORD_AUTHORITY = 0x10
 RECORD_VEHICLE = 0x11
@@ -120,13 +122,6 @@ def _increasing(values: list, what: str) -> list:
     return values
 
 
-def _write_ring(w: Writer, elem: RingElement, p: RingParams):
-    """The element's coefficients, which only the header's parameters read back."""
-    if elem.params != p:
-        raise ValueError(f"ring element of {elem.params}, the container holds {p}")
-    w.raw(elem.to_bytes())
-
-
 def _read_ring(r: Reader, p: RingParams) -> RingElement:
     return RingElement.from_bytes(r.fixed(p.element_bytes), p)
 
@@ -154,14 +149,16 @@ def _write_group_key(w: Writer, key: SymmetricKey, role: str):
 # Records the containers share.  Readers build their result with the fields
 # in wire order: Python evaluates call arguments left to right.
 
-def _write_usk(w: Writer, usk: UserSecretKey, p: RingParams):
+def _write_usk(w: Writer, usk: UserSecretKey, h: RingElement):
+    if usk.h != h:
+        raise ValueError("operator key of another authority than the container's h")
     w.blob(usk.identity)
-    _write_ring(w, usk.s2, p)
+    w.raw(usk.to_bytes())
 
 
 def _read_usk(r: Reader, h: RingElement) -> UserSecretKey:
     """The operator key, admitted as a slot key is (`ibe.stored_keys`)."""
-    return stored_keys(h, [r.blob()], r.fixed(h.params.element_bytes))[0]
+    return stored_keys(h, [r.blob()], r.fixed(stored_key_bytes(h.params)))[0]
 
 
 def _write_shares(w: Writer, e: DatasetEntry):
@@ -199,7 +196,7 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
     w = _frame(RECORD_VEHICLE, h.params)
     w.blob(creds.vehicle_id)
     w.fixed(creds.d_ev.to_bytes(32, "big"), 32)
-    _write_ring(w, h, h.params)
+    w.raw(h.to_bytes())
     w.u32(len(creds.entries))
     for slot, e in enumerate(creds.entries):
         if e.pseudonym != derive_pseudonym(creds.vehicle_id, creds.d_ev * e.blind):
@@ -209,7 +206,7 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
         w.fixed(e.blind.to_bytes(32, "big"), 32)
         w.fixed(e.z, 32)
         w.fixed(e.w, 32)
-        _write_ring(w, e.usk.s2, h.params)
+        w.raw(e.usk.to_bytes())
     w.u32(len(creds.spent))
     for idx in sorted(creds.spent):
         w.u32(idx)
@@ -217,8 +214,8 @@ def vehicle_to_bytes(creds: VehicleCredentials) -> bytes:
 
 
 def _read_slot(r: Reader, p: RingParams) -> tuple:
-    """A slot's blind a_i, shares z and w, and stored s2."""
-    return int.from_bytes(r.fixed(32), "big"), r.fixed(32), r.fixed(32), r.fixed(p.element_bytes)
+    """A slot's blind a_i, shares z and w, and stored key."""
+    return int.from_bytes(r.fixed(32), "big"), r.fixed(32), r.fixed(32), r.fixed(stored_key_bytes(p))
 
 
 def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
@@ -246,10 +243,10 @@ def vehicle_from_bytes(data: bytes) -> VehicleCredentials:
 # CSPA dataset
 
 def dataset_to_bytes(ds: CspaDataset) -> bytes:
-    p = ds.usk.h.params
-    w = _frame(RECORD_DATASET, p)
-    _write_ring(w, ds.usk.h, p)
-    _write_usk(w, ds.usk, p)
+    h = ds.usk.h
+    w = _frame(RECORD_DATASET, h.params)
+    w.raw(h.to_bytes())
+    _write_usk(w, ds.usk, h)
     _write_group_key(w, ds.gk_cspa_rsu, ROLE_CSPA_RSU)
     w.u32(len(ds.entries))
     for pseudonym in sorted(ds.entries):
@@ -276,11 +273,11 @@ def dataset_from_bytes(data: bytes) -> CspaDataset:
 def authority_to_bytes(ra: RegistrationAuthority) -> bytes:
     w = _frame(RECORD_AUTHORITY, ra.params)
     w.fixed(ra.seed, 32)
-    _write_ring(w, ra.mpk.h, ra.params)
+    w.raw(ra.mpk.h.to_bytes())
     for poly in (ra.msk.f, ra.msk.g, ra.msk.F, ra.msk.G):
         _write_ipoly(w, poly, ra.params.N)
     w.fixed(ra.msk.extract_seed, 32)
-    _write_usk(w, ra.cspa_usk, ra.params)
+    _write_usk(w, ra.cspa_usk, ra.mpk.h)
     _write_group_key(w, ra.gk_cspa_rsu, ROLE_CSPA_RSU)
     _write_group_key(w, ra.gk_rsu_cp, ROLE_RSU_CP)
     w.u32(len(ra.vehicles))

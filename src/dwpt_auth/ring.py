@@ -84,13 +84,11 @@ TIERS = {
 
 
 def _find_psi(N: int, q: int) -> int:
-    """Primitive 2N-th root of unity mod q (exists since q = 1 mod 2N)."""
-    exponent = (q - 1) // (2 * N)
-    for candidate in range(2, q):
-        psi = pow(candidate, exponent, q)
-        if pow(psi, N, q) == q - 1:
-            return psi
-    raise ArithmeticError(f"no primitive 2N-th root of unity mod {q}")
+    """Primitive 2N-th root of unity mod q, always found: `RingParams` admits
+    only prime q with 2N | q - 1, so a generator g of the units mod q exists,
+    g^((q-1)/2N) has order 2N and its N-th power is -1."""
+    powers = (pow(candidate, (q - 1) // (2 * N), q) for candidate in range(2, q))
+    return next(psi for psi in powers if pow(psi, N, q) == q - 1)
 
 
 @functools.cache
@@ -367,20 +365,13 @@ class RingElement:
             raise DecodeError(
                 f"ring element of {len(data)} bytes, expected {params.element_bytes}"
             )
-        return cls.__new__(cls)._keep(params, decode_coefficients(data, params)[0])
-
-
-def decode_coefficients(data: bytes, params: RingParams) -> np.ndarray:
-    """The (K, N) uint32 coefficients of K element encodings in a row, as
-    `RingElement.to_bytes` writes them, from K * `element_bytes` bytes;
-    DecodeError on a coefficient outside [0, q)."""
-    width = params.coeff_width
-    padded = np.zeros((len(data) // width, 4), dtype=np.uint8)
-    padded[:, :width] = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-    coeffs = padded.view("<u4").reshape(-1, params.N)
-    if (coeffs >= params.q).any():
-        raise DecodeError("coefficient outside [0, q)")
-    return coeffs
+        width = params.coeff_width
+        padded = np.zeros((params.N, 4), dtype=np.uint8)
+        padded[:, :width] = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
+        coeffs = padded.view("<u4").reshape(params.N)
+        if (coeffs >= params.q).any():
+            raise DecodeError("coefficient outside [0, q)")
+        return cls.__new__(cls)._keep(params, coeffs)
 
 
 class IntegerPolynomial:

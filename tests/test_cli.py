@@ -53,6 +53,20 @@ def workspace(tmp_path_factory):
     return ws
 
 
+@pytest.fixture(scope="module")
+def cross_tier(tmp_path_factory):
+    """The authority file of `setup --seed 7` and the EV1 wallet that
+    `setup --seed 7 --params-tier test` issued: same pseudonyms, another h."""
+    ws = tmp_path_factory.mktemp("cross-tier")
+    for name, tier in (("a", "default"), ("b", "test")):
+        assert main(["setup", "--params-tier", tier, "--seed", "7", "--out", str(ws / name)]) == 0
+        assert main([
+            "register", "--authority", str(ws / name / "authority.bin"),
+            "--vehicle-id", "EV1", "--count", "2",
+        ]) == 0
+    return ws / "a" / "authority.bin", ws / "b" / "vehicle-EV1.bin"
+
+
 class TestSetup:
     def test_writes_authority(self, workspace, capsys):
         assert (workspace / "authority.bin").exists()
@@ -373,7 +387,7 @@ class TestRun:
             "--out", str(tmp_path / "run"),
         ])
         assert rc == 2
-        assert capsys.readouterr().err == f"error: {path}: layout DQS3, this build reads DQS4\n"
+        assert capsys.readouterr().err == f"error: {path}: layout DQS3, this build reads DQS5\n"
         assert path.read_bytes() == before
         assert not (tmp_path / "run").exists()
 
@@ -741,6 +755,26 @@ class TestAttack:
         assert rc == 1
         assert capsys.readouterr().err == "error: vehicle is not registered with this authority\n"
         assert not (tmp_path / "attacks").exists()
+
+    @pytest.mark.parametrize("command", [["run"], ["attack", "--scenario", "all"]], ids=["run", "attack"])
+    def test_wallet_of_same_seed_at_another_tier_rejected(self, cross_tier, command, tmp_path, capsys):
+        """Pseudonyms derive from the setup seed alone, so one seed at two
+        tiers issues the same pseudonyms under two h.  Such a wallet is
+        refused as a foreign one, before any session: run burns no slot of
+        the authority, and neither command writes a transcript or report."""
+        authority, vehicle = cross_tier
+        issued = tuple(e.pseudonym for e in keyfiles.load_vehicle(vehicle).entries)
+        assert keyfiles.load_authority(authority).vehicles[b"EV1"] == issued
+        before = authority.read_bytes(), vehicle.read_bytes()
+        capsys.readouterr()
+        rc = main([
+            *command, "--authority", str(authority), "--vehicle", str(vehicle),
+            "--out", str(tmp_path / "out"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: vehicle is not registered with this authority\n"
+        assert (authority.read_bytes(), vehicle.read_bytes()) == before
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

@@ -34,15 +34,15 @@ from test_ntrusolve import gaussian_width
 #: SHA-256 of the files written for ra_setup(TIERS["test"], "golden-test-authority")
 #: after register_vehicle(ra, b"EV-golden", 4); pins the seed-to-file map.
 GOLDEN_TEST_TIER_FILES = {
-    "authority.bin": "b1e4a15459637febbf0379da9906d5874259a4e43131aa5e9c5fe448142fffe6",
-    "vehicle.bin": "605b22bae87476a16e6d8a0de9831ece72ea8cfb89efcee1943f697d8c83f9cf",
-    "dataset.bin": "540c303eb0e763cdd0bea9e44c1135c117b0460e553d7323861c9a0489ba3188",
+    "authority.bin": "4d7856e5604d2572996c0307c107b0e460c3573c183401b45202d7dfd961376b",
+    "vehicle.bin": "3bf7fdeeafab0c3863443e800497f3d7f407f7f6b5128c51e0570bdc18df5077",
+    "dataset.bin": "609751c0dba4247a35403fa1843d3e2d3a211babfd59d44b390e0aa6bfc25b66",
 }
 
 #: SHA-256 of vehicle_to_bytes(register_vehicle(ra, b"EV-pin", 3)) for
 #: ra = ra_setup(TIERS["default"], "golden-default-authority"): pins the
 #: seed-to-key map at the tier the benchmark measures.
-GOLDEN_DEFAULT_VEHICLE = "859ef0d505433425c546bf597a87919da559651a04f8547c5a8b28a4a39ba4a6"
+GOLDEN_DEFAULT_VEHICLE = "74056e74e8f5ac74444012e1d9bd3ba28f91f3042e29047e20e55a2eeb6eb2b5"
 
 
 def gaussian_authority(ra):
@@ -131,6 +131,22 @@ class TestRecordRoundTrips:
         # serialization is a fixed point: encode(decode(x)) == x
         assert keyfiles.authority_to_bytes(back) == blob
 
+    @pytest.mark.parametrize("tier", ["toy", "test", "default"])
+    def test_decoded_s2_is_the_extracted_row(self, tier, request):
+        """Each container decodes every key's s2 as the int16 row that
+        extraction left, at every tier."""
+        issuer = request.getfixturevalue(f"{tier}_authority")
+        ra = dataclasses.replace(issuer, vehicles={}, dataset_entries={}, consumed=set())
+        creds = register_vehicle(ra, b"EV-rows", 3)
+        wallet = keyfiles.vehicle_from_bytes(keyfiles.vehicle_to_bytes(creds))
+        pairs = [(e.usk, d.usk) for e, d in zip(creds.entries, wallet.entries)]
+        pairs.append((ra.cspa_usk, keyfiles.authority_from_bytes(keyfiles.authority_to_bytes(ra)).cspa_usk))
+        ds = export_cspa_dataset(ra)
+        pairs.append((ds.usk, keyfiles.dataset_from_bytes(keyfiles.dataset_to_bytes(ds)).usk))
+        for extracted, decoded in pairs:
+            assert decoded.s2_coeffs.dtype == np.int16
+            assert np.array_equal(decoded.s2_coeffs, extracted.s2_coeffs)
+
     def test_authority_holds_no_wallet_secret(self, ra, wallets):
         """Of each wallet the authority stores only pseudonyms and shares;
         the vehicle's scalar, blinds and slot keys stay in its own file."""
@@ -144,12 +160,13 @@ class TestRecordRoundTrips:
 
     def test_default_ten_slot_vehicle_size(self, default_authority):
         """Header, id, d_EV, h, then per slot a blind, two shares and s2:
-        each ring element its 1,536 coefficient bytes and nothing more."""
+        h its 1,536 coefficient bytes, each s2 its 512 int16 and nothing
+        more."""
         ra = dataclasses.replace(default_authority, vehicles={}, dataset_entries={}, consumed=set())
         creds = register_vehicle(ra, b"EV-1", 10)
-        n = ra.params.element_bytes
-        size = 15 + (4 + 4) + 32 + n + 4 + 10 * (3 * 32 + n) + 4
-        assert len(keyfiles.vehicle_to_bytes(creds)) == size == 17_919
+        n, N = ra.params.element_bytes, ra.params.N
+        size = 15 + (4 + 4) + 32 + n + 4 + 10 * (3 * 32 + 2 * N) + 4
+        assert len(keyfiles.vehicle_to_bytes(creds)) == size == 12_799
 
     def test_authority_size_is_its_records(self, ra):
         """Past its own keys, the authority stores an id and a count per
@@ -162,13 +179,15 @@ class TestRecordRoundTrips:
 
     def test_vehicle_file_holds_no_derived_value(self, wallets):
         """A slot's index, pseudonym and d_EV * a_i are derived on load, and
-        the header holds no width, so none of them is in the file."""
+        the header holds no width, so none of them is in the file; a slot's
+        s2 follows its shares as the int16 row its key holds."""
         for creds in wallets.values():
             blob = keyfiles.vehicle_to_bytes(creds)
             p = creds.entries[0].usk.params
-            assert blob[:15] == b"DQS4\x11" + struct.pack("<HQ", p.N, p.q)
+            assert blob[:15] == b"DQS5\x11" + struct.pack("<HQ", p.N, p.q)
             assert struct.pack("<d", p.sigma_extract) not in blob
             for e in creds.entries:
+                assert e.z + e.w + int16_bytes(e.usk.s2_coeffs) in blob
                 assert e.pseudonym not in blob
                 assert (creds.d_ev * e.blind).to_bytes(64, "big") not in blob
 
@@ -205,15 +224,20 @@ def test_containers_round_trip(toy_authority, slot_counts, data):
         assert back == creds
 
 
+def int16_bytes(s2: np.ndarray) -> bytes:
+    """A key's s2 as a container stores it: N little-endian int16."""
+    return np.asarray(s2, dtype="<i2").tobytes()
+
+
 def vehicle_blob(wallets) -> bytes:
     return keyfiles.vehicle_to_bytes(wallets[b"EV-kf-2"])
 
 
 class TestFraming:
-    @pytest.mark.parametrize("layout", [b"DQS1", b"DQS2", b"DQS3"])
+    @pytest.mark.parametrize("layout", [b"DQS1", b"DQS2", b"DQS3", b"DQS4"])
     def test_other_layout_named(self, wallets, layout):
         blob = layout + vehicle_blob(wallets)[4:]
-        with pytest.raises(DecodeError, match=f"^layout {layout.decode()}, this build reads DQS4$"):
+        with pytest.raises(DecodeError, match=f"^layout {layout.decode()}, this build reads DQS5$"):
             keyfiles.vehicle_from_bytes(blob)
 
     def test_bad_magic(self, wallets):
@@ -265,7 +289,7 @@ class TestStrictFields:
         """The layout before the operator key was stored does not decode."""
         w = Writer()  # the stored key as the container frames it
         w.blob(ra.cspa_identity)
-        w.raw(ra.cspa_usk.s2.to_bytes())
+        w.raw(int16_bytes(ra.cspa_usk.s2_coeffs))
         blob = keyfiles.authority_to_bytes(ra)
         assert blob.count(w.getvalue()) == 1
         with pytest.raises(DecodeError):
@@ -284,21 +308,22 @@ class TestStrictFields:
             "dataset": (ra.cspa_usk, keyfiles.dataset_to_bytes(export_cspa_dataset(ra)),
                         keyfiles.dataset_from_bytes),
         }[container]
-        coeffs = usk.s2.coeffs.astype(np.int64)
+        coeffs = usk.s2_coeffs.copy()
         coeffs[0] = math.ceil(norm_bound(usk.params))  # ||s2|| alone exceeds the bound
-        stored = usk.s2.to_bytes()
+        stored = int16_bytes(usk.s2_coeffs)
         assert blob.count(stored) == 1
-        bad = blob.replace(stored, RingElement(usk.params, coeffs).to_bytes())
+        bad = blob.replace(stored, int16_bytes(coeffs))
         with pytest.raises(DecodeError, match=f"^key of {usk.identity.hex()} exceeds the norm"):
             decode(bad)
 
     @pytest.mark.parametrize("container", ["vehicle", "authority", "dataset"])
-    def test_s2_outside_sixteen_bits_rejected(
+    def test_every_sixteen_bit_s2_decodes_as_itself(
         self, default_authority, default_vehicle, container, monkeypatch
     ):
-        """A stored s2 coefficient of 2^15 - 1 or -2^15 decodes, and one of
-        2^15 or -2^15 - 1 fails at load: keys hold s2 in 16 bits.  The norm
-        bound is lifted here, so that the range alone decides."""
+        """A stored s2 coefficient of 2^15 - 1 or -2^15, the ends of the 16
+        bits a key holds, decodes as itself and re-encodes to its bytes: no
+        stored s2 is out of range.  The norm bound is lifted here, so that
+        the range alone decides."""
         monkeypatch.setattr(ibe, "norm_bound", lambda params: math.inf)
         ra, creds = default_authority, default_vehicle
         usk, blob, decode, key_of = {
@@ -309,17 +334,17 @@ class TestStrictFields:
             "dataset": (ra.cspa_usk, keyfiles.dataset_to_bytes(export_cspa_dataset(ra)),
                         keyfiles.dataset_from_bytes, lambda d: d.usk),
         }[container]
-        stored = usk.s2.to_bytes()
+        stored = int16_bytes(usk.s2_coeffs)
         assert blob.count(stored) == 1
-        for value, fits in ((2**15 - 1, True), (-(2**15), True), (2**15, False), (-(2**15) - 1, False)):
-            coeffs = usk.s2.centered()
+        encode = {"vehicle": keyfiles.vehicle_to_bytes, "authority": keyfiles.authority_to_bytes,
+                  "dataset": keyfiles.dataset_to_bytes}[container]
+        for value in (2**15 - 1, -(2**15)):
+            coeffs = usk.s2_coeffs.copy()
             coeffs[0] = value
-            bad = blob.replace(stored, RingElement(usk.params, coeffs).to_bytes())
-            if fits:
-                assert key_of(decode(bad)).s2.centered()[0] == value
-            else:
-                with pytest.raises(DecodeError, match="^s2 coefficient outside the 16 bits"):
-                    decode(bad)
+            edge = blob.replace(stored, int16_bytes(coeffs))
+            back = decode(edge)
+            assert np.array_equal(key_of(back).s2_coeffs, coeffs)
+            assert encode(back) == edge
 
     def test_trapdoor_of_a_gaussian_keygen_rejected(self, ra):
         """A trapdoor completed from a Gaussian (f, g), as every authority
@@ -348,10 +373,11 @@ class TestStrictFields:
             keyfiles.authority_from_bytes(bad)
 
     def test_ring_element_of_other_parameters_refused(self, toy_authority, test_authority):
-        """No element states its own N and q, so the writer refuses one
-        that the header's parameters would read back as another."""
+        """No stored key states its own N and q, so the writer refuses an
+        operator key of another h, which the header's parameters would read
+        back as another key."""
         mixed = dataclasses.replace(toy_authority, cspa_usk=test_authority.cspa_usk)
-        with pytest.raises(ValueError, match="^ring element of RingParams\\(N=64"):
+        with pytest.raises(ValueError, match="^operator key of another authority than the container's h$"):
             keyfiles.authority_to_bytes(mixed)
 
     def test_msk_polynomial_of_wrong_length(self):
