@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -231,22 +231,38 @@ class TraceEvent:
 
 @dataclass
 class SessionTrace:
-    """One pass: each message sent with its arrival tick (1/D ms of the
-    timing model's clock), the outcome and the exact totals.  The events
-    and the wire log are read from `messages`, not stored beside it."""
+    """One pass as observed: each message sent with its arrival tick (1/D ms
+    of the timing model's clock), the rejection, the slot and the pads that
+    accepted.  The events, the wire log and the six totals are read from
+    `messages`, not stored beside it."""
 
     config: dict
     timing: TimingModel  # the model that priced every event
-    messages: list[tuple[ProtocolMessage, int]] = field(default_factory=list)
-    rejection: str | None = None
-    used_entry_index: int | None = None
-    comp_through_first_pad_ms: Fraction = Fraction(0)
-    sending_through_first_pad_us: Fraction = Fraction(0)
-    bytes_through_first_pad: int = 0
-    total_computation_ms: Fraction = Fraction(0)
-    total_sending_us: Fraction = Fraction(0)
-    total_bytes: int = 0
-    accepted_pads: int = 0
+    messages: list[tuple[ProtocolMessage, int]]
+    rejection: str | None
+    used_entry_index: int | None
+    accepted_pads: int
+
+    @cached_property
+    def _totals(self) -> tuple:
+        """Computation (ms), sending time (us) and bytes of every message
+        sent, then of those through the first pad's chain value; summed
+        from the log on first read, then kept."""
+        D, comp_ticks, send_ticks = self.timing._ticks(self.config["n_pads"])
+
+        def account(kinds):
+            return (Fraction(sum(comp_ticks[k] for k in kinds), D),
+                    Fraction(1000 * sum(send_ticks[k] for k in kinds), D),
+                    sum(protocol.NOMINAL_SIZES[k] for k in kinds))
+
+        sent = [msg.kind for msg, _ in self.messages]
+        first = protocol.chain_kind(1)
+        through_first = sent[: sent.index(first) + 1] if first in sent else sent
+        return (*account(sent), *account(through_first))
+
+    (total_computation_ms, total_sending_us, total_bytes, comp_through_first_pad_ms,
+     sending_through_first_pad_us, bytes_through_first_pad) = (
+        property(lambda trace, i=i: trace._totals[i]) for i in range(6))
 
     @property
     def completed(self) -> bool:
@@ -389,51 +405,32 @@ def simulate_session(
     into PseudonymReuse.
     """
     world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
-    trace = SessionTrace(
-        config={
-            "seed": str(seed),
-            "tier_N": authority.params.N,
-            "tier_q": authority.params.q,
-            "n_pads": n_pads,
-            "freshness_ms": freshness_ms,
-            "entry_index": entry_index,
-        },
-        timing=timing,
-    )
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
     # integers; the trace builds its Fractions only when they are read.
     D, comp_ticks, send_ticks = timing._ticks(n_pads)
     ticks = {k: comp_ticks[k] + send_ticks[k] for k in comp_ticks}
-    sizes = protocol.NOMINAL_SIZES
-    record = trace.messages.append
-    clock = 0
+    messages, clock, rejection = [], 0, None
 
     def emit(msg: ProtocolMessage) -> ProtocolMessage:
         nonlocal clock
         clock += ticks[msg.kind]
-        record((msg, clock))
+        messages.append((msg, clock))
         return msg
 
     try:
         _ride(world, n_pads, lambda: clock // D, emit)
     except ProtocolRejection as exc:
-        trace.rejection = exc.reason
-    trace.accepted_pads = sum(pad.consumed for pad in world.pads)
-
-    def account(kinds):
-        return (Fraction(sum(comp_ticks[k] for k in kinds), D),
-                Fraction(1000 * sum(send_ticks[k] for k in kinds), D),
-                sum(sizes[k] for k in kinds))
-
-    sent = [msg.kind for msg, _ in trace.messages]
-    first = protocol.chain_kind(1)
-    through_first = sent[: sent.index(first) + 1] if first in sent else sent
-    (trace.total_computation_ms, trace.total_sending_us,
-     trace.total_bytes) = account(sent)
-    (trace.comp_through_first_pad_ms, trace.sending_through_first_pad_us,
-     trace.bytes_through_first_pad) = account(through_first)
-    trace.used_entry_index = world.ev.slot
-    return trace
+        rejection = exc.reason
+    config = {
+        "seed": str(seed),
+        "tier_N": authority.params.N,
+        "tier_q": authority.params.q,
+        "n_pads": n_pads,
+        "freshness_ms": freshness_ms,
+        "entry_index": entry_index,
+    }
+    return SessionTrace(config, timing, messages, rejection, world.ev.slot,
+                        sum(pad.consumed for pad in world.pads))
 
 
 # ---------------------------------------------------------------------------

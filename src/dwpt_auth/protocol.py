@@ -355,22 +355,26 @@ class RsuState:
 # Charging pads
 
 class CpState:
-    """One charging pad: holds an expected head, accepts exactly one value."""
+    """One charging pad: holds an expected head, accepts one value against
+    each head it is provisioned with, and remembers every head it accepted
+    a value against, so no later provision re-arms it for that head."""
 
     def __init__(self, index: int, gk_rsu_cp: SymmetricKey):
-        self.index = index
         self.name = f"CP{index}"
         self.successor = f"CP{index + 1}"  # receiver of this pad's m8
         self.gk = gk_rsu_cp.require(ROLE_RSU_CP)
         self.expected_head: bytes | None = None
-        self.consumed = False
+        self.accepted_heads: set[bytes] = set()
+
+    @property
+    def consumed(self) -> bool:
+        """Whether a value was accepted against the current head."""
+        return self.expected_head in self.accepted_heads
 
     def handle_provision(self, msg: ProtocolMessage) -> None:
         """m6 (from the RSU) or m8 (from the previous pad)."""
         payload = _open(aead_open, self.gk, msg.body, b"dwpt/provision", "provision")
-        (head,) = _parse(payload, "provision", 32)
-        self.expected_head = head
-        self.consumed = False
+        (self.expected_head,) = _parse(payload, "provision", 32)
 
     def handle_chain(self, msg: ProtocolMessage, rng: RandomSource) -> ProtocolMessage:
         """Check one hash step; on accept, return the m8 forward for the next pad."""
@@ -381,6 +385,6 @@ class CpState:
             raise ProtocolRejection(CHAIN_REUSED, f"{self.name}: value already accepted")
         if len(candidate) != 32 or not chain_verify(candidate, self.expected_head):
             raise ProtocolRejection(CHAIN_MISMATCH, f"{self.name}: hash step does not match")
-        self.consumed = True
+        self.accepted_heads.add(self.expected_head)
         forward_body = aead_seal(self.gk, candidate, rng, b"dwpt/provision")
         return ProtocolMessage("m8", self.name, self.successor, forward_body)

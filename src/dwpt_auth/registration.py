@@ -25,8 +25,6 @@ from dwpt_auth.ring import RingParams
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import SymmetricKey, derive_pseudonym
 
-_MAX_PSEUDONYM_RESAMPLES = 64
-
 #: The charging-station operator's identity, whose key setup extracts.
 CSPA_IDENTITY = b"CSPA-1"
 
@@ -148,11 +146,13 @@ def register_vehicle(
 
     Each slot carries a fresh blind scalar a_i, the pseudonym
     H(ID || d_ev * a_i), two 32-byte secret shares, and the extracted key for
-    the pseudonym identity.  Pseudonyms are unique across the whole registry;
-    re-registering an id raises DuplicateRegistration.  The slots are drawn
-    first, then their keys are extracted in one call, and only then does
-    the authority keep the pseudonyms, in slot order, and their shares: a
-    registration that fails leaves the authority as it was.
+    the pseudonym identity.  Pseudonyms are unique across the whole registry:
+    each blind is drawn once, and since the hash input is injective, a
+    pseudonym that repeats one already issued (a SHA-256 collision) raises
+    ResampleExhausted.  Re-registering an id raises DuplicateRegistration.
+    The slots are drawn first, then their keys are extracted in one call,
+    and only then does the authority keep the pseudonyms, in slot order, and
+    their shares: a registration that fails leaves the authority as it was.
     """
     if vehicle_id in ra.vehicles:
         raise DuplicateRegistration(f"vehicle {vehicle_id!r} already registered")
@@ -162,12 +162,9 @@ def register_vehicle(
     d_ev = int.from_bytes(rng.bytes(32), "big")
     slots = {}  # pseudonym -> (blind, z, w), in slot order
     for _ in range(count):
-        for _ in range(_MAX_PSEUDONYM_RESAMPLES):
-            blind = int.from_bytes(rng.bytes(32), "big")
-            pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
-            if pseudonym not in ra.dataset_entries and pseudonym not in slots:
-                break
-        else:
+        blind = int.from_bytes(rng.bytes(32), "big")
+        pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
+        if pseudonym in ra.dataset_entries or pseudonym in slots:
             raise ResampleExhausted("could not find an unused pseudonym")
         slots[pseudonym] = blind, rng.bytes(32), rng.bytes(32)
     keys = extract(ra.msk, *slots)

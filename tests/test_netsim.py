@@ -24,6 +24,7 @@ from dwpt_auth.netsim import (
     CYCLE_COUNTS,
     KIND_CHANNEL,
     SCENARIOS,
+    SessionTrace,
     TIMING_MODES,
     TimingModel,
     TraceEvent,
@@ -689,6 +690,19 @@ class TestLazyEvents:
         assert len(built) == len(events) == len(trace.wire_log) + burned
         assert trace.events is events and len(built) == len(events)
         _reference_check(trace)
+
+    def test_totals_are_views_not_fields(self, default_authority, fresh_vehicle):
+        """A trace stores only what the pass observed; none of the six totals
+        is a field, and none can be assigned."""
+        assert [f.name for f in dataclasses.fields(SessionTrace)] == [
+            "config", "timing", "messages", "rejection", "used_entry_index", "accepted_pads",
+        ]
+        trace = simulate_session(default_authority, fresh_vehicle, n_pads=2, seed="views")
+        for name in ("comp_through_first_pad_ms", "sending_through_first_pad_us",
+                     "bytes_through_first_pad", "total_computation_ms", "total_sending_us",
+                     "total_bytes"):
+            with pytest.raises(AttributeError):
+                setattr(trace, name, getattr(trace, name))
 
 
 CUSTOM_TIMING = TimingModel(

@@ -528,6 +528,28 @@ class TestPadRejections:
         pad.handle_chain(msg, parties.rng)
         assert chain_rejection(pad, msg, parties.rng) == CHAIN_REUSED
 
+    def test_replayed_provision_does_not_rearm_a_pad(self, parties):
+        """A pad remembers each head it accepted a value against: m6 replayed
+        to CP1, or CP1's m8 replayed to CP2, re-arms neither for the value it
+        already accepted, even after another head came in between, while a
+        head it never accepted against still takes its value."""
+        *_, m6 = run_authentication(parties)
+        pads, rng = parties.pads, parties.rng
+        m7 = parties.ev.next_chain_message()
+        m8 = pads[0].handle_chain(m7, rng)
+        pads[1].handle_provision(m8)
+        m9 = parties.ev.next_chain_message()
+        pads[1].handle_chain(m9, rng)
+        for pad, provision, value in ((pads[0], m6, m7), (pads[1], m8, m9)):
+            pad.handle_provision(provision)
+            assert pad.consumed
+            assert chain_rejection(pad, value, rng) == CHAIN_REUSED
+        pads[0].handle_provision(m8)
+        assert not pads[0].consumed
+        pads[0].handle_chain(m9, rng)
+        pads[0].handle_provision(m6)
+        assert chain_rejection(pads[0], m7, rng) == CHAIN_REUSED
+
     def test_wrong_value(self, parties):
         run_authentication(parties)
         parties.ev.next_chain_message()

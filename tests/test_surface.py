@@ -15,6 +15,10 @@ how `RingElement.scale`, `RandomSource.uniform` and `HashChain.n_pads` went
 unflagged before they were deleted: `scale` is a local in `ntrusolve`,
 `uniform` an attribute of `ring.GaussianTrials`, and `n_pads` a parameter
 name throughout.
+
+A second scan asks the same of state: every attribute a package class
+stores, by `self.x = ...` or as a dataclass or NamedTuple field, is loaded
+as data somewhere in the package, or `UNREAD` lists it with its reason.
 """
 
 import ast
@@ -97,6 +101,71 @@ def test_kept_members_have_no_caller():
     that outlives the member's last missing caller fails here."""
     used = set().union(*(references(tree) for tree in package_trees().values()))
     assert sorted(used & KEPT.keys()) == []
+
+
+#: Stored attributes that no package code loads, kept on purpose.
+UNREAD = {
+    "detail": "ProtocolRejection.detail: the exception's detail, for callers",
+    "target": "AdversaryAction.target: serialized through `vars` in `to_json`",
+}
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A dataclass or a NamedTuple, whose annotated body names are fields."""
+    names = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    names += node.bases
+    return any(getattr(n, "id", getattr(n, "attr", None)) in ("dataclass", "NamedTuple")
+               for n in names)
+
+
+def stored_attributes(tree: ast.Module) -> list[str]:
+    """Class.attr for every `self.attr = ...` in a class's methods and every
+    field of a dataclass or NamedTuple."""
+    out = []
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        if _is_record(cls):
+            out += [f"{cls.name}.{item.target.id}" for item in cls.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        out += [f"{cls.name}.{node.attr}" for node in ast.walk(cls)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"]
+    return out
+
+
+def loaded_attributes(tree: ast.Module) -> set[str]:
+    """Every attribute name loaded as data: an `Attribute` load that is not
+    the function of a call."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and id(node) not in called
+    }
+
+
+def test_every_stored_attribute_is_read():
+    """Every attribute a package class stores is read somewhere in the
+    package, or `UNREAD` lists it with its reason: a value stored and
+    never read is state that only looks used.  Matched by name, as
+    `KEPT` is."""
+    trees = package_trees()
+    loaded = set().union(*(loaded_attributes(tree) for tree in trees.values()), UNREAD)
+    unread = sorted({
+        f"{module}:{attr}"
+        for module, tree in trees.items()
+        for attr in stored_attributes(tree)
+        if attr.rsplit(".", 1)[-1] not in loaded
+    })
+    assert unread == []
+
+
+def test_unread_attributes_are_stored_and_unread():
+    """Each `UNREAD` entry names a stored attribute that the package still
+    does not load, so an entry outlives neither."""
+    stored = {a for tree in package_trees().values() for a in stored_attributes(tree)}
+    loaded = set().union(*(loaded_attributes(tree) for tree in package_trees().values()))
+    assert {a.rsplit(".", 1)[-1] for a in stored} >= UNREAD.keys()
+    assert sorted(loaded & UNREAD.keys()) == []
 
 
 def test_no_private_cross_module_imports():
