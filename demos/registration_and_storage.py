@@ -9,12 +9,12 @@ a lookup table keyed by pseudonym, never by vehicle.
 
 from dataclasses import fields
 
+from dwpt_auth import keyfiles
 from dwpt_auth.registration import (
     export_cspa_dataset,
     ra_setup,
     register_vehicle,
     storage_estimate,
-    storage_report,
 )
 from dwpt_auth.ring import TIERS
 
@@ -43,7 +43,10 @@ print(f"\n10-year budget at one session/day, 96 B records:")
 print(f"  per vehicle: {per_vehicle:,} B (~{per_vehicle / 1e3:.1f} KB)")
 print(f"  10M vehicles: {fleet:,} B (~{fleet / 1e12:.3f} TB)")
 
-# and the concrete accounting for what this authority holds right now
-print("\nthis registry:")
-for key, value in storage_report(ra).items():
-    print(f"  {key}: {value}")
+# and what this registry's ten slots take: 96 B per dataset row nominally,
+# then the containers as written (each also holds the public key h)
+print(f"\nthis registry, {len(dataset.entries)} slots:")
+print(f"  nominal dataset rows: {storage_estimate(1, len(dataset.entries), 96)[0]:,} B")
+print(f"  dataset.bin: {len(keyfiles.dataset_to_bytes(dataset)):,} B")
+print(f"  authority.bin: {len(keyfiles.authority_to_bytes(ra)):,} B")
+print(f"  vehicle-{creds.vehicle_id.decode()}.bin: {len(keyfiles.vehicle_to_bytes(creds)):,} B")

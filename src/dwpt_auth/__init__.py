@@ -33,16 +33,15 @@ from dwpt_auth.netsim import (
     cost_asymptotic,
     cost_first_pad,
     pad_length_m,
+    record_pass,
     run_adversary,
     simulate_session,
 )
 from dwpt_auth.registration import (
     export_cspa_dataset,
     ra_setup,
-    record_pass,
     register_vehicle,
     storage_estimate,
-    storage_report,
 )
 from dwpt_auth.ring import RingElement, RingParams, TIERS
 from dwpt_auth.rng import RandomSource

@@ -4,6 +4,8 @@ Subcommands cover the full life cycle: authority setup, vehicle registration,
 dataset export for the operator, honest session runs, cost/pad-length tables,
 and scripted adversary scenarios.  Every artifact embeds the seed and
 configuration that produced it, so reruns are reproducible byte for byte.
+This module reads the config files and writes every output file but the key
+containers, which `keyfiles` reads and writes.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import fcntl
-import json
 import os
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from dwpt_auth import keyfiles, netsim, protocol
 from dwpt_auth.errors import DecodeError, DuplicateRegistration, EmptyRegistry, ProtocolRejection
 from dwpt_auth.ibe import noise_model
 from dwpt_auth.netsim import TIMING_MODES
-from dwpt_auth.registration import export_cspa_dataset, ra_setup, record_pass, register_vehicle
+from dwpt_auth.registration import export_cspa_dataset, ra_setup, register_vehicle
 from dwpt_auth.ring import TIERS
 
 _POSITIVE = range(1, 1 << 63)  # the pad counts and speeds of `costs`
@@ -36,12 +37,23 @@ class _BadSetting(Exception):
 
 
 def _load_config(path: str | None) -> dict:
+    """The `key = value` lines of a config file; '#' starts a comment and a
+    later key wins.  Every line is parsed before any key is checked."""
     if not path:
         return {}
     try:
-        config = netsim.parse_config(Path(path).read_text())
-    except ValueError as exc:
+        text = Path(path).read_text()
+    except ValueError as exc:  # bytes that do not decode as text
         raise _BadSetting(f"{path}: {exc}") from None
+    config = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _BadSetting(f"{path}: line {lineno}: expected key = value")
+        key, value = line.split("=", 1)
+        config[key.strip()] = value.strip()
     for key in config:
         if key not in _CONFIG_KEYS:
             raise _BadSetting(f"{path}: unknown key {key!r}")
@@ -218,7 +230,7 @@ def cmd_run(args) -> int:
         out = _out_dir(args)
         tpath = out / "transcript.jsonl"
         tpath.write_text(trace.to_jsonl())
-        if record_pass(ra, creds, trace):
+        if netsim.record_pass(ra, creds, trace):
             # Burned on both sides: the authority first, so a crash between
             # the two saves leaves the slot consumed and a default run skips
             # it.
@@ -258,10 +270,10 @@ def cmd_costs(args) -> int:
     written = []
     for n in pad_counts:
         path = out / f"message_costs_n{n}.csv"
-        netsim.write_message_costs_csv(path, n, timing, {**header, "n_pads": n})
+        path.write_text(netsim.message_costs_csv(n, timing, {**header, "n_pads": n}))
         written.append(path)
     grid_path = out / "pad_lengths.csv"
-    netsim.write_pad_length_csv(grid_path, speeds, pad_counts, timing, header)
+    grid_path.write_text(netsim.pad_lengths_csv(speeds, pad_counts, timing, header))
     written.append(grid_path)
     for path in written:
         print(f"wrote {path}")

@@ -30,7 +30,8 @@ This module frames bytes; what a key or trapdoor may be is `ibe`'s.  Writers
 refuse, with ValueError, a slot whose pseudonym (its key's identity) is not
 the one the decoder would derive, a slot key of another h than the first
 slot's, an operator key of another h than the container's, a group key
-whose role is not its slot's and a polynomial whose length is not N.  Every
+whose role is not its slot's, a polynomial whose length is not N and one
+with a coefficient outside the i32 range.  Every
 decoded container re-encodes to its own bytes, and identical state to
 identical bytes.  The `load_*` helpers name the file.
 

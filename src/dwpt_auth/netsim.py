@@ -400,9 +400,9 @@ def simulate_session(
     leaves the authority's `consumed` set as it is.  An explicit
     `entry_index` names its slot even when it is spent (see
     `VehicleCredentials.pick_slot`), so the same pseudonym can run again in
-    memory.  `registration.record_pass` spends the pseudonym of a pass that
-    reached m2; only `consumed`, which the CLI then persists, turns a replay
-    into PseudonymReuse.
+    memory.  `record_pass` spends the pseudonym of a pass that reached m2;
+    only `consumed`, which the CLI then persists, turns a replay into
+    PseudonymReuse.
     """
     world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
@@ -431,6 +431,24 @@ def simulate_session(
     }
     return SessionTrace(config, timing, messages, rejection, world.ev.slot,
                         sum(pad.consumed for pad in world.pads))
+
+
+def record_pass(
+    authority: RegistrationAuthority, credentials: VehicleCredentials, trace: SessionTrace
+) -> bool:
+    """Spend the pseudonym of a simulated pass: add it to the authority's
+    `consumed` set if the pass sent an m2, and return whether it did.
+
+    Once the operator has answered m1 it has issued a token, so the slot is
+    burned whether or not the pass completed; a pass rejected at m1 burns
+    nothing.  `simulate_session` only simulates, so only this call, and a
+    caller that then saves the authority, turns a replay of the slot into
+    PseudonymReuse.
+    """
+    if not any(kind == "m2" for kind, _ in trace.wire_log):
+        return False
+    authority.consumed.add(credentials.entries[trace.used_entry_index].pseudonym)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -577,21 +595,7 @@ def run_adversary(
 
 
 # ---------------------------------------------------------------------------
-# Config files and artifact writers
-
-def parse_config(text: str) -> dict:
-    """key = value lines; '#' comments; later keys override earlier ones."""
-    out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
-    return out
-
+# Cost tables
 
 def _fmt(x: Fraction) -> str:
     return repr(float(x))
@@ -624,7 +628,9 @@ def session_bytes(n_pads: int) -> int:
     return total
 
 
-def write_message_costs_csv(path, n_pads: int, timing: TimingModel, header: dict):
+def message_costs_csv(n_pads: int, timing: TimingModel, header: dict) -> str:
+    """The per-message cost table of an n-pad lane as CSV text, after one
+    `# key=value` comment line per `header` item."""
     lines = [f"# {k}={v}" for k, v in sorted(header.items())]
     lines.append("message,computation_ms,channel,bytes,sending_us")
     for row in message_cost_rows(n_pads, timing):
@@ -641,15 +647,15 @@ def write_message_costs_csv(path, n_pads: int, timing: TimingModel, header: dict
         f"total_asymptotic,{_fmt(cost_asymptotic(n_pads, timing))},-,"
         f"{session_bytes(n_pads)},-"
     )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def write_pad_length_csv(path, speeds, pad_counts, timing: TimingModel, header: dict):
+def pad_lengths_csv(speeds, pad_counts, timing: TimingModel, header: dict) -> str:
+    """The pad length (m) at each speed and pad count as CSV text, after one
+    `# key=value` comment line per `header` item."""
     lines = [f"# {k}={v}" for k, v in sorted(header.items())]
     lines.append("speed_kmh," + ",".join(f"n{n}" for n in pad_counts))
     for v in speeds:
         cells = [_fmt(pad_length_m(v, n, timing)) for n in pad_counts]
         lines.append(f"{v}," + ",".join(cells))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry, ResampleExhausted
+from dwpt_auth.errors import DuplicateRegistration, EmptyRegistry
 from dwpt_auth.ibe import (
     MasterPublicKey,
     MasterSecretKey,
@@ -149,7 +149,7 @@ def register_vehicle(
     the pseudonym identity.  Pseudonyms are unique across the whole registry:
     each blind is drawn once, and since the hash input is injective, a
     pseudonym that repeats one already issued (a SHA-256 collision) raises
-    ResampleExhausted.  Re-registering an id raises DuplicateRegistration.
+    DuplicateRegistration, as re-registering an id does.
     The slots are drawn first, then their keys are extracted in one call,
     and only then does the authority keep the pseudonyms, in slot order, and
     their shares: a registration that fails leaves the authority as it was.
@@ -165,7 +165,7 @@ def register_vehicle(
         blind = int.from_bytes(rng.bytes(32), "big")
         pseudonym = derive_pseudonym(vehicle_id, d_ev * blind)
         if pseudonym in ra.dataset_entries or pseudonym in slots:
-            raise ResampleExhausted("could not find an unused pseudonym")
+            raise DuplicateRegistration(f"pseudonym {pseudonym.hex()} already issued")
         slots[pseudonym] = blind, rng.bytes(32), rng.bytes(32)
     keys = extract(ra.msk, *slots)
     entries = [
@@ -196,23 +196,6 @@ def export_cspa_dataset(ra: RegistrationAuthority) -> CspaDataset:
     )
 
 
-def record_pass(ra: RegistrationAuthority, creds: VehicleCredentials, trace) -> bool:
-    """Spend the pseudonym of a simulated pass: add it to `ra.consumed` if
-    the pass sent an m2, and return whether it did.
-
-    Once the operator has answered m1 it has issued a token, so the slot is
-    burned whether or not the pass completed; a pass rejected at m1 burns
-    nothing.  `netsim.simulate_session` only simulates: it marks the slot
-    spent in its wallet and leaves `ra.consumed` as it is, so only this
-    call, and a caller that then saves the authority, turns a replay of the
-    slot into PseudonymReuse.
-    """
-    if not any(kind == "m2" for kind, _ in trace.wire_log):
-        return False
-    ra.consumed.add(creds.entries[trace.used_entry_index].pseudonym)
-    return True
-
-
 def storage_estimate(
     vehicle_count: int, pseudonyms_per_vehicle: int, bytes_per_pseudonym_record: int
 ) -> tuple[int, int]:
@@ -226,31 +209,3 @@ def storage_estimate(
         raise ValueError("all arguments must be positive")
     per_vehicle = pseudonyms_per_vehicle * bytes_per_pseudonym_record
     return per_vehicle, per_vehicle * vehicle_count
-
-
-def storage_report(ra: RegistrationAuthority) -> dict:
-    """Byte budgets for the credential stores.
-
-    `nominal` counts 32-byte fields only (pseudonym + two shares per slot,
-    plus the blind scalar on the vehicle side); `serialized` measures the
-    authority and dataset containers as written.
-    """
-    from dwpt_auth import keyfiles
-
-    n_slots = len(ra.dataset_entries)
-    # Ids are UTF-8 (as the CLI encodes them); undecodable bytes stay visible.
-    per_vehicle = {
-        vid.decode("utf-8", errors="backslashreplace"): len(pseudonyms)
-        for vid, pseudonyms in ra.vehicles.items()
-    }
-    dataset_bytes = (
-        len(keyfiles.dataset_to_bytes(export_cspa_dataset(ra))) if ra.vehicles else 0
-    )
-    return {
-        "slots_total": n_slots,
-        "per_vehicle_slots": per_vehicle,
-        "nominal_vehicle_bytes": {vid: 4 * 32 * n for vid, n in per_vehicle.items()},
-        "nominal_dataset_bytes": 3 * 32 * n_slots,
-        "serialized_authority_bytes": len(keyfiles.authority_to_bytes(ra)),
-        "serialized_dataset_bytes": dataset_bytes,
-    }

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dwpt_auth import keyfiles, netsim, protocol
+from dwpt_auth import keyfiles, netsim, protocol, registration
 from dwpt_auth.cli import main
 from dwpt_auth.ibe import basis_quality
 from dwpt_auth.registration import export_cspa_dataset, ra_setup
@@ -109,6 +109,24 @@ class TestSetup:
         assert main(["setup", "--out", str(tmp_path), "--config", str(cfg)]) == 0
         assert "tier=test" in capsys.readouterr().out
 
+    def test_config_comments_blank_lines_and_later_keys(self, tmp_path, capsys):
+        """A config file may hold comment lines, trailing comments and blank
+        lines, and of a key given twice the later value wins."""
+        cfg = tmp_path / "lane.cfg"
+        cfg.write_text("# lane setup\nseed = first\n\n  tier = test   # trailing\nseed = second\n")
+        assert main(["setup", "--out", str(tmp_path), "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert "tier=test" in out and "seed=second)" in out
+
+    def test_config_that_is_not_text(self, tmp_path, capsys):
+        """A config file whose bytes do not decode is one error line naming it."""
+        cfg = tmp_path / "lane.cfg"
+        cfg.write_bytes(b"seed = \xff\n")
+        assert main(["setup", "--out", str(tmp_path / "out"), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("tier, fails", [("test", True), ("default", False)])
     def test_states_noise_prediction(self, tmp_path, capsys, tier, fails):
         """One line gives the operator key's predicted decryption noise; a
@@ -131,6 +149,22 @@ class TestRegister:
         ])
         assert rc == 1
         assert "already registered" in capsys.readouterr().err
+
+    def test_repeated_pseudonym_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        """A slot whose pseudonym repeats one already issued is one error
+        line naming it and exit status 1; the authority file stays as it
+        was and no vehicle file is written."""
+        assert main(["setup", "--params-tier", "test", "--seed", "s", "--out", str(tmp_path)]) == 0
+        authority = tmp_path / "authority.bin"
+        before = authority.read_bytes()
+        monkeypatch.setattr(registration, "derive_pseudonym", lambda vehicle_id, point: bytes(32))
+        capsys.readouterr()
+        assert main([
+            "register", "--authority", str(authority), "--vehicle-id", "EV-1", "--count", "2",
+        ]) == 1
+        assert capsys.readouterr().err == f"error: pseudonym {'00' * 32} already issued\n"
+        assert authority.read_bytes() == before
+        assert not (tmp_path / "vehicle-EV-1.bin").exists()
 
     def test_retry_after_failed_vehicle_save(self, tmp_path, capsys):
         """A register whose vehicle file cannot be written leaves the
@@ -515,7 +549,7 @@ class TestMissingFiles:
         def fail(*args):
             raise failure
 
-        monkeypatch.setattr(netsim, "write_message_costs_csv", fail)
+        monkeypatch.setattr(netsim, "message_costs_csv", fail)
         with pytest.raises(OSError) as exc:
             main(["costs", "--n-pads", "10", "--speeds", "50", "--out", str(tmp_path)])
         assert exc.value is failure
@@ -558,6 +592,7 @@ class TestOutOfRange:
         (["run", "--pseudonym-index", "first"], None,
          "pseudonym_index must be an integer, got 'first'"),
         (["run"], "npads = 0", "bad.cfg: unknown key 'npads'"),
+        (["run"], "npads = 0\nn_pads", "bad.cfg: line 2: expected key = value"),
         (["costs", "--n-pads", "ten", "--speeds", "10"], None,
          "n_pads must be an integer, got 'ten'"),
         (["costs", "--n-pads", "", "--speeds", "10"], None, "n_pads must be an integer, got ''"),
@@ -573,7 +608,8 @@ class TestOutOfRange:
         "run-n-pads-config-not-integer", "run-freshness-negative", "run-freshness-config-negative",
         "run-pseudonym-index-negative", "run-pseudonym-index-past-last-slot",
         "run-pseudonym-index-not-integer",
-        "run-config-unknown-key", "costs-n-pads-not-integer", "costs-n-pads-empty",
+        "run-config-unknown-key", "run-config-unknown-key-then-bad-line",
+        "costs-n-pads-not-integer", "costs-n-pads-empty",
         "attack-unknown-scenario",
     ])
     def test_rejected_with_one_line(self, workspace, tmp_path, capsys, argv, config, expected):

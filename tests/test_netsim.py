@@ -32,15 +32,14 @@ from dwpt_auth.netsim import (
     cost_asymptotic,
     cost_first_pad,
     message_cost_rows,
+    message_costs_csv,
     pad_length_m,
-    parse_config,
+    pad_lengths_csv,
     run_adversary,
     sending_first_pad_us,
     session_bytes,
     sending_time_us,
     simulate_session,
-    write_message_costs_csv,
-    write_pad_length_csv,
 )
 
 
@@ -541,22 +540,6 @@ class TestWorldWiring:
 
 
 class TestConfigAndArtifacts:
-    def test_parse_config(self):
-        text = """
-        # lane setup
-        n_pads = 10
-        seed = alpha   # trailing comment
-        timing = rounded-table
-
-        n_pads = 12
-        """
-        cfg = parse_config(text)
-        assert cfg == {"n_pads": "12", "seed": "alpha", "timing": "rounded-table"}
-
-    def test_parse_config_rejects_bare_words(self):
-        with pytest.raises(ValueError, match="line 1"):
-            parse_config("just-a-word")
-
     def test_message_cost_rows(self):
         rows = message_cost_rows(100, TimingModel.rounded_table())
         by_kind = {r["message"]: r for r in rows}
@@ -566,12 +549,10 @@ class TestConfigAndArtifacts:
         assert by_kind["m7"]["channel"] == "dsrc"
         assert by_kind["m8"]["computation_ms"] == 0
 
-    def test_message_costs_csv(self, tmp_path):
-        path = tmp_path / "costs.csv"
-        write_message_costs_csv(
-            path, 100, TimingModel.rounded_table(), {"tier": "default"}
-        )
-        lines = path.read_text().splitlines()
+    def test_message_costs_csv(self):
+        text = message_costs_csv(100, TimingModel.rounded_table(), {"tier": "default"})
+        assert text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == "# tier=default"
         assert lines[1] == "message,computation_ms,channel,bytes,sending_us"
         data = {l.split(",")[0]: l.split(",") for l in lines[2:]}
@@ -580,12 +561,10 @@ class TestConfigAndArtifacts:
         assert data["total_first_pad"][3] == "640"
         assert data["total_asymptotic"][3] == str(576 + 64 * 100)
 
-    def test_pad_length_csv(self, tmp_path):
-        path = tmp_path / "pads.csv"
-        write_pad_length_csv(
-            path, [10, 50], [10, 100], TimingModel.rounded_table(), {}
-        )
-        lines = path.read_text().splitlines()
+    def test_pad_length_csv(self):
+        text = pad_lengths_csv([10, 50], [10, 100], TimingModel.rounded_table(), {})
+        assert text.endswith("\n")
+        lines = text.splitlines()
         assert lines[0] == "speed_kmh,n10,n100"
         first = lines[1].split(",")
         assert first[0] == "10"

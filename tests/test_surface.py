@@ -4,10 +4,11 @@ no private name is used outside its own module.
 The scan parses `src/dwpt_auth/*.py` with `ast` and collects the public
 top-level functions and classes and the public methods and properties of
 those classes.  A member passes when some Name, Attribute or ImportFrom
-node of the package names it (so `__init__`'s imports keep every export),
-or when `KEPT` lists it with the reason it stays.  A member only the test
-suite calls fails: delete it, or keep it on purpose in `KEPT`, which lists
-only members that no package code names.
+node of a package module other than `__init__` names it, or when `KEPT`
+lists it with the reason it stays: a re-export is not a caller, and every
+other import must be used (`test_every_import_is_used`).  A member only the
+test suite calls fails: delete it, or keep it on purpose in `KEPT`, which
+lists only members that no package code names.
 
 The match is by name, not by binding, so a name that another member, a
 local variable or an attribute also uses hides an unused member.  That is
@@ -38,6 +39,9 @@ KEPT = {
     "load_dataset": "keyfiles.load_dataset: reads the file `export-dataset` writes",
     "cspa_identity": "RegistrationAuthority.cspa_identity: the benchmark extracts the operator "
     "key with it; `ra_setup`'s parameter of that name hid it here before",
+    "sign": "ibe.sign: gate 4 checks that honest signatures verify",
+    "verify": "ibe.verify: gate 4 checks that a mutated message does not verify",
+    "storage_estimate": "registration.storage_estimate: gate 3's fleet storage anchor",
 }
 
 
@@ -79,12 +83,19 @@ def package_trees() -> dict[str, ast.Module]:
     return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
 
-def test_every_public_member_has_a_caller():
+def caller_references() -> set[str]:
+    """The names every package module but `__init__` uses; `__init__` only
+    re-exports, and a re-export is not a caller."""
     trees = package_trees()
-    used = set().union(*(references(tree) for tree in trees.values()), KEPT)
+    return set().union(*(references(tree) for module, tree in trees.items()
+                         if module != "__init__.py"))
+
+
+def test_every_public_member_has_a_caller():
+    used = caller_references() | KEPT.keys()
     unused = [
         f"{module}:{member}"
-        for module, tree in trees.items()
+        for module, tree in package_trees().items()
         for member in members(tree)
         if member.rsplit(".", 1)[-1] not in used
     ]
@@ -99,8 +110,26 @@ def test_kept_members_exist():
 def test_kept_members_have_no_caller():
     """A member that the package names needs no `KEPT` entry, so an entry
     that outlives the member's last missing caller fails here."""
-    used = set().union(*(references(tree) for tree in package_trees().values()))
-    assert sorted(used & KEPT.keys()) == []
+    assert sorted(caller_references() & KEPT.keys()) == []
+
+
+def test_every_import_is_used():
+    """Every name a package module imports at top level is used in that
+    module.  `__init__`, whose imports are the public surface, and
+    `__future__` imports are exempt."""
+    unused = []
+    for module, tree in package_trees().items():
+        if module == "__init__.py":
+            continue
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        imports = [node for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"]
+        for node in imports:
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in names:
+                    unused.append(f"{module}:{node.lineno} {bound}")
+    assert unused == []
 
 
 #: Stored attributes that no package code loads, kept on purpose.
