@@ -36,6 +36,10 @@ class _BadSetting(Exception):
     """A flag or config value out of range: one `error:` line, exit status 2."""
 
 
+class _Refused(Exception):
+    """A command that cannot go ahead: one `error:` line, exit status 1."""
+
+
 def _load_config(path: str | None) -> dict:
     """The `key = value` lines of a config file; '#' starts a comment and a
     later key wins.  Every line is parsed before any key is checked."""
@@ -64,7 +68,7 @@ def _check(key: str, value, allowed):
     if value not in allowed:
         if isinstance(allowed, range):
             wanted = f"at least {allowed.start}"
-            if allowed.stop < 1 << 63:
+            if allowed.stop < 1 << 63 or value >= allowed.stop:
                 wanted += f" and below {allowed.stop}"
         else:
             wanted = "one of " + ", ".join(allowed)
@@ -92,8 +96,9 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
+def _out_dir(args, default: Path | None = None) -> Path:
+    """`--out`, or `default` when it is not given, made if missing."""
+    out = Path(args.out) if args.out else default
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -128,8 +133,7 @@ def cmd_setup(args) -> int:
     params = TIERS[tier]
     with _writing(path, creating=True):
         if path.exists() and not args.force:
-            print(f"error: {path} exists (use --force to overwrite)", file=sys.stderr)
-            return 1
+            raise _Refused(f"{path} exists (use --force to overwrite)")
         ra = ra_setup(params, seed)
         keyfiles.save_authority(path, ra)
     print(
@@ -152,13 +156,8 @@ def cmd_register(args) -> int:
     count = _setting(args.count, config, "count", 4, int, _COUNT)
     with _writing(args.authority):
         ra = keyfiles.load_authority(args.authority)
-        try:
-            creds = register_vehicle(ra, args.vehicle_id.encode(), count)
-        except DuplicateRegistration as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        out = _out_dir(args) if args.out else Path(args.authority).parent
-        vpath = out / f"vehicle-{args.vehicle_id}.bin"
+        creds = register_vehicle(ra, args.vehicle_id.encode(), count)
+        vpath = _out_dir(args, Path(args.authority).parent) / f"vehicle-{args.vehicle_id}.bin"
         # The wallet first: until the authority file lists the vehicle, a
         # retry after a failed save re-derives the same wallet and writes it
         # again.
@@ -172,34 +171,29 @@ def cmd_register(args) -> int:
 
 
 def cmd_export_dataset(args) -> int:
-    ra = keyfiles.load_authority(args.authority)
-    try:
-        ds = export_cspa_dataset(ra)
-    except EmptyRegistry as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    out = _out_dir(args) if args.out else Path(args.authority).parent
-    path = out / "dataset.bin"
+    ds = export_cspa_dataset(keyfiles.load_authority(args.authority))
+    path = _out_dir(args, Path(args.authority).parent) / "dataset.bin"
     keyfiles.save_dataset(path, ds)
     print(f"dataset written: {path} ({len(ds.entries)} pseudonyms)")
     return 0
 
 
-def _admit(ra, creds) -> bool:
-    """Whether `ra` issued the wallet `creds`, its pseudonyms under its h (a
-    setup seed gives the same pseudonyms at every tier); if not, print an
-    error line.
+def _load_wallet(args) -> tuple:
+    """The authority and the wallet that `args` name, refused unless the
+    authority issued the wallet: its pseudonyms under its h (a setup seed
+    gives the same pseudonyms at every tier).
 
     A vehicle file restored from a backup may list a slot as unspent that
-    the authority has consumed; an admitted wallet gets it marked spent, so
-    the default pick skips it.
+    the authority has consumed; the wallet comes back with it marked spent,
+    so the default pick skips it.
     """
+    ra = keyfiles.load_authority(args.authority)
+    creds = keyfiles.load_vehicle(args.vehicle)
     issued = tuple(e.pseudonym for e in creds.entries)
     if ra.vehicles.get(creds.vehicle_id) != issued or creds.entries[0].usk.h != ra.mpk.h:
-        print("error: vehicle is not registered with this authority", file=sys.stderr)
-        return False
+        raise _Refused("vehicle is not registered with this authority")
     creds.spent.update(i for i, e in enumerate(creds.entries) if e.pseudonym in ra.consumed)
-    return True
+    return ra, creds
 
 
 def cmd_run(args) -> int:
@@ -212,10 +206,7 @@ def cmd_run(args) -> int:
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     index = _setting(args.pseudonym_index, {}, "pseudonym_index", None, int)
     with _writing(args.authority):
-        ra = keyfiles.load_authority(args.authority)
-        creds = keyfiles.load_vehicle(args.vehicle)
-        if not _admit(ra, creds):
-            return 1
+        ra, creds = _load_wallet(args)
         if index is not None:
             _check("pseudonym_index", index, range(len(creds.entries)))
         trace = netsim.simulate_session(
@@ -245,11 +236,7 @@ def cmd_run(args) -> int:
             f"transcript at {tpath}"
         )
         return 0
-    print(
-        f"session rejected: {trace.rejection} "
-        f"(transcript at {tpath})",
-        file=sys.stderr,
-    )
+    print(f"session rejected: {trace.rejection} (transcript at {tpath})", file=sys.stderr)
     return 1
 
 
@@ -258,8 +245,9 @@ def cmd_costs(args) -> int:
     mode = _setting(args.timing_mode, config, "timing_mode", "rounded-table", allowed=TIMING_MODES)
     pad_counts = _setting(args.n_pads, {}, "n_pads", None, _int_list)
     speeds = _setting(args.speeds, {}, "speeds", None, _int_list)
-    _check("n_pads", min(pad_counts), _POSITIVE)
-    _check("speeds", min(speeds), _POSITIVE)
+    for key, values in (("n_pads", pad_counts), ("speeds", speeds)):
+        for value in values:
+            _check(key, value, _POSITIVE)
     timing = TIMING_MODES[mode]
     out = _out_dir(args)
     header = {
@@ -285,10 +273,7 @@ def cmd_attack(args) -> int:
     seed = _setting(args.seed, config, "seed", "0")
     n_pads = _setting(args.n_pads, config, "n_pads", 3, int, _COUNT)
     scenario = _check("scenario", args.scenario, _SCENARIOS)
-    ra = keyfiles.load_authority(args.authority)
-    creds = keyfiles.load_vehicle(args.vehicle)
-    if not _admit(ra, creds):
-        return 1
+    ra, creds = _load_wallet(args)
     scenarios = sorted(netsim.SCENARIOS) if scenario == "all" else [scenario]
     out = _out_dir(args)
     all_passed = True
@@ -297,9 +282,8 @@ def cmd_attack(args) -> int:
             report = netsim.run_adversary(
                 name, ra, creds, n_pads=n_pads, seed=f"{seed}:{name}"
             )
-        except (ProtocolRejection, EmptyRegistry) as exc:
-            print(f"error: scenario {name} could not run: {exc}", file=sys.stderr)
-            return 1
+        except ProtocolRejection as exc:
+            raise _Refused(f"scenario {name} could not run: {exc}") from exc
         path = out / f"attack_{name}.jsonl"
         path.write_text(report.to_jsonl())
         status = "PASS" if report.passed else "FAIL"
@@ -382,6 +366,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (_Refused, DuplicateRegistration, EmptyRegistry) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (DecodeError, _BadSetting) as exc:  # a DecodeError names its file
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from dwpt_auth import protocol
-from dwpt_auth.errors import ProtocolRejection
+from dwpt_auth.errors import EmptyRegistry, ProtocolRejection
 from dwpt_auth.protocol import (
     CpState,
     CspaState,
@@ -340,15 +340,27 @@ def build_world(
     seed,
     entry_index: int | None = None,
     freshness_ms: int = protocol.FRESHNESS_WINDOW_MS,
+    timing_mode: str = "rounded-table",
 ) -> World:
     """The lane from what the operator side holds: the authority's CSPA
     dataset (with the operator's identity key and the CSPA-RSU key), the
     master public key and the RSU-CP key.  No master secret is involved.
     The EV seals m1 to the operator's identity point, which its key holds
-    once hashed (`UserSecretKey.point`)."""
+    once hashed (`UserSecretKey.point`).
+
+    The pass draws from the seed's child stream over what changes a
+    plaintext under the same keys: the picked slot's pseudonym, the pad
+    count and the timing mode.  So two passes at one seed share no nonce
+    or chain value unless every input is equal.  An empty wallet picks no
+    slot, and `compose_m1` ends its pass as NoUnusedPseudonym."""
     dataset, mpk, gk_rsu_cp = export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp
-    root = RandomSource(seed)
-    ev = EvSession(credentials, mpk, dataset.usk.point, root.child("ev"), entry_index, freshness_ms)
+    try:
+        slot = credentials.pick_slot(entry_index)
+        pseudonym = credentials.entries[slot].pseudonym
+    except EmptyRegistry:
+        slot, pseudonym = None, b""
+    root = RandomSource(seed).child(pseudonym + f"/{n_pads}/{timing_mode}".encode())
+    ev = EvSession(credentials, mpk, dataset.usk.point, root.child("ev"), slot, freshness_ms)
     cspa = CspaState(dataset, mpk, root.child("cspa"), freshness_ms)
     rsu = RsuState(dataset.gk_cspa_rsu, gk_rsu_cp, n_pads, root.child("rsu"), freshness_ms)
     pads = [CpState(i + 1, gk_rsu_cp) for i in range(n_pads)]
@@ -404,7 +416,9 @@ def simulate_session(
     only `consumed`, which the CLI then persists, turns a replay into
     PseudonymReuse.
     """
-    world = build_world(authority, credentials, n_pads, seed, entry_index, freshness_ms)
+    world = build_world(
+        authority, credentials, n_pads, seed, entry_index, freshness_ms, timing.mode
+    )
     # Every cost is a whole number of ticks of 1/D ms, so the clock runs on
     # integers; the trace builds its Fractions only when they are read.
     D, comp_ticks, send_ticks = timing._ticks(n_pads)
@@ -617,15 +631,13 @@ def message_cost_rows(n_pads: int, timing: TimingModel) -> list[dict]:
 
 
 def session_bytes(n_pads: int) -> int:
-    """Nominal bytes of a completed n-pad session, summed per message as
-    `simulate_session` sums them: m1-m5, then for each pad its provisioning
-    message (m6 from the RSU for pad 1, m8 from the previous pad after that)
-    and its chain message."""
+    """Nominal bytes of a completed session of n_pads >= 1 pads, as
+    `simulate_session` sums them: m1-m7 through the first pad, then for
+    each later pad its provisioning m8 from the pad before it and its chain
+    message (m9 for pad 2, a bare chain value after that)."""
     sizes = protocol.NOMINAL_SIZES
-    total = sum(sizes[k] for k in FIRST_PAD_KINDS[:5])
-    for j in range(1, n_pads + 1):
-        total += sizes["m6" if j == 1 else "m8"] + sizes[protocol.chain_kind(j)]
-    return total
+    return (sum(sizes[k] for k in FIRST_PAD_KINDS) + (n_pads - 1) * sizes["m8"]
+            + (n_pads >= 2) * sizes["m9"] + max(n_pads - 2, 0) * sizes["chain"])
 
 
 def message_costs_csv(n_pads: int, timing: TimingModel, header: dict) -> str:

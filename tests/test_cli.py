@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dwpt_auth import keyfiles, netsim, protocol, registration
+from dwpt_auth import ibe, keyfiles, netsim, protocol, registration
 from dwpt_auth.cli import main
 from dwpt_auth.ibe import basis_quality
 from dwpt_auth.registration import export_cspa_dataset, ra_setup
@@ -65,6 +65,20 @@ def cross_tier(tmp_path_factory):
             "--vehicle-id", "EV1", "--count", "2",
         ]) == 0
     return ws / "a" / "authority.bin", ws / "b" / "vehicle-EV1.bin"
+
+
+def _lane(root: Path, wallets: dict) -> Path:
+    """A default-tier authority under `root` with each vehicle id of
+    `wallets` registered for its slot count, all through main(); returns
+    the authority file."""
+    assert main(["setup", "--seed", "lane", "--out", str(root)]) == 0
+    authority = root / "authority.bin"
+    for vehicle_id, count in wallets.items():
+        assert main([
+            "register", "--authority", str(authority),
+            "--vehicle-id", vehicle_id, "--count", str(count),
+        ]) == 0
+    return authority
 
 
 class TestSetup:
@@ -461,6 +475,34 @@ class TestRun:
         assert rc == 2
 
 
+class TestDefaultSeedRuns:
+    @pytest.mark.parametrize("vehicles", [("EV-a", "EV-b"), ("EV-a", "EV-a")],
+                             ids=["two-vehicles", "two-slots"])
+    def test_no_aead_nonce_twice_under_one_key(self, tmp_path, monkeypatch, capsys, vehicles):
+        """Two runs at the default seed, of two vehicles or of two slots of
+        one vehicle, never seal twice under one AES-GCM key with one nonce:
+        each pass draws from a stream of its own pseudonym."""
+        authority = _lane(tmp_path, {"EV-a": 2, "EV-b": 1})
+        seals = []
+
+        def recording(seal):
+            def wrapper(key, *rest):
+                blob = seal(key, *rest)
+                seals.append((key.key, blob[:12]))
+                return blob
+            return wrapper
+
+        for module in (protocol, ibe):
+            monkeypatch.setattr(module, "aead_seal", recording(module.aead_seal))
+        for k, vehicle in enumerate(vehicles):
+            assert main([
+                "run", "--authority", str(authority),
+                "--vehicle", str(tmp_path / f"vehicle-{vehicle}.bin"),
+                "--out", str(tmp_path / f"run-{k}"),
+            ]) == 0
+        assert len(seals) > 2 and len(set(seals)) == len(seals)
+
+
 class TestConcurrentRuns:
     def test_two_runs_keep_both_burns(self, workspace, tmp_path, monkeypatch, capsys):
         """Two `run`s at once on one authority file each burn a slot, and
@@ -687,6 +729,25 @@ class TestCosts:
             "10", "50", "130",
         ]
 
+    @pytest.mark.parametrize("flag, key", [("--n-pads", "n_pads"), ("--speeds", "speeds")])
+    def test_every_listed_value_is_checked(self, tmp_path, capsys, flag, key):
+        """A value past 2^63 - 1 is refused wherever it stands in its list."""
+        argv = {"--n-pads": "10", "--speeds": "50", flag: "1,9223372036854775808"}
+        rc = main(["costs", *(x for item in argv.items() for x in item), "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must be at least 1 and below 9223372036854775808, "
+            "got 9223372036854775808\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_pad_count_finishes(self, tmp_path, capsys):
+        """The byte total of a 2^63 - 1 pad lane is computed, not counted."""
+        n = (1 << 63) - 1
+        assert main(["costs", "--n-pads", str(n), "--speeds", "10", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / f"message_costs_n{n}.csv").read_text()
+        assert text.splitlines()[-1].endswith(f",{576 + 64 * n},-")
+
 
 class TestAttack:
     def test_all_scenarios_pass(self, workspace, capsys):
@@ -748,6 +809,22 @@ class TestAttack:
         out = capsys.readouterr().out
         assert out.startswith("FAIL replay-m7: 2 adversary actions, 1 accepted")
         assert out.count("ACCEPTED") == 1
+
+    def test_spent_wallet_could_not_run(self, tmp_path, capsys):
+        """Once runs have spent every slot, attack refuses with one line
+        naming the first scenario and writes no report."""
+        authority = _lane(tmp_path, {"EV-a": 1})
+        vehicle = tmp_path / "vehicle-EV-a.bin"
+        argv = ["--authority", str(authority), "--vehicle", str(vehicle)]
+        assert main(["run", *argv, "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        rc = main(["attack", "--scenario", "all", *argv, "--out", str(tmp_path / "attacks")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: scenario double-spend could not run: "
+            "NoUnusedPseudonym: all pseudonym slots spent\n"
+        )
+        assert list((tmp_path / "attacks").glob("attack_*")) == []
 
     def test_restored_vehicle_file_skips_consumed_slots(self, workspace, tmp_path, capsys):
         """attack admits a wallet as run does: a vehicle file restored from

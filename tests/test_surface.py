@@ -232,6 +232,27 @@ def test_argparse_checks_no_value():
     assert calls == []
 
 
+def test_only_main_prints_an_error_line():
+    """No `print` in `cli.py` outside `main` starts its text with `error:`:
+    a command raises, and `main` alone reports, one line and one exit
+    status per exception type."""
+
+    def is_error_text(node) -> bool:
+        if isinstance(node, ast.JoinedStr) and node.values:
+            node = node.values[0]
+        return isinstance(node, ast.Constant) and str(node.value).startswith("error:")
+
+    prints = [
+        f"line {call.lineno}"
+        for top in package_trees()["cli.py"].body
+        if not (isinstance(top, ast.FunctionDef) and top.name == "main")
+        for call in ast.walk(top)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id == "print" and call.args and is_error_text(call.args[0])
+    ]
+    assert prints == []
+
+
 def test_import_leaves_the_aead_binding_unloaded():
     """Importing the package does not load `cryptography`'s compiled binding
     (about 6 MB of memory, which set-up and enrollment never use); the first
