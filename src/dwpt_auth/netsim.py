@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from dwpt_auth import protocol
-from dwpt_auth.errors import EmptyRegistry, ProtocolRejection
+from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.protocol import (
     CpState,
     CspaState,
@@ -330,7 +330,7 @@ class World:
     cspa: CspaState
     rsu: RsuState
     pads: list[CpState]
-    rng: RandomSource
+    slot: int | None  # the wallet slot the pass spends; None for an empty wallet
 
 
 def build_world(
@@ -351,20 +351,26 @@ def build_world(
     The pass draws from the seed's child stream over what changes a
     plaintext under the same keys: the picked slot's pseudonym, the pad
     count and the timing mode.  So two passes at one seed share no nonce
-    or chain value unless every input is equal.  An empty wallet picks no
-    slot, and `compose_m1` ends its pass as NoUnusedPseudonym."""
+    or chain value unless every input is equal.
+
+    This is the one place a pass picks its slot, and it marks the slot
+    spent in `credentials` here.  An empty wallet picks no slot and spends
+    nothing, and `compose_m1` ends its pass as NoUnusedPseudonym.  Every
+    pad seals its m8 forwards with the one stream they share."""
     dataset, mpk, gk_rsu_cp = export_cspa_dataset(authority), authority.mpk, authority.gk_rsu_cp
-    try:
-        slot = credentials.pick_slot(entry_index)
-        pseudonym = credentials.entries[slot].pseudonym
-    except EmptyRegistry:
-        slot, pseudonym = None, b""
+    slot = credentials.pick_slot(entry_index)
+    entry, pseudonym = None, b""
+    if slot is not None:
+        credentials.spent.add(slot)
+        entry = credentials.entries[slot]
+        pseudonym = entry.pseudonym
     root = RandomSource(seed).child(pseudonym + f"/{n_pads}/{timing_mode}".encode())
-    ev = EvSession(credentials, mpk, dataset.usk.point, root.child("ev"), slot, freshness_ms)
+    ev = EvSession(entry, mpk, dataset.usk.point, root.child("ev"), freshness_ms)
     cspa = CspaState(dataset, mpk, root.child("cspa"), freshness_ms)
     rsu = RsuState(dataset.gk_cspa_rsu, gk_rsu_cp, n_pads, root.child("rsu"), freshness_ms)
-    pads = [CpState(i + 1, gk_rsu_cp) for i in range(n_pads)]
-    return World(ev, cspa, rsu, pads, root.child("world"))
+    pad_rng = root.child("world")
+    pads = [CpState(i + 1, gk_rsu_cp, pad_rng) for i in range(n_pads)]
+    return World(ev, cspa, rsu, pads, slot)
 
 
 def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg: msg):
@@ -387,7 +393,7 @@ def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg: msg):
     for pad in world.pads[:n_pads]:
         pad.handle_provision(emit(provision))
         msg = emit(ev.next_chain_message())
-        provision = pad.handle_chain(msg, world.rng)
+        provision = pad.handle_chain(msg)
         rides.append((msg, provision))
     return rides
 
@@ -443,7 +449,7 @@ def simulate_session(
         "freshness_ms": freshness_ms,
         "entry_index": entry_index,
     }
-    return SessionTrace(config, timing, messages, rejection, world.ev.slot,
+    return SessionTrace(config, timing, messages, rejection, world.slot,
                         sum(pad.consumed for pad in world.pads))
 
 
@@ -520,14 +526,14 @@ def _attempt(description: str, target: str, handler, *args) -> AdversaryAction:
 
 
 def _scenario_replay_first_chain(world: World) -> list[AdversaryAction]:
-    pads, rng = world.pads, world.rng
+    pads = world.pads
     [(m7, forward)] = _ride(world, 1)
     actions = [_attempt("replay first chain value to its own pad", "CP1",
-                        pads[0].handle_chain, m7, rng)]
+                        pads[0].handle_chain, m7)]
     if len(pads) > 1:
         pads[1].handle_provision(forward)
         actions.append(_attempt("replay first chain value to the next pad", "CP2",
-                                pads[1].handle_chain, m7, rng))
+                                pads[1].handle_chain, m7))
     return actions
 
 
@@ -565,7 +571,7 @@ def _scenario_double_spend(world: World) -> list[AdversaryAction]:
     rides = _ride(world, len(world.pads))
     return [
         _attempt(f"re-spend accepted chain value at pad {j}", pad.name,
-                 pad.handle_chain, msg, world.rng)
+                 pad.handle_chain, msg)
         for j, (pad, (msg, _)) in enumerate(zip(world.pads, rides), start=1)
     ]
 

@@ -22,15 +22,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from dwpt_auth.errors import AuthenticationFailure, DecodeError, EmptyRegistry, ProtocolRejection
+from dwpt_auth.errors import AuthenticationFailure, DecodeError, ProtocolRejection
 from dwpt_auth.ibe import MasterPublicKey, ibe_open, ibe_seal, identity_point
-from dwpt_auth.registration import (
-    CredentialEntry,
-    CspaDataset,
-    ROLE_CSPA_RSU,
-    ROLE_RSU_CP,
-    VehicleCredentials,
-)
+from dwpt_auth.registration import CredentialEntry, CspaDataset, ROLE_CSPA_RSU, ROLE_RSU_CP
 from dwpt_auth.ring import RingElement
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import (
@@ -140,24 +134,23 @@ def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
 # EV on-board unit
 
 class EvSession:
-    """One charging pass from the vehicle's point of view."""
+    """One charging pass from the vehicle's point of view, on the one
+    wallet slot the pass spends; with no slot (`entry` None) the pass ends
+    at m1 as NoUnusedPseudonym."""
 
     def __init__(
         self,
-        credentials: VehicleCredentials,
+        entry: CredentialEntry | None,
         mpk: MasterPublicKey,
         cspa_point: RingElement,
         rng: RandomSource,
-        slot: int | None = None,
         freshness_ms: int = FRESHNESS_WINDOW_MS,
     ):
-        self.credentials = credentials
+        self.entry = entry
         self.mpk = mpk
         self.cspa_point = cspa_point  # the operator's identity point
         self.rng = rng
         self.freshness_ms = freshness_ms
-        self.slot = slot  # the wallet slot; compose_m1 picks the first unspent if None
-        self.entry: CredentialEntry | None = None
         self.state = "idle"
         self.n_ev: bytes | None = None
         self.n_rsu: bytes | None = None
@@ -169,12 +162,8 @@ class EvSession:
     def compose_m1(self, now_ms: int) -> ProtocolMessage:
         if self.state != "idle":
             raise ProtocolRejection(BAD_STATE, f"compose_m1 in state {self.state}")
-        try:
-            self.slot = self.credentials.pick_slot(self.slot)
-        except EmptyRegistry as exc:
-            raise ProtocolRejection(NO_UNUSED_PSEUDONYM, str(exc)) from exc
-        self.credentials.spent.add(self.slot)
-        self.entry = self.credentials.entries[self.slot]
+        if self.entry is None:
+            raise ProtocolRejection(NO_UNUSED_PSEUDONYM, "all pseudonym slots spent")
         self.n_ev = self.rng.bytes(32)
         payload = self.entry.pseudonym + self.n_ev + encode_timestamp(now_ms) + self.entry.z
         body = ibe_seal(self.mpk, self.cspa_point, payload, self.rng, b"dwpt/m1")
@@ -359,10 +348,11 @@ class CpState:
     each head it is provisioned with, and remembers every head it accepted
     a value against, so no later provision re-arms it for that head."""
 
-    def __init__(self, index: int, gk_rsu_cp: SymmetricKey):
+    def __init__(self, index: int, gk_rsu_cp: SymmetricKey, rng: RandomSource):
         self.name = f"CP{index}"
         self.successor = f"CP{index + 1}"  # receiver of this pad's m8
         self.gk = gk_rsu_cp.require(ROLE_RSU_CP)
+        self.rng = rng  # seals the m8 forwards
         self.expected_head: bytes | None = None
         self.accepted_heads: set[bytes] = set()
 
@@ -376,7 +366,7 @@ class CpState:
         payload = _open(aead_open, self.gk, msg.body, b"dwpt/provision", "provision")
         (self.expected_head,) = _parse(payload, "provision", 32)
 
-    def handle_chain(self, msg: ProtocolMessage, rng: RandomSource) -> ProtocolMessage:
+    def handle_chain(self, msg: ProtocolMessage) -> ProtocolMessage:
         """Check one hash step; on accept, return the m8 forward for the next pad."""
         candidate = msg.body
         if self.expected_head is None:
@@ -386,5 +376,5 @@ class CpState:
         if len(candidate) != 32 or not chain_verify(candidate, self.expected_head):
             raise ProtocolRejection(CHAIN_MISMATCH, f"{self.name}: hash step does not match")
         self.accepted_heads.add(self.expected_head)
-        forward_body = aead_seal(self.gk, candidate, rng, b"dwpt/provision")
+        forward_body = aead_seal(self.gk, candidate, self.rng, b"dwpt/provision")
         return ProtocolMessage("m8", self.name, self.successor, forward_body)

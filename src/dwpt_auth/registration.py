@@ -60,8 +60,9 @@ class VehicleCredentials:
         """A wallet with the same (immutable) entries and its own spent set."""
         return VehicleCredentials(self.vehicle_id, self.d_ev, list(self.entries), set(self.spent))
 
-    def pick_slot(self, slot: int | None = None) -> int:
-        """Slot for the next session: `slot` (IndexError if none) or the first unspent.
+    def pick_slot(self, slot: int | None = None) -> int | None:
+        """Slot for the next session: `slot` (IndexError if none), else the
+        first unspent, or None when every slot is spent.
 
         An explicit `slot` is kept even when it is spent, so an in-memory
         caller can replay a pseudonym; only the authority's `consumed` set,
@@ -71,10 +72,7 @@ class VehicleCredentials:
             if not 0 <= slot < len(self.entries):
                 raise IndexError(f"no pseudonym slot {slot} among {len(self.entries)}")
             return slot
-        for i in range(len(self.entries)):
-            if i not in self.spent:
-                return i
-        raise EmptyRegistry("all pseudonym slots spent")
+        return next((i for i in range(len(self.entries)) if i not in self.spent), None)
 
 
 @dataclass(frozen=True, slots=True)

@@ -498,10 +498,44 @@ class TestWorldWiring:
         world = build_world(ra, creds, 2, seed=11)
         assert world.rsu.n_pads == 2
         assert len(world.pads) == 2
-        assert world.ev.credentials is creds
+        assert world.ev.entry is creds.entries[world.slot]
         assert world.ev.cspa_point is ra.cspa_usk.point
         assert len(netsim._ride(world, 2)) == 2
         assert all(pad.consumed for pad in world.pads)
+
+    def test_build_world_spends_the_slot_it_picks(self, default_authority, default_vehicle):
+        """The world holds the one slot it picked and marked spent; an empty
+        wallet leaves `spent` as it was and builds a world on no slot."""
+        from conftest import copy_credentials
+
+        creds = copy_credentials(default_vehicle)
+        creds.spent.add(0)
+        world = build_world(default_authority, creds, 1, seed=15)
+        assert world.slot == 1 and creds.spent == {0, 1}
+        assert world.ev.entry is creds.entries[world.slot]
+        creds.spent.update(range(len(creds.entries)))
+        spent = set(creds.spent)
+        world = build_world(default_authority, creds, 1, seed=15)
+        assert world.slot is None and world.ev.entry is None
+        assert creds.spent == spent
+
+    @pytest.mark.parametrize("scenario", [None, *sorted(SCENARIOS)])
+    def test_one_slot_pick_per_pass(self, default_authority, default_vehicle, monkeypatch, scenario):
+        """A `simulate_session` pass or an adversary scenario picks its
+        wallet slot once, in `build_world`; the EV never picks again."""
+        from conftest import copy_credentials
+
+        from dwpt_auth.registration import VehicleCredentials
+
+        picks = []
+        pick = VehicleCredentials.pick_slot
+        monkeypatch.setattr(VehicleCredentials, "pick_slot",
+                            lambda creds, slot=None: picks.append(slot) or pick(creds, slot))
+        if scenario is None:
+            simulate_session(default_authority, copy_credentials(default_vehicle), n_pads=2, seed=16)
+        else:
+            run_adversary(scenario, default_authority, default_vehicle, seed=16)
+        assert picks == [None]
 
     def test_operator_point_is_hashed_once_per_authority(
         self, default_authority, default_vehicle, monkeypatch

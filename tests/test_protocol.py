@@ -10,6 +10,7 @@ import pytest
 from dwpt_auth import protocol
 from dwpt_auth.errors import ProtocolRejection
 from dwpt_auth.ibe import MasterPublicKey, ibe_seal, identity_point
+from dwpt_auth.netsim import World
 from dwpt_auth.protocol import (
     BAD_STATE,
     CHAIN_MISMATCH,
@@ -36,8 +37,6 @@ from dwpt_auth.ring import RingElement, RingParams
 from dwpt_auth.rng import RandomSource
 from dwpt_auth.symcrypto import SymmetricKey, add_mod_2_256, aead_seal, encode_timestamp
 
-from conftest import copy_credentials
-
 NOW = 1_700_000_000_000
 
 
@@ -46,30 +45,25 @@ def dataset(default_authority, default_vehicle):
     return export_cspa_dataset(default_authority)
 
 
-@dataclasses.dataclass
-class Parties:
-    ev: EvSession
-    cspa: CspaState
-    rsu: RsuState
-    pads: list[CpState]
-    rng: RandomSource
-
-
 @pytest.fixture()
 def parties(default_authority, dataset, fresh_vehicle):
     return make_parties(default_authority, dataset, fresh_vehicle)
 
 
-def make_parties(ra, dataset, creds, n_pads=4, entry_index=None) -> Parties:
+def make_parties(ra, dataset, creds, n_pads=4, entry_index=0) -> World:
+    """The four parties of a lane, the EV on slot `entry_index` of `creds`,
+    or on no slot (`entry_index` None), as an empty wallet leaves it."""
     rng = RandomSource("protocol-test")
-    ev = EvSession(creds, ra.mpk, ra.cspa_usk.point, rng.child("ev"), entry_index)
+    entry = None if entry_index is None else creds.entries[entry_index]
+    ev = EvSession(entry, ra.mpk, ra.cspa_usk.point, rng.child("ev"))
     cspa = CspaState(dataset, ra.mpk, rng.child("cspa"))
     rsu = RsuState(ra.gk_cspa_rsu, ra.gk_rsu_cp, n_pads, rng.child("rsu"))
-    pads = [CpState(i + 1, ra.gk_rsu_cp) for i in range(n_pads)]
-    return Parties(ev, cspa, rsu, pads, rng.child("pads"))
+    pad_rng = rng.child("pads")
+    pads = [CpState(i + 1, ra.gk_rsu_cp, pad_rng) for i in range(n_pads)]
+    return World(ev, cspa, rsu, pads, entry_index)
 
 
-def run_authentication(p: Parties, now=NOW):
+def run_authentication(p: World, now=NOW):
     """Drive m1 through m6; returns after the EV is ready to charge."""
     m1 = p.ev.compose_m1(now)
     m2, m3 = p.cspa.handle_m1(m1, now)
@@ -125,7 +119,7 @@ class TestPayloadSizes:
         monkeypatch.setattr(protocol, "aead_seal", recording(protocol.aead_seal))
         run_authentication(parties)
         for pad, next_pad in zip(parties.pads, parties.pads[1:]):
-            forward = pad.handle_chain(parties.ev.next_chain_message(), parties.rng)
+            forward = pad.handle_chain(parties.ev.next_chain_message())
             next_pad.handle_provision(forward)
         n = parties.rsu.n_pads
         assert sealed == [
@@ -143,7 +137,7 @@ class TestHappyPath:
         n = parties.rsu.n_pads
         for j in range(n):
             msg = parties.ev.next_chain_message()
-            forward = parties.pads[j].handle_chain(msg, parties.rng)
+            forward = parties.pads[j].handle_chain(msg)
             if j + 1 < n:
                 parties.pads[j + 1].handle_provision(forward)
         assert parties.ev.state == "done"
@@ -178,12 +172,6 @@ class TestHappyPath:
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
         assert len(msg.body) == 32
-
-    def test_marks_slot_spent(self, parties):
-        assert not parties.ev.credentials.spent
-        run_authentication(parties)
-        assert parties.ev.slot in parties.ev.credentials.spent
-        assert parties.ev.entry is parties.ev.credentials.entries[parties.ev.slot]
 
 
 class TestCspaRejections:
@@ -270,16 +258,13 @@ class TestCspaRejections:
         assert exc.value.reason == UNKNOWN_PSEUDONYM
 
     def test_pseudonym_reuse_rejected(self, default_authority, dataset, default_vehicle):
-        p1 = make_parties(
-            default_authority, dataset, copy_credentials(default_vehicle), entry_index=0
-        )
+        p1 = make_parties(default_authority, dataset, default_vehicle)
         p1.cspa.handle_m1(p1.ev.compose_m1(NOW), NOW)
         ev2 = EvSession(
-            copy_credentials(default_vehicle),
+            default_vehicle.entries[0],
             default_authority.mpk,
             default_authority.cspa_usk.point,
             RandomSource("second-ev"),
-            0,
         )
         with pytest.raises(ProtocolRejection) as exc:
             p1.cspa.handle_m1(ev2.compose_m1(NOW), NOW)
@@ -288,7 +273,7 @@ class TestCspaRejections:
     def test_wrong_share_z(self, default_authority, dataset, fresh_vehicle):
         entry = fresh_vehicle.entries[0]
         fresh_vehicle.entries[0] = dataclasses.replace(entry, z=bytes(32))
-        p = make_parties(default_authority, dataset, fresh_vehicle, entry_index=0)
+        p = make_parties(default_authority, dataset, fresh_vehicle)
         with pytest.raises(ProtocolRejection) as exc:
             p.cspa.handle_m1(p.ev.compose_m1(NOW), NOW)
         assert exc.value.reason == SECRET_MISMATCH
@@ -313,7 +298,7 @@ class TestEvRejections:
             gk_cspa_rsu=dataset.gk_cspa_rsu,
             entries=entries,
         )
-        p = make_parties(default_authority, lying, fresh_vehicle, entry_index=0)
+        p = make_parties(default_authority, lying, fresh_vehicle)
         m2, _ = p.cspa.handle_m1(p.ev.compose_m1(NOW), NOW)
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.handle_m2(m2, NOW)
@@ -328,7 +313,7 @@ class TestEvRejections:
         p.ev.compose_m4(NOW)
         # forge m5 with the right key but an unincremented nonce
         payload = p.ev.n_rsu + bytes(32) + encode_timestamp(NOW) + struct.pack("<I", 4)
-        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m5")
+        body = aead_seal(p.ev.session_key, payload, RandomSource("forger"), b"dwpt/m5")
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", body), NOW)
         assert exc.value.reason == NONCE_MISMATCH
@@ -345,7 +330,7 @@ class TestEvRejections:
             + encode_timestamp(NOW)
             + struct.pack("<I", 0)
         )
-        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m5")
+        body = aead_seal(p.ev.session_key, payload, RandomSource("forger"), b"dwpt/m5")
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", body), NOW)
         assert exc.value.reason == MALFORMED
@@ -367,7 +352,7 @@ class TestEvRejections:
             + struct.pack("<I", 4)
             + b"\x00"
         )[:size]
-        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m5")
+        body = aead_seal(p.ev.session_key, payload, RandomSource("forger"), b"dwpt/m5")
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.handle_m5(ProtocolMessage("m5", "RSU", "EV", body), NOW)
         assert exc.value.reason == MALFORMED
@@ -376,11 +361,11 @@ class TestEvRejections:
         assert p.ev.state == "charging"
 
     def test_out_of_slots(self, default_authority, dataset, fresh_vehicle):
-        fresh_vehicle.spent.update(range(len(fresh_vehicle.entries)))
-        p = make_parties(default_authority, dataset, fresh_vehicle)
+        p = make_parties(default_authority, dataset, fresh_vehicle, entry_index=None)
         with pytest.raises(ProtocolRejection) as exc:
             p.ev.compose_m1(NOW)
         assert exc.value.reason == NO_UNUSED_PSEUDONYM
+        assert exc.value.detail == "all pseudonym slots spent"
 
     def test_state_machine_order_enforced(self, parties):
         with pytest.raises(ProtocolRejection) as exc:
@@ -439,7 +424,7 @@ class TestRsuRejections:
         _, m3 = p.cspa.handle_m1(m1, NOW)
         p.rsu.handle_m3(m3, NOW)
         rogue_key = SymmetricKey(b"\x13" * 32, "session")
-        body = aead_seal(rogue_key, b"p" + b"n" + encode_timestamp(NOW), p.rng, b"dwpt/m4")
+        body = aead_seal(rogue_key, b"p" + b"n" + encode_timestamp(NOW), RandomSource("forger"), b"dwpt/m4")
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
         assert exc.value.reason == DECRYPT_FAILURE
@@ -462,7 +447,7 @@ class TestRsuRejections:
         p.rsu.handle_m3(m3, NOW)
         p.ev.handle_m2(m2, NOW)
         payload = p.ev.entry.pseudonym + b"\x07" + encode_timestamp(NOW)
-        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m4")
+        body = aead_seal(p.ev.session_key, payload, RandomSource("forger"), b"dwpt/m4")
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
         assert exc.value.reason == MALFORMED
@@ -475,7 +460,7 @@ class TestRsuRejections:
         p.rsu.handle_m3(m3, NOW)
         p.ev.handle_m2(m2, NOW)
         payload = p.ev.entry.pseudonym + bytes(32) + encode_timestamp(NOW) + b"\x00"
-        body = aead_seal(p.ev.session_key, payload, p.rng, b"dwpt/m4")
+        body = aead_seal(p.ev.session_key, payload, RandomSource("forger"), b"dwpt/m4")
         with pytest.raises(ProtocolRejection) as exc:
             p.rsu.handle_m4(ProtocolMessage("m4", "EV", "RSU", body), NOW)
         assert exc.value.reason == MALFORMED
@@ -513,10 +498,10 @@ class TestRsuRejections:
             )
 
 
-def chain_rejection(pad: CpState, msg: ProtocolMessage, rng) -> str:
+def chain_rejection(pad: CpState, msg: ProtocolMessage) -> str:
     """The reason `pad` gives for rejecting `msg`."""
     with pytest.raises(ProtocolRejection) as exc:
-        pad.handle_chain(msg, rng)
+        pad.handle_chain(msg)
     return exc.value.reason
 
 
@@ -525,8 +510,8 @@ class TestPadRejections:
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
         pad = parties.pads[0]
-        pad.handle_chain(msg, parties.rng)
-        assert chain_rejection(pad, msg, parties.rng) == CHAIN_REUSED
+        pad.handle_chain(msg)
+        assert chain_rejection(pad, msg) == CHAIN_REUSED
 
     def test_replayed_provision_does_not_rearm_a_pad(self, parties):
         """A pad remembers each head it accepted a value against: m6 replayed
@@ -534,42 +519,42 @@ class TestPadRejections:
         already accepted, even after another head came in between, while a
         head it never accepted against still takes its value."""
         *_, m6 = run_authentication(parties)
-        pads, rng = parties.pads, parties.rng
+        pads = parties.pads
         m7 = parties.ev.next_chain_message()
-        m8 = pads[0].handle_chain(m7, rng)
+        m8 = pads[0].handle_chain(m7)
         pads[1].handle_provision(m8)
         m9 = parties.ev.next_chain_message()
-        pads[1].handle_chain(m9, rng)
+        pads[1].handle_chain(m9)
         for pad, provision, value in ((pads[0], m6, m7), (pads[1], m8, m9)):
             pad.handle_provision(provision)
             assert pad.consumed
-            assert chain_rejection(pad, value, rng) == CHAIN_REUSED
+            assert chain_rejection(pad, value) == CHAIN_REUSED
         pads[0].handle_provision(m8)
         assert not pads[0].consumed
-        pads[0].handle_chain(m9, rng)
+        pads[0].handle_chain(m9)
         pads[0].handle_provision(m6)
-        assert chain_rejection(pads[0], m7, rng) == CHAIN_REUSED
+        assert chain_rejection(pads[0], m7) == CHAIN_REUSED
 
     def test_wrong_value(self, parties):
         run_authentication(parties)
         parties.ev.next_chain_message()
         bogus = ProtocolMessage("m7", "EV", "CP1", b"\x55" * 32)
-        assert chain_rejection(parties.pads[0], bogus, parties.rng) == CHAIN_MISMATCH
+        assert chain_rejection(parties.pads[0], bogus) == CHAIN_MISMATCH
         assert not parties.pads[0].consumed
 
     def test_unprovisioned_pad(self, parties):
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
-        assert chain_rejection(parties.pads[2], msg, parties.rng) == BAD_STATE
+        assert chain_rejection(parties.pads[2], msg) == BAD_STATE
 
     def test_skipping_a_pad_fails(self, parties):
         """Value j+1 is two hash steps from pad j's head, so it must fail."""
         run_authentication(parties)
         first = parties.ev.next_chain_message()
         second = parties.ev.next_chain_message()
-        assert chain_rejection(parties.pads[0], second, parties.rng) == CHAIN_MISMATCH
+        assert chain_rejection(parties.pads[0], second) == CHAIN_MISMATCH
         # the pad stays armed for the correct value
-        parties.pads[0].handle_chain(first, parties.rng)
+        parties.pads[0].handle_chain(first)
         assert parties.pads[0].consumed
 
     @pytest.mark.parametrize("size", [31, 33])
@@ -579,18 +564,18 @@ class TestPadRejections:
         run_authentication(parties)
         pad = parties.pads[0]
         head = pad.expected_head
-        body = aead_seal(default_authority.gk_rsu_cp, bytes(size), parties.rng, b"dwpt/provision")
+        body = aead_seal(default_authority.gk_rsu_cp, bytes(size), RandomSource("forger"), b"dwpt/provision")
         with pytest.raises(ProtocolRejection) as exc:
             pad.handle_provision(ProtocolMessage("m6", "RSU", "CP1", body))
         assert exc.value.reason == MALFORMED
         assert pad.expected_head == head
-        pad.handle_chain(parties.ev.next_chain_message(), parties.rng)
+        pad.handle_chain(parties.ev.next_chain_message())
         assert pad.consumed
 
     def test_forward_reprovisions_next_pad(self, parties):
         run_authentication(parties)
         msg = parties.ev.next_chain_message()
-        forward = parties.pads[0].handle_chain(msg, parties.rng)
+        forward = parties.pads[0].handle_chain(msg)
         assert (forward.kind, forward.sender, forward.receiver) == ("m8", "CP1", "CP2")
         parties.pads[1].handle_provision(forward)
         assert parties.pads[1].expected_head == msg.body
@@ -599,28 +584,28 @@ class TestPadRejections:
 BAD_TIMESTAMP = encode_timestamp(NOW)[:8] + b"\x01" + bytes(23)  # padding not zero
 
 
-def bad_timestamp_message(p: Parties, kind: str):
+def bad_timestamp_message(p: World, kind: str):
     """The handler of `kind`, after the honest pass up to it, and a `kind`
     body sealed under its right key whose timestamp padding is not zero."""
-    ev, mpk = p.ev, p.cspa.mpk
+    ev, mpk, rng = p.ev, p.cspa.mpk, RandomSource("forger")
     m1 = ev.compose_m1(NOW)
     entry = ev.entry
     if kind == "m1":
         payload = entry.pseudonym + bytes(32) + BAD_TIMESTAMP + entry.z
-        return p.cspa.handle_m1, ibe_seal(mpk, ev.cspa_point, payload, p.rng, b"dwpt/m1")
+        return p.cspa.handle_m1, ibe_seal(mpk, ev.cspa_point, payload, rng, b"dwpt/m1")
     if kind == "m2":
         payload = bytes(64) + BAD_TIMESTAMP + add_mod_2_256(entry.z, entry.w)
         point = identity_point(mpk.params, entry.pseudonym)
-        return ev.handle_m2, ibe_seal(mpk, point, payload, p.rng, b"dwpt/m2")
+        return ev.handle_m2, ibe_seal(mpk, point, payload, rng, b"dwpt/m2")
     if kind == "m3":
         payload = bytes(32) + entry.pseudonym + bytes(32) + BAD_TIMESTAMP
-        return p.rsu.handle_m3, aead_seal(p.rsu.gk_cspa_rsu, payload, p.rng, b"dwpt/m3")
+        return p.rsu.handle_m3, aead_seal(p.rsu.gk_cspa_rsu, payload, rng, b"dwpt/m3")
     m2, m3 = p.cspa.handle_m1(m1, NOW)
     ev.handle_m2(m2, NOW)
     p.rsu.handle_m3(m3, NOW)
     if kind == "m4":
         payload = entry.pseudonym + bytes(32) + BAD_TIMESTAMP
-        return p.rsu.handle_m4, aead_seal(ev.session_key, payload, p.rng, b"dwpt/m4")
+        return p.rsu.handle_m4, aead_seal(ev.session_key, payload, rng, b"dwpt/m4")
     ev.compose_m4(NOW)
     payload = (
         add_mod_2_256(ev.n_rsu, (1).to_bytes(32, "big"))
@@ -628,7 +613,7 @@ def bad_timestamp_message(p: Parties, kind: str):
         + BAD_TIMESTAMP
         + struct.pack("<I", 4)
     )
-    return ev.handle_m5, aead_seal(ev.session_key, payload, p.rng, b"dwpt/m5")
+    return ev.handle_m5, aead_seal(ev.session_key, payload, rng, b"dwpt/m5")
 
 
 class TestTimestampField:

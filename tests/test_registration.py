@@ -184,8 +184,8 @@ class TestRegisterVehicle:
         assert creds.pick_slot() == 1
         assert creds.pick_slot(2) == 2
         creds.spent.update({1, 2})
-        with pytest.raises(EmptyRegistry):
-            creds.pick_slot()
+        assert creds.pick_slot() is None
+        assert creds.pick_slot(2) == 2  # a spent slot named outright is kept
         for slot in (7, 3, -1):
             with pytest.raises(IndexError, match="no pseudonym slot"):
                 creds.pick_slot(slot)

@@ -15,7 +15,9 @@ local variable or an attribute also uses hides an unused member.  That is
 how `RingElement.scale`, `RandomSource.uniform` and `HashChain.n_pads` went
 unflagged before they were deleted: `scale` is a local in `ntrusolve`,
 `uniform` an attribute of `ring.GaussianTrials`, and `n_pads` a parameter
-name throughout.
+name throughout.  Where two package classes define one public name, `SHARED`
+names the caller of each class's member, and a newly shared name fails until
+it does.
 
 A second scan asks the same of state: every attribute a package class
 stores, by `self.x = ...` or as a dataclass or NamedTuple field, is loaded
@@ -65,7 +67,7 @@ def members(tree: ast.Module) -> list[str]:
     return out
 
 
-def references(tree: ast.Module) -> set[str]:
+def references(tree: ast.AST) -> set[str]:
     """Every name that a Name, Attribute or ImportFrom node uses."""
     names = set()
     for node in ast.walk(tree):
@@ -100,6 +102,74 @@ def test_every_public_member_has_a_caller():
         if member.rsplit(".", 1)[-1] not in used
     ]
     assert unused == []
+
+
+#: Public member names that two or more package classes define, each
+#: class's member with the package function that calls it.  The scan above
+#: matches by name, so one class's caller would hide another class's unused
+#: member of the same name; these callers were read to call the member of
+#: that class.  A name that becomes shared fails below until its callers are
+#: read and listed.
+SHARED = {
+    "blob": {"Writer": "keyfiles.vehicle_to_bytes", "Reader": "keyfiles.vehicle_from_bytes"},
+    "fixed": {"Writer": "keyfiles.vehicle_to_bytes", "Reader": "keyfiles.vehicle_from_bytes"},
+    "from_bytes": {"Ciphertext": "ibe.ibe_open", "RingElement": "ibe.Ciphertext.from_bytes"},
+    "keep_transform": {
+        "UserSecretKey": "registration.CspaDataset.__post_init__",
+        "RingElement": "ibe.MasterPublicKey.__post_init__",
+    },
+    "params": {
+        "MasterPublicKey": "ibe.encrypt",
+        "MasterSecretKey": "ibe.KleinSampler.__init__",
+        "UserSecretKey": "ibe.decrypt",
+        "RegistrationAuthority": "keyfiles.authority_to_bytes",
+    },
+    "to_bytes": {
+        "UserSecretKey": "keyfiles._write_usk",
+        "Ciphertext": "ibe.ibe_seal",
+        "RingElement": "ibe.Ciphertext.to_bytes",
+    },
+    "to_json": {
+        "TraceEvent": "netsim.SessionTrace.to_jsonl",
+        "AdversaryAction": "netsim.AdversaryReport.to_jsonl",
+    },
+    "to_jsonl": {"SessionTrace": "cli.cmd_run", "AdversaryReport": "cli.cmd_attack"},
+    "u8": {"Writer": "keyfiles._frame", "Reader": "keyfiles._unframe"},
+}
+
+
+def _definition(path: str) -> ast.AST:
+    """The function or class that `module.Name[.name]` names."""
+    module, *names = path.split(".")
+    node = package_trees()[f"{module}.py"]
+    for name in names:
+        node = next(item for item in node.body
+                    if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and item.name == name)
+    return node
+
+
+def test_shared_member_names_are_pinned():
+    """`SHARED` lists exactly the public member names that two or more
+    package classes define, and for each name exactly those classes."""
+    classes = {}
+    for tree in package_trees().values():
+        for member in members(tree):
+            if "." in member:
+                owner, name = member.split(".")
+                classes.setdefault(name, set()).add(owner)
+    shared = {name: owners for name, owners in classes.items() if len(owners) > 1}
+    assert shared == {name: set(callers) for name, callers in SHARED.items()}
+
+
+def test_shared_members_have_their_callers():
+    """Each caller `SHARED` names exists and names the member."""
+    missing = [
+        f"{owner}.{name} <- {caller}"
+        for name, callers in SHARED.items()
+        for owner, caller in callers.items()
+        if name not in references(_definition(caller))
+    ]
+    assert missing == []
 
 
 def test_kept_members_exist():
