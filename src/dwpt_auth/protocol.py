@@ -235,6 +235,7 @@ class CspaState:
         self.rng = rng
         self.freshness_ms = freshness_ms
         self.consumed = set(dataset.consumed)
+        self.gk_cspa_rsu = dataset.gk_cspa_rsu.require(ROLE_CSPA_RSU)
 
     def handle_m1(
         self, msg: ProtocolMessage, now_ms: int
@@ -260,12 +261,7 @@ class CspaState:
         m2_body = ibe_seal(self.mpk, point, m2_payload, self.rng, b"dwpt/m2")
 
         m3_payload = sha256(token) + pseudonym + session_key.key + encode_timestamp(now_ms)
-        m3_body = aead_seal(
-            self.dataset.gk_cspa_rsu.require(ROLE_CSPA_RSU),
-            m3_payload,
-            self.rng,
-            b"dwpt/m3",
-        )
+        m3_body = aead_seal(self.gk_cspa_rsu, m3_payload, self.rng, b"dwpt/m3")
         return (
             ProtocolMessage("m2", "CSPA", "EV", m2_body),
             ProtocolMessage("m3", "CSPA", "RSU", m3_body),

@@ -6,6 +6,7 @@ the simulator must reproduce them exactly, not approximately, because all
 accounting is done in rational arithmetic.
 """
 
+import ast
 import copy
 import dataclasses
 import hashlib
@@ -13,6 +14,7 @@ import importlib
 import json
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +33,7 @@ from dwpt_auth.netsim import (
     build_world,
     cost_asymptotic,
     cost_first_pad,
+    deliver,
     message_cost_rows,
     message_costs_csv,
     pad_length_m,
@@ -419,7 +422,7 @@ class TestAdversaryHarness:
         report = run_adversary(
             name, default_authority, default_vehicle, n_pads=3, seed=f"adv-{name}"
         )
-        assert report.passed, [a.to_json() for a in report.actions]
+        assert report.passed, report.to_jsonl()
         assert report.accepted_count == 0
         assert report.actions  # a scenario with no actions proves nothing
 
@@ -466,6 +469,27 @@ class TestAdversaryHarness:
             ("CP1", "ChainValueReused"), ("CP2", "accepted"),
         ]
 
+    #: SHA-256 prefixes of each scenario's report at `default` with 1 and 3
+    #: pads: every byte, where `test_expected_reasons` and gate 6 read only
+    #: the reasons and names.
+    REPORT_PINS = {
+        "double-spend": ["1024da2896b2deb4", "c54c899e4bb08625"],
+        "forge-m4": ["ec51a50cc56951d4", "ec51a50cc56951d4"],
+        "pseudonym-reuse": ["9b77ed6e3be7fc3b", "9b77ed6e3be7fc3b"],
+        "replay-m7": ["3ee25cccc85a4f54", "62c0e500e88c6820"],
+        "stale-timestamp": ["70995d45f7dfabfa", "70995d45f7dfabfa"],
+    }
+
+    def test_reports_are_pinned(self, default_authority, default_vehicle):
+        """Descriptions, targets, order and honest accepts hold byte for byte."""
+        digests = {
+            name: [hashlib.sha256(run_adversary(
+                name, default_authority, default_vehicle, n_pads=n, seed="pin",
+            ).to_jsonl().encode()).hexdigest()[:16] for n in (1, 3)]
+            for name in sorted(SCENARIOS)
+        }
+        assert digests == self.REPORT_PINS
+
     def test_unknown_scenario(self, default_authority, default_vehicle):
         with pytest.raises(ValueError, match="unknown scenario"):
             run_adversary("meteor-strike", default_authority, default_vehicle)
@@ -478,6 +502,95 @@ class TestAdversaryHarness:
         assert lines[0]["adversary_accepted"] == 0
         assert lines[0]["honest_accepts"] == 3
         assert all(l["type"] == "action" for l in lines[1:])
+
+
+#: Every (receiver, kind) pair `deliver` routes on a three-pad lane.
+ROUTES = [("CSPA", "m1"), ("EV", "m2"), ("RSU", "m3"), ("RSU", "m4"), ("EV", "m5")] + [
+    (f"CP{j}", kind) for j in (1, 2, 3) for kind in ("m6", "m7", "m8", "m9", "chain")
+]
+
+
+class TestDeliver:
+    @pytest.fixture()
+    def lane(self, default_authority, default_vehicle):
+        """A fresh three-pad lane, and a copy of it that rode an honest pass
+        at the same seed, with the messages that pass sent."""
+        def world():
+            return build_world(default_authority, default_vehicle.copy(), 3, seed="deliver")
+
+        sent = []
+        ridden = world()
+        netsim._ride(ridden, 3, emit=lambda msg: sent.append(msg) or msg)
+        return world(), ridden, sent
+
+    def test_routes_an_honest_pass(self, lane):
+        """An honest pass sent message by message through `deliver` sends
+        what `_ride` sends, and every pad accepts."""
+        fresh, _, sent = lane
+        ev, out = fresh.ev, []
+
+        def send(msg):
+            out.append(msg)
+            return deliver(fresh, msg)
+
+        for msg in send(ev.compose_m1(0)):
+            send(msg)
+        m5, provision = send(ev.compose_m4(0))
+        send(m5)
+        for _ in fresh.pads:
+            send(provision)
+            provision = send(ev.next_chain_message())
+        assert out == sent
+        assert all(pad.consumed for pad in fresh.pads)
+
+    def test_refuses_what_the_lane_does_not_route(self, lane):
+        """Any other receiver or kind is a ValueError naming both, raised
+        before a handler runs; no pad name wraps around to another pad."""
+        fresh, _, sent = lane
+        body = sent[0].body
+        receivers = ["EV", "CSPA", "RSU", "CP0", "CP1", "CP3", "CP4", "CP-1", "MITM"]
+        kinds = [*protocol.NOMINAL_SIZES, "m10"]
+        for receiver in receivers:
+            for kind in kinds:
+                if (receiver, kind) in ROUTES:
+                    continue
+                with pytest.raises(ValueError, match=f"'{receiver}' .* '{kind}'"):
+                    deliver(fresh, protocol.ProtocolMessage(kind, "MITM", receiver, body))
+        assert fresh.ev.state == "idle" and fresh.cspa.consumed == fresh.cspa.dataset.consumed
+        assert all(pad.expected_head is None for pad in fresh.pads)
+
+    def test_handlers_return_or_reject(self, lane):
+        """Every body of an honest three-pad pass, as sent, with one bit
+        flipped, with its last byte cut and with one byte appended, sent to
+        every route of a fresh lane and of the lane that rode: each
+        delivery returns or raises ProtocolRejection, never anything else."""
+        fresh, ridden, sent = lane
+        delivered = 0
+        for world in (fresh, ridden):
+            for msg in sent:
+                flipped = bytearray(msg.body)
+                flipped[len(flipped) // 2] ^= 0x10
+                for body in (msg.body, bytes(flipped), msg.body[:-1], msg.body + b"\x00"):
+                    for receiver, kind in ROUTES:
+                        try:
+                            deliver(world, protocol.ProtocolMessage(kind, "MITM", receiver, body))
+                        except ProtocolRejection:
+                            pass
+                        delivered += 1
+        assert delivered == 2 * len(sent) * 4 * len(ROUTES) == 1760
+
+    def test_only_ride_and_deliver_call_handlers(self):
+        """Inside `netsim`, `_ride` names the handlers and `deliver` reaches
+        them through its table; a scenario sends only through `deliver`."""
+        tree = ast.parse(Path(netsim.__file__).read_text())
+        handlers = set(netsim._HANDLERS.values())
+
+        def users(match) -> set[str]:
+            return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                    for node in ast.walk(fn) if match(node)}
+
+        assert users(lambda n: isinstance(n, ast.Attribute) and n.attr in handlers) == {"_ride"}
+        assert users(lambda n: isinstance(n, ast.Name) and n.id == "_HANDLERS") == {"deliver"}
 
 
 class NoMasterKey:

@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from dwpt_auth import protocol
-from dwpt_auth.errors import ProtocolRejection
+from dwpt_auth.errors import AuthenticationFailure, ProtocolRejection
 from dwpt_auth.ibe import MasterPublicKey, ibe_seal, identity_point
 from dwpt_auth.netsim import World
 from dwpt_auth.protocol import (
@@ -270,6 +270,14 @@ class TestCspaRejections:
             p1.cspa.handle_m1(ev2.compose_m1(NOW), NOW)
         assert exc.value.reason == PSEUDONYM_REUSE
 
+    def test_group_key_role_checked_when_built(self, default_authority, dataset):
+        """A CSPA whose CSPA-RSU slot holds the RSU-CP key is refused when it
+        is built, as an RSU or a pad with the wrong key is, and not after
+        its first m1 has consumed a pseudonym and drawn a token."""
+        wrong = dataclasses.replace(dataset, gk_cspa_rsu=default_authority.gk_rsu_cp)
+        with pytest.raises(AuthenticationFailure, match="key role mismatch"):
+            CspaState(wrong, default_authority.mpk, RandomSource("cspa"))
+
     def test_wrong_share_z(self, default_authority, dataset, fresh_vehicle):
         entry = fresh_vehicle.entries[0]
         fresh_vehicle.entries[0] = dataclasses.replace(entry, z=bytes(32))
@@ -488,14 +496,22 @@ class TestRsuRejections:
         with pytest.raises(TypeError):
             parties.rsu.handle_m3(m3, NOW)
 
-    def test_requires_group_key_roles(self, default_authority):
-        with pytest.raises(Exception):
-            RsuState(
-                default_authority.gk_rsu_cp,  # swapped
-                default_authority.gk_cspa_rsu,
-                4,
-                RandomSource("r"),
-            )
+    def test_requires_group_key_roles(self, default_authority, dataset):
+        """A group key of the other role, in either RSU slot, at a pad or at
+        the CSPA, is refused when the party is built, naming both roles."""
+        ra, rng = default_authority, RandomSource("r")
+        cspa_rsu, rsu_cp = ra.gk_cspa_rsu, ra.gk_rsu_cp
+        builds = [
+            (lambda: RsuState(rsu_cp, rsu_cp, 4, rng), rsu_cp, cspa_rsu),
+            (lambda: RsuState(cspa_rsu, cspa_rsu, 4, rng), cspa_rsu, rsu_cp),
+            (lambda: CpState(1, cspa_rsu, rng), cspa_rsu, rsu_cp),
+            (lambda: CspaState(dataclasses.replace(dataset, gk_cspa_rsu=rsu_cp), ra.mpk, rng),
+             rsu_cp, cspa_rsu),
+        ]
+        for build, have, need in builds:
+            text = f"key role mismatch: have '{have.role}', need '{need.role}'"
+            with pytest.raises(AuthenticationFailure, match=text):
+                build()
 
 
 def chain_rejection(pad: CpState, msg: ProtocolMessage) -> str:

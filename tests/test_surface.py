@@ -129,10 +129,6 @@ SHARED = {
         "Ciphertext": "ibe.ibe_seal",
         "RingElement": "ibe.Ciphertext.to_bytes",
     },
-    "to_json": {
-        "TraceEvent": "netsim.SessionTrace.to_jsonl",
-        "AdversaryAction": "netsim.AdversaryReport.to_jsonl",
-    },
     "to_jsonl": {"SessionTrace": "cli.cmd_run", "AdversaryReport": "cli.cmd_attack"},
     "u8": {"Writer": "keyfiles._frame", "Reader": "keyfiles._unframe"},
 }
@@ -205,7 +201,7 @@ def test_every_import_is_used():
 #: Stored attributes that no package code loads, kept on purpose.
 UNREAD = {
     "detail": "ProtocolRejection.detail: the exception's detail, for callers",
-    "target": "AdversaryAction.target: serialized through `vars` in `to_json`",
+    "target": "AdversaryAction.target: serialized through `vars` in `AdversaryReport.to_jsonl`",
 }
 
 
