@@ -211,15 +211,12 @@ class Ciphertext:
     v: RingElement
 
     def to_bytes(self) -> bytes:
-        return self.u.to_bytes() + self.v.to_bytes()
+        return self.u.to_bytes(self.v)
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "Ciphertext":
-        """Inverse of to_bytes; DecodeError on any other length or a
-        coefficient outside [0, q)."""
-        n = params.element_bytes  # a wrong length leaves u or v the wrong size
-        u, v = (RingElement.from_bytes(half, params) for half in (data[:n], data[n:]))
-        return cls(u, v)
+        """Inverse of to_bytes; DecodeError as `RingElement.stack_from_bytes`."""
+        return cls(*RingElement.stack_from_bytes(data, params, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -680,9 +677,8 @@ def ibe_open(usk: UserSecretKey, data: bytes, associated_data: bytes = b"") -> b
     does not decrypt cleanly (wrong identity key or tampered bytes)."""
     params = usk.params
     r = Reader(data)
-    size = 2 * params.element_bytes
     blocks = [
-        decrypt(usk, Ciphertext.from_bytes(r.fixed(size), params))
+        decrypt(usk, Ciphertext.from_bytes(r.fixed(2 * params.element_bytes), params))
         for _ in range(_key_block_count(params.N))
     ]
     sealed = r.blob()

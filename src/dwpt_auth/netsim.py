@@ -390,10 +390,10 @@ def _ride(world: World, n_pads: int, now=lambda: 0, emit=lambda msg: msg):
     m4 = emit(ev.compose_m4(now()))
     m5, provision = rsu.handle_m4(m4, now())
     ev.handle_m5(emit(m5), now())
-    rides = []
+    rides, next_chain_message = [], ev.next_chain_message
     for pad in world.pads[:n_pads]:
         pad.handle_provision(emit(provision))
-        msg = emit(ev.next_chain_message())
+        msg = emit(next_chain_message())
         provision = pad.handle_chain(msg)
         rides.append((msg, provision))
     return rides

@@ -121,8 +121,6 @@ def _parse(body: bytes, context: str, *widths: int) -> list[bytes]:
         raise ProtocolRejection(
             MALFORMED, f"{context}: {len(body)} bytes, expected {sum(widths)}"
         )
-    if len(widths) == 1:
-        return [body]
     fields, off = [], 0
     for w in widths:
         fields.append(body[off : off + w])
@@ -209,10 +207,10 @@ class EvSession:
         """Chain value for the next pad in driving order."""
         if self.state != "charging":
             raise ProtocolRejection(BAD_STATE, f"chain send in state {self.state}")
-        j = self.next_pad
-        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", self.chain.value_for_pad(j))
+        j, links = self.next_pad, self.chain.links
+        msg = ProtocolMessage(chain_kind(j), "EV", f"CP{j}", links[-1 - j])  # link n - j
         self.next_pad = j + 1
-        if j == len(self.chain.links) - 1:  # n pad links, then the head
+        if j == len(links) - 1:  # n pad links, then the head
             self.state = "done"
         return msg
 
@@ -344,6 +342,8 @@ class CpState:
     each head it is provisioned with, and remembers every head it accepted
     a value against, so no later provision re-arms it for that head."""
 
+    __slots__ = ("name", "successor", "gk", "rng", "expected_head", "accepted_heads")
+
     def __init__(self, index: int, gk_rsu_cp: SymmetricKey, rng: RandomSource):
         self.name = f"CP{index}"
         self.successor = f"CP{index + 1}"  # receiver of this pad's m8
@@ -359,18 +359,23 @@ class CpState:
 
     def handle_provision(self, msg: ProtocolMessage) -> None:
         """m6 (from the RSU) or m8 (from the previous pad)."""
-        payload = _open(aead_open, self.gk, msg.body, b"dwpt/provision", "provision")
-        (self.expected_head,) = _parse(payload, "provision", 32)
+        try:
+            head = aead_open(self.gk, msg.body, b"dwpt/provision")
+        except _UNREADABLE as exc:
+            raise ProtocolRejection(DECRYPT_FAILURE, f"provision: {exc}") from exc
+        if len(head) != 32:
+            raise ProtocolRejection(MALFORMED, f"provision: {len(head)} bytes, expected 32")
+        self.expected_head = head
 
     def handle_chain(self, msg: ProtocolMessage) -> ProtocolMessage:
         """Check one hash step; on accept, return the m8 forward for the next pad."""
-        candidate = msg.body
-        if self.expected_head is None:
+        candidate, head = msg.body, self.expected_head
+        if head is None:
             raise ProtocolRejection(BAD_STATE, f"{self.name}: not provisioned")
-        if self.consumed:
+        if head in self.accepted_heads:
             raise ProtocolRejection(CHAIN_REUSED, f"{self.name}: value already accepted")
-        if len(candidate) != 32 or not chain_verify(candidate, self.expected_head):
+        if len(candidate) != 32 or not chain_verify(candidate, head):
             raise ProtocolRejection(CHAIN_MISMATCH, f"{self.name}: hash step does not match")
-        self.accepted_heads.add(self.expected_head)
+        self.accepted_heads.add(head)
         forward_body = aead_seal(self.gk, candidate, self.rng, b"dwpt/provision")
         return ProtocolMessage("m8", self.name, self.successor, forward_body)

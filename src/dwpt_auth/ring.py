@@ -309,12 +309,13 @@ class RingElement:
         operands = (self, *others)
         fresh = [e.coeffs for e in operands if e._ntt is None]
         if fresh:
-            computed = iter(_ntt_forward(np.stack(fresh), N, q))
-        points = [next(computed) if e._ntt is None else e._ntt for e in operands]
-        return _ntt_inverse(np.stack(points[1:]) * points[0] % q, N, q)
+            # np.array, not np.stack: one call that stacks and widens.
+            computed = iter(_ntt_forward(np.array(fresh, dtype=np.int64), N, q))
+        first, *rest = (next(computed) if e._ntt is None else e._ntt for e in operands)
+        return _ntt_inverse(np.multiply(rest, first) % q, N, q)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        return RingElement(self.params, self.product_rows(other)[0])
+        return RingElement.__new__(RingElement)._keep(self.params, self.product_rows(other)[0])
 
     def inverse(self) -> "RingElement":
         """Inverse in R_q via NTT point inversion; NotInvertible if any
@@ -349,29 +350,34 @@ class RingElement:
 
     # -- serialization -------------------------------------------------
 
-    def to_bytes(self) -> bytes:
-        """The N coefficients, each `coeff_width` bytes little-endian; N and
-        q are the carrier's to state (a container header, or the master
-        public key of a session)."""
+    def to_bytes(self, *more: "RingElement") -> bytes:
+        """The N coefficients, each `coeff_width` bytes little-endian, then
+        those of each of `more`, as one block; N and q are the carrier's to
+        state (a container header, or the master public key of a session)."""
         # q < 2^31, so each coefficient is its low `width` bytes as a LE u32.
-        width = self.params.coeff_width
-        return self.coeffs.astype("<u4").view(np.uint8).reshape(-1, 4)[:, :width].tobytes()
+        words = np.array([self.coeffs, *(e.coeffs for e in more)], dtype="<u4")
+        return words.view(np.uint8).reshape(-1, 4)[:, : self.params.coeff_width].tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes, params: RingParams) -> "RingElement":
-        """Inverse of to_bytes; DecodeError on a length other than
-        `params.element_bytes` or a coefficient outside [0, q)."""
-        if len(data) != params.element_bytes:
-            raise DecodeError(
-                f"ring element of {len(data)} bytes, expected {params.element_bytes}"
-            )
-        width = params.coeff_width
-        padded = np.zeros((params.N, 4), dtype=np.uint8)
+        """Inverse of to_bytes for one element: `stack_from_bytes` with k = 1."""
+        return cls.stack_from_bytes(data, params, 1)[0]
+
+    @classmethod
+    def stack_from_bytes(cls, data: bytes, params: RingParams, k: int) -> list["RingElement"]:
+        """Inverse of to_bytes for k elements, one length and one range check:
+        DecodeError on a coefficient outside [0, q), or on a length other
+        than k * `element_bytes`, naming the first element the data cuts or pads."""
+        n, width = params.element_bytes, params.coeff_width
+        if len(data) != k * n:
+            size = len(data) - n * min(len(data) // n, k - 1)
+            raise DecodeError(f"ring element of {size} bytes, expected {n}")
+        padded = np.zeros((k * params.N, 4), dtype=np.uint8)
         padded[:, :width] = np.frombuffer(data, dtype=np.uint8).reshape(-1, width)
-        coeffs = padded.view("<u4").reshape(params.N)
+        coeffs = padded.view("<u4").reshape(k, params.N)
         if (coeffs >= params.q).any():
             raise DecodeError("coefficient outside [0, q)")
-        return cls.__new__(cls)._keep(params, coeffs)
+        return [cls.__new__(cls)._keep(params, row) for row in coeffs.astype(np.int32)]
 
 
 class IntegerPolynomial:

@@ -114,9 +114,8 @@ def aead_seal(
 def aead_open(key: SymmetricKey, blob: bytes, associated_data: bytes = b"") -> bytes:
     if len(blob) < _NONCE_LEN + 16:
         raise AuthenticationFailure("ciphertext too short")
-    nonce, ct = blob[:_NONCE_LEN], blob[_NONCE_LEN:]
     try:
-        return key.cipher.decrypt(nonce, ct, associated_data)
+        return key.cipher.decrypt(blob[:_NONCE_LEN], blob[_NONCE_LEN:], associated_data)
     except importlib.import_module("cryptography.exceptions").InvalidTag as exc:
         raise AuthenticationFailure("AEAD tag check failed") from exc
 
@@ -150,21 +149,15 @@ class HashChain:
             raise ValueError("need at least one pad")
         if len(h_token) != 32 or len(h_m_ev) != 32:
             raise ValueError("digests are 32 bytes")
-        links = [sha256(h_token + h_m_ev)]
+        step, links = sha256, [sha256(h_token + h_m_ev)]  # one lookup, not one per pad
+        append = links.append
         for _ in range(n_pads):
-            links.append(sha256(links[-1]))
+            append(step(links[-1]))
         return cls(tuple(links))
 
     @property
     def head(self) -> bytes:
         return self.links[-1]
-
-    def value_for_pad(self, pad_index: int) -> bytes:
-        """Chain value revealed to pad `pad_index` (1-based driving order)."""
-        n_pads = len(self.links) - 1
-        if not 1 <= pad_index <= n_pads:
-            raise ValueError(f"pad index out of range 1..{n_pads}")
-        return self.links[n_pads - pad_index]
 
 
 def chain_verify(candidate: bytes, expected_head: bytes) -> bool:

@@ -874,6 +874,47 @@ class TestSerialization:
         back = Ciphertext.from_bytes(ct.to_bytes(), mpk.params)
         assert back == ct
 
+    @staticmethod
+    def random_pair(label: str) -> tuple[RingElement, RingElement]:
+        """Random u and v at the default tier, whose q takes 3 bytes."""
+        p, rng = TIERS["default"], RandomSource(label)
+        return tuple(
+            RingElement(p, [rng.below(p.q) for _ in range(p.N)]) for _ in range(2)
+        )
+
+    def test_ciphertext_is_u_then_v_as_one_block(self):
+        """The one-block encoding is u's encoding, then v's, each coefficient
+        its 3 low bytes little-endian, and decodes to the same u and v."""
+        p = TIERS["default"]
+        for trial in range(3):
+            u, v = self.random_pair(f"ct-block-{trial}")
+            blob = Ciphertext(u, v).to_bytes()
+            assert blob == u.to_bytes() + v.to_bytes()
+            assert blob == b"".join(
+                int(c).to_bytes(3, "little") for c in [*u.coeffs, *v.coeffs]
+            )
+            back = Ciphertext.from_bytes(blob, p)
+            assert (back.u, back.v) == (u, v)
+
+    @pytest.mark.parametrize("fault", ["q in u", "q in v", "one byte short", "one byte long"])
+    def test_block_decoder_refuses_as_two_elements_did(self, fault):
+        """A coefficient of q as u's last or v's last, or a body one byte
+        short or long, is DecodeError with the text that decoding u, then v,
+        as two elements gave."""
+        p = TIERS["default"]
+        n, w = p.element_bytes, p.coeff_width
+        u, v = self.random_pair("ct-faults")
+        blob, q = Ciphertext(u, v).to_bytes(), p.q.to_bytes(w, "little")
+        bad, message = {
+            "q in u": (blob[: n - w] + q + blob[n:], "coefficient outside [0, q)"),
+            "q in v": (blob[:-w] + q, "coefficient outside [0, q)"),
+            "one byte short": (blob[:-1], f"ring element of {n - 1} bytes, expected {n}"),
+            "one byte long": (blob + b"\x00", f"ring element of {n + 1} bytes, expected {n}"),
+        }[fault]
+        with pytest.raises(DecodeError) as exc:
+            Ciphertext.from_bytes(bad, p)
+        assert str(exc.value) == message
+
     def test_hybrid_round_trip(self, test_authority, monkeypatch):
         """At N = 64 the content key takes four blocks: `ibe_open` reads back
         each block `ibe_seal` wrote, in order, then the payload.  Decryption

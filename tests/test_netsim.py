@@ -911,7 +911,7 @@ class TestPrimitiveCounts:
         "hash_to_ring": (ring, "hash_to_ring"),
     }
 
-    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("n", [1, 3, 100])
     def test_honest_pass(self, default_authority, fresh_vehicle, monkeypatch, n):
         """m1 and m2 each encrypt and decrypt one content-key block and seal
         their payload; m3-m6 and every pad's m8 forward are sealed, the last

@@ -169,9 +169,15 @@ class TestHappyPath:
         assert len(p.ev.chain.links) - 1 == 7
 
     def test_chain_values_are_bare_digests(self, parties):
+        """Pad j of n is sent link n - j of the EV's chain, bare: the last
+        pad gets link 0, the preimage of the chain's base."""
         run_authentication(parties)
-        msg = parties.ev.next_chain_message()
-        assert len(msg.body) == 32
+        links = parties.ev.chain.links
+        n = len(links) - 1
+        sent = [parties.ev.next_chain_message() for _ in range(n)]
+        assert [msg.receiver for msg in sent] == [f"CP{j}" for j in range(1, n + 1)]
+        assert [msg.body for msg in sent] == [links[n - j] for j in range(1, n + 1)]
+        assert {len(msg.body) for msg in sent} == {32}
 
 
 class TestCspaRejections:
@@ -583,10 +589,37 @@ class TestPadRejections:
         body = aead_seal(default_authority.gk_rsu_cp, bytes(size), RandomSource("forger"), b"dwpt/provision")
         with pytest.raises(ProtocolRejection) as exc:
             pad.handle_provision(ProtocolMessage("m6", "RSU", "CP1", body))
-        assert exc.value.reason == MALFORMED
+        assert (exc.value.reason, exc.value.detail) == (
+            MALFORMED, f"provision: {size} bytes, expected 32"
+        )
         assert pad.expected_head == head
         pad.handle_chain(parties.ev.next_chain_message())
         assert pad.consumed
+
+    @pytest.mark.parametrize("cut, detail", [
+        (None, "provision: AEAD tag check failed"),
+        (27, "provision: ciphertext too short"),
+    ], ids=["bit-flipped", "short"])
+    def test_unreadable_provision_keeps_expected_head(self, parties, cut, detail):
+        """An m6 with one bit flipped, or cut below nonce and tag, is
+        DecryptFailure with the opener's text, and the pad keeps its head."""
+        *_, m6 = run_authentication(parties)
+        pad = parties.pads[0]
+        head = pad.expected_head
+        body = m6.body[:cut] if cut else m6.body[:-1] + bytes([m6.body[-1] ^ 1])
+        with pytest.raises(ProtocolRejection) as exc:
+            pad.handle_provision(m6._replace(body=body))
+        assert (exc.value.reason, exc.value.detail) == (DECRYPT_FAILURE, detail)
+        assert pad.expected_head == head
+        pad.handle_chain(parties.ev.next_chain_message())
+        assert pad.consumed
+
+    def test_pad_has_no_instance_dict(self, parties):
+        """A lane builds one pad per pad count: each holds only its slots."""
+        pad = parties.pads[0]
+        assert not hasattr(pad, "__dict__")
+        with pytest.raises(AttributeError):
+            pad.index = 1
 
     def test_forward_reprovisions_next_pad(self, parties):
         run_authentication(parties)

@@ -113,7 +113,7 @@ def test_every_public_member_has_a_caller():
 SHARED = {
     "blob": {"Writer": "keyfiles.vehicle_to_bytes", "Reader": "keyfiles.vehicle_from_bytes"},
     "fixed": {"Writer": "keyfiles.vehicle_to_bytes", "Reader": "keyfiles.vehicle_from_bytes"},
-    "from_bytes": {"Ciphertext": "ibe.ibe_open", "RingElement": "ibe.Ciphertext.from_bytes"},
+    "from_bytes": {"Ciphertext": "ibe.ibe_open", "RingElement": "keyfiles._read_ring"},
     "keep_transform": {
         "UserSecretKey": "registration.CspaDataset.__post_init__",
         "RingElement": "ibe.MasterPublicKey.__post_init__",

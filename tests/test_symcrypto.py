@@ -189,26 +189,19 @@ class TestHashChain:
         chain = HashChain.build(self.T, self.M, n)
         assert chain.head == chain.links[-1]
         assert len(chain.links) - 1 == n
-        # pad j reveals the preimage at depth j below the head
+        # pad j is sent link n - j, the preimage at depth j below the head
         for j in range(1, n + 1):
-            v = chain.value_for_pad(j)
+            v = chain.links[n - j]
             for _ in range(j):
                 v = sha256(v)
             assert v == chain.head
 
-    def test_pad_index_bounds(self):
-        chain = HashChain.build(self.T, self.M, 4)
-        with pytest.raises(ValueError):
-            chain.value_for_pad(0)
-        with pytest.raises(ValueError):
-            chain.value_for_pad(5)
-
     def test_verify_single_step(self):
         chain = HashChain.build(self.T, self.M, 3)
-        v1 = chain.value_for_pad(1)
+        v1 = chain.links[2]  # pad 1's value
         assert chain_verify(v1, chain.head)
         assert not chain_verify(v1, sha256(b"nope"))
-        assert chain_verify(chain.value_for_pad(2), v1)
+        assert chain_verify(chain.links[1], v1)
 
     def test_from_digests_matches_build(self):
         direct = HashChain.build(self.T, self.M, 5)
